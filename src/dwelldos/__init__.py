@@ -25,15 +25,12 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    CONTINUUM,
-    LATTICE,
     EnergyGrid,
     LatticeRegion,
     LatticeSystem,
     Layer,
     LayerStack,
     SpectralWeight,
-    UnitSystem,
     barrier_lattice,
     build_stack,
     channel_thresholds,
@@ -64,7 +61,6 @@ from .lattice import (
     LatticeScatterState,
     dos_region_lattice,
     dwell_time_lattice,
-    green_diagonal_lattice,
     greens_function_lattice,
     lead_modes,
     lead_self_energy,

@@ -14,7 +14,9 @@ per-element phase differences taken on the principal branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import signal
@@ -95,13 +97,29 @@ def _residual(dos_green: float, dos_sum: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _channel_labels_1d(sol: s1d.ScatterSolution1D) -> list[str]:
-    labels = []
-    if sol.open_left:
-        labels.append("left")
-    if sol.open_right:
-        labels.append("right")
-    return labels
+def _scatter(
+    system: LayerStack | LatticeSystem,
+    energy: float,
+    threshold_margin: float,
+    v_shift: float = 0.0,
+    region: LatticeRegion | None = None,
+) -> s1d.ScatterSolution1D | lat._LatticeWorkspace:
+    """Solve one energy; the only dispatch on the backend type.
+
+    Both backends return their per-energy object with the same methods:
+    channels() as (label, velocity), smatrix(), dwell_time(label, region)
+    and dos(region).  A nonzero v_shift is added inside Omega only: the
+    whole stack in 1D, `region` on a lattice.
+    """
+    if isinstance(system, LayerStack):
+        if v_shift:
+            system = system.shifted(v_shift)
+        return s1d.scattering_amplitudes(system, energy, threshold_margin)
+    if isinstance(system, LatticeSystem):
+        if v_shift:
+            system = system.shifted(v_shift, region)
+        return lat._LatticeWorkspace(system, energy, threshold_margin)
+    raise ValidationError(f"unsupported system type {type(system).__name__}")
 
 
 def shifted_smatrix(
@@ -114,30 +132,11 @@ def shifted_smatrix(
     """Flux-normalized S matrix with v_shift added inside Omega only.
 
     Returns the matrix and the channel labels of its rows/columns.  The
-    shift never touches the leads or asymptotic regions, so the channel
-    structure must be identical to the unshifted problem; a mismatch
-    raises ThresholdCrossingError.
+    shift never touches the leads or asymptotic regions, so callers can
+    compare the labels against the unshifted problem.
     """
-    if isinstance(system, LayerStack):
-        base = s1d.scattering_amplitudes(system, energy, threshold_margin)
-        shifted = s1d.scattering_amplitudes(system.shifted(v_shift), energy, threshold_margin)
-        labels = _channel_labels_1d(shifted)
-        if labels != _channel_labels_1d(base):
-            raise ThresholdCrossingError(
-                f"potential shift {v_shift} changed the open-channel set at E = {energy}"
-            )
-        return shifted.smatrix(), labels
-    if isinstance(system, LatticeSystem):
-        s, chans = lat.scattering_matrix(
-            system.shifted(v_shift, region), energy, threshold_margin
-        )
-        base_chans = lat.open_channels(system, energy, threshold_margin)
-        if [c.label for c in chans] != [c.label for c in base_chans]:
-            raise ThresholdCrossingError(
-                f"potential shift {v_shift} changed the open-channel set at E = {energy}"
-            )
-        return s, [c.label for c in chans]
-    raise ValidationError(f"unsupported system type {type(system).__name__}")
+    state = _scatter(system, energy, threshold_margin, v_shift, region)
+    return state.smatrix(), [label for label, _ in state.channels()]
 
 
 def default_dv(energy: float) -> float:
@@ -184,12 +183,19 @@ def dwell_times_vderiv_all(
         auto_adjust = dv is None
     step = default_dv(energy) if dv is None else float(dv)
     s0, labels = shifted_smatrix(system, energy, 0.0, region, threshold_margin)
+
+    def shifted(v_shift: float) -> Array:
+        s, shifted_labels = shifted_smatrix(system, energy, v_shift, region, threshold_margin)
+        if shifted_labels != labels:
+            raise ThresholdCrossingError(
+                f"potential shift {v_shift} changed the open-channel set at E = {energy}"
+            )
+        return s
+
     attempts = max_halvings if auto_adjust else 0
     while True:
         try:
-            sp, _ = shifted_smatrix(system, energy, +step, region, threshold_margin)
-            sm, _ = shifted_smatrix(system, energy, -step, region, threshold_margin)
-            taus = _vderiv_from_matrices(s0, sp, sm, step)
+            taus = _vderiv_from_matrices(s0, shifted(+step), shifted(-step), step)
             return dict(zip(labels, taus))
         except (StepTooLargeError, NumericalFailureError):
             if attempts <= 0:
@@ -255,64 +261,6 @@ def wavepacket_dwell_time(
 # ----------------------------------------------------------------------------
 
 
-def _report_1d(stack: LayerStack, energy: float, margin: float,
-               methods: tuple[str, ...], dv: float | None) -> DwellReport:
-    sol = s1d.scattering_amplitudes(stack, energy, margin)
-    records = []
-    want_direct = "direct" in methods
-    want_vderiv = "vderiv" in methods
-    vd = {}
-    if want_vderiv:
-        vd = dwell_times_vderiv_all(stack, energy, dv, threshold_margin=margin)
-    for side, opened, k in (("left", sol.open_left, sol.k_left),
-                            ("right", sol.open_right, sol.k_right)):
-        if not opened:
-            continue
-        tau = (s1d.dwell_time_direct_1d(stack, energy, side, margin, solution=sol)
-               if want_direct else None)
-        records.append(ChannelRecord(
-            channel=side, velocity=2.0 * k.real,
-            tau_direct=tau, tau_vderiv=vd.get(side),
-        ))
-    dos_green = (s1d.dos_region_1d(stack, energy, margin, solution=sol)
-                 if "green" in methods else None)
-    dos_sum = None
-    if want_direct:
-        dos_sum = sum(r.tau_direct for r in records) / (2.0 * np.pi)
-    residual = (_residual(dos_green, dos_sum)
-                if dos_green is not None and dos_sum is not None else None)
-    return DwellReport(energy=energy, channels=tuple(records),
-                       dos_green=dos_green, dos_sum=dos_sum, residual_rel=residual)
-
-
-def _report_lattice(system: LatticeSystem, energy: float, margin: float,
-                    region: LatticeRegion | None, methods: tuple[str, ...],
-                    dv: float | None) -> DwellReport:
-    ws = lat._LatticeWorkspace(system, energy, margin)
-    chans = [c for c in ws.modes_left + ws.modes_right if c.is_open]
-    want_direct = "direct" in methods
-    vd = {}
-    if "vderiv" in methods:
-        vd = dwell_times_vderiv_all(system, energy, dv, region, threshold_margin=margin)
-    records = []
-    for ch in chans:
-        tau = (lat.dwell_time_lattice(system, energy, ch, region, margin, workspace=ws)
-               if want_direct else None)
-        records.append(ChannelRecord(
-            channel=ch.label, velocity=ch.velocity,
-            tau_direct=tau, tau_vderiv=vd.get(ch.label),
-        ))
-    dos_green = (lat.dos_region_lattice(system, energy, region, margin, workspace=ws)
-                 if "green" in methods else None)
-    dos_sum = None
-    if want_direct:
-        dos_sum = sum(r.tau_direct for r in records) / (2.0 * np.pi)
-    residual = (_residual(dos_green, dos_sum)
-                if dos_green is not None and dos_sum is not None else None)
-    return DwellReport(energy=energy, channels=tuple(records),
-                       dos_green=dos_green, dos_sum=dos_sum, residual_rel=residual)
-
-
 def compute_report(
     system: LayerStack | LatticeSystem,
     energy: float,
@@ -322,17 +270,32 @@ def compute_report(
     threshold_margin: float = 1e-6,
 ) -> DwellReport:
     """One energy point of verify_identity; solver errors become a skip."""
+    want_direct = "direct" in methods
     try:
-        if isinstance(system, LayerStack):
-            return _report_1d(system, energy, threshold_margin, methods, dv)
-        if isinstance(system, LatticeSystem):
-            return _report_lattice(system, energy, threshold_margin, region, methods, dv)
-        raise ValidationError(f"unsupported system type {type(system).__name__}")
+        state = _scatter(system, energy, threshold_margin)
+        vd = {}
+        if "vderiv" in methods:
+            vd = dwell_times_vderiv_all(system, energy, dv, region, threshold_margin)
+        records = []
+        for label, velocity in state.channels():
+            tau = state.dwell_time(label, region) if want_direct else None
+            records.append(ChannelRecord(
+                channel=label, velocity=velocity,
+                tau_direct=tau, tau_vderiv=vd.get(label),
+            ))
+        dos_green = state.dos(region) if "green" in methods else None
     except DwellDosError as err:
         if isinstance(err, ValidationError):
             raise
         return DwellReport(energy=energy, skipped=True,
                            skip_reason=f"{type(err).__name__}: {err}")
+    dos_sum = None
+    if want_direct:
+        dos_sum = sum(r.tau_direct for r in records) / (2.0 * np.pi)
+    residual = (_residual(dos_green, dos_sum)
+                if dos_green is not None and dos_sum is not None else None)
+    return DwellReport(energy=energy, channels=tuple(records),
+                       dos_green=dos_green, dos_sum=dos_sum, residual_rel=residual)
 
 
 def verify_identity(
@@ -341,29 +304,38 @@ def verify_identity(
     region: LatticeRegion | None = None,
     methods: tuple[str, ...] = ("direct", "green"),
     dv: float | None = None,
+    workers: int = 1,
 ) -> list[DwellReport]:
     """Evaluate every estimator on the grid and record identity residuals.
 
     Grid points too close to a channel threshold (or with no open channel)
-    are reported as skipped, never silently dropped.  Output order is by
-    energy regardless of how callers schedule the per-point work.
+    are reported as skipped, never silently dropped.  With workers > 1 the
+    admissible points are spread over a process pool; output order is by
+    energy either way.
     """
     bad = set(methods) - {"direct", "green", "vderiv"}
     if bad:
         raise ValidationError(f"unknown methods: {sorted(bad)}")
     if not methods:
         raise ValidationError("methods must be non-empty")
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
     margin = grid.threshold_margin
-    thresholds = channel_thresholds(system)
-    reports = []
-    for energy, ok in zip(grid.points, grid.admissible_mask(thresholds)):
-        e = float(energy)
-        if not ok:
-            reports.append(DwellReport(energy=e, skipped=True,
-                                       skip_reason="threshold proximity"))
-            continue
-        reports.append(compute_report(system, e, region, methods, dv, margin))
-    return reports
+    energies = [float(e) for e in grid.points]
+    admissible = grid.admissible_mask(channel_thresholds(system))
+    todo = [e for e, ok in zip(energies, admissible) if ok]
+    point = partial(compute_report, system, region=region, methods=methods,
+                    dv=dv, threshold_margin=margin)
+    if workers == 1 or len(todo) < 2:
+        computed = [point(e) for e in todo]
+    else:
+        chunk = max(1, len(todo) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(point, todo, chunksize=chunk))
+    done = iter(computed)
+    return [next(done) if ok
+            else DwellReport(energy=e, skipped=True, skip_reason="threshold proximity")
+            for e, ok in zip(energies, admissible)]
 
 
 def summarize_reports(
@@ -378,15 +350,16 @@ def summarize_reports(
     per-mode dwell times.
     """
     live = [r for r in reports if not r.skipped]
-    residuals = [r.residual_rel for r in live if r.residual_rel is not None]
+    # NaN ranks first so that it becomes the maximum and fails verify
+    ranked = sorted(
+        ((r.energy, r.residual_rel) for r in live if r.residual_rel is not None),
+        key=lambda t: (not np.isnan(t[1]), -t[1]),
+    )
     summary = {
         "points": len(reports),
         "skipped": len(reports) - len(live),
-        "max_residual_rel": max(residuals) if residuals else None,
-        "worst": sorted(
-            ((r.energy, r.residual_rel) for r in live if r.residual_rel is not None),
-            key=lambda t: -t[1],
-        )[:5],
+        "max_residual_rel": ranked[0][1] if ranked else None,
+        "worst": ranked[:5],
     }
     if system is not None and system.is_palindromic():
         devs = []
@@ -484,9 +457,9 @@ def find_resonances(
     one grid step; otherwise the DOS peak is flagged unmatched.
     """
     live = sorted((r for r in reports if not r.skipped), key=lambda r: r.energy)
-    if len(live) < 3:
+    if len(live) < 4:
         raise InsufficientDataError(
-            f"need at least 3 non-skipped points, got {len(live)}"
+            f"resonance search needs at least 4 non-skipped points, got {len(live)}"
         )
     energies = np.array([r.energy for r in live])
     resolution = float(np.max(np.diff(energies)))

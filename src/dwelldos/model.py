@@ -9,7 +9,7 @@ units of hbar/energy, densities of states in states per unit energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,18 +20,6 @@ Array = np.ndarray
 
 HBAR = 1.0
 FLUX_FACTOR = 2.0 * np.pi * HBAR  # ratio of unit-amplitude to energy-normalized flux
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Tag describing which mass convention a computation uses."""
-
-    hbar: float = HBAR
-    mass_convention: str = "continuum"  # "continuum" (2m = 1) or "lattice" (t = a = 1)
-
-
-CONTINUUM = UnitSystem(mass_convention="continuum")
-LATTICE = UnitSystem(mass_convention="lattice")
 
 
 # ----------------------------------------------------------------------------
@@ -261,9 +249,6 @@ class LatticeSystem:
 
     def site_index(self, col: int, row: int) -> int:
         return col * self.width + row
-
-    def full_region(self) -> LatticeRegion:
-        return LatticeRegion(0, self.length - 1, 0, self.width - 1)
 
     def region_sites(self, region: LatticeRegion | None = None) -> Array:
         """Flat site indices belonging to Omega (default: whole device)."""

@@ -95,20 +95,6 @@ class InteriorWave:
         self._bounds = stack.boundaries
         self._thick = stack.thicknesses
 
-    def coeffs_left_referenced(self) -> Array:
-        """Per-layer (A, B) with both components referenced to the left edge.
-
-        Grazing layers keep their {1, u} meaning: psi = A + B u.
-        """
-        out = np.empty((len(self.k_layers), 2), dtype=complex)
-        for j, k in enumerate(self.k_layers):
-            a, b = self.coeff_a[j], self.coeff_b[j]
-            if k == 0:
-                out[j] = (a, b)
-            else:
-                out[j] = (a, b * np.exp(1j * k * self._thick[j]))
-        return out
-
     def value_local(self, j: int, u: Array) -> Array:
         """psi inside layer j at local coordinates u (array, in [0, d_j])."""
         k = self.k_layers[j]
@@ -131,54 +117,38 @@ class InteriorWave:
 
     def value(self, x) -> Array:
         """psi(x) anywhere on the line (vectorized)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty(x.shape, dtype=complex)
-        left = x < 0.0
-        right = x > self._bounds[-1]
-        inside = ~(left | right)
-        if left.any():
-            out[left] = (self.a_in_left * np.exp(1j * self.k_left * x[left])
-                         + self.a_out_left * np.exp(-1j * self.k_left * x[left]))
-        if right.any():
-            xr = x[right] - self._bounds[-1]
-            out[right] = (self.a_in_right * np.exp(-1j * self.k_right * xr)
-                          + self.a_out_right * np.exp(1j * self.k_right * xr))
-        if inside.any():
-            xi = x[inside]
-            idx = self._layer_of(xi)
-            vals = np.empty(xi.shape, dtype=complex)
-            for j in np.unique(idx):
-                sel = idx == j
-                vals[sel] = self.value_local(j, xi[sel] - self._bounds[j])
-            out[inside] = vals
-        return out[0] if scalar else out
+        return self._on_line(x, derivative=False)
 
     def derivative(self, x) -> Array:
+        """dpsi/dx anywhere on the line (vectorized)."""
+        return self._on_line(x, derivative=True)
+
+    def _on_line(self, x, derivative: bool) -> Array:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         out = np.empty(x.shape, dtype=complex)
+        length = self._bounds[-1]
         left = x < 0.0
-        right = x > self._bounds[-1]
+        right = x > length
         inside = ~(left | right)
-        if left.any():
-            ik = 1j * self.k_left
-            out[left] = (ik * self.a_in_left * np.exp(ik * x[left])
-                         - ik * self.a_out_left * np.exp(-ik * x[left]))
-        if right.any():
-            ik = 1j * self.k_right
-            xr = x[right] - self._bounds[-1]
-            out[right] = (-ik * self.a_in_right * np.exp(-ik * xr)
-                          + ik * self.a_out_right * np.exp(ik * xr))
+        # outside Omega psi = c_up e^{iks} + c_down e^{-iks}, s from the nearest edge
+        for sel, k, s, c_up, c_down in (
+            (left, self.k_left, x[left], self.a_in_left, self.a_out_left),
+            (right, self.k_right, x[right] - length, self.a_out_right, self.a_in_right),
+        ):
+            if sel.any():
+                ik = 1j * k
+                up, down = c_up * np.exp(ik * s), c_down * np.exp(-ik * s)
+                out[sel] = ik * (up - down) if derivative else up + down
         if inside.any():
+            local = self.derivative_local if derivative else self.value_local
             xi = x[inside]
             idx = self._layer_of(xi)
             vals = np.empty(xi.shape, dtype=complex)
             for j in np.unique(idx):
                 sel = idx == j
-                vals[sel] = self.derivative_local(j, xi[sel] - self._bounds[j])
+                vals[sel] = local(j, xi[sel] - self._bounds[j])
             out[inside] = vals
         return out[0] if scalar else out
 
@@ -186,7 +156,7 @@ class InteriorWave:
         """Integral of |psi|^2 over Omega = [0, L], by per-layer closed forms."""
         total = 0.0
         for j, k in enumerate(self.k_layers):
-            total += _prob_integral_scaled(
+            total += layer_probability_integral(
                 self.coeff_a[j], self.coeff_b[j], k, self._thick[j]
             )
         return total
@@ -222,13 +192,23 @@ class ScatterSolution1D:
     def open_right(self) -> bool:
         return self.k_right.imag == 0.0 and self.k_right.real > 0.0
 
-    @property
-    def coeffs(self) -> dict[str, Array]:
-        """Left-edge-referenced per-layer (A, B) for both incidence sides."""
-        return {
-            "left": self.left_wave.coeffs_left_referenced(),
-            "right": self.right_wave.coeffs_left_referenced(),
-        }
+    def channels(self) -> list[tuple[str, float]]:
+        """Open channels as (label, velocity), in S-matrix order."""
+        out = []
+        if self.open_left:
+            out.append(("left", 2.0 * self.k_left.real))
+        if self.open_right:
+            out.append(("right", 2.0 * self.k_right.real))
+        return out
+
+    def dwell_time(self, label: str, region=None) -> float:
+        """Direct dwell time of one open channel; Omega is always [0, L],
+        so `region` (a lattice notion) is ignored."""
+        return dwell_time_direct_1d(self.stack, self.energy, label, solution=self)
+
+    def dos(self, region=None) -> float:
+        """Green-trace region DOS of [0, L]; `region` is ignored."""
+        return dos_region_1d(self.stack, self.energy, solution=self)
 
     def smatrix(self) -> Array:
         """Flux-normalized S matrix over the open channels.
@@ -362,14 +342,21 @@ def scattering_amplitudes(
 # ----------------------------------------------------------------------------
 
 
-def _prob_integral_scaled(a: complex, b: complex, k: complex, d: float) -> float:
-    """Closed-form integral of |a e^{iku} + b e^{-ik(u-d)}|^2 over [0, d].
+def layer_probability_integral(a: complex, b: complex, k: complex, d: float) -> float:
+    """Integral of |a e^{iku} + b e^{-ik(u-d)}|^2 over [0, d] in closed form.
 
-    All exponentials evaluated here have modulus <= 1 for the physical
-    branches of k, so opaque layers cannot overflow.
+    Scaled basis: a is referenced to the layer's left edge and b to its
+    right edge, so every exponential evaluated here has modulus <= 1 for
+    the physical branches of k and opaque layers cannot overflow.  For
+    k = 0 the pair means psi = a + b u (degenerate basis {1, u}), giving
+    |a|^2 d + Re(a b*) d^2 + |b|^2 d^3 / 3.  Only real, purely imaginary,
+    or zero k are meaningful for real potentials.
     """
+    if d <= 0:
+        raise ValidationError("d must be positive")
+    if k.real != 0.0 and k.imag != 0.0:
+        raise ValidationError("k must be real, purely imaginary, or zero")
     if k == 0:
-        # degenerate basis {1, u}: psi = a + b u
         return (abs(a) ** 2) * d + (a * np.conj(b)).real * d**2 + (abs(b) ** 2) * d**3 / 3.0
     if k.imag == 0.0:
         kk = k.real
@@ -384,34 +371,6 @@ def _prob_integral_scaled(a: complex, b: complex, k: complex, d: float) -> float
     return float(
         (abs(a) ** 2 + abs(b) ** 2) * flat
         + 2.0 * (a * np.conj(b)).real * np.exp(-kappa * d) * d
-    )
-
-
-def layer_probability_integral(a: complex, b: complex, k: complex, d: float) -> float:
-    """Integral of |a e^{iku} + b e^{-iku}|^2 over [0, d] in closed form.
-
-    Both coefficients are referenced to the layer's left edge.  For k = 0
-    the pair means psi = a + b u (degenerate basis {1, u}), giving
-    |a|^2 d + Re(a b*) d^2 + |b|^2 d^3 / 3.  Only real, purely imaginary,
-    or zero k are meaningful for real potentials.
-    """
-    if d <= 0:
-        raise ValidationError("d must be positive")
-    k = complex(k)
-    if k.real != 0.0 and k.imag != 0.0:
-        raise ValidationError("k must be real, purely imaginary, or zero")
-    if k == 0:
-        return (abs(a) ** 2) * d + (a * np.conj(b)).real * d**2 + (abs(b) ** 2) * d**3 / 3.0
-    if k.imag == 0.0:
-        kk = k.real
-        osc = (np.exp(2j * kk * d) - 1.0) / (2j * kk)
-        return float((abs(a) ** 2 + abs(b) ** 2) * d + 2.0 * (a * np.conj(b) * osc).real)
-    kappa = k.imag
-    grow = (np.exp(2.0 * kappa * d) - 1.0) / (2.0 * kappa)
-    damp = (1.0 - np.exp(-2.0 * kappa * d)) / (2.0 * kappa)
-    return float(
-        (abs(a) ** 2) * damp + (abs(b) ** 2) * grow
-        + 2.0 * (a * np.conj(b)).real * d
     )
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dwelldos import analysis, solver1d
 from dwelldos.analysis import (
     DwellReport,
+    compute_report,
     dwell_time_vderiv,
     dwell_times_vderiv_all,
     find_resonances,
@@ -15,6 +17,7 @@ from dwelldos.errors import (
     CoverageError,
     InsufficientDataError,
     StepTooLargeError,
+    ThresholdCrossingError,
     ValidationError,
 )
 from dwelldos.lattice import _LatticeWorkspace, dwell_time_lattice, open_channels
@@ -55,6 +58,34 @@ def test_shifted_smatrix_stays_unitary(stack42):
 
 
 # ------------------------------------------------------------------ V-derivative
+
+def test_vderiv_solves_each_shift_once(stack42, monkeypatch):
+    energies = []
+    solve = solver1d.scattering_amplitudes
+
+    def counting(stack, energy, *args, **kwargs):
+        energies.append(energy)
+        return solve(stack, energy, *args, **kwargs)
+
+    monkeypatch.setattr(solver1d, "scattering_amplitudes", counting)
+    dwell_times_vderiv_all(stack42, 1.1, dv=1e-5)  # fixed step: no halving
+    assert len(energies) == 3  # S(0), S(+dv), S(-dv)
+
+
+def test_vderiv_open_channel_change_raises(barrier, monkeypatch):
+    unshifted = analysis.shifted_smatrix
+
+    def drop_right_channel(system, energy, v_shift, *args):
+        s, labels = unshifted(system, energy, v_shift, *args)
+        return (s, labels) if v_shift == 0.0 else (s[:1, :1], labels[:1])
+
+    monkeypatch.setattr(analysis, "shifted_smatrix", drop_right_channel)
+    with pytest.raises(ThresholdCrossingError):
+        dwell_times_vderiv_all(barrier, 0.5, dv=1e-5)
+    rep = compute_report(barrier, 0.5, methods=("direct", "green", "vderiv"))
+    assert rep.skipped
+    assert rep.skip_reason.startswith("ThresholdCrossingError")
+
 
 def test_vderiv_free_stack_ballistic(free2):
     tau = dwell_time_vderiv(free2, 1.0, "left", dv=1e-4)
@@ -253,9 +284,10 @@ def test_find_resonances_reversal_symmetric(dbarrier):
 
 
 def test_find_resonances_insufficient_data(free2):
-    reports = verify_identity(free2, EnergyGrid(0.5, 1.0, 2))
-    with pytest.raises(InsufficientDataError):
-        find_resonances(reports)
+    for count in (2, 3):
+        reports = verify_identity(free2, EnergyGrid(0.5, 1.0, count))
+        with pytest.raises(InsufficientDataError):
+            find_resonances(reports)
 
 
 def test_transmission_peaks_coincide_with_dos_peaks():

@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from dwelldos import cli
+from dwelldos.analysis import DwellReport
 from dwelldos.cli import load_config, main
 from dwelldos.errors import ConfigError
 
@@ -146,6 +149,15 @@ def test_workers_env_override(tmp_path, monkeypatch):
     assert (out_env / "scan.csv").read_bytes() == (out_ref / "scan.csv").read_bytes()
 
 
+@pytest.mark.parametrize("value", ["abc", "-4"])
+def test_bad_workers_env_is_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("DWELLDOS_WORKERS", value)
+    assert main(["verify", "--config", free_scan_config(tmp_path, count=4)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "DWELLDOS_WORKERS" in err
+
+
 def test_scan_below_threshold_grid(tmp_path):
     doc = {
         "backend": "stack",
@@ -193,6 +205,19 @@ def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is False
     assert summary["worst"]
+
+
+def test_verify_fails_on_nan_residual(tmp_path, monkeypatch, capsys):
+    # Python's max would drop the NaN and report 1e-12
+    reports = [DwellReport(energy=1.0, residual_rel=1e-12),
+               DwellReport(energy=2.0, residual_rel=float("nan"))]
+    monkeypatch.setattr(cli, "compute_reports", lambda config: reports)
+    assert main(["verify", "--config", free_scan_config(tmp_path), "--tol", "1e-8"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["pass"] is False
+    assert math.isnan(summary["max_residual_rel"])
+    assert summary["worst"][0][0] == 2.0
+    assert summary["worst"][1] == [1.0, 1e-12]
 
 
 def test_verify_lattice_fixture(tmp_path, capsys):

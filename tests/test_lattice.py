@@ -8,7 +8,6 @@ from dwelldos.lattice import (
     build_hamiltonian,
     dos_region_lattice,
     dwell_time_lattice,
-    green_diagonal_lattice,
     greens_function_lattice,
     lead_modes,
     lead_self_energy,
@@ -157,13 +156,6 @@ def test_green_closed_system_complex_symmetric():
     h = build_hamiltonian(sysm)
     g = np.linalg.inv((0.4 + 1e-6j) * np.eye(sysm.n_sites) - h)
     assert np.max(np.abs(g - g.T)) < 1e-12
-
-
-def test_green_dense_vs_column_paths(lattice3x10):
-    ws = _LatticeWorkspace(lattice3x10, 0.3)
-    dense = np.diag(greens_function_lattice(lattice3x10, 0.3, workspace=ws))
-    cols = green_diagonal_lattice(lattice3x10, 0.3, workspace=ws, block=7)
-    assert np.max(np.abs(dense - cols)) < 1e-10
 
 
 def test_green_against_hand_built_two_by_two():

@@ -6,8 +6,6 @@ import pytest
 
 from dwelldos.errors import ValidationError
 from dwelldos.model import (
-    CONTINUUM,
-    LATTICE,
     EnergyGrid,
     LatticeRegion,
     LatticeSystem,
@@ -156,8 +154,3 @@ def test_spectral_weight_normalization():
 def test_gaussian_weight_normalized():
     sw = gaussian_spectral_weight(1.5, 0.1, 1.0, 2.0)
     assert abs(np.trapezoid(sw.weights, sw.energies) - 1.0) < 1e-12
-
-
-def test_unit_systems():
-    assert CONTINUUM.hbar == 1.0
-    assert LATTICE.mass_convention == "lattice"

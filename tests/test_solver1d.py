@@ -134,8 +134,9 @@ def test_probability_integral_plane_wave():
 
 
 def test_probability_integral_cosine():
-    # psi = cos(x): integral over [0, pi] is pi/2
-    val = layer_probability_integral(0.5, 0.5, 1.0, np.pi)
+    # psi = cos(u) = (e^{iu} - e^{-i(u - pi)}) / 2 in the scaled basis:
+    # integral over [0, pi] is pi/2
+    val = layer_probability_integral(0.5, -0.5, 1.0, np.pi)
     assert abs(val - np.pi / 2) < 1e-12
 
 
@@ -147,7 +148,8 @@ def test_probability_integral_rejects_general_complex():
 
 
 def test_probability_integral_against_quadrature(rng):
-    # 1000 random (A, B, k, d) tuples over all three branches
+    # 1000 random (A, B, k, d) tuples over all three branches, with B
+    # referenced to the layer's right edge (scaled basis)
     for _ in range(1000):
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
@@ -155,10 +157,10 @@ def test_probability_integral_against_quadrature(rng):
         kind = rng.integers(0, 3)
         if kind == 0:
             k = complex(rng.uniform(0.05, 3.0), 0.0)
-            psi = lambda x: a * np.exp(1j * k * x) + b * np.exp(-1j * k * x)
+            psi = lambda x: a * np.exp(1j * k * x) + b * np.exp(-1j * k * (x - d))
         elif kind == 1:
             k = complex(0.0, rng.uniform(0.05, 2.5))
-            psi = lambda x: a * np.exp(1j * k * x) + b * np.exp(-1j * k * x)
+            psi = lambda x: a * np.exp(1j * k * x) + b * np.exp(-1j * k * (x - d))
         else:
             k = 0.0 + 0.0j
             psi = lambda x: a + b * x
