@@ -61,7 +61,6 @@ from .lattice import (
     LatticeScatterState,
     dos_region_lattice,
     dwell_time_lattice,
-    greens_function_lattice,
     lead_modes,
     lead_self_energy,
     open_channels,
@@ -79,6 +78,13 @@ from .analysis import (
     verify_identity,
     wavepacket_dwell_time,
 )
-from .oracles import BoxSpec, box_dos, box_levels, fd_green, quadrature_integral
+from .oracles import (
+    BoxSpec,
+    box_dos,
+    box_levels,
+    dense_green_lattice,
+    fd_green,
+    quadrature_integral,
+)
 
 __version__ = "0.1.0"

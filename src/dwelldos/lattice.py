@@ -11,6 +11,17 @@ columns (the retarded branch keeps |e^{i k_m}| <= 1 for evanescent
 modes).  Scattering states solve (E - H - Sigma_L - Sigma_R) psi = q with
 the source q = i v_n chi_n on the incident interface column, which
 normalizes the incoming Bloch wave to unit amplitude at that column.
+
+The open-system operator is block tridiagonal in the L device columns:
+W x W diagonal blocks E - H_col(c) (minus Sigma on the interface columns)
+and identity blocks between neighbouring columns.  Its inverse, the
+retarded Green's function G, is computed by recursive Green's-function
+sweeps (MacKinnon, Z. Phys. B 59, 385 (1985); Lake et al., J. Appl.
+Phys. 81, 7845 (1997)): a left-connected and a right-connected Dyson
+sweep, O(L W^3) per energy.  Only the site diagonal of G (Green-trace DOS)
+and the two interface column blocks G[:, left] and G[:, right]
+(scattering states psi = G[:, lead] q and, through them, the S matrix)
+are formed, so storage is O(L W^2); nothing of size (LW)^2 is built.
 """
 
 from __future__ import annotations
@@ -18,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     BoundStatePoleError,
     ClosedChannelError,
+    NoOpenChannelError,
     NumericalFailureError,
     ThresholdProximityError,
     ValidationError,
@@ -45,7 +56,6 @@ __all__ = [
     "scattering_state",
     "scattering_matrix",
     "dwell_time_lattice",
-    "greens_function_lattice",
     "dos_region_lattice",
 ]
 
@@ -158,14 +168,23 @@ def lead_self_energy(
     return sigma
 
 
-def build_hamiltonian(system: LatticeSystem) -> Array:
-    """Dense device Hamiltonian, site index = column * width + row."""
-    w, lx = system.width, system.length
-    t_col = np.zeros((w, w))
-    idx = np.arange(w - 1)
+def _column_hamiltonian(width: int) -> Array:
+    """Hopping inside one device column (rows j and j + 1 coupled by -1)."""
+    t_col = np.zeros((width, width))
+    idx = np.arange(width - 1)
     t_col[idx, idx + 1] = -1.0
     t_col[idx + 1, idx] = -1.0
-    h = np.kron(np.eye(lx), t_col)
+    return t_col
+
+
+def build_hamiltonian(system: LatticeSystem) -> Array:
+    """Dense device Hamiltonian, site index = column * width + row.
+
+    The scattering routes never build it; it serves the dense reference
+    Green's function in `dwelldos.oracles` and the tests.
+    """
+    w, lx = system.width, system.length
+    h = np.kron(np.eye(lx), _column_hamiltonian(w))
     hop = np.zeros((lx, lx))
     jdx = np.arange(lx - 1)
     hop[jdx, jdx + 1] = 1.0
@@ -175,8 +194,22 @@ def build_hamiltonian(system: LatticeSystem) -> Array:
     return h
 
 
+def _inv(blocks: Array, energy: float) -> Array:
+    """Inverse of one W x W block or a stack of them."""
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - singular at poles
+        raise BoundStatePoleError(f"singular column block at E = {energy}") from exc
+
+
 class _LatticeWorkspace:
-    """One energy's factorized open-system operator, shared by all solves."""
+    """One energy's recursive Green's-function sweeps, shared by all solves.
+
+    Keeps the column blocks of the open-system operator (`blocks`, shape
+    (L, W, W)), the site diagonal of G (`green_diagonal`, flat site
+    order) and the interface column blocks `green_columns[lead][c] =
+    G[c, interface column of lead]`, each of shape (L, W, W).
+    """
 
     def __init__(self, system: LatticeSystem, energy: float,
                  threshold_margin: float = DEFAULT_THRESHOLD_MARGIN):
@@ -184,17 +217,42 @@ class _LatticeWorkspace:
         self.energy = energy
         self.modes_left = lead_modes(system.width, energy, "left", threshold_margin)
         self.modes_right = lead_modes(system.width, energy, "right", threshold_margin)
+        if not self.open_modes:
+            raise NoOpenChannelError(f"no open lead channel at E = {energy}")
         sigma = lead_self_energy(system.width, energy, threshold_margin)
-        n = system.n_sites
-        w = system.width
-        a = (energy * np.eye(n) - build_hamiltonian(system)).astype(complex)
-        a[:w, :w] -= sigma
-        a[n - w:, n - w:] -= sigma
-        self.operator = a
-        try:
-            self.lu = sla.lu_factor(a)
-        except sla.LinAlgError as exc:  # pragma: no cover - singular at poles
-            raise BoundStatePoleError(f"singular operator at E = {energy}") from exc
+        lx, w = system.length, system.width
+        # diagonal blocks E - H_col(c) - Sigma; the blocks between
+        # neighbouring columns are the identity (hopping -1)
+        d = np.empty((lx, w, w), dtype=complex)
+        d[:] = energy * np.eye(w) - _column_hamiltonian(w)
+        d[:, np.arange(w), np.arange(w)] -= system.onsite
+        d[0] -= sigma
+        d[-1] -= sigma  # the same block again when L = 1: both leads attach
+        self.blocks = d
+        # left- and right-connected Green's functions of the device cut
+        # after / before column c
+        g_left = np.empty_like(d)
+        g_right = np.empty_like(d)
+        g_left[0] = _inv(d[0], energy)
+        for c in range(1, lx):
+            g_left[c] = _inv(d[c] - g_left[c - 1], energy)
+        g_right[-1] = _inv(d[-1], energy)
+        for c in range(lx - 2, -1, -1):
+            g_right[c] = _inv(d[c] - g_right[c + 1], energy)
+        full = d.copy()
+        full[1:] -= g_left[:-1]
+        full[:-1] -= g_right[1:]
+        g_diag = _inv(full, energy)  # G[c, c] for every column
+        self.green_diagonal = np.diagonal(g_diag, axis1=1, axis2=2).reshape(-1)
+        col_left = np.empty_like(d)
+        col_right = np.empty_like(d)
+        col_left[0] = g_diag[0]
+        for c in range(1, lx):
+            col_left[c] = -g_right[c] @ col_left[c - 1]
+        col_right[-1] = g_diag[-1]
+        for c in range(lx - 2, -1, -1):
+            col_right[c] = -g_left[c] @ col_right[c + 1]
+        self.green_columns = {"left": col_left, "right": col_right}
 
     @property
     def open_modes(self) -> list[ChannelInfo]:
@@ -207,7 +265,9 @@ class _LatticeWorkspace:
 
     def dwell_time(self, label: str, region: LatticeRegion | None = None) -> float:
         """Direct dwell time in Omega of the open channel with this label."""
-        channel = next(c for c in self.open_modes if c.label == label)
+        channel = next((c for c in self.open_modes if c.label == label), None)
+        if channel is None:
+            raise ValidationError(f"channel {label!r} not open at E = {self.energy}")
         return dwell_time_lattice(self.system, self.energy, channel, region, workspace=self)
 
     def dos(self, region: LatticeRegion | None = None) -> float:
@@ -223,20 +283,22 @@ class _LatticeWorkspace:
         return slice(0, w) if lead == "left" else slice(n - w, n)
 
     def solve_channel(self, channel: ChannelInfo) -> Array:
+        """Scattering state psi = G[:, lead] q, flat site order."""
         if not channel.is_open:
             raise ClosedChannelError(f"channel {channel.label} closed at E = {self.energy}")
-        n = self.system.n_sites
-        q = np.zeros(n, dtype=complex)
-        q[self.interface_slice(channel.lead)] = (
-            1j * channel.velocity * channel.transverse_profile
-        )
-        psi = sla.lu_solve(self.lu, q)
-        resid = np.max(np.abs(self.operator @ psi - q))
-        if resid > _RESIDUAL_TOL:
+        source = 1j * channel.velocity * channel.transverse_profile
+        psi = self.green_columns[channel.lead] @ source
+        # (E - H - Sigma) psi - q, applied column by column
+        r = (self.blocks @ psi[:, :, None])[:, :, 0]
+        r[1:] += psi[:-1]
+        r[:-1] += psi[1:]
+        r[0 if channel.lead == "left" else -1] -= source
+        resid = np.max(np.abs(r))
+        if not resid <= _RESIDUAL_TOL:  # a NaN residual fails too
             raise NumericalFailureError(
                 f"scattering solve residual {resid:.3e} at E = {self.energy}"
             )
-        return psi
+        return psi.reshape(-1)
 
     def outgoing_amplitudes(self, psi: Array, incident: ChannelInfo) -> dict[str, complex]:
         """Flux-normalized outgoing amplitudes over open channels, by label.
@@ -312,20 +374,6 @@ def dwell_time_lattice(
     return float(np.sum(np.abs(psi[sites]) ** 2) / channel.velocity)
 
 
-def greens_function_lattice(
-    system: LatticeSystem,
-    energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
-    workspace: _LatticeWorkspace | None = None,
-) -> Array:
-    """Retarded device Green's function by dense inversion of the factorized operator."""
-    ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
-    try:
-        return sla.lu_solve(ws.lu, np.eye(system.n_sites, dtype=complex))
-    except sla.LinAlgError as exc:  # pragma: no cover
-        raise BoundStatePoleError(f"singular operator at E = {energy}") from exc
-
-
 def dos_region_lattice(
     system: LatticeSystem,
     energy: float,
@@ -335,6 +383,5 @@ def dos_region_lattice(
 ) -> float:
     """Region DOS: sum over Omega sites of -(1/pi) Im G(r, r; E)."""
     ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
-    diag = np.diag(greens_function_lattice(system, energy, workspace=ws))
     sites = system.region_sites(region)
-    return float(-np.sum(diag[sites].imag) / np.pi)
+    return float(-np.sum(ws.green_diagonal[sites].imag) / np.pi)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately simple and separately coded from the
 closed-form solvers it checks: composite Simpson quadrature, a hard-wall
-finite-difference box with Lorentzian level broadening, and a
-finite-difference resolvent with an absorbing layer in the padding.
+finite-difference box with Lorentzian level broadening, a
+finite-difference resolvent with an absorbing layer in the padding, and
+the dense inverse of the open lattice operator.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NumericalFailureError, ValidationError
-from .model import Array, EnergyGrid, LayerStack
+from .lattice import build_hamiltonian, lead_self_energy
+from .model import DEFAULT_THRESHOLD_MARGIN, Array, EnergyGrid, LatticeSystem, LayerStack
 
-__all__ = ["BoxSpec", "quadrature_integral", "box_levels", "box_dos", "fd_green"]
+__all__ = [
+    "BoxSpec", "quadrature_integral", "box_levels", "box_dos", "fd_green",
+    "dense_green_lattice",
+]
 
 
 def quadrature_integral(
@@ -174,3 +179,25 @@ def fd_green(
         raise NumericalFailureError(f"resolvent solve failed at E = {energy}") from exc
     # discrete delta is 1/h, so the continuum kernel is the solution / h
     return complex(sol[j] / h)
+
+
+def dense_green_lattice(
+    system: LatticeSystem,
+    energy: float,
+    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
+) -> Array:
+    """Full retarded device Green's function (E - H - Sigma_L - Sigma_R)^-1.
+
+    Dense O((LW)^3) inversion of the whole open-system operator, site
+    index = column * width + row; the reference for the recursive sweeps
+    of `dwelldos.lattice`.
+    """
+    n, w = system.n_sites, system.width
+    sigma = lead_self_energy(w, energy, threshold_margin)
+    a = (energy * np.eye(n) - build_hamiltonian(system)).astype(complex)
+    a[:w, :w] -= sigma
+    a[n - w:, n - w:] -= sigma
+    try:
+        return sla.inv(a)
+    except sla.LinAlgError as exc:  # pragma: no cover - singular at poles
+        raise NumericalFailureError(f"singular lattice operator at E = {energy}") from exc

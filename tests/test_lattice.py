@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+import dwelldos.lattice
 from buffer_oracle import buffer_scattering_state
-from dwelldos.errors import ClosedChannelError, ThresholdProximityError
+from dwelldos.analysis import compute_report
+from dwelldos.errors import (
+    ClosedChannelError,
+    NumericalFailureError,
+    ThresholdProximityError,
+    ValidationError,
+)
 from dwelldos.lattice import (
     _LatticeWorkspace,
     build_hamiltonian,
     dos_region_lattice,
     dwell_time_lattice,
-    greens_function_lattice,
     lead_modes,
     lead_self_energy,
     open_channels,
@@ -22,6 +28,7 @@ from dwelldos.model import (
     random_lattice,
     uniform_lattice,
 )
+from dwelldos.oracles import dense_green_lattice
 
 
 # ------------------------------------------------------------------ lead modes
@@ -147,8 +154,8 @@ def test_matches_explicit_buffer_oracle(lattice3x10):
 # ------------------------------------------------------------- Green's function
 
 def test_green_empty_chain_diagonal(chain4):
-    g = greens_function_lattice(chain4, 0.0)
-    assert np.max(np.abs(np.diag(g).imag + 0.5)) < 1e-12
+    g_diag = _LatticeWorkspace(chain4, 0.0).green_diagonal
+    assert np.max(np.abs(g_diag.imag + 0.5)) < 1e-12
 
 
 def test_green_closed_system_complex_symmetric():
@@ -182,8 +189,27 @@ def test_green_against_hand_built_two_by_two():
     a[:w, :w] -= sigma
     a[w:, w:] -= sigma
     ref = np.linalg.inv(a)
-    g = greens_function_lattice(uniform_lattice(2, 2), e)
+    # at L = 2 the two interface column blocks are all of G
+    cols = _LatticeWorkspace(uniform_lattice(2, 2), e).green_columns
+    g = np.hstack([cols["left"].reshape(4, 2), cols["right"].reshape(4, 2)])
     assert np.max(np.abs(g - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("width,length", [(1, 1), (2, 1), (1, 5), (3, 2), (3, 10), (5, 20)])
+def test_sweeps_match_dense_inverse(width, length):
+    # L = 1 attaches both leads to the one column block
+    sysm = random_lattice(5, width, length)
+    energies = (-1.2, 0.3, 1.7)
+    if width > 1:
+        assert any(not c.is_open for e in energies for c in lead_modes(width, e))
+    for e in energies:
+        ws = _LatticeWorkspace(sysm, e)
+        g = dense_green_lattice(sysm, e)
+        bound = 1e-12 * np.max(np.abs(g))
+        assert np.max(np.abs(ws.green_diagonal - np.diag(g))) < bound
+        for lead, cols in (("left", g[:, :width]), ("right", g[:, -width:])):
+            ref = cols.reshape(length, width, width)
+            assert np.max(np.abs(ws.green_columns[lead] - ref)) < bound
 
 
 def test_smatrix_consistent_with_green_function(lattice3x10):
@@ -192,14 +218,11 @@ def test_smatrix_consistent_with_green_function(lattice3x10):
     e = 0.3
     ws = _LatticeWorkspace(lattice3x10, e)
     s, chans = scattering_matrix(lattice3x10, e, workspace=ws)
-    g = greens_function_lattice(lattice3x10, e, workspace=ws)
-    w = lattice3x10.width
-    n = lattice3x10.n_sites
-    blocks = {"left": slice(0, w), "right": slice(n - w, n)}
+    interface = {"left": 0, "right": -1}
     ref = np.empty_like(s)
     for i, cm in enumerate(chans):
         for j, cn in enumerate(chans):
-            gblk = g[blocks[cm.lead], blocks[cn.lead]]
+            gblk = ws.green_columns[cn.lead][interface[cm.lead]]
             val = 1j * np.sqrt(cm.velocity * cn.velocity) * (
                 cm.transverse_profile @ gblk @ cn.transverse_profile
             )
@@ -248,5 +271,53 @@ def test_evanescent_modes_matter_in_self_energy():
     a_trunc[:3, :3] -= sigma_open
     a_trunc[n - 3:, n - 3:] -= sigma_open
     g_trunc = np.linalg.inv(a_trunc)
-    g_full = greens_function_lattice(sysm, e)
-    assert np.max(np.abs(g_full - g_trunc)) > 1e-6
+    ws = _LatticeWorkspace(sysm, e)
+    assert np.max(np.abs(ws.green_diagonal - np.diag(g_trunc))) > 1e-6
+    assert np.max(np.abs(ws.green_columns["left"] - g_trunc[:, :3].reshape(6, 3, 3))) > 1e-6
+
+
+# ------------------------------------------------------------ sweep structure
+
+@pytest.mark.parametrize("energy", [-3.95, 3.95])
+def test_no_open_channel_is_skipped(energy):
+    # outside the lead band [-2 - 2cos(pi/4), 2 + 2cos(pi/4)] nothing propagates
+    rep = compute_report(random_lattice(3, 3, 6), energy)
+    assert rep.skipped
+    assert rep.skip_reason.startswith("NoOpenChannelError")
+
+
+def test_unknown_channel_label_is_validation_error():
+    ws = _LatticeWorkspace(random_lattice(3, 3, 6), 0.3)
+    with pytest.raises(ValidationError, match="'left:99' not open at E = 0.3"):
+        ws.dwell_time("left:99")
+
+
+def test_report_never_builds_dense_hamiltonian(monkeypatch, lattice3x10):
+    def refuse(system):
+        raise AssertionError("dense Hamiltonian built")
+
+    monkeypatch.setattr(dwelldos.lattice, "build_hamiltonian", refuse)
+    rep = compute_report(lattice3x10, 0.3, LatticeRegion(2, 7, 0, 2),
+                         methods=("direct", "green", "vderiv"))
+    assert not rep.skipped
+    assert rep.residual_rel < 1e-9
+    for c in rep.channels:
+        assert abs(c.tau_vderiv - c.tau_direct) < 1e-5
+
+
+def test_corrupt_interface_columns_fail_residual_check(lattice3x10):
+    ws = _LatticeWorkspace(lattice3x10, 0.3)
+    left = [c for c in ws.open_modes if c.lead == "left"][0]
+    ws.solve_channel(left)
+    ws.green_columns["left"][4] *= 1.0 + 1e-6
+    with pytest.raises(NumericalFailureError):
+        ws.solve_channel(left)
+
+
+def test_long_strip_identity():
+    # 8000 sites: a dense operator would need about 1 GB
+    sysm = random_lattice(13, 4, 2000)
+    for e in (-0.7, 0.3, 1.1):
+        rep = compute_report(sysm, e)
+        assert not rep.skipped
+        assert rep.residual_rel <= 1e-9
