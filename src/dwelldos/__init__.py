@@ -78,13 +78,5 @@ from .analysis import (
     verify_identity,
     wavepacket_dwell_time,
 )
-from .oracles import (
-    BoxSpec,
-    box_dos,
-    box_levels,
-    dense_green_lattice,
-    fd_green,
-    quadrature_integral,
-)
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import signal
 
 from .errors import (
     CoverageError,
@@ -428,6 +427,8 @@ def _refine_peak(x: Array, y: Array, i: int) -> float:
 
 
 def _find_peaks_1d(x: Array, y: Array, min_prominence: float) -> tuple[Peak, ...]:
+    from scipy import signal  # about 1 s to import; only peak searches need it
+
     ymax = float(np.max(y)) if y.size else 0.0
     if ymax <= 0.0:
         return ()

@@ -11,7 +11,8 @@ the leftward component to its right edge, so every exponential that
 appears has modulus <= 1 even for evanescent k_j.  This is equivalent to
 composing transfer matrices in scaled form but also yields the interior
 coefficients directly, without unstable forward propagation.  Grazing
-layers (k_j = 0 exactly) use the degenerate basis {1, u}.
+layers (|k_j| d_j <= 1e-6, including k_j = 0 exactly) use the degenerate
+basis {1, u}.
 
 Amplitude convention: for left incidence psi = exp(ikx) + r exp(-ikx) for
 x < 0 and psi = t exp(ikx) for x > L, so an empty stack gives t = 1; the
@@ -21,17 +22,20 @@ Green's function: with H = -d^2/dx^2 + V (E = k^2), the retarded kernel
 is G+(x, x') = psi_L(x<) psi_R(x>) / W[psi_L, psi_R], where psi_L / psi_R
 are the solutions purely outgoing to the left / right and
 W = psi_L psi_R' - psi_L' psi_R, giving the jump condition [dG/dx] = 1.
+With an open channel W = 2 i k_L times the outgoing amplitude of psi_L,
+which is never zero on the real axis, so no energy is skipped as a pole;
+only an underflow of that amplitude (W zero or subnormal) is a
+NumericalFailureError.  The region DOS integrates psi_L psi_R / W over
+each layer in closed form in the same scaled basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
-    BoundStatePoleError,
     ClosedChannelError,
     NoOpenChannelError,
     NumericalFailureError,
@@ -55,7 +59,10 @@ __all__ = [
     "InteriorWave",
 ]
 
-_POLE_TOL = 1e-12
+# A layer with |k| d at or below this is solved in the exact k = 0 basis
+# {1, u}: the scaled basis degenerates there, while the {1, u} solution
+# differs from the true one by (k d)^2 / 2 relative.
+_GRAZING_KD = 1e-6
 
 
 def layer_wavevector(energy: float, potential: float) -> complex:
@@ -254,6 +261,7 @@ def scattering_amplitudes(
     k_right = layer_wavevector(energy, stack.v_right)
     k_layers = np.array([layer_wavevector(energy, l.potential) for l in stack.layers])
     d = stack.thicknesses
+    k_layers[np.abs(k_layers) * d <= _GRAZING_KD] = 0.0
     n = len(k_layers)
 
     # Unknowns: [c_L, A_1, B_1, ..., A_n, B_n, c_R] with c_L / c_R the
@@ -448,9 +456,13 @@ def green_1d(
     # right_wave has no incoming component on the left, so it is the
     # left-outgoing solution; left_wave is the right-outgoing one.
     wronskian = 2j * sol.k_left * sol.right_wave.a_out_left
-    if abs(wronskian) < _POLE_TOL:
-        raise BoundStatePoleError(
-            f"Wronskian ~ 0 at E = {energy}: bound state at this energy"
+    # With an open channel G+ has no pole on the real axis, however small
+    # |t| is; W leaves the normal floats only when the outgoing amplitude
+    # underflows (a subnormal W has lost the digits that 1/W needs).
+    if not np.finfo(float).tiny <= abs(wronskian) < np.inf:
+        raise NumericalFailureError(
+            f"Wronskian {wronskian} at E = {energy}: the outgoing amplitude "
+            "of the left-outgoing solution underflowed"
         )
     return Green1D(
         energy=energy,
@@ -509,48 +521,37 @@ def ldos_mode_sum_1d(
     return total
 
 
-@lru_cache(maxsize=32)
-def _gauss_nodes(order: int) -> tuple[Array, Array]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
-
-
 def dos_region_1d(
     stack: LayerStack,
     energy: float,
     threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     solution: ScatterSolution1D | None = None,
-    rel_tol: float = 1e-11,
-    base_order: int = 20,
-    max_order: int = 320,
 ) -> float:
-    """Density of states of Omega: integral of the LDOS over [0, L].
+    """Density of states of Omega: -(1/pi) Im of the integral of G+(x, x)
+    over [0, L], in closed form per layer.
 
-    Fixed-order Gauss-Legendre per layer, order doubled until the
-    relative change drops below rel_tol.
+    With psi = a e^{iku} + b e^{-ik(u-d)} for both Green solutions,
+
+        int_0^d psi_L psi_R du = (a_L a_R + b_L b_R) (e^{2ikd} - 1) / 2ik
+                                 + (a_L b_R + b_L a_R) d e^{ikd},
+
+    and a_L a_R d + (a_L b_R + b_L a_R) d^2/2 + b_L b_R d^3/3 in the k = 0
+    basis {1, u}.  Every exponential has modulus <= 1.  The integrand is
+    the bilinear psi_L psi_R, not the |psi|^2 of the direct route, so the
+    two sides of the identity share no integral.
     """
     sol = solution or scattering_amplitudes(stack, energy, threshold_margin)
     g = green_1d(stack, energy, threshold_margin, sol)
-    thick = stack.thicknesses
-
-    def integrate(order: int) -> float:
-        nodes, weights = _gauss_nodes(order)
-        total = 0.0
-        for j, d in enumerate(thick):
-            u = nodes * d
-            prod = g.left_solution.value_local(j, u) * g.right_solution.value_local(j, u)
-            rho = -(prod / g.wronskian).imag / np.pi
-            total += d * float(np.dot(weights, rho))
-        return total
-
-    order = base_order
-    value = integrate(order)
-    while order < max_order:
-        order *= 2
-        refined = integrate(order)
-        if abs(refined - value) <= rel_tol * max(abs(refined), 1e-300):
-            return refined
-        value = refined
-    raise NumericalFailureError(
-        f"region DOS quadrature did not converge by order {max_order} at E = {energy}"
+    k, d = sol.k_layers, stack.thicknesses
+    a_l, b_l = g.left_solution.coeff_a, g.left_solution.coeff_b
+    a_r, b_r = g.right_solution.coeff_a, g.right_solution.coeff_b
+    cross = a_l * b_r + b_l * a_r
+    flat = k == 0
+    ik = 1j * np.where(flat, 1.0, k)  # any nonzero k on flat layers; discarded
+    per_layer = np.where(
+        flat,
+        a_l * a_r * d + cross * d**2 / 2.0 + b_l * b_r * d**3 / 3.0,
+        (a_l * a_r + b_l * b_r) * np.expm1(2.0 * ik * d) / (2.0 * ik)
+        + cross * d * np.exp(ik * d),
     )
+    return float(-(per_layer.sum() / g.wronskian).imag / np.pi)

@@ -16,6 +16,7 @@ from dwelldos.analysis import (
 from dwelldos.errors import (
     CoverageError,
     InsufficientDataError,
+    NumericalFailureError,
     StepTooLargeError,
     ThresholdCrossingError,
     ValidationError,
@@ -223,6 +224,40 @@ def test_verify_identity_reports_skips():
     # points between the thresholds carry a single open channel
     one_sided = [r for r in live if 0.0 < r.energy < 0.6]
     assert one_sided and all(len(r.channels) == 1 for r in one_sided)
+
+
+@pytest.mark.parametrize("offset", [1e-14, -1e-14, -1.1e-16])
+def test_grazing_energy_uses_flat_basis(offset):
+    # |k| d <= 1e-6 is solved in the exact k = 0 basis {1, u}
+    stack = build_stack([(1.0, 1.0)])
+    assert scattering_amplitudes(stack, 1.0 + offset).k_layers[0] == 0.0
+    rep = compute_report(stack, 1.0 + offset)
+    assert not rep.skipped
+    assert rep.residual_rel < 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="scaled layer basis is ill-conditioned "
+                   "for 1e-6 < |k| d < ~3e-3 (residual ~1e-2 here)")
+def test_near_grazing_energy_verifies():
+    rep = compute_report(build_stack([(1.0, 1.0)]), 1.0 - 1e-10)
+    assert rep.residual_rel < 1e-9
+
+
+def test_tiny_transmission_is_not_a_pole():
+    # |t| = 5.5e-305: tiny, but G+ has no pole with an open channel
+    rep = compute_report(build_stack([(100.0, 50.0)]), 1.0)
+    assert not rep.skipped and rep.residual_rel < 1e-8
+
+
+@pytest.mark.parametrize("thickness", [103.0, 120.0])  # W subnormal; W = 0
+def test_underflowing_wronskian_is_numerical_failure(thickness):
+    stack = build_stack([(thickness, 50.0)])
+    rep = compute_report(stack, 1.0)
+    assert rep.skipped
+    assert rep.skip_reason.startswith("NumericalFailureError")
+    assert "underflow" in rep.skip_reason
+    with pytest.raises(NumericalFailureError):
+        solver1d.green_1d(stack, 1.0)
 
 
 def test_verify_identity_below_all_thresholds():

@@ -220,6 +220,16 @@ def test_verify_fails_on_nan_residual(tmp_path, monkeypatch, capsys):
     assert summary["worst"][1] == [1.0, 1e-12]
 
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_shipped_configs_verify_without_skips(config, capsys):
+    assert main(["verify", "--config", str(config)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["pass"] is True and summary["skipped"] == 0
+
+
 def test_verify_lattice_fixture(tmp_path, capsys):
     cfg = lattice_config(tmp_path)
     assert main(["verify", "--config", cfg, "--tol", "1e-9"]) == 0

@@ -276,3 +276,28 @@ def test_dos_region_identity_one_sided():
     dos = dos_region_1d(stack, e, solution=sol)
     tau = dwell_time_direct_1d(stack, e, "left", solution=sol)
     assert abs(dos - tau / (2.0 * np.pi)) <= 1e-8 * dos
+
+
+def _simpson_region_ldos(stack, energy):
+    """Composite Simpson of -(1/pi) Im G+(x, x) per layer, fine enough
+    for 1e-10 relative even at kappa d = 30."""
+    sol = scattering_amplitudes(stack, energy)
+    g = green_1d(stack, energy, solution=sol)
+    total = 0.0
+    for lo, d, k in zip(stack.boundaries, stack.thicknesses, sol.k_layers):
+        panels = 2 * int(200 * (1.0 + abs(k) * d))
+        y = -g.diagonal(np.linspace(lo, lo + d, panels + 1)).imag / np.pi
+        total += d / (3 * panels) * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
+    return total
+
+
+@pytest.mark.parametrize("stack, energy", [
+    (build_stack([(0.7, 0.5), (1.2, -0.3), (0.4, 1.0)]), 2.5),       # all propagating
+    (build_stack([(1.0, 0.0), (3.0, 101.0), (0.5, 0.2)]), 1.0),      # kappa d = 30
+    (build_stack([(0.8, 0.3), (1.1, 1.0), (0.6, 0.0)]), 1.0),        # exact k = 0 layer
+    (build_stack([(1.0, 0.5)], v_left=0.0, v_right=10.0), 1.0),      # one-sided
+    (random_stack(11, n_layers=40), 1.3),
+], ids=["propagating", "evanescent", "flat", "one-sided", "forty-layers"])
+def test_dos_region_matches_ldos_quadrature(stack, energy):
+    ref = _simpson_region_ldos(stack, energy)
+    assert abs(dos_region_1d(stack, energy) - ref) <= 1e-10 * ref
