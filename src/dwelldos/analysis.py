@@ -14,9 +14,8 @@ per-element phase differences taken on the principal branch.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -59,6 +58,7 @@ __all__ = [
 RESIDUAL_FLOOR = 1e-30
 _IMAG_RESIDUAL_TOL = 1e-6
 _WEIGHT_EPS = 1e-12  # |s|^2 below this cannot contribute above noise
+_MAX_HALVINGS = 12  # V-derivative step halvings before a point is skipped
 
 
 # ----------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def _scatter(
     v_shift: float = 0.0,
     region: LatticeRegion | None = None,
 ) -> s1d.ScatterSolution1D | lat._LatticeWorkspace:
-    """Solve one energy; the only dispatch on the backend type.
+    """Solve one energy; the backend dispatch of the single-energy path.
 
     Both backends return their per-energy object with the same methods:
     channels() as (label, velocity), smatrix(), dwell_time(label, region)
@@ -121,6 +121,44 @@ def _scatter(
     raise ValidationError(f"unsupported system type {type(system).__name__}")
 
 
+def _attempt(solve, *args):
+    """solve(*args), or the solver error it raised (a ValidationError is
+    a caller error and propagates)."""
+    try:
+        return solve(*args)
+    except ValidationError:
+        raise
+    except DwellDosError as err:
+        return err
+
+
+def _scatter_chunk(
+    system: LayerStack | LatticeSystem,
+    energies: list[float],
+    v_shifts: list[float],
+    threshold_margin: float,
+    region: LatticeRegion | None = None,
+) -> list:
+    """_scatter at energies[i] with v_shifts[i]; each entry is the state or
+    the error raised for that energy alone.  A stack chunk is one batched
+    band solve; a lattice is solved energy by energy."""
+    if isinstance(system, LayerStack):
+        batch = s1d.ScatterBatch(system, energies, v_shifts, threshold_margin)
+        return [_attempt(batch.solution, i) for i in range(len(energies))]
+    return [_attempt(_scatter, system, e, threshold_margin, v, region)
+            for e, v in zip(energies, v_shifts)]
+
+
+def _smatrix_and_labels(state) -> tuple[Array, list[str]]:
+    return state.smatrix(), [label for label, _ in state.channels()]
+
+
+def _smatrices(states: list) -> list:
+    """(S, labels) of every solved state; errors pass through."""
+    return [state if isinstance(state, DwellDosError)
+            else _attempt(_smatrix_and_labels, state) for state in states]
+
+
 def shifted_smatrix(
     system: LayerStack | LatticeSystem,
     energy: float,
@@ -134,8 +172,7 @@ def shifted_smatrix(
     shift never touches the leads or asymptotic regions, so callers can
     compare the labels against the unshifted problem.
     """
-    state = _scatter(system, energy, threshold_margin, v_shift, region)
-    return state.smatrix(), [label for label, _ in state.channels()]
+    return _smatrix_and_labels(_scatter(system, energy, threshold_margin, v_shift, region))
 
 
 def default_dv(energy: float) -> float:
@@ -146,20 +183,70 @@ def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: float) -
     """Per-channel dwell times from S(0), S(+dv), S(-dv)."""
     weight = np.abs(s0) ** 2
     dphase = np.angle(s_plus * np.conj(s_minus))  # principal branch
-    bad = (np.abs(dphase) > 0.5 * np.pi) & (weight >= _WEIGHT_EPS)
-    if np.any(bad):
+    bad = np.count_nonzero((np.abs(dphase) > 0.5 * np.pi) & (weight >= _WEIGHT_EPS))
+    if bad:
         raise StepTooLargeError(
-            f"phase step exceeds pi/2 for {int(bad.sum())} S elements at dv = {dv}"
+            f"phase step exceeds pi/2 for {bad} S elements at dv = {dv}"
         )
     taus = -np.sum(weight * dphase / (2.0 * dv), axis=0)
     dmag = (np.abs(s_plus) - np.abs(s_minus)) / (2.0 * dv)
     imag_resid = np.abs(np.sum(np.abs(s0) * dmag, axis=0))
-    if np.any(imag_resid > _IMAG_RESIDUAL_TOL):
+    if np.count_nonzero(imag_resid > _IMAG_RESIDUAL_TOL):
         raise NumericalFailureError(
             f"imaginary residual of the delay matrix diagonal reached "
             f"{imag_resid.max():.3e} (> {_IMAG_RESIDUAL_TOL}) at dv = {dv}"
         )
     return taus
+
+
+def _vderiv_steps(solve, energies, s0s, steps, attempts) -> list:
+    """The V-derivative step loop for several energies at once.
+
+    s0s holds each energy's unshifted (S, labels); solve(energies, shifts)
+    returns the shifted (S, labels), or the error, per energy.  Each round
+    solves S(+step) for every pending energy and S(-step) for those whose
+    S(+step) succeeded.  An energy whose round fails with StepTooLargeError
+    or NumericalFailureError halves its step and goes again, at most
+    `attempts` times; any other error ends it.  Returns per energy the
+    {label: tau} dict or the error.
+    """
+    out: list = [None] * len(energies)
+    steps = list(steps)
+    pending = list(range(len(energies)))
+
+    def shifted(indices, sign):
+        results = solve([energies[i] for i in indices], [sign * steps[i] for i in indices])
+        for i, res in zip(indices, results):
+            if not isinstance(res, DwellDosError) and res[1] != s0s[i][1]:
+                res = ThresholdCrossingError(
+                    f"potential shift {sign * steps[i]} changed the open-channel "
+                    f"set at E = {energies[i]}"
+                )
+            yield i, res
+
+    while pending:
+        plus = dict(shifted(pending, +1.0))
+        minus = dict(shifted([i for i in pending
+                              if not isinstance(plus[i], DwellDosError)], -1.0))
+        retry = []
+        for i in pending:
+            try:
+                for res in (plus[i], minus.get(i)):
+                    if isinstance(res, DwellDosError):
+                        raise res
+                taus = _vderiv_from_matrices(s0s[i][0], plus[i][0], minus[i][0], steps[i])
+                out[i] = dict(zip(s0s[i][1], taus))
+            except (StepTooLargeError, NumericalFailureError) as err:
+                if attempts <= 0:
+                    out[i] = err
+                else:
+                    retry.append(i)
+                    steps[i] *= 0.5
+            except DwellDosError as err:
+                out[i] = err
+        attempts -= 1
+        pending = retry
+    return out
 
 
 def dwell_times_vderiv_all(
@@ -169,7 +256,7 @@ def dwell_times_vderiv_all(
     region: LatticeRegion | None = None,
     threshold_margin: float = 1e-6,
     auto_adjust: bool | None = None,
-    max_halvings: int = 12,
+    max_halvings: int = _MAX_HALVINGS,
 ) -> dict[str, float]:
     """V-derivative dwell times for every open channel at once.
 
@@ -181,26 +268,17 @@ def dwell_times_vderiv_all(
     if auto_adjust is None:
         auto_adjust = dv is None
     step = default_dv(energy) if dv is None else float(dv)
-    s0, labels = shifted_smatrix(system, energy, 0.0, region, threshold_margin)
+    s0 = shifted_smatrix(system, energy, 0.0, region, threshold_margin)
 
-    def shifted(v_shift: float) -> Array:
-        s, shifted_labels = shifted_smatrix(system, energy, v_shift, region, threshold_margin)
-        if shifted_labels != labels:
-            raise ThresholdCrossingError(
-                f"potential shift {v_shift} changed the open-channel set at E = {energy}"
-            )
-        return s
+    def solve(energies, shifts):
+        return [_attempt(shifted_smatrix, system, e, v, region, threshold_margin)
+                for e, v in zip(energies, shifts)]
 
-    attempts = max_halvings if auto_adjust else 0
-    while True:
-        try:
-            taus = _vderiv_from_matrices(s0, shifted(+step), shifted(-step), step)
-            return dict(zip(labels, taus))
-        except (StepTooLargeError, NumericalFailureError):
-            if attempts <= 0:
-                raise
-            attempts -= 1
-            step *= 0.5
+    (result,) = _vderiv_steps(solve, [energy], [s0], [step],
+                              max_halvings if auto_adjust else 0)
+    if isinstance(result, DwellDosError):
+        raise result
+    return result
 
 
 def dwell_time_vderiv(
@@ -260,21 +338,21 @@ def wavepacket_dwell_time(
 # ----------------------------------------------------------------------------
 
 
-def compute_report(
-    system: LayerStack | LatticeSystem,
+def _skip(energy: float, err: DwellDosError) -> DwellReport:
+    return DwellReport(energy=energy, skipped=True,
+                       skip_reason=f"{type(err).__name__}: {err}")
+
+
+def _report(
     energy: float,
-    region: LatticeRegion | None = None,
-    methods: tuple[str, ...] = ("direct", "green"),
-    dv: float | None = None,
-    threshold_margin: float = 1e-6,
+    state,
+    vd: dict[str, float],
+    region: LatticeRegion | None,
+    methods: tuple[str, ...],
 ) -> DwellReport:
-    """One energy point of verify_identity; solver errors become a skip."""
+    """The report of one solved energy; a solver error becomes a skip."""
     want_direct = "direct" in methods
     try:
-        state = _scatter(system, energy, threshold_margin)
-        vd = {}
-        if "vderiv" in methods:
-            vd = dwell_times_vderiv_all(system, energy, dv, region, threshold_margin)
         records = []
         for label, velocity in state.channels():
             tau = state.dwell_time(label, region) if want_direct else None
@@ -283,11 +361,10 @@ def compute_report(
                 tau_direct=tau, tau_vderiv=vd.get(label),
             ))
         dos_green = state.dos(region) if "green" in methods else None
+    except ValidationError:
+        raise
     except DwellDosError as err:
-        if isinstance(err, ValidationError):
-            raise
-        return DwellReport(energy=energy, skipped=True,
-                           skip_reason=f"{type(err).__name__}: {err}")
+        return _skip(energy, err)
     dos_sum = None
     if want_direct:
         dos_sum = sum(r.tau_direct for r in records) / (2.0 * np.pi)
@@ -295,6 +372,82 @@ def compute_report(
                 if dos_green is not None and dos_sum is not None else None)
     return DwellReport(energy=energy, channels=tuple(records),
                        dos_green=dos_green, dos_sum=dos_sum, residual_rel=residual)
+
+
+def compute_report(
+    system: LayerStack | LatticeSystem,
+    energy: float,
+    region: LatticeRegion | None = None,
+    methods: tuple[str, ...] = ("direct", "green"),
+    dv: float | None = None,
+    threshold_margin: float = 1e-6,
+) -> DwellReport:
+    """One energy on its own, the same report verify_identity gives it;
+    solver errors become a skip."""
+    try:
+        state = _scatter(system, energy, threshold_margin)
+        vd = {}
+        if "vderiv" in methods:
+            vd = dwell_times_vderiv_all(system, energy, dv, region, threshold_margin)
+    except ValidationError:
+        raise
+    except DwellDosError as err:
+        return _skip(energy, err)
+    return _report(energy, state, vd, region, methods)
+
+
+# Energies per chunk of a stack grid: the band storage of one chunk holds
+# about this many unknowns (2n + 2 per energy, 7 complex slots each:
+# about 4 MB), however many layers the stack has.
+_BATCH_UNKNOWNS = 2**15
+
+
+def _chunk_size(system: LayerStack | LatticeSystem) -> int:
+    """Energies solved together: one band solve per stack chunk; a lattice
+    workspace is large already, so lattices go one energy at a time."""
+    if isinstance(system, LayerStack):
+        return max(1, _BATCH_UNKNOWNS // (2 * len(system.layers) + 2))
+    return 1
+
+
+def _chunk_reports(
+    system: LayerStack | LatticeSystem,
+    energies: list[float],
+    region: LatticeRegion | None,
+    methods: tuple[str, ...],
+    dv: float | None,
+    threshold_margin: float,
+) -> list[DwellReport]:
+    """compute_report at every energy of a chunk, with solves shared.
+
+    S(0) is solved once for the chunk and reused for the V-derivative;
+    S(+dv) and S(-dv) are one solve each, and each halving re-solves only
+    the energies whose step failed.  Errors keep compute_report's order:
+    S(0), then the V-derivative, then the direct and Green routes.
+    """
+    states = _scatter_chunk(system, energies, [0.0] * len(energies), threshold_margin, region)
+    vds: list = [{}] * len(energies)
+    if "vderiv" in methods:
+        vds = _smatrices(states)  # S(0) of each solved energy, reused
+        live = [i for i, s0 in enumerate(vds) if not isinstance(s0, DwellDosError)]
+        results = _vderiv_steps(
+            lambda es, shifts: _smatrices(
+                _scatter_chunk(system, es, shifts, threshold_margin, region)),
+            [energies[i] for i in live], [vds[i] for i in live],
+            [default_dv(energies[i]) if dv is None else float(dv) for i in live],
+            _MAX_HALVINGS if dv is None else 0,
+        )
+        for i, res in zip(live, results):
+            vds[i] = res
+    reports = []
+    for energy, state, vd in zip(energies, states, vds):
+        if isinstance(state, DwellDosError):
+            reports.append(_skip(energy, state))
+        elif isinstance(vd, DwellDosError):
+            reports.append(_skip(energy, vd))
+        else:
+            reports.append(_report(energy, state, vd, region, methods))
+    return reports
 
 
 def verify_identity(
@@ -308,9 +461,9 @@ def verify_identity(
     """Evaluate every estimator on the grid and record identity residuals.
 
     Grid points too close to a channel threshold (or with no open channel)
-    are reported as skipped, never silently dropped.  With workers > 1 the
-    admissible points are spread over a process pool; output order is by
-    energy either way.
+    are reported as skipped, never silently dropped.  The admissible
+    points are solved in chunks in this process; `workers` is validated
+    and has no other effect.  Output order is by energy.
     """
     bad = set(methods) - {"direct", "green", "vderiv"}
     if bad:
@@ -323,18 +476,27 @@ def verify_identity(
     energies = [float(e) for e in grid.points]
     admissible = grid.admissible_mask(channel_thresholds(system))
     todo = [e for e, ok in zip(energies, admissible) if ok]
-    point = partial(compute_report, system, region=region, methods=methods,
-                    dv=dv, threshold_margin=margin)
-    if workers == 1 or len(todo) < 2:
-        computed = [point(e) for e in todo]
-    else:
-        chunk = max(1, len(todo) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(point, todo, chunksize=chunk))
+    size = _chunk_size(system)
+    computed = []
+    for start in range(0, len(todo), size):
+        computed += _chunk_reports(system, todo[start:start + size], region, methods,
+                                   dv, margin)
     done = iter(computed)
     return [next(done) if ok
             else DwellReport(energy=e, skipped=True, skip_reason="threshold proximity")
             for e, ok in zip(energies, admissible)]
+
+
+# Skip classes that say the point has nothing to check: a threshold too
+# close (the grid's own mask or the solver's check) or no open channel.
+# Every other skip is a point that failed.
+EXPECTED_SKIPS = ("threshold proximity", "ThresholdProximityError", "NoOpenChannelError")
+
+
+def _skip_class(reason: str | None) -> str:
+    """Exception class name of a skip reason ("threshold proximity" for
+    points the grid's threshold mask left out)."""
+    return (reason or "").split(":", 1)[0]
 
 
 def summarize_reports(
@@ -342,6 +504,8 @@ def summarize_reports(
     system: LayerStack | LatticeSystem | None = None,
 ) -> dict:
     """Aggregate residuals; adds the symmetric-system check when it applies.
+
+    `skip_reasons` counts the skipped points by exception class name.
 
     A palindromic 1D stack has equal dwell times from both sides, so the
     two-channel identity collapses to rho_Omega * pi * hbar / tau = 1; on
@@ -357,6 +521,8 @@ def summarize_reports(
     summary = {
         "points": len(reports),
         "skipped": len(reports) - len(live),
+        "skip_reasons": dict(sorted(Counter(
+            _skip_class(r.skip_reason) for r in reports if r.skipped).items())),
         "max_residual_rel": ranked[0][1] if ranked else None,
         "worst": ranked[:5],
     }

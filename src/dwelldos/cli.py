@@ -2,9 +2,12 @@
 
 Config is a single JSON document (see configs/ for one example per
 backend).  Exit codes: 0 success, 1 verification failure, 2 usage or
-config error.  Output is deterministic: rows are sorted by (energy,
-channel), floats are serialized with 17 significant digits, and the
-worker count never changes the bytes.
+config error; `verify` also fails when a grid point was skipped for any
+reason other than threshold proximity or no open channel.  Output is
+deterministic: rows are sorted by (energy, channel) and floats are
+serialized with 17 significant digits.  The `workers` field and
+DWELLDOS_WORKERS are validated but have no effect: the grid is solved in
+energy chunks in one process.
 """
 
 from __future__ import annotations
@@ -178,7 +181,11 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _resolve_workers(config: RunConfig) -> int:
-    """Worker count: DWELLDOS_WORKERS overrides the config; 0 means all cores."""
+    """Worker count: DWELLDOS_WORKERS overrides the config; 0 means all cores.
+
+    Both are validated, but the count has no effect on the computation:
+    the grid is solved in energy chunks in this process.
+    """
     env = os.environ.get("DWELLDOS_WORKERS")
     n = config.workers
     if env:
@@ -194,7 +201,7 @@ def _resolve_workers(config: RunConfig) -> int:
 
 
 def compute_reports(config: RunConfig) -> list[an.DwellReport]:
-    """verify_identity on the configured system with the resolved worker count."""
+    """verify_identity on the configured system (workers validated only)."""
     return an.verify_identity(config.system, config.grid, config.region,
                               config.methods, config.dv,
                               workers=_resolve_workers(config))
@@ -260,6 +267,16 @@ def _write_json(doc: dict, path: Path) -> None:
 # ----------------------------------------------------------------------------
 
 
+def _failed_skip_warnings(summary: dict) -> list[str]:
+    """One warning naming the skips that are failures, if there are any."""
+    failed = {k: n for k, n in summary["skip_reasons"].items()
+              if k not in an.EXPECTED_SKIPS}
+    if not failed:
+        return []
+    return [f"{sum(failed.values())} grid points were skipped as failures "
+            f"({', '.join(failed)})"]
+
+
 def cmd_scan(config: RunConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = compute_reports(config)
@@ -267,9 +284,10 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> dict:
     summary = an.summarize_reports(reports, config.system)
     summary["rows"] = n_rows
     summary["command"] = "scan"
-    warnings = []
+    warnings = _failed_skip_warnings(summary)
     if summary["skipped"] == summary["points"]:
-        warnings.append("all grid points were skipped (threshold proximity or no open channel)")
+        reasons = ", ".join(summary["skip_reasons"])
+        warnings.append(f"all grid points were skipped ({reasons})")
     summary["warnings"] = warnings
     _write_json(summary, out_dir / "summary.json")
     return summary
@@ -285,7 +303,11 @@ def cmd_verify(config: RunConfig, tol: float | None = None) -> tuple[int, dict]:
     summary["tolerance"] = tolerance
     worst = summary["max_residual_rel"]
     ok = worst is not None and worst < tolerance
-    if summary["skipped"] == summary["points"]:
+    warnings = _failed_skip_warnings(summary)
+    if warnings:
+        ok = False  # a point that failed to compute was not verified
+        summary["warnings"] = warnings
+    elif summary["skipped"] == summary["points"]:
         # degenerate but well-defined: nothing to verify, nothing failed
         ok = True
         summary["warnings"] = ["all grid points were skipped"]

@@ -89,23 +89,34 @@ class LayerStack:
                 )
             if not np.isfinite(layer.thickness) or not np.isfinite(layer.potential):
                 raise ValidationError(f"layer {i}: non-finite layer values")
+        # the layer arrays are built once here and handed out read-only
+        thick = np.array([l.thickness for l in self.layers])
+        arrays = {
+            "_thicknesses": thick,
+            "_potentials": np.array([l.potential for l in self.layers]),
+            "_boundaries": np.concatenate(([0.0], np.cumsum(thick))),
+        }
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_total_length", float(sum(l.thickness for l in self.layers)))
 
     @property
     def total_length(self) -> float:
-        return float(sum(l.thickness for l in self.layers))
+        return self._total_length
 
     @property
     def boundaries(self) -> Array:
         """Interface positions x_0 = 0, ..., x_n = L."""
-        return np.concatenate(([0.0], np.cumsum([l.thickness for l in self.layers])))
+        return self._boundaries
 
     @property
     def thicknesses(self) -> Array:
-        return np.array([l.thickness for l in self.layers])
+        return self._thicknesses
 
     @property
     def potentials(self) -> Array:
-        return np.array([l.potential for l in self.layers])
+        return self._potentials
 
     def is_palindromic(self) -> bool:
         """Exact mirror symmetry (a modeling input, so no tolerance)."""

@@ -14,6 +14,15 @@ coefficients directly, without unstable forward propagation.  Grazing
 layers (|k_j| d_j <= 1e-6, including k_j = 0 exactly) use the degenerate
 basis {1, u}.
 
+The matching system has 2n + 2 unknowns and is banded: row r couples
+columns r - 2 .. r + 2 only.  ScatterBatch assembles it for a whole
+array of energies at once, straight into band storage with energy on the
+last axis, and solves all of them by one Gaussian elimination with
+partial pivoting (LAPACK's xGBTRF pivot rule; Golub & Van Loan, Matrix
+Computations, sec. 4.3) whose Python loop runs over the rows only:
+O(n) work per energy, and a zero or non-finite pivot fails that energy
+alone.  scattering_amplitudes is a batch of one energy.
+
 Amplitude convention: for left incidence psi = exp(ikx) + r exp(-ikx) for
 x < 0 and psi = t exp(ikx) for x > L, so an empty stack gives t = 1; the
 right-incidence amplitudes r', t' are defined mirror-symmetrically.
@@ -34,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ClosedChannelError,
@@ -54,6 +64,7 @@ __all__ = [
     "ldos_1d",
     "ldos_mode_sum_1d",
     "dos_region_1d",
+    "ScatterBatch",
     "ScatterSolution1D",
     "Green1D",
     "InteriorWave",
@@ -65,18 +76,17 @@ __all__ = [
 _GRAZING_KD = 1e-6
 
 
-def layer_wavevector(energy: float, potential: float) -> complex:
+def layer_wavevector(energy, potential):
     """Wavevector k = sqrt(E - V) with E = k^2 units.
 
     Branch: real nonnegative for E > V, +i sqrt(V - E) for E < V, and
     exactly 0 for E = V (the caller switches to the {1, u} basis).
+    Broadcasts over arrays; scalars give a complex.
     """
-    diff = energy - potential
-    if diff > 0.0:
-        return complex(np.sqrt(diff), 0.0)
-    if diff < 0.0:
-        return complex(0.0, np.sqrt(-diff))
-    return 0.0 + 0.0j
+    diff = np.subtract(energy, potential)
+    root = np.sqrt(np.abs(diff))
+    k = np.where(diff < 0.0, 1j * root, root + 0j)
+    return k if k.ndim else complex(k)
 
 
 class InteriorWave:
@@ -161,12 +171,8 @@ class InteriorWave:
 
     def region_probability(self) -> float:
         """Integral of |psi|^2 over Omega = [0, L], by per-layer closed forms."""
-        total = 0.0
-        for j, k in enumerate(self.k_layers):
-            total += layer_probability_integral(
-                self.coeff_a[j], self.coeff_b[j], k, self._thick[j]
-            )
-        return total
+        return float(layer_probability_integral(
+            self.coeff_a, self.coeff_b, self.k_layers, self._thick).sum())
 
 
 @dataclass(frozen=True)
@@ -250,99 +256,170 @@ def _check_energy(stack: LayerStack, energy: float, margin: float) -> None:
         )
 
 
+def _interface_system(
+    stack: LayerStack, energies: Array, v_shift: Array
+) -> tuple[Array, Array, Array, Array, Array]:
+    """Interface-matching systems of a stack at every energy, in band storage.
+
+    Unknowns [c_L, A_1, B_1, ..., A_n, B_n, c_R], with c_L / c_R the
+    outgoing amplitudes at the x = 0 / x = L planes.  Rows 2i and 2i + 1
+    match psi and psi' at interface i, as (left side) - (right side).  Row
+    r touches columns r - 2 .. r + 2 only and is stored as
+    band[r, s, e] = M_e[r, r - 2 + s]; slots 5 and 6, and two rows below
+    the last, are zero room for _band_solve.  The two right-hand sides are unit
+    incidence from the left and from the right.  v_shift[e] is added to
+    every layer potential (Omega only).  Energy is the last axis: returns
+    band (2n+4, 7, nE), rhs (2n+4, 2, nE), k_left, k_right (nE,) and
+    k_layers (n, nE).
+    """
+    n, n_e = len(stack.layers), energies.size
+    d = stack.thicknesses[:, None]
+    k_left = layer_wavevector(energies, stack.v_left)
+    k_right = layer_wavevector(energies, stack.v_right)
+    k = layer_wavevector(energies, stack.potentials[:, None] + v_shift)
+    k[np.abs(k) * d <= _GRAZING_KD] = 0.0
+    flat = k == 0
+    ik = 1j * k
+    p = np.exp(ik * d)
+
+    band = np.zeros((2 * n + 4, 7, n_e), dtype=complex)
+    val, der = band[0:-2:2], band[1:-2:2]  # psi and psi' rows of interfaces 0 .. n
+    # left of interface i: layer i-1 at its right edge ({1, u} if flat); c_L
+    val[0, 2], der[0, 1] = 1.0, -1j * k_left
+    val[1:, 1], val[1:, 2] = p, np.where(flat, d, 1.0)
+    der[1:, 0], der[1:, 1] = ik * p, np.where(flat, 1.0, -ik)
+    # minus the right of interface i: layer i at its left edge; c_R
+    val[:-1, 3], val[:-1, 4] = -1.0, -np.where(flat, 0.0, p)
+    der[:-1, 2], der[:-1, 3] = -ik, -np.where(flat, 1.0, -ik * p)
+    val[-1, 3], der[-1, 2] = -1.0, -1j * k_right
+
+    rhs = np.zeros((2 * n + 4, 2, n_e), dtype=complex)
+    rhs[0, 0], rhs[1, 0] = -1.0, -1j * k_left  # incident e^{ik_L x}
+    rhs[2 * n, 1], rhs[2 * n + 1, 1] = 1.0, -1j * k_right  # incident e^{-ik_R (x - L)}
+    return band, rhs, k_left, k_right, k
+
+
+def _band_solve(band: Array, rhs: Array) -> tuple[Array, Array]:
+    """Solve every system of _interface_system at once, in place.
+
+    Gaussian elimination with partial pivoting, one Python step per row
+    and every step vectorized over the energy axis.  The pivot of column
+    c is the first of rows c .. c+2 with the largest |Re| + |Im| (the
+    rule of LAPACK's xGBTRF on the same matrix).  Row c + i keeps column
+    c + j in slot 2 - i + j, so the candidate rows over columns c .. c+4
+    form one strided view; swaps exchange those five entries, the fill of
+    row c lands in slots 5 and 6, and row c of U ends up in band[c, 2:7].
+    The two zero rows at the bottom of `band` and `rhs` keep the view in
+    bounds.  The rhs rows are eliminated alongside and then
+    back-substituted.  Cost O(n) per energy.  Returns the solutions
+    (2n+2, 2, nE), stored over `rhs`, and a mask of the energies whose
+    pivots or solution are zero or not finite.
+    """
+    size, _, n_e = band.shape
+    size -= 2
+    rows, slots, energies = band.strides
+    windows = as_strided(band[0, 2:], shape=(size, 3, 5, n_e),
+                         strides=(rows, rows - slots, slots, energies))
+    with np.errstate(all="ignore"):  # a singular energy is flagged below
+        for c in range(size):
+            win, side = windows[c], rhs[c:c + 3]
+            head = win[:, 0]
+            mag = np.abs(head.real) + np.abs(head.imag)
+            one = (mag[1] > mag[0]) & (mag[1] >= mag[2])
+            two = (mag[2] > mag[0]) & (mag[2] > mag[1])
+            for i, take in ((1, one), (2, two)):
+                if np.count_nonzero(take):
+                    for group in (win, side):
+                        top = np.where(take, group[i], group[0])
+                        group[i] = np.where(take, group[0], group[i])
+                        group[0] = top
+            factors = (win[1:, 0] / win[0, 0])[:, None]
+            win[1:, 1:] -= factors * win[0, 1:]
+            side[1:] -= factors * side[0]
+        x = rhs[:size]
+        for c in range(size - 1, -1, -1):
+            m = min(4, size - 1 - c)
+            if m:
+                x[c] -= np.sum(band[c, 3:3 + m, None] * x[c + 1:c + 1 + m], axis=0)
+            x[c] /= band[c, 2]
+    pivots = band[:size, 2]
+    failed = (np.any(pivots == 0, axis=0) | ~np.all(np.isfinite(pivots), axis=0)
+              | ~np.all(np.isfinite(x), axis=(0, 1)))
+    return x, failed
+
+
+class ScatterBatch:
+    """Both scattering solutions of one stack at an array of energies.
+
+    One band elimination (_band_solve) solves every energy; `solution(i)`
+    hands out energy i and raises what scattering_amplitudes raises
+    there, so one energy's failure never touches another.  `v_shift`
+    (scalar or per energy) is added to every layer potential.
+    """
+
+    def __init__(
+        self,
+        stack: LayerStack,
+        energies,
+        v_shift=0.0,
+        threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
+    ):
+        energies = np.asarray(energies, dtype=float).reshape(-1)
+        shift = np.broadcast_to(np.asarray(v_shift, dtype=float), energies.shape)
+        band, rhs, k_left, k_right, k_layers = _interface_system(stack, energies, shift)
+        coeffs, self.failed = _band_solve(band, rhs)
+        self.stack = stack
+        self.energies = energies
+        self.threshold_margin = threshold_margin
+        self.k_left, self.k_right = k_left, k_right
+        self.k_layers = k_layers  # (n, nE)
+        self.coeffs = coeffs  # (2n+2, 2, nE): columns are left / right incidence
+        self.open_left = (k_left.imag == 0.0) & (k_left.real > 0.0)
+        self.open_right = (k_right.imag == 0.0) & (k_right.real > 0.0)
+        # plane-L amplitudes -> global x = 0 reference
+        phase_r = np.exp(-1j * k_right * stack.total_length)
+        self.r = coeffs[0, 0].copy()
+        self.t = coeffs[-1, 0] * phase_r
+        self.r_prime = coeffs[-1, 1] * phase_r**2
+        self.t_prime = coeffs[0, 1] * phase_r
+
+    def solution(self, i: int) -> "ScatterSolution1D":
+        energy = float(self.energies[i])
+        _check_energy(self.stack, energy, self.threshold_margin)
+        if self.failed[i]:
+            raise NumericalFailureError(f"interface solve failed at E = {energy}")
+        k_left, k_right = complex(self.k_left[i]), complex(self.k_right[i])
+        k_layers = self.k_layers[:, i]
+        waves = []
+        for col, (a_in_l, a_in_r) in enumerate([(1.0, 0.0), (0.0, 1.0)]):
+            u = self.coeffs[:, col, i]
+            waves.append(InteriorWave(
+                self.stack, k_left, k_right, k_layers,
+                coeff_a=u[1:-1:2], coeff_b=u[2:-1:2],
+                a_in_left=a_in_l, a_out_left=u[0],
+                a_in_right=a_in_r, a_out_right=u[-1],
+            ))
+        open_left, open_right = self.open_left[i], self.open_right[i]
+        return ScatterSolution1D(
+            stack=self.stack, energy=energy, k_left=k_left, k_right=k_right,
+            k_layers=k_layers,
+            r=self.r[i] if open_left else None,
+            t=self.t[i] if open_left else None,
+            r_prime=self.r_prime[i] if open_right else None,
+            t_prime=self.t_prime[i] if open_right else None,
+            left_wave=waves[0], right_wave=waves[1],
+        )
+
+
 def scattering_amplitudes(
     stack: LayerStack,
     energy: float,
     threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
 ) -> ScatterSolution1D:
-    """Solve the scattering problem at one energy for both incidence sides."""
+    """Solve the scattering problem at one energy for both incidence sides
+    (a ScatterBatch of one energy)."""
     _check_energy(stack, energy, threshold_margin)
-    k_left = layer_wavevector(energy, stack.v_left)
-    k_right = layer_wavevector(energy, stack.v_right)
-    k_layers = np.array([layer_wavevector(energy, l.potential) for l in stack.layers])
-    d = stack.thicknesses
-    k_layers[np.abs(k_layers) * d <= _GRAZING_KD] = 0.0
-    n = len(k_layers)
-
-    # Unknowns: [c_L, A_1, B_1, ..., A_n, B_n, c_R] with c_L / c_R the
-    # outgoing amplitudes at the x = 0 / x = L planes.
-    size = 2 * n + 2
-    mat = np.zeros((size, size), dtype=complex)
-    rhs = np.zeros((size, 2), dtype=complex)
-
-    def basis_at(j: int, edge: str) -> tuple[complex, complex, complex, complex]:
-        # (value_A, value_B, deriv_A, deriv_B) of the layer basis at an edge
-        k = k_layers[j]
-        if k == 0:
-            if edge == "left":
-                return 1.0, 0.0, 0.0, 1.0
-            return 1.0, d[j], 0.0, 1.0
-        p = np.exp(1j * k * d[j])
-        if edge == "left":
-            return 1.0, p, 1j * k, -1j * k * p
-        return p, 1.0, 1j * k * p, -1j * k
-
-    # x = 0 interface
-    va, vb, da, db = basis_at(0, "left")
-    mat[0, 0] = -1.0
-    mat[0, 1], mat[0, 2] = va, vb
-    mat[1, 0] = 1j * k_left
-    mat[1, 1], mat[1, 2] = da, db
-    rhs[0, 0] = 1.0
-    rhs[1, 0] = 1j * k_left
-
-    # interior interfaces
-    for j in range(n - 1):
-        row = 2 + 2 * j
-        va, vb, da, db = basis_at(j, "right")
-        wa, wb, ea, eb = basis_at(j + 1, "left")
-        cj = 1 + 2 * j
-        mat[row, cj], mat[row, cj + 1] = va, vb
-        mat[row, cj + 2], mat[row, cj + 3] = -wa, -wb
-        mat[row + 1, cj], mat[row + 1, cj + 1] = da, db
-        mat[row + 1, cj + 2], mat[row + 1, cj + 3] = -ea, -eb
-
-    # x = L interface
-    va, vb, da, db = basis_at(n - 1, "right")
-    row = 2 * n
-    cj = 2 * n - 1
-    mat[row, cj], mat[row, cj + 1] = va, vb
-    mat[row, size - 1] = -1.0
-    mat[row + 1, cj], mat[row + 1, cj + 1] = da, db
-    mat[row + 1, size - 1] = -1j * k_right
-    rhs[row, 1] = 1.0
-    rhs[row + 1, 1] = -1j * k_right
-
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"interface solve failed at E = {energy}") from exc
-
-    L = stack.total_length
-    waves = []
-    for col, (a_in_l, a_in_r) in enumerate([(1.0, 0.0), (0.0, 1.0)]):
-        u = sol[:, col]
-        waves.append(InteriorWave(
-            stack, k_left, k_right, k_layers,
-            coeff_a=u[1:-1:2].copy(), coeff_b=u[2:-1:2].copy(),
-            a_in_left=a_in_l, a_out_left=u[0],
-            a_in_right=a_in_r, a_out_right=u[-1],
-        ))
-    left_wave, right_wave = waves
-
-    open_left = k_left.imag == 0.0 and k_left.real > 0.0
-    open_right = k_right.imag == 0.0 and k_right.real > 0.0
-    phase_r = np.exp(-1j * k_right * L)  # plane-L amplitude -> global x = 0 reference
-    r = left_wave.a_out_left if open_left else None
-    t = left_wave.a_out_right * phase_r if open_left else None
-    r_prime = right_wave.a_out_right * phase_r**2 if open_right else None
-    t_prime = right_wave.a_out_left * phase_r if open_right else None
-
-    return ScatterSolution1D(
-        stack=stack, energy=energy, k_left=k_left, k_right=k_right,
-        k_layers=k_layers, r=r, t=t, r_prime=r_prime, t_prime=t_prime,
-        left_wave=left_wave, right_wave=right_wave,
-    )
+    return ScatterBatch(stack, [energy], threshold_margin=threshold_margin).solution(0)
 
 
 # ----------------------------------------------------------------------------
@@ -350,7 +427,7 @@ def scattering_amplitudes(
 # ----------------------------------------------------------------------------
 
 
-def layer_probability_integral(a: complex, b: complex, k: complex, d: float) -> float:
+def layer_probability_integral(a, b, k, d):
     """Integral of |a e^{iku} + b e^{-ik(u-d)}|^2 over [0, d] in closed form.
 
     Scaled basis: a is referenced to the layer's left edge and b to its
@@ -358,28 +435,33 @@ def layer_probability_integral(a: complex, b: complex, k: complex, d: float) -> 
     the physical branches of k and opaque layers cannot overflow.  For
     k = 0 the pair means psi = a + b u (degenerate basis {1, u}), giving
     |a|^2 d + Re(a b*) d^2 + |b|^2 d^3 / 3.  Only real, purely imaginary,
-    or zero k are meaningful for real potentials.
+    or zero k are meaningful for real potentials.  Arguments broadcast
+    over layers: arrays give one integral per layer, scalars a float.
     """
-    if d <= 0:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    k, d = np.asarray(k, dtype=complex), np.asarray(d, dtype=float)
+    if np.count_nonzero(d <= 0):
         raise ValidationError("d must be positive")
-    if k.real != 0.0 and k.imag != 0.0:
+    kk, kappa = k.real, k.imag
+    if np.count_nonzero((kk != 0.0) & (kappa != 0.0)):
         raise ValidationError("k must be real, purely imaginary, or zero")
-    if k == 0:
-        return (abs(a) ** 2) * d + (a * np.conj(b)).real * d**2 + (abs(b) ** 2) * d**3 / 3.0
-    if k.imag == 0.0:
-        kk = k.real
-        # cross term carries e^{ik(2u-d)}, whose integral is sin(kd)/k
-        return float(
-            (abs(a) ** 2 + abs(b) ** 2) * d
-            + 2.0 * (a * np.conj(b)).real * np.sin(kk * d) / kk
-        )
-    kappa = k.imag
-    decay = np.exp(-2.0 * kappa * d)
-    flat = (1.0 - decay) / (2.0 * kappa)
-    return float(
-        (abs(a) ** 2 + abs(b) ** 2) * flat
-        + 2.0 * (a * np.conj(b)).real * np.exp(-kappa * d) * d
-    )
+    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
+    cross = (a * np.conj(b)).real
+    propagating = kappa == 0.0
+    # evanescent closed form everywhere first; the divisor is made nonzero
+    # where kappa = 0, and those layers are overwritten below
+    safe_kappa = kappa + propagating
+    out = np.asarray((aa + bb) * ((1.0 - np.exp(-2.0 * kappa * d)) / (2.0 * safe_kappa))
+                     + 2.0 * cross * np.exp(-kappa * d) * d)
+    if np.count_nonzero(propagating):
+        # the cross term carries e^{ik(2u-d)}, whose integral is sin(kd)/k
+        safe_k = kk + (kk == 0.0)
+        np.copyto(out, (aa + bb) * d + 2.0 * cross * np.sin(kk * d) / safe_k,
+                  where=propagating)
+        flat = propagating & (kk == 0.0)
+        if np.count_nonzero(flat):
+            np.copyto(out, aa * d + cross * d**2 + bb * d**3 / 3.0, where=flat)
+    return out if out.ndim else float(out)
 
 
 def dwell_time_direct_1d(
@@ -547,11 +629,10 @@ def dos_region_1d(
     a_r, b_r = g.right_solution.coeff_a, g.right_solution.coeff_b
     cross = a_l * b_r + b_l * a_r
     flat = k == 0
-    ik = 1j * np.where(flat, 1.0, k)  # any nonzero k on flat layers; discarded
-    per_layer = np.where(
-        flat,
-        a_l * a_r * d + cross * d**2 / 2.0 + b_l * b_r * d**3 / 3.0,
-        (a_l * a_r + b_l * b_r) * np.expm1(2.0 * ik * d) / (2.0 * ik)
-        + cross * d * np.exp(ik * d),
-    )
+    ik = 1j * (k + flat)  # any nonzero k on flat layers; overwritten below
+    per_layer = ((a_l * a_r + b_l * b_r) * np.expm1(2.0 * ik * d) / (2.0 * ik)
+                 + cross * d * np.exp(ik * d))
+    if np.count_nonzero(flat):
+        np.copyto(per_layer, a_l * a_r * d + cross * d**2 / 2.0 + b_l * b_r * d**3 / 3.0,
+                  where=flat)
     return float(-(per_layer.sum() / g.wronskian).imag / np.pi)

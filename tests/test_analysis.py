@@ -288,6 +288,73 @@ def test_verify_identity_with_vderiv(barrier):
             assert abs(ch.tau_vderiv - ch.tau_direct) < 1e-6
 
 
+def _same_report(rep, ref):
+    assert rep.energy == ref.energy
+    assert (rep.skipped, rep.skip_reason) == (ref.skipped, ref.skip_reason)
+    assert [c.channel for c in rep.channels] == [c.channel for c in ref.channels]
+    pairs = [(rep.dos_green, ref.dos_green), (rep.dos_sum, ref.dos_sum),
+             (rep.residual_rel, ref.residual_rel)]
+    for c, c_ref in zip(rep.channels, ref.channels):
+        pairs += [(c.tau_direct, c_ref.tau_direct), (c.tau_vderiv, c_ref.tau_vderiv)]
+    for got, want in pairs:
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, None])
+def test_grid_chunks_match_single_energy_reports(per_chunk, monkeypatch):
+    # E = 1: the d = 103 barrier underflows W (NumericalFailureError);
+    # E = 56: exact k = 0 in the middle layer; the rest are ordinary
+    stack = build_stack([(103.0, 50.0), (1.0, 56.0), (0.7, 3.0)])
+    if per_chunk is not None:
+        monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", per_chunk * (2 * 3 + 2))
+    grid = EnergyGrid(1.0, 61.0, 13)
+    methods = ("direct", "green", "vderiv")
+    reports = verify_identity(stack, grid, methods=methods)
+    assert reports[0].skip_reason.startswith("NumericalFailureError")
+    assert scattering_amplitudes(stack, 56.0).k_layers[1] == 0.0
+    assert sum(not r.skipped for r in reports) == 12
+    for rep in reports:
+        _same_report(rep, compute_report(stack, rep.energy, methods=methods,
+                                         threshold_margin=grid.threshold_margin))
+
+
+@pytest.fixture
+def band_solves(monkeypatch):
+    """Batch size of every band solve, in call order."""
+    sizes = []
+    band_solve = solver1d._band_solve
+
+    def counting(band, rhs):
+        sizes.append(band.shape[2])
+        return band_solve(band, rhs)
+
+    monkeypatch.setattr(solver1d, "_band_solve", counting)
+    return sizes
+
+
+def test_grid_does_three_solves_per_point(stack42, band_solves):
+    grid = EnergyGrid(0.05, 4.0, 50)
+    reports = verify_identity(stack42, grid, methods=("direct", "green", "vderiv"), dv=1e-5)
+    assert not any(r.skipped for r in reports)
+    assert band_solves == [50, 50, 50]  # S(0), S(+dv), S(-dv): one batch each
+
+
+def test_grid_halving_resolves_only_failed_steps(band_solves):
+    from dwelldos.model import double_barrier
+
+    # E = 1.47007 sits on a resonance so sharp that the default step is
+    # halved four times before the phases unwrap; E = 2.235 and 3 are not
+    sharp = double_barrier(1.0, 12.0, 2.0)
+    grid = EnergyGrid(1.4700684803879822, 3.0, 3)
+    methods = ("direct", "vderiv")
+    reports = verify_identity(sharp, grid, methods=methods)
+    assert band_solves == [3, 3, 3] + [1] * 8
+    for rep in reports:
+        _same_report(rep, compute_report(sharp, rep.energy, methods=methods))
+
+
 # ------------------------------------------------------------------- resonances
 
 def _db_reports(dbarrier, count=2001):

@@ -230,6 +230,62 @@ def test_shipped_configs_verify_without_skips(config, capsys):
     assert summary["pass"] is True and summary["skipped"] == 0
 
 
+def opaque_config(tmp_path: Path, thickness: float, count: int, e_max: float) -> str:
+    doc = {
+        "backend": "stack",
+        "system": {"layers": [{"d": thickness, "V": 50.0}]},
+        "grid": {"e_min": 0.5, "e_max": e_max, "count": count},
+        "methods": ["direct", "green"],
+        "workers": 1,
+    }
+    return write_config(tmp_path / "opaque.json", doc)
+
+
+def test_verify_fails_when_every_point_is_a_failure_skip(tmp_path, capsys):
+    # W = 0 at every energy: all five points are NumericalFailureError skips
+    assert main(["verify", "--config", opaque_config(tmp_path, 120.0, 5, 1.5)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["pass"] is False
+    assert summary["skipped"] == 5
+    assert summary["skip_reasons"] == {"NumericalFailureError": 5}
+    assert "skipped as failures" in summary["warnings"][0]
+
+
+def test_verify_fails_on_one_failure_skip(tmp_path, capsys):
+    # E = 0.5 underflows W (subnormal); the other seven points verify
+    assert main(["verify", "--config", opaque_config(tmp_path, 103.0, 8, 49.0)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["pass"] is False
+    assert summary["max_residual_rel"] < 1e-8
+    assert summary["skip_reasons"] == {"NumericalFailureError": 1}
+
+
+def test_verify_passes_when_every_skip_is_expected(tmp_path, capsys):
+    doc = {
+        "backend": "stack",
+        "system": {"v_left": 5.0, "v_right": 5.0, "layers": [{"d": 1.0, "V": 0.0}]},
+        "grid": {"e_min": 0.5, "e_max": 5.0, "count": 4},
+        "workers": 1,
+    }
+    assert main(["verify", "--config", write_config(tmp_path / "b.json", doc)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["pass"] is True
+    assert summary["warnings"] == ["all grid points were skipped"]
+    assert summary["skip_reasons"] == {"NoOpenChannelError": 3, "threshold proximity": 1}
+
+
+def test_scan_summary_counts_skip_reasons(tmp_path):
+    out = tmp_path / "out"
+    assert main(["scan", "--config", opaque_config(tmp_path, 120.0, 5, 1.5),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["skip_reasons"] == {"NumericalFailureError": 5}
+    assert summary["warnings"] == [
+        "5 grid points were skipped as failures (NumericalFailureError)",
+        "all grid points were skipped (NumericalFailureError)",
+    ]
+
+
 def test_verify_lattice_fixture(tmp_path, capsys):
     cfg = lattice_config(tmp_path)
     assert main(["verify", "--config", cfg, "--tol", "1e-9"]) == 0

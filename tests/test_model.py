@@ -46,6 +46,22 @@ def test_stack_is_immutable():
         st.v_left = 2.0
 
 
+def test_stack_arrays_are_built_once_and_read_only():
+    from dwelldos.model import LayerStack
+
+    st = build_stack([(0.5, 1.0), (1.5, -2.0), (1.0, 0.0)])
+    assert st.thicknesses is st.thicknesses  # built in __post_init__, not per access
+    np.testing.assert_array_equal(st.thicknesses, [0.5, 1.5, 1.0])
+    np.testing.assert_array_equal(st.potentials, [1.0, -2.0, 0.0])
+    np.testing.assert_array_equal(st.boundaries, [0.0, 0.5, 2.0, 3.0])
+    assert st.total_length == 3.0
+    for arr in (st.thicknesses, st.potentials, st.boundaries):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    for name in ("thicknesses", "potentials", "boundaries", "total_length"):
+        assert isinstance(vars(LayerStack)[name], property)
+
+
 def test_random_stack_reproducible():
     a = random_stack(42)
     b = random_stack(42)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from dwelldos.errors import (
@@ -10,7 +12,9 @@ from dwelldos.errors import (
 )
 from dwelldos.model import build_stack, free_stack, random_stack, rectangular_barrier
 from dwelldos.oracles import quadrature_integral
+from dwelldos import solver1d
 from dwelldos.solver1d import (
+    ScatterBatch,
     dos_region_1d,
     dwell_time_direct_1d,
     green_1d,
@@ -301,3 +305,116 @@ def _simpson_region_ldos(stack, energy):
 def test_dos_region_matches_ldos_quadrature(stack, energy):
     ref = _simpson_region_ldos(stack, energy)
     assert abs(dos_region_1d(stack, energy) - ref) <= 1e-10 * ref
+
+
+# ------------------------------------------------------------ batched band solve
+
+def _dense(band, size, e):
+    """The interface matrix of energy e, expanded from band storage."""
+    mat = np.zeros((size, size), dtype=complex)
+    for r in range(size):
+        for slot in range(5):
+            c = r - 2 + slot
+            if 0 <= c < size:
+                mat[r, c] = band[r, slot, e]
+    return mat
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    layers=st.lists(st.tuples(st.floats(0.05, 6.0), st.floats(-5.0, 60.0)),
+                    min_size=1, max_size=60),
+    energies=st.lists(st.floats(0.01, 70.0), min_size=1, max_size=6),
+)
+def test_band_solve_is_backward_stable(layers, energies):
+    # opaque energies come from V up to 60 over up to 60 layers of d up to 6
+    stack = build_stack(layers)
+    e = np.array(energies)
+    band, rhs, *_ = solver1d._interface_system(stack, e, np.zeros(e.size))
+    size = 2 * len(layers) + 2
+    x, failed = solver1d._band_solve(band.copy(), rhs.copy())
+    assert not failed.any()
+    for i in range(e.size):
+        mat = _dense(band, size, i)
+        for col in range(2):
+            resid = np.linalg.norm(mat @ x[:, col, i] - rhs[:size, col, i])
+            assert resid <= 1e-12 * np.linalg.norm(mat) * np.linalg.norm(x[:, col, i])
+
+
+def test_band_solve_matches_dense_solve():
+    stack = random_stack(3, n_layers=300)
+    e = np.linspace(0.05, 2.0, 7)
+    band, rhs, *_ = solver1d._interface_system(stack, e, np.zeros(e.size))
+    x, _ = solver1d._band_solve(band.copy(), rhs.copy())
+    size = 2 * 300 + 2
+    for i in range(e.size):
+        ref = np.linalg.solve(_dense(band, size, i), rhs[:size, :, i])
+        assert np.max(np.abs(x[:, :, i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_band_solve_pivots_on_general_band_matrices(rng):
+    # random matrices with two sub- and two super-diagonals; in column 0
+    # only row 2 is nonzero, so the first step must pivot two rows down
+    size, n_e = 10, 4
+    band = np.zeros((size + 2, 7, n_e), dtype=complex)
+    band[:size, :5] = rng.normal(size=(size, 5, n_e)) + 1j * rng.normal(size=(size, 5, n_e))
+    for r in range(size):
+        for slot in range(5):
+            if not 0 <= r - 2 + slot < size:
+                band[r, slot] = 0.0
+    band[0, 2] = band[1, 1] = 0.0
+    rhs = np.zeros((size + 2, 2, n_e), dtype=complex)
+    rhs[:size] = rng.normal(size=(size, 2, n_e))
+    x, failed = solver1d._band_solve(band.copy(), rhs.copy())
+    assert not failed.any()
+    for i in range(n_e):
+        ref = np.linalg.solve(_dense(band, size, i), rhs[:size, :, i])
+        assert np.max(np.abs(x[:, :, i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_zero_pivot_fails_only_its_energy():
+    stack = build_stack([(1.0, 1.0), (0.5, 0.3)])
+    e = np.array([0.5, 1.5, 2.5])
+    band, rhs, *_ = solver1d._interface_system(stack, e, np.zeros(3))
+    band[:, :, 1] = 0.0  # a singular matrix at the middle energy
+    x, failed = solver1d._band_solve(band.copy(), rhs.copy())
+    assert failed.tolist() == [False, True, False]
+    assert np.isfinite(x[:, :, [0, 2]]).all()
+
+
+def test_batch_matches_single_energy_solves(stack42):
+    energies = [0.3, 0.77, 1.0, 2.9]
+    batch = ScatterBatch(stack42, energies, v_shift=[0.0, 0.01, -0.02, 0.0])
+    for i, (e, v) in enumerate(zip(energies, [0.0, 0.01, -0.02, 0.0])):
+        ref = scattering_amplitudes(stack42.shifted(v) if v else stack42, e)
+        sol = batch.solution(i)
+        assert sol.energy == e
+        np.testing.assert_allclose(sol.smatrix(), ref.smatrix(), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sol.left_wave.coeff_a, ref.left_wave.coeff_a,
+                                   rtol=0, atol=1e-14)
+
+
+def test_batch_solution_raises_like_single_solve():
+    stack = build_stack([(1.0, 1.0)], v_left=0.5, v_right=2.0)
+    batch = ScatterBatch(stack, [0.2, 0.5 + 1e-9, 1.2])
+    with pytest.raises(NoOpenChannelError):
+        batch.solution(0)
+    with pytest.raises(ThresholdProximityError):
+        batch.solution(1)
+    assert batch.solution(2).open_left
+
+
+def test_probability_integral_over_layer_arrays(rng):
+    a = rng.normal(size=6) + 1j * rng.normal(size=6)
+    b = rng.normal(size=6) + 1j * rng.normal(size=6)
+    k = np.array([0.7, 0.0, 1.3j, 2.0, 0.2j, 0.0], dtype=complex)
+    d = rng.uniform(0.1, 2.0, size=6)
+    per_layer = layer_probability_integral(a, b, k, d)
+    assert per_layer.shape == (6,)
+    for j in range(6):
+        assert per_layer[j] == pytest.approx(
+            layer_probability_integral(a[j], b[j], k[j], d[j]), rel=1e-14)
+    with pytest.raises(ValidationError):
+        layer_probability_integral(a, b, k, np.where(np.arange(6) == 3, -1.0, d))
+    with pytest.raises(ValidationError):
+        layer_probability_integral(a, b, k + np.array([0, 0, 0, 0.5j, 0, 0]), d)
