@@ -179,24 +179,30 @@ def default_dv(energy: float) -> float:
     return 1e-5 * max(1.0, abs(energy))
 
 
-def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: float) -> Array:
-    """Per-channel dwell times from S(0), S(+dv), S(-dv)."""
+def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: Array) -> tuple:
+    """Per-channel dwell times from S(0), S(+dv), S(-dv) of several energies.
+
+    The matrices are stacked (G, m, m) over energies with the same open
+    channels, and dv is (G,).  Returns the (G, m) dwell times and, per
+    energy, None or the error that makes its step unusable.
+    """
     weight = np.abs(s0) ** 2
     dphase = np.angle(s_plus * np.conj(s_minus))  # principal branch
-    bad = np.count_nonzero((np.abs(dphase) > 0.5 * np.pi) & (weight >= _WEIGHT_EPS))
-    if bad:
-        raise StepTooLargeError(
-            f"phase step exceeds pi/2 for {bad} S elements at dv = {dv}"
-        )
-    taus = -np.sum(weight * dphase / (2.0 * dv), axis=0)
-    dmag = (np.abs(s_plus) - np.abs(s_minus)) / (2.0 * dv)
-    imag_resid = np.abs(np.sum(np.abs(s0) * dmag, axis=0))
-    if np.count_nonzero(imag_resid > _IMAG_RESIDUAL_TOL):
-        raise NumericalFailureError(
-            f"imaginary residual of the delay matrix diagonal reached "
-            f"{imag_resid.max():.3e} (> {_IMAG_RESIDUAL_TOL}) at dv = {dv}"
-        )
-    return taus
+    bad = np.count_nonzero((np.abs(dphase) > 0.5 * np.pi) & (weight >= _WEIGHT_EPS), axis=(1, 2))
+    step = 2.0 * dv[:, None, None]
+    taus = -np.sum(weight * dphase / step, axis=1)
+    dmag = (np.abs(s_plus) - np.abs(s_minus)) / step
+    imag_resid = np.abs(np.sum(np.abs(s0) * dmag, axis=1))
+    errors: list = [None] * len(dv)
+    for g in np.flatnonzero(bad | np.any(imag_resid > _IMAG_RESIDUAL_TOL, axis=1)):
+        if bad[g]:
+            errors[g] = StepTooLargeError(
+                f"phase step exceeds pi/2 for {bad[g]} S elements at dv = {dv[g]}")
+        else:
+            errors[g] = NumericalFailureError(
+                f"imaginary residual of the delay matrix diagonal reached "
+                f"{imag_resid[g].max():.3e} (> {_IMAG_RESIDUAL_TOL}) at dv = {dv[g]}")
+    return taus, errors
 
 
 def _vderiv_steps(solve, energies, s0s, steps, attempts) -> list:
@@ -204,45 +210,49 @@ def _vderiv_steps(solve, energies, s0s, steps, attempts) -> list:
 
     s0s holds each energy's unshifted (S, labels); solve(energies, shifts)
     returns the shifted (S, labels), or the error, per energy.  Each round
-    solves S(+step) for every pending energy and S(-step) for those whose
-    S(+step) succeeded.  An energy whose round fails with StepTooLargeError
-    or NumericalFailureError halves its step and goes again, at most
-    `attempts` times; any other error ends it.  Returns per energy the
-    {label: tau} dict or the error.
+    is one solve call, S(+step) and then S(-step) of every pending
+    energy; the energies whose both solves succeeded are grouped by open
+    channels and go through _vderiv_from_matrices together.  An energy
+    whose round fails with StepTooLargeError or NumericalFailureError
+    halves its step and goes again, at most `attempts` times; any other
+    error ends it.  Returns per energy the {label: tau} dict or the error.
     """
     out: list = [None] * len(energies)
     steps = list(steps)
     pending = list(range(len(energies)))
-
-    def shifted(indices, sign):
-        results = solve([energies[i] for i in indices], [sign * steps[i] for i in indices])
-        for i, res in zip(indices, results):
-            if not isinstance(res, DwellDosError) and res[1] != s0s[i][1]:
-                res = ThresholdCrossingError(
-                    f"potential shift {sign * steps[i]} changed the open-channel "
-                    f"set at E = {energies[i]}"
-                )
-            yield i, res
-
     while pending:
-        plus = dict(shifted(pending, +1.0))
-        minus = dict(shifted([i for i in pending
-                              if not isinstance(plus[i], DwellDosError)], -1.0))
+        shifts = [steps[i] for i in pending]
+        shifted = solve([energies[i] for i in pending] * 2, shifts + [-v for v in shifts])
+        errors, groups = {}, {}
+        for i, plus, minus in zip(pending, shifted, shifted[len(pending):]):
+            for sign, res in ((1.0, plus), (-1.0, minus)):
+                if not isinstance(res, DwellDosError) and res[1] != s0s[i][1]:
+                    res = ThresholdCrossingError(
+                        f"potential shift {sign * steps[i]} changed the open-channel "
+                        f"set at E = {energies[i]}"
+                    )
+                if isinstance(res, DwellDosError):
+                    errors[i] = res
+                    break
+            else:
+                groups.setdefault(tuple(s0s[i][1]), []).append((i, plus[0], minus[0]))
+        for labels, members in groups.items():
+            index, s_plus, s_minus = zip(*members)
+            taus, failed = _vderiv_from_matrices(
+                np.stack([s0s[i][0] for i in index]), np.stack(s_plus), np.stack(s_minus),
+                np.array([steps[i] for i in index]))
+            for i, row, err in zip(index, taus, failed):
+                if err is None:
+                    out[i] = dict(zip(labels, row))
+                else:
+                    errors[i] = err
         retry = []
         for i in pending:
-            try:
-                for res in (plus[i], minus.get(i)):
-                    if isinstance(res, DwellDosError):
-                        raise res
-                taus = _vderiv_from_matrices(s0s[i][0], plus[i][0], minus[i][0], steps[i])
-                out[i] = dict(zip(s0s[i][1], taus))
-            except (StepTooLargeError, NumericalFailureError) as err:
-                if attempts <= 0:
-                    out[i] = err
-                else:
-                    retry.append(i)
-                    steps[i] *= 0.5
-            except DwellDosError as err:
+            err = errors.get(i)
+            if isinstance(err, (StepTooLargeError, NumericalFailureError)) and attempts > 0:
+                retry.append(i)
+                steps[i] *= 0.5
+            elif err is not None:
                 out[i] = err
         attempts -= 1
         pending = retry
@@ -343,34 +353,32 @@ def _skip(energy: float, err: DwellDosError) -> DwellReport:
                        skip_reason=f"{type(err).__name__}: {err}")
 
 
-def _report(
-    energy: float,
-    state,
-    vd: dict[str, float],
-    region: LatticeRegion | None,
-    methods: tuple[str, ...],
-) -> DwellReport:
-    """The report of one solved energy; a solver error becomes a skip."""
+def _routes(state, region: LatticeRegion | None, methods: tuple[str, ...]) -> tuple:
+    """The direct and Green routes of one solved energy: (label, velocity,
+    tau_direct) per open channel, dos_green and dos_sum (None for a route
+    not in `methods`)."""
     want_direct = "direct" in methods
-    try:
-        records = []
-        for label, velocity in state.channels():
-            tau = state.dwell_time(label, region) if want_direct else None
-            records.append(ChannelRecord(
-                channel=label, velocity=velocity,
-                tau_direct=tau, tau_vderiv=vd.get(label),
-            ))
-        dos_green = state.dos(region) if "green" in methods else None
-    except ValidationError:
-        raise
-    except DwellDosError as err:
-        return _skip(energy, err)
-    dos_sum = None
-    if want_direct:
-        dos_sum = sum(r.tau_direct for r in records) / (2.0 * np.pi)
+    channels = [(label, velocity, state.dwell_time(label, region) if want_direct else None)
+                for label, velocity in state.channels()]
+    dos_green = state.dos(region) if "green" in methods else None
+    dos_sum = sum(tau for _, _, tau in channels) / (2.0 * np.pi) if want_direct else None
+    return channels, dos_green, dos_sum
+
+
+def _report(energy: float, routes, vd) -> DwellReport:
+    """The report of one energy from its routes and V-derivative dwell
+    times; either may be the solver error that ends the point in a skip
+    (an S(0) error comes as `routes`, with an empty `vd`)."""
+    for err in (vd, routes):
+        if isinstance(err, DwellDosError):
+            return _skip(energy, err)
+    channels, dos_green, dos_sum = routes
+    records = tuple(ChannelRecord(channel=label, velocity=velocity,
+                                  tau_direct=tau, tau_vderiv=vd.get(label))
+                    for label, velocity, tau in channels)
     residual = (_residual(dos_green, dos_sum)
                 if dos_green is not None and dos_sum is not None else None)
-    return DwellReport(energy=energy, channels=tuple(records),
+    return DwellReport(energy=energy, channels=records,
                        dos_green=dos_green, dos_sum=dos_sum, residual_rel=residual)
 
 
@@ -393,7 +401,7 @@ def compute_report(
         raise
     except DwellDosError as err:
         return _skip(energy, err)
-    return _report(energy, state, vd, region, methods)
+    return _report(energy, _attempt(_routes, state, region, methods), vd)
 
 
 # Energies per chunk of a stack grid: the band storage of one chunk holds
@@ -418,36 +426,45 @@ def _chunk_reports(
     dv: float | None,
     threshold_margin: float,
 ) -> list[DwellReport]:
-    """compute_report at every energy of a chunk, with solves shared.
+    """compute_report at every energy of a grid, with solves shared.
 
-    S(0) is solved once for the chunk and reused for the V-derivative;
-    S(+dv) and S(-dv) are one solve each, and each halving re-solves only
-    the energies whose step failed.  Errors keep compute_report's order:
-    S(0), then the V-derivative, then the direct and Green routes.
+    Solves go in chunks of _chunk_size energies: one band solve per stack
+    chunk, whose direct and Green routes are numpy expressions over its
+    (energy, layer) arrays; a lattice goes one energy at a time.  Only
+    the route results and S(0) outlive a chunk.  The V-derivative reuses
+    S(0), and each of its rounds solves S(+step) and S(-step) of every
+    pending energy of the grid together, so the retries of all chunks
+    share a band solve.  Errors keep compute_report's order: S(0), then
+    the V-derivative, then the direct and Green routes.
     """
-    states = _scatter_chunk(system, energies, [0.0] * len(energies), threshold_margin, region)
+    size = _chunk_size(system)
+
+    def chunks(values):
+        return [values[start:start + size] for start in range(0, len(values), size)]
+
+    routes, s0s = [], []
+    for chunk in chunks(energies):
+        states = _scatter_chunk(system, chunk, [0.0] * len(chunk), threshold_margin, region)
+        routes += [state if isinstance(state, DwellDosError)
+                   else _attempt(_routes, state, region, methods) for state in states]
+        if "vderiv" in methods:
+            s0s += _smatrices(states)
+        del states  # free this chunk's solution before the next is solved
     vds: list = [{}] * len(energies)
     if "vderiv" in methods:
-        vds = _smatrices(states)  # S(0) of each solved energy, reused
-        live = [i for i, s0 in enumerate(vds) if not isinstance(s0, DwellDosError)]
+        def smatrices(es, shifts):
+            return [res for e, v in zip(chunks(es), chunks(shifts))
+                    for res in _smatrices(_scatter_chunk(system, e, v, threshold_margin, region))]
+
+        live = [i for i, s0 in enumerate(s0s) if not isinstance(s0, DwellDosError)]
         results = _vderiv_steps(
-            lambda es, shifts: _smatrices(
-                _scatter_chunk(system, es, shifts, threshold_margin, region)),
-            [energies[i] for i in live], [vds[i] for i in live],
+            smatrices, [energies[i] for i in live], [s0s[i] for i in live],
             [default_dv(energies[i]) if dv is None else float(dv) for i in live],
             _MAX_HALVINGS if dv is None else 0,
         )
         for i, res in zip(live, results):
             vds[i] = res
-    reports = []
-    for energy, state, vd in zip(energies, states, vds):
-        if isinstance(state, DwellDosError):
-            reports.append(_skip(energy, state))
-        elif isinstance(vd, DwellDosError):
-            reports.append(_skip(energy, vd))
-        else:
-            reports.append(_report(energy, state, vd, region, methods))
-    return reports
+    return [_report(e, r, vd) for e, r, vd in zip(energies, routes, vds)]
 
 
 def verify_identity(
@@ -472,16 +489,10 @@ def verify_identity(
         raise ValidationError("methods must be non-empty")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    margin = grid.threshold_margin
     energies = [float(e) for e in grid.points]
     admissible = grid.admissible_mask(channel_thresholds(system))
     todo = [e for e, ok in zip(energies, admissible) if ok]
-    size = _chunk_size(system)
-    computed = []
-    for start in range(0, len(todo), size):
-        computed += _chunk_reports(system, todo[start:start + size], region, methods,
-                                   dv, margin)
-    done = iter(computed)
+    done = iter(_chunk_reports(system, todo, region, methods, dv, grid.threshold_margin))
     return [next(done) if ok
             else DwellReport(energy=e, skipped=True, skip_reason="threshold proximity")
             for e, ok in zip(energies, admissible)]

@@ -21,7 +21,11 @@ last axis, and solves all of them by one Gaussian elimination with
 partial pivoting (LAPACK's xGBTRF pivot rule; Golub & Van Loan, Matrix
 Computations, sec. 4.3) whose Python loop runs over the rows only:
 O(n) work per energy, and a zero or non-finite pivot fails that energy
-alone.  scattering_amplitudes is a batch of one energy.
+alone.  The direct route (ScatterBatch.dwell_times), the Green route
+(ScatterBatch.region_dos) and the S matrices are numpy expressions over
+the batch's (energy, layer) arrays, with no Python loop over energies or
+layers.  scattering_amplitudes, dwell_time_direct_1d and dos_region_1d
+are a batch of one energy.
 
 Amplitude convention: for left incidence psi = exp(ikx) + r exp(-ikx) for
 x < 0 and psi = t exp(ikx) for x > L, so an empty stack gives t = 1; the
@@ -41,6 +45,7 @@ each layer in closed form in the same scaled basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -74,6 +79,7 @@ __all__ = [
 # {1, u}: the scaled basis degenerates there, while the {1, u} solution
 # differs from the true one by (k d)^2 / 2 relative.
 _GRAZING_KD = 1e-6
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def layer_wavevector(energy, potential):
@@ -171,13 +177,12 @@ class InteriorWave:
 
     def region_probability(self) -> float:
         """Integral of |psi|^2 over Omega = [0, L], by per-layer closed forms."""
-        return float(layer_probability_integral(
-            self.coeff_a, self.coeff_b, self.k_layers, self._thick).sum())
+        return float(_region_probability(self.coeff_a, self.coeff_b, self.k_layers, self._thick))
 
 
-@dataclass(frozen=True)
 class ScatterSolution1D:
-    """Both scattering solutions of a stack at one energy.
+    """Both scattering solutions of a stack at one energy: energy `index`
+    of a ScatterBatch, whose arrays every method reads.
 
     ``left_wave`` carries unit incidence from the left; ``right_wave``
     unit incidence from the right (amplitude measured at the x = L plane).
@@ -185,25 +190,30 @@ class ScatterSolution1D:
     the formal wave is still stored for Green's-function use.
     """
 
-    stack: LayerStack
-    energy: float
-    k_left: complex
-    k_right: complex
-    k_layers: Array
-    r: complex | None
-    t: complex | None
-    r_prime: complex | None
-    t_prime: complex | None
-    left_wave: InteriorWave
-    right_wave: InteriorWave
+    def __init__(self, batch: "ScatterBatch", index: int):
+        self.batch, self.index = batch, index
+        self.stack = batch.stack
+        self.energy = float(batch.energies[index])
+        self.k_left = complex(batch.k_left[index])
+        self.k_right = complex(batch.k_right[index])
+        self.open_left = bool(batch.open_left[index])
+        self.open_right = bool(batch.open_right[index])
+        self.k_layers = batch.k_layers[index]
+        self.r, self.t = (batch.r[index], batch.t[index]) if self.open_left else (None, None)
+        self.r_prime, self.t_prime = ((batch.r_prime[index], batch.t_prime[index])
+                                      if self.open_right else (None, None))
 
-    @property
-    def open_left(self) -> bool:
-        return self.k_left.imag == 0.0 and self.k_left.real > 0.0
+    def _wave(self, side: int) -> InteriorWave:
+        b, i = self.batch, self.index
+        return InteriorWave(
+            self.stack, self.k_left, self.k_right, self.k_layers,
+            coeff_a=b.coeff_a[side, i], coeff_b=b.coeff_b[side, i],
+            a_in_left=1.0 - side, a_out_left=b.out_left[side, i],
+            a_in_right=float(side), a_out_right=b.out_right[side, i],
+        )
 
-    @property
-    def open_right(self) -> bool:
-        return self.k_right.imag == 0.0 and self.k_right.real > 0.0
+    left_wave = cached_property(lambda self: self._wave(0))
+    right_wave = cached_property(lambda self: self._wave(1))
 
     def channels(self) -> list[tuple[str, float]]:
         """Open channels as (label, velocity), in S-matrix order."""
@@ -215,31 +225,34 @@ class ScatterSolution1D:
         return out
 
     def dwell_time(self, label: str, region=None) -> float:
-        """Direct dwell time of one open channel; Omega is always [0, L],
-        so `region` (a lattice notion) is ignored."""
-        return dwell_time_direct_1d(self.stack, self.energy, label, solution=self)
+        """Direct dwell time of one open channel (ScatterBatch.dwell_times);
+        Omega is always [0, L], so `region` (a lattice notion) is ignored."""
+        if label not in ("left", "right"):
+            raise ValidationError("side must be 'left' or 'right'")
+        if not (self.open_left if label == "left" else self.open_right):
+            raise ClosedChannelError(f"{label} channel closed at this energy")
+        return float(self.batch.dwell_times[int(label == "right"), self.index])
 
     def dos(self, region=None) -> float:
-        """Green-trace region DOS of [0, L]; `region` is ignored."""
-        return dos_region_1d(self.stack, self.energy, solution=self)
+        """Green-trace region DOS of [0, L] (ScatterBatch.region_dos);
+        `region` is ignored."""
+        _check_wronskian(self.batch.wronskian[self.index], self.energy)
+        return float(self.batch.region_dos[self.index])
 
     def smatrix(self) -> Array:
-        """Flux-normalized S matrix over the open channels.
+        """Flux-normalized S matrix over the open channels (read-only).
 
         Ordering [left, right]; 1x1 when only one side propagates.  Built
         from the global-phase amplitude convention, so it differs from
         the plane-referenced matrix by a unitary diagonal phase only.
         """
+        s = self.batch.smatrices[self.index]
         if self.open_left and self.open_right:
-            ratio = np.sqrt(self.k_right.real / self.k_left.real)
-            return np.array(
-                [[self.r, self.t_prime / ratio],
-                 [self.t * ratio, self.r_prime]], dtype=complex,
-            )
+            return s
         if self.open_left:
-            return np.array([[self.r]], dtype=complex)
+            return s[:1, :1]
         if self.open_right:
-            return np.array([[self.r_prime]], dtype=complex)
+            return s[1:, 1:]
         raise NoOpenChannelError("no open channel at this energy")
 
 
@@ -351,10 +364,17 @@ def _band_solve(band: Array, rhs: Array) -> tuple[Array, Array]:
 class ScatterBatch:
     """Both scattering solutions of one stack at an array of energies.
 
-    One band elimination (_band_solve) solves every energy; `solution(i)`
-    hands out energy i and raises what scattering_amplitudes raises
-    there, so one energy's failure never touches another.  `v_shift`
-    (scalar or per energy) is added to every layer potential.
+    One band elimination (_band_solve) solves every energy.  Arrays run
+    over energy (E,) or (energy, layer) (E, n), with a leading incidence
+    axis [left, right] on the interior coefficients coeff_a, coeff_b
+    (2, E, n) and the outgoing amplitudes out_left, out_right (2, E) at
+    the x = 0 and x = L planes.  The direct route (dwell_times), the
+    Green route (region_dos) and the S matrices are numpy expressions
+    over the whole batch, evaluated on first use.  `solution(i)` hands
+    out energy i and raises what scattering_amplitudes raises there, so
+    one energy's failure never touches another (the entries of a failed
+    energy or a closed side are never read).  `v_shift` (scalar or per
+    energy) is added to every layer potential.
     """
 
     def __init__(
@@ -372,43 +392,64 @@ class ScatterBatch:
         self.energies = energies
         self.threshold_margin = threshold_margin
         self.k_left, self.k_right = k_left, k_right
-        self.k_layers = k_layers  # (n, nE)
-        self.coeffs = coeffs  # (2n+2, 2, nE): columns are left / right incidence
+        # energy-major copies: each energy's layers are contiguous, so a
+        # sum over layers adds in the same order as for a single energy
+        self.k_layers = np.ascontiguousarray(k_layers.T)
+        self.coeff_a, self.coeff_b = (np.ascontiguousarray(coeffs[first:-1:2].transpose(1, 2, 0))
+                                      for first in (1, 2))
+        self.out_left, self.out_right = coeffs[0].copy(), coeffs[-1].copy()
         self.open_left = (k_left.imag == 0.0) & (k_left.real > 0.0)
         self.open_right = (k_right.imag == 0.0) & (k_right.real > 0.0)
         # plane-L amplitudes -> global x = 0 reference
         phase_r = np.exp(-1j * k_right * stack.total_length)
-        self.r = coeffs[0, 0].copy()
-        self.t = coeffs[-1, 0] * phase_r
-        self.r_prime = coeffs[-1, 1] * phase_r**2
-        self.t_prime = coeffs[0, 1] * phase_r
+        self.r = self.out_left[0]
+        self.t = self.out_right[0] * phase_r
+        self.r_prime = self.out_right[1] * phase_r**2
+        self.t_prime = self.out_left[1] * phase_r
 
-    def solution(self, i: int) -> "ScatterSolution1D":
+    @cached_property
+    def dwell_times(self) -> Array:
+        """Direct route, (2, E): per incidence side, the |psi|^2 integral
+        over the layers divided by v_in = 2 k_in."""
+        v_in = 2.0 * np.stack([self.k_left.real, self.k_right.real])
+        with np.errstate(all="ignore"):
+            return _region_probability(self.coeff_a, self.coeff_b, self.k_layers,
+                                       self.stack.thicknesses) / v_in
+
+    @cached_property
+    def wronskian(self) -> Array:
+        """W = psi_L psi_R' - psi_L' psi_R, (E,): right incidence is the
+        left-outgoing psi_L, and W = 2 i k_L times its outgoing amplitude."""
+        return 2j * self.k_left * self.out_left[1]
+
+    @cached_property
+    def region_dos(self) -> Array:
+        """Green route, (E,): -(1/pi) Im of the integral of psi_L psi_R / W
+        = G+(x, x) over [0, L]; it never uses the direct route's |psi|^2."""
+        a, b = self.coeff_a, self.coeff_b
+        with np.errstate(all="ignore"):
+            per_layer = _green_layer_integral(a[1], b[1], a[0], b[0], self.k_layers,
+                                              self.stack.thicknesses)
+            return -(per_layer.sum(axis=-1) / self.wronskian).imag / np.pi
+
+    @cached_property
+    def smatrices(self) -> Array:
+        """Flux-normalized S over [left, right], (E, 2, 2), read-only; only
+        the block of the open channels is meaningful."""
+        s = np.empty((self.energies.size, 2, 2), dtype=complex)
+        with np.errstate(all="ignore"):
+            ratio = np.sqrt(self.k_right.real / self.k_left.real)
+            s[:, 0, 0], s[:, 0, 1] = self.r, self.t_prime / ratio
+            s[:, 1, 0], s[:, 1, 1] = self.t * ratio, self.r_prime
+        s.flags.writeable = False
+        return s
+
+    def solution(self, i: int) -> ScatterSolution1D:
         energy = float(self.energies[i])
         _check_energy(self.stack, energy, self.threshold_margin)
         if self.failed[i]:
             raise NumericalFailureError(f"interface solve failed at E = {energy}")
-        k_left, k_right = complex(self.k_left[i]), complex(self.k_right[i])
-        k_layers = self.k_layers[:, i]
-        waves = []
-        for col, (a_in_l, a_in_r) in enumerate([(1.0, 0.0), (0.0, 1.0)]):
-            u = self.coeffs[:, col, i]
-            waves.append(InteriorWave(
-                self.stack, k_left, k_right, k_layers,
-                coeff_a=u[1:-1:2], coeff_b=u[2:-1:2],
-                a_in_left=a_in_l, a_out_left=u[0],
-                a_in_right=a_in_r, a_out_right=u[-1],
-            ))
-        open_left, open_right = self.open_left[i], self.open_right[i]
-        return ScatterSolution1D(
-            stack=self.stack, energy=energy, k_left=k_left, k_right=k_right,
-            k_layers=k_layers,
-            r=self.r[i] if open_left else None,
-            t=self.t[i] if open_left else None,
-            r_prime=self.r_prime[i] if open_right else None,
-            t_prime=self.t_prime[i] if open_right else None,
-            left_wave=waves[0], right_wave=waves[1],
-        )
+        return ScatterSolution1D(self, i)
 
 
 def scattering_amplitudes(
@@ -464,6 +505,11 @@ def layer_probability_integral(a, b, k, d):
     return out if out.ndim else float(out)
 
 
+def _region_probability(a, b, k, d):
+    """Integral of |psi|^2 over all layers; layers on the last axis."""
+    return layer_probability_integral(a, b, k, d).sum(axis=-1)
+
+
 def dwell_time_direct_1d(
     stack: LayerStack,
     energy: float,
@@ -478,18 +524,7 @@ def dwell_time_direct_1d(
     state (the incident flux of the unit-amplitude state is v_in, that of
     the energy-normalized state 1 / 2 pi hbar).
     """
-    if side not in ("left", "right"):
-        raise ValidationError("side must be 'left' or 'right'")
-    sol = solution or scattering_amplitudes(stack, energy, threshold_margin)
-    if side == "left":
-        if not sol.open_left:
-            raise ClosedChannelError("left channel closed at this energy")
-        wave, v_in = sol.left_wave, 2.0 * sol.k_left.real
-    else:
-        if not sol.open_right:
-            raise ClosedChannelError("right channel closed at this energy")
-        wave, v_in = sol.right_wave, 2.0 * sol.k_right.real
-    return wave.region_probability() / v_in
+    return (solution or scattering_amplitudes(stack, energy, threshold_margin)).dwell_time(side)
 
 
 # ----------------------------------------------------------------------------
@@ -535,23 +570,27 @@ def green_1d(
 ) -> Green1D:
     """Assemble G+ from the two outgoing solutions of the stack."""
     sol = solution or scattering_amplitudes(stack, energy, threshold_margin)
+    wronskian = sol.batch.wronskian[sol.index]
+    _check_wronskian(wronskian, energy)
     # right_wave has no incoming component on the left, so it is the
     # left-outgoing solution; left_wave is the right-outgoing one.
-    wronskian = 2j * sol.k_left * sol.right_wave.a_out_left
-    # With an open channel G+ has no pole on the real axis, however small
-    # |t| is; W leaves the normal floats only when the outgoing amplitude
-    # underflows (a subnormal W has lost the digits that 1/W needs).
-    if not np.finfo(float).tiny <= abs(wronskian) < np.inf:
-        raise NumericalFailureError(
-            f"Wronskian {wronskian} at E = {energy}: the outgoing amplitude "
-            "of the left-outgoing solution underflowed"
-        )
     return Green1D(
         energy=energy,
         left_solution=sol.right_wave,
         right_solution=sol.left_wave,
         wronskian=complex(wronskian),
     )
+
+
+def _check_wronskian(wronskian: complex, energy: float) -> None:
+    # With an open channel G+ has no pole on the real axis, however small
+    # |t| is; W leaves the normal floats only when the outgoing amplitude
+    # underflows (a subnormal W has lost the digits that 1/W needs).
+    if not _TINY <= abs(wronskian) < np.inf:
+        raise NumericalFailureError(
+            f"Wronskian {wronskian} at E = {energy}: the outgoing amplitude "
+            "of the left-outgoing solution underflowed"
+        )
 
 
 def greens_function_1d(
@@ -610,7 +649,12 @@ def dos_region_1d(
     solution: ScatterSolution1D | None = None,
 ) -> float:
     """Density of states of Omega: -(1/pi) Im of the integral of G+(x, x)
-    over [0, L], in closed form per layer.
+    over [0, L], in closed form per layer (ScatterBatch.region_dos)."""
+    return (solution or scattering_amplitudes(stack, energy, threshold_margin)).dos()
+
+
+def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):
+    """Integral of psi_L psi_R over each layer; layers on the last axis.
 
     With psi = a e^{iku} + b e^{-ik(u-d)} for both Green solutions,
 
@@ -622,11 +666,6 @@ def dos_region_1d(
     the bilinear psi_L psi_R, not the |psi|^2 of the direct route, so the
     two sides of the identity share no integral.
     """
-    sol = solution or scattering_amplitudes(stack, energy, threshold_margin)
-    g = green_1d(stack, energy, threshold_margin, sol)
-    k, d = sol.k_layers, stack.thicknesses
-    a_l, b_l = g.left_solution.coeff_a, g.left_solution.coeff_b
-    a_r, b_r = g.right_solution.coeff_a, g.right_solution.coeff_b
     cross = a_l * b_r + b_l * a_r
     flat = k == 0
     ik = 1j * (k + flat)  # any nonzero k on flat layers; overwritten below
@@ -635,4 +674,4 @@ def dos_region_1d(
     if np.count_nonzero(flat):
         np.copyto(per_layer, a_l * a_r * d + cross * d**2 / 2.0 + b_l * b_r * d**3 / 3.0,
                   where=flat)
-    return float(-(per_layer.sum() / g.wronskian).imag / np.pi)
+    return per_layer

@@ -302,11 +302,14 @@ def _same_report(rep, ref):
             assert abs(got - want) <= 1e-14 * abs(want)
 
 
-@pytest.mark.parametrize("per_chunk", [1, 7, None])
-def test_grid_chunks_match_single_energy_reports(per_chunk, monkeypatch):
+@pytest.mark.parametrize("per_chunk, v_left", [(1, 0.0), (7, 0.0), (None, 0.0), (7, 20.0)],
+                         ids=["1", "7", "None", "one-sided-7"])
+def test_grid_chunks_match_single_energy_reports(per_chunk, v_left, monkeypatch):
     # E = 1: the d = 103 barrier underflows W (NumericalFailureError);
-    # E = 56: exact k = 0 in the middle layer; the rest are ordinary
-    stack = build_stack([(103.0, 50.0), (1.0, 56.0), (0.7, 3.0)])
+    # E = 56: exact k = 0 in the middle layer; the rest are ordinary.
+    # With v_left = 20 the energies below 20 have the right channel only,
+    # so the first chunk mixes 1x1 and 2x2 S matrices.
+    stack = build_stack([(103.0, 50.0), (1.0, 56.0), (0.7, 3.0)], v_left=v_left)
     if per_chunk is not None:
         monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", per_chunk * (2 * 3 + 2))
     grid = EnergyGrid(1.0, 61.0, 13)
@@ -315,9 +318,43 @@ def test_grid_chunks_match_single_energy_reports(per_chunk, monkeypatch):
     assert reports[0].skip_reason.startswith("NumericalFailureError")
     assert scattering_amplitudes(stack, 56.0).k_layers[1] == 0.0
     assert sum(not r.skipped for r in reports) == 12
+    assert {len(r.channels) for r in reports if not r.skipped} == ({1, 2} if v_left else {2})
     for rep in reports:
         _same_report(rep, compute_report(stack, rep.energy, methods=methods,
                                          threshold_margin=grid.threshold_margin))
+
+
+@pytest.mark.parametrize("method, other_route", [
+    ("green", "layer_probability_integral"), ("direct", "_green_layer_integral")])
+def test_grid_routes_share_no_integral(stack42, method, other_route, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError(f"the {method} route called {other_route}")
+
+    monkeypatch.setattr(solver1d, other_route, forbidden)
+    reports = verify_identity(stack42, EnergyGrid(0.05, 4.0, 20), methods=(method,))
+    assert not any(r.skipped for r in reports)
+    for rep in reports:
+        assert (rep.dos_green is not None) == (method == "green")
+        assert (rep.dos_sum is not None) == (method == "direct")
+
+
+@pytest.mark.parametrize("per_chunk", [7, None])
+def test_grid_probability_integral_runs_per_chunk(stack42, per_chunk, monkeypatch):
+    calls = []
+    integral = solver1d.layer_probability_integral
+
+    def counting(*args):
+        calls.append(1)
+        return integral(*args)
+
+    monkeypatch.setattr(solver1d, "layer_probability_integral", counting)
+    if per_chunk is not None:
+        monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", per_chunk * (2 * 5 + 2))
+    reports = verify_identity(stack42, EnergyGrid(0.05, 4.0, 50),
+                              methods=("direct", "green", "vderiv"))
+    assert not any(r.skipped for r in reports)
+    chunks = -(-50 // (per_chunk or 50))
+    assert 0 < len(calls) <= 2 * chunks
 
 
 @pytest.fixture
@@ -338,7 +375,7 @@ def test_grid_does_three_solves_per_point(stack42, band_solves):
     grid = EnergyGrid(0.05, 4.0, 50)
     reports = verify_identity(stack42, grid, methods=("direct", "green", "vderiv"), dv=1e-5)
     assert not any(r.skipped for r in reports)
-    assert band_solves == [50, 50, 50]  # S(0), S(+dv), S(-dv): one batch each
+    assert band_solves == [50, 100]  # S(0); then S(+dv) and S(-dv) in one batch
 
 
 def test_grid_halving_resolves_only_failed_steps(band_solves):
@@ -350,9 +387,27 @@ def test_grid_halving_resolves_only_failed_steps(band_solves):
     grid = EnergyGrid(1.4700684803879822, 3.0, 3)
     methods = ("direct", "vderiv")
     reports = verify_identity(sharp, grid, methods=methods)
-    assert band_solves == [3, 3, 3] + [1] * 8
+    assert band_solves == [3, 6] + [2] * 4  # each halving: S(+) and S(-) of one energy
     for rep in reports:
         _same_report(rep, compute_report(sharp, rep.energy, methods=methods))
+
+
+def test_grid_halving_pools_retries_of_all_chunks(band_solves, monkeypatch):
+    from dwelldos.model import double_barrier
+
+    # resonances at both ends of the grid need 6 and 3 halvings; with 4
+    # energies per chunk they sit in different chunks, and the halving
+    # rounds solve both together
+    wide = double_barrier(1.0, 12.0, 4.0)
+    monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", 4 * (2 * 3 + 2))
+    grid = EnergyGrid(1.869973, 4.164395, 5)
+    methods = ("direct", "vderiv")
+    reports = verify_identity(wide, grid, methods=methods)
+    assert not any(r.skipped for r in reports)
+    # S(0) per chunk; the first S(+/-dv) round; 3 shared rounds; 3 more
+    assert band_solves == [4, 1] + [4, 4, 2] + [4] * 3 + [2] * 3
+    for rep in reports:
+        _same_report(rep, compute_report(wide, rep.energy, methods=methods))
 
 
 # ------------------------------------------------------------------- resonances
@@ -404,9 +459,9 @@ def test_transmission_peaks_coincide_with_dos_peaks():
     table = find_resonances(reports)
     assert len(table.dos_peaks) >= 2
     energies = np.array([r.energy for r in reports])
-    t2 = np.array([
-        abs(scattering_amplitudes(sharp, float(e)).t) ** 2 for e in energies
-    ])
+    batch = solver1d.ScatterBatch(sharp, energies)
+    assert batch.open_left.all() and not batch.failed.any()
+    t2 = np.abs(batch.t) ** 2
     ti, _ = find_peaks(t2, prominence=0.05 * t2.max())
 
     def refine(i):
