@@ -10,6 +10,8 @@ Q = i hbar S^dag dS/dV at V = 0:
 with the amplitude-derivative part purely imaginary (unitarity) and kept
 only as a consistency residual.  Derivatives are central differences with
 per-element phase differences taken on the principal branch.
+Every route reads the states of one dispatch, _scatter_chunk, and
+single-energy calls are a grid of one.
 """
 
 from __future__ import annotations
@@ -96,31 +98,6 @@ def _residual(dos_green: float, dos_sum: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _scatter(
-    system: LayerStack | LatticeSystem,
-    energy: float,
-    threshold_margin: float,
-    v_shift: float = 0.0,
-    region: LatticeRegion | None = None,
-) -> s1d.ScatterSolution1D | lat._LatticeWorkspace:
-    """Solve one energy; the backend dispatch of the single-energy path.
-
-    Both backends return their per-energy object with the same methods:
-    channels() as (label, velocity), smatrix(), dwell_time(label, region)
-    and dos(region).  A nonzero v_shift is added inside Omega only: the
-    whole stack in 1D, `region` on a lattice.
-    """
-    if isinstance(system, LayerStack):
-        if v_shift:
-            system = system.shifted(v_shift)
-        return s1d.scattering_amplitudes(system, energy, threshold_margin)
-    if isinstance(system, LatticeSystem):
-        if v_shift:
-            system = system.shifted(v_shift, region)
-        return lat._LatticeWorkspace(system, energy, threshold_margin)
-    raise ValidationError(f"unsupported system type {type(system).__name__}")
-
-
 def _attempt(solve, *args):
     """solve(*args), or the solver error it raised (a ValidationError is
     a caller error and propagates)."""
@@ -139,24 +116,39 @@ def _scatter_chunk(
     threshold_margin: float,
     region: LatticeRegion | None = None,
 ) -> list:
-    """_scatter at energies[i] with v_shifts[i]; each entry is the state or
-    the error raised for that energy alone.  A stack chunk is one batched
-    band solve; a lattice is solved energy by energy."""
+    """The state, or the error, of energies[i] with v_shifts[i] added
+    inside Omega only (the whole stack in 1D, `region` on a lattice).
+
+    Both backends' states have channels() as (label, velocity),
+    smatrix(), dwell_times(region) in channel order and dos(region).  A
+    stack chunk is one batched band solve; a lattice goes energy by
+    energy.
+    """
     if isinstance(system, LayerStack):
         batch = s1d.ScatterBatch(system, energies, v_shifts, threshold_margin)
         return [_attempt(batch.solution, i) for i in range(len(energies))]
-    return [_attempt(_scatter, system, e, threshold_margin, v, region)
-            for e, v in zip(energies, v_shifts)]
+    if isinstance(system, LatticeSystem):
+        return [_attempt(lat._LatticeWorkspace, system.shifted(v, region) if v else system,
+                         e, threshold_margin)
+                for e, v in zip(energies, v_shifts)]
+    raise ValidationError(f"unsupported system type {type(system).__name__}")
 
 
-def _smatrix_and_labels(state) -> tuple[Array, list[str]]:
-    return state.smatrix(), [label for label, _ in state.channels()]
+def _smatrix(state) -> tuple[Array, list[str]] | DwellDosError:
+    """(S, labels) of a solved state, or its error: the solver's or the
+    one its S matrix raised."""
+    if isinstance(state, DwellDosError):
+        return state
+    return _attempt(lambda: (state.smatrix(), [label for label, _ in state.channels()]))
 
 
-def _smatrices(states: list) -> list:
-    """(S, labels) of every solved state; errors pass through."""
-    return [state if isinstance(state, DwellDosError)
-            else _attempt(_smatrix_and_labels, state) for state in states]
+def _smatrices(system, energies, v_shifts, threshold_margin, region) -> list:
+    """_smatrix at energies[i] with v_shifts[i], solved in chunks of
+    _chunk_size energies; only the matrices outlive a chunk."""
+    size = _chunk_size(system)
+    return [_smatrix(state) for start in range(0, len(energies), size)
+            for state in _scatter_chunk(system, energies[start:start + size],
+                                        v_shifts[start:start + size], threshold_margin, region)]
 
 
 def shifted_smatrix(
@@ -168,11 +160,15 @@ def shifted_smatrix(
 ) -> tuple[Array, list[str]]:
     """Flux-normalized S matrix with v_shift added inside Omega only.
 
-    Returns the matrix and the channel labels of its rows/columns.  The
-    shift never touches the leads or asymptotic regions, so callers can
-    compare the labels against the unshifted problem.
+    Returns the matrix and the channel labels of its rows/columns, and
+    raises the solver error of this energy.  The shift never touches the
+    leads or asymptotic regions, so callers can compare the labels
+    against the unshifted problem.
     """
-    return _smatrix_and_labels(_scatter(system, energy, threshold_margin, v_shift, region))
+    (result,) = _smatrices(system, [energy], [v_shift], threshold_margin, region)
+    if isinstance(result, DwellDosError):
+        raise result
+    return result
 
 
 def default_dv(energy: float) -> float:
@@ -205,13 +201,12 @@ def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: Array) -
     return taus, errors
 
 
-def _vderiv_steps(solve, energies, s0s, steps, attempts) -> list:
+def _vderiv_steps(system, region, threshold_margin, energies, s0s, steps, attempts) -> list:
     """The V-derivative step loop for several energies at once.
 
-    s0s holds each energy's unshifted (S, labels); solve(energies, shifts)
-    returns the shifted (S, labels), or the error, per energy.  Each round
-    is one solve call, S(+step) and then S(-step) of every pending
-    energy; the energies whose both solves succeeded are grouped by open
+    s0s holds each energy's unshifted (S, labels).  Each round is one
+    _smatrices call, S(+step) and then S(-step) of every pending energy;
+    the energies whose both solves succeeded are grouped by open
     channels and go through _vderiv_from_matrices together.  An energy
     whose round fails with StepTooLargeError or NumericalFailureError
     halves its step and goes again, at most `attempts` times; any other
@@ -222,7 +217,8 @@ def _vderiv_steps(solve, energies, s0s, steps, attempts) -> list:
     pending = list(range(len(energies)))
     while pending:
         shifts = [steps[i] for i in pending]
-        shifted = solve([energies[i] for i in pending] * 2, shifts + [-v for v in shifts])
+        shifted = _smatrices(system, [energies[i] for i in pending] * 2,
+                             shifts + [-v for v in shifts], threshold_margin, region)
         errors, groups = {}, {}
         for i, plus, minus in zip(pending, shifted, shifted[len(pending):]):
             for sign, res in ((1.0, plus), (-1.0, minus)):
@@ -266,11 +262,12 @@ def dwell_times_vderiv_all(
     region: LatticeRegion | None = None,
     threshold_margin: float = 1e-6,
     auto_adjust: bool | None = None,
-    max_halvings: int = _MAX_HALVINGS,
 ) -> dict[str, float]:
     """V-derivative dwell times for every open channel at once.
 
-    With auto_adjust (default when dv is not given) the step is halved
+    S(0), S(+dv) and S(-dv) are solved once each, through the same
+    dispatch and step loop as the grid.  With auto_adjust (default when
+    dv is not given) the step is halved, at most _MAX_HALVINGS times,
     when the phase difference cannot be unwrapped or the unitarity
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
@@ -279,13 +276,8 @@ def dwell_times_vderiv_all(
         auto_adjust = dv is None
     step = default_dv(energy) if dv is None else float(dv)
     s0 = shifted_smatrix(system, energy, 0.0, region, threshold_margin)
-
-    def solve(energies, shifts):
-        return [_attempt(shifted_smatrix, system, e, v, region, threshold_margin)
-                for e, v in zip(energies, shifts)]
-
-    (result,) = _vderiv_steps(solve, [energy], [s0], [step],
-                              max_halvings if auto_adjust else 0)
+    (result,) = _vderiv_steps(system, region, threshold_margin, [energy], [s0], [step],
+                              _MAX_HALVINGS if auto_adjust else 0)
     if isinstance(result, DwellDosError):
         raise result
     return result
@@ -348,30 +340,30 @@ def wavepacket_dwell_time(
 # ----------------------------------------------------------------------------
 
 
-def _skip(energy: float, err: DwellDosError) -> DwellReport:
-    return DwellReport(energy=energy, skipped=True,
-                       skip_reason=f"{type(err).__name__}: {err}")
-
-
 def _routes(state, region: LatticeRegion | None, methods: tuple[str, ...]) -> tuple:
     """The direct and Green routes of one solved energy: (label, velocity,
     tau_direct) per open channel, dos_green and dos_sum (None for a route
     not in `methods`)."""
-    want_direct = "direct" in methods
-    channels = [(label, velocity, state.dwell_time(label, region) if want_direct else None)
-                for label, velocity in state.channels()]
+    opened = state.channels()
+    if "direct" in methods:
+        taus = state.dwell_times(region).tolist()
+        dos_sum = sum(taus) / (2.0 * np.pi)
+    else:
+        taus, dos_sum = [None] * len(opened), None
+    channels = [(label, velocity, tau) for (label, velocity), tau in zip(opened, taus)]
     dos_green = state.dos(region) if "green" in methods else None
-    dos_sum = sum(tau for _, _, tau in channels) / (2.0 * np.pi) if want_direct else None
     return channels, dos_green, dos_sum
 
 
 def _report(energy: float, routes, vd) -> DwellReport:
     """The report of one energy from its routes and V-derivative dwell
-    times; either may be the solver error that ends the point in a skip
-    (an S(0) error comes as `routes`, with an empty `vd`)."""
+    times; either may be the solver error that ends the point in a skip,
+    `vd` first (an S(0) error comes as `vd` too, or as `routes` when the
+    V-derivative is not wanted)."""
     for err in (vd, routes):
         if isinstance(err, DwellDosError):
-            return _skip(energy, err)
+            return DwellReport(energy=energy, skipped=True,
+                               skip_reason=f"{type(err).__name__}: {err}")
     channels, dos_green, dos_sum = routes
     records = tuple(ChannelRecord(channel=label, velocity=velocity,
                                   tau_direct=tau, tau_vderiv=vd.get(label))
@@ -390,18 +382,9 @@ def compute_report(
     dv: float | None = None,
     threshold_margin: float = 1e-6,
 ) -> DwellReport:
-    """One energy on its own, the same report verify_identity gives it;
-    solver errors become a skip."""
-    try:
-        state = _scatter(system, energy, threshold_margin)
-        vd = {}
-        if "vderiv" in methods:
-            vd = dwell_times_vderiv_all(system, energy, dv, region, threshold_margin)
-    except ValidationError:
-        raise
-    except DwellDosError as err:
-        return _skip(energy, err)
-    return _report(energy, _attempt(_routes, state, region, methods), vd)
+    """One energy on its own, the same report verify_identity gives it: a
+    grid of one through _chunk_reports; solver errors become a skip."""
+    return _chunk_reports(system, [energy], region, methods, dv, threshold_margin)[0]
 
 
 # Energies per chunk of a stack grid: the band storage of one chunk holds
@@ -438,32 +421,26 @@ def _chunk_reports(
     the V-derivative, then the direct and Green routes.
     """
     size = _chunk_size(system)
-
-    def chunks(values):
-        return [values[start:start + size] for start in range(0, len(values), size)]
-
     routes, s0s = [], []
-    for chunk in chunks(energies):
+    for start in range(0, len(energies), size):
+        chunk = energies[start:start + size]
         states = _scatter_chunk(system, chunk, [0.0] * len(chunk), threshold_margin, region)
         routes += [state if isinstance(state, DwellDosError)
                    else _attempt(_routes, state, region, methods) for state in states]
         if "vderiv" in methods:
-            s0s += _smatrices(states)
+            s0s += [_smatrix(state) for state in states]
         del states  # free this chunk's solution before the next is solved
-    vds: list = [{}] * len(energies)
-    if "vderiv" in methods:
-        def smatrices(es, shifts):
-            return [res for e, v in zip(chunks(es), chunks(shifts))
-                    for res in _smatrices(_scatter_chunk(system, e, v, threshold_margin, region))]
-
-        live = [i for i, s0 in enumerate(s0s) if not isinstance(s0, DwellDosError)]
-        results = _vderiv_steps(
-            smatrices, [energies[i] for i in live], [s0s[i] for i in live],
-            [default_dv(energies[i]) if dv is None else float(dv) for i in live],
-            _MAX_HALVINGS if dv is None else 0,
-        )
-        for i, res in zip(live, results):
-            vds[i] = res
+    if "vderiv" not in methods:
+        return [_report(e, r, {}) for e, r in zip(energies, routes)]
+    live = [i for i, s0 in enumerate(s0s) if not isinstance(s0, DwellDosError)]
+    results = _vderiv_steps(
+        system, region, threshold_margin, [energies[i] for i in live], [s0s[i] for i in live],
+        [default_dv(energies[i]) if dv is None else float(dv) for i in live],
+        _MAX_HALVINGS if dv is None else 0,
+    )
+    vds = s0s  # an S(0) error ends its point
+    for i, res in zip(live, results):
+        vds[i] = res
     return [_report(e, r, vd) for e, r, vd in zip(energies, routes, vds)]
 
 
@@ -473,22 +450,19 @@ def verify_identity(
     region: LatticeRegion | None = None,
     methods: tuple[str, ...] = ("direct", "green"),
     dv: float | None = None,
-    workers: int = 1,
 ) -> list[DwellReport]:
     """Evaluate every estimator on the grid and record identity residuals.
 
     Grid points too close to a channel threshold (or with no open channel)
     are reported as skipped, never silently dropped.  The admissible
-    points are solved in chunks in this process; `workers` is validated
-    and has no other effect.  Output order is by energy.
+    points are solved in chunks (_chunk_reports).  Output order is by
+    energy.
     """
     bad = set(methods) - {"direct", "green", "vderiv"}
     if bad:
         raise ValidationError(f"unknown methods: {sorted(bad)}")
     if not methods:
         raise ValidationError("methods must be non-empty")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
     energies = [float(e) for e in grid.points]
     admissible = grid.admissible_mask(channel_thresholds(system))
     todo = [e for e, ok in zip(energies, admissible) if ok]

@@ -5,16 +5,15 @@ backend).  Exit codes: 0 success, 1 verification failure, 2 usage or
 config error; `verify` also fails when a grid point was skipped for any
 reason other than threshold proximity or no open channel.  Output is
 deterministic: rows are sorted by (energy, channel) and floats are
-serialized with 17 significant digits.  The `workers` field and
-DWELLDOS_WORKERS are validated but have no effect: the grid is solved in
-energy chunks in one process.
+serialized with 17 significant digits.  The `workers` field is
+validated (>= 0) but has no effect: the grid is solved in energy chunks
+in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,31 +179,10 @@ def load_config(path: str | Path) -> RunConfig:
 # ----------------------------------------------------------------------------
 
 
-def _resolve_workers(config: RunConfig) -> int:
-    """Worker count: DWELLDOS_WORKERS overrides the config; 0 means all cores.
-
-    Both are validated, but the count has no effect on the computation:
-    the grid is solved in energy chunks in this process.
-    """
-    env = os.environ.get("DWELLDOS_WORKERS")
-    n = config.workers
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"environment variable DWELLDOS_WORKERS must be an integer, got {env!r}"
-            ) from None
-        if n < 0:
-            raise ConfigError(f"environment variable DWELLDOS_WORKERS must be >= 0, got {n}")
-    return n or os.cpu_count() or 1
-
-
 def compute_reports(config: RunConfig) -> list[an.DwellReport]:
-    """verify_identity on the configured system (workers validated only)."""
+    """verify_identity on the configured system."""
     return an.verify_identity(config.system, config.grid, config.region,
-                              config.methods, config.dv,
-                              workers=_resolve_workers(config))
+                              config.methods, config.dv)
 
 
 # ----------------------------------------------------------------------------

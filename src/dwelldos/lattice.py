@@ -22,11 +22,14 @@ sweep, O(L W^3) per energy.  Only the site diagonal of G (Green-trace DOS)
 and the two interface column blocks G[:, left] and G[:, right]
 (scattering states psi = G[:, lead] q and, through them, the S matrix)
 are formed, so storage is O(L W^2); nothing of size (LW)^2 is built.
+The scattering states of all open channels are one (channel, column,
+row) array, which the S matrix and the direct dwell times read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -117,12 +120,10 @@ def _longitudinal(eps_m: float, energy: float) -> tuple[complex, float, str]:
 def lead_modes(
     width: int,
     energy: float,
-    lead: str = "left",
     threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
 ) -> list[ChannelInfo]:
-    """All W channels of one lead at this energy, open and evanescent."""
-    if lead not in ("left", "right"):
-        raise ValidationError("lead must be 'left' or 'right'")
+    """All W channels of the left lead at this energy, open and evanescent
+    (the right lead's are the same with lead = "right")."""
     chi, eps = transverse_modes(width)
     for edge in np.concatenate([eps - 2.0, eps + 2.0]):
         if abs(energy - edge) <= threshold_margin:
@@ -133,7 +134,7 @@ def lead_modes(
     for m in range(1, width + 1):
         k, v, status = _longitudinal(eps[m - 1], energy)
         out.append(ChannelInfo(
-            lead=lead, mode=m, transverse_profile=chi[:, m - 1],
+            lead="left", mode=m, transverse_profile=chi[:, m - 1],
             transverse_energy=float(eps[m - 1]), k=k, velocity=v, status=status,
         ))
     return out
@@ -145,13 +146,14 @@ def open_channels(
     threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
 ) -> list[ChannelInfo]:
     """Open channels of both leads, left lead first, modes ascending."""
-    chans = []
-    for lead in ("left", "right"):
-        chans.extend(
-            c for c in lead_modes(system.width, energy, lead, threshold_margin)
-            if c.is_open
-        )
-    return chans
+    return _both_leads(lead_modes(system.width, energy, threshold_margin))
+
+
+def _both_leads(modes: list[ChannelInfo]) -> list[ChannelInfo]:
+    """Open channels of both leads from the left lead's modes (the leads
+    are the same ideal strip)."""
+    opened = [c for c in modes if c.is_open]
+    return opened + [replace(c, lead="right") for c in opened]
 
 
 def lead_self_energy(
@@ -160,7 +162,12 @@ def lead_self_energy(
     threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
 ) -> Array:
     """Retarded self-energy of one ideal lead on its interface column."""
-    modes = lead_modes(width, energy, "left", threshold_margin)
+    return _self_energy(lead_modes(width, energy, threshold_margin))
+
+
+def _self_energy(modes: list[ChannelInfo]) -> Array:
+    """Sigma = sum_m (-e^{i k_m}) chi_m chi_m^T over all W modes of a lead."""
+    width = len(modes)
     sigma = np.zeros((width, width), dtype=complex)
     for ch in modes:
         g = -np.exp(1j * ch.k)  # semi-infinite chain surface Green's function
@@ -208,18 +215,23 @@ class _LatticeWorkspace:
     Keeps the column blocks of the open-system operator (`blocks`, shape
     (L, W, W)), the site diagonal of G (`green_diagonal`, flat site
     order) and the interface column blocks `green_columns[lead][c] =
-    G[c, interface column of lead]`, each of shape (L, W, W).
+    G[c, interface column of lead]`, each of shape (L, W, W).  The
+    states of all open channels (`psi`) are solved on first use.
     """
 
     def __init__(self, system: LatticeSystem, energy: float,
                  threshold_margin: float = DEFAULT_THRESHOLD_MARGIN):
         self.system = system
         self.energy = energy
-        self.modes_left = lead_modes(system.width, energy, "left", threshold_margin)
-        self.modes_right = lead_modes(system.width, energy, "right", threshold_margin)
+        modes = lead_modes(system.width, energy, threshold_margin)
+        self.open_modes = _both_leads(modes)
         if not self.open_modes:
             raise NoOpenChannelError(f"no open lead channel at E = {energy}")
-        sigma = lead_self_energy(system.width, energy, threshold_margin)
+        self.velocities = np.array([c.velocity for c in self.open_modes])
+        # transverse profiles of one lead's open modes, (W, n_open / 2)
+        half = self.open_modes[:len(self.open_modes) // 2]
+        self._profiles = np.stack([c.transverse_profile for c in half], axis=1)
+        sigma = _self_energy(modes)
         lx, w = system.length, system.width
         # diagonal blocks E - H_col(c) - Sigma; the blocks between
         # neighbouring columns are the identity (hopping -1)
@@ -254,70 +266,76 @@ class _LatticeWorkspace:
             col_right[c] = -g_left[c] @ col_right[c + 1]
         self.green_columns = {"left": col_left, "right": col_right}
 
-    @property
-    def open_modes(self) -> list[ChannelInfo]:
-        """Open channels of both leads, in S-matrix order."""
-        return [c for c in self.modes_left + self.modes_right if c.is_open]
-
     def channels(self) -> list[tuple[str, float]]:
         """Open channels as (label, velocity), in S-matrix order."""
         return [(c.label, c.velocity) for c in self.open_modes]
 
-    def dwell_time(self, label: str, region: LatticeRegion | None = None) -> float:
-        """Direct dwell time in Omega of the open channel with this label."""
-        channel = next((c for c in self.open_modes if c.label == label), None)
-        if channel is None:
-            raise ValidationError(f"channel {label!r} not open at E = {self.energy}")
-        return dwell_time_lattice(self.system, self.energy, channel, region, workspace=self)
-
-    def dos(self, region: LatticeRegion | None = None) -> float:
-        """Green-trace DOS of Omega."""
-        return dos_region_lattice(self.system, self.energy, region, workspace=self)
-
-    def smatrix(self) -> Array:
-        """Flux-normalized S matrix over the open channels."""
-        return scattering_matrix(self.system, self.energy, workspace=self)[0]
-
-    def interface_slice(self, lead: str) -> slice:
-        n, w = self.system.n_sites, self.system.width
-        return slice(0, w) if lead == "left" else slice(n - w, n)
-
-    def solve_channel(self, channel: ChannelInfo) -> Array:
-        """Scattering state psi = G[:, lead] q, flat site order."""
-        if not channel.is_open:
+    def index(self, channel: ChannelInfo | str) -> int:
+        """Position of an open channel, given by its ChannelInfo or label,
+        in S-matrix order (the first axis of `psi`)."""
+        if isinstance(channel, ChannelInfo) and not channel.is_open:
             raise ClosedChannelError(f"channel {channel.label} closed at E = {self.energy}")
-        source = 1j * channel.velocity * channel.transverse_profile
-        psi = self.green_columns[channel.lead] @ source
-        # (E - H - Sigma) psi - q, applied column by column
-        r = (self.blocks @ psi[:, :, None])[:, :, 0]
-        r[1:] += psi[:-1]
-        r[:-1] += psi[1:]
-        r[0 if channel.lead == "left" else -1] -= source
+        label = channel.label if isinstance(channel, ChannelInfo) else channel
+        for j, c in enumerate(self.open_modes):
+            if c.label == label:
+                return j
+        raise ValidationError(f"channel {label!r} not open at E = {self.energy}")
+
+    @cached_property
+    def psi(self) -> Array:
+        """Scattering states psi = G[:, lead] (i v_n chi_n) of all open
+        channels, (n_open, L, W) in S-matrix order, checked by applying
+        E - H - Sigma column by column.  One matrix-vector product per
+        channel and column keeps each state bit-identical to a solve of
+        that channel alone."""
+        half = self._profiles.shape[1]
+        sources = (1j * self.velocities[:half] * self._profiles).T
+        psi = np.concatenate([self.green_columns[lead] @ sources[:, None, :, None]
+                              for lead in ("left", "right")])[..., 0]
+        r = (self.blocks @ psi[..., None])[..., 0]
+        r[:, 1:] += psi[:, :-1]
+        r[:, :-1] += psi[:, 1:]
+        r[:half, 0] -= sources
+        r[half:, -1] -= sources
         resid = np.max(np.abs(r))
         if not resid <= _RESIDUAL_TOL:  # a NaN residual fails too
             raise NumericalFailureError(
                 f"scattering solve residual {resid:.3e} at E = {self.energy}"
             )
-        return psi.reshape(-1)
+        return psi
 
-    def outgoing_amplitudes(self, psi: Array, incident: ChannelInfo) -> dict[str, complex]:
-        """Flux-normalized outgoing amplitudes over open channels, by label.
+    def smatrix(self) -> Array:
+        """Flux-normalized S matrix over the open channels.
 
-        On the interface columns the state decomposes into lead modes;
-        projecting out the incident term leaves the outgoing amplitude at
-        the interface plane.
+        On the interface columns the states decompose into lead modes:
+        projecting them onto the open profiles and subtracting the
+        incident term leaves the outgoing amplitudes at the interface
+        plane, scaled by sqrt(v_out / v_in).
         """
-        out = {}
-        for lead, modes in (("left", self.modes_left), ("right", self.modes_right)):
-            block = psi[self.interface_slice(lead)]
-            for ch in modes:
-                if not ch.is_open:
-                    continue
-                amp = complex(ch.transverse_profile @ block)
-                if lead == incident.lead and ch.mode == incident.mode:
-                    amp -= 1.0
-                out[ch.label] = amp * np.sqrt(ch.velocity / incident.velocity)
-        return out
+        # one dot product per entry, as for one channel alone (the
+        # profiles are real, so vecdot's conjugate changes nothing)
+        amps = np.concatenate([np.vecdot(self._profiles.T[:, None, :], self.psi[:, c])
+                               for c in (0, -1)])
+        v = self.velocities
+        return (amps - np.eye(v.size)) * np.sqrt(v[:, None] / v[None, :])
+
+    def dwell_times(self, region: LatticeRegion | None = None) -> Array:
+        """Direct dwell times in Omega of all open channels, S-matrix order:
+        the sum of |psi|^2 over the Omega sites divided by v_n."""
+        sites = self.system.region_sites(region)
+        # take() keeps each channel's sites contiguous, so each row sums
+        # in the same order as one channel's state alone
+        psi = self.psi.reshape(self.velocities.size, -1).take(sites, axis=1)
+        return np.sum(np.abs(psi) ** 2, axis=-1) / self.velocities
+
+    def dwell_time(self, channel: ChannelInfo | str,
+                   region: LatticeRegion | None = None) -> float:
+        """Direct dwell time in Omega of one open channel (or its label)."""
+        return float(self.dwell_times(region)[self.index(channel)])
+
+    def dos(self, region: LatticeRegion | None = None) -> float:
+        """Green-trace DOS of Omega."""
+        return dos_region_lattice(self.system, self.energy, region, workspace=self)
 
 
 def scattering_state(
@@ -329,11 +347,8 @@ def scattering_state(
 ) -> LatticeScatterState:
     """Stationary state for unit incidence in one open channel."""
     ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
-    psi = ws.solve_channel(channel)
-    return LatticeScatterState(
-        energy=energy, channel=channel,
-        psi=psi.reshape(system.length, system.width),
-    )
+    return LatticeScatterState(energy=energy, channel=channel,
+                               psi=ws.psi[ws.index(channel)].copy())
 
 
 def scattering_matrix(
@@ -344,15 +359,7 @@ def scattering_matrix(
 ) -> tuple[Array, list[ChannelInfo]]:
     """Full flux-normalized S matrix over the open channels of both leads."""
     ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
-    chans = ws.open_modes
-    n = len(chans)
-    s = np.zeros((n, n), dtype=complex)
-    for col, cin in enumerate(chans):
-        psi = ws.solve_channel(cin)
-        amps = ws.outgoing_amplitudes(psi, cin)
-        for row, cout in enumerate(chans):
-            s[row, col] = amps[cout.label]
-    return s, chans
+    return ws.smatrix(), ws.open_modes
 
 
 def dwell_time_lattice(
@@ -369,9 +376,7 @@ def dwell_time_lattice(
     energy-normalized definition, exactly as in the 1D continuum case.
     """
     ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
-    psi = ws.solve_channel(channel)
-    sites = system.region_sites(region)
-    return float(np.sum(np.abs(psi[sites]) ** 2) / channel.velocity)
+    return ws.dwell_time(channel, region)
 
 
 def dos_region_lattice(

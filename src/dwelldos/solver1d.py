@@ -175,10 +175,6 @@ class InteriorWave:
             out[inside] = vals
         return out[0] if scalar else out
 
-    def region_probability(self) -> float:
-        """Integral of |psi|^2 over Omega = [0, L], by per-layer closed forms."""
-        return float(_region_probability(self.coeff_a, self.coeff_b, self.k_layers, self._thick))
-
 
 class ScatterSolution1D:
     """Both scattering solutions of a stack at one energy: energy `index`
@@ -224,14 +220,11 @@ class ScatterSolution1D:
             out.append(("right", 2.0 * self.k_right.real))
         return out
 
-    def dwell_time(self, label: str, region=None) -> float:
-        """Direct dwell time of one open channel (ScatterBatch.dwell_times);
+    def dwell_times(self, region=None) -> Array:
+        """Direct dwell times of the open channels, in channels() order;
         Omega is always [0, L], so `region` (a lattice notion) is ignored."""
-        if label not in ("left", "right"):
-            raise ValidationError("side must be 'left' or 'right'")
-        if not (self.open_left if label == "left" else self.open_right):
-            raise ClosedChannelError(f"{label} channel closed at this energy")
-        return float(self.batch.dwell_times[int(label == "right"), self.index])
+        first, stop = int(not self.open_left), 1 + int(self.open_right)
+        return self.batch.dwell_times[first:stop, self.index]
 
     def dos(self, region=None) -> float:
         """Green-trace region DOS of [0, L] (ScatterBatch.region_dos);
@@ -459,7 +452,6 @@ def scattering_amplitudes(
 ) -> ScatterSolution1D:
     """Solve the scattering problem at one energy for both incidence sides
     (a ScatterBatch of one energy)."""
-    _check_energy(stack, energy, threshold_margin)
     return ScatterBatch(stack, [energy], threshold_margin=threshold_margin).solution(0)
 
 
@@ -524,7 +516,12 @@ def dwell_time_direct_1d(
     state (the incident flux of the unit-amplitude state is v_in, that of
     the energy-normalized state 1 / 2 pi hbar).
     """
-    return (solution or scattering_amplitudes(stack, energy, threshold_margin)).dwell_time(side)
+    if side not in ("left", "right"):
+        raise ValidationError("side must be 'left' or 'right'")
+    sol = solution or scattering_amplitudes(stack, energy, threshold_margin)
+    if not (sol.open_left if side == "left" else sol.open_right):
+        raise ClosedChannelError(f"{side} channel closed at this energy")
+    return float(sol.batch.dwell_times[int(side == "right"), sol.index])
 
 
 # ----------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from dwelldos.model import (
 )
 from dwelldos.oracles import BoxSpec, box_dos
 from dwelldos.solver1d import (
+    ScatterBatch,
     dos_region_1d,
     dwell_time_direct_1d,
     ldos_1d,
@@ -274,7 +275,9 @@ def test_criterion_8_wavepacket_delta_limit():
     stack = free_stack(2.0)
     e0 = 1.5
     grid = np.linspace(0.5, 3.0, 4001)
-    taus = np.array([dwell_time_direct_1d(stack, float(e)) for e in grid])
+    batch = ScatterBatch(stack, grid)
+    assert not batch.failed.any()
+    taus = batch.dwell_times[0]
     tau0 = dwell_time_direct_1d(stack, e0)
     errors = []
     for sigma in (0.2, 0.1, 0.05, 0.025):

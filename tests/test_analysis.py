@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dwelldos import analysis, solver1d
+from dwelldos import analysis, lattice, solver1d
 from dwelldos.analysis import (
     DwellReport,
     compute_report,
@@ -60,27 +62,21 @@ def test_shifted_smatrix_stays_unitary(stack42):
 
 # ------------------------------------------------------------------ V-derivative
 
-def test_vderiv_solves_each_shift_once(stack42, monkeypatch):
-    energies = []
-    solve = solver1d.scattering_amplitudes
-
-    def counting(stack, energy, *args, **kwargs):
-        energies.append(energy)
-        return solve(stack, energy, *args, **kwargs)
-
-    monkeypatch.setattr(solver1d, "scattering_amplitudes", counting)
+def test_vderiv_solves_each_shift_once(stack42, band_solves):
     dwell_times_vderiv_all(stack42, 1.1, dv=1e-5)  # fixed step: no halving
-    assert len(energies) == 3  # S(0), S(+dv), S(-dv)
+    assert band_solves == [1, 2]  # S(0); then S(+dv) and S(-dv) in one batch
 
 
 def test_vderiv_open_channel_change_raises(barrier, monkeypatch):
-    unshifted = analysis.shifted_smatrix
+    # the shifted solves see a right lead closed at E = 0.5
+    closed_right = dataclasses.replace(barrier, v_right=1.0)
+    dispatch = analysis._scatter_chunk
 
-    def drop_right_channel(system, energy, v_shift, *args):
-        s, labels = unshifted(system, energy, v_shift, *args)
-        return (s, labels) if v_shift == 0.0 else (s[:1, :1], labels[:1])
+    def close_right_when_shifted(system, energies, v_shifts, *args):
+        return [dispatch(closed_right if v else system, [e], [v], *args)[0]
+                for e, v in zip(energies, v_shifts)]
 
-    monkeypatch.setattr(analysis, "shifted_smatrix", drop_right_channel)
+    monkeypatch.setattr(analysis, "_scatter_chunk", close_right_when_shifted)
     with pytest.raises(ThresholdCrossingError):
         dwell_times_vderiv_all(barrier, 0.5, dv=1e-5)
     rep = compute_report(barrier, 0.5, methods=("direct", "green", "vderiv"))
@@ -160,8 +156,9 @@ def test_wavepacket_uniform_window(free2):
     e = np.linspace(1.0, 2.0, 2001)
     w = np.ones_like(e)
     sw = SpectralWeight(e, w / np.trapezoid(w, e))
-    taus = np.array([dwell_time_direct_1d(free2, float(x)) for x in e])
-    val = wavepacket_dwell_time(sw, e, taus)
+    batch = solver1d.ScatterBatch(free2, e)
+    assert not batch.failed.any()
+    val = wavepacket_dwell_time(sw, e, batch.dwell_times[0])
     # hand integral of L / (2 sqrt(E)) over [1, 2]
     assert abs(val - 2.0 * (np.sqrt(2.0) - 1.0)) < 1e-6
 
@@ -376,6 +373,34 @@ def test_grid_does_three_solves_per_point(stack42, band_solves):
     reports = verify_identity(stack42, grid, methods=("direct", "green", "vderiv"), dv=1e-5)
     assert not any(r.skipped for r in reports)
     assert band_solves == [50, 100]  # S(0); then S(+dv) and S(-dv) in one batch
+
+
+@pytest.mark.parametrize("backend", ["stack", "lattice"])
+def test_report_solves_each_energy_and_shift_once(backend, stack42, band_solves, monkeypatch):
+    # S(0) is the routes' state; S(+dv) and S(-dv) are one more solve
+    # each (one band solve of two energies on a stack); a lattice
+    # workspace reads both leads' modes off one lead_modes call
+    calls = {"workspace": 0, "lead_modes": 0}
+    init, modes = lattice._LatticeWorkspace.__init__, lattice.lead_modes
+
+    def counting_init(ws, *args):
+        calls["workspace"] += 1
+        init(ws, *args)
+
+    def counting_modes(*args):
+        calls["lead_modes"] += 1
+        return modes(*args)
+
+    monkeypatch.setattr(lattice._LatticeWorkspace, "__init__", counting_init)
+    monkeypatch.setattr(lattice, "lead_modes", counting_modes)
+    system = stack42 if backend == "stack" else random_lattice(11, 4, 12, (-0.5, 0.5))
+    rep = compute_report(system, 0.3, methods=("direct", "green", "vderiv"), dv=1e-5)
+    assert not rep.skipped and all(c.tau_vderiv is not None for c in rep.channels)
+    if backend == "stack":
+        assert band_solves == [1, 2]
+    else:
+        assert len(rep.channels) == 8
+        assert calls == {"workspace": 3, "lead_modes": 3}
 
 
 def test_grid_halving_resolves_only_failed_steps(band_solves):

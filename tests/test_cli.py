@@ -138,26 +138,6 @@ def test_lattice_scan_parallel_determinism(tmp_path):
     assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
 
 
-def test_workers_env_override(tmp_path, monkeypatch):
-    cfg = free_scan_config(tmp_path, count=12, workers=1)
-    out_env = tmp_path / "env"
-    monkeypatch.setenv("DWELLDOS_WORKERS", "2")
-    main(["scan", "--config", cfg, "--out", str(out_env)])
-    monkeypatch.delenv("DWELLDOS_WORKERS")
-    out_ref = tmp_path / "ref"
-    main(["scan", "--config", cfg, "--out", str(out_ref)])
-    assert (out_env / "scan.csv").read_bytes() == (out_ref / "scan.csv").read_bytes()
-
-
-@pytest.mark.parametrize("value", ["abc", "-4"])
-def test_bad_workers_env_is_config_error(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("DWELLDOS_WORKERS", value)
-    assert main(["verify", "--config", free_scan_config(tmp_path, count=4)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert "DWELLDOS_WORKERS" in err
-
-
 def test_scan_below_threshold_grid(tmp_path):
     doc = {
         "backend": "stack",

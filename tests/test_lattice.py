@@ -307,11 +307,11 @@ def test_report_never_builds_dense_hamiltonian(monkeypatch, lattice3x10):
 
 def test_corrupt_interface_columns_fail_residual_check(lattice3x10):
     ws = _LatticeWorkspace(lattice3x10, 0.3)
-    left = [c for c in ws.open_modes if c.lead == "left"][0]
-    ws.solve_channel(left)
     ws.green_columns["left"][4] *= 1.0 + 1e-6
     with pytest.raises(NumericalFailureError):
-        ws.solve_channel(left)
+        ws.smatrix()
+    with pytest.raises(NumericalFailureError):
+        ws.dwell_time(ws.open_modes[-1].label)
 
 
 def test_long_strip_identity():
