@@ -20,7 +20,6 @@ from .errors import (
     NoOpenChannelError,
     NumericalFailureError,
     StepTooLargeError,
-    ThresholdCrossingError,
     ThresholdProximityError,
     ValidationError,
 )

@@ -11,7 +11,9 @@ with the amplitude-derivative part purely imaginary (unitarity) and kept
 only as a consistency residual.  Derivatives are central differences with
 per-element phase differences taken on the principal branch.
 Every route reads the states of one dispatch, _scatter_chunk, and
-single-energy calls are a grid of one.
+single-energy calls are a grid of one.  Which channels are open, and
+whether an energy is too close to a threshold, is decided by the
+solvers alone: a grid point they refuse is a skip with their error.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     InsufficientDataError,
     NumericalFailureError,
     StepTooLargeError,
-    ThresholdCrossingError,
     ValidationError,
 )
 from . import lattice as lat
@@ -39,7 +40,6 @@ from .model import (
     LatticeSystem,
     LayerStack,
     SpectralWeight,
-    channel_thresholds,
 )
 
 __all__ = [
@@ -162,8 +162,8 @@ def shifted_smatrix(
 
     Returns the matrix and the channel labels of its rows/columns, and
     raises the solver error of this energy.  The shift never touches the
-    leads or asymptotic regions, so callers can compare the labels
-    against the unshifted problem.
+    leads or asymptotic regions, so the labels are those of the
+    unshifted problem.
     """
     (result,) = _smatrices(system, [energy], [v_shift], threshold_margin, region)
     if isinstance(result, DwellDosError):
@@ -201,19 +201,23 @@ def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: Array) -
     return taus, errors
 
 
-def _vderiv_steps(system, region, threshold_margin, energies, s0s, steps, attempts) -> list:
+def _vderiv_steps(system, region, threshold_margin, energies, s0s, dv) -> list:
     """The V-derivative step loop for several energies at once.
 
-    s0s holds each energy's unshifted (S, labels).  Each round is one
-    _smatrices call, S(+step) and then S(-step) of every pending energy;
-    the energies whose both solves succeeded are grouped by open
-    channels and go through _vderiv_from_matrices together.  An energy
+    s0s holds each energy's unshifted (S, labels).  The step is dv, or
+    default_dv(E) when dv is None.  Each round is one _smatrices call,
+    S(+step) and then S(-step) of every pending energy; the energies
+    whose both solves succeeded are grouped by open channels (the
+    labels of S(0): a shift inside Omega never reaches the leads) and go
+    through _vderiv_from_matrices together.  With dv None, an energy
     whose round fails with StepTooLargeError or NumericalFailureError
-    halves its step and goes again, at most `attempts` times; any other
-    error ends it.  Returns per energy the {label: tau} dict or the error.
+    halves its step and goes again, at most _MAX_HALVINGS times; any
+    other error ends it.  Returns per energy the {label: tau} dict or
+    the error.
     """
     out: list = [None] * len(energies)
-    steps = list(steps)
+    steps = [default_dv(e) if dv is None else float(dv) for e in energies]
+    attempts = _MAX_HALVINGS if dv is None else 0
     pending = list(range(len(energies)))
     while pending:
         shifts = [steps[i] for i in pending]
@@ -221,17 +225,11 @@ def _vderiv_steps(system, region, threshold_margin, energies, s0s, steps, attemp
                              shifts + [-v for v in shifts], threshold_margin, region)
         errors, groups = {}, {}
         for i, plus, minus in zip(pending, shifted, shifted[len(pending):]):
-            for sign, res in ((1.0, plus), (-1.0, minus)):
-                if not isinstance(res, DwellDosError) and res[1] != s0s[i][1]:
-                    res = ThresholdCrossingError(
-                        f"potential shift {sign * steps[i]} changed the open-channel "
-                        f"set at E = {energies[i]}"
-                    )
-                if isinstance(res, DwellDosError):
-                    errors[i] = res
-                    break
-            else:
+            err = next((res for res in (plus, minus) if isinstance(res, DwellDosError)), None)
+            if err is None:
                 groups.setdefault(tuple(s0s[i][1]), []).append((i, plus[0], minus[0]))
+            else:
+                errors[i] = err
         for labels, members in groups.items():
             index, s_plus, s_minus = zip(*members)
             taus, failed = _vderiv_from_matrices(
@@ -261,23 +259,18 @@ def dwell_times_vderiv_all(
     dv: float | None = None,
     region: LatticeRegion | None = None,
     threshold_margin: float = 1e-6,
-    auto_adjust: bool | None = None,
 ) -> dict[str, float]:
     """V-derivative dwell times for every open channel at once.
 
     S(0), S(+dv) and S(-dv) are solved once each, through the same
-    dispatch and step loop as the grid.  With auto_adjust (default when
-    dv is not given) the step is halved, at most _MAX_HALVINGS times,
+    dispatch and step loop as the grid.  When dv is not given the step
+    starts at default_dv(E) and is halved, at most _MAX_HALVINGS times,
     when the phase difference cannot be unwrapped or the unitarity
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
     """
-    if auto_adjust is None:
-        auto_adjust = dv is None
-    step = default_dv(energy) if dv is None else float(dv)
     s0 = shifted_smatrix(system, energy, 0.0, region, threshold_margin)
-    (result,) = _vderiv_steps(system, region, threshold_margin, [energy], [s0], [step],
-                              _MAX_HALVINGS if auto_adjust else 0)
+    (result,) = _vderiv_steps(system, region, threshold_margin, [energy], [s0], dv)
     if isinstance(result, DwellDosError):
         raise result
     return result
@@ -290,13 +283,10 @@ def dwell_time_vderiv(
     dv: float | None = None,
     region: LatticeRegion | None = None,
     threshold_margin: float = 1e-6,
-    auto_adjust: bool | None = None,
 ) -> float:
     """Dwell time of one channel from the S-matrix potential derivative."""
     label = channel.label if isinstance(channel, lat.ChannelInfo) else channel
-    taus = dwell_times_vderiv_all(
-        system, energy, dv, region, threshold_margin, auto_adjust
-    )
+    taus = dwell_times_vderiv_all(system, energy, dv, region, threshold_margin)
     if label not in taus:
         raise ValidationError(f"channel {label!r} not open at E = {energy}")
     return taus[label]
@@ -433,11 +423,8 @@ def _chunk_reports(
     if "vderiv" not in methods:
         return [_report(e, r, {}) for e, r in zip(energies, routes)]
     live = [i for i, s0 in enumerate(s0s) if not isinstance(s0, DwellDosError)]
-    results = _vderiv_steps(
-        system, region, threshold_margin, [energies[i] for i in live], [s0s[i] for i in live],
-        [default_dv(energies[i]) if dv is None else float(dv) for i in live],
-        _MAX_HALVINGS if dv is None else 0,
-    )
+    results = _vderiv_steps(system, region, threshold_margin,
+                            [energies[i] for i in live], [s0s[i] for i in live], dv)
     vds = s0s  # an S(0) error ends its point
     for i, res in zip(live, results):
         vds[i] = res
@@ -453,10 +440,10 @@ def verify_identity(
 ) -> list[DwellReport]:
     """Evaluate every estimator on the grid and record identity residuals.
 
-    Grid points too close to a channel threshold (or with no open channel)
-    are reported as skipped, never silently dropped.  The admissible
-    points are solved in chunks (_chunk_reports).  Output order is by
-    energy.
+    Every grid point is solved, in chunks (_chunk_reports); one that the
+    solver refuses (within grid.threshold_margin of a channel threshold,
+    no open channel, or a failure) is reported as skipped with the
+    solver's error, never silently dropped.  Output order is by energy.
     """
     bad = set(methods) - {"direct", "green", "vderiv"}
     if bad:
@@ -464,23 +451,17 @@ def verify_identity(
     if not methods:
         raise ValidationError("methods must be non-empty")
     energies = [float(e) for e in grid.points]
-    admissible = grid.admissible_mask(channel_thresholds(system))
-    todo = [e for e, ok in zip(energies, admissible) if ok]
-    done = iter(_chunk_reports(system, todo, region, methods, dv, grid.threshold_margin))
-    return [next(done) if ok
-            else DwellReport(energy=e, skipped=True, skip_reason="threshold proximity")
-            for e, ok in zip(energies, admissible)]
+    return _chunk_reports(system, energies, region, methods, dv, grid.threshold_margin)
 
 
 # Skip classes that say the point has nothing to check: a threshold too
-# close (the grid's own mask or the solver's check) or no open channel.
-# Every other skip is a point that failed.
-EXPECTED_SKIPS = ("threshold proximity", "ThresholdProximityError", "NoOpenChannelError")
+# close or no open channel.  Every other skip is a point that failed.
+EXPECTED_SKIPS = ("ThresholdProximityError", "NoOpenChannelError")
 
 
 def _skip_class(reason: str | None) -> str:
-    """Exception class name of a skip reason ("threshold proximity" for
-    points the grid's threshold mask left out)."""
+    """Exception class name of a skip reason ("ThresholdProximityError:
+    ..." gives "ThresholdProximityError")."""
     return (reason or "").split(":", 1)[0]
 
 

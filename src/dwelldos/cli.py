@@ -57,52 +57,59 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _object(doc: dict, key: str, default: dict | None = None) -> dict:
+    """doc[key] (or the default when it is absent), checked to be a JSON object."""
+    value = _require(doc, key, "") if default is None else doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"field '{key}' must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _parse(field: str, build):
+    """build(), or a ConfigError naming the field when a value has the
+    wrong type or form or the model rejects it."""
+    try:
+        return build()
+    except ConfigError:
+        raise
+    except (TypeError, KeyError, ValueError, DwellDosError) as exc:
+        raise ConfigError(f"bad field '{field}': {exc}") from exc
+
+
 def _build_system(backend: str, doc: dict) -> LayerStack | LatticeSystem:
     if backend == "stack":
         if "random" in doc:
             r = doc["random"]
-            try:
-                return random_stack(
-                    seed=int(_require(r, "seed", "system.random")),
-                    n_layers=int(r.get("n_layers", 5)),
-                    v_range=tuple(r.get("v_range", (0.0, 2.0))),
-                    d_range=tuple(r.get("d_range", (0.5, 1.5))),
-                    v_left=float(r.get("v_left", 0.0)),
-                    v_right=float(r.get("v_right", 0.0)),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad 'system.random': {exc}") from exc
+            return _parse("system.random", lambda: random_stack(
+                seed=int(_require(r, "seed", "system.random")),
+                n_layers=int(r.get("n_layers", 5)),
+                v_range=tuple(r.get("v_range", (0.0, 2.0))),
+                d_range=tuple(r.get("d_range", (0.5, 1.5))),
+                v_left=float(r.get("v_left", 0.0)),
+                v_right=float(r.get("v_right", 0.0)),
+            ))
         layers = _require(doc, "layers", "system")
-        try:
-            return build_stack(
-                layers,
-                v_left=float(doc.get("v_left", 0.0)),
-                v_right=float(doc.get("v_right", 0.0)),
-            )
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ConfigError(f"bad 'system.layers': {exc}") from exc
+        return _parse("system.layers", lambda: build_stack(
+            layers,
+            v_left=float(doc.get("v_left", 0.0)),
+            v_right=float(doc.get("v_right", 0.0)),
+        ))
     # lattice backend
-    width = int(_require(doc, "width", "system"))
-    length = int(_require(doc, "length", "system"))
+    width = _parse("system.width", lambda: int(_require(doc, "width", "system")))
+    length = _parse("system.length", lambda: int(_require(doc, "length", "system")))
     if "disorder" in doc:
         d = doc["disorder"]
-        try:
-            return random_lattice(
-                seed=int(_require(d, "seed", "system.disorder")),
-                width=width, length=length,
-                v_range=tuple(d.get("v_range", (-0.5, 0.5))),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad 'system.disorder': {exc}") from exc
+        return _parse("system.disorder", lambda: random_lattice(
+            seed=int(_require(d, "seed", "system.disorder")),
+            width=width, length=length,
+            v_range=tuple(d.get("v_range", (-0.5, 0.5))),
+        ))
     onsite = doc.get("onsite", 0.0)
-    try:
-        if isinstance(onsite, (int, float)):
-            arr = np.full((length, width), float(onsite))
-        else:
-            arr = np.asarray(onsite, dtype=float)
-        return LatticeSystem(width=width, length=length, onsite=arr)
-    except (TypeError, ValueError, DwellDosError) as exc:
-        raise ConfigError(f"bad 'system.onsite': {exc}") from exc
+    return _parse("system.onsite", lambda: LatticeSystem(
+        width=width, length=length,
+        onsite=(np.full((length, width), float(onsite)) if isinstance(onsite, (int, float))
+                else np.asarray(onsite, dtype=float)),
+    ))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -121,50 +128,45 @@ def load_config(path: str | Path) -> RunConfig:
     backend = _require(doc, "backend", "")
     if backend not in ("stack", "lattice"):
         raise ConfigError(f"field 'backend' must be 'stack' or 'lattice', got {backend!r}")
-    system = _build_system(backend, _require(doc, "system", ""))
+    system = _build_system(backend, _object(doc, "system"))
 
-    g = _require(doc, "grid", "")
-    try:
-        grid = EnergyGrid(
-            e_min=float(_require(g, "e_min", "grid")),
-            e_max=float(_require(g, "e_max", "grid")),
-            count=int(_require(g, "count", "grid")),
-            threshold_margin=float(g.get("threshold_margin", 1e-6)),
-        )
-    except (TypeError, ValueError, DwellDosError) as exc:
-        raise ConfigError(f"bad 'grid': {exc}") from exc
+    g = _object(doc, "grid")
+    grid = _parse("grid", lambda: EnergyGrid(
+        e_min=float(_require(g, "e_min", "grid")),
+        e_max=float(_require(g, "e_max", "grid")),
+        count=int(_require(g, "count", "grid")),
+        threshold_margin=float(g.get("threshold_margin", 1e-6)),
+    ))
 
     region = None
     if doc.get("region") is not None:
         if backend != "lattice":
             raise ConfigError("field 'region' is only supported for the lattice backend")
-        r = doc["region"]
-        try:
-            region = LatticeRegion(
-                col_min=int(_require(r, "col_min", "region")),
-                col_max=int(_require(r, "col_max", "region")),
-                row_min=int(_require(r, "row_min", "region")),
-                row_max=int(_require(r, "row_max", "region")),
-            )
-        except (TypeError, ValueError, DwellDosError) as exc:
-            raise ConfigError(f"bad 'region': {exc}") from exc
+        r = _object(doc, "region")
+        region = _parse("region", lambda: LatticeRegion(
+            col_min=int(_require(r, "col_min", "region")),
+            col_max=int(_require(r, "col_max", "region")),
+            row_min=int(_require(r, "row_min", "region")),
+            row_max=int(_require(r, "row_max", "region")),
+        ))
 
-    methods = tuple(doc.get("methods", ["direct", "green"]))
+    methods = _parse("methods", lambda: tuple(doc.get("methods", ["direct", "green"])))
     if not methods:
         raise ConfigError("field 'methods' must be non-empty")
-    bad = set(methods) - set(_VALID_METHODS)
+    bad = _parse("methods", lambda: sorted(set(methods) - set(_VALID_METHODS)))
     if bad:
-        raise ConfigError(f"field 'methods' has unknown entries {sorted(bad)}")
+        raise ConfigError(f"field 'methods' has unknown entries {bad}")
 
     dv = doc.get("dv")
     if dv is not None:
-        dv = float(dv)
+        dv = _parse("dv", lambda: float(dv))
         if dv <= 0:
             raise ConfigError("field 'dv' must be positive")
 
-    tol = float(doc.get("tolerances", {}).get("identity", 1e-8))
-    prom = float(doc.get("min_prominence", 0.05))
-    workers = int(doc.get("workers", 0))
+    tolerances = _object(doc, "tolerances", {})
+    tol = _parse("tolerances.identity", lambda: float(tolerances.get("identity", 1e-8)))
+    prom = _parse("min_prominence", lambda: float(doc.get("min_prominence", 0.05)))
+    workers = _parse("workers", lambda: int(doc.get("workers", 0)))
     if workers < 0:
         raise ConfigError("field 'workers' must be >= 0")
     return RunConfig(

@@ -33,10 +33,6 @@ class StepTooLargeError(DwellDosError):
     """Finite-difference potential step too large to unwrap S-matrix phases."""
 
 
-class ThresholdCrossingError(DwellDosError):
-    """A potential shift moved the energy across a channel threshold."""
-
-
 class CoverageError(DwellDosError):
     """Spectral weight support extends outside the sampled energy grid."""
 

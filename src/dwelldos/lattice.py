@@ -17,8 +17,9 @@ W x W diagonal blocks E - H_col(c) (minus Sigma on the interface columns)
 and identity blocks between neighbouring columns.  Its inverse, the
 retarded Green's function G, is computed by recursive Green's-function
 sweeps (MacKinnon, Z. Phys. B 59, 385 (1985); Lake et al., J. Appl.
-Phys. 81, 7845 (1997)): a left-connected and a right-connected Dyson
-sweep, O(L W^3) per energy.  Only the site diagonal of G (Green-trace DOS)
+Phys. 81, 7845 (1997)): one left-connected Dyson sweep and a backward
+pass that connects it, L block inverses and O(L W^3) work per energy.
+Only the site diagonal of G (Green-trace DOS)
 and the two interface column blocks G[:, left] and G[:, right]
 (scattering states psi = G[:, lead] q and, through them, the S matrix)
 are formed, so storage is O(L W^2); nothing of size (LW)^2 is built.
@@ -241,29 +242,27 @@ class _LatticeWorkspace:
         d[0] -= sigma
         d[-1] -= sigma  # the same block again when L = 1: both leads attach
         self.blocks = d
-        # left- and right-connected Green's functions of the device cut
-        # after / before column c
-        g_left = np.empty_like(d)
-        g_right = np.empty_like(d)
-        g_left[0] = _inv(d[0], energy)
-        for c in range(1, lx):
-            g_left[c] = _inv(d[c] - g_left[c - 1], energy)
-        g_right[-1] = _inv(d[-1], energy)
-        for c in range(lx - 2, -1, -1):
-            g_right[c] = _inv(d[c] - g_right[c + 1], energy)
-        full = d.copy()
-        full[1:] -= g_left[:-1]
-        full[:-1] -= g_right[1:]
-        g_diag = _inv(full, energy)  # G[c, c] for every column
-        self.green_diagonal = np.diagonal(g_diag, axis1=1, axis2=2).reshape(-1)
+        # forward: left-connected Green's functions of the device cut after
+        # column c, g[c] = (D_c - g[c-1])^-1, and their first-column
+        # blocks col_left[c] = -g[c] col_left[c-1], col_left[0] = g[0]
+        g = np.empty_like(d)
         col_left = np.empty_like(d)
-        col_right = np.empty_like(d)
-        col_left[0] = g_diag[0]
+        g[0] = col_left[0] = _inv(d[0], energy)
         for c in range(1, lx):
-            col_left[c] = -g_right[c] @ col_left[c - 1]
-        col_right[-1] = g_diag[-1]
+            g[c] = _inv(d[c] - g[c - 1], energy)
+            col_left[c] = -g[c] @ col_left[c - 1]
+        # backward: G[c, c] = g[c] + g[c] G[c+1, c+1] g[c], G[c, L-1] =
+        # -g[c] G[c+1, L-1] and G[c, 0] = -G[c, c] col_left[c-1], which
+        # overwrites col_left[c] once it has been read
+        g_diag = np.empty_like(d)
+        col_right = np.empty_like(d)
+        g_diag[-1] = col_right[-1] = g[-1]
         for c in range(lx - 2, -1, -1):
-            col_right[c] = -g_left[c] @ col_right[c + 1]
+            g_diag[c] = g[c] + g[c] @ g_diag[c + 1] @ g[c]
+            col_right[c] = -g[c] @ col_right[c + 1]
+            col_left[c + 1] = -g_diag[c + 1] @ col_left[c]
+        col_left[0] = g_diag[0]
+        self.green_diagonal = np.diagonal(g_diag, axis1=1, axis2=2).reshape(-1)
         self.green_columns = {"left": col_left, "right": col_right}
 
     def channels(self) -> list[tuple[str, float]]:

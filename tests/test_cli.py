@@ -82,6 +82,25 @@ def test_config_errors_name_fields(tmp_path):
         }))
 
 
+@pytest.mark.parametrize("field, update", [
+    ("system", {"system": 5}),
+    ("system.width", {"system": {"width": "a", "length": 10}}),
+    ("tolerances", {"tolerances": 5}),
+    ("tolerances.identity", {"tolerances": {"identity": "x"}}),
+    ("min_prominence", {"min_prominence": "abc"}),
+    ("dv", {"dv": "x"}),
+    ("workers", {"workers": "x"}),
+    ("methods", {"methods": 3}),
+    ("methods", {"methods": [["direct"]]}),
+])
+def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
+    cfg = lattice_config(tmp_path, **update)
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert f"'{field}'" in err
+
+
 def test_main_exit_2_on_bad_config(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["scan", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
@@ -251,7 +270,7 @@ def test_verify_passes_when_every_skip_is_expected(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is True
     assert summary["warnings"] == ["all grid points were skipped"]
-    assert summary["skip_reasons"] == {"NoOpenChannelError": 3, "threshold proximity": 1}
+    assert summary["skip_reasons"] == {"NoOpenChannelError": 3, "ThresholdProximityError": 1}
 
 
 def test_scan_summary_counts_skip_reasons(tmp_path):

@@ -286,6 +286,22 @@ def test_no_open_channel_is_skipped(energy):
     assert rep.skip_reason.startswith("NoOpenChannelError")
 
 
+@pytest.mark.parametrize("length", [1, 2, 7])
+def test_workspace_inverts_one_block_per_column(length, monkeypatch):
+    # one left-connected sweep and a backward pass of matrix products:
+    # one W x W inverse per column
+    shapes = []
+    inv = dwelldos.lattice._inv
+
+    def counting(blocks, energy):
+        shapes.append(np.shape(blocks))
+        return inv(blocks, energy)
+
+    monkeypatch.setattr(dwelldos.lattice, "_inv", counting)
+    _LatticeWorkspace(random_lattice(3, 3, length), 0.3)
+    assert shapes == [(3, 3)] * length
+
+
 def test_unknown_channel_label_is_validation_error():
     ws = _LatticeWorkspace(random_lattice(3, 3, 6), 0.3)
     with pytest.raises(ValidationError, match="'left:99' not open at E = 0.3"):
