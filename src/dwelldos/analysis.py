@@ -113,7 +113,6 @@ def _scatter_chunk(
     system: LayerStack | LatticeSystem,
     energies: list[float],
     v_shifts: list[float],
-    threshold_margin: float,
     region: LatticeRegion | None = None,
 ) -> list:
     """The state, or the error, of energies[i] with v_shifts[i] added
@@ -125,11 +124,10 @@ def _scatter_chunk(
     energy.
     """
     if isinstance(system, LayerStack):
-        batch = s1d.ScatterBatch(system, energies, v_shifts, threshold_margin)
+        batch = s1d.ScatterBatch(system, energies, v_shifts)
         return [_attempt(batch.solution, i) for i in range(len(energies))]
     if isinstance(system, LatticeSystem):
-        return [_attempt(lat._LatticeWorkspace, system.shifted(v, region) if v else system,
-                         e, threshold_margin)
+        return [_attempt(lat._LatticeWorkspace, system.shifted(v, region) if v else system, e)
                 for e, v in zip(energies, v_shifts)]
     raise ValidationError(f"unsupported system type {type(system).__name__}")
 
@@ -142,13 +140,13 @@ def _smatrix(state) -> tuple[Array, list[str]] | DwellDosError:
     return _attempt(lambda: (state.smatrix(), [label for label, _ in state.channels()]))
 
 
-def _smatrices(system, energies, v_shifts, threshold_margin, region) -> list:
+def _smatrices(system, energies, v_shifts, region) -> list:
     """_smatrix at energies[i] with v_shifts[i], solved in chunks of
     _chunk_size energies; only the matrices outlive a chunk."""
     size = _chunk_size(system)
     return [_smatrix(state) for start in range(0, len(energies), size)
             for state in _scatter_chunk(system, energies[start:start + size],
-                                        v_shifts[start:start + size], threshold_margin, region)]
+                                        v_shifts[start:start + size], region)]
 
 
 def shifted_smatrix(
@@ -156,7 +154,6 @@ def shifted_smatrix(
     energy: float,
     v_shift: float,
     region: LatticeRegion | None = None,
-    threshold_margin: float = 1e-6,
 ) -> tuple[Array, list[str]]:
     """Flux-normalized S matrix with v_shift added inside Omega only.
 
@@ -165,7 +162,7 @@ def shifted_smatrix(
     leads or asymptotic regions, so the labels are those of the
     unshifted problem.
     """
-    (result,) = _smatrices(system, [energy], [v_shift], threshold_margin, region)
+    (result,) = _smatrices(system, [energy], [v_shift], region)
     if isinstance(result, DwellDosError):
         raise result
     return result
@@ -201,7 +198,7 @@ def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: Array) -
     return taus, errors
 
 
-def _vderiv_steps(system, region, threshold_margin, energies, s0s, dv) -> list:
+def _vderiv_steps(system, region, energies, s0s, dv) -> list:
     """The V-derivative step loop for several energies at once.
 
     s0s holds each energy's unshifted (S, labels).  The step is dv, or
@@ -222,7 +219,7 @@ def _vderiv_steps(system, region, threshold_margin, energies, s0s, dv) -> list:
     while pending:
         shifts = [steps[i] for i in pending]
         shifted = _smatrices(system, [energies[i] for i in pending] * 2,
-                             shifts + [-v for v in shifts], threshold_margin, region)
+                             shifts + [-v for v in shifts], region)
         errors, groups = {}, {}
         for i, plus, minus in zip(pending, shifted, shifted[len(pending):]):
             err = next((res for res in (plus, minus) if isinstance(res, DwellDosError)), None)
@@ -258,7 +255,6 @@ def dwell_times_vderiv_all(
     energy: float,
     dv: float | None = None,
     region: LatticeRegion | None = None,
-    threshold_margin: float = 1e-6,
 ) -> dict[str, float]:
     """V-derivative dwell times for every open channel at once.
 
@@ -269,8 +265,8 @@ def dwell_times_vderiv_all(
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
     """
-    s0 = shifted_smatrix(system, energy, 0.0, region, threshold_margin)
-    (result,) = _vderiv_steps(system, region, threshold_margin, [energy], [s0], dv)
+    s0 = shifted_smatrix(system, energy, 0.0, region)
+    (result,) = _vderiv_steps(system, region, [energy], [s0], dv)
     if isinstance(result, DwellDosError):
         raise result
     return result
@@ -282,11 +278,10 @@ def dwell_time_vderiv(
     channel: str | lat.ChannelInfo,
     dv: float | None = None,
     region: LatticeRegion | None = None,
-    threshold_margin: float = 1e-6,
 ) -> float:
     """Dwell time of one channel from the S-matrix potential derivative."""
     label = channel.label if isinstance(channel, lat.ChannelInfo) else channel
-    taus = dwell_times_vderiv_all(system, energy, dv, region, threshold_margin)
+    taus = dwell_times_vderiv_all(system, energy, dv, region)
     if label not in taus:
         raise ValidationError(f"channel {label!r} not open at E = {energy}")
     return taus[label]
@@ -370,11 +365,10 @@ def compute_report(
     region: LatticeRegion | None = None,
     methods: tuple[str, ...] = ("direct", "green"),
     dv: float | None = None,
-    threshold_margin: float = 1e-6,
 ) -> DwellReport:
     """One energy on its own, the same report verify_identity gives it: a
     grid of one through _chunk_reports; solver errors become a skip."""
-    return _chunk_reports(system, [energy], region, methods, dv, threshold_margin)[0]
+    return _chunk_reports(system, [energy], region, methods, dv)[0]
 
 
 # Energies per chunk of a stack grid: the band storage of one chunk holds
@@ -397,7 +391,6 @@ def _chunk_reports(
     region: LatticeRegion | None,
     methods: tuple[str, ...],
     dv: float | None,
-    threshold_margin: float,
 ) -> list[DwellReport]:
     """compute_report at every energy of a grid, with solves shared.
 
@@ -414,7 +407,7 @@ def _chunk_reports(
     routes, s0s = [], []
     for start in range(0, len(energies), size):
         chunk = energies[start:start + size]
-        states = _scatter_chunk(system, chunk, [0.0] * len(chunk), threshold_margin, region)
+        states = _scatter_chunk(system, chunk, [0.0] * len(chunk), region)
         routes += [state if isinstance(state, DwellDosError)
                    else _attempt(_routes, state, region, methods) for state in states]
         if "vderiv" in methods:
@@ -423,8 +416,8 @@ def _chunk_reports(
     if "vderiv" not in methods:
         return [_report(e, r, {}) for e, r in zip(energies, routes)]
     live = [i for i, s0 in enumerate(s0s) if not isinstance(s0, DwellDosError)]
-    results = _vderiv_steps(system, region, threshold_margin,
-                            [energies[i] for i in live], [s0s[i] for i in live], dv)
+    results = _vderiv_steps(system, region, [energies[i] for i in live],
+                            [s0s[i] for i in live], dv)
     vds = s0s  # an S(0) error ends its point
     for i, res in zip(live, results):
         vds[i] = res
@@ -441,7 +434,7 @@ def verify_identity(
     """Evaluate every estimator on the grid and record identity residuals.
 
     Every grid point is solved, in chunks (_chunk_reports); one that the
-    solver refuses (within grid.threshold_margin of a channel threshold,
+    solver refuses (within model.THRESHOLD_MARGIN of a channel threshold,
     no open channel, or a failure) is reported as skipped with the
     solver's error, never silently dropped.  Output order is by energy.
     """
@@ -451,7 +444,7 @@ def verify_identity(
     if not methods:
         raise ValidationError("methods must be non-empty")
     energies = [float(e) for e in grid.points]
-    return _chunk_reports(system, energies, region, methods, dv, grid.threshold_margin)
+    return _chunk_reports(system, energies, region, methods, dv)
 
 
 # Skip classes that say the point has nothing to check: a threshold too

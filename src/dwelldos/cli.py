@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 from . import analysis as an
 from .errors import ConfigError, DwellDosError, InsufficientDataError
 from .model import (
+    THRESHOLD_MARGIN,
     EnergyGrid,
     LatticeRegion,
     LatticeSystem,
@@ -76,31 +78,57 @@ def _parse(field: str, build):
         raise ConfigError(f"bad field '{field}': {exc}") from exc
 
 
+def _integer(field: str, value) -> int:
+    """value as an int when it is an integral JSON number; a fraction, a
+    bool or any other type is a ConfigError naming the field."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _positive_finite(value, allow_zero: bool = False) -> float:
+    """float(value) when it is finite and > 0 (>= 0 with allow_zero), else
+    a ValueError: json reads NaN and Infinity as numbers."""
+    number = float(value)
+    if not (math.isfinite(number) and (number >= 0.0 if allow_zero else number > 0.0)):
+        raise ValueError(f"must be finite and {'>= 0' if allow_zero else '> 0'}, got {value!r}")
+    return number
+
+
+def _tol_argument(text: str) -> float:
+    """verify's --tol: argparse turns a bad value into a usage error naming it (exit 2)."""
+    try:
+        return _positive_finite(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_system(backend: str, doc: dict) -> LayerStack | LatticeSystem:
     if backend == "stack":
         if "random" in doc:
             r = doc["random"]
             return _parse("system.random", lambda: random_stack(
-                seed=int(_require(r, "seed", "system.random")),
-                n_layers=int(r.get("n_layers", 5)),
+                seed=_integer("system.random.seed", _require(r, "seed", "system.random")),
+                n_layers=_integer("system.random.n_layers", r.get("n_layers", 5)),
                 v_range=tuple(r.get("v_range", (0.0, 2.0))),
                 d_range=tuple(r.get("d_range", (0.5, 1.5))),
                 v_left=float(r.get("v_left", 0.0)),
                 v_right=float(r.get("v_right", 0.0)),
             ))
         layers = _require(doc, "layers", "system")
-        return _parse("system.layers", lambda: build_stack(
+        return _parse("system", lambda: build_stack(
             layers,
             v_left=float(doc.get("v_left", 0.0)),
             v_right=float(doc.get("v_right", 0.0)),
         ))
     # lattice backend
-    width = _parse("system.width", lambda: int(_require(doc, "width", "system")))
-    length = _parse("system.length", lambda: int(_require(doc, "length", "system")))
+    width = _integer("system.width", _require(doc, "width", "system"))
+    length = _integer("system.length", _require(doc, "length", "system"))
     if "disorder" in doc:
         d = doc["disorder"]
         return _parse("system.disorder", lambda: random_lattice(
-            seed=int(_require(d, "seed", "system.disorder")),
+            seed=_integer("system.disorder.seed", _require(d, "seed", "system.disorder")),
             width=width, length=length,
             v_range=tuple(d.get("v_range", (-0.5, 0.5))),
         ))
@@ -131,11 +159,14 @@ def load_config(path: str | Path) -> RunConfig:
     system = _build_system(backend, _object(doc, "system"))
 
     g = _object(doc, "grid")
+    # older configs carry the margin; a value the model does not use is refused
+    if g.get("threshold_margin", THRESHOLD_MARGIN) != THRESHOLD_MARGIN:
+        raise ConfigError(f"field 'grid.threshold_margin' must be {THRESHOLD_MARGIN} "
+                          f"(a fixed model constant), got {g['threshold_margin']!r}")
     grid = _parse("grid", lambda: EnergyGrid(
         e_min=float(_require(g, "e_min", "grid")),
         e_max=float(_require(g, "e_max", "grid")),
-        count=int(_require(g, "count", "grid")),
-        threshold_margin=float(g.get("threshold_margin", 1e-6)),
+        count=_integer("grid.count", _require(g, "count", "grid")),
     ))
 
     region = None
@@ -144,11 +175,8 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError("field 'region' is only supported for the lattice backend")
         r = _object(doc, "region")
         region = _parse("region", lambda: LatticeRegion(
-            col_min=int(_require(r, "col_min", "region")),
-            col_max=int(_require(r, "col_max", "region")),
-            row_min=int(_require(r, "row_min", "region")),
-            row_max=int(_require(r, "row_max", "region")),
-        ))
+            **{key: _integer(f"region.{key}", _require(r, key, "region"))
+               for key in ("col_min", "col_max", "row_min", "row_max")}))
 
     methods = _parse("methods", lambda: tuple(doc.get("methods", ["direct", "green"])))
     if not methods:
@@ -159,14 +187,13 @@ def load_config(path: str | Path) -> RunConfig:
 
     dv = doc.get("dv")
     if dv is not None:
-        dv = _parse("dv", lambda: float(dv))
-        if dv <= 0:
-            raise ConfigError("field 'dv' must be positive")
+        dv = _parse("dv", lambda: _positive_finite(dv))
 
     tolerances = _object(doc, "tolerances", {})
-    tol = _parse("tolerances.identity", lambda: float(tolerances.get("identity", 1e-8)))
-    prom = _parse("min_prominence", lambda: float(doc.get("min_prominence", 0.05)))
-    workers = _parse("workers", lambda: int(doc.get("workers", 0)))
+    tol = _parse("tolerances.identity", lambda: _positive_finite(tolerances.get("identity", 1e-8)))
+    prom = _parse("min_prominence",
+                  lambda: _positive_finite(doc.get("min_prominence", 0.05), allow_zero=True))
+    workers = _integer("workers", doc.get("workers", 0))
     if workers < 0:
         raise ConfigError("field 'workers' must be >= 0")
     return RunConfig(
@@ -335,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     p_scan.add_argument("--out", required=True)
     p_ver = sub.add_parser("verify", help="pass/fail identity check")
     p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--tol", type=float, default=None)
+    p_ver.add_argument("--tol", type=_tol_argument, default=None)
     p_res = sub.add_parser("resonances", help="DOS / dwell-time peak table")
     p_res.add_argument("--config", required=True)
     p_res.add_argument("--out", required=True)

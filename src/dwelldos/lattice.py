@@ -42,12 +42,7 @@ from .errors import (
     ThresholdProximityError,
     ValidationError,
 )
-from .model import (
-    DEFAULT_THRESHOLD_MARGIN,
-    Array,
-    LatticeRegion,
-    LatticeSystem,
-)
+from .model import THRESHOLD_MARGIN, Array, LatticeRegion, LatticeSystem
 
 __all__ = [
     "ChannelInfo",
@@ -118,18 +113,14 @@ def _longitudinal(eps_m: float, energy: float) -> tuple[complex, float, str]:
     return k, 0.0, "evanescent"
 
 
-def lead_modes(
-    width: int,
-    energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
-) -> list[ChannelInfo]:
+def lead_modes(width: int, energy: float) -> list[ChannelInfo]:
     """All W channels of the left lead at this energy, open and evanescent
     (the right lead's are the same with lead = "right")."""
     chi, eps = transverse_modes(width)
     for edge in np.concatenate([eps - 2.0, eps + 2.0]):
-        if abs(energy - edge) <= threshold_margin:
+        if abs(energy - edge) <= THRESHOLD_MARGIN:
             raise ThresholdProximityError(
-                f"E = {energy} within {threshold_margin} of band edge {edge}"
+                f"E = {energy} within {THRESHOLD_MARGIN} of band edge {edge}"
             )
     out = []
     for m in range(1, width + 1):
@@ -141,13 +132,9 @@ def lead_modes(
     return out
 
 
-def open_channels(
-    system: LatticeSystem,
-    energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
-) -> list[ChannelInfo]:
+def open_channels(system: LatticeSystem, energy: float) -> list[ChannelInfo]:
     """Open channels of both leads, left lead first, modes ascending."""
-    return _both_leads(lead_modes(system.width, energy, threshold_margin))
+    return _both_leads(lead_modes(system.width, energy))
 
 
 def _both_leads(modes: list[ChannelInfo]) -> list[ChannelInfo]:
@@ -157,13 +144,9 @@ def _both_leads(modes: list[ChannelInfo]) -> list[ChannelInfo]:
     return opened + [replace(c, lead="right") for c in opened]
 
 
-def lead_self_energy(
-    width: int,
-    energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
-) -> Array:
+def lead_self_energy(width: int, energy: float) -> Array:
     """Retarded self-energy of one ideal lead on its interface column."""
-    return _self_energy(lead_modes(width, energy, threshold_margin))
+    return _self_energy(lead_modes(width, energy))
 
 
 def _self_energy(modes: list[ChannelInfo]) -> Array:
@@ -220,11 +203,10 @@ class _LatticeWorkspace:
     states of all open channels (`psi`) are solved on first use.
     """
 
-    def __init__(self, system: LatticeSystem, energy: float,
-                 threshold_margin: float = DEFAULT_THRESHOLD_MARGIN):
+    def __init__(self, system: LatticeSystem, energy: float):
         self.system = system
         self.energy = energy
-        modes = lead_modes(system.width, energy, threshold_margin)
+        modes = lead_modes(system.width, energy)
         self.open_modes = _both_leads(modes)
         if not self.open_modes:
             raise NoOpenChannelError(f"no open lead channel at E = {energy}")
@@ -341,11 +323,10 @@ def scattering_state(
     system: LatticeSystem,
     energy: float,
     channel: ChannelInfo,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     workspace: _LatticeWorkspace | None = None,
 ) -> LatticeScatterState:
     """Stationary state for unit incidence in one open channel."""
-    ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
+    ws = workspace or _LatticeWorkspace(system, energy)
     return LatticeScatterState(energy=energy, channel=channel,
                                psi=ws.psi[ws.index(channel)].copy())
 
@@ -353,11 +334,10 @@ def scattering_state(
 def scattering_matrix(
     system: LatticeSystem,
     energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     workspace: _LatticeWorkspace | None = None,
 ) -> tuple[Array, list[ChannelInfo]]:
     """Full flux-normalized S matrix over the open channels of both leads."""
-    ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
+    ws = workspace or _LatticeWorkspace(system, energy)
     return ws.smatrix(), ws.open_modes
 
 
@@ -366,7 +346,6 @@ def dwell_time_lattice(
     energy: float,
     channel: ChannelInfo,
     region: LatticeRegion | None = None,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     workspace: _LatticeWorkspace | None = None,
 ) -> float:
     """Dwell time in Omega: sum of |psi|^2 over Omega sites divided by v_n.
@@ -374,7 +353,7 @@ def dwell_time_lattice(
     Unit-amplitude normalization absorbs the 2 pi hbar factor of the
     energy-normalized definition, exactly as in the 1D continuum case.
     """
-    ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
+    ws = workspace or _LatticeWorkspace(system, energy)
     return ws.dwell_time(channel, region)
 
 
@@ -382,10 +361,9 @@ def dos_region_lattice(
     system: LatticeSystem,
     energy: float,
     region: LatticeRegion | None = None,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     workspace: _LatticeWorkspace | None = None,
 ) -> float:
     """Region DOS: sum over Omega sites of -(1/pi) Im G(r, r; E)."""
-    ws = workspace or _LatticeWorkspace(system, energy, threshold_margin)
+    ws = workspace or _LatticeWorkspace(system, energy)
     sites = system.region_sites(region)
     return float(-np.sum(ws.green_diagonal[sites].imag) / np.pi)

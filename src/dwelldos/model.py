@@ -82,6 +82,8 @@ class LayerStack:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ValidationError("a stack needs at least one layer")
+        if not (np.isfinite(self.v_left) and np.isfinite(self.v_right)):
+            raise ValidationError("non-finite lead potential")
         for i, layer in enumerate(self.layers):
             if not layer.thickness > 0.0:
                 raise ValidationError(
@@ -318,7 +320,10 @@ def barrier_lattice(
 # Energy grids and spectral weights
 # ----------------------------------------------------------------------------
 
-DEFAULT_THRESHOLD_MARGIN = 1e-6
+# Energies within this margin of a channel threshold are refused: the
+# incident velocity vanishes there.  The solvers' threshold checks and
+# EnergyGrid.admissible_mask all compare against it.
+THRESHOLD_MARGIN = 1e-6
 
 
 def channel_thresholds(system: LayerStack | LatticeSystem) -> Array:
@@ -341,15 +346,14 @@ class EnergyGrid:
     e_min: float
     e_max: float
     count: int
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN
 
     def __post_init__(self):
+        if not (np.isfinite(self.e_min) and np.isfinite(self.e_max)):
+            raise ValidationError("e_min and e_max must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError("e_min must be < e_max")
         if self.count < 1:
             raise ValidationError("count must be >= 1")
-        if self.threshold_margin <= 0:
-            raise ValidationError("threshold_margin must be positive")
 
     @property
     def points(self) -> Array:
@@ -358,11 +362,12 @@ class EnergyGrid:
         return np.linspace(self.e_min, self.e_max, self.count)
 
     def admissible_mask(self, thresholds: Array) -> Array:
-        """True where a grid point keeps its distance from every threshold."""
+        """True where a grid point is farther than THRESHOLD_MARGIN from every
+        threshold: the points the solvers do not refuse."""
         pts = self.points
         mask = np.ones(pts.shape, dtype=bool)
         for t in np.atleast_1d(thresholds):
-            mask &= np.abs(pts - t) > self.threshold_margin
+            mask &= np.abs(pts - t) > THRESHOLD_MARGIN
         return mask
 
 

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from .errors import NumericalFailureError, ValidationError
 from .lattice import build_hamiltonian, lead_self_energy
-from .model import DEFAULT_THRESHOLD_MARGIN, Array, EnergyGrid, LatticeSystem, LayerStack
+from .model import Array, EnergyGrid, LatticeSystem, LayerStack
 
 __all__ = [
     "BoxSpec", "quadrature_integral", "box_levels", "box_dos", "fd_green",
@@ -181,11 +181,7 @@ def fd_green(
     return complex(sol[j] / h)
 
 
-def dense_green_lattice(
-    system: LatticeSystem,
-    energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
-) -> Array:
+def dense_green_lattice(system: LatticeSystem, energy: float) -> Array:
     """Full retarded device Green's function (E - H - Sigma_L - Sigma_R)^-1.
 
     Dense O((LW)^3) inversion of the whole open-system operator, site
@@ -193,7 +189,7 @@ def dense_green_lattice(
     of `dwelldos.lattice`.
     """
     n, w = system.n_sites, system.width
-    sigma = lead_self_energy(w, energy, threshold_margin)
+    sigma = lead_self_energy(w, energy)
     a = (energy * np.eye(n) - build_hamiltonian(system)).astype(complex)
     a[:w, :w] -= sigma
     a[n - w:, n - w:] -= sigma

@@ -57,7 +57,7 @@ from .errors import (
     ThresholdProximityError,
     ValidationError,
 )
-from .model import DEFAULT_THRESHOLD_MARGIN, FLUX_FACTOR, Array, LayerStack
+from .model import FLUX_FACTOR, THRESHOLD_MARGIN, Array, LayerStack
 
 __all__ = [
     "layer_wavevector",
@@ -249,11 +249,11 @@ class ScatterSolution1D:
         raise NoOpenChannelError("no open channel at this energy")
 
 
-def _check_energy(stack: LayerStack, energy: float, margin: float) -> None:
+def _check_energy(stack: LayerStack, energy: float) -> None:
     for v in (stack.v_left, stack.v_right):
-        if abs(energy - v) <= margin:
+        if abs(energy - v) <= THRESHOLD_MARGIN:
             raise ThresholdProximityError(
-                f"E = {energy} within {margin} of channel threshold {v}"
+                f"E = {energy} within {THRESHOLD_MARGIN} of channel threshold {v}"
             )
     if energy < stack.v_left and energy < stack.v_right:
         raise NoOpenChannelError(
@@ -370,20 +370,13 @@ class ScatterBatch:
     energy) is added to every layer potential.
     """
 
-    def __init__(
-        self,
-        stack: LayerStack,
-        energies,
-        v_shift=0.0,
-        threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
-    ):
+    def __init__(self, stack: LayerStack, energies, v_shift=0.0):
         energies = np.asarray(energies, dtype=float).reshape(-1)
         shift = np.broadcast_to(np.asarray(v_shift, dtype=float), energies.shape)
         band, rhs, k_left, k_right, k_layers = _interface_system(stack, energies, shift)
         coeffs, self.failed = _band_solve(band, rhs)
         self.stack = stack
         self.energies = energies
-        self.threshold_margin = threshold_margin
         self.k_left, self.k_right = k_left, k_right
         # energy-major copies: each energy's layers are contiguous, so a
         # sum over layers adds in the same order as for a single energy
@@ -439,20 +432,16 @@ class ScatterBatch:
 
     def solution(self, i: int) -> ScatterSolution1D:
         energy = float(self.energies[i])
-        _check_energy(self.stack, energy, self.threshold_margin)
+        _check_energy(self.stack, energy)
         if self.failed[i]:
             raise NumericalFailureError(f"interface solve failed at E = {energy}")
         return ScatterSolution1D(self, i)
 
 
-def scattering_amplitudes(
-    stack: LayerStack,
-    energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
-) -> ScatterSolution1D:
+def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterSolution1D:
     """Solve the scattering problem at one energy for both incidence sides
     (a ScatterBatch of one energy)."""
-    return ScatterBatch(stack, [energy], threshold_margin=threshold_margin).solution(0)
+    return ScatterBatch(stack, [energy]).solution(0)
 
 
 # ----------------------------------------------------------------------------
@@ -506,7 +495,6 @@ def dwell_time_direct_1d(
     stack: LayerStack,
     energy: float,
     side: str = "left",
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     solution: ScatterSolution1D | None = None,
 ) -> float:
     """Stationary-state dwell time in Omega for unit incidence from one side.
@@ -518,7 +506,7 @@ def dwell_time_direct_1d(
     """
     if side not in ("left", "right"):
         raise ValidationError("side must be 'left' or 'right'")
-    sol = solution or scattering_amplitudes(stack, energy, threshold_margin)
+    sol = solution or scattering_amplitudes(stack, energy)
     if not (sol.open_left if side == "left" else sol.open_right):
         raise ClosedChannelError(f"{side} channel closed at this energy")
     return float(sol.batch.dwell_times[int(side == "right"), sol.index])
@@ -562,11 +550,10 @@ class Green1D:
 def green_1d(
     stack: LayerStack,
     energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     solution: ScatterSolution1D | None = None,
 ) -> Green1D:
     """Assemble G+ from the two outgoing solutions of the stack."""
-    sol = solution or scattering_amplitudes(stack, energy, threshold_margin)
+    sol = solution or scattering_amplitudes(stack, energy)
     wronskian = sol.batch.wronskian[sol.index]
     _check_wronskian(wronskian, energy)
     # right_wave has no incoming component on the left, so it is the
@@ -595,24 +582,22 @@ def greens_function_1d(
     energy: float,
     x: float,
     xp: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     solution: ScatterSolution1D | None = None,
 ) -> complex:
     L = stack.total_length
     if not (0.0 <= x <= L and 0.0 <= xp <= L):
         raise ValidationError("x and x' must lie in [0, L]")
-    return green_1d(stack, energy, threshold_margin, solution)(x, xp)
+    return green_1d(stack, energy, solution)(x, xp)
 
 
 def ldos_1d(
     stack: LayerStack,
     energy: float,
     x: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     solution: ScatterSolution1D | None = None,
 ) -> float:
     """Local density of states rho(x, E) = -(1/pi) Im G+(x, x; E)."""
-    g = greens_function_1d(stack, energy, x, x, threshold_margin, solution)
+    g = greens_function_1d(stack, energy, x, x, solution)
     return -g.imag / np.pi
 
 
@@ -620,7 +605,6 @@ def ldos_mode_sum_1d(
     stack: LayerStack,
     energy: float,
     x: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     solution: ScatterSolution1D | None = None,
 ) -> float:
     """LDOS as sum of |phi_n(x)|^2 over energy-normalized scattering states.
@@ -628,7 +612,7 @@ def ldos_mode_sum_1d(
     Independent combination of the same solves used by ldos_1d; equality
     of the two is the spectral identity Im G+ = -pi sum |phi><phi|.
     """
-    sol = solution or scattering_amplitudes(stack, energy, threshold_margin)
+    sol = solution or scattering_amplitudes(stack, energy)
     total = 0.0
     if sol.open_left:
         v = 2.0 * sol.k_left.real
@@ -642,12 +626,11 @@ def ldos_mode_sum_1d(
 def dos_region_1d(
     stack: LayerStack,
     energy: float,
-    threshold_margin: float = DEFAULT_THRESHOLD_MARGIN,
     solution: ScatterSolution1D | None = None,
 ) -> float:
     """Density of states of Omega: -(1/pi) Im of the integral of G+(x, x)
     over [0, L], in closed form per layer (ScatterBatch.region_dos)."""
-    return (solution or scattering_amplitudes(stack, energy, threshold_margin)).dos()
+    return (solution or scattering_amplitudes(stack, energy)).dos()
 
 
 def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):

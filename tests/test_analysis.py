@@ -23,9 +23,11 @@ from dwelldos.errors import (
 )
 from dwelldos.lattice import _LatticeWorkspace, dwell_time_lattice, open_channels
 from dwelldos.model import (
+    THRESHOLD_MARGIN,
     EnergyGrid,
     SpectralWeight,
     build_stack,
+    channel_thresholds,
     gaussian_spectral_weight,
     random_lattice,
     random_stack,
@@ -216,6 +218,34 @@ def test_threshold_points_are_skipped_by_the_solvers():
         assert summarize_reports(reports)["skip_reasons"] == {"ThresholdProximityError": 1}
 
 
+@pytest.mark.parametrize("factor, skipped", [(-0.5, True), (0.5, True), (-2.0, False),
+                                             (2.0, False)])
+@pytest.mark.parametrize("system, edge", [(build_stack([(1.0, 1.0)], v_left=0.75), 0.75),
+                                          (random_lattice(3, 2, 5), -1.0)])
+def test_threshold_margin_is_the_model_constant(system, edge, factor, skipped):
+    # a stack threshold v_left and a lattice band edge eps_2 - 2, each
+    # approached from both sides inside and outside THRESHOLD_MARGIN
+    (edge,) = [t for t in channel_thresholds(system) if abs(t - edge) < 1e-12]
+    rep = compute_report(system, edge + factor * THRESHOLD_MARGIN)
+    assert rep.skipped == skipped
+    if skipped:
+        assert rep.skip_reason.startswith("ThresholdProximityError")
+
+
+@pytest.mark.parametrize("system", [build_stack([(1.0, 1.0)], v_left=0.75),
+                                    random_lattice(3, 2, 5)])
+def test_admissible_mask_marks_the_threshold_skips(system):
+    # the tracer-only mask must refuse exactly the points the solvers do
+    thresholds = channel_thresholds(system)
+    for t in thresholds:
+        grid = EnergyGrid(t - 2.0 * THRESHOLD_MARGIN, t + 2.0 * THRESHOLD_MARGIN, 17)
+        reports = verify_identity(system, grid, methods=("direct",))
+        refused = [r.skipped and r.skip_reason.startswith("ThresholdProximityError")
+                   for r in reports]
+        assert 0 < sum(refused) < len(refused)
+        np.testing.assert_array_equal(grid.admissible_mask(thresholds), np.logical_not(refused))
+
+
 @pytest.mark.parametrize("offset", [1e-14, -1e-14, -1.1e-16])
 def test_grazing_energy_uses_flat_basis(offset):
     # |k| d <= 1e-6 is solved in the exact k = 0 basis {1, u}
@@ -310,8 +340,7 @@ def test_grid_chunks_match_single_energy_reports(per_chunk, v_left, monkeypatch)
     assert sum(not r.skipped for r in reports) == 12
     assert {len(r.channels) for r in reports if not r.skipped} == ({1, 2} if v_left else {2})
     for rep in reports:
-        _same_report(rep, compute_report(stack, rep.energy, methods=methods,
-                                         threshold_margin=grid.threshold_margin))
+        _same_report(rep, compute_report(stack, rep.energy, methods=methods))
 
 
 @pytest.mark.parametrize("v_left", [0.0, 20.0])

@@ -92,6 +92,34 @@ def test_config_errors_name_fields(tmp_path):
     ("workers", {"workers": "x"}),
     ("methods", {"methods": 3}),
     ("methods", {"methods": [["direct"]]}),
+    # integer fields take integral numbers only, never a fraction or a bool
+    ("system.width", {"system": {"width": 3.7, "length": 10}}),
+    ("system.length", {"system": {"width": 3, "length": True}}),
+    ("grid.count", {"grid": {"e_min": -1.5, "e_max": 1.5, "count": 4.9}}),
+    ("grid.count", {"grid": {"e_min": -1.5, "e_max": 1.5, "count": True}}),
+    ("system.disorder.seed", {"system": {"width": 3, "length": 10, "disorder": {"seed": 7.5}}}),
+    ("system.random.seed", {"backend": "stack", "system": {"random": {"seed": 1.5}}}),
+    ("system.random.n_layers",
+     {"backend": "stack", "system": {"random": {"seed": 1, "n_layers": 2.5}}}),
+    ("region.col_max", {"region": {"col_min": 0, "col_max": 1.5, "row_min": 0, "row_max": 1}}),
+    ("workers", {"workers": 1.5}),
+    ("workers", {"workers": False}),
+    # json reads NaN and Infinity; tolerance and dv must be finite and > 0
+    ("tolerances.identity", {"tolerances": {"identity": math.inf}}),
+    ("tolerances.identity", {"tolerances": {"identity": math.nan}}),
+    ("tolerances.identity", {"tolerances": {"identity": -1}}),
+    ("dv", {"dv": math.nan}),
+    ("dv", {"dv": math.inf}),
+    ("min_prominence", {"min_prominence": math.nan}),
+    ("min_prominence", {"min_prominence": math.inf}),
+    ("min_prominence", {"min_prominence": -0.1}),
+    # the model refuses non-finite grid bounds and lead potentials
+    ("grid", {"grid": {"e_min": -1.5, "e_max": math.inf, "count": 60}}),
+    ("system", {"backend": "stack",
+                "system": {"v_left": math.nan, "layers": [{"d": 1.0, "V": 0.0}]}}),
+    # the threshold margin is a model constant; old configs may repeat it
+    ("grid.threshold_margin",
+     {"grid": {"e_min": -1.5, "e_max": 1.5, "count": 60, "threshold_margin": 1e-3}}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)
@@ -99,6 +127,12 @@ def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert f"'{field}'" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_bad_tol_is_usage_error(tmp_path, capsys, tol):
+    assert main(["verify", "--config", lattice_config(tmp_path), "--tol", tol]) == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_main_exit_2_on_bad_config(tmp_path, capsys):

@@ -156,6 +156,18 @@ def test_energy_grid():
         EnergyGrid(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("v_left, v_right", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
+def test_stack_rejects_non_finite_lead_potential(v_left, v_right):
+    with pytest.raises(ValidationError, match="lead potential"):
+        build_stack([(1.0, 0.0)], v_left=v_left, v_right=v_right)
+
+
+@pytest.mark.parametrize("e_min, e_max", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+def test_energy_grid_rejects_non_finite_bounds(e_min, e_max):
+    with pytest.raises(ValidationError, match="finite"):
+        EnergyGrid(e_min, e_max, 5)
+
+
 def test_spectral_weight_normalization():
     e = np.linspace(1.0, 2.0, 101)
     w = 2.0 * np.ones_like(e)
