@@ -43,11 +43,9 @@ from .model import (
     uniform_lattice,
 )
 from .solver1d import (
-    Green1D,
     ScatterSolution1D,
     dos_region_1d,
     dwell_time_direct_1d,
-    green_1d,
     greens_function_1d,
     layer_probability_integral,
     layer_wavevector,

@@ -87,6 +87,18 @@ def _integer(field: str, value) -> int:
     return int(value)
 
 
+def _real(field: str, value):
+    """value, or a ConfigError naming the field when it is or holds a bool:
+    json's true/false would read as 1.0/0.0 where a number is meant.
+    Lists and objects are checked entry by entry."""
+    if isinstance(value, bool):
+        raise ConfigError(f"field '{field}' has the bool {value!r} where a number is meant")
+    if isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _real(field, item)
+    return value
+
+
 def _positive_finite(value, allow_zero: bool = False) -> float:
     """float(value) when it is finite and > 0 (>= 0 with allow_zero), else
     a ValueError: json reads NaN and Infinity as numbers."""
@@ -111,16 +123,16 @@ def _build_system(backend: str, doc: dict) -> LayerStack | LatticeSystem:
             return _parse("system.random", lambda: random_stack(
                 seed=_integer("system.random.seed", _require(r, "seed", "system.random")),
                 n_layers=_integer("system.random.n_layers", r.get("n_layers", 5)),
-                v_range=tuple(r.get("v_range", (0.0, 2.0))),
-                d_range=tuple(r.get("d_range", (0.5, 1.5))),
-                v_left=float(r.get("v_left", 0.0)),
-                v_right=float(r.get("v_right", 0.0)),
+                v_range=tuple(_real("system.random.v_range", r.get("v_range", (0.0, 2.0)))),
+                d_range=tuple(_real("system.random.d_range", r.get("d_range", (0.5, 1.5)))),
+                v_left=float(_real("system.random.v_left", r.get("v_left", 0.0))),
+                v_right=float(_real("system.random.v_right", r.get("v_right", 0.0))),
             ))
-        layers = _require(doc, "layers", "system")
+        layers = _real("system.layers", _require(doc, "layers", "system"))
         return _parse("system", lambda: build_stack(
             layers,
-            v_left=float(doc.get("v_left", 0.0)),
-            v_right=float(doc.get("v_right", 0.0)),
+            v_left=float(_real("system.v_left", doc.get("v_left", 0.0))),
+            v_right=float(_real("system.v_right", doc.get("v_right", 0.0))),
         ))
     # lattice backend
     width = _integer("system.width", _require(doc, "width", "system"))
@@ -130,9 +142,9 @@ def _build_system(backend: str, doc: dict) -> LayerStack | LatticeSystem:
         return _parse("system.disorder", lambda: random_lattice(
             seed=_integer("system.disorder.seed", _require(d, "seed", "system.disorder")),
             width=width, length=length,
-            v_range=tuple(d.get("v_range", (-0.5, 0.5))),
+            v_range=tuple(_real("system.disorder.v_range", d.get("v_range", (-0.5, 0.5)))),
         ))
-    onsite = doc.get("onsite", 0.0)
+    onsite = _real("system.onsite", doc.get("onsite", 0.0))
     return _parse("system.onsite", lambda: LatticeSystem(
         width=width, length=length,
         onsite=(np.full((length, width), float(onsite)) if isinstance(onsite, (int, float))
@@ -164,8 +176,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"field 'grid.threshold_margin' must be {THRESHOLD_MARGIN} "
                           f"(a fixed model constant), got {g['threshold_margin']!r}")
     grid = _parse("grid", lambda: EnergyGrid(
-        e_min=float(_require(g, "e_min", "grid")),
-        e_max=float(_require(g, "e_max", "grid")),
+        e_min=float(_real("grid.e_min", _require(g, "e_min", "grid"))),
+        e_max=float(_real("grid.e_max", _require(g, "e_max", "grid"))),
         count=_integer("grid.count", _require(g, "count", "grid")),
     ))
 
@@ -177,6 +189,7 @@ def load_config(path: str | Path) -> RunConfig:
         region = _parse("region", lambda: LatticeRegion(
             **{key: _integer(f"region.{key}", _require(r, key, "region"))
                for key in ("col_min", "col_max", "row_min", "row_max")}))
+        _parse("region", lambda: system.region_sites(region))  # inside the device
 
     methods = _parse("methods", lambda: tuple(doc.get("methods", ["direct", "green"])))
     if not methods:
@@ -187,12 +200,13 @@ def load_config(path: str | Path) -> RunConfig:
 
     dv = doc.get("dv")
     if dv is not None:
-        dv = _parse("dv", lambda: _positive_finite(dv))
+        dv = _parse("dv", lambda: _positive_finite(_real("dv", dv)))
 
     tolerances = _object(doc, "tolerances", {})
-    tol = _parse("tolerances.identity", lambda: _positive_finite(tolerances.get("identity", 1e-8)))
-    prom = _parse("min_prominence",
-                  lambda: _positive_finite(doc.get("min_prominence", 0.05), allow_zero=True))
+    tol = _parse("tolerances.identity", lambda: _positive_finite(
+        _real("tolerances.identity", tolerances.get("identity", 1e-8))))
+    prom = _parse("min_prominence", lambda: _positive_finite(
+        _real("min_prominence", doc.get("min_prominence", 0.05)), allow_zero=True))
     workers = _integer("workers", doc.get("workers", 0))
     if workers < 0:
         raise ConfigError("field 'workers' must be >= 0")

@@ -25,7 +25,10 @@ alone.  The direct route (ScatterBatch.dwell_times), the Green route
 (ScatterBatch.region_dos) and the S matrices are numpy expressions over
 the batch's (energy, layer) arrays, with no Python loop over energies or
 layers.  scattering_amplitudes, dwell_time_direct_1d and dos_region_1d
-are a batch of one energy.
+are a batch of one energy.  Pointwise quantities (psi and psi', G+(x, x'),
+the LDOS) read the same arrays through ScatterSolution1D.wave, which
+gathers each position's layer coefficients and evaluates any number of
+positions in one numpy expression.
 
 Amplitude convention: for left incidence psi = exp(ikx) + r exp(-ikx) for
 x < 0 and psi = t exp(ikx) for x > L, so an empty stack gives t = 1; the
@@ -44,7 +47,6 @@ each layer in closed form in the same scaled basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,14 +67,11 @@ __all__ = [
     "layer_probability_integral",
     "dwell_time_direct_1d",
     "greens_function_1d",
-    "green_1d",
     "ldos_1d",
     "ldos_mode_sum_1d",
     "dos_region_1d",
     "ScatterBatch",
     "ScatterSolution1D",
-    "Green1D",
-    "InteriorWave",
 ]
 
 # A layer with |k| d at or below this is solved in the exact k = 0 basis
@@ -95,95 +94,15 @@ def layer_wavevector(energy, potential):
     return k if k.ndim else complex(k)
 
 
-class InteriorWave:
-    """One solution of the stack ODE in the scaled per-layer representation.
-
-    Asymptotics: a_in_left / a_out_left are the coefficients of
-    exp(+ik_L x) / exp(-ik_L x) for x < 0; a_in_right / a_out_right those
-    of exp(-ik_R (x - L)) / exp(+ik_R (x - L)) for x > L.
-    """
-
-    def __init__(self, stack, k_left, k_right, k_layers, coeff_a, coeff_b,
-                 a_in_left, a_out_left, a_in_right, a_out_right):
-        self.stack = stack
-        self.k_left = k_left
-        self.k_right = k_right
-        self.k_layers = k_layers
-        self.coeff_a = coeff_a          # scaled: multiplies exp(+ik u)
-        self.coeff_b = coeff_b          # scaled: multiplies exp(-ik (u - d))
-        self.a_in_left = a_in_left
-        self.a_out_left = a_out_left
-        self.a_in_right = a_in_right
-        self.a_out_right = a_out_right
-        self._bounds = stack.boundaries
-        self._thick = stack.thicknesses
-
-    def value_local(self, j: int, u: Array) -> Array:
-        """psi inside layer j at local coordinates u (array, in [0, d_j])."""
-        k = self.k_layers[j]
-        a, b = self.coeff_a[j], self.coeff_b[j]
-        if k == 0:
-            return a + b * u
-        return a * np.exp(1j * k * u) + b * np.exp(1j * k * (self._thick[j] - u))
-
-    def derivative_local(self, j: int, u: Array) -> Array:
-        k = self.k_layers[j]
-        a, b = self.coeff_a[j], self.coeff_b[j]
-        if k == 0:
-            return b * np.ones_like(np.asarray(u, dtype=complex))
-        ik = 1j * k
-        return ik * a * np.exp(ik * u) - ik * b * np.exp(ik * (self._thick[j] - u))
-
-    def _layer_of(self, x: Array) -> Array:
-        idx = np.searchsorted(self._bounds, x, side="right") - 1
-        return np.clip(idx, 0, len(self.k_layers) - 1)
-
-    def value(self, x) -> Array:
-        """psi(x) anywhere on the line (vectorized)."""
-        return self._on_line(x, derivative=False)
-
-    def derivative(self, x) -> Array:
-        """dpsi/dx anywhere on the line (vectorized)."""
-        return self._on_line(x, derivative=True)
-
-    def _on_line(self, x, derivative: bool) -> Array:
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty(x.shape, dtype=complex)
-        length = self._bounds[-1]
-        left = x < 0.0
-        right = x > length
-        inside = ~(left | right)
-        # outside Omega psi = c_up e^{iks} + c_down e^{-iks}, s from the nearest edge
-        for sel, k, s, c_up, c_down in (
-            (left, self.k_left, x[left], self.a_in_left, self.a_out_left),
-            (right, self.k_right, x[right] - length, self.a_out_right, self.a_in_right),
-        ):
-            if sel.any():
-                ik = 1j * k
-                up, down = c_up * np.exp(ik * s), c_down * np.exp(-ik * s)
-                out[sel] = ik * (up - down) if derivative else up + down
-        if inside.any():
-            local = self.derivative_local if derivative else self.value_local
-            xi = x[inside]
-            idx = self._layer_of(xi)
-            vals = np.empty(xi.shape, dtype=complex)
-            for j in np.unique(idx):
-                sel = idx == j
-                vals[sel] = local(j, xi[sel] - self._bounds[j])
-            out[inside] = vals
-        return out[0] if scalar else out
-
-
 class ScatterSolution1D:
     """Both scattering solutions of a stack at one energy: energy `index`
     of a ScatterBatch, whose arrays every method reads.
 
-    ``left_wave`` carries unit incidence from the left; ``right_wave``
-    unit incidence from the right (amplitude measured at the x = L plane).
-    When a side is evanescent the corresponding amplitudes are None but
-    the formal wave is still stored for Green's-function use.
+    `wave("left", x)` is the solution with unit incidence from the left,
+    `wave("right", x)` the one with unit incidence from the right
+    (amplitude measured at the x = L plane).  When a side is evanescent
+    its amplitudes are None, but its formal wave is still defined for
+    Green's-function use.
     """
 
     def __init__(self, batch: "ScatterBatch", index: int):
@@ -199,17 +118,36 @@ class ScatterSolution1D:
         self.r_prime, self.t_prime = ((batch.r_prime[index], batch.t_prime[index])
                                       if self.open_right else (None, None))
 
-    def _wave(self, side: int) -> InteriorWave:
-        b, i = self.batch, self.index
-        return InteriorWave(
-            self.stack, self.k_left, self.k_right, self.k_layers,
-            coeff_a=b.coeff_a[side, i], coeff_b=b.coeff_b[side, i],
-            a_in_left=1.0 - side, a_out_left=b.out_left[side, i],
-            a_in_right=float(side), a_out_right=b.out_right[side, i],
-        )
+    def wave(self, side: str, x) -> tuple[Array, Array]:
+        """psi(x) and dpsi/dx of the solution with unit incidence from
+        `side` ("left" or "right"), at scalar or array positions anywhere
+        on the line.
 
-    left_wave = cached_property(lambda self: self._wave(0))
-    right_wave = cached_property(lambda self: self._wave(1))
+        Each point reads the coefficients of its layer from the batch
+        arrays, in psi = a e^{iku} + b e^{ik(d - u)} with u measured from
+        the layer's left edge; the leads are two more "layers" of d = 0
+        with origin x = 0 (a = incoming, b = outgoing) and x = L
+        (a = outgoing, b = incoming), and a k = 0 layer is a + b u.
+        x = L belongs to the last layer.  Returns arrays of x's shape (0-d
+        for a scalar); a scalar goes through the same array arithmetic as
+        an array, so both give the same values.
+        """
+        s, b, i = _incidence(side), self.batch, self.index
+        bounds = self.stack.boundaries
+        shape = np.shape(x)
+        x = np.asarray(x, dtype=float).reshape(-1)
+        j = np.searchsorted(bounds[:-1], x, side="right") + (x > bounds[-1])
+        k = np.concatenate(([self.k_left], self.k_layers, [self.k_right]))[j]
+        a = np.concatenate(([1.0 - s], b.coeff_a[s, i], [b.out_right[s, i]]))[j]
+        c = np.concatenate(([b.out_left[s, i]], b.coeff_b[s, i], [float(s)]))[j]
+        u = x - np.concatenate(([0.0], bounds))[j]
+        d = np.concatenate(([0.0], self.stack.thicknesses, [0.0]))[j]
+        ik = 1j * k
+        up, down = np.exp(ik * u), np.exp(ik * (d - u))
+        flat = k == 0
+        psi = np.where(flat, a + c * u, a * up + c * down)
+        dpsi = np.where(flat, c, ik * a * up - ik * c * down)
+        return psi.reshape(shape), dpsi.reshape(shape)
 
     def channels(self) -> list[tuple[str, float]]:
         """Open channels as (label, velocity), in S-matrix order."""
@@ -491,11 +429,17 @@ def _region_probability(a, b, k, d):
     return layer_probability_integral(a, b, k, d).sum(axis=-1)
 
 
+def _incidence(side: str) -> int:
+    """Incidence index of `side`: 0 for "left", 1 for "right"."""
+    if side not in ("left", "right"):
+        raise ValidationError("side must be 'left' or 'right'")
+    return int(side == "right")
+
+
 def dwell_time_direct_1d(
     stack: LayerStack,
     energy: float,
     side: str = "left",
-    solution: ScatterSolution1D | None = None,
 ) -> float:
     """Stationary-state dwell time in Omega for unit incidence from one side.
 
@@ -504,66 +448,16 @@ def dwell_time_direct_1d(
     state (the incident flux of the unit-amplitude state is v_in, that of
     the energy-normalized state 1 / 2 pi hbar).
     """
-    if side not in ("left", "right"):
-        raise ValidationError("side must be 'left' or 'right'")
-    sol = solution or scattering_amplitudes(stack, energy)
+    s = _incidence(side)
+    sol = scattering_amplitudes(stack, energy)
     if not (sol.open_left if side == "left" else sol.open_right):
         raise ClosedChannelError(f"{side} channel closed at this energy")
-    return float(sol.batch.dwell_times[int(side == "right"), sol.index])
+    return float(sol.batch.dwell_times[s, sol.index])
 
 
 # ----------------------------------------------------------------------------
 # Green's function, LDOS, region DOS
 # ----------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Green1D:
-    """Retarded Green's function of a stack at one energy.
-
-    left_solution is outgoing (or decaying) to the left, right_solution to
-    the right; wronskian = psi_L psi_R' - psi_L' psi_R is x-independent.
-    """
-
-    energy: float
-    left_solution: InteriorWave
-    right_solution: InteriorWave
-    wronskian: complex
-
-    def wronskian_at(self, x: float) -> complex:
-        """Recompute the Wronskian at x (constancy is a solve invariant)."""
-        return complex(
-            self.left_solution.value(x) * self.right_solution.derivative(x)
-            - self.left_solution.derivative(x) * self.right_solution.value(x)
-        )
-
-    def __call__(self, x: float, xp: float) -> complex:
-        lo, hi = (x, xp) if x <= xp else (xp, x)
-        return complex(
-            self.left_solution.value(lo) * self.right_solution.value(hi) / self.wronskian
-        )
-
-    def diagonal(self, x: Array) -> Array:
-        return self.left_solution.value(x) * self.right_solution.value(x) / self.wronskian
-
-
-def green_1d(
-    stack: LayerStack,
-    energy: float,
-    solution: ScatterSolution1D | None = None,
-) -> Green1D:
-    """Assemble G+ from the two outgoing solutions of the stack."""
-    sol = solution or scattering_amplitudes(stack, energy)
-    wronskian = sol.batch.wronskian[sol.index]
-    _check_wronskian(wronskian, energy)
-    # right_wave has no incoming component on the left, so it is the
-    # left-outgoing solution; left_wave is the right-outgoing one.
-    return Green1D(
-        energy=energy,
-        left_solution=sol.right_wave,
-        right_solution=sol.left_wave,
-        wronskian=complex(wronskian),
-    )
 
 
 def _check_wronskian(wronskian: complex, energy: float) -> None:
@@ -580,57 +474,63 @@ def _check_wronskian(wronskian: complex, energy: float) -> None:
 def greens_function_1d(
     stack: LayerStack,
     energy: float,
-    x: float,
-    xp: float,
-    solution: ScatterSolution1D | None = None,
-) -> complex:
+    x,
+    xp,
+) -> complex | Array:
+    """Retarded G+(x, x'; E) = psi_L(x<) psi_R(x>) / W for x, x' in
+    [0, L]; scalars or arrays that broadcast, and scalars give a complex."""
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
     L = stack.total_length
-    if not (0.0 <= x <= L and 0.0 <= xp <= L):
+    if not np.all((0.0 <= x) & (x <= L) & (0.0 <= xp) & (xp <= L)):
         raise ValidationError("x and x' must lie in [0, L]")
-    return green_1d(stack, energy, solution)(x, xp)
+    sol = scattering_amplitudes(stack, energy)
+    wronskian = sol.batch.wronskian[sol.index]
+    _check_wronskian(wronskian, energy)
+    # unit incidence from the right has no incoming part on the left, so
+    # it is the left-outgoing psi_L; incidence from the left is psi_R
+    psi_l, _ = sol.wave("right", np.minimum(x, xp))
+    psi_r, _ = sol.wave("left", np.maximum(x, xp))
+    g = psi_l * psi_r / complex(wronskian)
+    return g if g.ndim else complex(g)
 
 
 def ldos_1d(
     stack: LayerStack,
     energy: float,
-    x: float,
-    solution: ScatterSolution1D | None = None,
-) -> float:
-    """Local density of states rho(x, E) = -(1/pi) Im G+(x, x; E)."""
-    g = greens_function_1d(stack, energy, x, x, solution)
+    x,
+) -> float | Array:
+    """Local density of states rho(x, E) = -(1/pi) Im G+(x, x; E), at
+    scalar or array positions x in [0, L]."""
+    g = greens_function_1d(stack, energy, x, x)
     return -g.imag / np.pi
 
 
 def ldos_mode_sum_1d(
     stack: LayerStack,
     energy: float,
-    x: float,
-    solution: ScatterSolution1D | None = None,
-) -> float:
-    """LDOS as sum of |phi_n(x)|^2 over energy-normalized scattering states.
+    x,
+) -> float | Array:
+    """LDOS as sum of |phi_n(x)|^2 over energy-normalized scattering states,
+    at scalar or array positions x.
 
     Independent combination of the same solves used by ldos_1d; equality
     of the two is the spectral identity Im G+ = -pi sum |phi><phi|.
     """
-    sol = solution or scattering_amplitudes(stack, energy)
+    sol = scattering_amplitudes(stack, energy)
     total = 0.0
-    if sol.open_left:
-        v = 2.0 * sol.k_left.real
-        total += abs(sol.left_wave.value(x)) ** 2 / (FLUX_FACTOR * v)
-    if sol.open_right:
-        v = 2.0 * sol.k_right.real
-        total += abs(sol.right_wave.value(x)) ** 2 / (FLUX_FACTOR * v)
-    return total
+    for side, v in sol.channels():
+        psi, _ = sol.wave(side, x)
+        total = total + np.square(np.abs(psi)) / (FLUX_FACTOR * v)
+    return total if np.ndim(total) else float(total)
 
 
 def dos_region_1d(
     stack: LayerStack,
     energy: float,
-    solution: ScatterSolution1D | None = None,
 ) -> float:
     """Density of states of Omega: -(1/pi) Im of the integral of G+(x, x)
     over [0, L], in closed form per layer (ScatterBatch.region_dos)."""
-    return (solution or scattering_amplitudes(stack, energy)).dos()
+    return scattering_amplitudes(stack, energy).dos()
 
 
 def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):

@@ -277,7 +277,7 @@ def test_underflowing_wronskian_is_numerical_failure(thickness):
     assert rep.skip_reason.startswith("NumericalFailureError")
     assert "underflow" in rep.skip_reason
     with pytest.raises(NumericalFailureError):
-        solver1d.green_1d(stack, 1.0)
+        solver1d.greens_function_1d(stack, 1.0, 0.0, 0.0)
 
 
 def test_verify_identity_below_all_thresholds():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,8 @@ from dwelldos import cli
 from dwelldos.analysis import DwellReport
 from dwelldos.cli import load_config, main
 from dwelldos.errors import ConfigError
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path: Path, doc: dict) -> str:
@@ -120,6 +125,28 @@ def test_config_errors_name_fields(tmp_path):
     # the threshold margin is a model constant; old configs may repeat it
     ("grid.threshold_margin",
      {"grid": {"e_min": -1.5, "e_max": 1.5, "count": 60, "threshold_margin": 1e-3}}),
+    # json's true/false are not numbers where a real number is read
+    ("grid.e_min", {"grid": {"e_min": True, "e_max": 1.5, "count": 60}}),
+    ("grid.e_max", {"grid": {"e_min": -1.5, "e_max": True, "count": 60}}),
+    ("system.v_left", {"backend": "stack",
+                       "system": {"v_left": True, "layers": [{"d": 1.0, "V": 0.0}]}}),
+    ("system.v_right", {"backend": "stack",
+                        "system": {"v_right": False, "layers": [{"d": 1.0, "V": 0.0}]}}),
+    ("system.layers", {"backend": "stack", "system": {"layers": [{"d": True, "V": 0.0}]}}),
+    ("system.layers", {"backend": "stack", "system": {"layers": [[1.0, False]]}}),
+    ("system.random.v_range",
+     {"backend": "stack", "system": {"random": {"seed": 1, "v_range": [0.0, True]}}}),
+    ("system.random.d_range",
+     {"backend": "stack", "system": {"random": {"seed": 1, "d_range": [True, 1.5]}}}),
+    ("system.random.v_left",
+     {"backend": "stack", "system": {"random": {"seed": 1, "v_left": True}}}),
+    ("system.disorder.v_range",
+     {"system": {"width": 3, "length": 10, "disorder": {"seed": 7, "v_range": [False, 0.5]}}}),
+    ("system.onsite", {"system": {"width": 3, "length": 10, "onsite": True}}),
+    ("system.onsite", {"system": {"width": 2, "length": 2, "onsite": [[0.0, True], [0.0, 0.0]]}}),
+    ("dv", {"dv": True}),
+    ("tolerances.identity", {"tolerances": {"identity": True}}),
+    ("min_prominence", {"min_prominence": False}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)
@@ -127,6 +154,19 @@ def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert f"'{field}'" in err
+
+
+@pytest.mark.parametrize("bounds", [
+    {"col_min": 0, "col_max": 12, "row_min": 0, "row_max": 1},  # the strip has 10 columns
+    {"col_min": 0, "col_max": 2, "row_min": 1, "row_max": 3},   # and 3 rows
+])
+def test_region_outside_device_is_config_error(tmp_path, capsys, bounds):
+    out = tmp_path / "out"
+    cfg = lattice_config(tmp_path, region=bounds)
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'region'" in err
+    assert not out.exists()  # refused on load, before any output
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
@@ -359,3 +399,26 @@ def test_resonances_too_coarse_grid(tmp_path, capsys):
     out = tmp_path / "peaks"
     assert main(["resonances", "--config", cfg, "--out", str(out)]) == 2
     assert "insufficient" in capsys.readouterr().err.lower()
+
+
+# ------------------------------------------------------------- import cost
+
+def test_scan_and_verify_never_import_scipy(tmp_path):
+    # importing scipy.signal costs more than the rest of a short run's
+    # setup; only `resonances` needs it, so scan and verify on the shipped
+    # configs must leave scipy unloaded (checked in a fresh interpreter)
+    code = (
+        "import sys\n"
+        "from dwelldos.cli import main\n"
+        "for name in ('stack_scan', 'lattice_verify'):\n"
+        "    cfg = f'{sys.argv[1]}/configs/{name}.json'\n"
+        "    assert main(['scan', '--config', cfg, '--out', f'{sys.argv[2]}/{name}']) == 0\n"
+        "    assert main(['verify', '--config', cfg]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(REPO), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -17,7 +17,6 @@ from dwelldos.solver1d import (
     ScatterBatch,
     dos_region_1d,
     dwell_time_direct_1d,
-    green_1d,
     greens_function_1d,
     layer_probability_integral,
     layer_wavevector,
@@ -89,21 +88,31 @@ def test_asymmetric_levels_unitarity(rng):
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-12
 
 
+def _assert_continuous(stack, energy):
+    """psi and psi' of both incidence sides agree just left and just right
+    of every interface x_j, the outer ones x = 0 and x = L included: the
+    layer (or lead) below is read at nextafter(x_j, -inf), the one above
+    at x_j itself (at x = L, at nextafter(L, +inf))."""
+    sol = scattering_amplitudes(stack, energy)
+    bounds = stack.boundaries
+    below = np.nextafter(bounds, -np.inf)
+    above = np.append(bounds[:-1], np.nextafter(bounds[-1], np.inf))
+    for side in ("left", "right"):
+        psi_below, dpsi_below = sol.wave(side, below)
+        psi_above, dpsi_above = sol.wave(side, above)
+        assert np.max(np.abs(psi_below - psi_above)) < 1e-10
+        assert np.max(np.abs(dpsi_below - dpsi_above)) < 1e-10
+    return sol
+
+
 def test_interface_continuity(stack42):
-    sol = scattering_amplitudes(stack42, 0.77)
-    bounds = stack42.boundaries
-    for wave in (sol.left_wave, sol.right_wave):
-        for j, x in enumerate(bounds[1:-1]):
-            end = np.array([bounds[j + 1] - bounds[j]])
-            start = np.array([0.0])
-            assert abs(wave.value_local(j, end)[0]
-                       - wave.value_local(j + 1, start)[0]) < 1e-10
-            assert abs(wave.derivative_local(j, end)[0]
-                       - wave.derivative_local(j + 1, start)[0]) < 1e-10
-        # asymptotic matching at the outer edges
-        assert abs(wave.value(0.0) - wave.value(-1e-300)) < 1e-10
-        assert abs(wave.value(bounds[-1]) - wave.value(bounds[-1] + 1e-300)) < 1e-10
-        assert abs(wave.derivative(0.0) - wave.derivative(-1e-300)) < 1e-10
+    _assert_continuous(stack42, 0.77)
+
+
+def test_interface_continuity_flat_layer():
+    # E exactly at the middle layer's potential: the k = 0 branch {1, u}
+    sol = _assert_continuous(build_stack([(0.8, 0.3), (1.1, 1.0), (0.6, 0.0)]), 1.0)
+    assert sol.k_layers[1] == 0.0
 
 
 def test_opaque_stack_stays_finite():
@@ -111,9 +120,9 @@ def test_opaque_stack_stays_finite():
     stack = build_stack([(20.0, 100.0)])
     sol = scattering_amplitudes(stack, 1.0)
     assert abs(abs(sol.r) - 1.0) < 1e-10
-    assert np.isfinite(sol.left_wave.coeff_a).all()
-    assert np.isfinite(sol.left_wave.coeff_b).all()
-    tau = dwell_time_direct_1d(stack, 1.0, solution=sol)
+    assert np.isfinite(sol.batch.coeff_a).all()
+    assert np.isfinite(sol.batch.coeff_b).all()
+    tau = dwell_time_direct_1d(stack, 1.0)
     assert np.isfinite(tau) and tau > 0
 
 
@@ -129,6 +138,8 @@ def test_energy_domain_errors():
     assert abs(abs(sol.r) - 1.0) < 1e-12
     with pytest.raises(ClosedChannelError):
         dwell_time_direct_1d(stack, 1.2, side="right")
+    with pytest.raises(ValidationError):
+        sol.wave("up", 0.5)
 
 
 # ------------------------------------------------------- probability integral
@@ -187,9 +198,9 @@ def test_dwell_time_symmetric_sides(barrier):
 
 def test_dwell_time_matches_quadrature(barrier):
     sol = scattering_amplitudes(barrier, 0.5)
-    tau = dwell_time_direct_1d(barrier, 0.5, solution=sol)
+    tau = dwell_time_direct_1d(barrier, 0.5)
     v_in = 2.0 * sol.k_left.real
-    ref = quadrature_integral(sol.left_wave.value, 0.0, 1.0, 20_000) / v_in
+    ref = quadrature_integral(lambda x: sol.wave("left", x)[0], 0.0, 1.0, 20_000) / v_in
     assert abs(tau - ref) <= 1e-9 * ref
 
 
@@ -199,8 +210,8 @@ def test_dwell_time_grazing_layer():
     e = 1.0
     sol = scattering_amplitudes(stack, e)
     assert sol.k_layers[1] == 0.0
-    tau = dwell_time_direct_1d(stack, e, solution=sol)
-    ref = quadrature_integral(sol.left_wave.value, 0.0, stack.total_length, 40_000)
+    tau = dwell_time_direct_1d(stack, e)
+    ref = quadrature_integral(lambda x: sol.wave("left", x)[0], 0.0, stack.total_length, 40_000)
     ref /= 2.0 * sol.k_left.real
     assert abs(tau - ref) <= 1e-9 * ref
 
@@ -213,25 +224,28 @@ def test_green_free_diagonal(free2):
 
 
 def test_green_reciprocity(stack42, rng):
-    gf = green_1d(stack42, 1.3)
-    length = stack42.total_length
-    for _ in range(10):
-        x, xp = rng.uniform(0.0, length, size=2)
-        assert abs(gf(x, xp) - gf(xp, x)) < 1e-10
+    x, xp = rng.uniform(0.0, stack42.total_length, size=(2, 10))
+    g = greens_function_1d(stack42, 1.3, x, xp)
+    assert np.max(np.abs(g - greens_function_1d(stack42, 1.3, xp, x))) < 1e-10
 
 
 def test_green_wronskian_constancy(stack42):
-    gf = green_1d(stack42, 0.9)
+    sol = scattering_amplitudes(stack42, 0.9)
     length = stack42.total_length
-    w1 = gf.wronskian_at(length / 3.0)
-    w2 = gf.wronskian_at(2.0 * length / 3.0)
+    x = np.array([length / 3.0, 2.0 * length / 3.0])
+    # incidence from the right is the left-outgoing psi_L, from the left psi_R
+    psi_l, dpsi_l = sol.wave("right", x)
+    psi_r, dpsi_r = sol.wave("left", x)
+    w1, w2 = psi_l * dpsi_r - dpsi_l * psi_r
     assert abs(w1 - w2) <= 1e-10 * abs(w1)
-    assert abs(w1 - gf.wronskian) <= 1e-10 * abs(w1)
+    assert abs(w1 - sol.batch.wronskian[sol.index]) <= 1e-10 * abs(w1)
 
 
 def test_green_positions_validated(free2):
     with pytest.raises(ValidationError):
         greens_function_1d(free2, 1.0, -0.1, 0.5)
+    with pytest.raises(ValidationError):
+        greens_function_1d(free2, 1.0, np.array([0.5, 2.1]), 0.5)
 
 
 # ------------------------------------------------------------------- LDOS/DOS
@@ -244,10 +258,26 @@ def test_ldos_spectral_identity(stack42, rng):
     for _ in range(20):
         e = float(rng.uniform(0.1, 4.0))
         x = float(rng.uniform(0.0, stack42.total_length))
-        sol = scattering_amplitudes(stack42, e)
-        lhs = ldos_1d(stack42, e, x, solution=sol)
-        rhs = ldos_mode_sum_1d(stack42, e, x, solution=sol)
+        lhs = ldos_1d(stack42, e, x)
+        rhs = ldos_mode_sum_1d(stack42, e, x)
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_array_positions_match_scalar_calls(stack42):
+    # grid points and every interface, x = 0 and x = L included
+    x = np.concatenate([np.linspace(0.0, stack42.total_length, 9), stack42.boundaries])
+    xp = x[::-1]
+    g = greens_function_1d(stack42, 0.77, x, xp)
+    rho = ldos_1d(stack42, 0.77, x)
+    modes = ldos_mode_sum_1d(stack42, 0.77, x)
+    assert g.shape == rho.shape == modes.shape == x.shape
+    for i in range(x.size):
+        scalar_g = greens_function_1d(stack42, 0.77, x[i], xp[i])
+        scalar_rho = ldos_1d(stack42, 0.77, x[i])
+        scalar_modes = ldos_mode_sum_1d(stack42, 0.77, x[i])
+        assert type(scalar_g) is complex
+        assert type(scalar_rho) is float and type(scalar_modes) is float
+        assert (g[i], rho[i], modes[i]) == (scalar_g, scalar_rho, scalar_modes)
 
 
 def test_ldos_decays_inside_opaque_barrier():
@@ -265,10 +295,9 @@ def test_dos_region_free(free2):
 def test_dos_region_identity(stack42, rng):
     for _ in range(15):
         e = float(rng.uniform(0.05, 4.0))
-        sol = scattering_amplitudes(stack42, e)
-        dos = dos_region_1d(stack42, e, solution=sol)
-        tau_l = dwell_time_direct_1d(stack42, e, "left", solution=sol)
-        tau_r = dwell_time_direct_1d(stack42, e, "right", solution=sol)
+        dos = dos_region_1d(stack42, e)
+        tau_l = dwell_time_direct_1d(stack42, e, "left")
+        tau_r = dwell_time_direct_1d(stack42, e, "right")
         assert tau_l >= 0.0 and tau_r >= 0.0
         assert abs(dos - (tau_l + tau_r) / (2.0 * np.pi)) <= 1e-8 * dos
 
@@ -276,9 +305,8 @@ def test_dos_region_identity(stack42, rng):
 def test_dos_region_identity_one_sided():
     stack = build_stack([(1.0, 0.5)], v_left=0.0, v_right=10.0)
     e = 1.0
-    sol = scattering_amplitudes(stack, e)
-    dos = dos_region_1d(stack, e, solution=sol)
-    tau = dwell_time_direct_1d(stack, e, "left", solution=sol)
+    dos = dos_region_1d(stack, e)
+    tau = dwell_time_direct_1d(stack, e, "left")
     assert abs(dos - tau / (2.0 * np.pi)) <= 1e-8 * dos
 
 
@@ -286,11 +314,10 @@ def _simpson_region_ldos(stack, energy):
     """Composite Simpson of -(1/pi) Im G+(x, x) per layer, fine enough
     for 1e-10 relative even at kappa d = 30."""
     sol = scattering_amplitudes(stack, energy)
-    g = green_1d(stack, energy, solution=sol)
     total = 0.0
     for lo, d, k in zip(stack.boundaries, stack.thicknesses, sol.k_layers):
         panels = 2 * int(200 * (1.0 + abs(k) * d))
-        y = -g.diagonal(np.linspace(lo, lo + d, panels + 1)).imag / np.pi
+        y = ldos_1d(stack, energy, np.linspace(lo, lo + d, panels + 1))
         total += d / (3 * panels) * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
     return total
 
@@ -390,7 +417,7 @@ def test_batch_matches_single_energy_solves(stack42):
         sol = batch.solution(i)
         assert sol.energy == e
         np.testing.assert_allclose(sol.smatrix(), ref.smatrix(), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(sol.left_wave.coeff_a, ref.left_wave.coeff_a,
+        np.testing.assert_allclose(batch.coeff_a[0, i], ref.batch.coeff_a[0, 0],
                                    rtol=0, atol=1e-14)
 
 
