@@ -10,7 +10,8 @@ Q = i hbar S^dag dS/dV at V = 0:
 with the amplitude-derivative part purely imaginary (unitarity) and kept
 only as a consistency residual.  Derivatives are central differences with
 per-element phase differences taken on the principal branch.
-Every route reads the states of one dispatch, _scatter_chunk, and
+Every route reads the arrays of one dispatch, _scatter_chunk, which
+solves a chunk of energies as one batch of either backend, and
 single-energy calls are a grid of one.  Which channels are open, and
 whether an energy is too close to a threshold, is decided by the
 solvers alone: a grid point they refuse is a skip with their error.
@@ -19,7 +20,7 @@ solvers alone: a grid point they refuse is a skip with their error.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,24 +90,9 @@ class DwellReport:
     skip_reason: str | None = None
 
 
-def _residual(dos_green: float, dos_sum: float) -> float:
-    return abs(dos_green - dos_sum) / max(dos_green, RESIDUAL_FLOOR)
-
-
 # ----------------------------------------------------------------------------
 # Shifted scattering matrices and the V-derivative dwell time
 # ----------------------------------------------------------------------------
-
-
-def _attempt(solve, *args):
-    """solve(*args), or the solver error it raised (a ValidationError is
-    a caller error and propagates)."""
-    try:
-        return solve(*args)
-    except ValidationError:
-        raise
-    except DwellDosError as err:
-        return err
 
 
 def _scatter_chunk(
@@ -114,39 +100,38 @@ def _scatter_chunk(
     energies: list[float],
     v_shifts: list[float],
     region: LatticeRegion | None = None,
-) -> list:
-    """The state, or the error, of energies[i] with v_shifts[i] added
-    inside Omega only (the whole stack in 1D, `region` on a lattice).
-
-    Both backends' states have channels() as (label, velocity),
-    smatrix(), dwell_times(region) in channel order and dos(region).  A
-    stack chunk is one batched band solve; a lattice goes energy by
-    energy.
+):
+    """energies[i] with v_shifts[i] added inside Omega only (the whole
+    stack in 1D, `region` on a lattice), solved as one solver1d.ScatterBatch
+    or lattice._LatticeWorkspace.  Both expose the same read-only arrays:
+    channel `labels`, the `open` mask and `velocities` (m, E), the direct
+    `dwell_times` over Omega (m, E), `region_dos` (E,) and `smatrices`
+    (E, m, m), meaningful on the open block; and error(i, route).
     """
-    if isinstance(system, LayerStack):
-        batch = s1d.ScatterBatch(system, energies, v_shifts)
-        return [_attempt(batch.solution, i) for i in range(len(energies))]
     if isinstance(system, LatticeSystem):
-        return [_attempt(lat._LatticeWorkspace, system.shifted(v, region) if v else system, e)
-                for e, v in zip(energies, v_shifts)]
+        return lat._LatticeWorkspace(system, energies, v_shifts, region)
+    if isinstance(system, LayerStack):
+        if region is not None:
+            raise ValidationError("a lattice region needs a lattice system; "
+                                  "a stack's Omega is all of its layers")
+        return s1d.ScatterBatch(system, energies, v_shifts)
     raise ValidationError(f"unsupported system type {type(system).__name__}")
 
 
-def _smatrix(state) -> tuple[Array, list[str]] | DwellDosError:
-    """(S, labels) of a solved state, or its error: the solver's or the
-    one its S matrix raised."""
-    if isinstance(state, DwellDosError):
-        return state
-    return _attempt(lambda: (state.smatrix(), [label for label, _ in state.channels()]))
-
-
-def _smatrices(system, energies, v_shifts, region) -> list:
-    """_smatrix at energies[i] with v_shifts[i], solved in chunks of
-    _chunk_size energies; only the matrices outlive a chunk."""
+def _smatrices(system, energies, v_shifts, region) -> tuple:
+    """S matrices at energies[i] with v_shifts[i], solved in chunks of
+    _chunk_size energies; only the matrices outlive a chunk.  Returns the
+    channel labels, the S stack (N, m, m), the open mask (m, N) and per
+    energy None or the error that leaves it without an S matrix."""
     size = _chunk_size(system)
-    return [_smatrix(state) for start in range(0, len(energies), size)
-            for state in _scatter_chunk(system, energies[start:start + size],
-                                        v_shifts[start:start + size], region)]
+    stacks, opened, errors = [], [], []
+    for start in range(0, len(energies), size):
+        batch = _scatter_chunk(system, energies[start:start + size],
+                               v_shifts[start:start + size], region)
+        stacks.append(batch.smatrices)
+        opened.append(batch.open)
+        errors += [batch.error(i, "vderiv") for i in range(batch.energies.size)]
+    return batch.labels, np.concatenate(stacks), np.concatenate(opened, axis=1), errors
 
 
 def shifted_smatrix(
@@ -162,10 +147,11 @@ def shifted_smatrix(
     leads or asymptotic regions, so the labels are those of the
     unshifted problem.
     """
-    (result,) = _smatrices(system, [energy], [v_shift], region)
-    if isinstance(result, DwellDosError):
-        raise result
-    return result
+    labels, s, opened, (error,) = _smatrices(system, [energy], [v_shift], region)
+    if error is not None:
+        raise error
+    o = np.flatnonzero(opened[:, 0])
+    return s[0][np.ix_(o, o)], [labels[j] for j in o]
 
 
 def default_dv(energy: float) -> float:
@@ -198,53 +184,51 @@ def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: Array) -
     return taus, errors
 
 
-def _vderiv_steps(system, region, energies, s0s, dv) -> list:
+def _vderiv_steps(system, region, energies, s0, opened, dv) -> list:
     """The V-derivative step loop for several energies at once.
 
-    s0s holds each energy's unshifted (S, labels).  The step is dv, or
-    default_dv(E) when dv is None.  Each round is one _smatrices call,
-    S(+step) and then S(-step) of every pending energy; the energies
-    whose both solves succeeded are grouped by open channels (the
-    labels of S(0): a shift inside Omega never reaches the leads) and go
-    through _vderiv_from_matrices together.  With dv None, an energy
-    whose round fails with StepTooLargeError or NumericalFailureError
-    halves its step and goes again, at most _MAX_HALVINGS times; any
-    other error ends it.  Returns per energy the {label: tau} dict or
-    the error.
+    s0 is the stack of their unshifted S matrices (N, m, m) and opened
+    their open channels (m, N).  The step is dv, or default_dv(E) when
+    dv is None.  Each round is one _smatrices call, S(+step) and then
+    S(-step) of every pending energy.  The energies whose both solves
+    succeeded are grouped by open channels (those of S(0): a shift
+    inside Omega never reaches the leads), and the open blocks of a
+    group go through _vderiv_from_matrices together.  With dv None, an
+    energy whose round fails with StepTooLargeError or
+    NumericalFailureError halves its step and goes again, at most
+    _MAX_HALVINGS times; any other error ends it.  Returns per energy
+    the dwell times of its open channels, in channel order, or the error.
     """
     out: list = [None] * len(energies)
     steps = [default_dv(e) if dv is None else float(dv) for e in energies]
     attempts = _MAX_HALVINGS if dv is None else 0
     pending = list(range(len(energies)))
     while pending:
+        n = len(pending)
         shifts = [steps[i] for i in pending]
-        shifted = _smatrices(system, [energies[i] for i in pending] * 2,
-                             shifts + [-v for v in shifts], region)
-        errors, groups = {}, {}
-        for i, plus, minus in zip(pending, shifted, shifted[len(pending):]):
-            err = next((res for res in (plus, minus) if isinstance(res, DwellDosError)), None)
-            if err is None:
-                groups.setdefault(tuple(s0s[i][1]), []).append((i, plus[0], minus[0]))
-            else:
-                errors[i] = err
-        for labels, members in groups.items():
-            index, s_plus, s_minus = zip(*members)
+        _, shifted, _, solve_errors = _smatrices(system, [energies[i] for i in pending] * 2,
+                                                 shifts + [-v for v in shifts], region)
+        results = [plus or minus for plus, minus in zip(solve_errors, solve_errors[n:])]
+        groups: dict = {}
+        for j, i in enumerate(pending):
+            if results[j] is None:
+                groups.setdefault(opened[:, i].tobytes(), []).append(j)
+        for members in groups.values():
+            index = [pending[j] for j in members]
+            o = np.flatnonzero(opened[:, index[0]])
             taus, failed = _vderiv_from_matrices(
-                np.stack([s0s[i][0] for i in index]), np.stack(s_plus), np.stack(s_minus),
-                np.array([steps[i] for i in index]))
-            for i, row, err in zip(index, taus, failed):
-                if err is None:
-                    out[i] = dict(zip(labels, row))
-                else:
-                    errors[i] = err
+                s0[np.ix_(index, o, o)], shifted[np.ix_(members, o, o)],
+                shifted[np.ix_([n + j for j in members], o, o)],
+                np.array([shifts[j] for j in members]))
+            for j, row, err in zip(members, taus, failed):
+                results[j] = row if err is None else err
         retry = []
-        for i in pending:
-            err = errors.get(i)
-            if isinstance(err, (StepTooLargeError, NumericalFailureError)) and attempts > 0:
+        for i, result in zip(pending, results):
+            if isinstance(result, (StepTooLargeError, NumericalFailureError)) and attempts > 0:
                 retry.append(i)
                 steps[i] *= 0.5
-            elif err is not None:
-                out[i] = err
+            else:
+                out[i] = result
         attempts -= 1
         pending = retry
     return out
@@ -265,11 +249,13 @@ def dwell_times_vderiv_all(
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
     """
-    s0 = shifted_smatrix(system, energy, 0.0, region)
-    (result,) = _vderiv_steps(system, region, [energy], [s0], dv)
+    labels, s0, opened, (error,) = _smatrices(system, [energy], [0.0], region)
+    if error is not None:
+        raise error
+    (result,) = _vderiv_steps(system, region, [energy], s0, opened, dv)
     if isinstance(result, DwellDosError):
         raise result
-    return result
+    return dict(zip([labels[j] for j in np.flatnonzero(opened[:, 0])], result))
 
 
 def dwell_time_vderiv(
@@ -325,38 +311,9 @@ def wavepacket_dwell_time(
 # ----------------------------------------------------------------------------
 
 
-def _routes(state, region: LatticeRegion | None, methods: tuple[str, ...]) -> tuple:
-    """The direct and Green routes of one solved energy: (label, velocity,
-    tau_direct) per open channel, dos_green and dos_sum (None for a route
-    not in `methods`)."""
-    opened = state.channels()
-    if "direct" in methods:
-        taus = state.dwell_times(region).tolist()
-        dos_sum = sum(taus) / (2.0 * np.pi)
-    else:
-        taus, dos_sum = [None] * len(opened), None
-    channels = [(label, velocity, tau) for (label, velocity), tau in zip(opened, taus)]
-    dos_green = state.dos(region) if "green" in methods else None
-    return channels, dos_green, dos_sum
-
-
-def _report(energy: float, routes, vd) -> DwellReport:
-    """The report of one energy from its routes and V-derivative dwell
-    times; either may be the solver error that ends the point in a skip,
-    `vd` first (an S(0) error comes as `vd` too, or as `routes` when the
-    V-derivative is not wanted)."""
-    for err in (vd, routes):
-        if isinstance(err, DwellDosError):
-            return DwellReport(energy=energy, skipped=True,
-                               skip_reason=f"{type(err).__name__}: {err}")
-    channels, dos_green, dos_sum = routes
-    records = tuple(ChannelRecord(channel=label, velocity=velocity,
-                                  tau_direct=tau, tau_vderiv=vd.get(label))
-                    for label, velocity, tau in channels)
-    residual = (_residual(dos_green, dos_sum)
-                if dos_green is not None and dos_sum is not None else None)
-    return DwellReport(energy=energy, channels=records,
-                       dos_green=dos_green, dos_sum=dos_sum, residual_rel=residual)
+def _skip(energy: float, error: DwellDosError) -> DwellReport:
+    return DwellReport(energy=energy, skipped=True,
+                       skip_reason=f"{type(error).__name__}: {error}")
 
 
 def compute_report(
@@ -371,18 +328,19 @@ def compute_report(
     return _chunk_reports(system, [energy], region, methods, dv)[0]
 
 
-# Energies per chunk of a stack grid: the band storage of one chunk holds
-# about this many unknowns (2n + 2 per energy, 7 complex slots each:
-# about 4 MB), however many layers the stack has.
+# Energies per chunk: a chunk's solve holds about this many unknowns, 2n + 2
+# per energy for a stack (its band storage keeps 7 complex slots for each)
+# and 2 L W^2 for a lattice (the states of its 2W channels; the sweep's
+# column blocks and the states' residual hold about 3 more complex entries
+# for each), so a chunk stays near 4 MB however large the system is.
 _BATCH_UNKNOWNS = 2**15
 
 
 def _chunk_size(system: LayerStack | LatticeSystem) -> int:
-    """Energies solved together: one band solve per stack chunk; a lattice
-    workspace is large already, so lattices go one energy at a time."""
-    if isinstance(system, LayerStack):
-        return max(1, _BATCH_UNKNOWNS // (2 * len(system.layers) + 2))
-    return 1
+    """Energies solved together in one batch."""
+    unknowns = (2 * system.length * system.width**2 if isinstance(system, LatticeSystem)
+                else 2 * len(system.layers) + 2)
+    return max(1, _BATCH_UNKNOWNS // unknowns)
 
 
 def _chunk_reports(
@@ -394,34 +352,58 @@ def _chunk_reports(
 ) -> list[DwellReport]:
     """compute_report at every energy of a grid, with solves shared.
 
-    Solves go in chunks of _chunk_size energies: one band solve per stack
-    chunk, whose direct and Green routes are numpy expressions over its
-    (energy, layer) arrays; a lattice goes one energy at a time.  Only
-    the route results and S(0) outlive a chunk.  The V-derivative reuses
+    Solves go in chunks of _chunk_size energies, one batch per chunk (a
+    band solve for a stack, stacked recursive sweeps for a lattice),
+    whose direct and Green routes are numpy expressions over its arrays.
+    Only the reports and S(0) outlive a chunk.  The V-derivative reuses
     S(0), and each of its rounds solves S(+step) and S(-step) of every
     pending energy of the grid together, so the retries of all chunks
-    share a band solve.  Errors keep compute_report's order: S(0), then
-    the V-derivative, then the direct and Green routes.
+    share a batch.  Errors keep compute_report's order: S(0), then the
+    V-derivative, then the direct and Green routes.
     """
     size = _chunk_size(system)
-    routes, s0s = [], []
+    routes = [m for m in ("direct", "green") if m in methods]
+    reports, s0, opened, s0_errors = [], [], [], []
     for start in range(0, len(energies), size):
         chunk = energies[start:start + size]
-        states = _scatter_chunk(system, chunk, [0.0] * len(chunk), region)
-        routes += [state if isinstance(state, DwellDosError)
-                   else _attempt(_routes, state, region, methods) for state in states]
+        batch = _scatter_chunk(system, chunk, [0.0] * len(chunk), region)
+        taus = batch.dwell_times if "direct" in methods else None
+        dos = batch.region_dos if "green" in methods else None
+        for i, energy in enumerate(chunk):
+            error = next(filter(None, (batch.error(i, route) for route in routes)), None)
+            if error is not None:
+                reports.append(_skip(energy, error))
+                continue
+            picked = np.flatnonzero(batch.open[:, i])
+            tau = taus[picked, i].tolist() if taus is not None else [None] * picked.size
+            dos_green = float(dos[i]) if dos is not None else None
+            dos_sum = sum(tau) / (2.0 * np.pi) if taus is not None else None
+            reports.append(DwellReport(
+                energy=energy,
+                channels=tuple(ChannelRecord(channel=batch.labels[j],
+                                             velocity=float(batch.velocities[j, i]), tau_direct=t)
+                               for j, t in zip(picked, tau)),
+                dos_green=dos_green, dos_sum=dos_sum,
+                residual_rel=(abs(dos_green - dos_sum) / max(dos_green, RESIDUAL_FLOOR)
+                              if dos_green is not None and dos_sum is not None else None)))
         if "vderiv" in methods:
-            s0s += [_smatrix(state) for state in states]
-        del states  # free this chunk's solution before the next is solved
+            s0.append(batch.smatrices)
+            opened.append(batch.open)
+            s0_errors += [batch.error(i, "vderiv") for i in range(len(chunk))]
+        del batch  # free this chunk's states before the next is solved
     if "vderiv" not in methods:
-        return [_report(e, r, {}) for e, r in zip(energies, routes)]
-    live = [i for i, s0 in enumerate(s0s) if not isinstance(s0, DwellDosError)]
-    results = _vderiv_steps(system, region, [energies[i] for i in live],
-                            [s0s[i] for i in live], dv)
-    vds = s0s  # an S(0) error ends its point
-    for i, res in zip(live, results):
-        vds[i] = res
-    return [_report(e, r, vd) for e, r, vd in zip(energies, routes, vds)]
+        return reports
+    live = [i for i, error in enumerate(s0_errors) if error is None]
+    s0, opened = np.concatenate(s0)[live], np.concatenate(opened, axis=1)[:, live]
+    results = iter(_vderiv_steps(system, region, [energies[i] for i in live], s0, opened, dv))
+    for i, error in enumerate(s0_errors):
+        vd = error or next(results)  # an S(0) error ends its point
+        if isinstance(vd, DwellDosError):
+            reports[i] = _skip(energies[i], vd)
+        elif not reports[i].skipped:
+            reports[i] = replace(reports[i], channels=tuple(
+                replace(c, tau_vderiv=t) for c, t in zip(reports[i].channels, vd)))
+    return reports
 
 
 def verify_identity(

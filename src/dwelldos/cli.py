@@ -3,7 +3,8 @@
 Config is a single JSON document (see configs/ for one example per
 backend).  Exit codes: 0 success, 1 verification failure, 2 usage or
 config error; `verify` also fails when a grid point was skipped for any
-reason other than threshold proximity or no open channel.  Output is
+reason other than threshold proximity or no open channel, and when no
+point was verified at all.  Output is
 deterministic: rows are sorted by (energy, channel) and floats are
 serialized with 17 significant digits.  The `workers` field is
 validated (>= 0) but has no effect: the grid is solved in energy chunks
@@ -288,14 +289,19 @@ def _write_json(doc: dict, path: Path) -> None:
 # ----------------------------------------------------------------------------
 
 
-def _failed_skip_warnings(summary: dict) -> list[str]:
-    """One warning naming the skips that are failures, if there are any."""
+def _skip_warnings(summary: dict) -> tuple[list[str], bool]:
+    """Warnings about the skipped points (one naming the skips that are
+    failures, one naming the skip classes when every point was skipped)
+    and whether any skip is a failure."""
     failed = {k: n for k, n in summary["skip_reasons"].items()
               if k not in an.EXPECTED_SKIPS}
-    if not failed:
-        return []
-    return [f"{sum(failed.values())} grid points were skipped as failures "
-            f"({', '.join(failed)})"]
+    warnings = []
+    if failed:
+        warnings.append(f"{sum(failed.values())} grid points were skipped as failures "
+                        f"({', '.join(failed)})")
+    if summary["skipped"] == summary["points"]:
+        warnings.append(f"all grid points were skipped ({', '.join(summary['skip_reasons'])})")
+    return warnings, bool(failed)
 
 
 def cmd_scan(config: RunConfig, out_dir: Path) -> dict:
@@ -305,11 +311,7 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> dict:
     summary = an.summarize_reports(reports, config.system)
     summary["rows"] = n_rows
     summary["command"] = "scan"
-    warnings = _failed_skip_warnings(summary)
-    if summary["skipped"] == summary["points"]:
-        reasons = ", ".join(summary["skip_reasons"])
-        warnings.append(f"all grid points were skipped ({reasons})")
-    summary["warnings"] = warnings
+    summary["warnings"], _ = _skip_warnings(summary)
     _write_json(summary, out_dir / "summary.json")
     return summary
 
@@ -323,15 +325,12 @@ def cmd_verify(config: RunConfig, tol: float | None = None) -> tuple[int, dict]:
     summary["command"] = "verify"
     summary["tolerance"] = tolerance
     worst = summary["max_residual_rel"]
-    ok = worst is not None and worst < tolerance
-    warnings = _failed_skip_warnings(summary)
+    warnings, failed = _skip_warnings(summary)
     if warnings:
-        ok = False  # a point that failed to compute was not verified
         summary["warnings"] = warnings
-    elif summary["skipped"] == summary["points"]:
-        # degenerate but well-defined: nothing to verify, nothing failed
-        ok = True
-        summary["warnings"] = ["all grid points were skipped"]
+    # a point that failed to compute was not verified, and a grid with no
+    # verified point (worst is None) verified nothing
+    ok = worst is not None and worst < tolerance and not failed
     summary["pass"] = bool(ok)
     return (0 if ok else 1), summary
 

@@ -18,17 +18,22 @@ and identity blocks between neighbouring columns.  Its inverse, the
 retarded Green's function G, is computed by recursive Green's-function
 sweeps (MacKinnon, Z. Phys. B 59, 385 (1985); Lake et al., J. Appl.
 Phys. 81, 7845 (1997)): one left-connected Dyson sweep and a backward
-pass that connects it, L block inverses and O(L W^3) work per energy.
-Only the site diagonal of G (Green-trace DOS)
-and the two interface column blocks G[:, left] and G[:, right]
-(scattering states psi = G[:, lead] q and, through them, the S matrix)
-are formed, so storage is O(L W^2); nothing of size (LW)^2 is built.
-The scattering states of all open channels are one (channel, column,
-row) array, which the S matrix and the direct dwell times read.
+pass that connects it.  _LatticeWorkspace runs them for a chunk of
+energies at once, with the column blocks stacked over energy: L batched
+block inverses per chunk and O(L W^3) work per energy.  Only the site
+diagonal of G (Green-trace DOS) and the two interface column blocks
+G[:, left] and G[:, right] (scattering states psi = G[:, lead] q and,
+through them, the S matrix) are formed, so storage is O(L W^2) per
+energy; nothing of size (LW)^2 is built.  The scattering states of all
+2W lead channels are one (channel, energy, column, row) array, which the
+S matrices and the direct dwell times read.  scattering_state,
+scattering_matrix, dwell_time_lattice and dos_region_lattice are a batch
+of one energy.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -37,6 +42,7 @@ import numpy as np
 from .errors import (
     BoundStatePoleError,
     ClosedChannelError,
+    DwellDosError,
     NoOpenChannelError,
     NumericalFailureError,
     ThresholdProximityError,
@@ -100,63 +106,62 @@ def transverse_modes(width: int) -> tuple[Array, Array]:
     return chi, eps
 
 
-def _longitudinal(eps_m: float, energy: float) -> tuple[complex, float, str]:
-    """Solve E = eps_m - 2 cos k on the retarded branch (Im k >= 0)."""
-    c = (eps_m - energy) / 2.0
-    if abs(c) < 1.0:
-        k = complex(np.arccos(c), 0.0)
-        return k, 2.0 * np.sin(k.real), "open"
-    if c >= 1.0:
-        k = complex(0.0, np.arccosh(c))
-    else:
-        k = complex(np.pi, np.arccosh(-c))
-    return k, 0.0, "evanescent"
+def _lead_modes(eps: Array, energies: Array) -> tuple[Array, Array, list]:
+    """Longitudinal data of the W lead modes at every energy.
+
+    Solves E = eps_m - 2 cos k on the retarded branch (Im k >= 0): k and
+    the velocity 2 sin k (0 for an evanescent mode), both (E, W), and per
+    energy the ThresholdProximityError of the first band edge within
+    THRESHOLD_MARGIN, or None.
+    """
+    edges = np.concatenate([eps - 2.0, eps + 2.0])
+    near = np.abs(energies[:, None] - edges) <= THRESHOLD_MARGIN
+    errors = [ThresholdProximityError(
+        f"E = {float(energy)} within {THRESHOLD_MARGIN} of band edge {edges[np.argmax(row)]}")
+        if row.any() else None for energy, row in zip(energies, near)]
+    c = (eps - energies[:, None]) / 2.0
+    opened = np.abs(c) < 1.0
+    k = np.empty(c.shape, dtype=complex)
+    k.real = np.where(opened, np.arccos(np.clip(c, -1.0, 1.0)), np.where(c >= 1.0, 0.0, np.pi))
+    k.imag = np.where(opened, 0.0, np.arccosh(np.maximum(np.abs(c), 1.0)))
+    return k, np.where(opened, 2.0 * np.sin(k.real), 0.0), errors
 
 
 def lead_modes(width: int, energy: float) -> list[ChannelInfo]:
     """All W channels of the left lead at this energy, open and evanescent
     (the right lead's are the same with lead = "right")."""
     chi, eps = transverse_modes(width)
-    for edge in np.concatenate([eps - 2.0, eps + 2.0]):
-        if abs(energy - edge) <= THRESHOLD_MARGIN:
-            raise ThresholdProximityError(
-                f"E = {energy} within {THRESHOLD_MARGIN} of band edge {edge}"
-            )
-    out = []
-    for m in range(1, width + 1):
-        k, v, status = _longitudinal(eps[m - 1], energy)
-        out.append(ChannelInfo(
-            lead="left", mode=m, transverse_profile=chi[:, m - 1],
-            transverse_energy=float(eps[m - 1]), k=k, velocity=v, status=status,
-        ))
-    return out
+    k, velocity, (error,) = _lead_modes(eps, np.array([energy], dtype=float))
+    if error is not None:
+        raise error
+    return [ChannelInfo(
+        lead="left", mode=m + 1, transverse_profile=chi[:, m],
+        transverse_energy=float(eps[m]), k=complex(k[0, m]), velocity=float(velocity[0, m]),
+        status="open" if velocity[0, m] > 0.0 else "evanescent",
+    ) for m in range(width)]
 
 
 def open_channels(system: LatticeSystem, energy: float) -> list[ChannelInfo]:
-    """Open channels of both leads, left lead first, modes ascending."""
-    return _both_leads(lead_modes(system.width, energy))
-
-
-def _both_leads(modes: list[ChannelInfo]) -> list[ChannelInfo]:
-    """Open channels of both leads from the left lead's modes (the leads
-    are the same ideal strip)."""
-    opened = [c for c in modes if c.is_open]
+    """Open channels of both leads, left lead first, modes ascending (the
+    leads are the same ideal strip)."""
+    opened = [c for c in lead_modes(system.width, energy) if c.is_open]
     return opened + [replace(c, lead="right") for c in opened]
+
+
+def _self_energies(chi: Array, k: Array) -> Array:
+    """Sigma = sum_m (-e^{i k_m}) chi_m chi_m^T over all W modes of a lead,
+    added mode by mode, at every energy: (E, W, W) from k (E, W)."""
+    g = -np.exp(1j * k)  # semi-infinite chain surface Green's functions
+    sigma = np.zeros(k.shape + k.shape[-1:], dtype=complex)
+    for m in range(k.shape[-1]):
+        sigma += g[:, m, None, None] * np.outer(chi[:, m], chi[:, m])
+    return sigma
 
 
 def lead_self_energy(width: int, energy: float) -> Array:
     """Retarded self-energy of one ideal lead on its interface column."""
-    return _self_energy(lead_modes(width, energy))
-
-
-def _self_energy(modes: list[ChannelInfo]) -> Array:
-    """Sigma = sum_m (-e^{i k_m}) chi_m chi_m^T over all W modes of a lead."""
-    width = len(modes)
-    sigma = np.zeros((width, width), dtype=complex)
-    for ch in modes:
-        g = -np.exp(1j * ch.k)  # semi-infinite chain surface Green's function
-        sigma += g * np.outer(ch.transverse_profile, ch.transverse_profile)
-    return sigma
+    chi, _ = transverse_modes(width)
+    return _self_energies(chi, np.array([[c.k for c in lead_modes(width, energy)]]))[0]
 
 
 def _column_hamiltonian(width: int) -> Array:
@@ -185,185 +190,231 @@ def build_hamiltonian(system: LatticeSystem) -> Array:
     return h
 
 
-def _inv(blocks: Array, energy: float) -> Array:
-    """Inverse of one W x W block or a stack of them."""
+def _inv(blocks: Array) -> Array:
+    """Inverses of a stack of W x W blocks, one per energy.  A singular
+    block fails only its own energy: its inverse is NaN."""
     try:
         return np.linalg.inv(blocks)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - singular at poles
-        raise BoundStatePoleError(f"singular column block at E = {energy}") from exc
+    except np.linalg.LinAlgError:
+        out = np.full_like(blocks, np.nan)
+        for e, block in enumerate(blocks):
+            with suppress(np.linalg.LinAlgError):
+                out[e] = np.linalg.inv(block)
+        return out
 
 
 class _LatticeWorkspace:
-    """One energy's recursive Green's-function sweeps, shared by all solves.
+    """The recursive sweeps at an array of energies, stacked over energy:
+    the lattice counterpart of solver1d.ScatterBatch.
 
-    Keeps the column blocks of the open-system operator (`blocks`, shape
-    (L, W, W)), the site diagonal of G (`green_diagonal`, flat site
-    order) and the interface column blocks `green_columns[lead][c] =
-    G[c, interface column of lead]`, each of shape (L, W, W).  The
-    states of all open channels (`psi`) are solved on first use.
+    `v_shift` (scalar or per energy) is added on the Omega sites of
+    `region`, which is also the Omega of the routes.  Arrays: the column
+    blocks (`blocks`, (E, L, W, W)), the site diagonal of G
+    (`green_diagonal`, (E, L W)) and green_columns[lead][e, c] = G[c,
+    interface column of lead], (E, L, W, W).  The channel axis holds all
+    2W lead modes, "left:1" .. "right:W", with the `open` mask and
+    `velocities` (2W, E); a closed channel's entries are never read.  As
+    in ScatterBatch, the routes are numpy expressions evaluated on first
+    use, and `error(i, route)` fails only energy i.
     """
 
-    def __init__(self, system: LatticeSystem, energy: float):
-        self.system = system
-        self.energy = energy
-        modes = lead_modes(system.width, energy)
-        self.open_modes = _both_leads(modes)
-        if not self.open_modes:
-            raise NoOpenChannelError(f"no open lead channel at E = {energy}")
-        self.velocities = np.array([c.velocity for c in self.open_modes])
-        # transverse profiles of one lead's open modes, (W, n_open / 2)
-        half = self.open_modes[:len(self.open_modes) // 2]
-        self._profiles = np.stack([c.transverse_profile for c in half], axis=1)
-        sigma = _self_energy(modes)
+    def __init__(self, system: LatticeSystem, energies, v_shift=0.0,
+                 region: LatticeRegion | None = None):
+        energies = np.asarray(energies, dtype=float).reshape(-1)
+        shift = np.broadcast_to(np.asarray(v_shift, dtype=float), energies.shape)
         lx, w = system.length, system.width
-        # diagonal blocks E - H_col(c) - Sigma; the blocks between
-        # neighbouring columns are the identity (hopping -1)
-        d = np.empty((lx, w, w), dtype=complex)
-        d[:] = energy * np.eye(w) - _column_hamiltonian(w)
-        d[:, np.arange(w), np.arange(w)] -= system.onsite
-        d[0] -= sigma
-        d[-1] -= sigma  # the same block again when L = 1: both leads attach
+        self.system, self.energies = system, energies
+        self.sites = system.region_sites(region)
+        self._chi, eps = transverse_modes(w)
+        k, velocity, self._threshold = _lead_modes(eps, energies)
+        self.labels = tuple(f"{lead}:{m}" for lead in ("left", "right") for m in range(1, w + 1))
+        self.velocities = np.concatenate([velocity, velocity], axis=1).T
+        self.open = self.velocities > 0.0
+        # sources i v_m chi_m of the W modes of one lead, (W, E, W)
+        self._sources = (1j * velocity.T[:, :, None]) * self._chi.T[:, None, :]
+        # diagonal blocks E - H_col(c) - onsite, with v_shift on Omega, and
+        # - Sigma on both interface columns (the same block twice when L =
+        # 1); the blocks between neighbouring columns are the identity
+        onsite = np.repeat(system.onsite.reshape(1, -1), energies.size, axis=0)
+        onsite[:, self.sites] += shift[:, None]
+        d = np.empty((energies.size, lx, w, w), dtype=complex)
+        d[:] = energies[:, None, None, None] * np.eye(w) - _column_hamiltonian(w)
+        d[..., np.arange(w), np.arange(w)] -= onsite.reshape(-1, lx, w)
+        sigma = _self_energies(self._chi, k)
+        d[:, 0] -= sigma
+        d[:, -1] -= sigma
         self.blocks = d
         # forward: left-connected Green's functions of the device cut after
         # column c, g[c] = (D_c - g[c-1])^-1, and their first-column
         # blocks col_left[c] = -g[c] col_left[c-1], col_left[0] = g[0]
         g = np.empty_like(d)
         col_left = np.empty_like(d)
-        g[0] = col_left[0] = _inv(d[0], energy)
+        g[:, 0] = col_left[:, 0] = _inv(d[:, 0])
         for c in range(1, lx):
-            g[c] = _inv(d[c] - g[c - 1], energy)
-            col_left[c] = -g[c] @ col_left[c - 1]
-        # backward: G[c, c] = g[c] + g[c] G[c+1, c+1] g[c], G[c, L-1] =
-        # -g[c] G[c+1, L-1] and G[c, 0] = -G[c, c] col_left[c-1], which
-        # overwrites col_left[c] once it has been read
-        g_diag = np.empty_like(d)
+            g[:, c] = _inv(d[:, c] - g[:, c - 1])
+            col_left[:, c] = -g[:, c] @ col_left[:, c - 1]
+        self._singular = np.isnan(g[..., 0, 0]).any(axis=1)  # _inv's NaN blocks
+        # backward, with g_diag = G[c+1, c+1] on entry: G[c, c] = g[c] +
+        # g[c] G[c+1, c+1] g[c], G[c, L-1] = -g[c] G[c+1, L-1] and
+        # G[c+1, 0] = -G[c+1, c+1] col_left[c], which overwrites
+        # col_left[c+1] once it has been read
         col_right = np.empty_like(d)
-        g_diag[-1] = col_right[-1] = g[-1]
+        diagonal = np.empty((energies.size, lx, w), dtype=complex)
+        g_diag = col_right[:, -1] = g[:, -1]
+        diagonal[:, -1] = np.diagonal(g_diag, axis1=1, axis2=2)
         for c in range(lx - 2, -1, -1):
-            g_diag[c] = g[c] + g[c] @ g_diag[c + 1] @ g[c]
-            col_right[c] = -g[c] @ col_right[c + 1]
-            col_left[c + 1] = -g_diag[c + 1] @ col_left[c]
-        col_left[0] = g_diag[0]
-        self.green_diagonal = np.diagonal(g_diag, axis1=1, axis2=2).reshape(-1)
+            col_left[:, c + 1] = -g_diag @ col_left[:, c]
+            col_right[:, c] = -g[:, c] @ col_right[:, c + 1]
+            g_diag = g[:, c] + g[:, c] @ g_diag @ g[:, c]
+            diagonal[:, c] = np.diagonal(g_diag, axis1=1, axis2=2)
+        col_left[:, 0] = g_diag
+        self.green_diagonal = diagonal.reshape(energies.size, -1)
         self.green_columns = {"left": col_left, "right": col_right}
-
-    def channels(self) -> list[tuple[str, float]]:
-        """Open channels as (label, velocity), in S-matrix order."""
-        return [(c.label, c.velocity) for c in self.open_modes]
-
-    def index(self, channel: ChannelInfo | str) -> int:
-        """Position of an open channel, given by its ChannelInfo or label,
-        in S-matrix order (the first axis of `psi`)."""
-        if isinstance(channel, ChannelInfo) and not channel.is_open:
-            raise ClosedChannelError(f"channel {channel.label} closed at E = {self.energy}")
-        label = channel.label if isinstance(channel, ChannelInfo) else channel
-        for j, c in enumerate(self.open_modes):
-            if c.label == label:
-                return j
-        raise ValidationError(f"channel {label!r} not open at E = {self.energy}")
 
     @cached_property
     def psi(self) -> Array:
-        """Scattering states psi = G[:, lead] (i v_n chi_n) of all open
-        channels, (n_open, L, W) in S-matrix order, checked by applying
-        E - H - Sigma column by column.  One matrix-vector product per
-        channel and column keeps each state bit-identical to a solve of
+        """Scattering states psi = G[:, lead] (i v_n chi_n) of all 2W
+        channels, (2W, E, L, W).  One matrix-vector product per channel,
+        energy and column keeps each state bit-identical to a solve of
         that channel alone."""
-        half = self._profiles.shape[1]
-        sources = (1j * self.velocities[:half] * self._profiles).T
-        psi = np.concatenate([self.green_columns[lead] @ sources[:, None, :, None]
-                              for lead in ("left", "right")])[..., 0]
-        r = (self.blocks @ psi[..., None])[..., 0]
-        r[:, 1:] += psi[:, :-1]
-        r[:, :-1] += psi[:, 1:]
-        r[:half, 0] -= sources
-        r[half:, -1] -= sources
-        resid = np.max(np.abs(r))
-        if not resid <= _RESIDUAL_TOL:  # a NaN residual fails too
-            raise NumericalFailureError(
-                f"scattering solve residual {resid:.3e} at E = {self.energy}"
-            )
-        return psi
+        sources = self._sources[:, :, None, :, None]
+        return np.concatenate([self.green_columns[lead] @ sources
+                               for lead in ("left", "right")])[..., 0]
 
-    def smatrix(self) -> Array:
-        """Flux-normalized S matrix over the open channels.
+    @cached_property
+    def residuals(self) -> Array:
+        """Largest entry of (E - H - Sigma) psi - q over the open channels
+        of each energy, (E,), applying the operator column by column."""
+        w, psi = self.system.width, self.psi
+        with np.errstate(all="ignore"):  # a failed energy's entries are NaN
+            r = (self.blocks @ psi[..., None])[..., 0]
+            r[:, :, 1:] += psi[:, :, :-1]
+            r[:, :, :-1] += psi[:, :, 1:]
+            r[:w, :, 0] -= self._sources
+            r[w:, :, -1] -= self._sources
+            resid = np.max(np.abs(r), axis=(2, 3))
+        return np.max(np.where(self.open, resid, 0.0), axis=0)
+
+    @cached_property
+    def smatrices(self) -> Array:
+        """Flux-normalized S over the 2W channels, (E, 2W, 2W), read-only;
+        only the block of the open channels is meaningful.
 
         On the interface columns the states decompose into lead modes:
-        projecting them onto the open profiles and subtracting the
-        incident term leaves the outgoing amplitudes at the interface
-        plane, scaled by sqrt(v_out / v_in).
+        projecting them onto the profiles and subtracting the incident
+        term leaves the outgoing amplitudes at the interface plane, scaled
+        by sqrt(v_out / v_in).
         """
         # one dot product per entry, as for one channel alone (the
         # profiles are real, so vecdot's conjugate changes nothing)
-        amps = np.concatenate([np.vecdot(self._profiles.T[:, None, :], self.psi[:, c])
-                               for c in (0, -1)])
-        v = self.velocities
-        return (amps - np.eye(v.size)) * np.sqrt(v[:, None] / v[None, :])
+        profiles = np.ascontiguousarray(self._chi.T)[:, None, None, :]
+        amps = np.concatenate([np.vecdot(profiles, self.psi[:, :, c]) for c in (0, -1)])
+        v = self.velocities.T
+        with np.errstate(all="ignore"):  # closed channels: v = 0
+            s = ((amps.transpose(2, 0, 1) - np.eye(v.shape[1]))
+                 * np.sqrt(v[:, :, None] / v[:, None, :]))
+        s.flags.writeable = False
+        return s
 
-    def dwell_times(self, region: LatticeRegion | None = None) -> Array:
-        """Direct dwell times in Omega of all open channels, S-matrix order:
-        the sum of |psi|^2 over the Omega sites divided by v_n."""
-        sites = self.system.region_sites(region)
-        # take() keeps each channel's sites contiguous, so each row sums
-        # in the same order as one channel's state alone
-        psi = self.psi.reshape(self.velocities.size, -1).take(sites, axis=1)
-        return np.sum(np.abs(psi) ** 2, axis=-1) / self.velocities
+    @cached_property
+    def dwell_times(self) -> Array:
+        """Direct route, (2W, E): the sum of |psi|^2 over the Omega sites
+        divided by v_n."""
+        # take() keeps each state's sites contiguous, so each row sums in
+        # the same order as one channel's state alone
+        psi = self.psi.reshape(*self.open.shape, -1).take(self.sites, axis=-1)
+        with np.errstate(all="ignore"):  # closed channels: v = 0
+            return np.sum(np.abs(psi) ** 2, axis=-1) / self.velocities
 
-    def dwell_time(self, channel: ChannelInfo | str,
-                   region: LatticeRegion | None = None) -> float:
-        """Direct dwell time in Omega of one open channel (or its label)."""
-        return float(self.dwell_times(region)[self.index(channel)])
+    @cached_property
+    def region_dos(self) -> Array:
+        """Green route, (E,): sum over the Omega sites of -(1/pi) Im G(r, r)."""
+        # contiguous rows: each sums in the same order as one energy alone
+        diagonal = np.ascontiguousarray(self.green_diagonal[:, self.sites].imag)
+        return -np.sum(diagonal, axis=-1) / np.pi
 
-    def dos(self, region: LatticeRegion | None = None) -> float:
-        """Green-trace DOS of Omega."""
-        return dos_region_lattice(self.system, self.energy, region, workspace=self)
+    def error(self, i: int, route: str = "direct") -> DwellDosError | None:
+        """Why energy i has no result on `route` ("direct", "green" or
+        "vderiv"), or None: a threshold within THRESHOLD_MARGIN, no open
+        channel or a singular column block, and for the routes that read
+        the states (all but "green") a solve residual above _RESIDUAL_TOL,
+        checked in that order."""
+        energy = float(self.energies[i])
+        if self._threshold[i] is not None:
+            return self._threshold[i]
+        if not self.open[:, i].any():
+            return NoOpenChannelError(f"no open lead channel at E = {energy}")
+        if self._singular[i]:
+            return BoundStatePoleError(f"singular column block at E = {energy}")
+        if route != "green" and not self.residuals[i] <= _RESIDUAL_TOL:  # NaN fails too
+            return NumericalFailureError(
+                f"scattering solve residual {self.residuals[i]:.3e} at E = {energy}")
+        return None
+
+
+def _solve_one(system: LatticeSystem, energy: float, route: str,
+               region: LatticeRegion | None = None) -> _LatticeWorkspace:
+    """A batch of one energy, or the error that leaves it without `route`."""
+    batch = _LatticeWorkspace(system, [energy], region=region)
+    error = batch.error(0, route)
+    if error is not None:
+        raise error
+    return batch
+
+
+def _channel_index(batch: _LatticeWorkspace, channel: ChannelInfo | str) -> int:
+    """Position of an open channel, given by its ChannelInfo or label, on
+    the channel axis of a batch of one energy."""
+    energy = float(batch.energies[0])
+    if isinstance(channel, ChannelInfo) and not channel.is_open:
+        raise ClosedChannelError(f"channel {channel.label} closed at E = {energy}")
+    label = channel.label if isinstance(channel, ChannelInfo) else channel
+    if label not in batch.labels or not batch.open[batch.labels.index(label), 0]:
+        raise ValidationError(f"channel {label!r} not open at E = {energy}")
+    return batch.labels.index(label)
 
 
 def scattering_state(
     system: LatticeSystem,
     energy: float,
     channel: ChannelInfo,
-    workspace: _LatticeWorkspace | None = None,
 ) -> LatticeScatterState:
     """Stationary state for unit incidence in one open channel."""
-    ws = workspace or _LatticeWorkspace(system, energy)
+    batch = _solve_one(system, energy, "direct")
     return LatticeScatterState(energy=energy, channel=channel,
-                               psi=ws.psi[ws.index(channel)].copy())
+                               psi=batch.psi[_channel_index(batch, channel), 0].copy())
 
 
 def scattering_matrix(
     system: LatticeSystem,
     energy: float,
-    workspace: _LatticeWorkspace | None = None,
 ) -> tuple[Array, list[ChannelInfo]]:
     """Full flux-normalized S matrix over the open channels of both leads."""
-    ws = workspace or _LatticeWorkspace(system, energy)
-    return ws.smatrix(), ws.open_modes
+    batch = _solve_one(system, energy, "vderiv")
+    opened = np.flatnonzero(batch.open[:, 0])
+    return batch.smatrices[0][np.ix_(opened, opened)], open_channels(system, energy)
 
 
 def dwell_time_lattice(
     system: LatticeSystem,
     energy: float,
-    channel: ChannelInfo,
+    channel: ChannelInfo | str,
     region: LatticeRegion | None = None,
-    workspace: _LatticeWorkspace | None = None,
 ) -> float:
-    """Dwell time in Omega: sum of |psi|^2 over Omega sites divided by v_n.
+    """Dwell time in Omega of one open channel (or its label): sum of
+    |psi|^2 over Omega sites divided by v_n.
 
     Unit-amplitude normalization absorbs the 2 pi hbar factor of the
     energy-normalized definition, exactly as in the 1D continuum case.
     """
-    ws = workspace or _LatticeWorkspace(system, energy)
-    return ws.dwell_time(channel, region)
+    batch = _solve_one(system, energy, "direct", region)
+    return float(batch.dwell_times[_channel_index(batch, channel), 0])
 
 
 def dos_region_lattice(
     system: LatticeSystem,
     energy: float,
     region: LatticeRegion | None = None,
-    workspace: _LatticeWorkspace | None = None,
 ) -> float:
     """Region DOS: sum over Omega sites of -(1/pi) Im G(r, r; E)."""
-    ws = workspace or _LatticeWorkspace(system, energy)
-    sites = system.region_sites(region)
-    return float(-np.sum(ws.green_diagonal[sites].imag) / np.pi)
+    return float(_solve_one(system, energy, "green", region).region_dos[0])

@@ -24,8 +24,9 @@ O(n) work per energy, and a zero or non-finite pivot fails that energy
 alone.  The direct route (ScatterBatch.dwell_times), the Green route
 (ScatterBatch.region_dos) and the S matrices are numpy expressions over
 the batch's (energy, layer) arrays, with no Python loop over energies or
-layers.  scattering_amplitudes, dwell_time_direct_1d and dos_region_1d
-are a batch of one energy.  Pointwise quantities (psi and psi', G+(x, x'),
+layers; ScatterBatch.error(i, route) says why an energy has no result.
+scattering_amplitudes, dwell_time_direct_1d and dos_region_1d are a
+batch of one energy.  Pointwise quantities (psi and psi', G+(x, x'),
 the LDOS) read the same arrays through ScatterSolution1D.wave, which
 gathers each position's layer coefficients and evaluates any number of
 positions in one numpy expression.
@@ -54,6 +55,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ClosedChannelError,
+    DwellDosError,
     NoOpenChannelError,
     NumericalFailureError,
     ThresholdProximityError,
@@ -111,8 +113,7 @@ class ScatterSolution1D:
         self.energy = float(batch.energies[index])
         self.k_left = complex(batch.k_left[index])
         self.k_right = complex(batch.k_right[index])
-        self.open_left = bool(batch.open_left[index])
-        self.open_right = bool(batch.open_right[index])
+        self.open_left, self.open_right = (bool(opened) for opened in batch.open[:, index])
         self.k_layers = batch.k_layers[index]
         self.r, self.t = (batch.r[index], batch.t[index]) if self.open_left else (None, None)
         self.r_prime, self.t_prime = ((batch.r_prime[index], batch.t_prime[index])
@@ -148,56 +149,6 @@ class ScatterSolution1D:
         psi = np.where(flat, a + c * u, a * up + c * down)
         dpsi = np.where(flat, c, ik * a * up - ik * c * down)
         return psi.reshape(shape), dpsi.reshape(shape)
-
-    def channels(self) -> list[tuple[str, float]]:
-        """Open channels as (label, velocity), in S-matrix order."""
-        out = []
-        if self.open_left:
-            out.append(("left", 2.0 * self.k_left.real))
-        if self.open_right:
-            out.append(("right", 2.0 * self.k_right.real))
-        return out
-
-    def dwell_times(self, region=None) -> Array:
-        """Direct dwell times of the open channels, in channels() order;
-        Omega is always [0, L], so `region` (a lattice notion) is ignored."""
-        first, stop = int(not self.open_left), 1 + int(self.open_right)
-        return self.batch.dwell_times[first:stop, self.index]
-
-    def dos(self, region=None) -> float:
-        """Green-trace region DOS of [0, L] (ScatterBatch.region_dos);
-        `region` is ignored."""
-        _check_wronskian(self.batch.wronskian[self.index], self.energy)
-        return float(self.batch.region_dos[self.index])
-
-    def smatrix(self) -> Array:
-        """Flux-normalized S matrix over the open channels (read-only).
-
-        Ordering [left, right]; 1x1 when only one side propagates.  Built
-        from the global-phase amplitude convention, so it differs from
-        the plane-referenced matrix by a unitary diagonal phase only.
-        """
-        s = self.batch.smatrices[self.index]
-        if self.open_left and self.open_right:
-            return s
-        if self.open_left:
-            return s[:1, :1]
-        if self.open_right:
-            return s[1:, 1:]
-        raise NoOpenChannelError("no open channel at this energy")
-
-
-def _check_energy(stack: LayerStack, energy: float) -> None:
-    for v in (stack.v_left, stack.v_right):
-        if abs(energy - v) <= THRESHOLD_MARGIN:
-            raise ThresholdProximityError(
-                f"E = {energy} within {THRESHOLD_MARGIN} of channel threshold {v}"
-            )
-    if energy < stack.v_left and energy < stack.v_right:
-        raise NoOpenChannelError(
-            f"E = {energy} below both channel thresholds "
-            f"({stack.v_left}, {stack.v_right})"
-        )
 
 
 def _interface_system(
@@ -299,14 +250,17 @@ class ScatterBatch:
     over energy (E,) or (energy, layer) (E, n), with a leading incidence
     axis [left, right] on the interior coefficients coeff_a, coeff_b
     (2, E, n) and the outgoing amplitudes out_left, out_right (2, E) at
-    the x = 0 and x = L planes.  The direct route (dwell_times), the
-    Green route (region_dos) and the S matrices are numpy expressions
-    over the whole batch, evaluated on first use.  `solution(i)` hands
-    out energy i and raises what scattering_amplitudes raises there, so
-    one energy's failure never touches another (the entries of a failed
+    the x = 0 and x = L planes.  The channel axis is `labels` ("left",
+    "right"), with the `open` mask and `velocities` (2, E).  The direct
+    route (dwell_times), the Green route (region_dos) and the S matrices
+    are numpy expressions over the whole batch, evaluated on first use.
+    `error(i, route)` says why energy i has no result on a route, and one
+    energy's failure never touches another (the entries of a failed
     energy or a closed side are never read).  `v_shift` (scalar or per
     energy) is added to every layer potential.
     """
+
+    labels = ("left", "right")
 
     def __init__(self, stack: LayerStack, energies, v_shift=0.0):
         energies = np.asarray(energies, dtype=float).reshape(-1)
@@ -322,8 +276,8 @@ class ScatterBatch:
         self.coeff_a, self.coeff_b = (np.ascontiguousarray(coeffs[first:-1:2].transpose(1, 2, 0))
                                       for first in (1, 2))
         self.out_left, self.out_right = coeffs[0].copy(), coeffs[-1].copy()
-        self.open_left = (k_left.imag == 0.0) & (k_left.real > 0.0)
-        self.open_right = (k_right.imag == 0.0) & (k_right.real > 0.0)
+        self.velocities = 2.0 * np.stack([k_left.real, k_right.real])
+        self.open = self.velocities > 0.0
         # plane-L amplitudes -> global x = 0 reference
         phase_r = np.exp(-1j * k_right * stack.total_length)
         self.r = self.out_left[0]
@@ -335,10 +289,10 @@ class ScatterBatch:
     def dwell_times(self) -> Array:
         """Direct route, (2, E): per incidence side, the |psi|^2 integral
         over the layers divided by v_in = 2 k_in."""
-        v_in = 2.0 * np.stack([self.k_left.real, self.k_right.real])
         with np.errstate(all="ignore"):
-            return _region_probability(self.coeff_a, self.coeff_b, self.k_layers,
-                                       self.stack.thicknesses) / v_in
+            per_layer = layer_probability_integral(self.coeff_a, self.coeff_b, self.k_layers,
+                                                   self.stack.thicknesses)
+            return per_layer.sum(axis=-1) / self.velocities
 
     @cached_property
     def wronskian(self) -> Array:
@@ -359,7 +313,9 @@ class ScatterBatch:
     @cached_property
     def smatrices(self) -> Array:
         """Flux-normalized S over [left, right], (E, 2, 2), read-only; only
-        the block of the open channels is meaningful."""
+        the block of the open channels is meaningful.  Built from the
+        global-phase amplitude convention, so it differs from the
+        plane-referenced matrix by a unitary diagonal phase only."""
         s = np.empty((self.energies.size, 2, 2), dtype=complex)
         with np.errstate(all="ignore"):
             ratio = np.sqrt(self.k_right.real / self.k_left.real)
@@ -368,18 +324,44 @@ class ScatterBatch:
         s.flags.writeable = False
         return s
 
-    def solution(self, i: int) -> ScatterSolution1D:
-        energy = float(self.energies[i])
-        _check_energy(self.stack, energy)
+    def error(self, i: int, route: str = "direct") -> DwellDosError | None:
+        """Why energy i has no result on `route` ("direct", "green" or
+        "vderiv"), or None.  A threshold within THRESHOLD_MARGIN, no open
+        channel and a failed solve fail every route; the Green route also
+        fails on an underflowing Wronskian."""
+        energy, stack = float(self.energies[i]), self.stack
+        for v in (stack.v_left, stack.v_right):
+            if abs(energy - v) <= THRESHOLD_MARGIN:
+                return ThresholdProximityError(
+                    f"E = {energy} within {THRESHOLD_MARGIN} of channel threshold {v}")
+        if energy < stack.v_left and energy < stack.v_right:
+            return NoOpenChannelError(f"E = {energy} below both channel thresholds "
+                                      f"({stack.v_left}, {stack.v_right})")
         if self.failed[i]:
-            raise NumericalFailureError(f"interface solve failed at E = {energy}")
-        return ScatterSolution1D(self, i)
+            return NumericalFailureError(f"interface solve failed at E = {energy}")
+        # With an open channel G+ has no pole on the real axis, however
+        # small |t| is; W leaves the normal floats only when the outgoing
+        # amplitude underflows (a subnormal W has lost the digits of 1/W).
+        if route == "green" and not _TINY <= abs(self.wronskian[i]) < np.inf:
+            return NumericalFailureError(
+                f"Wronskian {self.wronskian[i]} at E = {energy}: the outgoing amplitude "
+                "of the left-outgoing solution underflowed")
+        return None
+
+
+def _solve_one(stack: LayerStack, energy: float, route: str = "direct") -> ScatterSolution1D:
+    """A ScatterBatch of one energy, or the error that leaves it without `route`."""
+    batch = ScatterBatch(stack, [energy])
+    error = batch.error(0, route)
+    if error is not None:
+        raise error
+    return ScatterSolution1D(batch, 0)
 
 
 def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterSolution1D:
     """Solve the scattering problem at one energy for both incidence sides
     (a ScatterBatch of one energy)."""
-    return ScatterBatch(stack, [energy]).solution(0)
+    return _solve_one(stack, energy)
 
 
 # ----------------------------------------------------------------------------
@@ -424,11 +406,6 @@ def layer_probability_integral(a, b, k, d):
     return out if out.ndim else float(out)
 
 
-def _region_probability(a, b, k, d):
-    """Integral of |psi|^2 over all layers; layers on the last axis."""
-    return layer_probability_integral(a, b, k, d).sum(axis=-1)
-
-
 def _incidence(side: str) -> int:
     """Incidence index of `side`: 0 for "left", 1 for "right"."""
     if side not in ("left", "right"):
@@ -460,17 +437,6 @@ def dwell_time_direct_1d(
 # ----------------------------------------------------------------------------
 
 
-def _check_wronskian(wronskian: complex, energy: float) -> None:
-    # With an open channel G+ has no pole on the real axis, however small
-    # |t| is; W leaves the normal floats only when the outgoing amplitude
-    # underflows (a subnormal W has lost the digits that 1/W needs).
-    if not _TINY <= abs(wronskian) < np.inf:
-        raise NumericalFailureError(
-            f"Wronskian {wronskian} at E = {energy}: the outgoing amplitude "
-            "of the left-outgoing solution underflowed"
-        )
-
-
 def greens_function_1d(
     stack: LayerStack,
     energy: float,
@@ -483,14 +449,12 @@ def greens_function_1d(
     L = stack.total_length
     if not np.all((0.0 <= x) & (x <= L) & (0.0 <= xp) & (xp <= L)):
         raise ValidationError("x and x' must lie in [0, L]")
-    sol = scattering_amplitudes(stack, energy)
-    wronskian = sol.batch.wronskian[sol.index]
-    _check_wronskian(wronskian, energy)
+    sol = _solve_one(stack, energy, "green")
     # unit incidence from the right has no incoming part on the left, so
     # it is the left-outgoing psi_L; incidence from the left is psi_R
     psi_l, _ = sol.wave("right", np.minimum(x, xp))
     psi_r, _ = sol.wave("left", np.maximum(x, xp))
-    g = psi_l * psi_r / complex(wronskian)
+    g = psi_l * psi_r / complex(sol.batch.wronskian[0])
     return g if g.ndim else complex(g)
 
 
@@ -518,9 +482,10 @@ def ldos_mode_sum_1d(
     """
     sol = scattering_amplitudes(stack, energy)
     total = 0.0
-    for side, v in sol.channels():
-        psi, _ = sol.wave(side, x)
-        total = total + np.square(np.abs(psi)) / (FLUX_FACTOR * v)
+    for s, side in enumerate(sol.batch.labels):
+        if sol.batch.open[s, 0]:
+            psi, _ = sol.wave(side, x)
+            total = total + np.square(np.abs(psi)) / (FLUX_FACTOR * sol.batch.velocities[s, 0])
     return total if np.ndim(total) else float(total)
 
 
@@ -530,7 +495,7 @@ def dos_region_1d(
 ) -> float:
     """Density of states of Omega: -(1/pi) Im of the integral of G+(x, x)
     over [0, L], in closed form per layer (ScatterBatch.region_dos)."""
-    return scattering_amplitudes(stack, energy).dos()
+    return float(_solve_one(stack, energy, "green").batch.region_dos[0])
 
 
 def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):

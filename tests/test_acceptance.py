@@ -17,7 +17,7 @@ from dwelldos.analysis import (
     verify_identity,
 )
 from dwelldos.cli import main
-from dwelldos.lattice import _LatticeWorkspace, open_channels, scattering_matrix
+from dwelldos.lattice import open_channels, scattering_matrix
 from dwelldos.model import (
     EnergyGrid,
     LatticeRegion,
@@ -158,11 +158,10 @@ def test_criterion_4_vderiv_route():
     # lattice fixture
     lattice = random_lattice(11, 2, 6, (-0.5, 0.5))
     e_l = 0.3
-    ws = _LatticeWorkspace(lattice, e_l)
     channels = open_channels(lattice, e_l)
     from dwelldos.lattice import dwell_time_lattice
 
-    refs = {c.label: dwell_time_lattice(lattice, e_l, c, workspace=ws) for c in channels}
+    refs = {c.label: dwell_time_lattice(lattice, e_l, c) for c in channels}
     errs_l = []
     for dv in (5e-4, 2.5e-4, 1.25e-4):
         taus = {c.label: dwell_time_vderiv(lattice, e_l, c, dv=dv) for c in channels}
@@ -324,7 +323,7 @@ def test_criterion_9_infrastructure(tmp_path):
     for _ in range(40):
         stack = random_stack(int(rng.integers(1, 2**32)))
         e = float(rng.uniform(0.05, 4.0))
-        s = scattering_amplitudes(stack, e).smatrix()
+        s = scattering_amplitudes(stack, e).batch.smatrices[0]  # both sides open
         worst_1d = max(worst_1d, float(np.max(np.abs(s.conj().T @ s - np.eye(len(s))))))
         worst_1d = max(worst_1d, abs(s[0, 1] - s[1, 0]))
     worst_lat = 0.0

@@ -21,25 +21,27 @@ from dwelldos.errors import (
     StepTooLargeError,
     ValidationError,
 )
-from dwelldos.lattice import _LatticeWorkspace, dwell_time_lattice, open_channels
+from dwelldos.lattice import dwell_time_lattice, open_channels
 from dwelldos.model import (
     THRESHOLD_MARGIN,
     EnergyGrid,
+    LatticeRegion,
     SpectralWeight,
     build_stack,
     channel_thresholds,
+    double_barrier,
     gaussian_spectral_weight,
     random_lattice,
     random_stack,
 )
-from dwelldos.solver1d import dwell_time_direct_1d, scattering_amplitudes
+from dwelldos.solver1d import dos_region_1d, dwell_time_direct_1d, scattering_amplitudes
 
 
 # ------------------------------------------------------------ shifted S matrix
 
 def test_zero_shift_is_identity_operation(barrier):
     s0, labels = shifted_smatrix(barrier, 0.5, 0.0)
-    ref = scattering_amplitudes(barrier, 0.5).smatrix()
+    ref = scattering_amplitudes(barrier, 0.5).batch.smatrices[0]  # both sides open
     assert labels == ["left", "right"]
     assert np.max(np.abs(s0 - ref)) < 1e-14
 
@@ -85,10 +87,9 @@ def test_vderiv_second_order_in_dv(barrier):
 def test_vderiv_lattice_matches_direct():
     sysm = random_lattice(11, 2, 6, (-0.5, 0.5))
     e = 0.3
-    ws = _LatticeWorkspace(sysm, e)
     taus = dwell_times_vderiv_all(sysm, e, dv=1e-5)
     for ch in open_channels(sysm, e):
-        ref = dwell_time_lattice(sysm, e, ch, workspace=ws)
+        ref = dwell_time_lattice(sysm, e, ch)
         assert abs(taus[ch.label] - ref) < 1e-5
 
 
@@ -107,16 +108,26 @@ def test_vderiv_auto_halving_recovers(dbarrier):
 
 def test_vderiv_subregion_matches_direct():
     # perturbing only a sub-rectangle measures the time spent there
-    from dwelldos.model import LatticeRegion
-
     sysm = random_lattice(11, 2, 6, (-0.5, 0.5))
     region = LatticeRegion(1, 4, 0, 1)
     e = 0.3
-    ws = _LatticeWorkspace(sysm, e)
     for ch in open_channels(sysm, e):
-        ref = dwell_time_lattice(sysm, e, ch, region=region, workspace=ws)
+        ref = dwell_time_lattice(sysm, e, ch, region=region)
         tau = dwell_time_vderiv(sysm, e, ch, dv=1e-5, region=region)
         assert abs(tau - ref) < 1e-5
+
+
+@pytest.mark.parametrize("call", [
+    lambda stack, region: verify_identity(stack, EnergyGrid(1.0, 2.0, 3), region=region),
+    lambda stack, region: compute_report(stack, 1.5, region),
+    lambda stack, region: shifted_smatrix(stack, 1.5, 1e-5, region),
+    lambda stack, region: dwell_times_vderiv_all(stack, 1.5, region=region),
+], ids=["verify_identity", "compute_report", "shifted_smatrix", "dwell_times_vderiv_all"])
+def test_lattice_region_with_a_stack_is_refused(call):
+    # a stack's Omega is all of its layers; a lattice region must not be
+    # dropped without a word
+    with pytest.raises(ValidationError, match="a lattice region needs a lattice system"):
+        call(double_barrier(), LatticeRegion(0, 0, 0, 0))
 
 
 def test_vderiv_unknown_channel(barrier):
@@ -345,8 +356,8 @@ def test_grid_chunks_match_single_energy_reports(per_chunk, v_left, monkeypatch)
 
 @pytest.mark.parametrize("v_left", [0.0, 20.0])
 def test_grid_matches_per_energy_batches(v_left):
-    # reference without the grid driver: ScatterBatch of one energy for the
-    # skip, tau_direct and dos_green, and of the shifted stacks for S(+-dv).
+    # reference without the grid driver: the single-energy solver calls for
+    # the skip, tau_direct and dos_green, and of the shifted stacks for S(+-dv).
     # E = 0 (and 20 with v_left = 20) is a threshold, E = 1..3 underflow W
     # in the d = 103 barrier, E = 51 and 53 sit on resonances too sharp for
     # the step, E = 56 is exact k = 0 in the middle layer
@@ -359,10 +370,9 @@ def test_grid_matches_per_energy_batches(v_left):
     for rep in reports:
         e = rep.energy
         try:
-            sol = solver1d.ScatterBatch(stack, [e]).solution(0)
-            s0 = sol.smatrix()
-            s_plus, s_minus = (solver1d.ScatterBatch(stack.shifted(v), [e]).solution(0).smatrix()
-                               for v in (dv, -dv))
+            sol = scattering_amplitudes(stack, e)
+            s0, _ = shifted_smatrix(stack, e, 0.0)
+            s_plus, s_minus = (shifted_smatrix(stack.shifted(v), e, 0.0)[0] for v in (dv, -dv))
         except DwellDosError as err:
             assert rep.skip_reason == f"{type(err).__name__}: {err}"
             continue
@@ -376,13 +386,16 @@ def test_grid_matches_per_energy_batches(v_left):
         if np.max(np.abs(np.sum(np.abs(s0) * dmag, axis=0))) > 1e-6:
             assert rep.skip_reason.startswith("NumericalFailureError: imaginary residual")
             continue
+        sides = [side for side, opened in (("left", sol.open_left), ("right", sol.open_right))
+                 if opened]
         try:
-            taus, dos = sol.dwell_times(), sol.dos()
+            taus = [dwell_time_direct_1d(stack, e, side) for side in sides]
+            dos = dos_region_1d(stack, e)
         except DwellDosError as err:
             assert rep.skip_reason == f"{type(err).__name__}: {err}"
             continue
         assert not rep.skipped
-        assert [c.channel for c in rep.channels] == [label for label, _ in sol.channels()]
+        assert [c.channel for c in rep.channels] == sides
         pairs = [(rep.dos_green, dos), (rep.dos_sum, np.sum(taus) / (2.0 * np.pi))]
         pairs += [(c.tau_direct, t) for c, t in zip(rep.channels, taus)]
         pairs += [(c.tau_vderiv, t) for c, t in zip(rep.channels, tau_vderiv)]
@@ -446,35 +459,35 @@ def test_grid_does_three_solves_per_point(stack42, band_solves):
 
 @pytest.mark.parametrize("backend", ["stack", "lattice"])
 def test_report_solves_each_energy_and_shift_once(backend, stack42, band_solves, monkeypatch):
-    # S(0) is the routes' state; S(+dv) and S(-dv) are one more solve
-    # each (one band solve of two energies on a stack); a lattice
-    # workspace reads both leads' modes off one lead_modes call
-    calls = {"workspace": 0, "lead_modes": 0}
-    init, modes = lattice._LatticeWorkspace.__init__, lattice.lead_modes
+    # S(0) is the routes' batch; S(+dv) and S(-dv) are one more batch of
+    # two energies; a lattice batch reads both leads' modes off one
+    # evaluation of the lead dispersion for all its energies
+    batches, modes = [], []
+    init, lead_modes = lattice._LatticeWorkspace.__init__, lattice._lead_modes
 
-    def counting_init(ws, *args):
-        calls["workspace"] += 1
-        init(ws, *args)
+    def counting_init(ws, system, energies, *args):
+        batches.append(len(energies))
+        init(ws, system, energies, *args)
 
-    def counting_modes(*args):
-        calls["lead_modes"] += 1
-        return modes(*args)
+    def counting_modes(eps, energies):
+        modes.append(len(energies))
+        return lead_modes(eps, energies)
 
     monkeypatch.setattr(lattice._LatticeWorkspace, "__init__", counting_init)
-    monkeypatch.setattr(lattice, "lead_modes", counting_modes)
+    monkeypatch.setattr(lattice, "_lead_modes", counting_modes)
     system = stack42 if backend == "stack" else random_lattice(11, 4, 12, (-0.5, 0.5))
     rep = compute_report(system, 0.3, methods=("direct", "green", "vderiv"), dv=1e-5)
     assert not rep.skipped and all(c.tau_vderiv is not None for c in rep.channels)
     if backend == "stack":
         assert band_solves == [1, 2]
+        assert batches == modes == []
     else:
         assert len(rep.channels) == 8
-        assert calls == {"workspace": 3, "lead_modes": 3}
+        assert band_solves == []
+        assert batches == modes == [1, 2]
 
 
 def test_grid_halving_resolves_only_failed_steps(band_solves):
-    from dwelldos.model import double_barrier
-
     # E = 1.47007 sits on a resonance so sharp that the default step is
     # halved four times before the phases unwrap; E = 2.235 and 3 are not
     sharp = double_barrier(1.0, 12.0, 2.0)
@@ -487,8 +500,6 @@ def test_grid_halving_resolves_only_failed_steps(band_solves):
 
 
 def test_grid_halving_pools_retries_of_all_chunks(band_solves, monkeypatch):
-    from dwelldos.model import double_barrier
-
     # resonances at both ends of the grid need 6 and 3 halvings; with 4
     # energies per chunk they sit in different chunks, and the halving
     # rounds solve both together
@@ -544,8 +555,6 @@ def test_find_resonances_insufficient_data(free2):
 def test_transmission_peaks_coincide_with_dos_peaks():
     from scipy.signal import find_peaks
 
-    from dwelldos.model import double_barrier
-
     # opaque enough that the resonance/background interplay cannot push
     # the transmission maximum away from the DOS maximum
     sharp = double_barrier(0.8, 12.0, 2.0)
@@ -554,7 +563,7 @@ def test_transmission_peaks_coincide_with_dos_peaks():
     assert len(table.dos_peaks) >= 2
     energies = np.array([r.energy for r in reports])
     batch = solver1d.ScatterBatch(sharp, energies)
-    assert batch.open_left.all() and not batch.failed.any()
+    assert batch.open[0].all() and not batch.failed.any()
     t2 = np.abs(batch.t) ** 2
     ti, _ = find_peaks(t2, prominence=0.05 * t2.max())
 

@@ -1,7 +1,9 @@
 """The benchmark's traced run (perfbench/tracer.py) wraps package
 attributes by module and name, so each of them must keep resolving, and
-its workload configs (perfbench/workloads.py) must keep loading."""
+its workload configs (perfbench/workloads.py) must keep loading and
+accept the traced run's dataclasses.replace(config, workers=1)."""
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -46,3 +48,5 @@ def test_workload_configs_load(tmp_path, monkeypatch):
             config = load_config(path)
             assert config.backend == doc["backend"], name
             assert config.grid.count == doc["grid"]["count"], name
+            # the traced run solves its config again with one worker
+            assert dataclasses.replace(config, workers=1).workers == 1, name

@@ -333,17 +333,20 @@ def test_verify_fails_on_one_failure_skip(tmp_path, capsys):
     assert summary["skip_reasons"] == {"NumericalFailureError": 1}
 
 
-def test_verify_passes_when_every_skip_is_expected(tmp_path, capsys):
+def test_verify_fails_when_every_skip_is_expected(tmp_path, capsys):
+    # nothing failed, but nothing was verified either: not a pass
     doc = {
         "backend": "stack",
         "system": {"v_left": 5.0, "v_right": 5.0, "layers": [{"d": 1.0, "V": 0.0}]},
         "grid": {"e_min": 0.5, "e_max": 5.0, "count": 4},
         "workers": 1,
     }
-    assert main(["verify", "--config", write_config(tmp_path / "b.json", doc)]) == 0
+    assert main(["verify", "--config", write_config(tmp_path / "b.json", doc)]) == 1
     summary = json.loads(capsys.readouterr().out)
-    assert summary["pass"] is True
-    assert summary["warnings"] == ["all grid points were skipped"]
+    assert summary["pass"] is False
+    assert summary["max_residual_rel"] is None
+    assert summary["warnings"] == [
+        "all grid points were skipped (NoOpenChannelError, ThresholdProximityError)"]
     assert summary["skip_reasons"] == {"NoOpenChannelError": 3, "ThresholdProximityError": 1}
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import dwelldos.lattice
 from buffer_oracle import buffer_scattering_state
-from dwelldos.analysis import compute_report
+from dwelldos.analysis import compute_report, verify_identity
 from dwelldos.errors import (
     ClosedChannelError,
     NumericalFailureError,
@@ -23,6 +23,7 @@ from dwelldos.lattice import (
     transverse_modes,
 )
 from dwelldos.model import (
+    EnergyGrid,
     LatticeRegion,
     barrier_lattice,
     random_lattice,
@@ -126,20 +127,19 @@ def test_dwell_time_mirror_symmetry(width):
     # W = 1 doubles the 1D picture: two channels, symmetric dwell times
     sysm = barrier_lattice(width, 7, [3], 1.5)
     assert sysm.is_palindromic()
-    ws = _LatticeWorkspace(sysm, 0.4)
-    taus = {c.label: dwell_time_lattice(sysm, 0.4, c, workspace=ws)
-            for c in open_channels(sysm, 0.4)}
+    taus = {c.label: dwell_time_lattice(sysm, 0.4, c) for c in open_channels(sysm, 0.4)}
     for m in range(1, width + 1):
         assert abs(taus[f"left:{m}"] - taus[f"right:{m}"]) < 1e-10
 
 
 def test_dwell_time_positive(lattice3x10, rng):
-    for _ in range(5):
-        e = float(rng.uniform(-1.0, 1.0))
-        ws = _LatticeWorkspace(lattice3x10, e)
-        for c in open_channels(lattice3x10, e):
-            tau = dwell_time_lattice(lattice3x10, e, c, workspace=ws)
-            assert np.isfinite(tau) and tau >= 0.0
+    energies = rng.uniform(-1.0, 1.0, size=5)
+    ws = _LatticeWorkspace(lattice3x10, energies)
+    for i, e in enumerate(energies):
+        assert ws.error(i) is None
+        taus = ws.dwell_times[ws.open[:, i], i]
+        assert len(taus) == len(open_channels(lattice3x10, e))
+        assert np.all(np.isfinite(taus)) and np.all(taus >= 0.0)
 
 
 def test_matches_explicit_buffer_oracle(lattice3x10):
@@ -154,7 +154,7 @@ def test_matches_explicit_buffer_oracle(lattice3x10):
 # ------------------------------------------------------------- Green's function
 
 def test_green_empty_chain_diagonal(chain4):
-    g_diag = _LatticeWorkspace(chain4, 0.0).green_diagonal
+    (g_diag,) = _LatticeWorkspace(chain4, [0.0]).green_diagonal
     assert np.max(np.abs(g_diag.imag + 0.5)) < 1e-12
 
 
@@ -190,8 +190,8 @@ def test_green_against_hand_built_two_by_two():
     a[w:, w:] -= sigma
     ref = np.linalg.inv(a)
     # at L = 2 the two interface column blocks are all of G
-    cols = _LatticeWorkspace(uniform_lattice(2, 2), e).green_columns
-    g = np.hstack([cols["left"].reshape(4, 2), cols["right"].reshape(4, 2)])
+    cols = _LatticeWorkspace(uniform_lattice(2, 2), [e]).green_columns
+    g = np.hstack([cols["left"][0].reshape(4, 2), cols["right"][0].reshape(4, 2)])
     assert np.max(np.abs(g - ref)) < 1e-12
 
 
@@ -202,27 +202,29 @@ def test_sweeps_match_dense_inverse(width, length):
     energies = (-1.2, 0.3, 1.7)
     if width > 1:
         assert any(not c.is_open for e in energies for c in lead_modes(width, e))
-    for e in energies:
-        ws = _LatticeWorkspace(sysm, e)
+    ws = _LatticeWorkspace(sysm, energies)  # one stacked sweep for all three
+    for i, e in enumerate(energies):
         g = dense_green_lattice(sysm, e)
         bound = 1e-12 * np.max(np.abs(g))
-        assert np.max(np.abs(ws.green_diagonal - np.diag(g))) < bound
+        assert ws.green_diagonal.shape == (3, width * length)
+        assert np.max(np.abs(ws.green_diagonal[i] - np.diag(g))) < bound
         for lead, cols in (("left", g[:, :width]), ("right", g[:, -width:])):
             ref = cols.reshape(length, width, width)
-            assert np.max(np.abs(ws.green_columns[lead] - ref)) < bound
+            assert ws.green_columns[lead].shape == (3, length, width, width)
+            assert np.max(np.abs(ws.green_columns[lead][i] - ref)) < bound
 
 
 def test_smatrix_consistent_with_green_function(lattice3x10):
     # s_mn = -delta_mn + i sqrt(v_m v_n) chi_m^T G(c_m, c_n) chi_n with the
     # Green's function blocks taken between the interface columns
     e = 0.3
-    ws = _LatticeWorkspace(lattice3x10, e)
-    s, chans = scattering_matrix(lattice3x10, e, workspace=ws)
+    ws = _LatticeWorkspace(lattice3x10, [e])
+    s, chans = scattering_matrix(lattice3x10, e)
     interface = {"left": 0, "right": -1}
     ref = np.empty_like(s)
     for i, cm in enumerate(chans):
         for j, cn in enumerate(chans):
-            gblk = ws.green_columns[cn.lead][interface[cm.lead]]
+            gblk = ws.green_columns[cn.lead][0, interface[cm.lead]]
             val = 1j * np.sqrt(cm.velocity * cn.velocity) * (
                 cm.transverse_profile @ gblk @ cn.transverse_profile
             )
@@ -246,10 +248,9 @@ def test_dos_region_nonnegative(lattice3x10, rng):
 @pytest.mark.parametrize("region", [None, LatticeRegion(2, 7, 0, 2), LatticeRegion(3, 5, 1, 1)])
 def test_identity_full_and_subregion(lattice3x10, region):
     e = 0.3
-    ws = _LatticeWorkspace(lattice3x10, e)
-    taus = [dwell_time_lattice(lattice3x10, e, c, region, workspace=ws)
+    taus = [dwell_time_lattice(lattice3x10, e, c, region)
             for c in open_channels(lattice3x10, e)]
-    dos = dos_region_lattice(lattice3x10, e, region, workspace=ws)
+    dos = dos_region_lattice(lattice3x10, e, region)
     assert abs(dos - sum(taus) / (2 * np.pi)) <= 1e-9 * dos
 
 
@@ -271,9 +272,9 @@ def test_evanescent_modes_matter_in_self_energy():
     a_trunc[:3, :3] -= sigma_open
     a_trunc[n - 3:, n - 3:] -= sigma_open
     g_trunc = np.linalg.inv(a_trunc)
-    ws = _LatticeWorkspace(sysm, e)
-    assert np.max(np.abs(ws.green_diagonal - np.diag(g_trunc))) > 1e-6
-    assert np.max(np.abs(ws.green_columns["left"] - g_trunc[:, :3].reshape(6, 3, 3))) > 1e-6
+    ws = _LatticeWorkspace(sysm, [e])
+    assert np.max(np.abs(ws.green_diagonal[0] - np.diag(g_trunc))) > 1e-6
+    assert np.max(np.abs(ws.green_columns["left"][0] - g_trunc[:, :3].reshape(6, 3, 3))) > 1e-6
 
 
 # ------------------------------------------------------------ sweep structure
@@ -289,23 +290,58 @@ def test_no_open_channel_is_skipped(energy):
 @pytest.mark.parametrize("length", [1, 2, 7])
 def test_workspace_inverts_one_block_per_column(length, monkeypatch):
     # one left-connected sweep and a backward pass of matrix products:
-    # one W x W inverse per column
+    # one batched inverse of the chunk's W x W blocks per column
     shapes = []
     inv = dwelldos.lattice._inv
 
-    def counting(blocks, energy):
+    def counting(blocks):
         shapes.append(np.shape(blocks))
-        return inv(blocks, energy)
+        return inv(blocks)
 
     monkeypatch.setattr(dwelldos.lattice, "_inv", counting)
-    _LatticeWorkspace(random_lattice(3, 3, length), 0.3)
-    assert shapes == [(3, 3)] * length
+    _LatticeWorkspace(random_lattice(3, 3, length), [0.3, 0.7, 1.1, 1.5])
+    assert shapes == [(4, 3, 3)] * length
+
+
+def test_singular_block_fails_only_its_energy(monkeypatch):
+    # a batched inverse raises for the whole stack when one block is
+    # singular: that energy alone must skip, and the others must come out
+    # as in a batch of their own
+    system = random_lattice(3, 3, 6)
+    energies = [0.3, 0.7, 1.1]
+    clean = [_LatticeWorkspace(system, [e]) for e in energies]
+    references = [compute_report(system, e, methods=("direct", "green", "vderiv"), dv=1e-5)
+                  for e in energies]
+    inv = dwelldos.lattice._inv
+
+    def singular_middle(blocks):
+        blocks = blocks.copy()
+        if len(blocks) == 3:
+            blocks[1] = 0.0
+        return inv(blocks)
+
+    monkeypatch.setattr(dwelldos.lattice, "_inv", singular_middle)
+    ws = _LatticeWorkspace(system, energies)
+    assert str(ws.error(1, "green")) == "singular column block at E = 0.7"
+    for i in (0, 2):
+        one = clean[i]
+        o = one.open[:, 0]
+        assert ws.error(i) is None and np.array_equal(ws.open[:, i], o)
+        assert np.array_equal(ws.green_diagonal[i], one.green_diagonal[0])
+        for lead in ("left", "right"):
+            assert np.array_equal(ws.green_columns[lead][i], one.green_columns[lead][0])
+        assert np.array_equal(ws.dwell_times[o, i], one.dwell_times[o, 0])
+        assert ws.region_dos[i] == one.region_dos[0]
+        assert np.array_equal(ws.smatrices[i][np.ix_(o, o)], one.smatrices[0][np.ix_(o, o)])
+    reports = verify_identity(system, EnergyGrid(0.3, 1.1, 3),
+                              methods=("direct", "green", "vderiv"), dv=1e-5)
+    assert reports[1].skip_reason == "BoundStatePoleError: singular column block at E = 0.7"
+    assert [reports[0], reports[2]] == [references[0], references[2]]
 
 
 def test_unknown_channel_label_is_validation_error():
-    ws = _LatticeWorkspace(random_lattice(3, 3, 6), 0.3)
     with pytest.raises(ValidationError, match="'left:99' not open at E = 0.3"):
-        ws.dwell_time("left:99")
+        dwell_time_lattice(random_lattice(3, 3, 6), 0.3, "left:99")
 
 
 def test_report_never_builds_dense_hamiltonian(monkeypatch, lattice3x10):
@@ -322,12 +358,12 @@ def test_report_never_builds_dense_hamiltonian(monkeypatch, lattice3x10):
 
 
 def test_corrupt_interface_columns_fail_residual_check(lattice3x10):
-    ws = _LatticeWorkspace(lattice3x10, 0.3)
-    ws.green_columns["left"][4] *= 1.0 + 1e-6
-    with pytest.raises(NumericalFailureError):
-        ws.smatrix()
-    with pytest.raises(NumericalFailureError):
-        ws.dwell_time(ws.open_modes[-1].label)
+    ws = _LatticeWorkspace(lattice3x10, [0.3, 0.5])
+    ws.green_columns["left"][0, 4] *= 1.0 + 1e-6
+    for route in ("direct", "vderiv"):
+        assert isinstance(ws.error(0, route), NumericalFailureError)
+        assert ws.error(1, route) is None
+    assert ws.error(0, "green") is None  # the Green route never reads the states
 
 
 def test_long_strip_identity():

@@ -75,7 +75,7 @@ def test_flux_conservation_and_unitarity(rng):
         sol = scattering_amplitudes(stack, e)
         ratio = sol.k_right.real / sol.k_left.real
         assert abs(abs(sol.r) ** 2 + ratio * abs(sol.t) ** 2 - 1.0) < 1e-12
-        s = sol.smatrix()
+        s = sol.batch.smatrices[0]  # both sides open
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-12
         # reciprocity of the flux-normalized off-diagonals
         assert abs(s[0, 1] - s[1, 0]) < 1e-12
@@ -84,7 +84,7 @@ def test_flux_conservation_and_unitarity(rng):
 def test_asymmetric_levels_unitarity(rng):
     stack = build_stack([(1.0, 1.5), (0.7, 0.2)], v_left=0.0, v_right=0.4)
     for e in (0.9, 1.7, 3.3):
-        s = scattering_amplitudes(stack, e).smatrix()
+        s = scattering_amplitudes(stack, e).batch.smatrices[0]  # both sides open
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-12
 
 
@@ -414,9 +414,8 @@ def test_batch_matches_single_energy_solves(stack42):
     batch = ScatterBatch(stack42, energies, v_shift=[0.0, 0.01, -0.02, 0.0])
     for i, (e, v) in enumerate(zip(energies, [0.0, 0.01, -0.02, 0.0])):
         ref = scattering_amplitudes(stack42.shifted(v) if v else stack42, e)
-        sol = batch.solution(i)
-        assert sol.energy == e
-        np.testing.assert_allclose(sol.smatrix(), ref.smatrix(), rtol=0, atol=1e-14)
+        assert batch.energies[i] == e and batch.error(i) is None and batch.open[:, i].all()
+        np.testing.assert_allclose(batch.smatrices[i], ref.batch.smatrices[0], rtol=0, atol=1e-14)
         np.testing.assert_allclose(batch.coeff_a[0, i], ref.batch.coeff_a[0, 0],
                                    rtol=0, atol=1e-14)
 
@@ -424,11 +423,11 @@ def test_batch_matches_single_energy_solves(stack42):
 def test_batch_solution_raises_like_single_solve():
     stack = build_stack([(1.0, 1.0)], v_left=0.5, v_right=2.0)
     batch = ScatterBatch(stack, [0.2, 0.5 + 1e-9, 1.2])
-    with pytest.raises(NoOpenChannelError):
-        batch.solution(0)
-    with pytest.raises(ThresholdProximityError):
-        batch.solution(1)
-    assert batch.solution(2).open_left
+    for i, error in enumerate((NoOpenChannelError, ThresholdProximityError)):
+        with pytest.raises(error) as single:
+            scattering_amplitudes(stack, float(batch.energies[i]))
+        assert type(batch.error(i)) is error and str(batch.error(i)) == str(single.value)
+    assert batch.error(2) is None and batch.open[0, 2]
 
 
 def test_probability_integral_over_layer_arrays(rng):
