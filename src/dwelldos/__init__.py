@@ -1,6 +1,6 @@
 """Dwell times and region density of states for open quantum systems.
 
-Two backends: exact transfer-matrix scattering for 1D multilayer
+Two backends: exact star-product scattering for 1D multilayer
 potentials (continuum, E = k^2) and quasi-1D tight-binding lattices with
 semi-infinite leads (E = eps_m - 2 cos k).  Both expose three dwell-time
 estimators (direct probability integral, S-matrix potential derivative,

@@ -20,7 +20,7 @@ solvers alone: a grid point they refuse is a skip with their error.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -311,11 +311,6 @@ def wavepacket_dwell_time(
 # ----------------------------------------------------------------------------
 
 
-def _skip(energy: float, error: DwellDosError) -> DwellReport:
-    return DwellReport(energy=energy, skipped=True,
-                       skip_reason=f"{type(error).__name__}: {error}")
-
-
 def compute_report(
     system: LayerStack | LatticeSystem,
     energy: float,
@@ -329,10 +324,11 @@ def compute_report(
 
 
 # Energies per chunk: a chunk's solve holds about this many unknowns, 2n + 2
-# per energy for a stack (its band storage keeps 7 complex slots for each)
-# and 2 L W^2 for a lattice (the states of its 2W channels; the sweep's
-# column blocks and the states' residual hold about 3 more complex entries
-# for each), so a chunk stays near 4 MB however large the system is.
+# per energy for a stack (its star-product tree and coefficients keep about
+# 17 complex values per layer, so 8.5 per unknown) and 2 L W^2 for a lattice
+# (the states of its 2W channels; the sweep's column blocks and the states'
+# residual hold about 3 more complex entries for each), so a chunk stays
+# near 4 MB however large the system is.
 _BATCH_UNKNOWNS = 2**15
 
 
@@ -352,57 +348,57 @@ def _chunk_reports(
 ) -> list[DwellReport]:
     """compute_report at every energy of a grid, with solves shared.
 
-    Solves go in chunks of _chunk_size energies, one batch per chunk (a
-    band solve for a stack, stacked recursive sweeps for a lattice),
-    whose direct and Green routes are numpy expressions over its arrays.
-    Only the reports and S(0) outlive a chunk.  The V-derivative reuses
-    S(0), and each of its rounds solves S(+step) and S(-step) of every
-    pending energy of the grid together, so the retries of all chunks
-    share a batch.  Errors keep compute_report's order: S(0), then the
-    V-derivative, then the direct and Green routes.
+    Solves go in chunks of _chunk_size energies, one batch per chunk,
+    whose direct and Green routes are numpy expressions over its arrays;
+    only each point's route values and S(0) outlive a chunk.  The
+    V-derivative reuses S(0), and each of its rounds solves S(+step) and
+    S(-step) of every pending energy of the grid together.  Each report is
+    built once, after its V-derivative, and errors keep compute_report's
+    order: S(0), then the V-derivative, then the direct and Green routes.
     """
+    if not methods or set(methods) - {"direct", "green", "vderiv"}:
+        raise ValidationError(f"methods must be some of direct, green, vderiv: {methods!r}")
     size = _chunk_size(system)
     routes = [m for m in ("direct", "green") if m in methods]
-    reports, s0, opened, s0_errors = [], [], [], []
+    points, s0, opened, s0_errors = [], [], [], []
     for start in range(0, len(energies), size):
         chunk = energies[start:start + size]
         batch = _scatter_chunk(system, chunk, [0.0] * len(chunk), region)
-        taus = batch.dwell_times if "direct" in methods else None
-        dos = batch.region_dos if "green" in methods else None
-        for i, energy in enumerate(chunk):
+        # per energy, as Python lists (None for a route not asked for)
+        taus = (batch.dwell_times.T.tolist() if "direct" in methods
+                else [[None] * len(batch.labels)] * len(chunk))
+        dos = batch.region_dos.tolist() if "green" in methods else [None] * len(chunk)
+        velocities = batch.velocities.T.tolist()
+        for i, row in enumerate(batch.open.T.tolist()):
             error = next(filter(None, (batch.error(i, route) for route in routes)), None)
-            if error is not None:
-                reports.append(_skip(energy, error))
-                continue
-            picked = np.flatnonzero(batch.open[:, i])
-            tau = taus[picked, i].tolist() if taus is not None else [None] * picked.size
-            dos_green = float(dos[i]) if dos is not None else None
-            dos_sum = sum(tau) / (2.0 * np.pi) if taus is not None else None
-            reports.append(DwellReport(
-                energy=energy,
-                channels=tuple(ChannelRecord(channel=batch.labels[j],
-                                             velocity=float(batch.velocities[j, i]), tau_direct=t)
-                               for j, t in zip(picked, tau)),
-                dos_green=dos_green, dos_sum=dos_sum,
-                residual_rel=(abs(dos_green - dos_sum) / max(dos_green, RESIDUAL_FLOOR)
-                              if dos_green is not None and dos_sum is not None else None)))
+            ch = [c for c, o in enumerate(row) if o]  # the open channels
+            points.append(error or ([batch.labels[c] for c in ch], [velocities[i][c] for c in ch],
+                                    [taus[i][c] for c in ch], dos[i]))
         if "vderiv" in methods:
             s0.append(batch.smatrices)
             opened.append(batch.open)
             s0_errors += [batch.error(i, "vderiv") for i in range(len(chunk))]
         del batch  # free this chunk's states before the next is solved
-    if "vderiv" not in methods:
-        return reports
-    live = [i for i, error in enumerate(s0_errors) if error is None]
-    s0, opened = np.concatenate(s0)[live], np.concatenate(opened, axis=1)[:, live]
-    results = iter(_vderiv_steps(system, region, [energies[i] for i in live], s0, opened, dv))
-    for i, error in enumerate(s0_errors):
-        vd = error or next(results)  # an S(0) error ends its point
-        if isinstance(vd, DwellDosError):
-            reports[i] = _skip(energies[i], vd)
-        elif not reports[i].skipped:
-            reports[i] = replace(reports[i], channels=tuple(
-                replace(c, tau_vderiv=t) for c, t in zip(reports[i].channels, vd)))
+    vderiv = [None] * len(energies)
+    if "vderiv" in methods:
+        live = [i for i, error in enumerate(s0_errors) if error is None]
+        s0, opened = np.concatenate(s0)[live], np.concatenate(opened, axis=1)[:, live]
+        results = iter(_vderiv_steps(system, region, [energies[i] for i in live], s0, opened, dv))
+        vderiv = [error or next(results) for error in s0_errors]  # an S(0) error ends its point
+    reports = []
+    for energy, point, vd in zip(energies, points, vderiv):
+        error = vd if isinstance(vd, DwellDosError) else point
+        if isinstance(error, DwellDosError):
+            reports.append(DwellReport(energy, skipped=True,
+                                       skip_reason=f"{type(error).__name__}: {error}"))
+            continue
+        labels, velocities, taus, dos_green = point
+        dos_sum = sum(taus) / (2.0 * np.pi) if "direct" in methods else None
+        channels = map(ChannelRecord, labels, velocities, taus,
+                       [None] * len(labels) if vd is None else vd)
+        reports.append(DwellReport(energy, tuple(channels), dos_green, dos_sum, (
+            abs(dos_green - dos_sum) / max(dos_green, RESIDUAL_FLOOR)
+            if dos_green is not None and dos_sum is not None else None)))
     return reports
 
 
@@ -420,11 +416,6 @@ def verify_identity(
     no open channel, or a failure) is reported as skipped with the
     solver's error, never silently dropped.  Output order is by energy.
     """
-    bad = set(methods) - {"direct", "green", "vderiv"}
-    if bad:
-        raise ValidationError(f"unknown methods: {sorted(bad)}")
-    if not methods:
-        raise ValidationError("methods must be non-empty")
     energies = [float(e) for e in grid.points]
     return _chunk_reports(system, energies, region, methods, dv)
 

@@ -75,8 +75,9 @@ def _validate_box(stack: LayerStack, box: BoxSpec, e_min: float, e_max: float) -
             )
 
 
-def _box_grid(stack: LayerStack, box: BoxSpec) -> tuple[Array, Array]:
-    """Interior grid points and potential of the hard-wall box."""
+def _box_grid(stack: LayerStack, box: BoxSpec) -> tuple[Array, Array, Array]:
+    """Interior grid points and potential of the hard-wall box, and each
+    grid cell's overlap with Omega (the window is exactly [0, L])."""
     length = stack.total_length
     x0, x1 = -box.pad_left, length + box.pad_right
     n = int(round((x1 - x0) / box.grid_step))
@@ -87,7 +88,8 @@ def _box_grid(stack: LayerStack, box: BoxSpec) -> tuple[Array, Array]:
     for j, layer in enumerate(stack.layers):
         inside = (x >= bounds[j]) & (x < bounds[j + 1])
         pot[inside] = layer.potential
-    return x, pot
+    overlap = (np.minimum(x + 0.5 * h, length) - np.maximum(x - 0.5 * h, 0.0)).clip(0.0, h) / h
+    return x, pot, overlap
 
 
 def box_levels(
@@ -99,7 +101,7 @@ def box_levels(
     weights with Omega = box counts the states exactly.
     """
     _validate_box(stack, box, e_min, e_max)
-    x, pot = _box_grid(stack, box)
+    x, pot, overlap = _box_grid(stack, box)
     h = x[1] - x[0]
     diag = 2.0 / h**2 + pot
     off = np.full(x.size - 1, -1.0 / h**2)
@@ -107,25 +109,29 @@ def box_levels(
         energies, vecs = sla.eigh_tridiagonal(diag, off)
     except sla.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailureError("box eigensolve failed") from exc
-    # overlap of each grid cell [x - h/2, x + h/2] with Omega, so the
-    # integration window is exactly [0, L] rather than off by O(h)
-    overlap = (np.minimum(x + 0.5 * h, stack.total_length)
-               - np.maximum(x - 0.5 * h, 0.0)).clip(0.0, h) / h
-    weights = (overlap[:, None] * vecs**2).sum(axis=0)
-    return energies, weights
+    return energies, (overlap[:, None] * vecs**2).sum(axis=0)
 
 
 def box_dos(stack: LayerStack, box: BoxSpec, grid: EnergyGrid) -> Array:
     """Broadened closed-box DOS of Omega on the energy grid.
 
-    rho_Omega(E) ~= sum_k w_k * Lorentzian_eta(E - E_k); in the closed-box
-    limit the DOS is a set of delta functions, and the Lorentzian matches
-    the i*eta regularization of the resolvent.
+    rho_Omega(E) ~= sum_k w_k * Lorentzian_eta(E - E_k) over the levels
+    and weights of box_levels, which is -(1/pi) Im sum_x overlap(x)
+    G(x, x; E + i eta) for the box resolvent G.  Its diagonal comes from
+    the pivots of the tridiagonal E + i eta - H eliminated from either end
+    (continued fractions), O(n) per energy; Im > 0 keeps them off zero.
     """
-    energies, weights = box_levels(stack, box, grid.e_min, grid.e_max)
-    pts = grid.points
-    lor = (box.eta / np.pi) / ((pts[:, None] - energies[None, :]) ** 2 + box.eta**2)
-    return lor @ weights
+    _validate_box(stack, box, grid.e_min, grid.e_max)
+    x, pot, overlap = _box_grid(stack, box)
+    h = x[1] - x[0]
+    diag = (grid.points + 1j * box.eta) - (2.0 / h**2 + pot)[:, None]  # (site, energy)
+    left, right = diag.copy(), diag.copy()
+    for i in range(1, x.size):  # h^-4: the squared off-diagonal
+        left[i] -= h**-4 / left[i - 1]
+        right[-1 - i] -= h**-4 / right[-i]
+    inside = overlap > 0.0
+    g = 1.0 / (left[inside] + right[inside] - diag[inside])  # 1 / G(x, x) = sum of pivots - diag
+    return -(overlap[inside] @ g).imag / np.pi
 
 
 def fd_green(
@@ -146,7 +152,7 @@ def fd_green(
     default settings, with the O(h^2) stencil error on top.
     """
     _validate_box(stack, box, energy, energy)
-    xs, pot = _box_grid(stack, box)
+    xs, pot, _ = _box_grid(stack, box)
     h = xs[1] - xs[0]
     length = stack.total_length
 

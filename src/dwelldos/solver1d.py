@@ -1,27 +1,24 @@
-"""Exact transfer-matrix solver for piecewise-constant 1D potentials.
+"""Exact scattering solver for piecewise-constant 1D potentials.
 
-Scattering states are obtained from one interface-matching linear system
-whose entries stay bounded for arbitrarily opaque layers: inside layer j
-the wavefunction is stored as
+Inside layer j the wavefunction is stored as
 
     psi_j(u) = A_j exp(i k_j u) + B_j exp(-i k_j (u - d_j)),   u in [0, d_j],
 
 i.e. the rightward component is referenced to the layer's left edge and
 the leftward component to its right edge, so every exponential that
-appears has modulus <= 1 even for evanescent k_j.  This is equivalent to
-composing transfer matrices in scaled form but also yields the interior
-coefficients directly, without unstable forward propagation.  Grazing
-layers (|k_j| d_j <= 1e-6, including k_j = 0 exactly) use the degenerate
-basis {1, u}.
+appears has modulus <= 1 even for evanescent k_j.  Grazing layers
+(|k_j| d_j <= 1e-6, including k_j = 0 exactly) use the degenerate basis
+{1, u}.
 
-The matching system has 2n + 2 unknowns and is banded: row r couples
-columns r - 2 .. r + 2 only.  ScatterBatch assembles it for a whole
-array of energies at once, straight into band storage with energy on the
-last axis, and solves all of them by one Gaussian elimination with
-partial pivoting (LAPACK's xGBTRF pivot rule; Golub & Van Loan, Matrix
-Computations, sec. 4.3) whose Python loop runs over the rows only:
-O(n) work per energy, and a zero or non-finite pivot fails that energy
-alone.  The direct route (ScatterBatch.dwell_times), the Green route
+The stack is a chain of n + 1 two-port scattering matrices, one per
+layer (the interface into it, then the layer) and one for the interface
+into the right lead, bounded in the same scaled basis.  ScatterBatch
+builds them for a whole array of energies and joins neighbours pairwise
+by the Redheffer star product, level by level, so the S matrix takes
+O(log n) numpy steps over (element, energy) arrays; a down-sweep of the
+same tree gives the interior coefficients when a route reads them.  Every
+step is elementwise in energy, so a non-finite energy fails alone.  The
+direct route (ScatterBatch.dwell_times), the Green route
 (ScatterBatch.region_dos) and the S matrices are numpy expressions over
 the batch's (energy, layer) arrays, with no Python loop over energies or
 layers; ScatterBatch.error(i, route) says why an energy has no result.
@@ -51,7 +48,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ClosedChannelError,
@@ -151,112 +147,84 @@ class ScatterSolution1D:
         return psi.reshape(shape), dpsi.reshape(shape)
 
 
-def _interface_system(
-    stack: LayerStack, energies: Array, v_shift: Array
-) -> tuple[Array, Array, Array, Array, Array]:
-    """Interface-matching systems of a stack at every energy, in band storage.
+def _elements(k_left: Array, k_layers: Array, k_right: Array, d: Array) -> tuple:
+    """Two-port S matrices [r, t, r', t'] (4, n + 1, E) of a stack's elements.
 
-    Unknowns [c_L, A_1, B_1, ..., A_n, B_n, c_R], with c_L / c_R the
-    outgoing amplitudes at the x = 0 / x = L planes.  Rows 2i and 2i + 1
-    match psi and psi' at interface i, as (left side) - (right side).  Row
-    r touches columns r - 2 .. r + 2 only and is stored as
-    band[r, s, e] = M_e[r, r - 2 + s]; slots 5 and 6, and two rows below
-    the last, are zero room for _band_solve.  The two right-hand sides are unit
-    incidence from the left and from the right.  v_shift[e] is added to
-    every layer potential (Omega only).  Energy is the last axis: returns
-    band (2n+4, 7, nE), rhs (2n+4, 2, nE), k_left, k_right (nE,) and
-    k_layers (n, nE).
+    Element j < n is the interface into layer j, then layer j; element n
+    the interface into the right lead.  Its ports sit at the right edges
+    of the medium before it and of its own, where psi = f + g and psi' =
+    i kappa (f - g), with kappa the medium's k or, for a flat layer (k =
+    0), that of the nearest non-flat medium to its right.  Incoming f
+    (left) and g (right) leave as r f + t' g (left) and t f + r' g
+    (right); r = (k_a - k) / (k_a + k), t' = 2 p k / (k_a + k), t = p t_a
+    and r' = -p^2 r with p = e^{ikd}, t_a = 2 k_a / (k_a + k) are bounded,
+    and a flat layer is the exact {1, u} transfer [[1, d], [0, 1]].  Also
+    returns the map to layer j's (a, b) = (alpha f + beta g, g) (E, n),
+    and None or the flat mask and gamma of (alpha f + beta g, gamma (f -
+    g)) = (psi, psi') at a flat layer's left edge.
     """
-    n, n_e = len(stack.layers), energies.size
-    d = stack.thicknesses[:, None]
-    k_left = layer_wavevector(energies, stack.v_left)
-    k_right = layer_wavevector(energies, stack.v_right)
-    k = layer_wavevector(energies, stack.potentials[:, None] + v_shift)
-    k[np.abs(k) * d <= _GRAZING_KD] = 0.0
-    flat = k == 0
-    ik = 1j * k
-    p = np.exp(ik * d)
+    k = np.concatenate([k_layers.T, k_right[None]])  # media 0 .. n, (n + 1, E)
+    d = np.append(d, 0.0)[:, None]
+    flat = k == 0  # the right lead's k is 0 only at its threshold
+    kappa = k
+    if np.count_nonzero(flat):
+        index = np.where(flat, len(k) - 1, np.arange(len(k))[:, None])
+        kappa = np.take_along_axis(k, np.minimum.accumulate(index[::-1])[::-1], axis=0)
+    k_a = np.concatenate([k_left[None], kappa[:-1]])  # each element's left port
+    p = np.exp(1j * k * d)
+    inv = 1.0 / (k_a + k)  # one division: a complex division costs many products
+    r = (k_a - k) * inv
+    t_a = 2.0 * k_a * inv
+    s = np.stack([r, p * t_a, -p * p * r, p * (2.0 * k * inv)])
+    alpha, beta = t_a[:-1], -(r * p)[:-1]
+    if not np.count_nonzero(flat):
+        return s, alpha, beta, None
+    rho, z = k_a / kappa, 1j * k_a * d
+    tau = 2.0 / (1.0 + rho - z)
+    np.copyto(s, [-0.5 * (1.0 - rho + z) * tau, rho * tau, 0.5 * (1.0 - rho - z) * tau, tau],
+              where=flat)
+    flat = flat[:-1]
+    np.copyto(alpha, ((rho - z) * tau)[:-1], where=flat)
+    np.copyto(beta, tau[:-1], where=flat)
+    return s, alpha, beta, (flat, (1j * k_a * tau)[:-1])
 
-    band = np.zeros((2 * n + 4, 7, n_e), dtype=complex)
-    val, der = band[0:-2:2], band[1:-2:2]  # psi and psi' rows of interfaces 0 .. n
-    # left of interface i: layer i-1 at its right edge ({1, u} if flat); c_L
-    val[0, 2], der[0, 1] = 1.0, -1j * k_left
-    val[1:, 1], val[1:, 2] = p, np.where(flat, d, 1.0)
-    der[1:, 0], der[1:, 1] = ik * p, np.where(flat, 1.0, -ik)
-    # minus the right of interface i: layer i at its left edge; c_R
-    val[:-1, 3], val[:-1, 4] = -1.0, -np.where(flat, 0.0, p)
-    der[:-1, 2], der[:-1, 3] = -ik, -np.where(flat, 1.0, -ik * p)
-    val[-1, 3], der[-1, 2] = -1.0, -1j * k_right
 
-    rhs = np.zeros((2 * n + 4, 2, n_e), dtype=complex)
-    rhs[0, 0], rhs[1, 0] = -1.0, -1j * k_left  # incident e^{ik_L x}
-    rhs[2 * n, 1], rhs[2 * n + 1, 1] = 1.0, -1j * k_right  # incident e^{-ik_R (x - L)}
-    return band, rhs, k_left, k_right, k
-
-
-def _band_solve(band: Array, rhs: Array) -> tuple[Array, Array]:
-    """Solve every system of _interface_system at once, in place.
-
-    Gaussian elimination with partial pivoting, one Python step per row
-    and every step vectorized over the energy axis.  The pivot of column
-    c is the first of rows c .. c+2 with the largest |Re| + |Im| (the
-    rule of LAPACK's xGBTRF on the same matrix).  Row c + i keeps column
-    c + j in slot 2 - i + j, so the candidate rows over columns c .. c+4
-    form one strided view; swaps exchange those five entries, the fill of
-    row c lands in slots 5 and 6, and row c of U ends up in band[c, 2:7].
-    The two zero rows at the bottom of `band` and `rhs` keep the view in
-    bounds.  The rhs rows are eliminated alongside and then
-    back-substituted.  Cost O(n) per energy.  Returns the solutions
-    (2n+2, 2, nE), stored over `rhs`, and a mask of the energies whose
-    pivots or solution are zero or not finite.
-    """
-    size, _, n_e = band.shape
-    size -= 2
-    rows, slots, energies = band.strides
-    windows = as_strided(band[0, 2:], shape=(size, 3, 5, n_e),
-                         strides=(rows, rows - slots, slots, energies))
-    with np.errstate(all="ignore"):  # a singular energy is flagged below
-        for c in range(size):
-            win, side = windows[c], rhs[c:c + 3]
-            head = win[:, 0]
-            mag = np.abs(head.real) + np.abs(head.imag)
-            one = (mag[1] > mag[0]) & (mag[1] >= mag[2])
-            two = (mag[2] > mag[0]) & (mag[2] > mag[1])
-            for i, take in ((1, one), (2, two)):
-                if np.count_nonzero(take):
-                    for group in (win, side):
-                        top = np.where(take, group[i], group[0])
-                        group[i] = np.where(take, group[0], group[i])
-                        group[0] = top
-            factors = (win[1:, 0] / win[0, 0])[:, None]
-            win[1:, 1:] -= factors * win[0, 1:]
-            side[1:] -= factors * side[0]
-        x = rhs[:size]
-        for c in range(size - 1, -1, -1):
-            m = min(4, size - 1 - c)
-            if m:
-                x[c] -= np.sum(band[c, 3:3 + m, None] * x[c + 1:c + 1 + m], axis=0)
-            x[c] /= band[c, 2]
-    pivots = band[:size, 2]
-    failed = (np.any(pivots == 0, axis=0) | ~np.all(np.isfinite(pivots), axis=0)
-              | ~np.all(np.isfinite(x), axis=(0, 1)))
-    return x, failed
+def _up_sweep(s: Array) -> list:
+    """Redheffer star products (Redheffer 1961; Ko & Inkson, PRB 38, 9945
+    (1988)) of a chain of two-ports s = [r, t, r', t'] (4, m, E), level by
+    level: nodes 2q and 2q + 1 join by D = 1 / (1 - r'_1 r_2), r = r_1 +
+    t'_1 r_2 D t_1, t = t_2 D t_1, t' = t'_1 D t'_2, r' = r'_2 + t_2 D r'_1
+    t'_2, and an odd last node moves up.  Returns each level's (s, D)."""
+    levels = []
+    while s.shape[1] > 1:
+        h, odd = divmod(s.shape[1], 2)
+        r1, t1, rp1, tp1 = s[:, 0:2 * h:2]
+        r2, t2, rp2, tp2 = s[:, 1:2 * h:2]
+        dd = 1.0 / (1.0 - rp1 * r2)
+        left, right = dd * t1, dd * tp2
+        up = np.empty((4, h + odd, s.shape[2]), dtype=complex)
+        up[:, :h] = r1 + tp1 * r2 * left, t2 * left, rp2 + t2 * rp1 * right, tp1 * right
+        up[:, h:] = s[:, 2 * h:]
+        levels.append((s, dd))
+        s = up
+    levels.append((s, None))
+    return levels
 
 
 class ScatterBatch:
     """Both scattering solutions of one stack at an array of energies.
 
-    One band elimination (_band_solve) solves every energy.  Arrays run
-    over energy (E,) or (energy, layer) (E, n), with a leading incidence
-    axis [left, right] on the interior coefficients coeff_a, coeff_b
-    (2, E, n) and the outgoing amplitudes out_left, out_right (2, E) at
-    the x = 0 and x = L planes.  The channel axis is `labels` ("left",
-    "right"), with the `open` mask and `velocities` (2, E).  The direct
-    route (dwell_times), the Green route (region_dos) and the S matrices
-    are numpy expressions over the whole batch, evaluated on first use.
+    The stack's n + 1 two-ports (_elements) are joined by one Redheffer
+    star-product tree over all energies (_up_sweep).  Arrays run over
+    energy (E,) or (energy, layer) (E, n), with a leading incidence axis
+    [left, right] on the outgoing amplitudes out_left, out_right (2, E)
+    at the x = 0 and x = L planes and on the interior coefficients
+    coeff_a, coeff_b (2, E, n); the channel axis is `labels`, with the
+    `open` mask and `velocities` (2, E).  The coefficients (the tree's
+    down-sweep), the routes and the S matrices are evaluated on first use,
+    so a batch read for its S matrices never runs the down-sweep.
     `error(i, route)` says why energy i has no result on a route, and one
-    energy's failure never touches another (the entries of a failed
-    energy or a closed side are never read).  `v_shift` (scalar or per
+    energy's failure never touches another.  `v_shift` (scalar or per
     energy) is added to every layer potential.
     """
 
@@ -265,25 +233,58 @@ class ScatterBatch:
     def __init__(self, stack: LayerStack, energies, v_shift=0.0):
         energies = np.asarray(energies, dtype=float).reshape(-1)
         shift = np.broadcast_to(np.asarray(v_shift, dtype=float), energies.shape)
-        band, rhs, k_left, k_right, k_layers = _interface_system(stack, energies, shift)
-        coeffs, self.failed = _band_solve(band, rhs)
-        self.stack = stack
-        self.energies = energies
-        self.k_left, self.k_right = k_left, k_right
-        # energy-major copies: each energy's layers are contiguous, so a
-        # sum over layers adds in the same order as for a single energy
-        self.k_layers = np.ascontiguousarray(k_layers.T)
-        self.coeff_a, self.coeff_b = (np.ascontiguousarray(coeffs[first:-1:2].transpose(1, 2, 0))
-                                      for first in (1, 2))
-        self.out_left, self.out_right = coeffs[0].copy(), coeffs[-1].copy()
-        self.velocities = 2.0 * np.stack([k_left.real, k_right.real])
+        self.stack, self.energies = stack, energies
+        self.k_left = layer_wavevector(energies, stack.v_left)
+        self.k_right = layer_wavevector(energies, stack.v_right)
+        # energy-major: each energy's layers are contiguous, so a sum over
+        # layers adds in the same order as for a single energy
+        self.k_layers = k = layer_wavevector(energies[:, None], stack.potentials + shift[:, None])
+        k[np.abs(k) * stack.thicknesses <= _GRAZING_KD] = 0.0
+        with np.errstate(all="ignore"):  # a failed energy is flagged below
+            s, *self._layer_map = _elements(self.k_left, k, self.k_right, stack.thicknesses)
+            self._levels = _up_sweep(s)
+        root = self._levels[-1][0][:, 0]  # r, t, r', t' of the x = 0 and x = L planes
+        self._s_failed = ~np.isfinite(root).all(axis=0)
+        self.out_left, self.out_right = root[[0, 3]], root[[1, 2]]
+        self.velocities = 2.0 * np.stack([self.k_left.real, self.k_right.real])
         self.open = self.velocities > 0.0
         # plane-L amplitudes -> global x = 0 reference
-        phase_r = np.exp(-1j * k_right * stack.total_length)
-        self.r = self.out_left[0]
-        self.t = self.out_right[0] * phase_r
-        self.r_prime = self.out_right[1] * phase_r**2
-        self.t_prime = self.out_left[1] * phase_r
+        phase = np.exp(-1j * self.k_right * stack.total_length)
+        self.r, self.t = root[0], root[1] * phase
+        self.r_prime, self.t_prime = root[2] * phase**2, root[3] * phase
+
+    @cached_property
+    def _coefficients(self) -> tuple[Array, Array]:
+        """coeff_a and coeff_b, (2, E, n): from unit incidence on either side
+        of the root, each join passes its incoming (f, g) to its nodes by
+        their shared port's f_m = D (t_1 f + r'_1 t'_2 g), g_m = r_2 f_m + t'_2 g."""
+        f, g = np.zeros((2, 2, 1, self.energies.size), dtype=complex)
+        f[0], g[1] = 1.0, 1.0
+        with np.errstate(all="ignore"):  # a failed energy is flagged by `failed`
+            for s, dd in reversed(self._levels[:-1]):
+                h = s.shape[1] // 2
+                one, two = slice(0, 2 * h, 2), slice(1, 2 * h, 2)  # the nodes of each join
+                f_in, g_in = f[:, :h], g[:, :h]
+                f_m = dd * (s[1, one] * f_in + s[2, one] * s[3, two] * g_in)
+                g_m = s[0, two] * f_m + s[3, two] * g_in
+                below = np.empty((2, 2, s.shape[1], self.energies.size), dtype=complex)
+                below[0, :, one], below[0, :, two], below[0, :, 2 * h:] = f_in, f_m, f[:, h:]
+                below[1, :, one], below[1, :, two], below[1, :, 2 * h:] = g_m, g_in, g[:, h:]
+                f, g = below
+            alpha, beta, flat = self._layer_map
+            f, g = f[:, :len(alpha)], g[:, :len(alpha)]  # the layers' elements
+            a = alpha * f + beta * g
+            b = g if flat is None else np.where(flat[0], flat[1] * (f - g), g)
+        return tuple(np.ascontiguousarray(c.transpose(0, 2, 1)) for c in (a, b))
+
+    coeff_a = property(lambda self: self._coefficients[0])
+    coeff_b = property(lambda self: self._coefficients[1])
+
+    @cached_property
+    def failed(self) -> Array:
+        """Energies whose S matrix or interior coefficients are not finite, (E,)."""
+        finite = [np.isfinite(c).all(axis=(0, 2)) for c in self._coefficients]
+        return self._s_failed | ~finite[0] | ~finite[1]
 
     @cached_property
     def dwell_times(self) -> Array:
@@ -327,8 +328,9 @@ class ScatterBatch:
     def error(self, i: int, route: str = "direct") -> DwellDosError | None:
         """Why energy i has no result on `route` ("direct", "green" or
         "vderiv"), or None.  A threshold within THRESHOLD_MARGIN, no open
-        channel and a failed solve fail every route; the Green route also
-        fails on an underflowing Wronskian."""
+        channel and a non-finite S fail every route, non-finite interior
+        coefficients the direct and Green routes, and an underflowing
+        Wronskian the Green route."""
         energy, stack = float(self.energies[i]), self.stack
         for v in (stack.v_left, stack.v_right):
             if abs(energy - v) <= THRESHOLD_MARGIN:
@@ -337,7 +339,7 @@ class ScatterBatch:
         if energy < stack.v_left and energy < stack.v_right:
             return NoOpenChannelError(f"E = {energy} below both channel thresholds "
                                       f"({stack.v_left}, {stack.v_right})")
-        if self.failed[i]:
+        if self._s_failed[i] or (route != "vderiv" and self.failed[i]):
             return NumericalFailureError(f"interface solve failed at E = {energy}")
         # With an open channel G+ has no pole on the real axis, however
         # small |t| is; W leaves the normal floats only when the outgoing

@@ -64,9 +64,9 @@ def test_shifted_smatrix_stays_unitary(stack42):
 
 # ------------------------------------------------------------------ V-derivative
 
-def test_vderiv_solves_each_shift_once(stack42, band_solves):
+def test_vderiv_solves_each_shift_once(stack42, tree_solves):
     dwell_times_vderiv_all(stack42, 1.1, dv=1e-5)  # fixed step: no halving
-    assert band_solves == [1, 2]  # S(0); then S(+dv) and S(-dv) in one batch
+    assert tree_solves == [1, 2]  # S(0); then S(+dv) and S(-dv) in one batch
 
 
 def test_vderiv_free_stack_ballistic(free2):
@@ -257,11 +257,23 @@ def test_admissible_mask_marks_the_threshold_skips(system):
         np.testing.assert_array_equal(grid.admissible_mask(thresholds), np.logical_not(refused))
 
 
-@pytest.mark.parametrize("offset", [1e-14, -1e-14, -1.1e-16])
-def test_grazing_energy_uses_flat_basis(offset):
+# two neighbouring flat layers: the junction between them has no k of its
+# own and takes that of the evanescent layer to their right
+_ADJACENT_FLAT = [(1.0, 1.0), (0.5, 1.0), (0.7, 3.0)]
+
+
+@pytest.mark.parametrize("layers, offset", [
+    pytest.param([(1.0, 1.0)], 1e-14, id="1e-14"),
+    pytest.param([(1.0, 1.0)], -1e-14, id="-1e-14"),
+    pytest.param([(1.0, 1.0)], -1.1e-16, id="-1.1e-16"),
+    pytest.param(_ADJACENT_FLAT, 1e-14, id="adjacent-1e-14"),
+    pytest.param(_ADJACENT_FLAT, -1e-14, id="adjacent--1e-14"),
+])
+def test_grazing_energy_uses_flat_basis(layers, offset):
     # |k| d <= 1e-6 is solved in the exact k = 0 basis {1, u}
-    stack = build_stack([(1.0, 1.0)])
-    assert scattering_amplitudes(stack, 1.0 + offset).k_layers[0] == 0.0
+    stack = build_stack(layers)
+    k_layers = scattering_amplitudes(stack, 1.0 + offset).k_layers
+    assert all(k_layers[j] == 0.0 for j, (_, v) in enumerate(layers) if v == 1.0)
     rep = compute_report(stack, 1.0 + offset)
     assert not rep.skipped
     assert rep.residual_rel < 1e-9
@@ -307,6 +319,15 @@ def test_verify_identity_method_subsets(barrier):
         verify_identity(barrier, EnergyGrid(0.4, 0.8, 3), methods=("bogus",))
     with pytest.raises(ValidationError):
         verify_identity(barrier, EnergyGrid(0.4, 0.8, 3), methods=())
+
+
+@pytest.mark.parametrize("backend", ["stack", "lattice"])
+@pytest.mark.parametrize("methods", [("bogus",), (), ("direct", "bogus")],
+                         ids=["unknown", "empty", "one-unknown"])
+def test_compute_report_refuses_bad_methods(backend, methods, dbarrier, chain4):
+    system = dbarrier if backend == "stack" else chain4
+    with pytest.raises(ValidationError):
+        compute_report(system, 1.5, methods=methods)
 
 
 def test_verify_identity_with_vderiv(barrier):
@@ -437,28 +458,28 @@ def test_grid_probability_integral_runs_per_chunk(stack42, per_chunk, monkeypatc
 
 
 @pytest.fixture
-def band_solves(monkeypatch):
-    """Batch size of every band solve, in call order."""
+def tree_solves(monkeypatch):
+    """Batch size of every 1D star-product tree, in call order."""
     sizes = []
-    band_solve = solver1d._band_solve
+    up_sweep = solver1d._up_sweep
 
-    def counting(band, rhs):
-        sizes.append(band.shape[2])
-        return band_solve(band, rhs)
+    def counting(s):
+        sizes.append(s.shape[2])
+        return up_sweep(s)
 
-    monkeypatch.setattr(solver1d, "_band_solve", counting)
+    monkeypatch.setattr(solver1d, "_up_sweep", counting)
     return sizes
 
 
-def test_grid_does_three_solves_per_point(stack42, band_solves):
+def test_grid_does_three_solves_per_point(stack42, tree_solves):
     grid = EnergyGrid(0.05, 4.0, 50)
     reports = verify_identity(stack42, grid, methods=("direct", "green", "vderiv"), dv=1e-5)
     assert not any(r.skipped for r in reports)
-    assert band_solves == [50, 100]  # S(0); then S(+dv) and S(-dv) in one batch
+    assert tree_solves == [50, 100]  # S(0); then S(+dv) and S(-dv) in one batch
 
 
 @pytest.mark.parametrize("backend", ["stack", "lattice"])
-def test_report_solves_each_energy_and_shift_once(backend, stack42, band_solves, monkeypatch):
+def test_report_solves_each_energy_and_shift_once(backend, stack42, tree_solves, monkeypatch):
     # S(0) is the routes' batch; S(+dv) and S(-dv) are one more batch of
     # two energies; a lattice batch reads both leads' modes off one
     # evaluation of the lead dispersion for all its energies
@@ -479,27 +500,27 @@ def test_report_solves_each_energy_and_shift_once(backend, stack42, band_solves,
     rep = compute_report(system, 0.3, methods=("direct", "green", "vderiv"), dv=1e-5)
     assert not rep.skipped and all(c.tau_vderiv is not None for c in rep.channels)
     if backend == "stack":
-        assert band_solves == [1, 2]
+        assert tree_solves == [1, 2]
         assert batches == modes == []
     else:
         assert len(rep.channels) == 8
-        assert band_solves == []
+        assert tree_solves == []
         assert batches == modes == [1, 2]
 
 
-def test_grid_halving_resolves_only_failed_steps(band_solves):
+def test_grid_halving_resolves_only_failed_steps(tree_solves):
     # E = 1.47007 sits on a resonance so sharp that the default step is
     # halved four times before the phases unwrap; E = 2.235 and 3 are not
     sharp = double_barrier(1.0, 12.0, 2.0)
     grid = EnergyGrid(1.4700684803879822, 3.0, 3)
     methods = ("direct", "vderiv")
     reports = verify_identity(sharp, grid, methods=methods)
-    assert band_solves == [3, 6] + [2] * 4  # each halving: S(+) and S(-) of one energy
+    assert tree_solves == [3, 6] + [2] * 4  # each halving: S(+) and S(-) of one energy
     for rep in reports:
         _same_report(rep, compute_report(sharp, rep.energy, methods=methods))
 
 
-def test_grid_halving_pools_retries_of_all_chunks(band_solves, monkeypatch):
+def test_grid_halving_pools_retries_of_all_chunks(tree_solves, monkeypatch):
     # resonances at both ends of the grid need 6 and 3 halvings; with 4
     # energies per chunk they sit in different chunks, and the halving
     # rounds solve both together
@@ -510,7 +531,7 @@ def test_grid_halving_pools_retries_of_all_chunks(band_solves, monkeypatch):
     reports = verify_identity(wide, grid, methods=methods)
     assert not any(r.skipped for r in reports)
     # S(0) per chunk; the first S(+/-dv) round; 3 shared rounds; 3 more
-    assert band_solves == [4, 1] + [4, 4, 2] + [4] * 3 + [2] * 3
+    assert tree_solves == [4, 1] + [4, 4, 2] + [4] * 3 + [2] * 3
     for rep in reports:
         _same_report(rep, compute_report(wide, rep.energy, methods=methods))
 

@@ -7,6 +7,7 @@ from scipy import optimize
 from dwelldos.errors import (
     ClosedChannelError,
     NoOpenChannelError,
+    NumericalFailureError,
     ThresholdProximityError,
     ValidationError,
 )
@@ -334,17 +335,39 @@ def test_dos_region_matches_ldos_quadrature(stack, energy):
     assert abs(dos_region_1d(stack, energy) - ref) <= 1e-10 * ref
 
 
-# ------------------------------------------------------------ batched band solve
+# ------------------------------------------------------- star-product tree solve
 
-def _dense(band, size, e):
-    """The interface matrix of energy e, expanded from band storage."""
-    mat = np.zeros((size, size), dtype=complex)
-    for r in range(size):
-        for slot in range(5):
-            c = r - 2 + slot
-            if 0 <= c < size:
-                mat[r, c] = band[r, slot, e]
-    return mat
+# 1e-12 of a scale below this is not a normal float: opaque stacks
+# underflow there, and such a scale is taken as this floor
+_FLOOR = np.finfo(float).tiny / 1e-12
+
+
+def _interface_mismatch(batch, i, side):
+    """psi and psi' of one incidence side on both sides of every interface,
+    x = 0 and x = L included, from the batch's coefficients in the scaled
+    basis, as the largest mismatch relative to the local scale: the
+    largest term of psi (of psi') on either side of that interface."""
+    stack = batch.stack
+    k = np.concatenate(([batch.k_left[i]], batch.k_layers[i], [batch.k_right[i]]))
+    d = np.concatenate(([0.0], stack.thicknesses, [0.0]))
+    # each medium's pair: a at its left edge, b at its right edge (leads
+    # have d = 0: a incoming, b outgoing on the left; a outgoing, b
+    # incoming on the right)
+    a = np.concatenate(([1.0 - side], batch.coeff_a[side, i], [batch.out_right[side, i]]))
+    b = np.concatenate(([batch.out_left[side, i]], batch.coeff_b[side, i], [float(side)]))
+    p = np.exp(1j * k * d)
+    flat = k == 0
+    # terms of psi and psi' at a medium's right edge (u = d) and left edge (u = 0)
+    right_terms = np.where(flat, [a, b * d], [a * p, b])
+    right_dterms = np.where(flat, [b, 0 * b], [1j * k * a * p, -1j * k * b])
+    left_terms = np.where(flat, [a, 0 * a], [a, b * p])
+    left_dterms = np.where(flat, [b, 0 * b], [1j * k * a, -1j * k * b * p])
+    worst = 0.0
+    for j in range(len(k) - 1):  # interface between media j and j + 1
+        for below, above in ((right_terms, left_terms), (right_dterms, left_dterms)):
+            scale = max(np.abs(below[:, j]).max(), np.abs(above[:, j + 1]).max(), _FLOOR)
+            worst = max(worst, abs(below[:, j].sum() - above[:, j + 1].sum()) / scale)
+    return worst
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -353,60 +376,81 @@ def _dense(band, size, e):
                     min_size=1, max_size=60),
     energies=st.lists(st.floats(0.01, 70.0), min_size=1, max_size=6),
 )
-def test_band_solve_is_backward_stable(layers, energies):
+def test_tree_solve_matches_at_every_interface(layers, energies):
     # opaque energies come from V up to 60 over up to 60 layers of d up to 6
-    stack = build_stack(layers)
-    e = np.array(energies)
-    band, rhs, *_ = solver1d._interface_system(stack, e, np.zeros(e.size))
-    size = 2 * len(layers) + 2
-    x, failed = solver1d._band_solve(band.copy(), rhs.copy())
-    assert not failed.any()
-    for i in range(e.size):
-        mat = _dense(band, size, i)
-        for col in range(2):
-            resid = np.linalg.norm(mat @ x[:, col, i] - rhs[:size, col, i])
-            assert resid <= 1e-12 * np.linalg.norm(mat) * np.linalg.norm(x[:, col, i])
+    batch = ScatterBatch(build_stack(layers), energies)
+    assert not batch.failed.any()
+    for i in range(len(energies)):
+        for side in (0, 1):
+            assert _interface_mismatch(batch, i, side) <= 1e-12
 
 
-def test_band_solve_matches_dense_solve():
+def _matching_system(stack, energy):
+    """Dense interface-matching system of one energy, assembled here from
+    the wave form alone: unknowns [c_L, a_1, b_1, ..., a_n, b_n, c_R],
+    rows psi and psi' at each interface as (left side) - (right side),
+    and right-hand sides for unit incidence from the left and the right."""
+    n = len(stack.layers)
+    k = np.sqrt(complex(energy) - stack.potentials)
+    k = np.where(k.imag < 0, -k, k)
+    k_l, k_r = np.sqrt(complex(energy - stack.v_left)), np.sqrt(complex(energy - stack.v_right))
+    p = np.exp(1j * k * stack.thicknesses)
+    mat = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
+    rhs = np.zeros((2 * n + 2, 2), dtype=complex)
+    mat[0, 0], mat[1, 0] = 1.0, -1j * k_l  # left lead outgoing e^{-ik_L x}
+    rhs[0, 0], rhs[1, 0] = -1.0, -1j * k_l
+    for j in range(n):  # layer j at its left edge (interface j) and right edge (j + 1)
+        col, row = 1 + 2 * j, 2 * j
+        mat[row, col:col + 2] = -1.0, -p[j]
+        mat[row + 1, col:col + 2] = -1j * k[j], 1j * k[j] * p[j]
+        mat[row + 2, col:col + 2] = p[j], 1.0
+        mat[row + 3, col:col + 2] = 1j * k[j] * p[j], -1j * k[j]
+    mat[2 * n, 2 * n + 1], mat[2 * n + 1, 2 * n + 1] = -1.0, -1j * k_r  # right outgoing
+    rhs[2 * n, 1], rhs[2 * n + 1, 1] = 1.0, -1j * k_r  # incident e^{-ik_R (x - L)}
+    return mat, rhs
+
+
+def test_tree_solve_matches_dense_solve():
     stack = random_stack(3, n_layers=300)
     e = np.linspace(0.05, 2.0, 7)
-    band, rhs, *_ = solver1d._interface_system(stack, e, np.zeros(e.size))
-    x, _ = solver1d._band_solve(band.copy(), rhs.copy())
-    size = 2 * 300 + 2
+    batch = ScatterBatch(stack, e)
+    assert (batch.k_layers != 0).all()
     for i in range(e.size):
-        ref = np.linalg.solve(_dense(band, size, i), rhs[:size, :, i])
-        assert np.max(np.abs(x[:, :, i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = np.linalg.solve(*_matching_system(stack, e[i]))
+        for side in (0, 1):
+            got = np.concatenate(([batch.out_left[side, i]],
+                                  np.stack([batch.coeff_a[side, i], batch.coeff_b[side, i]],
+                                           axis=1).reshape(-1),
+                                  [batch.out_right[side, i]]))
+            assert np.max(np.abs(got - ref[:, side])) <= 1e-12 * np.max(np.abs(ref[:, side]))
 
 
-def test_band_solve_pivots_on_general_band_matrices(rng):
-    # random matrices with two sub- and two super-diagonals; in column 0
-    # only row 2 is nonzero, so the first step must pivot two rows down
-    size, n_e = 10, 4
-    band = np.zeros((size + 2, 7, n_e), dtype=complex)
-    band[:size, :5] = rng.normal(size=(size, 5, n_e)) + 1j * rng.normal(size=(size, 5, n_e))
-    for r in range(size):
-        for slot in range(5):
-            if not 0 <= r - 2 + slot < size:
-                band[r, slot] = 0.0
-    band[0, 2] = band[1, 1] = 0.0
-    rhs = np.zeros((size + 2, 2, n_e), dtype=complex)
-    rhs[:size] = rng.normal(size=(size, 2, n_e))
-    x, failed = solver1d._band_solve(band.copy(), rhs.copy())
-    assert not failed.any()
-    for i in range(n_e):
-        ref = np.linalg.solve(_dense(band, size, i), rhs[:size, :, i])
-        assert np.max(np.abs(x[:, :, i] - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_zero_pivot_fails_only_its_energy():
+def test_non_finite_energy_fails_alone():
     stack = build_stack([(1.0, 1.0), (0.5, 0.3)])
-    e = np.array([0.5, 1.5, 2.5])
-    band, rhs, *_ = solver1d._interface_system(stack, e, np.zeros(3))
-    band[:, :, 1] = 0.0  # a singular matrix at the middle energy
-    x, failed = solver1d._band_solve(band.copy(), rhs.copy())
-    assert failed.tolist() == [False, True, False]
-    assert np.isfinite(x[:, :, [0, 2]]).all()
+    batch = ScatterBatch(stack, [0.5, np.nan, 2.5])
+    assert batch.failed.tolist() == [False, True, False]
+    for route in ("direct", "green", "vderiv"):
+        assert isinstance(batch.error(1, route), NumericalFailureError)
+        assert batch.error(0, route) is None and batch.error(2, route) is None
+    for i in (0, 2):
+        ref = ScatterBatch(stack, [batch.energies[i]])
+        np.testing.assert_allclose(batch.coeff_a[:, i], ref.coeff_a[:, 0], rtol=1e-14)
+        np.testing.assert_allclose(batch.coeff_b[:, i], ref.coeff_b[:, 0], rtol=1e-14)
+        np.testing.assert_allclose(batch.smatrices[i], ref.smatrices[0], rtol=0, atol=1e-14)
+
+
+def test_non_finite_coefficients_fail_only_the_state_routes():
+    # a finite S matrix whose down-sweep is not finite at the middle energy:
+    # the V-derivative, which reads S only, keeps that energy
+    stack = build_stack([(1.0, 1.0), (0.5, 0.3)])
+    batch = ScatterBatch(stack, [0.5, 1.5, 2.5])
+    _, top_join = batch._levels[-2]
+    top_join[:, 1] = np.nan
+    assert batch.failed.tolist() == [False, True, False]
+    assert batch.error(1, "vderiv") is None
+    for route in ("direct", "green"):
+        assert isinstance(batch.error(1, route), NumericalFailureError)
+        assert batch.error(0, route) is None and batch.error(2, route) is None
 
 
 def test_batch_matches_single_energy_solves(stack42):
