@@ -158,20 +158,25 @@ def default_dv(energy: float) -> float:
     return 1e-5 * max(1.0, abs(energy))
 
 
-def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: Array) -> tuple:
-    """Per-channel dwell times from S(0), S(+dv), S(-dv) of several energies.
+def _vderiv_from_matrices(s0, s_plus, s_minus, opened, dv) -> tuple:
+    """Per-channel dwell times from S(0), S(+dv) and S(-dv) of several energies.
 
-    The matrices are stacked (G, m, m) over energies with the same open
-    channels, and dv is (G,).  Returns the (G, m) dwell times and, per
-    energy, None or the error that makes its step unusable.
+    The matrices are stacked (G, m, m) over energies, with their (m, G)
+    open mask `opened` and steps dv (G,).  Only entries between two open
+    channels are read; the others count as zero.  Returns the (G, m)
+    dwell times and, per energy, None or the error that makes its step
+    unusable.
     """
-    weight = np.abs(s0) ** 2
-    dphase = np.angle(s_plus * np.conj(s_minus))  # principal branch
-    bad = np.count_nonzero((np.abs(dphase) > 0.5 * np.pi) & (weight >= _WEIGHT_EPS), axis=(1, 2))
+    pair = opened.T[:, :, None] & opened.T[:, None, :]
     step = 2.0 * dv[:, None, None]
+    with np.errstate(invalid="ignore"):  # a closed channel's entries may be inf or NaN
+        magnitude = np.where(pair, np.abs(s0), 0.0)
+        dphase = np.where(pair, np.angle(s_plus * np.conj(s_minus)), 0.0)  # principal branch
+        dmag = np.where(pair, (np.abs(s_plus) - np.abs(s_minus)) / step, 0.0)
+    weight = magnitude**2
+    bad = np.count_nonzero((np.abs(dphase) > 0.5 * np.pi) & (weight >= _WEIGHT_EPS), axis=(1, 2))
     taus = -np.sum(weight * dphase / step, axis=1)
-    dmag = (np.abs(s_plus) - np.abs(s_minus)) / step
-    imag_resid = np.abs(np.sum(np.abs(s0) * dmag, axis=1))
+    imag_resid = np.abs(np.sum(magnitude * dmag, axis=1))
     errors: list = [None] * len(dv)
     for g in np.flatnonzero(bad | np.any(imag_resid > _IMAG_RESIDUAL_TOL, axis=1)):
         if bad[g]:
@@ -184,46 +189,37 @@ def _vderiv_from_matrices(s0: Array, s_plus: Array, s_minus: Array, dv: Array) -
     return taus, errors
 
 
-def _vderiv_steps(system, region, energies, s0, opened, dv) -> list:
+def _vderiv_steps(system, region, energies, s0, opened, errors, dv) -> list:
     """The V-derivative step loop for several energies at once.
 
-    s0 is the stack of their unshifted S matrices (N, m, m) and opened
-    their open channels (m, N).  The step is dv, or default_dv(E) when
-    dv is None.  Each round is one _smatrices call, S(+step) and then
-    S(-step) of every pending energy.  The energies whose both solves
-    succeeded are grouped by open channels (those of S(0): a shift
-    inside Omega never reaches the leads), and the open blocks of a
-    group go through _vderiv_from_matrices together.  With dv None, an
-    energy whose round fails with StepTooLargeError or
-    NumericalFailureError halves its step and goes again, at most
-    _MAX_HALVINGS times; any other error ends it.  Returns per energy
-    the dwell times of its open channels, in channel order, or the error.
+    s0 is the stack of their unshifted S matrices (N, m, m), opened
+    their open channels (m, N), and errors per energy None or the error
+    that left it without S(0), which ends it.  The step is dv, or
+    default_dv(E) when dv is None.  Each round solves S(+step) and then
+    S(-step) of every pending energy in one _smatrices call, and takes
+    all their derivatives in one _vderiv_from_matrices call, masked by
+    the open channels of S(0): a shift inside Omega never reaches the
+    leads.  With dv None, an energy whose round fails with
+    StepTooLargeError or NumericalFailureError halves its step and goes
+    again, at most _MAX_HALVINGS times; any other error ends it.
+    Returns per energy the dwell times of its open channels, in channel
+    order, or the error.
     """
-    out: list = [None] * len(energies)
+    out: list = list(errors)
     steps = [default_dv(e) if dv is None else float(dv) for e in energies]
     attempts = _MAX_HALVINGS if dv is None else 0
-    pending = list(range(len(energies)))
+    pending = [i for i, error in enumerate(errors) if error is None]
     while pending:
         n = len(pending)
         shifts = [steps[i] for i in pending]
         _, shifted, _, solve_errors = _smatrices(system, [energies[i] for i in pending] * 2,
                                                  shifts + [-v for v in shifts], region)
-        results = [plus or minus for plus, minus in zip(solve_errors, solve_errors[n:])]
-        groups: dict = {}
-        for j, i in enumerate(pending):
-            if results[j] is None:
-                groups.setdefault(opened[:, i].tobytes(), []).append(j)
-        for members in groups.values():
-            index = [pending[j] for j in members]
-            o = np.flatnonzero(opened[:, index[0]])
-            taus, failed = _vderiv_from_matrices(
-                s0[np.ix_(index, o, o)], shifted[np.ix_(members, o, o)],
-                shifted[np.ix_([n + j for j in members], o, o)],
-                np.array([shifts[j] for j in members]))
-            for j, row, err in zip(members, taus, failed):
-                results[j] = row if err is None else err
+        taus, step_errors = _vderiv_from_matrices(s0[pending], shifted[:n], shifted[n:],
+                                                  opened[:, pending], np.array(shifts))
         retry = []
-        for i, result in zip(pending, results):
+        for j, i in enumerate(pending):
+            result = (solve_errors[j] or solve_errors[n + j] or step_errors[j]
+                      or taus[j][opened[:, i]])
             if isinstance(result, (StepTooLargeError, NumericalFailureError)) and attempts > 0:
                 retry.append(i)
                 steps[i] *= 0.5
@@ -249,10 +245,8 @@ def dwell_times_vderiv_all(
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
     """
-    labels, s0, opened, (error,) = _smatrices(system, [energy], [0.0], region)
-    if error is not None:
-        raise error
-    (result,) = _vderiv_steps(system, region, [energy], s0, opened, dv)
+    labels, s0, opened, errors = _smatrices(system, [energy], [0.0], region)
+    (result,) = _vderiv_steps(system, region, [energy], s0, opened, errors, dv)
     if isinstance(result, DwellDosError):
         raise result
     return dict(zip([labels[j] for j in np.flatnonzero(opened[:, 0])], result))
@@ -381,10 +375,8 @@ def _chunk_reports(
         del batch  # free this chunk's states before the next is solved
     vderiv = [None] * len(energies)
     if "vderiv" in methods:
-        live = [i for i, error in enumerate(s0_errors) if error is None]
-        s0, opened = np.concatenate(s0)[live], np.concatenate(opened, axis=1)[:, live]
-        results = iter(_vderiv_steps(system, region, [energies[i] for i in live], s0, opened, dv))
-        vderiv = [error or next(results) for error in s0_errors]  # an S(0) error ends its point
+        vderiv = _vderiv_steps(system, region, energies, np.concatenate(s0),
+                               np.concatenate(opened, axis=1), s0_errors, dv)
     reports = []
     for energy, point, vd in zip(energies, points, vderiv):
         error = vd if isinstance(vd, DwellDosError) else point
@@ -439,10 +431,10 @@ def summarize_reports(
 
     `skip_reasons` counts the skipped points by exception class name.
 
-    A palindromic 1D stack has equal dwell times from both sides, so the
-    two-channel identity collapses to rho_Omega * pi * hbar / tau = 1; on
-    a palindromic lattice the check is the left/right equality of
-    per-mode dwell times.
+    A palindromic system has equal dwell times in mirror channels, "left"
+    and "right" on a stack, "left:m" and "right:m" on a lattice.  On a
+    stack the two-channel identity then collapses to rho_Omega * pi *
+    hbar / tau = 1, which is checked too.
     """
     live = [r for r in reports if not r.skipped]
     # NaN ranks first so that it becomes the maximum and fails verify
@@ -463,17 +455,12 @@ def summarize_reports(
         for r in live:
             taus = {c.channel: c.tau_direct for c in r.channels
                     if c.tau_direct is not None}
-            if isinstance(system, LayerStack):
-                if r.dos_green is not None and "left" in taus and taus["left"] > 0:
-                    devs.append(abs(r.dos_green * np.pi / taus["left"] - 1.0))
-                if "left" in taus and "right" in taus:
-                    devs.append(abs(taus["left"] - taus["right"]))
-            else:
-                for name, tau in taus.items():
-                    lead, mode = name.split(":")
-                    twin = f"{'right' if lead == 'left' else 'left'}:{mode}"
-                    if twin in taus:
-                        devs.append(abs(tau - taus[twin]))
+            # only a stack has a channel named "left"; its check goes first,
+            # so that a NaN deviation stays the maximum
+            if r.dos_green is not None and taus.get("left", 0.0) > 0:
+                devs.append(abs(r.dos_green * np.pi / taus["left"] - 1.0))
+            devs += [abs(tau - taus["right" + name[4:]]) for name, tau in taus.items()
+                     if name.startswith("left") and "right" + name[4:] in taus]
         summary["palindromic"] = True
         summary["symmetric_max_dev"] = max(devs) if devs else None
     else:

@@ -134,22 +134,19 @@ def box_dos(stack: LayerStack, box: BoxSpec, grid: EnergyGrid) -> Array:
     return -(overlap[inside] @ g).imag / np.pi
 
 
-def fd_green(
-    stack: LayerStack,
-    box: BoxSpec,
-    energy: float,
-    x: float,
-    cap_fraction: float = 0.9,
-    absorption_exponent: float = 16.0,
-    cap_power: int = 2,
-) -> complex:
+_CAP_FRACTION = 0.9
+_ABSORPTION_EXPONENT = 16.0
+_CAP_POWER = 2
+
+
+def fd_green(stack: LayerStack, box: BoxSpec, energy: float, x: float) -> complex:
     """Diagonal of (E + i eta - H_fd)^(-1) at the grid point nearest x.
 
-    The outer cap_fraction of each padding carries a polynomial absorbing
-    potential sized for a fixed round-trip absorption exponent, so
-    outgoing waves are damped imperfectly: the result is an O(reflection)
-    approximation of the exact resolvent, good to ~1e-4 relative for the
-    default settings, with the O(h^2) stencil error on top.
+    The outer _CAP_FRACTION of each padding carries an absorbing
+    potential ~ ramp**_CAP_POWER that damps a round trip by
+    e^-_ABSORPTION_EXPONENT, so outgoing waves are damped imperfectly:
+    the result is an O(reflection) approximation of the exact resolvent,
+    good to ~1e-4 relative, with the O(h^2) stencil error on top.
     """
     _validate_box(stack, box, energy, energy)
     xs, pot, _ = _box_grid(stack, box)
@@ -159,9 +156,9 @@ def fd_green(
     cap = np.zeros_like(xs)
     for side, pad, v_asym in (("left", box.pad_left, stack.v_left),
                               ("right", box.pad_right, stack.v_right)):
-        cap_len = cap_fraction * pad
+        cap_len = _CAP_FRACTION * pad
         v_ref = 2.0 * np.sqrt(max(energy - v_asym, 1e-12))
-        w0 = absorption_exponent * (cap_power + 1) * v_ref / (2.0 * cap_len)
+        w0 = _ABSORPTION_EXPONENT * (_CAP_POWER + 1) * v_ref / (2.0 * cap_len)
         if side == "left":
             edge = -box.pad_left + cap_len
             ramp = (edge - xs) / cap_len
@@ -169,7 +166,7 @@ def fd_green(
             edge = length + box.pad_right - cap_len
             ramp = (xs - edge) / cap_len
         sel = ramp > 0.0
-        cap[sel] += w0 * ramp[sel] ** cap_power
+        cap[sel] += w0 * ramp[sel] ** _CAP_POWER
 
     diag = (energy + 1j * box.eta) - (2.0 / h**2 + pot) + 1j * cap
     band = np.zeros((3, xs.size), dtype=complex)

@@ -371,40 +371,41 @@ def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterSolution1D
 # ----------------------------------------------------------------------------
 
 
+def _exprel(z):
+    """(e^z - 1) / z, 1 at z = 0; expm1 keeps it exact for small real or imaginary z."""
+    zero = z == 0
+    return np.where(zero, 1.0, np.expm1(z) / np.where(zero, 1.0, z))
+
+
 def layer_probability_integral(a, b, k, d):
     """Integral of |a e^{iku} + b e^{-ik(u-d)}|^2 over [0, d] in closed form.
 
     Scaled basis: a is referenced to the layer's left edge and b to its
     right edge, so every exponential evaluated here has modulus <= 1 for
-    the physical branches of k and opaque layers cannot overflow.  For
-    k = 0 the pair means psi = a + b u (degenerate basis {1, u}), giving
-    |a|^2 d + Re(a b*) d^2 + |b|^2 d^3 / 3.  Only real, purely imaginary,
-    or zero k are meaningful for real potentials.  Arguments broadcast
-    over layers: arrays give one integral per layer, scalars a float.
+    the physical branches of k and opaque layers cannot overflow.  With
+    exprel(z) = (e^z - 1) / z and sinc(x) = sin(x) / x, one form holds for
+    real and imaginary k and stays exact as k d goes to 0:
+
+        d [(|a|^2 + |b|^2) exprel(-2 Im(k) d) + 2 Re(a b*) e^{-Im(k) d} sinc(Re(k) d)],
+
+    the cross factor being e^{-i conj(k) d} exprel(2i Re(k) d), which is real.
+    For k = 0 the pair means psi = a + b u (degenerate basis {1, u}),
+    giving |a|^2 d + Re(a b*) d^2 + |b|^2 d^3 / 3.  Only real, purely
+    imaginary, or zero k are meaningful for real potentials.  Arguments
+    broadcast over layers (one integral each); scalars give a float.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     k, d = np.asarray(k, dtype=complex), np.asarray(d, dtype=float)
     if np.count_nonzero(d <= 0):
         raise ValidationError("d must be positive")
-    kk, kappa = k.real, k.imag
-    if np.count_nonzero((kk != 0.0) & (kappa != 0.0)):
+    if np.count_nonzero((k.real != 0.0) & (k.imag != 0.0)):
         raise ValidationError("k must be real, purely imaginary, or zero")
-    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
-    cross = (a * np.conj(b)).real
-    propagating = kappa == 0.0
-    # evanescent closed form everywhere first; the divisor is made nonzero
-    # where kappa = 0, and those layers are overwritten below
-    safe_kappa = kappa + propagating
-    out = np.asarray((aa + bb) * ((1.0 - np.exp(-2.0 * kappa * d)) / (2.0 * safe_kappa))
-                     + 2.0 * cross * np.exp(-kappa * d) * d)
-    if np.count_nonzero(propagating):
-        # the cross term carries e^{ik(2u-d)}, whose integral is sin(kd)/k
-        safe_k = kk + (kk == 0.0)
-        np.copyto(out, (aa + bb) * d + 2.0 * cross * np.sin(kk * d) / safe_k,
-                  where=propagating)
-        flat = propagating & (kk == 0.0)
-        if np.count_nonzero(flat):
-            np.copyto(out, aa * d + cross * d**2 + bb * d**3 / 3.0, where=flat)
+    aa, bb, ab = np.abs(a) ** 2, np.abs(b) ** 2, (a * np.conj(b)).real
+    cross = np.exp(-k.imag * d) * np.sinc(k.real * d / np.pi)
+    out = np.asarray(d * ((aa + bb) * _exprel(-2.0 * k.imag * d) + 2.0 * ab * cross))
+    flat = k == 0
+    if np.count_nonzero(flat):
+        np.copyto(out, aa * d + ab * d**2 + bb * d**3 / 3.0, where=flat)
     return out if out.ndim else float(out)
 
 
@@ -505,7 +506,7 @@ def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):
 
     With psi = a e^{iku} + b e^{-ik(u-d)} for both Green solutions,
 
-        int_0^d psi_L psi_R du = (a_L a_R + b_L b_R) (e^{2ikd} - 1) / 2ik
+        int_0^d psi_L psi_R du = (a_L a_R + b_L b_R) d exprel(2ikd)
                                  + (a_L b_R + b_L a_R) d e^{ikd},
 
     and a_L a_R d + (a_L b_R + b_L a_R) d^2/2 + b_L b_R d^3/3 in the k = 0
@@ -515,9 +516,7 @@ def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):
     """
     cross = a_l * b_r + b_l * a_r
     flat = k == 0
-    ik = 1j * (k + flat)  # any nonzero k on flat layers; overwritten below
-    per_layer = ((a_l * a_r + b_l * b_r) * np.expm1(2.0 * ik * d) / (2.0 * ik)
-                 + cross * d * np.exp(ik * d))
+    per_layer = d * ((a_l * a_r + b_l * b_r) * _exprel(2j * k * d) + cross * np.exp(1j * k * d))
     if np.count_nonzero(flat):
         np.copyto(per_layer, a_l * a_r * d + cross * d**2 / 2.0 + b_l * b_r * d**3 / 3.0,
                   where=flat)

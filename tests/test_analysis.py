@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwelldos import analysis, lattice, solver1d
+from dwelldos import analysis, errors, lattice, solver1d
 from dwelldos.analysis import (
     DwellReport,
     compute_report,
@@ -27,6 +27,7 @@ from dwelldos.model import (
     EnergyGrid,
     LatticeRegion,
     SpectralWeight,
+    barrier_lattice,
     build_stack,
     channel_thresholds,
     double_barrier,
@@ -130,6 +131,39 @@ def test_lattice_region_with_a_stack_is_refused(call):
         call(double_barrier(), LatticeRegion(0, 0, 0, 0))
 
 
+def test_vderiv_reads_only_open_channel_entries():
+    # E = 0.4 is below v_right, so the right channel is closed: whatever
+    # its row and column of the S stacks hold must change nothing
+    stack = build_stack([(1.0, 1.0)], v_right=0.6)
+    _, s, opened, _ = analysis._smatrices(stack, [0.4] * 3, [0.0, 1e-5, -1e-5], None)
+    dv = np.array([1e-5])
+    ref, _ = analysis._vderiv_from_matrices(s[:1], s[1:2], s[2:], opened[:, :1], dv)
+    junk = s.copy()
+    junk[:, 1, :], junk[:, :, 1] = np.nan, 5.0
+    taus, errors = analysis._vderiv_from_matrices(junk[:1], junk[1:2], junk[2:], opened[:, :1], dv)
+    assert errors == [None] and taus[0, 0] == ref[0, 0] and taus[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("system, energy, expected", [
+    (build_stack([(1.0, 1.0)], v_left=0.75), 0.75, "ThresholdProximityError"),
+    (build_stack([(1.0, 1.0)], v_left=0.75), -0.5, "NoOpenChannelError"),
+    (random_lattice(3, 2, 5), -1.0, "ThresholdProximityError"),
+    (random_lattice(3, 2, 5), -3.5, "NoOpenChannelError"),
+], ids=["stack-threshold", "stack-below", "lattice-threshold", "lattice-below"])
+def test_single_energy_vderiv_raises_the_s0_skip(system, energy, expected):
+    # at a threshold and below every channel S(0) has no solve; the
+    # single-energy calls raise the error that compute_report skips with
+    rep = compute_report(system, energy, methods=("vderiv",))
+    assert rep.skipped and rep.skip_reason.startswith(expected + ":")
+    cls = getattr(errors, expected)
+    for call in (lambda: shifted_smatrix(system, energy, 0.0),
+                 lambda: dwell_times_vderiv_all(system, energy, dv=1e-5),
+                 lambda: dwell_times_vderiv_all(system, energy)):
+        with pytest.raises(cls) as raised:
+            call()
+        assert type(raised.value) is cls
+
+
 def test_vderiv_unknown_channel(barrier):
     with pytest.raises(ValidationError):
         dwell_time_vderiv(barrier, 0.5, "up")
@@ -199,6 +233,17 @@ def test_verify_identity_symmetric_barrier(barrier):
     for rep in reports:
         tau_left = rep.channels[0].tau_direct
         assert abs(rep.dos_green * np.pi / tau_left - 1.0) < 1e-10
+    assert summary["symmetric_max_dev"] < 1e-10
+
+
+def test_verify_identity_symmetric_lattice():
+    # a palindromic strip has equal dwell times in the mirror channels
+    # left:m and right:m
+    system = barrier_lattice(3, 8, [2, 5], 0.8)
+    reports = verify_identity(system, EnergyGrid(-2.9, 2.9, 23))
+    assert any(len(r.channels) == 6 for r in reports)
+    summary = summarize_reports(reports, system)
+    assert summary["palindromic"] is True
     assert summary["symmetric_max_dev"] < 1e-10
 
 

@@ -185,6 +185,22 @@ def test_probability_integral_against_quadrature(rng):
         assert abs(exact - approx) <= 1e-9 * max(1.0, abs(approx))
 
 
+
+@pytest.mark.parametrize("kd", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("unit", [1j, 1.0], ids=["evanescent", "propagating"])
+def test_probability_integral_at_small_kd(unit, kd):
+    # 1 - e^{-2 kappa d} cancels as kappa d -> 0: the closed form must keep
+    # full precision there, against a 50-digit quadrature
+    mp = pytest.importorskip("mpmath")
+    a, b, d = 0.7 + 0.2j, -0.3 + 0.9j, 1.3
+    k = unit * kd / d
+    with mp.workdps(50):
+        am, bm, km, dm = mp.mpc(a), mp.mpc(b), mp.mpc(k), mp.mpf(d)
+        psi = lambda u: am * mp.exp(1j * km * u) + bm * mp.exp(1j * km * (dm - u))
+        ref = mp.quad(lambda u: abs(psi(u)) ** 2, [0, dm])
+        assert float(abs(layer_probability_integral(a, b, k, d) - ref) / ref) < 1e-14
+
+
 # ----------------------------------------------------------------- dwell time
 
 def test_dwell_time_free_is_ballistic(free2):
