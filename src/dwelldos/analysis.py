@@ -319,16 +319,17 @@ def compute_report(
 
 # Energies per chunk: a chunk's solve holds about this many unknowns, 2n + 2
 # per energy for a stack (its star-product tree and coefficients keep about
-# 17 complex values per layer, so 8.5 per unknown) and 2 L W^2 for a lattice
-# (the states of its 2W channels; the sweep's column blocks and the states'
-# residual hold about 3 more complex entries for each), so a chunk stays
-# near 4 MB however large the system is.
+# 17 complex values per layer, so 8.5 per unknown) and L W^2 for a lattice
+# (one per entry of its W x W column blocks; the sweep's left-connected
+# blocks and the states of the 2W channels keep 3 complex values for each).
+# A chunk of the 40-layer stack peaks near 6.6 MiB and one of the 10 x 80
+# strip near 1.6 MiB (tracemalloc), however many energies the grid has.
 _BATCH_UNKNOWNS = 2**15
 
 
 def _chunk_size(system: LayerStack | LatticeSystem) -> int:
     """Energies solved together in one batch."""
-    unknowns = (2 * system.length * system.width**2 if isinstance(system, LatticeSystem)
+    unknowns = (system.length * system.width**2 if isinstance(system, LatticeSystem)
                 else 2 * len(system.layers) + 2)
     return max(1, _BATCH_UNKNOWNS // unknowns)
 

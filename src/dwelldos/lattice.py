@@ -14,21 +14,19 @@ normalizes the incoming Bloch wave to unit amplitude at that column.
 
 The open-system operator is block tridiagonal in the L device columns:
 W x W diagonal blocks E - H_col(c) (minus Sigma on the interface columns)
-and identity blocks between neighbouring columns.  Its inverse, the
-retarded Green's function G, is computed by recursive Green's-function
-sweeps (MacKinnon, Z. Phys. B 59, 385 (1985); Lake et al., J. Appl.
-Phys. 81, 7845 (1997)): one left-connected Dyson sweep and a backward
-pass that connects it.  _LatticeWorkspace runs them for a chunk of
-energies at once, with the column blocks stacked over energy: L batched
-block inverses per chunk and O(L W^3) work per energy.  Only the site
-diagonal of G (Green-trace DOS) and the two interface column blocks
-G[:, left] and G[:, right] (scattering states psi = G[:, lead] q and,
-through them, the S matrix) are formed, so storage is O(L W^2) per
-energy; nothing of size (LW)^2 is built.  The scattering states of all
-2W lead channels are one (channel, energy, column, row) array, which the
-S matrices and the direct dwell times read.  scattering_state,
-scattering_matrix, dwell_time_lattice and dos_region_lattice are a batch
-of one energy.
+and identity blocks between neighbouring columns.  _LatticeWorkspace
+solves it for a chunk of energies at once, with the blocks stacked over
+energy, by recursive Green's-function sweeps (MacKinnon, Z. Phys. B 59,
+385 (1985); Lake et al., J. Appl. Phys. 81, 7845 (1997)): a
+left-connected Dyson sweep and a backward pass, L batched block inverses
+per chunk and O(L W^3) work per energy.  The same two loops solve the
+scattering states of all 2W lead channels by block substitution, and the
+backward pass gives the site diagonal of G (Green-trace DOS).  Storage is
+the left-connected blocks g and the states, 3 L W^2 complex values per
+energy, of which only the states outlive the sweep; no block of G off
+its diagonal and nothing of size (LW)^2 is built.  The S matrices and the
+direct dwell times read the states.  scattering_state, scattering_matrix,
+dwell_time_lattice and dos_region_lattice are a batch of one energy.
 """
 
 from __future__ import annotations
@@ -65,6 +63,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
+_SLAB_COLUMNS = 8  # columns per slab of the residual and dwell-time sums
 
 
 @dataclass(frozen=True)
@@ -208,14 +207,14 @@ class _LatticeWorkspace:
     the lattice counterpart of solver1d.ScatterBatch.
 
     `v_shift` (scalar or per energy) is added on the Omega sites of
-    `region`, which is also the Omega of the routes.  Arrays: the column
-    blocks (`blocks`, (E, L, W, W)), the site diagonal of G
-    (`green_diagonal`, (E, L W)) and green_columns[lead][e, c] = G[c,
-    interface column of lead], (E, L, W, W).  The channel axis holds all
-    2W lead modes, "left:1" .. "right:W", with the `open` mask and
-    `velocities` (2W, E); a closed channel's entries are never read.  As
-    in ScatterBatch, the routes are numpy expressions evaluated on first
-    use, and `error(i, route)` fails only energy i.
+    `region`, which is also the Omega of the routes.  The channel axis
+    holds all 2W lead modes, "left:1" .. "right:W", with the `open` mask
+    and `velocities` (2W, E); a closed channel's entries are never read.
+    The sweep leaves the site diagonal of G (`green_diagonal`, (E, L W))
+    and the states psi = G[:, lead] (i v_n chi_n) of all 2W channels,
+    solved by block substitution: `psi` (E, L, W, 2W), psi[e, c, :, n] on
+    column c.  As in ScatterBatch, the routes are numpy expressions
+    evaluated on first use, and `error(i, route)` fails only energy i.
     """
 
     def __init__(self, system: LatticeSystem, energies, v_shift=0.0,
@@ -230,70 +229,73 @@ class _LatticeWorkspace:
         self.labels = tuple(f"{lead}:{m}" for lead in ("left", "right") for m in range(1, w + 1))
         self.velocities = np.concatenate([velocity, velocity], axis=1).T
         self.open = self.velocities > 0.0
-        # sources i v_m chi_m of the W modes of one lead, (W, E, W)
-        self._sources = (1j * velocity.T[:, :, None]) * self._chi.T[:, None, :]
-        # diagonal blocks E - H_col(c) - onsite, with v_shift on Omega, and
-        # - Sigma on both interface columns (the same block twice when L =
-        # 1); the blocks between neighbouring columns are the identity
+        # sources Q[:, :, m] = i v_m chi_m of the W modes of one lead, (E, W, W)
+        self._sources = (1j * velocity[:, None, :]) * self._chi
+        self._sigma = _self_energies(self._chi, k)
         onsite = np.repeat(system.onsite.reshape(1, -1), energies.size, axis=0)
         onsite[:, self.sites] += shift[:, None]
-        d = np.empty((energies.size, lx, w, w), dtype=complex)
-        d[:] = energies[:, None, None, None] * np.eye(w) - _column_hamiltonian(w)
-        d[..., np.arange(w), np.arange(w)] -= onsite.reshape(-1, lx, w)
-        sigma = _self_energies(self._chi, k)
-        d[:, 0] -= sigma
-        d[:, -1] -= sigma
-        self.blocks = d
+        self._diagonal = (energies[:, None] - onsite).reshape(-1, lx, w)  # E - V per site
+        column = energies[:, None, None] * np.eye(w) - _column_hamiltonian(w)
+        rows = np.arange(w)
+
+        def block(c):
+            # E - H_col(c) - onsite, with v_shift on Omega, and - Sigma on
+            # both interface columns (twice when L = 1)
+            d = column.astype(complex)
+            d[:, rows, rows] = self._diagonal[:, c]
+            for _ in range((c == 0) + (c == lx - 1)):
+                d -= self._sigma
+            return d
+
         # forward: left-connected Green's functions of the device cut after
-        # column c, g[c] = (D_c - g[c-1])^-1, and their first-column
-        # blocks col_left[c] = -g[c] col_left[c-1], col_left[0] = g[0]
-        g = np.empty_like(d)
-        col_left = np.empty_like(d)
-        g[:, 0] = col_left[:, 0] = _inv(d[:, 0])
+        # column c, g[c] = (D_c - g[c-1])^-1, and the left sources' forward
+        # substitution y[c] = -g[c] y[c-1], y[0] = g[0] Q, kept in psi
+        g = np.empty((energies.size, lx, w, w), dtype=complex)
+        psi = np.zeros((energies.size, lx, w, 2 * w), dtype=complex)
+        g[:, 0] = _inv(block(0))
+        psi[:, 0, :, :w] = g[:, 0] @ self._sources
         for c in range(1, lx):
-            g[:, c] = _inv(d[:, c] - g[:, c - 1])
-            col_left[:, c] = -g[:, c] @ col_left[:, c - 1]
+            g[:, c] = _inv(block(c) - g[:, c - 1])
+            psi[:, c, :, :w] = -g[:, c] @ psi[:, c - 1, :, :w]
         self._singular = np.isnan(g[..., 0, 0]).any(axis=1)  # _inv's NaN blocks
         # backward, with g_diag = G[c+1, c+1] on entry: G[c, c] = g[c] +
-        # g[c] G[c+1, c+1] g[c], G[c, L-1] = -g[c] G[c+1, L-1] and
-        # G[c+1, 0] = -G[c+1, c+1] col_left[c], which overwrites
-        # col_left[c+1] once it has been read
-        col_right = np.empty_like(d)
+        # g[c] G[c+1, c+1] g[c], and the states of both leads psi[c] =
+        # y[c] - g[c] psi[c+1] (the right sources' y is g[L-1] Q on the
+        # last column and zero elsewhere)
+        psi[:, -1, :, w:] = g[:, -1] @ self._sources
         diagonal = np.empty((energies.size, lx, w), dtype=complex)
-        g_diag = col_right[:, -1] = g[:, -1]
+        g_diag = g[:, -1]
         diagonal[:, -1] = np.diagonal(g_diag, axis1=1, axis2=2)
         for c in range(lx - 2, -1, -1):
-            col_left[:, c + 1] = -g_diag @ col_left[:, c]
-            col_right[:, c] = -g[:, c] @ col_right[:, c + 1]
+            psi[:, c] -= g[:, c] @ psi[:, c + 1]
             g_diag = g[:, c] + g[:, c] @ g_diag @ g[:, c]
             diagonal[:, c] = np.diagonal(g_diag, axis1=1, axis2=2)
-        col_left[:, 0] = g_diag
         self.green_diagonal = diagonal.reshape(energies.size, -1)
-        self.green_columns = {"left": col_left, "right": col_right}
-
-    @cached_property
-    def psi(self) -> Array:
-        """Scattering states psi = G[:, lead] (i v_n chi_n) of all 2W
-        channels, (2W, E, L, W).  One matrix-vector product per channel,
-        energy and column keeps each state bit-identical to a solve of
-        that channel alone."""
-        sources = self._sources[:, :, None, :, None]
-        return np.concatenate([self.green_columns[lead] @ sources
-                               for lead in ("left", "right")])[..., 0]
+        self.psi = psi
 
     @cached_property
     def residuals(self) -> Array:
         """Largest entry of (E - H - Sigma) psi - q over the open channels
-        of each energy, (E,), applying the operator column by column."""
-        w, psi = self.system.width, self.psi
+        of each energy, (E,), applying the operator as a stencil slab by
+        slab of columns."""
+        psi, w, lx = self.psi, self.system.width, self.system.length
+        worst = np.zeros(self.open.shape[::-1])
         with np.errstate(all="ignore"):  # a failed energy's entries are NaN
-            r = (self.blocks @ psi[..., None])[..., 0]
-            r[:, :, 1:] += psi[:, :, :-1]
-            r[:, :, :-1] += psi[:, :, 1:]
-            r[:w, :, 0] -= self._sources
-            r[w:, :, -1] -= self._sources
-            resid = np.max(np.abs(r), axis=(2, 3))
-        return np.max(np.where(self.open, resid, 0.0), axis=0)
+            for a in range(0, lx, _SLAB_COLUMNS):
+                b = min(a + _SLAB_COLUMNS, lx)
+                p = psi[:, a:b]
+                r = self._diagonal[:, a:b, :, None] * p
+                r[:, :, 1:] += p[:, :, :-1]
+                r[:, :, :-1] += p[:, :, 1:]
+                lo, hi = max(a - 1, 0), min(b + 1, lx)  # the column neighbours
+                r[:, lo + 1 - a:] += psi[:, lo:b - 1]
+                r[:, :hi - 1 - a] += psi[:, a + 1:hi]
+                for edge, c, half in ((a == 0, 0, slice(w)), (b == lx, -1, slice(w, None))):
+                    if edge:  # a lead's self-energy and sources on its interface column
+                        r[:, c] -= self._sigma @ psi[:, c]
+                        r[:, c, :, half] -= self._sources
+                worst = np.maximum(worst, np.max(np.abs(r), axis=(1, 2)))
+        return np.max(np.where(self.open.T, worst, 0.0), axis=1)
 
     @cached_property
     def smatrices(self) -> Array:
@@ -305,26 +307,24 @@ class _LatticeWorkspace:
         term leaves the outgoing amplitudes at the interface plane, scaled
         by sqrt(v_out / v_in).
         """
-        # one dot product per entry, as for one channel alone (the
-        # profiles are real, so vecdot's conjugate changes nothing)
-        profiles = np.ascontiguousarray(self._chi.T)[:, None, None, :]
-        amps = np.concatenate([np.vecdot(profiles, self.psi[:, :, c]) for c in (0, -1)])
+        amps = np.concatenate([self._chi.T @ self.psi[:, c] for c in (0, -1)], axis=1)
         v = self.velocities.T
         with np.errstate(all="ignore"):  # closed channels: v = 0
-            s = ((amps.transpose(2, 0, 1) - np.eye(v.shape[1]))
-                 * np.sqrt(v[:, :, None] / v[:, None, :]))
+            s = (amps - np.eye(v.shape[1])) * np.sqrt(v[:, :, None] / v[:, None, :])
         s.flags.writeable = False
         return s
 
     @cached_property
     def dwell_times(self) -> Array:
         """Direct route, (2W, E): the sum of |psi|^2 over the Omega sites
-        divided by v_n."""
-        # take() keeps each state's sites contiguous, so each row sums in
-        # the same order as one channel's state alone
-        psi = self.psi.reshape(*self.open.shape, -1).take(self.sites, axis=-1)
+        divided by v_n, summed slab by slab of columns."""
+        w, sites = self.system.width, self.sites
+        flat = self.psi.reshape(self.energies.size, -1, 2 * w)
+        total = np.zeros(self.open.shape[::-1])
         with np.errstate(all="ignore"):  # closed channels: v = 0
-            return np.sum(np.abs(psi) ** 2, axis=-1) / self.velocities
+            for a in range(0, sites.size, _SLAB_COLUMNS * w):
+                total += np.sum(np.abs(flat[:, sites[a:a + _SLAB_COLUMNS * w]]) ** 2, axis=1)
+            return total.T / self.velocities
 
     @cached_property
     def region_dos(self) -> Array:
@@ -382,7 +382,7 @@ def scattering_state(
     """Stationary state for unit incidence in one open channel."""
     batch = _solve_one(system, energy, "direct")
     return LatticeScatterState(energy=energy, channel=channel,
-                               psi=batch.psi[_channel_index(batch, channel), 0].copy())
+                               psi=batch.psi[0, ..., _channel_index(batch, channel)].copy())
 
 
 def scattering_matrix(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -418,6 +420,51 @@ def test_grid_chunks_match_single_energy_reports(per_chunk, v_left, monkeypatch)
     assert {len(r.channels) for r in reports if not r.skipped} == ({1, 2} if v_left else {2})
     for rep in reports:
         _same_report(rep, compute_report(stack, rep.energy, methods=methods))
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, None], ids=["1", "3", "all"])
+def test_lattice_grid_chunks_match_single_energy_reports(per_chunk, monkeypatch):
+    # W = 3 lead bands [-2 - sqrt 2, 2 - sqrt 2], [-2, 2], [sqrt 2 - 2,
+    # 2 + sqrt 2]: E = -4 and -3.5 have no open channel, E = -2 and 2 sit
+    # on band edges, and the other energies have 1, 2 or 3 open modes and
+    # closed ones beside them
+    system = random_lattice(3, 3, 6)
+    grid = EnergyGrid(-4.0, 2.0, 13)
+    monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", (per_chunk or grid.count) * 6 * 3**2)
+    methods = ("direct", "green", "vderiv")
+    reports = verify_identity(system, grid, methods=methods)
+    assert summarize_reports(reports)["skip_reasons"] == {
+        "NoOpenChannelError": 2, "ThresholdProximityError": 2}
+    assert {len(r.channels) for r in reports if not r.skipped} == {2, 4, 6}
+    for rep in reports:
+        assert rep == compute_report(system, rep.energy, methods=methods)
+
+
+@pytest.mark.parametrize("backend, per_chunk, bound_mib", [
+    ("lattice", 4, 2.3), ("stack", 399, 7.0)])
+def test_chunk_peak_memory(backend, per_chunk, bound_mib):
+    # one chunk of each benchmark system, all routes read: the 10 x 80 strip
+    # of lattice-wide and the 40-layer stack of stack-scan
+    if backend == "lattice":
+        system, energies = random_lattice(1, 10, 80), np.linspace(-3.5, 3.5, 30)
+    else:
+        system = random_stack(1, n_layers=40, v_range=(5.5, 6.5), d_range=(0.55, 0.65))
+        energies = np.linspace(0.3, 16.0, 1500)
+    size = analysis._chunk_size(system)
+    assert size == per_chunk
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        batch = analysis._scatter_chunk(system, list(energies[:size]), [0.0] * size)
+        batch.dwell_times, batch.region_dos, batch.smatrices
+        for i in range(size):
+            for route in ("direct", "green", "vderiv"):
+                batch.error(i, route)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 @pytest.mark.parametrize("v_left", [0.0, 20.0])

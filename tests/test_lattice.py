@@ -32,6 +32,15 @@ from dwelldos.model import (
 from dwelldos.oracles import dense_green_lattice
 
 
+def _dense_states(system, energy):
+    """States psi = G[:, lead] (i v_n chi_n) of all 2W channels from the
+    dense G, (L, W, 2W) as in _LatticeWorkspace.psi, and the dense G."""
+    g, w = dense_green_lattice(system, energy), system.width
+    q = np.stack([1j * c.velocity * c.transverse_profile for c in lead_modes(w, energy)], axis=1)
+    psi = np.concatenate([g[:, :w] @ q, g[:, -w:] @ q], axis=1)
+    return psi.reshape(system.length, w, 2 * w), g
+
+
 # ------------------------------------------------------------------ lead modes
 
 def test_lead_modes_single_chain():
@@ -189,10 +198,14 @@ def test_green_against_hand_built_two_by_two():
     a[:w, :w] -= sigma
     a[w:, w:] -= sigma
     ref = np.linalg.inv(a)
-    # at L = 2 the two interface column blocks are all of G
-    cols = _LatticeWorkspace(uniform_lattice(2, 2), [e]).green_columns
-    g = np.hstack([cols["left"][0].reshape(4, 2), cols["right"][0].reshape(4, 2)])
-    assert np.max(np.abs(g - ref)) < 1e-12
+    # the states psi = G[:, lead] q, with the sources q = i v_m chi_m on
+    # the interface columns, and the diagonal of G
+    v = 2.0 * np.sin(np.arccos((eps - e) / 2.0))
+    q = np.zeros((4, 4), dtype=complex)
+    q[:w, :w] = q[w:, w:] = 1j * v * chi
+    ws = _LatticeWorkspace(uniform_lattice(2, 2), [e])
+    assert np.max(np.abs(ws.psi[0].reshape(4, 4) - ref @ q)) < 1e-12
+    assert np.max(np.abs(ws.green_diagonal[0] - np.diag(ref))) < 1e-12
 
 
 @pytest.mark.parametrize("width,length", [(1, 1), (2, 1), (1, 5), (3, 2), (3, 10), (5, 20)])
@@ -203,28 +216,26 @@ def test_sweeps_match_dense_inverse(width, length):
     if width > 1:
         assert any(not c.is_open for e in energies for c in lead_modes(width, e))
     ws = _LatticeWorkspace(sysm, energies)  # one stacked sweep for all three
+    assert ws.green_diagonal.shape == (3, width * length)
+    assert ws.psi.shape == (3, length, width, 2 * width)
     for i, e in enumerate(energies):
-        g = dense_green_lattice(sysm, e)
+        psi, g = _dense_states(sysm, e)
         bound = 1e-12 * np.max(np.abs(g))
-        assert ws.green_diagonal.shape == (3, width * length)
         assert np.max(np.abs(ws.green_diagonal[i] - np.diag(g))) < bound
-        for lead, cols in (("left", g[:, :width]), ("right", g[:, -width:])):
-            ref = cols.reshape(length, width, width)
-            assert ws.green_columns[lead].shape == (3, length, width, width)
-            assert np.max(np.abs(ws.green_columns[lead][i] - ref)) < bound
+        assert np.max(np.abs(ws.psi[i] - psi)) < bound
 
 
 def test_smatrix_consistent_with_green_function(lattice3x10):
     # s_mn = -delta_mn + i sqrt(v_m v_n) chi_m^T G(c_m, c_n) chi_n with the
-    # Green's function blocks taken between the interface columns
+    # blocks of the dense Green's function between the interface columns
     e = 0.3
-    ws = _LatticeWorkspace(lattice3x10, [e])
+    g = dense_green_lattice(lattice3x10, e).reshape(10, 3, 10, 3)
     s, chans = scattering_matrix(lattice3x10, e)
     interface = {"left": 0, "right": -1}
     ref = np.empty_like(s)
     for i, cm in enumerate(chans):
         for j, cn in enumerate(chans):
-            gblk = ws.green_columns[cn.lead][0, interface[cm.lead]]
+            gblk = g[interface[cm.lead], :, interface[cn.lead], :]
             val = 1j * np.sqrt(cm.velocity * cn.velocity) * (
                 cm.transverse_profile @ gblk @ cn.transverse_profile
             )
@@ -255,9 +266,11 @@ def test_identity_full_and_subregion(lattice3x10, region):
 
 
 def test_evanescent_modes_matter_in_self_energy():
-    # dropping evanescent lead modes from Sigma must visibly change G
-    sysm = barrier_lattice(3, 6, [2, 3], 1.0)
-    e = -1.2  # one open, two evanescent modes per lead
+    # dropping evanescent lead modes from Sigma must visibly change G, and
+    # the open channels' states psi = G[:, lead] q wherever the device mixes
+    # the transverse modes; a barrier uniform across the strip keeps each
+    # mode to itself, so there the open channels' states cannot change
+    e = -1.2  # two open modes and one evanescent mode per lead
     modes = lead_modes(3, e)
     assert any(not c.is_open for c in modes)
     sigma_open = np.zeros((3, 3), dtype=complex)
@@ -266,15 +279,18 @@ def test_evanescent_modes_matter_in_self_energy():
             sigma_open += -np.exp(1j * c.k) * np.outer(
                 c.transverse_profile, c.transverse_profile
             )
-    h = build_hamiltonian(sysm)
-    n = sysm.n_sites
-    a_trunc = (e * np.eye(n) - h).astype(complex)
-    a_trunc[:3, :3] -= sigma_open
-    a_trunc[n - 3:, n - 3:] -= sigma_open
-    g_trunc = np.linalg.inv(a_trunc)
-    ws = _LatticeWorkspace(sysm, [e])
-    assert np.max(np.abs(ws.green_diagonal[0] - np.diag(g_trunc))) > 1e-6
-    assert np.max(np.abs(ws.green_columns["left"][0] - g_trunc[:, :3].reshape(6, 3, 3))) > 1e-6
+    q = np.stack([1j * c.velocity * c.transverse_profile for c in modes], axis=1)
+    for sysm, mixes in ((barrier_lattice(3, 6, [2, 3], 1.0), False), (random_lattice(5, 3, 6), True)):
+        h = build_hamiltonian(sysm)
+        n = sysm.n_sites
+        a_trunc = (e * np.eye(n) - h).astype(complex)
+        a_trunc[:3, :3] -= sigma_open
+        a_trunc[n - 3:, n - 3:] -= sigma_open
+        g_trunc = np.linalg.inv(a_trunc)
+        ws = _LatticeWorkspace(sysm, [e])
+        assert np.max(np.abs(ws.green_diagonal[0] - np.diag(g_trunc))) > 1e-6
+        psi_trunc = (g_trunc[:, :3] @ q).reshape(6, 3, 3)  # the left lead's states
+        assert (np.max(np.abs(ws.psi[0, ..., :3] - psi_trunc)) > 1e-6) == mixes
 
 
 # ------------------------------------------------------------ sweep structure
@@ -328,8 +344,7 @@ def test_singular_block_fails_only_its_energy(monkeypatch):
         o = one.open[:, 0]
         assert ws.error(i) is None and np.array_equal(ws.open[:, i], o)
         assert np.array_equal(ws.green_diagonal[i], one.green_diagonal[0])
-        for lead in ("left", "right"):
-            assert np.array_equal(ws.green_columns[lead][i], one.green_columns[lead][0])
+        assert np.array_equal(ws.psi[i], one.psi[0])
         assert np.array_equal(ws.dwell_times[o, i], one.dwell_times[o, 0])
         assert ws.region_dos[i] == one.region_dos[0]
         assert np.array_equal(ws.smatrices[i][np.ix_(o, o)], one.smatrices[0][np.ix_(o, o)])
@@ -358,12 +373,26 @@ def test_report_never_builds_dense_hamiltonian(monkeypatch, lattice3x10):
 
 
 def test_corrupt_interface_columns_fail_residual_check(lattice3x10):
+    # every state psi = G[:, lead] q of energy 0, on column 4
     ws = _LatticeWorkspace(lattice3x10, [0.3, 0.5])
-    ws.green_columns["left"][0, 4] *= 1.0 + 1e-6
+    ws.psi[0, 4] *= 1.0 + 1e-6
     for route in ("direct", "vderiv"):
         assert isinstance(ws.error(0, route), NumericalFailureError)
         assert ws.error(1, route) is None
     assert ws.error(0, "green") is None  # the Green route never reads the states
+
+
+@pytest.mark.parametrize("column", [0, 4, -1], ids=["left-interface", "interior", "right-interface"])
+@pytest.mark.parametrize("label", ["left:2", "right:2"])
+def test_residual_stencil_catches_a_corrupt_state(lattice3x10, column, label):
+    ws = _LatticeWorkspace(lattice3x10, [0.3, 0.5])
+    n = ws.labels.index(label)
+    row = np.argmax(np.abs(ws.psi[0, column, :, n]))
+    ws.psi[0, column, row, n] *= 1.0 + 1e-6
+    for route in ("direct", "vderiv"):
+        assert isinstance(ws.error(0, route), NumericalFailureError)
+        assert ws.error(1, route) is None
+    assert ws.error(0, "green") is None
 
 
 def test_long_strip_identity():
