@@ -12,9 +12,9 @@ only as a consistency residual.  Derivatives are central differences with
 per-element phase differences taken on the principal branch.
 Every route reads the arrays of one dispatch, _scatter_chunk, which
 solves a chunk of energies as one batch of either backend, and
-single-energy calls are a grid of one.  Which channels are open, and
-whether an energy is too close to a threshold, is decided by the
-solvers alone: a grid point they refuse is a skip with their error.
+single-energy calls are a grid of one.  Both backends start their
+per-route errors from one skip rule, model.energy_errors, and a grid
+point a batch refuses is a skip with its error.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _scatter_chunk(
     or lattice._LatticeWorkspace.  Both expose the same read-only arrays:
     channel `labels`, the `open` mask and `velocities` (m, E), the direct
     `dwell_times` over Omega (m, E), `region_dos` (E,) and `smatrices`
-    (E, m, m), meaningful on the open block; and error(i, route).
+    (E, m, m), meaningful on the open block; and errors(route), per energy.
     """
     if isinstance(system, LatticeSystem):
         return lat._LatticeWorkspace(system, energies, v_shifts, region)
@@ -130,7 +130,7 @@ def _smatrices(system, energies, v_shifts, region) -> tuple:
                                v_shifts[start:start + size], region)
         stacks.append(batch.smatrices)
         opened.append(batch.open)
-        errors += [batch.error(i, "vderiv") for i in range(batch.energies.size)]
+        errors += batch.errors("vderiv")
     return batch.labels, np.concatenate(stacks), np.concatenate(opened, axis=1), errors
 
 
@@ -364,15 +364,15 @@ def _chunk_reports(
                 else [[None] * len(batch.labels)] * len(chunk))
         dos = batch.region_dos.tolist() if "green" in methods else [None] * len(chunk)
         velocities = batch.velocities.T.tolist()
-        for i, row in enumerate(batch.open.T.tolist()):
-            error = next(filter(None, (batch.error(i, route) for route in routes)), None)
+        for i, (row, *errors) in enumerate(zip(batch.open.T.tolist(), *map(batch.errors, routes))):
+            error = next(filter(None, errors), None)  # that of the first route with one
             ch = [c for c, o in enumerate(row) if o]  # the open channels
             points.append(error or ([batch.labels[c] for c in ch], [velocities[i][c] for c in ch],
                                     [taus[i][c] for c in ch], dos[i]))
         if "vderiv" in methods:
             s0.append(batch.smatrices)
             opened.append(batch.open)
-            s0_errors += [batch.error(i, "vderiv") for i in range(len(chunk))]
+            s0_errors += batch.errors("vderiv")
         del batch  # free this chunk's states before the next is solved
     vderiv = [None] * len(energies)
     if "vderiv" in methods:

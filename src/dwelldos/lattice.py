@@ -25,7 +25,9 @@ backward pass gives the site diagonal of G (Green-trace DOS).  Storage is
 the left-connected blocks g and the states, 3 L W^2 complex values per
 energy, of which only the states outlive the sweep; no block of G off
 its diagonal and nothing of size (LW)^2 is built.  The S matrices and the
-direct dwell times read the states.  scattering_state, scattering_matrix,
+direct dwell times read the states, and errors(route) says why an energy
+has no result, from the skip rule it shares with the 1D solver
+(model.energy_errors).  scattering_state, scattering_matrix,
 dwell_time_lattice and dos_region_lattice are a batch of one energy.
 """
 
@@ -37,16 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BoundStatePoleError,
-    ClosedChannelError,
-    DwellDosError,
-    NoOpenChannelError,
-    NumericalFailureError,
-    ThresholdProximityError,
-    ValidationError,
-)
-from .model import THRESHOLD_MARGIN, Array, LatticeRegion, LatticeSystem
+from .errors import BoundStatePoleError, ClosedChannelError, NumericalFailureError, ValidationError
+from .model import Array, LatticeRegion, LatticeSystem, energy_errors, uniform_lattice
 
 __all__ = [
     "ChannelInfo",
@@ -105,32 +99,27 @@ def transverse_modes(width: int) -> tuple[Array, Array]:
     return chi, eps
 
 
-def _lead_modes(eps: Array, energies: Array) -> tuple[Array, Array, list]:
+def _lead_modes(eps: Array, energies: Array) -> tuple[Array, Array]:
     """Longitudinal data of the W lead modes at every energy.
 
     Solves E = eps_m - 2 cos k on the retarded branch (Im k >= 0): k and
-    the velocity 2 sin k (0 for an evanescent mode), both (E, W), and per
-    energy the ThresholdProximityError of the first band edge within
-    THRESHOLD_MARGIN, or None.
+    the velocity 2 sin k (0 for an evanescent mode), both (E, W).
     """
-    edges = np.concatenate([eps - 2.0, eps + 2.0])
-    near = np.abs(energies[:, None] - edges) <= THRESHOLD_MARGIN
-    errors = [ThresholdProximityError(
-        f"E = {float(energy)} within {THRESHOLD_MARGIN} of band edge {edges[np.argmax(row)]}")
-        if row.any() else None for energy, row in zip(energies, near)]
     c = (eps - energies[:, None]) / 2.0
     opened = np.abs(c) < 1.0
     k = np.empty(c.shape, dtype=complex)
     k.real = np.where(opened, np.arccos(np.clip(c, -1.0, 1.0)), np.where(c >= 1.0, 0.0, np.pi))
     k.imag = np.where(opened, 0.0, np.arccosh(np.maximum(np.abs(c), 1.0)))
-    return k, np.where(opened, 2.0 * np.sin(k.real), 0.0), errors
+    return k, np.where(opened, 2.0 * np.sin(k.real), 0.0)
 
 
 def lead_modes(width: int, energy: float) -> list[ChannelInfo]:
     """All W channels of the left lead at this energy, open and evanescent
     (the right lead's are the same with lead = "right")."""
     chi, eps = transverse_modes(width)
-    k, velocity, (error,) = _lead_modes(eps, np.array([energy], dtype=float))
+    k, velocity = _lead_modes(eps, np.array([energy], dtype=float))
+    # a lead has the thresholds of any strip of its width
+    (error,) = energy_errors(uniform_lattice(width, 1), [energy], np.ones((1, 1), dtype=bool))
     if error is not None:
         raise error
     return [ChannelInfo(
@@ -214,7 +203,7 @@ class _LatticeWorkspace:
     and the states psi = G[:, lead] (i v_n chi_n) of all 2W channels,
     solved by block substitution: `psi` (E, L, W, 2W), psi[e, c, :, n] on
     column c.  As in ScatterBatch, the routes are numpy expressions
-    evaluated on first use, and `error(i, route)` fails only energy i.
+    evaluated on first use, and `errors(route)` fails each energy alone.
     """
 
     def __init__(self, system: LatticeSystem, energies, v_shift=0.0,
@@ -225,17 +214,18 @@ class _LatticeWorkspace:
         self.system, self.energies = system, energies
         self.sites = system.region_sites(region)
         self._chi, eps = transverse_modes(w)
-        k, velocity, self._threshold = _lead_modes(eps, energies)
+        k, velocity = _lead_modes(eps, energies)
         self.labels = tuple(f"{lead}:{m}" for lead in ("left", "right") for m in range(1, w + 1))
         self.velocities = np.concatenate([velocity, velocity], axis=1).T
         self.open = self.velocities > 0.0
         # sources Q[:, :, m] = i v_m chi_m of the W modes of one lead, (E, W, W)
         self._sources = (1j * velocity[:, None, :]) * self._chi
-        self._sigma = _self_energies(self._chi, k)
         onsite = np.repeat(system.onsite.reshape(1, -1), energies.size, axis=0)
         onsite[:, self.sites] += shift[:, None]
         self._diagonal = (energies[:, None] - onsite).reshape(-1, lx, w)  # E - V per site
-        column = energies[:, None, None] * np.eye(w) - _column_hamiltonian(w)
+        with np.errstate(all="ignore"):  # a non-finite energy is failed by `errors`
+            self._sigma = _self_energies(self._chi, k)
+            column = energies[:, None, None] * np.eye(w) - _column_hamiltonian(w)
         rows = np.arange(w)
 
         def block(c):
@@ -333,30 +323,27 @@ class _LatticeWorkspace:
         diagonal = np.ascontiguousarray(self.green_diagonal[:, self.sites].imag)
         return -np.sum(diagonal, axis=-1) / np.pi
 
-    def error(self, i: int, route: str = "direct") -> DwellDosError | None:
-        """Why energy i has no result on `route` ("direct", "green" or
-        "vderiv"), or None: a threshold within THRESHOLD_MARGIN, no open
-        channel or a singular column block, and for the routes that read
-        the states (all but "green") a solve residual above _RESIDUAL_TOL,
-        checked in that order."""
-        energy = float(self.energies[i])
-        if self._threshold[i] is not None:
-            return self._threshold[i]
-        if not self.open[:, i].any():
-            return NoOpenChannelError(f"no open lead channel at E = {energy}")
-        if self._singular[i]:
-            return BoundStatePoleError(f"singular column block at E = {energy}")
-        if route != "green" and not self.residuals[i] <= _RESIDUAL_TOL:  # NaN fails too
-            return NumericalFailureError(
-                f"scattering solve residual {self.residuals[i]:.3e} at E = {energy}")
-        return None
+    def errors(self, route: str = "direct") -> list:
+        """Per energy, None or the error that leaves it without `route`
+        ("direct", "green" or "vderiv"): model.energy_errors's, then a
+        singular column block, then a solve residual above _RESIDUAL_TOL
+        (all but "green", which never computes the residuals)."""
+        errors = energy_errors(self.system, self.energies, self.open)
+        unresolved = route != "green" and ~(self.residuals <= _RESIDUAL_TOL)  # NaN fails too
+        for i in np.flatnonzero(self._singular | unresolved):
+            energy = float(self.energies[i])
+            errors[i] = errors[i] or (
+                BoundStatePoleError(f"singular column block at E = {energy}")
+                if self._singular[i] else NumericalFailureError(
+                    f"scattering solve residual {self.residuals[i]:.3e} at E = {energy}"))
+        return errors
 
 
 def _solve_one(system: LatticeSystem, energy: float, route: str,
                region: LatticeRegion | None = None) -> _LatticeWorkspace:
     """A batch of one energy, or the error that leaves it without `route`."""
     batch = _LatticeWorkspace(system, [energy], region=region)
-    error = batch.error(0, route)
+    (error,) = batch.errors(route)
     if error is not None:
         raise error
     return batch

@@ -14,7 +14,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import (
+    NoOpenChannelError,
+    NumericalFailureError,
+    ThresholdProximityError,
+    ValidationError,
+)
 
 Array = np.ndarray
 
@@ -321,24 +326,49 @@ def barrier_lattice(
 # ----------------------------------------------------------------------------
 
 # Energies within this margin of a channel threshold are refused: the
-# incident velocity vanishes there.  The solvers' threshold checks and
-# EnergyGrid.admissible_mask all compare against it.
+# incident velocity vanishes there.  The skip rule of both solvers,
+# energy_errors, and EnergyGrid.admissible_mask share one compare with it.
 THRESHOLD_MARGIN = 1e-6
 
 
 def channel_thresholds(system: LayerStack | LatticeSystem) -> Array:
-    """Sorted channel-opening energies.
+    """Sorted channel-opening energies, each once.
 
     Stacks open a channel at each asymptotic potential; lattice leads open
     and close one per transverse mode at the band edges eps_m -+ 2.
     """
-    if isinstance(system, LayerStack):
-        return np.unique([system.v_left, system.v_right])
+    if isinstance(system, LayerStack):  # not np.unique, whose first call imports numpy.ma
+        return np.array(sorted({system.v_left, system.v_right}))
     if isinstance(system, LatticeSystem):
         m = np.arange(1, system.width + 1)
         eps = -2.0 * np.cos(m * np.pi / (system.width + 1))
-        return np.unique(np.concatenate([eps - 2.0, eps + 2.0]))
+        return np.sort(np.concatenate([eps - 2.0, eps + 2.0]))  # distinct: |eps_m| < 2
     raise ValidationError(f"unsupported system type {type(system).__name__}")
+
+
+def _near_threshold(energies: Array, thresholds: Array) -> Array:
+    """(energy, threshold) mask, True within THRESHOLD_MARGIN."""
+    return np.abs(np.subtract.outer(energies, thresholds)) <= THRESHOLD_MARGIN
+
+
+def energy_errors(system: LayerStack | LatticeSystem, energies: Array, opened: Array) -> list:
+    """The skip rule of both solvers: per energy, None or the first of a
+    non-finite energy, a threshold within THRESHOLD_MARGIN and no open
+    channel in the (channel, energy) mask `opened`.  The identity sums
+    over open incoming channels, so the last two leave nothing to check."""
+    thresholds = channel_thresholds(system)
+    finite, near = np.isfinite(energies), _near_threshold(energies, thresholds)
+    errors: list = [None] * len(energies)
+    for i in np.flatnonzero(~finite | near.any(axis=1) | ~opened.any(axis=0)):
+        energy = float(energies[i])
+        if not finite[i]:
+            errors[i] = NumericalFailureError(f"non-finite energy E = {energy}")
+        elif near[i].any():
+            errors[i] = ThresholdProximityError(f"E = {energy} within {THRESHOLD_MARGIN} of "
+                                                f"channel threshold {thresholds[near[i]][0]}")
+        else:
+            errors[i] = NoOpenChannelError(f"no open lead channel at E = {energy}")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -364,11 +394,7 @@ class EnergyGrid:
     def admissible_mask(self, thresholds: Array) -> Array:
         """True where a grid point is farther than THRESHOLD_MARGIN from every
         threshold: the points the solvers do not refuse."""
-        pts = self.points
-        mask = np.ones(pts.shape, dtype=bool)
-        for t in np.atleast_1d(thresholds):
-            mask &= np.abs(pts - t) > THRESHOLD_MARGIN
-        return mask
+        return ~_near_threshold(self.points, np.atleast_1d(thresholds)).any(axis=1)
 
 
 @dataclass(frozen=True)

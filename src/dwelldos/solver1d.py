@@ -21,7 +21,7 @@ step is elementwise in energy, so a non-finite energy fails alone.  The
 direct route (ScatterBatch.dwell_times), the Green route
 (ScatterBatch.region_dos) and the S matrices are numpy expressions over
 the batch's (energy, layer) arrays, with no Python loop over energies or
-layers; ScatterBatch.error(i, route) says why an energy has no result.
+layers; ScatterBatch.errors(route) says why each energy has no result.
 scattering_amplitudes, dwell_time_direct_1d and dos_region_1d are a
 batch of one energy.  Pointwise quantities (psi and psi', G+(x, x'),
 the LDOS) read the same arrays through ScatterSolution1D.wave, which
@@ -49,15 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ClosedChannelError,
-    DwellDosError,
-    NoOpenChannelError,
-    NumericalFailureError,
-    ThresholdProximityError,
-    ValidationError,
-)
-from .model import FLUX_FACTOR, THRESHOLD_MARGIN, Array, LayerStack
+from .errors import ClosedChannelError, NumericalFailureError, ValidationError
+from .model import FLUX_FACTOR, Array, LayerStack, energy_errors
 
 __all__ = [
     "layer_wavevector",
@@ -76,7 +69,6 @@ __all__ = [
 # {1, u}: the scaled basis degenerates there, while the {1, u} solution
 # differs from the true one by (k d)^2 / 2 relative.
 _GRAZING_KD = 1e-6
-_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def layer_wavevector(energy, potential):
@@ -88,7 +80,8 @@ def layer_wavevector(energy, potential):
     """
     diff = np.subtract(energy, potential)
     root = np.sqrt(np.abs(diff))
-    k = np.where(diff < 0.0, 1j * root, root + 0j)
+    k = np.empty(np.shape(diff), dtype=complex)  # by part: 1j * inf is nan + i inf
+    k.real, k.imag = np.where(diff < 0.0, 0.0, root), np.where(diff < 0.0, root, 0.0)
     return k if k.ndim else complex(k)
 
 
@@ -223,8 +216,8 @@ class ScatterBatch:
     `open` mask and `velocities` (2, E).  The coefficients (the tree's
     down-sweep), the routes and the S matrices are evaluated on first use,
     so a batch read for its S matrices never runs the down-sweep.
-    `error(i, route)` says why energy i has no result on a route, and one
-    energy's failure never touches another.  `v_shift` (scalar or per
+    `errors(route)` says per energy why it has no result on a route, and
+    one energy's failure never touches another.  `v_shift` (scalar or per
     energy) is added to every layer potential.
     """
 
@@ -240,16 +233,20 @@ class ScatterBatch:
         # layers adds in the same order as for a single energy
         self.k_layers = k = layer_wavevector(energies[:, None], stack.potentials + shift[:, None])
         k[np.abs(k) * stack.thicknesses <= _GRAZING_KD] = 0.0
-        with np.errstate(all="ignore"):  # a failed energy is flagged below
+        with np.errstate(all="ignore"):  # a failed energy is flagged by `errors`
             s, *self._layer_map = _elements(self.k_left, k, self.k_right, stack.thicknesses)
             self._levels = _up_sweep(s)
-        root = self._levels[-1][0][:, 0]  # r, t, r', t' of the x = 0 and x = L planes
+            root = self._levels[-1][0][:, 0]  # r, t, r', t' of the x = 0 and x = L planes
+            # W = psi_L psi_R' - psi_L' psi_R, (E,), read by `errors` on every
+            # route: right incidence is the left-outgoing psi_L, and W = 2 i k_L
+            # times its outgoing amplitude
+            self.wronskian = 2j * self.k_left * root[3]
+            # plane-L amplitudes -> global x = 0 reference
+            phase = np.exp(-1j * self.k_right * stack.total_length)
         self._s_failed = ~np.isfinite(root).all(axis=0)
         self.out_left, self.out_right = root[[0, 3]], root[[1, 2]]
         self.velocities = 2.0 * np.stack([self.k_left.real, self.k_right.real])
         self.open = self.velocities > 0.0
-        # plane-L amplitudes -> global x = 0 reference
-        phase = np.exp(-1j * self.k_right * stack.total_length)
         self.r, self.t = root[0], root[1] * phase
         self.r_prime, self.t_prime = root[2] * phase**2, root[3] * phase
 
@@ -260,7 +257,7 @@ class ScatterBatch:
         their shared port's f_m = D (t_1 f + r'_1 t'_2 g), g_m = r_2 f_m + t'_2 g."""
         f, g = np.zeros((2, 2, 1, self.energies.size), dtype=complex)
         f[0], g[1] = 1.0, 1.0
-        with np.errstate(all="ignore"):  # a failed energy is flagged by `failed`
+        with np.errstate(all="ignore"):  # a failed energy is flagged by `errors`
             for s, dd in reversed(self._levels[:-1]):
                 h = s.shape[1] // 2
                 one, two = slice(0, 2 * h, 2), slice(1, 2 * h, 2)  # the nodes of each join
@@ -296,12 +293,6 @@ class ScatterBatch:
             return per_layer.sum(axis=-1) / self.velocities
 
     @cached_property
-    def wronskian(self) -> Array:
-        """W = psi_L psi_R' - psi_L' psi_R, (E,): right incidence is the
-        left-outgoing psi_L, and W = 2 i k_L times its outgoing amplitude."""
-        return 2j * self.k_left * self.out_left[1]
-
-    @cached_property
     def region_dos(self) -> Array:
         """Green route, (E,): -(1/pi) Im of the integral of psi_L psi_R / W
         = G+(x, x) over [0, L]; it never uses the direct route's |psi|^2."""
@@ -325,36 +316,31 @@ class ScatterBatch:
         s.flags.writeable = False
         return s
 
-    def error(self, i: int, route: str = "direct") -> DwellDosError | None:
-        """Why energy i has no result on `route` ("direct", "green" or
-        "vderiv"), or None.  A threshold within THRESHOLD_MARGIN, no open
-        channel and a non-finite S fail every route, non-finite interior
-        coefficients the direct and Green routes, and an underflowing
-        Wronskian the Green route."""
-        energy, stack = float(self.energies[i]), self.stack
-        for v in (stack.v_left, stack.v_right):
-            if abs(energy - v) <= THRESHOLD_MARGIN:
-                return ThresholdProximityError(
-                    f"E = {energy} within {THRESHOLD_MARGIN} of channel threshold {v}")
-        if energy < stack.v_left and energy < stack.v_right:
-            return NoOpenChannelError(f"E = {energy} below both channel thresholds "
-                                      f"({stack.v_left}, {stack.v_right})")
-        if self._s_failed[i] or (route != "vderiv" and self.failed[i]):
-            return NumericalFailureError(f"interface solve failed at E = {energy}")
+    def errors(self, route: str = "direct") -> list:
+        """Per energy, None or the error that leaves it without `route`
+        ("direct", "green" or "vderiv"): model.energy_errors's, then a
+        non-finite S, non-finite interior coefficients (all but "vderiv",
+        which never runs the down-sweep), then an underflowing W ("green")."""
+        errors = energy_errors(self.stack, self.energies, self.open)
+        failed = self._s_failed if route == "vderiv" else self.failed
         # With an open channel G+ has no pole on the real axis, however
         # small |t| is; W leaves the normal floats only when the outgoing
         # amplitude underflows (a subnormal W has lost the digits of 1/W).
-        if route == "green" and not _TINY <= abs(self.wronskian[i]) < np.inf:
-            return NumericalFailureError(
+        w = np.abs(self.wronskian)
+        underflow = ~((np.finfo(float).tiny <= w) & (w < np.inf)) & (route == "green")
+        for i in np.flatnonzero(failed | underflow):
+            energy = float(self.energies[i])
+            errors[i] = errors[i] or NumericalFailureError(
+                f"interface solve failed at E = {energy}" if failed[i] else
                 f"Wronskian {self.wronskian[i]} at E = {energy}: the outgoing amplitude "
                 "of the left-outgoing solution underflowed")
-        return None
+        return errors
 
 
 def _solve_one(stack: LayerStack, energy: float, route: str = "direct") -> ScatterSolution1D:
     """A ScatterBatch of one energy, or the error that leaves it without `route`."""
     batch = ScatterBatch(stack, [energy])
-    error = batch.error(0, route)
+    (error,) = batch.errors(route)
     if error is not None:
         raise error
     return ScatterSolution1D(batch, 0)

@@ -350,6 +350,19 @@ def test_underflowing_wronskian_is_numerical_failure(thickness):
         solver1d.greens_function_1d(stack, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("system", [build_stack([(1.0, 1.0)]), random_lattice(3, 3, 6)],
+                         ids=["stack", "lattice"])
+def test_non_finite_energy_is_a_failed_skip(system, energy):
+    # a failure, not a point with nothing to check; tier-1 turns any
+    # RuntimeWarning the solve lets escape into an error
+    for methods in (("direct", "green"), ("vderiv",)):
+        rep = compute_report(system, energy, methods=methods)
+        assert rep.skipped
+        assert rep.skip_reason.startswith("NumericalFailureError")
+        assert rep.skip_reason.split(":")[0] not in analysis.EXPECTED_SKIPS
+
+
 def test_verify_identity_below_all_thresholds():
     stack = build_stack([(1.0, 0.0)], v_left=5.0, v_right=5.0)
     reports = verify_identity(stack, EnergyGrid(0.5, 2.0, 5))
@@ -458,9 +471,8 @@ def test_chunk_peak_memory(backend, per_chunk, bound_mib):
         tracemalloc.reset_peak()
         batch = analysis._scatter_chunk(system, list(energies[:size]), [0.0] * size)
         batch.dwell_times, batch.region_dos, batch.smatrices
-        for i in range(size):
-            for route in ("direct", "green", "vderiv"):
-                batch.error(i, route)
+        for route in ("direct", "green", "vderiv"):
+            batch.errors(route)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -409,7 +409,9 @@ def test_resonances_too_coarse_grid(tmp_path, capsys):
 def test_scan_and_verify_never_import_scipy(tmp_path):
     # importing scipy.signal costs more than the rest of a short run's
     # setup; only `resonances` needs it, so scan and verify on the shipped
-    # configs must leave scipy unloaded (checked in a fresh interpreter)
+    # configs must leave scipy unloaded (checked in a fresh interpreter).
+    # numpy.ma (5-8 ms, loaded by the first np.unique) must stay unloaded
+    # too; numpy.matrixlib comes with numpy itself, so names match exactly.
     code = (
         "import sys\n"
         "from dwelldos.cli import main\n"
@@ -417,7 +419,8 @@ def test_scan_and_verify_never_import_scipy(tmp_path):
         "    cfg = f'{sys.argv[1]}/configs/{name}.json'\n"
         "    assert main(['scan', '--config', cfg, '--out', f'{sys.argv[2]}/{name}']) == 0\n"
         "    assert main(['verify', '--config', cfg]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, str(REPO), str(tmp_path)],

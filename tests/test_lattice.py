@@ -145,7 +145,7 @@ def test_dwell_time_positive(lattice3x10, rng):
     energies = rng.uniform(-1.0, 1.0, size=5)
     ws = _LatticeWorkspace(lattice3x10, energies)
     for i, e in enumerate(energies):
-        assert ws.error(i) is None
+        assert ws.errors("direct")[i] is None
         taus = ws.dwell_times[ws.open[:, i], i]
         assert len(taus) == len(open_channels(lattice3x10, e))
         assert np.all(np.isfinite(taus)) and np.all(taus >= 0.0)
@@ -338,11 +338,11 @@ def test_singular_block_fails_only_its_energy(monkeypatch):
 
     monkeypatch.setattr(dwelldos.lattice, "_inv", singular_middle)
     ws = _LatticeWorkspace(system, energies)
-    assert str(ws.error(1, "green")) == "singular column block at E = 0.7"
+    assert str(ws.errors("green")[1]) == "singular column block at E = 0.7"
     for i in (0, 2):
         one = clean[i]
         o = one.open[:, 0]
-        assert ws.error(i) is None and np.array_equal(ws.open[:, i], o)
+        assert ws.errors("direct")[i] is None and np.array_equal(ws.open[:, i], o)
         assert np.array_equal(ws.green_diagonal[i], one.green_diagonal[0])
         assert np.array_equal(ws.psi[i], one.psi[0])
         assert np.array_equal(ws.dwell_times[o, i], one.dwell_times[o, 0])
@@ -372,14 +372,36 @@ def test_report_never_builds_dense_hamiltonian(monkeypatch, lattice3x10):
         assert abs(c.tau_vderiv - c.tau_direct) < 1e-5
 
 
+def test_non_finite_energy_fails_alone(lattice3x10):
+    ws = _LatticeWorkspace(lattice3x10, [0.3, np.nan, 0.7])
+    for route in ("direct", "green", "vderiv"):
+        assert isinstance(ws.errors(route)[1], NumericalFailureError)
+        assert ws.errors(route)[0] is None and ws.errors(route)[2] is None
+    for i in (0, 2):
+        one = _LatticeWorkspace(lattice3x10, [ws.energies[i]])
+        o = one.open[:, 0]
+        assert np.array_equal(ws.open[:, i], o)
+        assert np.array_equal(ws.psi[i], one.psi[0])
+        assert np.array_equal(ws.green_diagonal[i], one.green_diagonal[0])
+        assert np.array_equal(ws.smatrices[i][np.ix_(o, o)], one.smatrices[0][np.ix_(o, o)])
+
+
+def test_green_errors_never_compute_residuals(lattice3x10):
+    ws = _LatticeWorkspace(lattice3x10, [0.3, 0.5])
+    assert ws.errors("green") == [None, None]
+    assert "residuals" not in vars(ws)
+    ws.errors("direct")
+    assert "residuals" in vars(ws)
+
+
 def test_corrupt_interface_columns_fail_residual_check(lattice3x10):
     # every state psi = G[:, lead] q of energy 0, on column 4
     ws = _LatticeWorkspace(lattice3x10, [0.3, 0.5])
     ws.psi[0, 4] *= 1.0 + 1e-6
     for route in ("direct", "vderiv"):
-        assert isinstance(ws.error(0, route), NumericalFailureError)
-        assert ws.error(1, route) is None
-    assert ws.error(0, "green") is None  # the Green route never reads the states
+        assert isinstance(ws.errors(route)[0], NumericalFailureError)
+        assert ws.errors(route)[1] is None
+    assert ws.errors("green")[0] is None  # the Green route never reads the states
 
 
 @pytest.mark.parametrize("column", [0, 4, -1], ids=["left-interface", "interior", "right-interface"])
@@ -390,9 +412,9 @@ def test_residual_stencil_catches_a_corrupt_state(lattice3x10, column, label):
     row = np.argmax(np.abs(ws.psi[0, column, :, n]))
     ws.psi[0, column, row, n] *= 1.0 + 1e-6
     for route in ("direct", "vderiv"):
-        assert isinstance(ws.error(0, route), NumericalFailureError)
-        assert ws.error(1, route) is None
-    assert ws.error(0, "green") is None
+        assert isinstance(ws.errors(route)[0], NumericalFailureError)
+        assert ws.errors(route)[1] is None
+    assert ws.errors("green")[0] is None
 
 
 def test_long_strip_identity():

@@ -446,13 +446,21 @@ def test_non_finite_energy_fails_alone():
     batch = ScatterBatch(stack, [0.5, np.nan, 2.5])
     assert batch.failed.tolist() == [False, True, False]
     for route in ("direct", "green", "vderiv"):
-        assert isinstance(batch.error(1, route), NumericalFailureError)
-        assert batch.error(0, route) is None and batch.error(2, route) is None
+        assert isinstance(batch.errors(route)[1], NumericalFailureError)
+        assert batch.errors(route)[0] is None and batch.errors(route)[2] is None
     for i in (0, 2):
         ref = ScatterBatch(stack, [batch.energies[i]])
         np.testing.assert_allclose(batch.coeff_a[:, i], ref.coeff_a[:, 0], rtol=1e-14)
         np.testing.assert_allclose(batch.coeff_b[:, i], ref.coeff_b[:, 0], rtol=1e-14)
         np.testing.assert_allclose(batch.smatrices[i], ref.smatrices[0], rtol=0, atol=1e-14)
+
+
+def test_vderiv_errors_never_run_the_down_sweep():
+    batch = ScatterBatch(build_stack([(1.0, 1.0), (0.5, 0.3)]), [0.5, 1.5])
+    assert batch.errors("vderiv") == [None, None]
+    assert "_coefficients" not in vars(batch)
+    batch.errors("direct")
+    assert "_coefficients" in vars(batch)
 
 
 def test_non_finite_coefficients_fail_only_the_state_routes():
@@ -463,10 +471,10 @@ def test_non_finite_coefficients_fail_only_the_state_routes():
     _, top_join = batch._levels[-2]
     top_join[:, 1] = np.nan
     assert batch.failed.tolist() == [False, True, False]
-    assert batch.error(1, "vderiv") is None
+    assert batch.errors("vderiv")[1] is None
     for route in ("direct", "green"):
-        assert isinstance(batch.error(1, route), NumericalFailureError)
-        assert batch.error(0, route) is None and batch.error(2, route) is None
+        assert isinstance(batch.errors(route)[1], NumericalFailureError)
+        assert batch.errors(route)[0] is None and batch.errors(route)[2] is None
 
 
 def test_batch_matches_single_energy_solves(stack42):
@@ -474,7 +482,8 @@ def test_batch_matches_single_energy_solves(stack42):
     batch = ScatterBatch(stack42, energies, v_shift=[0.0, 0.01, -0.02, 0.0])
     for i, (e, v) in enumerate(zip(energies, [0.0, 0.01, -0.02, 0.0])):
         ref = scattering_amplitudes(stack42.shifted(v) if v else stack42, e)
-        assert batch.energies[i] == e and batch.error(i) is None and batch.open[:, i].all()
+        assert batch.energies[i] == e and batch.errors("direct")[i] is None
+        assert batch.open[:, i].all()
         np.testing.assert_allclose(batch.smatrices[i], ref.batch.smatrices[0], rtol=0, atol=1e-14)
         np.testing.assert_allclose(batch.coeff_a[0, i], ref.batch.coeff_a[0, 0],
                                    rtol=0, atol=1e-14)
@@ -486,8 +495,9 @@ def test_batch_solution_raises_like_single_solve():
     for i, error in enumerate((NoOpenChannelError, ThresholdProximityError)):
         with pytest.raises(error) as single:
             scattering_amplitudes(stack, float(batch.energies[i]))
-        assert type(batch.error(i)) is error and str(batch.error(i)) == str(single.value)
-    assert batch.error(2) is None and batch.open[0, 2]
+        got = batch.errors("direct")[i]
+        assert type(got) is error and str(got) == str(single.value)
+    assert batch.errors("direct")[2] is None and batch.open[0, 2]
 
 
 def test_probability_integral_over_layer_arrays(rng):
