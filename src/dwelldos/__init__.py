@@ -54,8 +54,6 @@ from .solver1d import (
     scattering_amplitudes,
 )
 from .lattice import (
-    ChannelInfo,
-    LatticeScatterState,
     dos_region_lattice,
     dwell_time_lattice,
     lead_modes,

@@ -41,9 +41,11 @@ from .model import (
     LatticeSystem,
     LayerStack,
     SpectralWeight,
+    channel_index,
 )
 
 __all__ = [
+    "METHODS",
     "ChannelRecord",
     "DwellReport",
     "Peak",
@@ -62,6 +64,7 @@ RESIDUAL_FLOOR = 1e-30
 _IMAG_RESIDUAL_TOL = 1e-6
 _WEIGHT_EPS = 1e-12  # |s|^2 below this cannot contribute above noise
 _MAX_HALVINGS = 12  # V-derivative step halvings before a point is skipped
+METHODS = ("direct", "green", "vderiv")  # the routes a report can run
 
 
 # ----------------------------------------------------------------------------
@@ -255,16 +258,18 @@ def dwell_times_vderiv_all(
 def dwell_time_vderiv(
     system: LayerStack | LatticeSystem,
     energy: float,
-    channel: str | lat.ChannelInfo,
+    channel: str,
     dv: float | None = None,
     region: LatticeRegion | None = None,
 ) -> float:
-    """Dwell time of one channel from the S-matrix potential derivative."""
-    label = channel.label if isinstance(channel, lat.ChannelInfo) else channel
-    taus = dwell_times_vderiv_all(system, energy, dv, region)
-    if label not in taus:
-        raise ValidationError(f"channel {label!r} not open at E = {energy}")
-    return taus[label]
+    """Dwell time of one channel, given by its label (checked by
+    model.channel_index), from the S-matrix potential derivative."""
+    labels, s0, opened, errors = _smatrices(system, [energy], [0.0], region)
+    n = channel_index(labels, opened[:, 0], channel, energy, errors[0])
+    (result,) = _vderiv_steps(system, region, [energy], s0, opened, errors, dv)
+    if isinstance(result, DwellDosError):
+        raise result
+    return result[np.count_nonzero(opened[:n, 0])]
 
 
 # ----------------------------------------------------------------------------
@@ -351,8 +356,8 @@ def _chunk_reports(
     built once, after its V-derivative, and errors keep compute_report's
     order: S(0), then the V-derivative, then the direct and Green routes.
     """
-    if not methods or set(methods) - {"direct", "green", "vderiv"}:
-        raise ValidationError(f"methods must be some of direct, green, vderiv: {methods!r}")
+    if not methods or set(methods) - set(METHODS):
+        raise ValidationError(f"methods must be some of {', '.join(METHODS)}: {methods!r}")
     size = _chunk_size(system)
     routes = [m for m in ("direct", "green") if m in methods]
     points, s0, opened, s0_errors = [], [], [], []

@@ -38,7 +38,6 @@ from .model import (
 
 SCAN_HEADER = "energy,channel,tau_direct,tau_vderiv,dos_green,dos_sum,residual_rel,skipped"
 PEAKS_HEADER = "E_peak,kind,channel,height,width,match_distance"
-_VALID_METHODS = ("direct", "green", "vderiv")
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,7 @@ def load_config(path: str | Path) -> RunConfig:
     methods = _parse("methods", lambda: tuple(doc.get("methods", ["direct", "green"])))
     if not methods:
         raise ConfigError("field 'methods' must be non-empty")
-    bad = _parse("methods", lambda: sorted(set(methods) - set(_VALID_METHODS)))
+    bad = _parse("methods", lambda: sorted(set(methods) - set(an.METHODS)))
     if bad:
         raise ConfigError(f"field 'methods' has unknown entries {bad}")
 
@@ -340,9 +339,7 @@ def cmd_resonances(config: RunConfig, out_dir: Path) -> dict:
     reports = compute_reports(config)
     table = an.find_resonances(reports, min_prominence=config.min_prominence)
     lines = []
-    match_by_peak = {id(m.dos_peak): m for m in table.matches}
-    for p in table.dos_peaks:
-        m = match_by_peak[id(p)]
+    for p, m in zip(table.dos_peaks, table.matches):  # one match per DOS peak, in order
         dist = _fmt(m.distance) if m.matched else ""
         chan = m.channel or ""
         lines.append(f"{_fmt(p.energy)},dos,{chan},{_fmt(p.height)},{_fmt(p.width)},{dist}")

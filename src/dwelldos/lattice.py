@@ -2,8 +2,10 @@
 
 Dispersion convention (hopping -1, zero on-site in the leads): transverse
 profiles chi_m(j) = sqrt(2/(W+1)) sin(m pi j / (W+1)) with transverse
-energy eps_m = -2 cos(m pi / (W+1)), and per-mode longitudinal dispersion
-E = eps_m - 2 cos k, group velocity v = 2 sin k.
+energy eps_m = -2 cos(m pi / (W+1)), both from model.transverse_modes,
+and per-mode longitudinal dispersion E = eps_m - 2 cos k, group velocity
+v = 2 sin k.  _lead_modes solves it for k and v at an array of energies;
+lead_modes is its gated single-energy form.
 
 The two semi-infinite leads are folded into self-energies
 Sigma(E) = sum_m (-e^{i k_m}) chi_m chi_m^T acting on the interface
@@ -29,23 +31,22 @@ direct dwell times read the states, and errors(route) says why an energy
 has no result, from the skip rule it shares with the 1D solver
 (model.energy_errors).  scattering_state, scattering_matrix,
 dwell_time_lattice and dos_region_lattice are a batch of one energy.
+Channels are labels ("left:m", "right:m"), returned by open_channels and
+scattering_matrix and taken by scattering_state and dwell_time_lattice.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundStatePoleError, ClosedChannelError, NumericalFailureError, ValidationError
-from .model import Array, LatticeRegion, LatticeSystem, energy_errors, uniform_lattice
+from .errors import BoundStatePoleError, NumericalFailureError
+from .model import (Array, LatticeRegion, LatticeSystem, channel_index, energy_errors,
+                    transverse_modes, uniform_lattice)
 
 __all__ = [
-    "ChannelInfo",
-    "LatticeScatterState",
-    "transverse_modes",
     "lead_modes",
     "open_channels",
     "lead_self_energy",
@@ -58,45 +59,6 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _SLAB_COLUMNS = 8  # columns per slab of the residual and dwell-time sums
-
-
-@dataclass(frozen=True)
-class ChannelInfo:
-    """One lead mode: transverse profile plus longitudinal propagation data."""
-
-    lead: str                 # "left" | "right"
-    mode: int                 # 1-based transverse index
-    transverse_profile: Array
-    transverse_energy: float
-    k: complex
-    velocity: float           # 2 sin k for open modes, 0.0 otherwise
-    status: str               # "open" | "evanescent"
-
-    @property
-    def is_open(self) -> bool:
-        return self.status == "open"
-
-    @property
-    def label(self) -> str:
-        return f"{self.lead}:{self.mode}"
-
-
-@dataclass(frozen=True)
-class LatticeScatterState:
-    energy: float
-    channel: ChannelInfo
-    psi: Array  # shape (length, width), unit incident amplitude
-
-
-def transverse_modes(width: int) -> tuple[Array, Array]:
-    """Orthonormal transverse profiles (columns of chi) and energies eps_m."""
-    if width < 1:
-        raise ValidationError("width must be >= 1")
-    j = np.arange(1, width + 1)
-    m = np.arange(1, width + 1)
-    chi = np.sqrt(2.0 / (width + 1)) * np.sin(np.outer(j, m) * np.pi / (width + 1))
-    eps = -2.0 * np.cos(m * np.pi / (width + 1))
-    return chi, eps
 
 
 def _lead_modes(eps: Array, energies: Array) -> tuple[Array, Array]:
@@ -113,27 +75,23 @@ def _lead_modes(eps: Array, energies: Array) -> tuple[Array, Array]:
     return k, np.where(opened, 2.0 * np.sin(k.real), 0.0)
 
 
-def lead_modes(width: int, energy: float) -> list[ChannelInfo]:
-    """All W channels of the left lead at this energy, open and evanescent
-    (the right lead's are the same with lead = "right")."""
-    chi, eps = transverse_modes(width)
-    k, velocity = _lead_modes(eps, np.array([energy], dtype=float))
+def lead_modes(width: int, energy: float) -> tuple[Array, Array]:
+    """k and velocity (0 for an evanescent mode) of the W modes of a lead
+    at this energy, (W,) each, in transverse_modes order; both leads have
+    the same.  An energy the skip rule refuses raises its error."""
     # a lead has the thresholds of any strip of its width
     (error,) = energy_errors(uniform_lattice(width, 1), [energy], np.ones((1, 1), dtype=bool))
     if error is not None:
         raise error
-    return [ChannelInfo(
-        lead="left", mode=m + 1, transverse_profile=chi[:, m],
-        transverse_energy=float(eps[m]), k=complex(k[0, m]), velocity=float(velocity[0, m]),
-        status="open" if velocity[0, m] > 0.0 else "evanescent",
-    ) for m in range(width)]
+    k, velocity = _lead_modes(transverse_modes(width)[1], np.array([energy], dtype=float))
+    return k[0], velocity[0]
 
 
-def open_channels(system: LatticeSystem, energy: float) -> list[ChannelInfo]:
-    """Open channels of both leads, left lead first, modes ascending (the
-    leads are the same ideal strip)."""
-    opened = [c for c in lead_modes(system.width, energy) if c.is_open]
-    return opened + [replace(c, lead="right") for c in opened]
+def open_channels(system: LatticeSystem, energy: float) -> list[str]:
+    """Labels of the open channels of both leads, left lead first, modes
+    ascending (the leads are the same ideal strip)."""
+    modes = np.flatnonzero(lead_modes(system.width, energy)[1] > 0.0) + 1
+    return [f"{lead}:{m}" for lead in ("left", "right") for m in modes]
 
 
 def _self_energies(chi: Array, k: Array) -> Array:
@@ -149,7 +107,7 @@ def _self_energies(chi: Array, k: Array) -> Array:
 def lead_self_energy(width: int, energy: float) -> Array:
     """Retarded self-energy of one ideal lead on its interface column."""
     chi, _ = transverse_modes(width)
-    return _self_energies(chi, np.array([[c.k for c in lead_modes(width, energy)]]))[0]
+    return _self_energies(chi, lead_modes(width, energy)[0][None])[0]
 
 
 def _column_hamiltonian(width: int) -> Array:
@@ -349,53 +307,37 @@ def _solve_one(system: LatticeSystem, energy: float, route: str,
     return batch
 
 
-def _channel_index(batch: _LatticeWorkspace, channel: ChannelInfo | str) -> int:
-    """Position of an open channel, given by its ChannelInfo or label, on
-    the channel axis of a batch of one energy."""
-    energy = float(batch.energies[0])
-    if isinstance(channel, ChannelInfo) and not channel.is_open:
-        raise ClosedChannelError(f"channel {channel.label} closed at E = {energy}")
-    label = channel.label if isinstance(channel, ChannelInfo) else channel
-    if label not in batch.labels or not batch.open[batch.labels.index(label), 0]:
-        raise ValidationError(f"channel {label!r} not open at E = {energy}")
-    return batch.labels.index(label)
+def scattering_state(system: LatticeSystem, energy: float, channel: str) -> Array:
+    """Stationary state, (length, width), for unit incidence in one open
+    channel."""
+    batch = _LatticeWorkspace(system, [energy])
+    n = channel_index(batch.labels, batch.open[:, 0], channel, energy, batch.errors("direct")[0])
+    return batch.psi[0, ..., n].copy()
 
 
-def scattering_state(
-    system: LatticeSystem,
-    energy: float,
-    channel: ChannelInfo,
-) -> LatticeScatterState:
-    """Stationary state for unit incidence in one open channel."""
-    batch = _solve_one(system, energy, "direct")
-    return LatticeScatterState(energy=energy, channel=channel,
-                               psi=batch.psi[0, ..., _channel_index(batch, channel)].copy())
-
-
-def scattering_matrix(
-    system: LatticeSystem,
-    energy: float,
-) -> tuple[Array, list[ChannelInfo]]:
-    """Full flux-normalized S matrix over the open channels of both leads."""
+def scattering_matrix(system: LatticeSystem, energy: float) -> tuple[Array, list[str]]:
+    """Flux-normalized S matrix over the open channels of both leads, and
+    their labels."""
     batch = _solve_one(system, energy, "vderiv")
     opened = np.flatnonzero(batch.open[:, 0])
-    return batch.smatrices[0][np.ix_(opened, opened)], open_channels(system, energy)
+    return batch.smatrices[0][np.ix_(opened, opened)], [batch.labels[j] for j in opened]
 
 
 def dwell_time_lattice(
     system: LatticeSystem,
     energy: float,
-    channel: ChannelInfo | str,
+    channel: str,
     region: LatticeRegion | None = None,
 ) -> float:
-    """Dwell time in Omega of one open channel (or its label): sum of
-    |psi|^2 over Omega sites divided by v_n.
+    """Dwell time in Omega of one open channel: sum of |psi|^2 over Omega
+    sites divided by v_n.
 
     Unit-amplitude normalization absorbs the 2 pi hbar factor of the
     energy-normalized definition, exactly as in the 1D continuum case.
     """
-    batch = _solve_one(system, energy, "direct", region)
-    return float(batch.dwell_times[_channel_index(batch, channel), 0])
+    batch = _LatticeWorkspace(system, [energy], region=region)
+    n = channel_index(batch.labels, batch.open[:, 0], channel, energy, batch.errors("direct")[0])
+    return float(batch.dwell_times[n, 0])
 
 
 def dos_region_lattice(

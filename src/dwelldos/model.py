@@ -3,8 +3,10 @@
 Units: hbar = 1 everywhere.  The continuum backend uses 2m = 1, so
 E = k^2 and the group velocity is v = dE/dk = 2k.  The lattice backend
 uses hopping t = 1 (bond value -1) and spacing a = 1, so a transverse
-mode disperses as E = eps_m - 2 cos k with v = 2 sin k.  Times are in
-units of hbar/energy, densities of states in states per unit energy.
+mode (chi_m, eps_m from transverse_modes, their one source) disperses as
+E = eps_m - 2 cos k with v = 2 sin k.  A channel is its label: "left" and
+"right" on a stack, "left:m" and "right:m" (m = 1 .. W) on a lattice.
+Times are in units of hbar/energy, densities of states in states per unit energy.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    ClosedChannelError,
     NoOpenChannelError,
     NumericalFailureError,
     ThresholdProximityError,
@@ -289,6 +292,18 @@ class LatticeSystem:
         return LatticeSystem(self.width, self.length, arr)
 
 
+def transverse_modes(width: int) -> tuple[Array, Array]:
+    """Orthonormal transverse profiles of a strip of this width (columns of
+    chi, chi_m(j) = sqrt(2/(W+1)) sin(m pi j / (W+1))) and their energies
+    eps_m = -2 cos(m pi / (W+1)), m = 1 .. W."""
+    if width < 1:
+        raise ValidationError("width must be >= 1")
+    j = m = np.arange(1, width + 1)  # site rows and mode numbers
+    chi = np.sqrt(2.0 / (width + 1)) * np.sin(np.outer(j, m) * np.pi / (width + 1))
+    eps = -2.0 * np.cos(m * np.pi / (width + 1))
+    return chi, eps
+
+
 def uniform_lattice(width: int, length: int, v: float = 0.0) -> LatticeSystem:
     return LatticeSystem(width, length, np.full((length, width), float(v)))
 
@@ -340,8 +355,7 @@ def channel_thresholds(system: LayerStack | LatticeSystem) -> Array:
     if isinstance(system, LayerStack):  # not np.unique, whose first call imports numpy.ma
         return np.array(sorted({system.v_left, system.v_right}))
     if isinstance(system, LatticeSystem):
-        m = np.arange(1, system.width + 1)
-        eps = -2.0 * np.cos(m * np.pi / (system.width + 1))
+        _, eps = transverse_modes(system.width)
         return np.sort(np.concatenate([eps - 2.0, eps + 2.0]))  # distinct: |eps_m| < 2
     raise ValidationError(f"unsupported system type {type(system).__name__}")
 
@@ -369,6 +383,20 @@ def energy_errors(system: LayerStack | LatticeSystem, energies: Array, opened: A
         else:
             errors[i] = NoOpenChannelError(f"no open lead channel at E = {energy}")
     return errors
+
+
+def channel_index(labels: Sequence[str], opened: Array, label: str, energy: float,
+                  error: Exception | None = None) -> int:
+    """Position of channel `label` among a batch's `labels`, by the rule of every
+    single-energy route: an unknown label is a ValidationError, then the energy's
+    own `error` is raised, then a channel False in `opened` is a ClosedChannelError."""
+    if label not in labels:
+        raise ValidationError(f"channel {label!r} not open at E = {energy}: no such channel")
+    if error is not None:
+        raise error
+    if not opened[labels.index(label)]:
+        raise ClosedChannelError(f"channel {label!r} closed at E = {energy}")
+    return labels.index(label)
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosedChannelError, NumericalFailureError, ValidationError
-from .model import FLUX_FACTOR, Array, LayerStack, energy_errors
+from .errors import NumericalFailureError, ValidationError
+from .model import FLUX_FACTOR, Array, LayerStack, channel_index, energy_errors
 
 __all__ = [
     "layer_wavevector",
@@ -122,7 +122,10 @@ class ScatterSolution1D:
         for a scalar); a scalar goes through the same array arithmetic as
         an array, so both give the same values.
         """
-        s, b, i = _incidence(side), self.batch, self.index
+        b, i = self.batch, self.index
+        if side not in b.labels:
+            raise ValidationError("side must be 'left' or 'right'")
+        s = b.labels.index(side)
         bounds = self.stack.boundaries
         shape = np.shape(x)
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -395,13 +398,6 @@ def layer_probability_integral(a, b, k, d):
     return out if out.ndim else float(out)
 
 
-def _incidence(side: str) -> int:
-    """Incidence index of `side`: 0 for "left", 1 for "right"."""
-    if side not in ("left", "right"):
-        raise ValidationError("side must be 'left' or 'right'")
-    return int(side == "right")
-
-
 def dwell_time_direct_1d(
     stack: LayerStack,
     energy: float,
@@ -412,13 +408,12 @@ def dwell_time_direct_1d(
     tau = (integral of |psi|^2 over the layers) / v_in with v_in = 2 k_in,
     which equals 2 pi hbar <phi|P_Omega|phi> for the energy-normalized
     state (the incident flux of the unit-amplitude state is v_in, that of
-    the energy-normalized state 1 / 2 pi hbar).
+    the energy-normalized state 1 / 2 pi hbar).  `side` is the channel
+    label, "left" or "right", checked by model.channel_index.
     """
-    s = _incidence(side)
-    sol = scattering_amplitudes(stack, energy)
-    if not (sol.open_left if side == "left" else sol.open_right):
-        raise ClosedChannelError(f"{side} channel closed at this energy")
-    return float(sol.batch.dwell_times[s, sol.index])
+    batch = ScatterBatch(stack, [energy])
+    s = channel_index(batch.labels, batch.open[:, 0], side, energy, batch.errors("direct")[0])
+    return float(batch.dwell_times[s, 0])
 
 
 # ----------------------------------------------------------------------------

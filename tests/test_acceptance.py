@@ -161,16 +161,16 @@ def test_criterion_4_vderiv_route():
     channels = open_channels(lattice, e_l)
     from dwelldos.lattice import dwell_time_lattice
 
-    refs = {c.label: dwell_time_lattice(lattice, e_l, c) for c in channels}
+    refs = {c: dwell_time_lattice(lattice, e_l, c) for c in channels}
     errs_l = []
     for dv in (5e-4, 2.5e-4, 1.25e-4):
-        taus = {c.label: dwell_time_vderiv(lattice, e_l, c, dv=dv) for c in channels}
+        taus = {c: dwell_time_vderiv(lattice, e_l, c, dv=dv) for c in channels}
         errs_l.append(max(abs(taus[k] - refs[k]) for k in refs))
     slopes_l = [float(np.log2(errs_l[i] / errs_l[i + 1])) for i in range(2)]
 
     gap_b = abs(dwell_time_vderiv(barrier, e_b, "left", dv=1e-5) - tau_ref)
     gap_l = max(
-        abs(dwell_time_vderiv(lattice, e_l, c, dv=1e-5) - refs[c.label])
+        abs(dwell_time_vderiv(lattice, e_l, c, dv=1e-5) - refs[c])
         for c in channels
     )
     slopes = slopes_b + slopes_l

@@ -16,6 +16,7 @@ from dwelldos.analysis import (
     wavepacket_dwell_time,
 )
 from dwelldos.errors import (
+    ClosedChannelError,
     CoverageError,
     DwellDosError,
     InsufficientDataError,
@@ -23,7 +24,7 @@ from dwelldos.errors import (
     StepTooLargeError,
     ValidationError,
 )
-from dwelldos.lattice import dwell_time_lattice, open_channels
+from dwelldos.lattice import dwell_time_lattice, open_channels, scattering_state
 from dwelldos.model import (
     THRESHOLD_MARGIN,
     EnergyGrid,
@@ -36,6 +37,7 @@ from dwelldos.model import (
     gaussian_spectral_weight,
     random_lattice,
     random_stack,
+    uniform_lattice,
 )
 from dwelldos.solver1d import dos_region_1d, dwell_time_direct_1d, scattering_amplitudes
 
@@ -93,7 +95,7 @@ def test_vderiv_lattice_matches_direct():
     taus = dwell_times_vderiv_all(sysm, e, dv=1e-5)
     for ch in open_channels(sysm, e):
         ref = dwell_time_lattice(sysm, e, ch)
-        assert abs(taus[ch.label] - ref) < 1e-5
+        assert abs(taus[ch] - ref) < 1e-5
 
 
 def test_vderiv_step_too_large_raises(dbarrier):
@@ -164,6 +166,28 @@ def test_single_energy_vderiv_raises_the_s0_skip(system, energy, expected):
         with pytest.raises(cls) as raised:
             call()
         assert type(raised.value) is cls
+
+
+_ROUTES = {
+    "stack": {"direct": dwell_time_direct_1d, "vderiv": dwell_time_vderiv},
+    "lattice": {"direct": dwell_time_lattice, "state": scattering_state,
+                "vderiv": dwell_time_vderiv},
+}
+
+
+@pytest.mark.parametrize("backend,route", [(b, r) for b in _ROUTES for r in _ROUTES[b]])
+def test_closed_channel_rule_on_every_route(backend, route):
+    # a channel the system has but the energy closes is ClosedChannelError,
+    # a label the system does not have is ValidationError, on every route
+    system, energy, closed, opened, unknown = (
+        (build_stack([(1.0, 0.5)], v_right=2.0), 1.0, "right", "left", "left:1")
+        if backend == "stack" else (uniform_lattice(3, 4), -1.8, "left:3", "left:1", "left:4"))
+    call = _ROUTES[backend][route]
+    with pytest.raises(ClosedChannelError, match=f"channel '{closed}' closed at E = {energy}"):
+        call(system, energy, closed)
+    with pytest.raises(ValidationError, match=f"channel '{unknown}' not open"):
+        call(system, energy, unknown)
+    call(system, energy, opened)
 
 
 def test_vderiv_unknown_channel(barrier):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dwelldos.lattice
 from buffer_oracle import buffer_scattering_state
@@ -20,13 +22,15 @@ from dwelldos.lattice import (
     open_channels,
     scattering_matrix,
     scattering_state,
-    transverse_modes,
 )
 from dwelldos.model import (
     EnergyGrid,
     LatticeRegion,
+    LatticeSystem,
     barrier_lattice,
+    channel_thresholds,
     random_lattice,
+    transverse_modes,
     uniform_lattice,
 )
 from dwelldos.oracles import dense_green_lattice
@@ -36,7 +40,7 @@ def _dense_states(system, energy):
     """States psi = G[:, lead] (i v_n chi_n) of all 2W channels from the
     dense G, (L, W, 2W) as in _LatticeWorkspace.psi, and the dense G."""
     g, w = dense_green_lattice(system, energy), system.width
-    q = np.stack([1j * c.velocity * c.transverse_profile for c in lead_modes(w, energy)], axis=1)
+    q = 1j * lead_modes(w, energy)[1] * transverse_modes(w)[0]
     psi = np.concatenate([g[:, :w] @ q, g[:, -w:] @ q], axis=1)
     return psi.reshape(system.length, w, 2 * w), g
 
@@ -44,27 +48,28 @@ def _dense_states(system, energy):
 # ------------------------------------------------------------------ lead modes
 
 def test_lead_modes_single_chain():
-    (ch,) = lead_modes(1, 0.0)
-    assert abs(ch.k.real - np.pi / 2) < 1e-14
-    assert abs(ch.velocity - 2.0) < 1e-14
-    assert ch.status == "open"
+    (k,), (velocity,) = lead_modes(1, 0.0)
+    assert abs(k.real - np.pi / 2) < 1e-14
+    assert abs(velocity - 2.0) < 1e-14
+    assert velocity > 0.0  # open
 
 
 def test_lead_modes_two_chains_at_band_center():
-    chans = lead_modes(2, 0.0)
-    ks = sorted(c.k.real for c in chans)
+    k, velocities = lead_modes(2, 0.0)
+    ks = sorted(k.real)
     assert abs(ks[0] - np.pi / 3) < 1e-14
     assert abs(ks[1] - 2 * np.pi / 3) < 1e-14
-    for c in chans:
-        assert abs(c.velocity - np.sqrt(3.0)) < 1e-14
+    for velocity in velocities:
+        assert abs(velocity - np.sqrt(3.0)) < 1e-14
 
 
 def test_lead_modes_open_set_matches_band_condition():
-    chans = lead_modes(5, -3.5)
-    for c in chans:
-        should_open = c.transverse_energy - 2.0 < -3.5 < c.transverse_energy + 2.0
-        assert c.is_open == should_open
-    assert sum(c.is_open for c in chans) == 1
+    _, eps = transverse_modes(5)
+    _, velocities = lead_modes(5, -3.5)
+    for eps_m, velocity in zip(eps, velocities):
+        should_open = eps_m - 2.0 < -3.5 < eps_m + 2.0
+        assert (velocity > 0.0) == should_open
+    assert np.count_nonzero(velocities > 0.0) == 1
 
 
 def test_transverse_profiles_orthonormal():
@@ -95,15 +100,15 @@ def test_gamma_rank_equals_open_count():
         sigma = lead_self_energy(3, e)
         gamma = 1j * (sigma - sigma.conj().T)
         rank = int(np.sum(np.linalg.eigvalsh(gamma) > 1e-10))
-        assert rank == sum(c.is_open for c in lead_modes(3, e))
+        assert rank == np.count_nonzero(lead_modes(3, e)[1] > 0.0)
 
 
 # ----------------------------------------------------------- scattering states
 
 def test_empty_device_is_transparent(chain4):
-    ch = [c for c in open_channels(chain4, 0.0) if c.lead == "left"][0]
-    st = scattering_state(chain4, 0.0, ch)
-    assert np.max(np.abs(np.abs(st.psi) - 1.0)) < 1e-12
+    ch = [c for c in open_channels(chain4, 0.0) if c.startswith("left")][0]
+    psi = scattering_state(chain4, 0.0, ch)
+    assert np.max(np.abs(np.abs(psi) - 1.0)) < 1e-12
     s, chans = scattering_matrix(chain4, 0.0)
     refl = s[0, 0]
     assert abs(refl) < 1e-12
@@ -117,17 +122,41 @@ def test_smatrix_unitarity_and_reciprocity(lattice3x10):
         assert np.max(np.abs(s - s.T)) < 1e-10
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 4), length=st.integers(1, 8),
+       energy=st.floats(-3.9, 3.9), mirror=st.booleans())
+def test_smatrix_properties_on_random_strips(seed, width, length, energy, mirror):
+    # unitarity and reciprocity on the open block; a mirror-symmetric strip
+    # gives each left:m the dwell time of its right:m
+    system = random_lattice(seed, width, length)
+    if mirror:
+        system = LatticeSystem(width, length, system.onsite + system.onsite[::-1])
+        assert system.is_palindromic()
+    assume(np.min(np.abs(channel_thresholds(system) - energy)) > 1e-3)
+    labels = open_channels(system, energy)
+    assume(labels)
+    s, chans = scattering_matrix(system, energy)
+    assert chans == labels
+    n = s.shape[0]
+    assert np.max(np.abs(s.conj().T @ s - np.eye(n))) < 1e-10
+    assert np.max(np.abs(s - s.T)) < 1e-10
+    if mirror:
+        taus = {c: dwell_time_lattice(system, energy, c) for c in labels}
+        for c in labels[:n // 2]:
+            assert abs(taus[c] - taus["right" + c[4:]]) < 1e-10
+
+
 def test_closed_channel_raises():
     sysm = uniform_lattice(3, 4)
-    chans = lead_modes(3, -1.8)
-    closed = [c for c in chans if not c.is_open]
+    _, velocities = lead_modes(3, -1.8)
+    closed = [f"left:{m + 1}" for m in np.flatnonzero(velocities == 0.0)]
     assert closed
     with pytest.raises(ClosedChannelError):
         scattering_state(sysm, -1.8, closed[0])
 
 
 def test_dwell_time_empty_device(chain4):
-    ch = [c for c in open_channels(chain4, 0.0) if c.lead == "left"][0]
+    ch = [c for c in open_channels(chain4, 0.0) if c.startswith("left")][0]
     assert abs(dwell_time_lattice(chain4, 0.0, ch) - 2.0) < 1e-12
 
 
@@ -136,7 +165,7 @@ def test_dwell_time_mirror_symmetry(width):
     # W = 1 doubles the 1D picture: two channels, symmetric dwell times
     sysm = barrier_lattice(width, 7, [3], 1.5)
     assert sysm.is_palindromic()
-    taus = {c.label: dwell_time_lattice(sysm, 0.4, c) for c in open_channels(sysm, 0.4)}
+    taus = {c: dwell_time_lattice(sysm, 0.4, c) for c in open_channels(sysm, 0.4)}
     for m in range(1, width + 1):
         assert abs(taus[f"left:{m}"] - taus[f"right:{m}"]) < 1e-10
 
@@ -153,11 +182,10 @@ def test_dwell_time_positive(lattice3x10, rng):
 
 def test_matches_explicit_buffer_oracle(lattice3x10):
     # independent solve with 400 explicit lead columns per side
-    ch = [c for c in open_channels(lattice3x10, 0.3)
-          if c.lead == "left" and c.mode == 2][0]
-    st = scattering_state(lattice3x10, 0.3, ch)
+    (ch,) = [c for c in open_channels(lattice3x10, 0.3) if c == "left:2"]
+    psi = scattering_state(lattice3x10, 0.3, ch)
     ref = buffer_scattering_state(lattice3x10, 0.3, "left", 2, buffer_cols=400)
-    assert np.max(np.abs(st.psi - ref)) < 1e-6
+    assert np.max(np.abs(psi - ref)) < 1e-6
 
 
 # ------------------------------------------------------------- Green's function
@@ -214,7 +242,7 @@ def test_sweeps_match_dense_inverse(width, length):
     sysm = random_lattice(5, width, length)
     energies = (-1.2, 0.3, 1.7)
     if width > 1:
-        assert any(not c.is_open for e in energies for c in lead_modes(width, e))
+        assert any((lead_modes(width, e)[1] == 0.0).any() for e in energies)
     ws = _LatticeWorkspace(sysm, energies)  # one stacked sweep for all three
     assert ws.green_diagonal.shape == (3, width * length)
     assert ws.psi.shape == (3, length, width, 2 * width)
@@ -231,13 +259,16 @@ def test_smatrix_consistent_with_green_function(lattice3x10):
     e = 0.3
     g = dense_green_lattice(lattice3x10, e).reshape(10, 3, 10, 3)
     s, chans = scattering_matrix(lattice3x10, e)
+    chi, _ = transverse_modes(3)
+    _, velocity = lead_modes(3, e)
     interface = {"left": 0, "right": -1}
+    modes = [(lead, int(mode) - 1) for lead, mode in (c.split(":") for c in chans)]
     ref = np.empty_like(s)
-    for i, cm in enumerate(chans):
-        for j, cn in enumerate(chans):
-            gblk = g[interface[cm.lead], :, interface[cn.lead], :]
-            val = 1j * np.sqrt(cm.velocity * cn.velocity) * (
-                cm.transverse_profile @ gblk @ cn.transverse_profile
+    for i, (lead_m, m) in enumerate(modes):
+        for j, (lead_n, n) in enumerate(modes):
+            gblk = g[interface[lead_m], :, interface[lead_n], :]
+            val = 1j * np.sqrt(velocity[m] * velocity[n]) * (
+                chi[:, m] @ gblk @ chi[:, n]
             )
             ref[i, j] = val - (1.0 if i == j else 0.0)
     assert np.max(np.abs(s - ref)) < 1e-12
@@ -271,15 +302,16 @@ def test_evanescent_modes_matter_in_self_energy():
     # the transverse modes; a barrier uniform across the strip keeps each
     # mode to itself, so there the open channels' states cannot change
     e = -1.2  # two open modes and one evanescent mode per lead
-    modes = lead_modes(3, e)
-    assert any(not c.is_open for c in modes)
+    chi, _ = transverse_modes(3)
+    k, velocity = lead_modes(3, e)
+    assert (velocity == 0.0).any()
     sigma_open = np.zeros((3, 3), dtype=complex)
-    for c in modes:
-        if c.is_open:
-            sigma_open += -np.exp(1j * c.k) * np.outer(
-                c.transverse_profile, c.transverse_profile
+    for m in range(3):
+        if velocity[m] > 0.0:
+            sigma_open += -np.exp(1j * k[m]) * np.outer(
+                chi[:, m], chi[:, m]
             )
-    q = np.stack([1j * c.velocity * c.transverse_profile for c in modes], axis=1)
+    q = 1j * velocity * chi
     for sysm, mixes in ((barrier_lattice(3, 6, [2, 3], 1.0), False), (random_lattice(5, 3, 6), True)):
         h = build_hamiltonian(sysm)
         n = sysm.n_sites
@@ -352,6 +384,22 @@ def test_singular_block_fails_only_its_energy(monkeypatch):
                               methods=("direct", "green", "vderiv"), dv=1e-5)
     assert reports[1].skip_reason == "BoundStatePoleError: singular column block at E = 0.7"
     assert [reports[0], reports[2]] == [references[0], references[2]]
+
+
+def test_smatrix_reads_lead_modes_once(monkeypatch, lattice3x10):
+    # the labels come off the batch that gives S: no second lead solve
+    calls = []
+    modes = dwelldos.lattice._lead_modes
+
+    def counting(eps, energies):
+        calls.append(len(energies))
+        return modes(eps, energies)
+
+    monkeypatch.setattr(dwelldos.lattice, "_lead_modes", counting)
+    s, labels = scattering_matrix(lattice3x10, 0.3)
+    assert calls == [1]
+    assert labels == ["left:1", "left:2", "left:3", "right:1", "right:2", "right:3"]
+    assert s.shape == (6, 6)
 
 
 def test_unknown_channel_label_is_validation_error():
