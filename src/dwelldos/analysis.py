@@ -10,11 +10,11 @@ Q = i hbar S^dag dS/dV at V = 0:
 with the amplitude-derivative part purely imaginary (unitarity) and kept
 only as a consistency residual.  Derivatives are central differences with
 per-element phase differences taken on the principal branch.
-Every route reads the arrays of one dispatch, _scatter_chunk, which
-solves a chunk of energies as one batch of either backend, and
-single-energy calls are a grid of one.  Both backends start their
-per-route errors from one skip rule, model.energy_errors, and a grid
-point a batch refuses is a skip with its error.
+Every route reads the batches of one chunk loop, _batches, each freed
+before the next is solved, and single-energy calls are a grid of one.
+Both backends start their per-route errors from one skip rule,
+model.energy_errors, and a grid point a batch refuses is a skip with its
+error.
 """
 
 from __future__ import annotations
@@ -98,43 +98,56 @@ class DwellReport:
 # ----------------------------------------------------------------------------
 
 
-def _scatter_chunk(
+# Energies per chunk: a chunk's solve holds about this many unknowns, 2n + 2
+# per energy for a stack (its star-product tree and coefficients keep about
+# 17 complex values per layer, so 8.5 per unknown) and L W^2 for a lattice
+# (one per entry of its W x W column blocks; the sweep's left-connected
+# blocks and the states of the 2W channels keep 3 complex values for each).
+# A chunk of the 40-layer stack (399 energies) peaks near 6.6 MiB and one of
+# the 10 x 80 strip (4 energies) near 1.6 MiB (tracemalloc), as does a grid.
+_BATCH_UNKNOWNS = 2**15
+
+
+def _batches(
     system: LayerStack | LatticeSystem,
     energies: list[float],
     v_shifts: list[float],
     region: LatticeRegion | None = None,
 ):
     """energies[i] with v_shifts[i] added inside Omega only (the whole
-    stack in 1D, `region` on a lattice), solved as one solver1d.ScatterBatch
-    or lattice._LatticeWorkspace.  Both expose the same read-only arrays:
-    channel `labels`, the `open` mask and `velocities` (m, E), the direct
-    `dwell_times` over Omega (m, E), `region_dos` (E,) and `smatrices`
-    (E, m, m), meaningful on the open block; and errors(route), per energy.
-    """
-    if isinstance(system, LatticeSystem):
-        return lat._LatticeWorkspace(system, energies, v_shifts, region)
-    if isinstance(system, LayerStack):
-        if region is not None:
-            raise ValidationError("a lattice region needs a lattice system; "
-                                  "a stack's Omega is all of its layers")
-        return s1d.ScatterBatch(system, energies, v_shifts)
-    raise ValidationError(f"unsupported system type {type(system).__name__}")
+    stack in 1D, `region` on a lattice), as one solver1d.ScatterBatch or
+    lattice._LatticeWorkspace per chunk of _BATCH_UNKNOWNS unknowns, not
+    kept.  Both expose channel `labels`, the `open` mask and `velocities`
+    (m, E), the direct `dwell_times` over Omega (m, E), `region_dos` (E,)
+    and `smatrices` (E, m, m), read-only and meaningful on the open block;
+    and errors(route), per energy."""
+    lattice = isinstance(system, LatticeSystem)
+    if not (lattice or isinstance(system, LayerStack)):
+        raise ValidationError(f"unsupported system type {type(system).__name__}")
+    if region is not None and not lattice:
+        raise ValidationError("a lattice region needs a lattice system; "
+                              "a stack's Omega is all of its layers")
+    size = max(1, _BATCH_UNKNOWNS // (system.length * system.width**2 if lattice
+                                      else 2 * len(system.layers) + 2))
+    for start in range(0, len(energies), size):
+        chunk, shifts = energies[start:start + size], v_shifts[start:start + size]
+        yield (lat._LatticeWorkspace(system, chunk, shifts, region) if lattice
+               else s1d.ScatterBatch(system, chunk, shifts))
 
 
 def _smatrices(system, energies, v_shifts, region) -> tuple:
-    """S matrices at energies[i] with v_shifts[i], solved in chunks of
-    _chunk_size energies; only the matrices outlive a chunk.  Returns the
-    channel labels, the S stack (N, m, m), the open mask (m, N) and per
-    energy None or the error that leaves it without an S matrix."""
-    size = _chunk_size(system)
+    """S matrices at energies[i] with v_shifts[i], one chunk of _batches
+    at a time; only the matrices outlive a chunk.  Returns the channel
+    labels, the S stack (N, m, m), the open mask (m, N) and per energy
+    None or the error that leaves it without an S matrix."""
     stacks, opened, errors = [], [], []
-    for start in range(0, len(energies), size):
-        batch = _scatter_chunk(system, energies[start:start + size],
-                               v_shifts[start:start + size], region)
+    for batch in _batches(system, energies, v_shifts, region):
+        labels = batch.labels
         stacks.append(batch.smatrices)
         opened.append(batch.open)
         errors += batch.errors("vderiv")
-    return batch.labels, np.concatenate(stacks), np.concatenate(opened, axis=1), errors
+        del batch  # free this chunk's states before the next is solved
+    return labels, np.concatenate(stacks), np.concatenate(opened, axis=1), errors
 
 
 def shifted_smatrix(
@@ -233,6 +246,17 @@ def _vderiv_steps(system, region, energies, s0, opened, errors, dv) -> list:
     return out
 
 
+def _vderiv_at(system, energy: float, dv, region, channel: str | None = None) -> dict:
+    """Open channel label -> V-derivative dwell time at one energy."""
+    labels, s0, opened, errors = _smatrices(system, [energy], [0.0], region)
+    if channel is not None:
+        channel_index(labels, opened[:, 0], channel, energy, errors[0])
+    (result,) = _vderiv_steps(system, region, [energy], s0, opened, errors, dv)
+    if isinstance(result, DwellDosError):
+        raise result
+    return dict(zip([labels[j] for j in np.flatnonzero(opened[:, 0])], result))
+
+
 def dwell_times_vderiv_all(
     system: LayerStack | LatticeSystem,
     energy: float,
@@ -242,17 +266,13 @@ def dwell_times_vderiv_all(
     """V-derivative dwell times for every open channel at once.
 
     S(0), S(+dv) and S(-dv) are solved once each, through the same
-    dispatch and step loop as the grid.  When dv is not given the step
+    chunk loop and step loop as the grid.  When dv is not given the step
     starts at default_dv(E) and is halved, at most _MAX_HALVINGS times,
     when the phase difference cannot be unwrapped or the unitarity
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
     """
-    labels, s0, opened, errors = _smatrices(system, [energy], [0.0], region)
-    (result,) = _vderiv_steps(system, region, [energy], s0, opened, errors, dv)
-    if isinstance(result, DwellDosError):
-        raise result
-    return dict(zip([labels[j] for j in np.flatnonzero(opened[:, 0])], result))
+    return _vderiv_at(system, energy, dv, region)
 
 
 def dwell_time_vderiv(
@@ -264,12 +284,7 @@ def dwell_time_vderiv(
 ) -> float:
     """Dwell time of one channel, given by its label (checked by
     model.channel_index), from the S-matrix potential derivative."""
-    labels, s0, opened, errors = _smatrices(system, [energy], [0.0], region)
-    n = channel_index(labels, opened[:, 0], channel, energy, errors[0])
-    (result,) = _vderiv_steps(system, region, [energy], s0, opened, errors, dv)
-    if isinstance(result, DwellDosError):
-        raise result
-    return result[np.count_nonzero(opened[:n, 0])]
+    return _vderiv_at(system, energy, dv, region, channel)[channel]
 
 
 # ----------------------------------------------------------------------------
@@ -322,23 +337,6 @@ def compute_report(
     return _chunk_reports(system, [energy], region, methods, dv)[0]
 
 
-# Energies per chunk: a chunk's solve holds about this many unknowns, 2n + 2
-# per energy for a stack (its star-product tree and coefficients keep about
-# 17 complex values per layer, so 8.5 per unknown) and L W^2 for a lattice
-# (one per entry of its W x W column blocks; the sweep's left-connected
-# blocks and the states of the 2W channels keep 3 complex values for each).
-# A chunk of the 40-layer stack peaks near 6.6 MiB and one of the 10 x 80
-# strip near 1.6 MiB (tracemalloc), however many energies the grid has.
-_BATCH_UNKNOWNS = 2**15
-
-
-def _chunk_size(system: LayerStack | LatticeSystem) -> int:
-    """Energies solved together in one batch."""
-    unknowns = (system.length * system.width**2 if isinstance(system, LatticeSystem)
-                else 2 * len(system.layers) + 2)
-    return max(1, _BATCH_UNKNOWNS // unknowns)
-
-
 def _chunk_reports(
     system: LayerStack | LatticeSystem,
     energies: list[float],
@@ -348,26 +346,24 @@ def _chunk_reports(
 ) -> list[DwellReport]:
     """compute_report at every energy of a grid, with solves shared.
 
-    Solves go in chunks of _chunk_size energies, one batch per chunk,
-    whose direct and Green routes are numpy expressions over its arrays;
-    only each point's route values and S(0) outlive a chunk.  The
-    V-derivative reuses S(0), and each of its rounds solves S(+step) and
-    S(-step) of every pending energy of the grid together.  Each report is
-    built once, after its V-derivative, and errors keep compute_report's
-    order: S(0), then the V-derivative, then the direct and Green routes.
+    Solves go one chunk of _batches at a time, whose direct and Green
+    routes are numpy expressions over its batch's arrays; only each
+    point's route values and S(0) outlive a chunk.  The V-derivative
+    reuses S(0), and each of its rounds solves S(+step) and S(-step) of
+    every pending energy of the grid together.  Each report is built once,
+    after its V-derivative, and errors keep compute_report's order: S(0),
+    then the V-derivative, then the direct and Green routes.
     """
     if not methods or set(methods) - set(METHODS):
         raise ValidationError(f"methods must be some of {', '.join(METHODS)}: {methods!r}")
-    size = _chunk_size(system)
     routes = [m for m in ("direct", "green") if m in methods]
     points, s0, opened, s0_errors = [], [], [], []
-    for start in range(0, len(energies), size):
-        chunk = energies[start:start + size]
-        batch = _scatter_chunk(system, chunk, [0.0] * len(chunk), region)
+    for batch in _batches(system, energies, [0.0] * len(energies), region):
+        n = batch.energies.size
         # per energy, as Python lists (None for a route not asked for)
         taus = (batch.dwell_times.T.tolist() if "direct" in methods
-                else [[None] * len(batch.labels)] * len(chunk))
-        dos = batch.region_dos.tolist() if "green" in methods else [None] * len(chunk)
+                else [[None] * len(batch.labels)] * n)
+        dos = batch.region_dos.tolist() if "green" in methods else [None] * n
         velocities = batch.velocities.T.tolist()
         for i, (row, *errors) in enumerate(zip(batch.open.T.tolist(), *map(batch.errors, routes))):
             error = next(filter(None, errors), None)  # that of the first route with one
@@ -528,13 +524,8 @@ def _find_peaks_1d(x: Array, y: Array, min_prominence: float) -> tuple[Peak, ...
         return ()
     widths_idx = signal.peak_widths(y, idx, rel_height=0.5)[0]
     spacing = np.gradient(x)
-    peaks = []
-    for i, w in zip(idx, widths_idx):
-        peaks.append(Peak(
-            energy=_refine_peak(x, y, int(i)),
-            height=float(y[i]),
-            width=float(w * spacing[i]),
-        ))
+    peaks = (Peak(_refine_peak(x, y, int(i)), float(y[i]), float(w * spacing[i]))
+             for i, w in zip(idx, widths_idx))
     return tuple(sorted(peaks, key=lambda p: p.energy))
 
 
@@ -564,16 +555,11 @@ def find_resonances(
 
     curves: dict[str, list[tuple[float, float]]] = {}
     for r in live:
-        total = 0.0
-        any_tau = False
-        for c in r.channels:
-            if c.tau_direct is None:
-                continue
-            curves.setdefault(c.channel, []).append((r.energy, c.tau_direct))
-            total += c.tau_direct
-            any_tau = True
-        if any_tau:
-            curves.setdefault("ALL", []).append((r.energy, total))
+        taus = [(c.channel, c.tau_direct) for c in r.channels if c.tau_direct is not None]
+        for name, tau in taus:
+            curves.setdefault(name, []).append((r.energy, tau))
+        if taus:
+            curves.setdefault("ALL", []).append((r.energy, sum(tau for _, tau in taus)))
 
     dwell_peaks = {}
     for name, pts in sorted(curves.items()):

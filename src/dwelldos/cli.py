@@ -1,12 +1,12 @@
 """Command-line front end: scan, verify, and resonance search.
 
 Config is a single JSON document (see configs/ for one example per
-backend).  Exit codes: 0 success, 1 verification failure, 2 usage or
-config error; `verify` also fails when a grid point was skipped for any
-reason other than threshold proximity or no open channel, and when no
-point was verified at all.  Output is
-deterministic: rows are sorted by (energy, channel) and floats are
-serialized with 17 significant digits.  The `workers` field is
+backend) whose objects are closed sets of fields.  Exit codes: 0
+success, 1 verification failure, 2 usage or config error; `verify` also
+fails when a grid point was skipped for any reason other than threshold
+proximity or no open channel, and when no point was verified at all.
+Output is deterministic: rows are sorted by (energy, channel) and floats
+are serialized with 17 significant digits.  The `workers` field is
 validated (>= 0) but has no effect: the grid is solved in energy chunks
 in one process.
 """
@@ -47,24 +47,36 @@ class RunConfig:
     grid: EnergyGrid
     region: LatticeRegion | None
     methods: tuple[str, ...]
-    dv: float | None
     identity_tol: float
     min_prominence: float
     workers: int
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc: dict, key: str, where: str = ""):  # where: doc's path and a dot, or ""
     if key not in doc:
-        raise ConfigError(f"missing field '{where}.{key}'" if where else f"missing field '{key}'")
+        raise ConfigError(f"missing field '{where}{key}'")
     return doc[key]
 
 
-def _object(doc: dict, key: str, default: dict | None = None) -> dict:
-    """doc[key] (or the default when it is absent), checked to be a JSON object."""
-    value = _require(doc, key, "") if default is None else doc.get(key, default)
+def _closed(doc: dict, where: str, known: tuple[str, ...]) -> dict:
+    """doc, or a ConfigError naming its first field outside `known`: a
+    misspelled field would otherwise leave its default in force unseen."""
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"field '{where}{key}' is not allowed here "
+                              f"(allowed: {', '.join(known)})")
+    return doc
+
+
+def _object(doc: dict, key: str, known: tuple[str, ...] | None, where: str = "",
+            default: dict | None = None) -> dict:
+    """doc[key] (or the default when it is absent), checked to be a JSON
+    object, and closed to fields outside `known` when that is given."""
+    value = _require(doc, key, where) if default is None else doc.get(key, default)
     if not isinstance(value, dict):
-        raise ConfigError(f"field '{key}' must be a JSON object, got {type(value).__name__}")
-    return value
+        raise ConfigError(f"field '{where}{key}' must be a JSON object, "
+                          f"got {type(value).__name__}")
+    return value if known is None else _closed(value, f"{where}{key}.", known)
 
 
 def _parse(field: str, build):
@@ -117,30 +129,38 @@ def _tol_argument(text: str) -> float:
 
 
 def _build_system(backend: str, doc: dict) -> LayerStack | LatticeSystem:
+    # a generated system (random, disorder) takes no field it generates itself
     if backend == "stack":
-        if "random" in doc:
-            r = doc["random"]
+        generated = "random" in doc
+        _closed(doc, "system.", ("random",) if generated else ("layers", "v_left", "v_right"))
+        if generated:
+            r = _object(doc, "random", ("seed", "n_layers", "v_range", "d_range", "v_left",
+                                        "v_right"), "system.")
             return _parse("system.random", lambda: random_stack(
-                seed=_integer("system.random.seed", _require(r, "seed", "system.random")),
+                seed=_integer("system.random.seed", _require(r, "seed", "system.random.")),
                 n_layers=_integer("system.random.n_layers", r.get("n_layers", 5)),
                 v_range=tuple(_real("system.random.v_range", r.get("v_range", (0.0, 2.0)))),
                 d_range=tuple(_real("system.random.d_range", r.get("d_range", (0.5, 1.5)))),
                 v_left=float(_real("system.random.v_left", r.get("v_left", 0.0))),
                 v_right=float(_real("system.random.v_right", r.get("v_right", 0.0))),
             ))
-        layers = _real("system.layers", _require(doc, "layers", "system"))
+        layers = _real("system.layers", _require(doc, "layers", "system."))
+        for i, layer in enumerate(layers if isinstance(layers, list) else []):
+            if isinstance(layer, dict):
+                _closed(layer, f"system.layers[{i}].", ("d", "V"))
         return _parse("system", lambda: build_stack(
             layers,
             v_left=float(_real("system.v_left", doc.get("v_left", 0.0))),
             v_right=float(_real("system.v_right", doc.get("v_right", 0.0))),
         ))
     # lattice backend
-    width = _integer("system.width", _require(doc, "width", "system"))
-    length = _integer("system.length", _require(doc, "length", "system"))
+    _closed(doc, "system.", ("width", "length", "disorder" if "disorder" in doc else "onsite"))
+    width = _integer("system.width", _require(doc, "width", "system."))
+    length = _integer("system.length", _require(doc, "length", "system."))
     if "disorder" in doc:
-        d = doc["disorder"]
+        d = _object(doc, "disorder", ("seed", "v_range"), "system.")
         return _parse("system.disorder", lambda: random_lattice(
-            seed=_integer("system.disorder.seed", _require(d, "seed", "system.disorder")),
+            seed=_integer("system.disorder.seed", _require(d, "seed", "system.disorder.")),
             width=width, length=length,
             v_range=tuple(_real("system.disorder.v_range", d.get("v_range", (-0.5, 0.5)))),
         ))
@@ -164,31 +184,33 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    _closed(doc, "", ("backend", "system", "grid", "region", "methods", "tolerances",
+                      "min_prominence", "workers"))
 
-    backend = _require(doc, "backend", "")
+    backend = _require(doc, "backend")
     if backend not in ("stack", "lattice"):
         raise ConfigError(f"field 'backend' must be 'stack' or 'lattice', got {backend!r}")
-    system = _build_system(backend, _object(doc, "system"))
+    system = _build_system(backend, _object(doc, "system", None))
 
-    g = _object(doc, "grid")
+    g = _object(doc, "grid", ("e_min", "e_max", "count", "threshold_margin"))
     # older configs carry the margin; a value the model does not use is refused
     if g.get("threshold_margin", THRESHOLD_MARGIN) != THRESHOLD_MARGIN:
         raise ConfigError(f"field 'grid.threshold_margin' must be {THRESHOLD_MARGIN} "
                           f"(a fixed model constant), got {g['threshold_margin']!r}")
     grid = _parse("grid", lambda: EnergyGrid(
-        e_min=float(_real("grid.e_min", _require(g, "e_min", "grid"))),
-        e_max=float(_real("grid.e_max", _require(g, "e_max", "grid"))),
-        count=_integer("grid.count", _require(g, "count", "grid")),
+        e_min=float(_real("grid.e_min", _require(g, "e_min", "grid."))),
+        e_max=float(_real("grid.e_max", _require(g, "e_max", "grid."))),
+        count=_integer("grid.count", _require(g, "count", "grid.")),
     ))
 
     region = None
     if doc.get("region") is not None:
         if backend != "lattice":
             raise ConfigError("field 'region' is only supported for the lattice backend")
-        r = _object(doc, "region")
+        bounds = ("col_min", "col_max", "row_min", "row_max")
+        r = _object(doc, "region", bounds)
         region = _parse("region", lambda: LatticeRegion(
-            **{key: _integer(f"region.{key}", _require(r, key, "region"))
-               for key in ("col_min", "col_max", "row_min", "row_max")}))
+            **{key: _integer(f"region.{key}", _require(r, key, "region.")) for key in bounds}))
         _parse("region", lambda: system.region_sites(region))  # inside the device
 
     methods = _parse("methods", lambda: tuple(doc.get("methods", ["direct", "green"])))
@@ -198,11 +220,7 @@ def load_config(path: str | Path) -> RunConfig:
     if bad:
         raise ConfigError(f"field 'methods' has unknown entries {bad}")
 
-    dv = doc.get("dv")
-    if dv is not None:
-        dv = _parse("dv", lambda: _positive_finite(_real("dv", dv)))
-
-    tolerances = _object(doc, "tolerances", {})
+    tolerances = _object(doc, "tolerances", ("identity",), default={})
     tol = _parse("tolerances.identity", lambda: _positive_finite(
         _real("tolerances.identity", tolerances.get("identity", 1e-8))))
     prom = _parse("min_prominence", lambda: _positive_finite(
@@ -212,7 +230,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("field 'workers' must be >= 0")
     return RunConfig(
         backend=backend, system=system, grid=grid, region=region,
-        methods=methods, dv=dv, identity_tol=tol,
+        methods=methods, identity_tol=tol,
         min_prominence=prom, workers=workers,
     )
 
@@ -224,8 +242,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def compute_reports(config: RunConfig) -> list[an.DwellReport]:
     """verify_identity on the configured system."""
-    return an.verify_identity(config.system, config.grid, config.region,
-                              config.methods, config.dv)
+    return an.verify_identity(config.system, config.grid, config.region, config.methods)
 
 
 # ----------------------------------------------------------------------------
@@ -253,14 +270,10 @@ def _scan_rows(reports: list[an.DwellReport]) -> list[str]:
         if rep.skipped:
             rows.append(f"{e},ALL,,,,,,true")
             continue
-        tau_sum = None
-        vd_sum = None
         taus = [c.tau_direct for c in rep.channels if c.tau_direct is not None]
-        if taus:
-            tau_sum = float(sum(taus))
         vds = [c.tau_vderiv for c in rep.channels if c.tau_vderiv is not None]
-        if vds and len(vds) == len(rep.channels):
-            vd_sum = float(sum(vds))
+        tau_sum = float(sum(taus)) if taus else None
+        vd_sum = float(sum(vds)) if vds and len(vds) == len(rep.channels) else None
         shared = f"{_fmt(rep.dos_green)},{_fmt(rep.dos_sum)},{_fmt(rep.residual_rel)},false"
         rows.append(f"{e},ALL,{_fmt(tau_sum)},{_fmt(vd_sum)},{shared}")
         for c in sorted(rep.channels, key=lambda c: _channel_sort_key(c.channel)):

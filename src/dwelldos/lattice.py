@@ -20,11 +20,12 @@ and identity blocks between neighbouring columns.  _LatticeWorkspace
 solves it for a chunk of energies at once, with the blocks stacked over
 energy, by recursive Green's-function sweeps (MacKinnon, Z. Phys. B 59,
 385 (1985); Lake et al., J. Appl. Phys. 81, 7845 (1997)): a
-left-connected Dyson sweep and a backward pass, L batched block inverses
-per chunk and O(L W^3) work per energy.  The same two loops solve the
-scattering states of all 2W lead channels by block substitution, and the
-backward pass gives the site diagonal of G (Green-trace DOS).  Storage is
-the left-connected blocks g and the states, 3 L W^2 complex values per
+left-connected Dyson sweep that inverts the blocks in place and a
+backward pass, L batched block inverses per chunk and O(L W^3) work per
+energy.  The same two loops solve the scattering states of all 2W lead
+channels by block substitution, and the backward pass gives the site
+diagonal of G (Green-trace DOS).  Storage is the blocks g, inverted into
+the left-connected ones, and the states, 3 L W^2 complex values per
 energy, of which only the states outlive the sweep; no block of G off
 its diagonal and nothing of size (LW)^2 is built.  The S matrices and the
 direct dwell times read the states, and errors(route) says why an energy
@@ -181,29 +182,23 @@ class _LatticeWorkspace:
         onsite = np.repeat(system.onsite.reshape(1, -1), energies.size, axis=0)
         onsite[:, self.sites] += shift[:, None]
         self._diagonal = (energies[:, None] - onsite).reshape(-1, lx, w)  # E - V per site
+        # the column blocks D_c = E - H_col - onsite(c), with v_shift on Omega,
+        # minus Sigma on both interface columns (twice when L = 1)
+        g = np.empty((energies.size, lx, w, w), dtype=complex)
         with np.errstate(all="ignore"):  # a non-finite energy is failed by `errors`
             self._sigma = _self_energies(self._chi, k)
-            column = energies[:, None, None] * np.eye(w) - _column_hamiltonian(w)
-        rows = np.arange(w)
-
-        def block(c):
-            # E - H_col(c) - onsite, with v_shift on Omega, and - Sigma on
-            # both interface columns (twice when L = 1)
-            d = column.astype(complex)
-            d[:, rows, rows] = self._diagonal[:, c]
-            for _ in range((c == 0) + (c == lx - 1)):
-                d -= self._sigma
-            return d
-
-        # forward: left-connected Green's functions of the device cut after
-        # column c, g[c] = (D_c - g[c-1])^-1, and the left sources' forward
-        # substitution y[c] = -g[c] y[c-1], y[0] = g[0] Q, kept in psi
-        g = np.empty((energies.size, lx, w, w), dtype=complex)
+            g[:] = (energies[:, None, None] * np.eye(w) - _column_hamiltonian(w))[:, None]
+        g[:, :, np.arange(w), np.arange(w)] = self._diagonal
+        g[:, 0] -= self._sigma
+        g[:, -1] -= self._sigma
+        # forward, in place: left-connected Green's functions of the device cut
+        # after column c, g[c] = (D_c - g[c-1])^-1, and the left sources'
+        # forward substitution y[c] = -g[c] y[c-1], y[0] = g[0] Q, kept in psi
         psi = np.zeros((energies.size, lx, w, 2 * w), dtype=complex)
-        g[:, 0] = _inv(block(0))
+        g[:, 0] = _inv(g[:, 0])
         psi[:, 0, :, :w] = g[:, 0] @ self._sources
         for c in range(1, lx):
-            g[:, c] = _inv(block(c) - g[:, c - 1])
+            g[:, c] = _inv(g[:, c] - g[:, c - 1])
             psi[:, c, :, :w] = -g[:, c] @ psi[:, c - 1, :, :w]
         self._singular = np.isnan(g[..., 0, 0]).any(axis=1)  # _inv's NaN blocks
         # backward, with g_diag = G[c+1, c+1] on entry: G[c, c] = g[c] +

@@ -93,7 +93,7 @@ def test_config_errors_name_fields(tmp_path):
     ("tolerances", {"tolerances": 5}),
     ("tolerances.identity", {"tolerances": {"identity": "x"}}),
     ("min_prominence", {"min_prominence": "abc"}),
-    ("dv", {"dv": "x"}),
+    ("dv", {"dv": "x"}),  # dv is no config field: its cases are refused as unknown
     ("workers", {"workers": "x"}),
     ("methods", {"methods": 3}),
     ("methods", {"methods": [["direct"]]}),
@@ -109,7 +109,7 @@ def test_config_errors_name_fields(tmp_path):
     ("region.col_max", {"region": {"col_min": 0, "col_max": 1.5, "row_min": 0, "row_max": 1}}),
     ("workers", {"workers": 1.5}),
     ("workers", {"workers": False}),
-    # json reads NaN and Infinity; tolerance and dv must be finite and > 0
+    # json reads NaN and Infinity; the tolerance must be finite and > 0
     ("tolerances.identity", {"tolerances": {"identity": math.inf}}),
     ("tolerances.identity", {"tolerances": {"identity": math.nan}}),
     ("tolerances.identity", {"tolerances": {"identity": -1}}),
@@ -154,6 +154,46 @@ def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert f"'{field}'" in err
+
+
+_LAYERS = [{"d": 1.0, "V": 0.0}]
+
+
+@pytest.mark.parametrize("field, update", [
+    # a misspelled field at each level, beside a config that loads without it
+    ("methds", {"methds": ["direct", "green", "vderiv"]}),
+    ("system.onsit", {"system": {"width": 3, "length": 10, "onsit": 0.1}}),
+    ("system.v_rigth", {"backend": "stack", "system": {"layers": _LAYERS, "v_rigth": 0.5}}),
+    ("system.random.n_layer",
+     {"backend": "stack", "system": {"random": {"seed": 1, "n_layer": 3}}}),
+    ("system.disorder.v_rang",
+     {"system": {"width": 3, "length": 10, "disorder": {"seed": 7, "v_rang": [-2.0, 2.0]}}}),
+    ("system.layers[1].v",
+     {"backend": "stack", "system": {"layers": [[1.0, 0.0], {"d": 1.0, "V": 0.0, "v": 3.0}]}}),
+    ("grid.cnt", {"grid": {"e_min": -1.5, "e_max": 1.5, "count": 60, "cnt": 6}}),
+    ("region.col_mx",
+     {"region": {"col_min": 0, "col_max": 1, "row_min": 0, "row_max": 1, "col_mx": 2}}),
+    ("tolerances.identiy", {"tolerances": {"identiy": 1e-14}}),
+    # a generated system takes no field that it generates itself
+    ("system.layers", {"backend": "stack", "system": {"random": {"seed": 1}, "layers": _LAYERS}}),
+    ("system.v_left", {"backend": "stack", "system": {"random": {"seed": 1}, "v_left": 0.5}}),
+    ("system.onsite",
+     {"system": {"width": 3, "length": 10, "disorder": {"seed": 7}, "onsite": 0.5}}),
+])
+def test_unknown_field_is_config_error(tmp_path, capsys, field, update):
+    cfg = lattice_config(tmp_path, **update)
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert f"field '{field}' is not allowed" in err
+
+
+def test_optional_fields_still_load(tmp_path):
+    # the fields older configs and the benchmark's workloads carry
+    cfg = load_config(lattice_config(
+        tmp_path, region=None, min_prominence=0.1, workers=2, tolerances={"identity": 1e-9},
+        grid={"e_min": -1.5, "e_max": 1.5, "count": 60, "threshold_margin": 1e-6}))
+    assert (cfg.region, cfg.min_prominence, cfg.workers, cfg.identity_tol) == (None, 0.1, 2, 1e-9)
 
 
 @pytest.mark.parametrize("bounds", [
