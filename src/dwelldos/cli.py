@@ -1,7 +1,9 @@
 """Command-line front end: scan, verify, and resonance search.
 
 Config is a single JSON document (see configs/ for one example per
-backend) whose objects are closed sets of fields.  Exit codes: 0
+backend).  Each object in it is read through one table that maps its
+fields to readers; the keys are the keyword names of the model builder it
+feeds, so a field left out keeps that builder's default.  Exit codes: 0
 success, 1 verification failure, 2 usage or config error; `verify` also
 fails when a grid point was skipped for any reason other than threshold
 proximity or no open channel, and when no point was verified at all.
@@ -20,8 +22,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis as an
 from .errors import ConfigError, DwellDosError, InsufficientDataError
 from .model import (
@@ -34,6 +34,7 @@ from .model import (
     channel_thresholds,  # unused here; the benchmark's tracer wraps it by this name
     random_lattice,
     random_stack,
+    uniform_lattice,
 )
 
 SCAN_HEADER = "energy,channel,tau_direct,tau_vderiv,dos_green,dos_sum,residual_rel,skipped"
@@ -45,43 +46,46 @@ class RunConfig:
     backend: str
     system: LayerStack | LatticeSystem
     grid: EnergyGrid
-    region: LatticeRegion | None
-    methods: tuple[str, ...]
-    identity_tol: float
-    min_prominence: float
-    workers: int
+    region: LatticeRegion | None = None
+    methods: tuple[str, ...] = ("direct", "green")
+    identity_tol: float = 1e-8
+    min_prominence: float = 0.05
+    workers: int = 0
 
 
-def _require(doc: dict, key: str, where: str = ""):  # where: doc's path and a dot, or ""
-    if key not in doc:
-        raise ConfigError(f"missing field '{where}{key}'")
-    return doc[key]
+def _required(read):
+    """`read`, for a field that its object must carry."""
+    def read_required(path: str, value):
+        return read(path, value)
+    read_required.required = True
+    return read_required
 
 
-def _closed(doc: dict, where: str, known: tuple[str, ...]) -> dict:
-    """doc, or a ConfigError naming its first field outside `known`: a
-    misspelled field would otherwise leave its default in force unseen."""
+def _fields(where: str, doc, table: dict) -> dict:
+    """The fields of the JSON object `doc` at path `where` ("" for the root),
+    in `table` order, each read by its reader: read(path, value) returns the
+    value read or raises a ConfigError naming the path.  A field outside the
+    table (a misspelled one would leave its default in force unseen) or a
+    missing required one is refused."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field '{where}' must be a JSON object, got {type(doc).__name__}"
+                          if where else "config root must be a JSON object")
+    prefix = f"{where}." if where else ""
     for key in doc:
-        if key not in known:
-            raise ConfigError(f"field '{where}{key}' is not allowed here "
-                              f"(allowed: {', '.join(known)})")
-    return doc
-
-
-def _object(doc: dict, key: str, known: tuple[str, ...] | None, where: str = "",
-            default: dict | None = None) -> dict:
-    """doc[key] (or the default when it is absent), checked to be a JSON
-    object, and closed to fields outside `known` when that is given."""
-    value = _require(doc, key, where) if default is None else doc.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"field '{where}{key}' must be a JSON object, "
-                          f"got {type(value).__name__}")
-    return value if known is None else _closed(value, f"{where}{key}.", known)
+        if key not in table:
+            raise ConfigError(f"field '{prefix}{key}' is not allowed here "
+                              f"(allowed: {', '.join(table)})")
+    fields = {}
+    for key, read in table.items():
+        if key in doc:
+            fields[key] = read(prefix + key, doc[key])
+        elif getattr(read, "required", False):
+            raise ConfigError(f"missing field '{prefix}{key}'")
+    return fields
 
 
 def _parse(field: str, build):
-    """build(), or a ConfigError naming the field when a value has the
-    wrong type or form or the model rejects it."""
+    """build(), or a ConfigError naming the field when the model refuses a value."""
     try:
         return build()
     except ConfigError:
@@ -90,149 +94,146 @@ def _parse(field: str, build):
         raise ConfigError(f"bad field '{field}': {exc}") from exc
 
 
-def _integer(field: str, value) -> int:
-    """value as an int when it is an integral JSON number; a fraction, a
-    bool or any other type is a ConfigError naming the field."""
+def _object(table: dict, build=dict):
+    """The reader of an object whose fields, read by `table`, are `build`'s keywords."""
+    return lambda path, value: _parse(path, lambda: build(**_fields(path, value, table)))
+
+
+def _value(path: str, value):
+    return value  # checked by the code that reads it
+
+
+def _integer(path: str, value) -> int:
+    """value as an int when it is an integral JSON number, never a fraction or a bool."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
-        raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
+        raise ConfigError(f"field '{path}' must be an integer, got {value!r}")
     return int(value)
 
 
-def _real(field: str, value):
-    """value, or a ConfigError naming the field when it is or holds a bool:
-    json's true/false would read as 1.0/0.0 where a number is meant.
-    Lists and objects are checked entry by entry."""
-    if isinstance(value, bool):
-        raise ConfigError(f"field '{field}' has the bool {value!r} where a number is meant")
-    if isinstance(value, (list, dict)):
-        for item in value.values() if isinstance(value, dict) else value:
-            _real(field, item)
-    return value
+def _real(path: str, value) -> float:
+    """value as a float when it is a JSON number, never a string or a bool (1.0/0.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{path}' must be a number, got {value!r}")
+    return float(value)
 
 
-def _positive_finite(value, allow_zero: bool = False) -> float:
-    """float(value) when it is finite and > 0 (>= 0 with allow_zero), else
-    a ValueError: json reads NaN and Infinity as numbers."""
-    number = float(value)
-    if not (math.isfinite(number) and (number >= 0.0 if allow_zero else number > 0.0)):
-        raise ValueError(f"must be finite and {'>= 0' if allow_zero else '> 0'}, got {value!r}")
-    return number
+def _reals(path: str, value):
+    """A number, or an array of numbers (nested arrays too), entry by entry."""
+    return [_reals(path, v) for v in value] if isinstance(value, list) else _real(path, value)
+
+
+def _checked(read, ok, rule: str):
+    """`read`, and a value read that fails ok() refused as not `rule`."""
+    def read_checked(path: str, value):
+        value = read(path, value)
+        if not ok(value):
+            raise ConfigError(f"field '{path}' must be {rule}, got {value!r}")
+        return value
+    return read_checked
+
+
+# json reads NaN and Infinity as numbers
+_POSITIVE = _checked(_real, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
 
 
 def _tol_argument(text: str) -> float:
     """verify's --tol: argparse turns a bad value into a usage error naming it (exit 2)."""
     try:
-        return _positive_finite(text)
-    except ValueError as exc:
+        return _POSITIVE("--tol", float(text))
+    except ValueError as exc:  # a ConfigError is a ValueError too
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _build_system(backend: str, doc: dict) -> LayerStack | LatticeSystem:
-    # a generated system (random, disorder) takes no field it generates itself
-    if backend == "stack":
-        generated = "random" in doc
-        _closed(doc, "system.", ("random",) if generated else ("layers", "v_left", "v_right"))
-        if generated:
-            r = _object(doc, "random", ("seed", "n_layers", "v_range", "d_range", "v_left",
-                                        "v_right"), "system.")
-            return _parse("system.random", lambda: random_stack(
-                seed=_integer("system.random.seed", _require(r, "seed", "system.random.")),
-                n_layers=_integer("system.random.n_layers", r.get("n_layers", 5)),
-                v_range=tuple(_real("system.random.v_range", r.get("v_range", (0.0, 2.0)))),
-                d_range=tuple(_real("system.random.d_range", r.get("d_range", (0.5, 1.5)))),
-                v_left=float(_real("system.random.v_left", r.get("v_left", 0.0))),
-                v_right=float(_real("system.random.v_right", r.get("v_right", 0.0))),
-            ))
-        layers = _real("system.layers", _require(doc, "layers", "system."))
-        for i, layer in enumerate(layers if isinstance(layers, list) else []):
-            if isinstance(layer, dict):
-                _closed(layer, f"system.layers[{i}].", ("d", "V"))
-        return _parse("system", lambda: build_stack(
-            layers,
-            v_left=float(_real("system.v_left", doc.get("v_left", 0.0))),
-            v_right=float(_real("system.v_right", doc.get("v_right", 0.0))),
-        ))
-    # lattice backend
-    _closed(doc, "system.", ("width", "length", "disorder" if "disorder" in doc else "onsite"))
-    width = _integer("system.width", _require(doc, "width", "system."))
-    length = _integer("system.length", _require(doc, "length", "system."))
-    if "disorder" in doc:
-        d = _object(doc, "disorder", ("seed", "v_range"), "system.")
-        return _parse("system.disorder", lambda: random_lattice(
-            seed=_integer("system.disorder.seed", _require(d, "seed", "system.disorder.")),
-            width=width, length=length,
-            v_range=tuple(_real("system.disorder.v_range", d.get("v_range", (-0.5, 0.5)))),
-        ))
-    onsite = _real("system.onsite", doc.get("onsite", 0.0))
-    return _parse("system.onsite", lambda: LatticeSystem(
-        width=width, length=length,
-        onsite=(np.full((length, width), float(onsite)) if isinstance(onsite, (int, float))
-                else np.asarray(onsite, dtype=float)),
-    ))
+def _layers(path: str, value) -> list:
+    """Layers, each a [d, V] pair or a _LAYER object: a layer's field is named by its
+    index when unknown or missing, and a value that is no number by `path`."""
+    if not isinstance(value, list):
+        raise ConfigError(f"field '{path}' must be an array, got {value!r}")
+    _reals(path, [list(_fields(f"{path}[{i}]", layer, _LAYER).values())
+                  if isinstance(layer, dict) else layer for i, layer in enumerate(value)])
+    return value
+
+
+def _methods(path: str, value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and value and all(isinstance(m, str) for m in value)):
+        raise ConfigError(f"field '{path}' must be a non-empty array of strings, got {value!r}")
+    bad = sorted(set(value) - set(an.METHODS))
+    if bad:
+        raise ConfigError(f"field '{path}' has unknown entries {bad}")
+    return tuple(value)
+
+
+def _lattice(onsite=None, **size) -> LatticeSystem:
+    """The given lattice: `onsite` an array per site, one number or absent."""
+    if isinstance(onsite, list):
+        return LatticeSystem(onsite=onsite, **size)
+    return uniform_lattice(**size) if onsite is None else uniform_lattice(**size, v=onsite)
+
+
+# One table per config object, keyed by the keyword names of the builder
+# that the object feeds; a field left out keeps that builder's default.
+_LAYER = {"d": _required(_value), "V": _required(_value)}
+_LEADS = {"v_left": _real, "v_right": _real}
+_DISORDER = {"seed": _required(_integer), "v_range": _reals}
+_RANDOM = {**_DISORDER, "n_layers": _integer, "d_range": _reals, **_LEADS}
+_SIZE = {"width": _required(_integer), "length": _required(_integer)}
+_REGION = {key: _required(_integer) for key in ("col_min", "col_max", "row_min", "row_max")}
+# per backend: a given system's table and builder, then a generated
+# system's, whose seeded builder takes the fields of the generator object
+# (the one field the given table lacks) and the others.  A generated
+# system takes no field that it generates itself.
+_SYSTEMS = {
+    "stack": ({"layers": _required(_layers), **_LEADS}, build_stack,
+              {"random": _required(_object(_RANDOM))}, random_stack),
+    "lattice": ({**_SIZE, "onsite": _reals}, _lattice,
+                {**_SIZE, "disorder": _required(_object(_DISORDER))}, random_lattice),
+}
+_GRID = {"e_min": _required(_real), "e_max": _required(_real), "count": _required(_integer),
+         # older configs carry the margin; a value the model does not use is refused
+         "threshold_margin": _checked(_value, lambda m: m == THRESHOLD_MARGIN,
+                                      f"{THRESHOLD_MARGIN} (a fixed model constant)")}
+_TOLERANCES = {"identity": _POSITIVE}  # each tolerance `x` is RunConfig's `x_tol`
+_ROOT = {
+    "backend": _required(_checked(_value, lambda b: b in ("stack", "lattice"),
+                                  "'stack' or 'lattice'")),
+    "system": _required(_value),  # read by its backend's tables in _system
+    "grid": _required(_object(_GRID, lambda threshold_margin=None, **grid: EnergyGrid(**grid))),
+    "region": lambda path, value: None if value is None else _object(_REGION, LatticeRegion)(
+        path, value),
+    "methods": _methods,
+    "tolerances": _object(_TOLERANCES),
+    "min_prominence": _checked(_real, lambda x: math.isfinite(x) and x >= 0.0,
+                               "finite and >= 0"),
+    "workers": _checked(_integer, lambda n: n >= 0, ">= 0"),
+}
+
+
+def _system(backend: str, doc) -> LayerStack | LatticeSystem:
+    given, build, generated, generate = _SYSTEMS[backend]
+    (generator,) = generated.keys() - given.keys()
+    if isinstance(doc, dict) and generator in doc:
+        fields = _fields("system", doc, generated)
+        return _parse(f"system.{generator}", lambda: generate(**fields.pop(generator), **fields))
+    return _object(given, build)("system", doc)
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _closed(doc, "", ("backend", "system", "grid", "region", "methods", "tolerances",
-                      "min_prominence", "workers"))
-
-    backend = _require(doc, "backend")
-    if backend not in ("stack", "lattice"):
-        raise ConfigError(f"field 'backend' must be 'stack' or 'lattice', got {backend!r}")
-    system = _build_system(backend, _object(doc, "system", None))
-
-    g = _object(doc, "grid", ("e_min", "e_max", "count", "threshold_margin"))
-    # older configs carry the margin; a value the model does not use is refused
-    if g.get("threshold_margin", THRESHOLD_MARGIN) != THRESHOLD_MARGIN:
-        raise ConfigError(f"field 'grid.threshold_margin' must be {THRESHOLD_MARGIN} "
-                          f"(a fixed model constant), got {g['threshold_margin']!r}")
-    grid = _parse("grid", lambda: EnergyGrid(
-        e_min=float(_real("grid.e_min", _require(g, "e_min", "grid."))),
-        e_max=float(_real("grid.e_max", _require(g, "e_max", "grid."))),
-        count=_integer("grid.count", _require(g, "count", "grid.")),
-    ))
-
-    region = None
-    if doc.get("region") is not None:
-        if backend != "lattice":
+    run = _fields("", doc, _ROOT)
+    run["system"] = system = _system(run["backend"], run["system"])
+    if run.get("region") is not None:
+        if run["backend"] != "lattice":
             raise ConfigError("field 'region' is only supported for the lattice backend")
-        bounds = ("col_min", "col_max", "row_min", "row_max")
-        r = _object(doc, "region", bounds)
-        region = _parse("region", lambda: LatticeRegion(
-            **{key: _integer(f"region.{key}", _require(r, key, "region.")) for key in bounds}))
-        _parse("region", lambda: system.region_sites(region))  # inside the device
-
-    methods = _parse("methods", lambda: tuple(doc.get("methods", ["direct", "green"])))
-    if not methods:
-        raise ConfigError("field 'methods' must be non-empty")
-    bad = _parse("methods", lambda: sorted(set(methods) - set(an.METHODS)))
-    if bad:
-        raise ConfigError(f"field 'methods' has unknown entries {bad}")
-
-    tolerances = _object(doc, "tolerances", ("identity",), default={})
-    tol = _parse("tolerances.identity", lambda: _positive_finite(
-        _real("tolerances.identity", tolerances.get("identity", 1e-8))))
-    prom = _parse("min_prominence", lambda: _positive_finite(
-        _real("min_prominence", doc.get("min_prominence", 0.05)), allow_zero=True))
-    workers = _integer("workers", doc.get("workers", 0))
-    if workers < 0:
-        raise ConfigError("field 'workers' must be >= 0")
-    return RunConfig(
-        backend=backend, system=system, grid=grid, region=region,
-        methods=methods, identity_tol=tol,
-        min_prominence=prom, workers=workers,
-    )
+        _parse("region", lambda: system.region_sites(run["region"]))  # inside the device
+    tolerances = {f"{key}_tol": tol for key, tol in run.pop("tolerances", {}).items()}
+    return RunConfig(**run, **tolerances)
 
 
 # ----------------------------------------------------------------------------
@@ -257,10 +258,8 @@ def _fmt(x: float | None) -> str:
 def _channel_sort_key(label: str):
     if label == "ALL":
         return (0, "", 0)
-    if ":" in label:
-        lead, mode = label.split(":", 1)
-        return (1, lead, int(mode))
-    return (1, label, 0)
+    lead, _, mode = label.partition(":")
+    return (1, lead, int(mode or 0))
 
 
 def _scan_rows(reports: list[an.DwellReport]) -> list[str]:
@@ -276,24 +275,18 @@ def _scan_rows(reports: list[an.DwellReport]) -> list[str]:
         vd_sum = float(sum(vds)) if vds and len(vds) == len(rep.channels) else None
         shared = f"{_fmt(rep.dos_green)},{_fmt(rep.dos_sum)},{_fmt(rep.residual_rel)},false"
         rows.append(f"{e},ALL,{_fmt(tau_sum)},{_fmt(vd_sum)},{shared}")
-        for c in sorted(rep.channels, key=lambda c: _channel_sort_key(c.channel)):
+        for c in rep.channels:  # in label order
             rows.append(f"{e},{c.channel},{_fmt(c.tau_direct)},{_fmt(c.tau_vderiv)},{shared}")
     return rows
 
 
-def write_scan_csv(reports: list[an.DwellReport], path: Path) -> int:
-    rows = _scan_rows(reports)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SCAN_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _write_csv(path: Path, header: str, rows: list[str]) -> int:
+    path.write_text("".join(f"{r}\n" for r in [header, *rows]), encoding="utf-8", newline="\n")
     return len(rows)
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_scan_csv(reports: list[an.DwellReport], path: Path) -> int:
+    return _write_csv(path, SCAN_HEADER, _scan_rows(reports))
 
 
 # ----------------------------------------------------------------------------
@@ -305,8 +298,7 @@ def _skip_warnings(summary: dict) -> tuple[list[str], bool]:
     """Warnings about the skipped points (one naming the skips that are
     failures, one naming the skip classes when every point was skipped)
     and whether any skip is a failure."""
-    failed = {k: n for k, n in summary["skip_reasons"].items()
-              if k not in an.EXPECTED_SKIPS}
+    failed = {k: n for k, n in summary["skip_reasons"].items() if k not in an.EXPECTED_SKIPS}
     warnings = []
     if failed:
         warnings.append(f"{sum(failed.values())} grid points were skipped as failures "
@@ -317,14 +309,11 @@ def _skip_warnings(summary: dict) -> tuple[list[str], bool]:
 
 
 def cmd_scan(config: RunConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports = compute_reports(config)
     n_rows = write_scan_csv(reports, out_dir / "scan.csv")
     summary = an.summarize_reports(reports, config.system)
-    summary["rows"] = n_rows
-    summary["command"] = "scan"
+    summary.update(rows=n_rows, command="scan")
     summary["warnings"], _ = _skip_warnings(summary)
-    _write_json(summary, out_dir / "summary.json")
     return summary
 
 
@@ -334,8 +323,7 @@ def cmd_verify(config: RunConfig, tol: float | None = None) -> tuple[int, dict]:
     tolerance = config.identity_tol if tol is None else float(tol)
     reports = compute_reports(config)
     summary = an.summarize_reports(reports, config.system)
-    summary["command"] = "verify"
-    summary["tolerance"] = tolerance
+    summary.update(command="verify", tolerance=tolerance)
     worst = summary["max_residual_rel"]
     warnings, failed = _skip_warnings(summary)
     if warnings:
@@ -348,7 +336,6 @@ def cmd_verify(config: RunConfig, tol: float | None = None) -> tuple[int, dict]:
 
 
 def cmd_resonances(config: RunConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports = compute_reports(config)
     table = an.find_resonances(reports, min_prominence=config.min_prominence)
     lines = []
@@ -359,19 +346,10 @@ def cmd_resonances(config: RunConfig, out_dir: Path) -> dict:
     for chan, peaks in sorted(table.dwell_peaks.items(), key=lambda kv: _channel_sort_key(kv[0])):
         for p in peaks:
             lines.append(f"{_fmt(p.energy)},dwell,{chan},{_fmt(p.height)},{_fmt(p.width)},")
-    with open(out_dir / "peaks.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PEAKS_HEADER + "\n")
-        for line in lines:
-            fh.write(line + "\n")
-    summary = {
-        "command": "resonances",
-        "dos_peaks": len(table.dos_peaks),
-        "matched": sum(1 for m in table.matches if m.matched),
-        "unmatched": sum(1 for m in table.matches if not m.matched),
-        "grid_resolution": table.grid_resolution,
-    }
-    _write_json(summary, out_dir / "summary.json")
-    return summary
+    _write_csv(out_dir / "peaks.csv", PEAKS_HEADER, lines)
+    matched = sum(1 for m in table.matches if m.matched)
+    return {"command": "resonances", "dos_peaks": len(table.dos_peaks), "matched": matched,
+            "unmatched": len(table.matches) - matched, "grid_resolution": table.grid_resolution}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,15 +358,15 @@ def main(argv: list[str] | None = None) -> int:
         description="Dwell times and region DOS for multilayer and lattice scattering",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_scan = sub.add_parser("scan", help="per-energy estimator table (CSV + JSON)")
-    p_scan.add_argument("--config", required=True)
-    p_scan.add_argument("--out", required=True)
-    p_ver = sub.add_parser("verify", help="pass/fail identity check")
-    p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--tol", type=_tol_argument, default=None)
-    p_res = sub.add_parser("resonances", help="DOS / dwell-time peak table")
-    p_res.add_argument("--config", required=True)
-    p_res.add_argument("--out", required=True)
+    for name, text in (("scan", "per-energy estimator table (CSV + JSON)"),
+                       ("verify", "pass/fail identity check"),
+                       ("resonances", "DOS / dwell-time peak table")):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", required=True)
+        if name == "verify":
+            command.add_argument("--tol", type=_tol_argument, default=None)
+        else:
+            command.add_argument("--out", required=True)
 
     try:
         args = parser.parse_args(argv)
@@ -398,29 +376,23 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
-        if args.command == "scan":
-            summary = cmd_scan(config, Path(args.out))
-            print(json.dumps(summary, sort_keys=True))
-            return 0
         if args.command == "verify":
             code, summary = cmd_verify(config, args.tol)
-            print(json.dumps(summary, sort_keys=True))
-            return code
-        summary = cmd_resonances(config, Path(args.out))
-        print(json.dumps(summary, sort_keys=True))
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        else:  # scan and resonances write their table and summary.json to --out
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            command = cmd_scan if args.command == "scan" else cmd_resonances
+            code, summary = 0, command(config, out_dir)
+            (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True)
+                                                  + "\n", encoding="utf-8", newline="\n")
+    except (DwellDosError, OSError) as exc:
+        kind = ("config error" if isinstance(exc, ConfigError) else
+                "insufficient data" if isinstance(exc, InsufficientDataError) else
+                "error" if isinstance(exc, DwellDosError) else "io error")
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 2
-    except InsufficientDataError as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return 2
-    except DwellDosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
+    print(json.dumps(summary, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

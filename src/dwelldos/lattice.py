@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundStatePoleError, NumericalFailureError
-from .model import (Array, LatticeRegion, LatticeSystem, channel_index, energy_errors,
+from .model import (Array, LatticeRegion, LatticeSystem, energy_errors, single_energy,
                     transverse_modes, uniform_lattice)
 
 __all__ = [
@@ -292,28 +292,18 @@ class _LatticeWorkspace:
         return errors
 
 
-def _solve_one(system: LatticeSystem, energy: float, route: str,
-               region: LatticeRegion | None = None) -> _LatticeWorkspace:
-    """A batch of one energy, or the error that leaves it without `route`."""
-    batch = _LatticeWorkspace(system, [energy], region=region)
-    (error,) = batch.errors(route)
-    if error is not None:
-        raise error
-    return batch
-
-
 def scattering_state(system: LatticeSystem, energy: float, channel: str) -> Array:
     """Stationary state, (length, width), for unit incidence in one open
     channel."""
     batch = _LatticeWorkspace(system, [energy])
-    n = channel_index(batch.labels, batch.open[:, 0], channel, energy, batch.errors("direct")[0])
-    return batch.psi[0, ..., n].copy()
+    return batch.psi[0, ..., single_energy(batch, "direct", channel)].copy()
 
 
 def scattering_matrix(system: LatticeSystem, energy: float) -> tuple[Array, list[str]]:
     """Flux-normalized S matrix over the open channels of both leads, and
     their labels."""
-    batch = _solve_one(system, energy, "vderiv")
+    batch = _LatticeWorkspace(system, [energy])
+    single_energy(batch, "vderiv")
     opened = np.flatnonzero(batch.open[:, 0])
     return batch.smatrices[0][np.ix_(opened, opened)], [batch.labels[j] for j in opened]
 
@@ -331,8 +321,7 @@ def dwell_time_lattice(
     energy-normalized definition, exactly as in the 1D continuum case.
     """
     batch = _LatticeWorkspace(system, [energy], region=region)
-    n = channel_index(batch.labels, batch.open[:, 0], channel, energy, batch.errors("direct")[0])
-    return float(batch.dwell_times[n, 0])
+    return float(batch.dwell_times[single_energy(batch, "direct", channel), 0])
 
 
 def dos_region_lattice(
@@ -341,4 +330,6 @@ def dos_region_lattice(
     region: LatticeRegion | None = None,
 ) -> float:
     """Region DOS: sum over Omega sites of -(1/pi) Im G(r, r; E)."""
-    return float(_solve_one(system, energy, "green", region).region_dos[0])
+    batch = _LatticeWorkspace(system, [energy], region=region)
+    single_energy(batch, "green")
+    return float(batch.region_dos[0])

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalFailureError, ValidationError
-from .model import FLUX_FACTOR, Array, LayerStack, channel_index, energy_errors
+from .model import FLUX_FACTOR, Array, LayerStack, energy_errors, single_energy
 
 __all__ = [
     "layer_wavevector",
@@ -340,19 +340,12 @@ class ScatterBatch:
         return errors
 
 
-def _solve_one(stack: LayerStack, energy: float, route: str = "direct") -> ScatterSolution1D:
-    """A ScatterBatch of one energy, or the error that leaves it without `route`."""
-    batch = ScatterBatch(stack, [energy])
-    (error,) = batch.errors(route)
-    if error is not None:
-        raise error
-    return ScatterSolution1D(batch, 0)
-
-
 def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterSolution1D:
     """Solve the scattering problem at one energy for both incidence sides
     (a ScatterBatch of one energy)."""
-    return _solve_one(stack, energy)
+    batch = ScatterBatch(stack, [energy])
+    single_energy(batch)
+    return ScatterSolution1D(batch, 0)
 
 
 # ----------------------------------------------------------------------------
@@ -412,8 +405,7 @@ def dwell_time_direct_1d(
     label, "left" or "right", checked by model.channel_index.
     """
     batch = ScatterBatch(stack, [energy])
-    s = channel_index(batch.labels, batch.open[:, 0], side, energy, batch.errors("direct")[0])
-    return float(batch.dwell_times[s, 0])
+    return float(batch.dwell_times[single_energy(batch, "direct", side), 0])
 
 
 # ----------------------------------------------------------------------------
@@ -433,12 +425,14 @@ def greens_function_1d(
     L = stack.total_length
     if not np.all((0.0 <= x) & (x <= L) & (0.0 <= xp) & (xp <= L)):
         raise ValidationError("x and x' must lie in [0, L]")
-    sol = _solve_one(stack, energy, "green")
+    batch = ScatterBatch(stack, [energy])
+    single_energy(batch, "green")
+    sol = ScatterSolution1D(batch, 0)
     # unit incidence from the right has no incoming part on the left, so
     # it is the left-outgoing psi_L; incidence from the left is psi_R
     psi_l, _ = sol.wave("right", np.minimum(x, xp))
     psi_r, _ = sol.wave("left", np.maximum(x, xp))
-    g = psi_l * psi_r / complex(sol.batch.wronskian[0])
+    g = psi_l * psi_r / complex(batch.wronskian[0])
     return g if g.ndim else complex(g)
 
 
@@ -479,7 +473,9 @@ def dos_region_1d(
 ) -> float:
     """Density of states of Omega: -(1/pi) Im of the integral of G+(x, x)
     over [0, L], in closed form per layer (ScatterBatch.region_dos)."""
-    return float(_solve_one(stack, energy, "green").batch.region_dos[0])
+    batch = ScatterBatch(stack, [energy])
+    single_energy(batch, "green")
+    return float(batch.region_dos[0])
 
 
 def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):

@@ -147,6 +147,14 @@ def test_config_errors_name_fields(tmp_path):
     ("dv", {"dv": True}),
     ("tolerances.identity", {"tolerances": {"identity": True}}),
     ("min_prominence", {"min_prominence": False}),
+    # a number field takes a JSON number, never a string, and a list field a JSON array
+    ("grid.e_max", {"grid": {"e_min": -1.5, "e_max": " 2.0 ", "count": 60}}),
+    ("tolerances.identity", {"tolerances": {"identity": "1e-9"}}),
+    ("min_prominence", {"min_prominence": "0.1"}),
+    ("system.layers", {"backend": "stack", "system": {"layers": [{"d": "1.0", "V": 0.0}]}}),
+    ("system.v_left", {"backend": "stack",
+                       "system": {"v_left": "0", "layers": [{"d": 1.0, "V": 0.0}]}}),
+    ("methods", {"methods": {"direct": False, "green": False}}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)
