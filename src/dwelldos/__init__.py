@@ -43,7 +43,7 @@ from .model import (
     uniform_lattice,
 )
 from .solver1d import (
-    ScatterSolution1D,
+    ScatterBatch,
     dos_region_1d,
     dwell_time_direct_1d,
     greens_function_1d,

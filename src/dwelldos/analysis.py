@@ -75,7 +75,6 @@ METHODS = ("direct", "green", "vderiv")  # the routes a report can run
 @dataclass(frozen=True)
 class ChannelRecord:
     channel: str
-    velocity: float
     tau_direct: float | None = None
     tau_vderiv: float | None = None
 
@@ -364,12 +363,11 @@ def _chunk_reports(
         taus = (batch.dwell_times.T.tolist() if "direct" in methods
                 else [[None] * len(batch.labels)] * n)
         dos = batch.region_dos.tolist() if "green" in methods else [None] * n
-        velocities = batch.velocities.T.tolist()
         for i, (row, *errors) in enumerate(zip(batch.open.T.tolist(), *map(batch.errors, routes))):
             error = next(filter(None, errors), None)  # that of the first route with one
             ch = [c for c, o in enumerate(row) if o]  # the open channels
-            points.append(error or ([batch.labels[c] for c in ch], [velocities[i][c] for c in ch],
-                                    [taus[i][c] for c in ch], dos[i]))
+            points.append(error or ([batch.labels[c] for c in ch], [taus[i][c] for c in ch],
+                                    dos[i]))
         if "vderiv" in methods:
             s0.append(batch.smatrices)
             opened.append(batch.open)
@@ -386,10 +384,9 @@ def _chunk_reports(
             reports.append(DwellReport(energy, skipped=True,
                                        skip_reason=f"{type(error).__name__}: {error}"))
             continue
-        labels, velocities, taus, dos_green = point
+        labels, taus, dos_green = point
         dos_sum = sum(taus) / (2.0 * np.pi) if "direct" in methods else None
-        channels = map(ChannelRecord, labels, velocities, taus,
-                       [None] * len(labels) if vd is None else vd)
+        channels = map(ChannelRecord, labels, taus, [None] * len(labels) if vd is None else vd)
         reports.append(DwellReport(energy, tuple(channels), dos_green, dos_sum, (
             abs(dos_green - dos_sum) / max(dos_green, RESIDUAL_FLOOR)
             if dos_green is not None and dos_sum is not None else None)))

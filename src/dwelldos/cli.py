@@ -115,7 +115,10 @@ def _real(path: str, value) -> float:
     """value as a float when it is a JSON number, never a string or a bool (1.0/0.0)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{path}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the largest float
+        raise ConfigError(f"field '{path}' is a number too large for a float") from None
 
 
 def _reals(path: str, value):

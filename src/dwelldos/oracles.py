@@ -20,7 +20,7 @@ from .lattice import build_hamiltonian, lead_self_energy
 from .model import Array, EnergyGrid, LatticeSystem, LayerStack
 
 __all__ = [
-    "BoxSpec", "quadrature_integral", "box_levels", "box_dos", "fd_green",
+    "BoxSpec", "quadrature_integral", "box_dos", "fd_green",
     "dense_green_lattice",
 ]
 
@@ -92,34 +92,15 @@ def _box_grid(stack: LayerStack, box: BoxSpec) -> tuple[Array, Array, Array]:
     return x, pot, overlap
 
 
-def box_levels(
-    stack: LayerStack, box: BoxSpec, e_min: float, e_max: float
-) -> tuple[Array, Array]:
-    """All hard-wall eigenvalues and their Omega weights int_Omega |chi_k|^2.
-
-    Eigenvectors are normalized to one over the box, so summing the
-    weights with Omega = box counts the states exactly.
-    """
-    _validate_box(stack, box, e_min, e_max)
-    x, pot, overlap = _box_grid(stack, box)
-    h = x[1] - x[0]
-    diag = 2.0 / h**2 + pot
-    off = np.full(x.size - 1, -1.0 / h**2)
-    try:
-        energies, vecs = sla.eigh_tridiagonal(diag, off)
-    except sla.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailureError("box eigensolve failed") from exc
-    return energies, (overlap[:, None] * vecs**2).sum(axis=0)
-
-
 def box_dos(stack: LayerStack, box: BoxSpec, grid: EnergyGrid) -> Array:
     """Broadened closed-box DOS of Omega on the energy grid.
 
-    rho_Omega(E) ~= sum_k w_k * Lorentzian_eta(E - E_k) over the levels
-    and weights of box_levels, which is -(1/pi) Im sum_x overlap(x)
-    G(x, x; E + i eta) for the box resolvent G.  Its diagonal comes from
-    the pivots of the tridiagonal E + i eta - H eliminated from either end
-    (continued fractions), O(n) per energy; Im > 0 keeps them off zero.
+    rho_Omega(E) ~= sum_k w_k * Lorentzian_eta(E - E_k) over the box
+    levels E_k and their Omega weights w_k, which is -(1/pi) Im sum_x
+    overlap(x) G(x, x; E + i eta) for the box resolvent G.  Its diagonal
+    comes from the pivots of the tridiagonal E + i eta - H eliminated from
+    either end (continued fractions), O(n) per energy; Im > 0 keeps them
+    off zero.
     """
     _validate_box(stack, box, grid.e_min, grid.e_max)
     x, pot, overlap = _box_grid(stack, box)

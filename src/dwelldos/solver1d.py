@@ -23,14 +23,16 @@ direct route (ScatterBatch.dwell_times), the Green route
 the batch's (energy, layer) arrays, with no Python loop over energies or
 layers; ScatterBatch.errors(route) says why each energy has no result.
 scattering_amplitudes, dwell_time_direct_1d and dos_region_1d are a
-batch of one energy.  Pointwise quantities (psi and psi', G+(x, x'),
-the LDOS) read the same arrays through ScatterSolution1D.wave, which
-gathers each position's layer coefficients and evaluates any number of
-positions in one numpy expression.
+batch of one energy, and scattering_amplitudes returns that batch.
+Pointwise quantities (psi and psi', G+(x, x'), the LDOS) read the same
+arrays through ScatterBatch.wave(side, x, index), which gathers each
+position's layer coefficients and evaluates any number of positions in
+one numpy expression.
 
 Amplitude convention: for left incidence psi = exp(ikx) + r exp(-ikx) for
 x < 0 and psi = t exp(ikx) for x > L, so an empty stack gives t = 1; the
-right-incidence amplitudes r', t' are defined mirror-symmetrically.
+right-incidence amplitudes r', t' are defined mirror-symmetrically.  A
+closed side's amplitudes are NaN.
 
 Green's function: with H = -d^2/dx^2 + V (E = k^2), the retarded kernel
 is G+(x, x') = psi_L(x<) psi_R(x>) / W[psi_L, psi_R], where psi_L / psi_R
@@ -62,7 +64,6 @@ __all__ = [
     "ldos_mode_sum_1d",
     "dos_region_1d",
     "ScatterBatch",
-    "ScatterSolution1D",
 ]
 
 # A layer with |k| d at or below this is solved in the exact k = 0 basis
@@ -83,64 +84,6 @@ def layer_wavevector(energy, potential):
     k = np.empty(np.shape(diff), dtype=complex)  # by part: 1j * inf is nan + i inf
     k.real, k.imag = np.where(diff < 0.0, 0.0, root), np.where(diff < 0.0, root, 0.0)
     return k if k.ndim else complex(k)
-
-
-class ScatterSolution1D:
-    """Both scattering solutions of a stack at one energy: energy `index`
-    of a ScatterBatch, whose arrays every method reads.
-
-    `wave("left", x)` is the solution with unit incidence from the left,
-    `wave("right", x)` the one with unit incidence from the right
-    (amplitude measured at the x = L plane).  When a side is evanescent
-    its amplitudes are None, but its formal wave is still defined for
-    Green's-function use.
-    """
-
-    def __init__(self, batch: "ScatterBatch", index: int):
-        self.batch, self.index = batch, index
-        self.stack = batch.stack
-        self.energy = float(batch.energies[index])
-        self.k_left = complex(batch.k_left[index])
-        self.k_right = complex(batch.k_right[index])
-        self.open_left, self.open_right = (bool(opened) for opened in batch.open[:, index])
-        self.k_layers = batch.k_layers[index]
-        self.r, self.t = (batch.r[index], batch.t[index]) if self.open_left else (None, None)
-        self.r_prime, self.t_prime = ((batch.r_prime[index], batch.t_prime[index])
-                                      if self.open_right else (None, None))
-
-    def wave(self, side: str, x) -> tuple[Array, Array]:
-        """psi(x) and dpsi/dx of the solution with unit incidence from
-        `side` ("left" or "right"), at scalar or array positions anywhere
-        on the line.
-
-        Each point reads the coefficients of its layer from the batch
-        arrays, in psi = a e^{iku} + b e^{ik(d - u)} with u measured from
-        the layer's left edge; the leads are two more "layers" of d = 0
-        with origin x = 0 (a = incoming, b = outgoing) and x = L
-        (a = outgoing, b = incoming), and a k = 0 layer is a + b u.
-        x = L belongs to the last layer.  Returns arrays of x's shape (0-d
-        for a scalar); a scalar goes through the same array arithmetic as
-        an array, so both give the same values.
-        """
-        b, i = self.batch, self.index
-        if side not in b.labels:
-            raise ValidationError("side must be 'left' or 'right'")
-        s = b.labels.index(side)
-        bounds = self.stack.boundaries
-        shape = np.shape(x)
-        x = np.asarray(x, dtype=float).reshape(-1)
-        j = np.searchsorted(bounds[:-1], x, side="right") + (x > bounds[-1])
-        k = np.concatenate(([self.k_left], self.k_layers, [self.k_right]))[j]
-        a = np.concatenate(([1.0 - s], b.coeff_a[s, i], [b.out_right[s, i]]))[j]
-        c = np.concatenate(([b.out_left[s, i]], b.coeff_b[s, i], [float(s)]))[j]
-        u = x - np.concatenate(([0.0], bounds))[j]
-        d = np.concatenate(([0.0], self.stack.thicknesses, [0.0]))[j]
-        ik = 1j * k
-        up, down = np.exp(ik * u), np.exp(ik * (d - u))
-        flat = k == 0
-        psi = np.where(flat, a + c * u, a * up + c * down)
-        dpsi = np.where(flat, c, ik * a * up - ik * c * down)
-        return psi.reshape(shape), dpsi.reshape(shape)
 
 
 def _elements(k_left: Array, k_layers: Array, k_right: Array, d: Array) -> tuple:
@@ -216,12 +159,15 @@ class ScatterBatch:
     [left, right] on the outgoing amplitudes out_left, out_right (2, E)
     at the x = 0 and x = L planes and on the interior coefficients
     coeff_a, coeff_b (2, E, n); the channel axis is `labels`, with the
-    `open` mask and `velocities` (2, E).  The coefficients (the tree's
-    down-sweep), the routes and the S matrices are evaluated on first use,
-    so a batch read for its S matrices never runs the down-sweep.
-    `errors(route)` says per energy why it has no result on a route, and
-    one energy's failure never touches another.  `v_shift` (scalar or per
-    energy) is added to every layer potential.
+    `open` mask and `velocities` (2, E).  The amplitudes r, t (left
+    incidence) and r_prime, t_prime (right incidence), (E,), are NaN where
+    their side is closed.  The coefficients (the tree's down-sweep), the
+    routes and the S matrices are evaluated on first use, so a batch read
+    for its S matrices never runs the down-sweep; `wave(side, x, index)`
+    reads psi and psi' at any positions.  `errors(route)` says per energy
+    why it has no result on a route, and one energy's failure never
+    touches another.  `v_shift` (scalar or per energy) is added to every
+    layer potential.
     """
 
     labels = ("left", "right")
@@ -250,8 +196,9 @@ class ScatterBatch:
         self.out_left, self.out_right = root[[0, 3]], root[[1, 2]]
         self.velocities = 2.0 * np.stack([self.k_left.real, self.k_right.real])
         self.open = self.velocities > 0.0
-        self.r, self.t = root[0], root[1] * phase
-        self.r_prime, self.t_prime = root[2] * phase**2, root[3] * phase
+        self.r, self.t = np.where(self.open[0], [root[0], root[1] * phase], np.nan)
+        self.r_prime, self.t_prime = np.where(self.open[1], [root[2] * phase**2, root[3] * phase],
+                                              np.nan)
 
     @cached_property
     def _coefficients(self) -> tuple[Array, Array]:
@@ -319,6 +266,40 @@ class ScatterBatch:
         s.flags.writeable = False
         return s
 
+    def wave(self, side: str, x, index: int = 0) -> tuple[Array, Array]:
+        """psi(x) and dpsi/dx at energy `index` of the solution with unit
+        incidence from `side` ("left" or "right"), at scalar or array
+        positions anywhere on the line.  A closed side's formal wave is
+        still defined, for Green's-function use.
+
+        Each point reads the coefficients of its layer from the batch
+        arrays, in psi = a e^{iku} + b e^{ik(d - u)} with u measured from
+        the layer's left edge; the leads are two more "layers" of d = 0
+        with origin x = 0 (a = incoming, b = outgoing) and x = L
+        (a = outgoing, b = incoming), and a k = 0 layer is a + b u.
+        x = L belongs to the last layer.  Returns arrays of x's shape (0-d
+        for a scalar); a scalar goes through the same array arithmetic as
+        an array, so both give the same values.
+        """
+        if side not in self.labels:
+            raise ValidationError("side must be 'left' or 'right'")
+        s = self.labels.index(side)
+        bounds = self.stack.boundaries
+        shape = np.shape(x)
+        x = np.asarray(x, dtype=float).reshape(-1)
+        j = np.searchsorted(bounds[:-1], x, side="right") + (x > bounds[-1])
+        k = np.concatenate(([self.k_left[index]], self.k_layers[index], [self.k_right[index]]))[j]
+        a = np.concatenate(([1.0 - s], self.coeff_a[s, index], [self.out_right[s, index]]))[j]
+        c = np.concatenate(([self.out_left[s, index]], self.coeff_b[s, index], [float(s)]))[j]
+        u = x - np.concatenate(([0.0], bounds))[j]
+        d = np.concatenate(([0.0], self.stack.thicknesses, [0.0]))[j]
+        ik = 1j * k
+        up, down = np.exp(ik * u), np.exp(ik * (d - u))
+        flat = k == 0
+        psi = np.where(flat, a + c * u, a * up + c * down)
+        dpsi = np.where(flat, c, ik * a * up - ik * c * down)
+        return psi.reshape(shape), dpsi.reshape(shape)
+
     def errors(self, route: str = "direct") -> list:
         """Per energy, None or the error that leaves it without `route`
         ("direct", "green" or "vderiv"): model.energy_errors's, then a
@@ -340,12 +321,12 @@ class ScatterBatch:
         return errors
 
 
-def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterSolution1D:
-    """Solve the scattering problem at one energy for both incidence sides
-    (a ScatterBatch of one energy)."""
+def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterBatch:
+    """Solve the scattering problem at one energy for both incidence sides:
+    the ScatterBatch of that one energy, once its skip rule has passed."""
     batch = ScatterBatch(stack, [energy])
     single_energy(batch)
-    return ScatterSolution1D(batch, 0)
+    return batch
 
 
 # ----------------------------------------------------------------------------
@@ -427,11 +408,10 @@ def greens_function_1d(
         raise ValidationError("x and x' must lie in [0, L]")
     batch = ScatterBatch(stack, [energy])
     single_energy(batch, "green")
-    sol = ScatterSolution1D(batch, 0)
     # unit incidence from the right has no incoming part on the left, so
     # it is the left-outgoing psi_L; incidence from the left is psi_R
-    psi_l, _ = sol.wave("right", np.minimum(x, xp))
-    psi_r, _ = sol.wave("left", np.maximum(x, xp))
+    psi_l, _ = batch.wave("right", np.minimum(x, xp))
+    psi_r, _ = batch.wave("left", np.maximum(x, xp))
     g = psi_l * psi_r / complex(batch.wronskian[0])
     return g if g.ndim else complex(g)
 
@@ -458,12 +438,12 @@ def ldos_mode_sum_1d(
     Independent combination of the same solves used by ldos_1d; equality
     of the two is the spectral identity Im G+ = -pi sum |phi><phi|.
     """
-    sol = scattering_amplitudes(stack, energy)
+    batch = scattering_amplitudes(stack, energy)
     total = 0.0
-    for s, side in enumerate(sol.batch.labels):
-        if sol.batch.open[s, 0]:
-            psi, _ = sol.wave(side, x)
-            total = total + np.square(np.abs(psi)) / (FLUX_FACTOR * sol.batch.velocities[s, 0])
+    for s, side in enumerate(batch.labels):
+        if batch.open[s, 0]:
+            psi, _ = batch.wave(side, x)
+            total = total + np.square(np.abs(psi)) / (FLUX_FACTOR * batch.velocities[s, 0])
     return total if np.ndim(total) else float(total)
 
 

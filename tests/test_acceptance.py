@@ -323,7 +323,7 @@ def test_criterion_9_infrastructure(tmp_path):
     for _ in range(40):
         stack = random_stack(int(rng.integers(1, 2**32)))
         e = float(rng.uniform(0.05, 4.0))
-        s = scattering_amplitudes(stack, e).batch.smatrices[0]  # both sides open
+        s = scattering_amplitudes(stack, e).smatrices[0]  # both sides open
         worst_1d = max(worst_1d, float(np.max(np.abs(s.conj().T @ s - np.eye(len(s))))))
         worst_1d = max(worst_1d, abs(s[0, 1] - s[1, 0]))
     worst_lat = 0.0

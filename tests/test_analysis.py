@@ -48,7 +48,7 @@ from dwelldos.solver1d import dos_region_1d, dwell_time_direct_1d, scattering_am
 
 def test_zero_shift_is_identity_operation(barrier):
     s0, labels = shifted_smatrix(barrier, 0.5, 0.0)
-    ref = scattering_amplitudes(barrier, 0.5).batch.smatrices[0]  # both sides open
+    ref = scattering_amplitudes(barrier, 0.5).smatrices[0]  # both sides open
     assert labels == ["left", "right"]
     assert np.max(np.abs(s0 - ref)) < 1e-14
 
@@ -345,7 +345,7 @@ _ADJACENT_FLAT = [(1.0, 1.0), (0.5, 1.0), (0.7, 3.0)]
 def test_grazing_energy_uses_flat_basis(layers, offset):
     # |k| d <= 1e-6 is solved in the exact k = 0 basis {1, u}
     stack = build_stack(layers)
-    k_layers = scattering_amplitudes(stack, 1.0 + offset).k_layers
+    k_layers = scattering_amplitudes(stack, 1.0 + offset).k_layers[0]
     assert all(k_layers[j] == 0.0 for j, (_, v) in enumerate(layers) if v == 1.0)
     rep = compute_report(stack, 1.0 + offset)
     assert not rep.skipped
@@ -454,7 +454,7 @@ def test_grid_chunks_match_single_energy_reports(per_chunk, v_left, monkeypatch)
     methods = ("direct", "green", "vderiv")
     reports = verify_identity(stack, grid, methods=methods)
     assert reports[0].skip_reason.startswith("NumericalFailureError")
-    assert scattering_amplitudes(stack, 56.0).k_layers[1] == 0.0
+    assert scattering_amplitudes(stack, 56.0).k_layers[0, 1] == 0.0
     assert sum(not r.skipped for r in reports) == 12
     assert {len(r.channels) for r in reports if not r.skipped} == ({1, 2} if v_left else {2})
     for rep in reports:
@@ -561,7 +561,7 @@ def test_grid_matches_per_energy_batches(v_left):
         if np.max(np.abs(np.sum(np.abs(s0) * dmag, axis=0))) > 1e-6:
             assert rep.skip_reason.startswith("NumericalFailureError: imaginary residual")
             continue
-        sides = [side for side, opened in (("left", sol.open_left), ("right", sol.open_right))
+        sides = [side for side, opened in (("left", sol.open[0, 0]), ("right", sol.open[1, 0]))
                  if opened]
         try:
             taus = [dwell_time_direct_1d(stack, e, side) for side in sides]

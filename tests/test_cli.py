@@ -155,6 +155,13 @@ def test_config_errors_name_fields(tmp_path):
     ("system.v_left", {"backend": "stack",
                        "system": {"v_left": "0", "layers": [{"d": 1.0, "V": 0.0}]}}),
     ("methods", {"methods": {"direct": False, "green": False}}),
+    # a JSON integer too large for a float
+    ("min_prominence", {"min_prominence": 10**400}),
+    ("grid.e_min", {"grid": {"e_min": 10**400, "e_max": 1.5, "count": 60}}),
+    ("tolerances.identity", {"tolerances": {"identity": 10**400}}),
+    ("system.layers", {"backend": "stack", "system": {"layers": [{"d": 10**400, "V": 0.0}]}}),
+    ("system.v_left", {"backend": "stack",
+                       "system": {"v_left": 10**400, "layers": [{"d": 1.0, "V": 0.0}]}}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)
@@ -456,14 +463,14 @@ def test_resonances_too_coarse_grid(tmp_path, capsys):
 
 def test_scan_and_verify_never_import_scipy(tmp_path):
     # importing scipy.signal costs more than the rest of a short run's
-    # setup; only `resonances` needs it, so scan and verify on the shipped
-    # configs must leave scipy unloaded (checked in a fresh interpreter).
+    # setup; only `resonances` needs it, so scan and verify on every shipped
+    # config must leave scipy unloaded (checked in a fresh interpreter).
     # numpy.ma (5-8 ms, loaded by the first np.unique) must stay unloaded
     # too; numpy.matrixlib comes with numpy itself, so names match exactly.
     code = (
         "import sys\n"
         "from dwelldos.cli import main\n"
-        "for name in ('stack_scan', 'lattice_verify'):\n"
+        "for name in sys.argv[3:]:\n"
         "    cfg = f'{sys.argv[1]}/configs/{name}.json'\n"
         "    assert main(['scan', '--config', cfg, '--out', f'{sys.argv[2]}/{name}']) == 0\n"
         "    assert main(['verify', '--config', cfg]) == 0\n"
@@ -471,7 +478,8 @@ def test_scan_and_verify_never_import_scipy(tmp_path):
         "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, str(REPO), str(tmp_path)],
+    names = sorted(p.stem for p in (REPO / "configs").glob("*.json"))
+    proc = subprocess.run([sys.executable, "-c", code, str(REPO), str(tmp_path), *names],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr

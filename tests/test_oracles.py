@@ -3,7 +3,7 @@ import pytest
 
 from dwelldos.errors import ValidationError
 from dwelldos.model import EnergyGrid, build_stack, free_stack, rectangular_barrier
-from dwelldos.oracles import BoxSpec, box_dos, box_levels, fd_green, quadrature_integral
+from dwelldos.oracles import BoxSpec, box_dos, fd_green, quadrature_integral
 from dwelldos.solver1d import dos_region_1d, greens_function_1d
 
 
@@ -46,11 +46,11 @@ def test_box_invariants_enforced():
     # decay length at e_min = 0.5 is 1/sqrt(0.5) ~ 1.41; pads must be >= ~28
     small = BoxSpec(pad_left=5.0, pad_right=5.0, grid_step=0.05, eta=0.1)
     with pytest.raises(ValidationError, match="decay length"):
-        box_levels(barrier, small, 0.5, 1.0)
+        box_dos(barrier, small, EnergyGrid(0.5, 1.0, 2))
     # coarse grid violates the 40-points-per-wavelength rule at e_max = 3
     coarse = BoxSpec(pad_left=50.0, pad_right=50.0, grid_step=0.5, eta=0.1)
     with pytest.raises(ValidationError, match="wavelength"):
-        box_levels(free_stack(2.0), coarse, 0.5, 3.0)
+        box_dos(free_stack(2.0), coarse, EnergyGrid(0.5, 3.0, 2))
 
 
 # -------------------------------------------------------------------- box DOS
@@ -74,16 +74,6 @@ def test_box_dos_barrier_within_two_percent(barrier, free_box):
     rho_box = box_dos(barrier, free_box, grid)
     rho_ref = np.array([dos_region_1d(barrier, float(e)) for e in grid.points])
     assert np.max(np.abs(rho_box - rho_ref) / rho_ref) < 0.02
-
-
-def test_box_levels_trace(free2):
-    box = BoxSpec(pad_left=30.0, pad_right=30.0, grid_step=0.05, eta=0.1)
-    energies, weights = box_levels(free2, box, 0.5, 3.0)
-    assert np.all(weights >= -1e-12) and np.all(weights <= 1.0 + 1e-12)
-    # completeness: summed Omega weight equals the number of grid cells
-    # covering Omega (for Omega = box this is the total state count)
-    n_cells = free2.total_length / 0.05
-    assert abs(weights.sum() - n_cells) < 1e-6
 
 
 # -------------------------------------------------------------------- fd_green

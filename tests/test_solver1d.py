@@ -40,9 +40,9 @@ def test_layer_wavevector_branches():
 
 def test_empty_barrier_is_transparent(free2):
     sol = scattering_amplitudes(free2, 1.0)
-    assert abs(sol.t - 1.0) < 1e-14
-    assert abs(sol.r) < 1e-14
-    assert abs(sol.t_prime - 1.0) < 1e-14
+    assert abs(sol.t[0] - 1.0) < 1e-14
+    assert abs(sol.r[0]) < 1e-14
+    assert abs(sol.t_prime[0] - 1.0) < 1e-14
 
 
 def test_rectangular_barrier_transmission(barrier):
@@ -51,13 +51,13 @@ def test_rectangular_barrier_transmission(barrier):
     k = np.sqrt(0.5)
     q = np.sqrt(0.5)
     t_exact = 1.0 / (1.0 + ((k**2 + q**2) / (2 * k * q)) ** 2 * np.sinh(q) ** 2)
-    assert abs(abs(sol.t) ** 2 - t_exact) < 1e-5
-    assert abs(abs(sol.t) ** 2 - 0.62929) < 1e-5
+    assert abs(abs(sol.t[0]) ** 2 - t_exact) < 1e-5
+    assert abs(abs(sol.t[0]) ** 2 - 0.62929) < 1e-5
 
 
 def test_double_barrier_has_unit_transmission_peak(dbarrier):
     def deficit(e):
-        return 1.0 - abs(scattering_amplitudes(dbarrier, e).t) ** 2
+        return 1.0 - abs(scattering_amplitudes(dbarrier, e).t[0]) ** 2
 
     # bracket the first sharp resonance, then polish
     es = np.linspace(1.2, 1.7, 200)
@@ -74,9 +74,9 @@ def test_flux_conservation_and_unitarity(rng):
         stack = random_stack(int(rng.integers(1, 2**40)))
         e = float(rng.uniform(0.05, 4.0))
         sol = scattering_amplitudes(stack, e)
-        ratio = sol.k_right.real / sol.k_left.real
-        assert abs(abs(sol.r) ** 2 + ratio * abs(sol.t) ** 2 - 1.0) < 1e-12
-        s = sol.batch.smatrices[0]  # both sides open
+        ratio = sol.k_right[0].real / sol.k_left[0].real
+        assert abs(abs(sol.r[0]) ** 2 + ratio * abs(sol.t[0]) ** 2 - 1.0) < 1e-12
+        s = sol.smatrices[0]  # both sides open
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-12
         # reciprocity of the flux-normalized off-diagonals
         assert abs(s[0, 1] - s[1, 0]) < 1e-12
@@ -85,7 +85,7 @@ def test_flux_conservation_and_unitarity(rng):
 def test_asymmetric_levels_unitarity(rng):
     stack = build_stack([(1.0, 1.5), (0.7, 0.2)], v_left=0.0, v_right=0.4)
     for e in (0.9, 1.7, 3.3):
-        s = scattering_amplitudes(stack, e).batch.smatrices[0]  # both sides open
+        s = scattering_amplitudes(stack, e).smatrices[0]  # both sides open
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) < 1e-12
 
 
@@ -113,16 +113,16 @@ def test_interface_continuity(stack42):
 def test_interface_continuity_flat_layer():
     # E exactly at the middle layer's potential: the k = 0 branch {1, u}
     sol = _assert_continuous(build_stack([(0.8, 0.3), (1.1, 1.0), (0.6, 0.0)]), 1.0)
-    assert sol.k_layers[1] == 0.0
+    assert sol.k_layers[0, 1] == 0.0
 
 
 def test_opaque_stack_stays_finite():
     # kappa * d ~ 200: scaled representation must not overflow
     stack = build_stack([(20.0, 100.0)])
     sol = scattering_amplitudes(stack, 1.0)
-    assert abs(abs(sol.r) - 1.0) < 1e-10
-    assert np.isfinite(sol.batch.coeff_a).all()
-    assert np.isfinite(sol.batch.coeff_b).all()
+    assert abs(abs(sol.r[0]) - 1.0) < 1e-10
+    assert np.isfinite(sol.coeff_a).all()
+    assert np.isfinite(sol.coeff_b).all()
     tau = dwell_time_direct_1d(stack, 1.0)
     assert np.isfinite(tau) and tau > 0
 
@@ -134,9 +134,9 @@ def test_energy_domain_errors():
     with pytest.raises(ThresholdProximityError):
         scattering_amplitudes(stack, 0.5 + 1e-9)
     sol = scattering_amplitudes(stack, 1.2)  # one-sided: only left open
-    assert sol.open_left and not sol.open_right
-    assert sol.r_prime is None and sol.t_prime is None
-    assert abs(abs(sol.r) - 1.0) < 1e-12
+    assert sol.open[0, 0] and not sol.open[1, 0]
+    assert np.isnan(sol.r_prime[0]) and np.isnan(sol.t_prime[0])
+    assert abs(abs(sol.r[0]) - 1.0) < 1e-12
     with pytest.raises(ClosedChannelError):
         dwell_time_direct_1d(stack, 1.2, side="right")
     with pytest.raises(ValidationError):
@@ -216,7 +216,7 @@ def test_dwell_time_symmetric_sides(barrier):
 def test_dwell_time_matches_quadrature(barrier):
     sol = scattering_amplitudes(barrier, 0.5)
     tau = dwell_time_direct_1d(barrier, 0.5)
-    v_in = 2.0 * sol.k_left.real
+    v_in = 2.0 * sol.k_left[0].real
     ref = quadrature_integral(lambda x: sol.wave("left", x)[0], 0.0, 1.0, 20_000) / v_in
     assert abs(tau - ref) <= 1e-9 * ref
 
@@ -226,10 +226,10 @@ def test_dwell_time_grazing_layer():
     stack = build_stack([(0.8, 0.3), (1.1, 1.0), (0.6, 0.0)])
     e = 1.0
     sol = scattering_amplitudes(stack, e)
-    assert sol.k_layers[1] == 0.0
+    assert sol.k_layers[0, 1] == 0.0
     tau = dwell_time_direct_1d(stack, e)
     ref = quadrature_integral(lambda x: sol.wave("left", x)[0], 0.0, stack.total_length, 40_000)
-    ref /= 2.0 * sol.k_left.real
+    ref /= 2.0 * sol.k_left[0].real
     assert abs(tau - ref) <= 1e-9 * ref
 
 
@@ -255,7 +255,7 @@ def test_green_wronskian_constancy(stack42):
     psi_r, dpsi_r = sol.wave("left", x)
     w1, w2 = psi_l * dpsi_r - dpsi_l * psi_r
     assert abs(w1 - w2) <= 1e-10 * abs(w1)
-    assert abs(w1 - sol.batch.wronskian[sol.index]) <= 1e-10 * abs(w1)
+    assert abs(w1 - sol.wronskian[0]) <= 1e-10 * abs(w1)
 
 
 def test_green_positions_validated(free2):
@@ -332,7 +332,7 @@ def _simpson_region_ldos(stack, energy):
     for 1e-10 relative even at kappa d = 30."""
     sol = scattering_amplitudes(stack, energy)
     total = 0.0
-    for lo, d, k in zip(stack.boundaries, stack.thicknesses, sol.k_layers):
+    for lo, d, k in zip(stack.boundaries, stack.thicknesses, sol.k_layers[0]):
         panels = 2 * int(200 * (1.0 + abs(k) * d))
         y = ldos_1d(stack, energy, np.linspace(lo, lo + d, panels + 1))
         total += d / (3 * panels) * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
@@ -484,8 +484,8 @@ def test_batch_matches_single_energy_solves(stack42):
         ref = scattering_amplitudes(stack42.shifted(v) if v else stack42, e)
         assert batch.energies[i] == e and batch.errors("direct")[i] is None
         assert batch.open[:, i].all()
-        np.testing.assert_allclose(batch.smatrices[i], ref.batch.smatrices[0], rtol=0, atol=1e-14)
-        np.testing.assert_allclose(batch.coeff_a[0, i], ref.batch.coeff_a[0, 0],
+        np.testing.assert_allclose(batch.smatrices[i], ref.smatrices[0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(batch.coeff_a[0, i], ref.coeff_a[0, 0],
                                    rtol=0, atol=1e-14)
 
 
