@@ -42,6 +42,7 @@ from .model import (
     LayerStack,
     SpectralWeight,
     channel_index,
+    sampled_curve,
 )
 
 __all__ = [
@@ -209,8 +210,8 @@ def _vderiv_steps(system, region, energies, s0, opened, errors, dv) -> list:
 
     s0 is the stack of their unshifted S matrices (N, m, m), opened
     their open channels (m, N), and errors per energy None or the error
-    that left it without S(0), which ends it.  The step is dv, or
-    default_dv(E) when dv is None.  Each round solves S(+step) and then
+    that left it without S(0), which ends it.  The step is dv, finite and
+    > 0, or default_dv(E) when dv is None.  Each round solves S(+step) and then
     S(-step) of every pending energy in one _smatrices call, and takes
     all their derivatives in one _vderiv_from_matrices call, masked by
     the open channels of S(0): a shift inside Omega never reaches the
@@ -220,6 +221,8 @@ def _vderiv_steps(system, region, energies, s0, opened, errors, dv) -> list:
     Returns per energy the dwell times of its open channels, in channel
     order, or the error.
     """
+    if dv is not None and not (np.isfinite(dv) and dv > 0.0):
+        raise ValidationError(f"dv must be finite and > 0, got {dv!r}")
     out: list = list(errors)
     steps = [default_dv(e) if dv is None else float(dv) for e in energies]
     attempts = _MAX_HALVINGS if dv is None else 0
@@ -301,12 +304,7 @@ def wavepacket_dwell_time(
     Trapezoid integral of |alpha(E)|^2 tau(E); a single-sample weight is
     an exact energy delta and returns tau at that energy.
     """
-    e_tau = np.asarray(tau_energies, dtype=float)
-    t_tau = np.asarray(tau_values, dtype=float)
-    if e_tau.ndim != 1 or e_tau.shape != t_tau.shape or e_tau.size < 1:
-        raise ValidationError("tau grid and values must be matching 1D arrays")
-    if np.any(np.diff(e_tau) <= 0):
-        raise ValidationError("tau energies must be strictly increasing")
+    e_tau, t_tau = sampled_curve(tau_energies, tau_values, "tau curve")
     e_w = weights.energies
     if e_w[0] < e_tau[0] or e_w[-1] > e_tau[-1]:
         raise CoverageError(

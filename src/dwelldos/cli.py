@@ -136,26 +136,13 @@ def _checked(read, ok, rule: str):
     return read_checked
 
 
-# json reads NaN and Infinity as numbers
-_POSITIVE = _checked(_real, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
-
-
-def _tol_argument(text: str) -> float:
-    """verify's --tol: argparse turns a bad value into a usage error naming it (exit 2)."""
-    try:
-        return _POSITIVE("--tol", float(text))
-    except ValueError as exc:  # a ConfigError is a ValueError too
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _layers(path: str, value) -> list:
-    """Layers, each a [d, V] pair or a _LAYER object: a layer's field is named by its
-    index when unknown or missing, and a value that is no number by `path`."""
+    """Layers, each a [d, V] pair or a _LAYER object, as [d, V] pairs: a layer's field
+    is named by its index when unknown or missing, and a value that is no number by `path`."""
     if not isinstance(value, list):
         raise ConfigError(f"field '{path}' must be an array, got {value!r}")
-    _reals(path, [list(_fields(f"{path}[{i}]", layer, _LAYER).values())
-                  if isinstance(layer, dict) else layer for i, layer in enumerate(value)])
-    return value
+    return _reals(path, [list(_fields(f"{path}[{i}]", layer, _LAYER).values())
+                         if isinstance(layer, dict) else layer for i, layer in enumerate(value)])
 
 
 def _methods(path: str, value) -> tuple[str, ...]:
@@ -196,7 +183,9 @@ _GRID = {"e_min": _required(_real), "e_max": _required(_real), "count": _require
          # older configs carry the margin; a value the model does not use is refused
          "threshold_margin": _checked(_value, lambda m: m == THRESHOLD_MARGIN,
                                       f"{THRESHOLD_MARGIN} (a fixed model constant)")}
-_TOLERANCES = {"identity": _POSITIVE}  # each tolerance `x` is RunConfig's `x_tol`
+# each tolerance `x` is RunConfig's `x_tol`; json reads NaN and Infinity as numbers
+_TOLERANCES = {"identity": _checked(_real, lambda x: math.isfinite(x) and x > 0.0,
+                                    "finite and > 0")}
 _ROOT = {
     "backend": _required(_checked(_value, lambda b: b in ("stack", "lattice"),
                                   "'stack' or 'lattice'")),
@@ -229,6 +218,8 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    except ValueError as exc:  # an integer beyond int's digit limit, or text that is no UTF-8
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     run = _fields("", doc, _ROOT)
     run["system"] = system = _system(run["backend"], run["system"])
     if run.get("region") is not None:
@@ -320,20 +311,19 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> dict:
     return summary
 
 
-def cmd_verify(config: RunConfig, tol: float | None = None) -> tuple[int, dict]:
+def cmd_verify(config: RunConfig) -> tuple[int, dict]:
     if not {"direct", "green"} <= set(config.methods):
         raise ConfigError("verify requires both 'direct' and 'green' in methods")
-    tolerance = config.identity_tol if tol is None else float(tol)
     reports = compute_reports(config)
     summary = an.summarize_reports(reports, config.system)
-    summary.update(command="verify", tolerance=tolerance)
+    summary.update(command="verify", tolerance=config.identity_tol)
     worst = summary["max_residual_rel"]
     warnings, failed = _skip_warnings(summary)
     if warnings:
         summary["warnings"] = warnings
     # a point that failed to compute was not verified, and a grid with no
     # verified point (worst is None) verified nothing
-    ok = worst is not None and worst < tolerance and not failed
+    ok = worst is not None and worst < config.identity_tol and not failed
     summary["pass"] = bool(ok)
     return (0 if ok else 1), summary
 
@@ -366,9 +356,7 @@ def main(argv: list[str] | None = None) -> int:
                        ("resonances", "DOS / dwell-time peak table")):
         command = sub.add_parser(name, help=text)
         command.add_argument("--config", required=True)
-        if name == "verify":
-            command.add_argument("--tol", type=_tol_argument, default=None)
-        else:
+        if name != "verify":
             command.add_argument("--out", required=True)
 
     try:
@@ -380,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "verify":
-            code, summary = cmd_verify(config, args.tol)
+            code, summary = cmd_verify(config)
         else:  # scan and resonances write their table and summary.json to --out
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)

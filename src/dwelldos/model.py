@@ -144,19 +144,13 @@ class LayerStack:
 
 
 def build_stack(
-    layers: Iterable[tuple[float, float] | dict],
+    layers: Iterable[tuple[float, float]],
     v_left: float = 0.0,
     v_right: float = 0.0,
 ) -> LayerStack:
-    """Build a validated stack from (thickness, potential) pairs or dicts."""
-    parsed = []
-    for entry in layers:
-        if isinstance(entry, dict):
-            parsed.append(Layer(float(entry["d"]), float(entry["V"])))
-        else:
-            d, v = entry
-            parsed.append(Layer(float(d), float(v)))
-    return LayerStack(layers=tuple(parsed), v_left=float(v_left), v_right=float(v_right))
+    """Build a validated stack from (thickness, potential) pairs."""
+    return LayerStack(layers=tuple(Layer(float(d), float(v)) for d, v in layers),
+                      v_left=float(v_left), v_right=float(v_right))
 
 
 def free_stack(length: float = 2.0) -> LayerStack:
@@ -426,14 +420,27 @@ class EnergyGrid:
 
     @property
     def points(self) -> Array:
-        if self.count == 1:
-            return np.array([self.e_min])
         return np.linspace(self.e_min, self.e_max, self.count)
 
     def admissible_mask(self, thresholds: Array) -> Array:
         """True where a grid point is farther than THRESHOLD_MARGIN from every
         threshold: the points the solvers do not refuse."""
         return ~_near_threshold(self.points, np.atleast_1d(thresholds)).any(axis=1)
+
+
+def sampled_curve(energies, values, what: str) -> tuple[Array, Array]:
+    """A curve sampled at `energies` as two new float arrays, refused unless
+    they are matching non-empty 1D arrays of finite numbers with strictly
+    increasing energies; `what` names the curve in the error."""
+    e = np.array(energies, dtype=float)
+    v = np.array(values, dtype=float)
+    if e.ndim != 1 or e.shape != v.shape or e.size == 0:
+        raise ValidationError(f"{what}: energies and values must be matching non-empty 1D arrays")
+    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(v))):
+        raise ValidationError(f"{what}: energies and values must be finite")
+    if np.any(np.diff(e) <= 0):
+        raise ValidationError(f"{what}: energies must be strictly increasing")
+    return e, v
 
 
 @dataclass(frozen=True)
@@ -447,14 +454,7 @@ class SpectralWeight:
     weights: Array
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if e.ndim != 1 or e.shape != w.shape:
-            raise ValidationError("energies and weights must be matching 1D arrays")
-        if e.size == 0:
-            raise ValidationError("empty spectral weight")
-        if np.any(np.diff(e) <= 0):
-            raise ValidationError("energies must be strictly increasing")
+        e, w = sampled_curve(self.energies, self.weights, "spectral weight")
         if np.any(w < 0):
             raise ValidationError("weights must be nonnegative")
         total = w[0] if e.size == 1 else np.trapezoid(w, e)
@@ -462,12 +462,9 @@ class SpectralWeight:
             raise ValidationError(
                 f"spectral weight must integrate to 1 within 1e-9, got {total!r}"
             )
-        e = e.copy()
-        w = w.copy()
-        e.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "weights", w)
+        for name, arr in (("energies", e), ("weights", w)):  # copies, so read-only is safe
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def gaussian_spectral_weight(

@@ -7,7 +7,7 @@ Inside layer j the wavefunction is stored as
 i.e. the rightward component is referenced to the layer's left edge and
 the leftward component to its right edge, so every exponential that
 appears has modulus <= 1 even for evanescent k_j.  Grazing layers
-(|k_j| d_j <= 1e-6, including k_j = 0 exactly) use the degenerate basis
+(|k_j| d_j <= 1e-4, including k_j = 0 exactly) use the degenerate basis
 {1, u}.
 
 The stack is a chain of n + 1 two-port scattering matrices, one per
@@ -67,9 +67,10 @@ __all__ = [
 ]
 
 # A layer with |k| d at or below this is solved in the exact k = 0 basis
-# {1, u}: the scaled basis degenerates there, while the {1, u} solution
-# differs from the true one by (k d)^2 / 2 relative.
-_GRAZING_KD = 1e-6
+# {1, u}: the scaled basis loses about eps / (k d)^2 there, while the
+# {1, u} solution differs from the true one by (k d)^2 / 2 relative; the
+# two errors meet near 1e-4.
+_GRAZING_KD = 1e-4
 
 
 def layer_wavevector(energy, potential):

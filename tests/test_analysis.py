@@ -197,6 +197,15 @@ def test_vderiv_unknown_channel(barrier):
         dwell_time_vderiv(barrier, 0.5, "up")
 
 
+@pytest.mark.parametrize("dv", [0.0, np.nan, np.inf, -1e-5])
+def test_vderiv_step_must_be_finite_and_positive(barrier, dv):
+    # refused by name before any shifted solve, never a NaN or a misnamed skip
+    with pytest.raises(ValidationError, match="dv must be finite and > 0"):
+        dwell_time_vderiv(barrier, 1.5, "left", dv=dv)
+    with pytest.raises(ValidationError, match="dv must be finite and > 0"):
+        verify_identity(barrier, EnergyGrid(1.0, 2.0, 3), methods=("direct", "vderiv"), dv=dv)
+
+
 # ------------------------------------------------------------------ wave packet
 
 def test_wavepacket_delta_limit(free2):
@@ -343,7 +352,7 @@ _ADJACENT_FLAT = [(1.0, 1.0), (0.5, 1.0), (0.7, 3.0)]
     pytest.param(_ADJACENT_FLAT, -1e-14, id="adjacent--1e-14"),
 ])
 def test_grazing_energy_uses_flat_basis(layers, offset):
-    # |k| d <= 1e-6 is solved in the exact k = 0 basis {1, u}
+    # |k| d <= 1e-4 is solved in the exact k = 0 basis {1, u}
     stack = build_stack(layers)
     k_layers = scattering_amplitudes(stack, 1.0 + offset).k_layers[0]
     assert all(k_layers[j] == 0.0 for j, (_, v) in enumerate(layers) if v == 1.0)
@@ -352,8 +361,6 @@ def test_grazing_energy_uses_flat_basis(layers, offset):
     assert rep.residual_rel < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="scaled layer basis is ill-conditioned "
-                   "for 1e-6 < |k| d < ~3e-3 (residual ~1e-2 here)")
 def test_near_grazing_energy_verifies():
     rep = compute_report(build_stack([(1.0, 1.0)]), 1.0 - 1e-10)
     assert rep.residual_rel < 1e-9
@@ -762,8 +769,8 @@ def _assert_matches_reference(stack, energy: float) -> None:
 
 
 # |k| d of a layer: propagating (k real) or evanescent (k = i kappa), kept
-# at or above 1e-2, below which the scaled basis loses digits (the
-# near-grazing defect pinned below)
+# at or above 1e-2, below which the scaled basis loses digits until the
+# flat basis takes over at 1e-4
 _layer = st.tuples(st.floats(0.1, 3.0), st.floats(1e-2, 20.0), st.booleans())
 
 
@@ -775,9 +782,6 @@ def test_routes_match_transfer_matrix_reference(energy, layers):
     _assert_matches_reference(stack, energy)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="near-grazing layer (|k| d = 1e-6): the scaled basis loses "
-                          "about eps / (k d)^2; both routes are 4.2e-5 off here")
 def test_near_grazing_layer_matches_reference():
     _assert_matches_reference(build_stack([(1.0, 1.0)]), 1.0 + 1e-12)
 

@@ -43,6 +43,13 @@ def lattice_config(tmp_path: Path, **extra) -> str:
     return write_config(tmp_path / "lat.json", doc)
 
 
+def with_identity_tol(cfg: str, tol: float) -> str:
+    """The config file `cfg`, rewritten with tolerances.identity = tol."""
+    doc = json.loads(Path(cfg).read_text(encoding="utf-8"))
+    doc["tolerances"] = {"identity": tol}
+    return write_config(Path(cfg), doc)
+
+
 def dbarrier_config(tmp_path: Path, count=1201) -> str:
     doc = {
         "backend": "stack",
@@ -77,6 +84,11 @@ def test_config_errors_name_fields(tmp_path):
     with pytest.raises(ConfigError, match="not valid JSON"):
         p = tmp_path / "c.json"
         p.write_text("{broken", encoding="utf-8")
+        load_config(p)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        # raw text: json.dumps refuses an integer beyond int's 4300-digit limit too
+        p = tmp_path / "c2.json"
+        p.write_text('{"min_prominence": 1' + "0" * 4399 + "}", encoding="utf-8")
         load_config(p)
     with pytest.raises(ConfigError, match="region"):
         load_config(write_config(tmp_path / "d.json", {
@@ -224,10 +236,22 @@ def test_region_outside_device_is_config_error(tmp_path, capsys, bounds):
     assert not out.exists()  # refused on load, before any output
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
-def test_bad_tol_is_usage_error(tmp_path, capsys, tol):
-    assert main(["verify", "--config", lattice_config(tmp_path), "--tol", tol]) == 2
-    assert "--tol" in capsys.readouterr().err
+_ROWS = [[0.1, -0.2], [0.0, 0.3], [-0.1, 0.2]]  # onsite[col][row] of a 2 x 3 strip
+
+
+@pytest.mark.parametrize("onsite, expected", [
+    pytest.param(None, [[0.0] * 2] * 3, id="absent"),
+    pytest.param(0.25, [[0.25] * 2] * 3, id="number"),
+    pytest.param(_ROWS, _ROWS, id="rows"),
+])
+def test_given_lattice_loads_and_verifies(tmp_path, capsys, onsite, expected):
+    system = {"width": 2, "length": 3, **({} if onsite is None else {"onsite": onsite})}
+    cfg = write_config(tmp_path / "given.json", {
+        "backend": "lattice", "system": system,
+        "grid": {"e_min": -1.0, "e_max": 1.0, "count": 21}})
+    assert load_config(cfg).system.onsite.tolist() == expected
+    assert main(["verify", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_main_exit_2_on_bad_config(tmp_path, capsys):
@@ -325,11 +349,11 @@ def test_scan_with_vderiv_column(tmp_path):
 
 def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
     cfg = free_scan_config(tmp_path, count=10)
-    assert main(["verify", "--config", cfg, "--tol", "1e-8"]) == 0
+    assert main(["verify", "--config", with_identity_tol(cfg, 1e-8)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is True
     # below the floating-point floor: must fail and report the worst point
-    assert main(["verify", "--config", cfg, "--tol", "1e-16"]) == 1
+    assert main(["verify", "--config", with_identity_tol(cfg, 1e-16)]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is False
     assert summary["worst"]
@@ -340,7 +364,7 @@ def test_verify_fails_on_nan_residual(tmp_path, monkeypatch, capsys):
     reports = [DwellReport(energy=1.0, residual_rel=1e-12),
                DwellReport(energy=2.0, residual_rel=float("nan"))]
     monkeypatch.setattr(cli, "compute_reports", lambda config: reports)
-    assert main(["verify", "--config", free_scan_config(tmp_path), "--tol", "1e-8"]) == 1
+    assert main(["verify", "--config", with_identity_tol(free_scan_config(tmp_path), 1e-8)]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is False
     assert math.isnan(summary["max_residual_rel"])
@@ -418,15 +442,15 @@ def test_scan_summary_counts_skip_reasons(tmp_path):
 
 
 def test_verify_lattice_fixture(tmp_path, capsys):
-    cfg = lattice_config(tmp_path)
-    assert main(["verify", "--config", cfg, "--tol", "1e-9"]) == 0
+    cfg = lattice_config(tmp_path, tolerances={"identity": 1e-9})
+    assert main(["verify", "--config", cfg]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["max_residual_rel"] < 1e-9
 
 
 def test_verify_requires_both_sides(tmp_path):
-    cfg = lattice_config(tmp_path, methods=["direct"])
-    assert main(["verify", "--config", cfg, "--tol", "1e-9"]) == 2
+    cfg = lattice_config(tmp_path, methods=["direct"], tolerances={"identity": 1e-9})
+    assert main(["verify", "--config", cfg]) == 2
 
 
 # ----------------------------------------------------------------- resonances

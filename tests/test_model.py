@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dwelldos.analysis import wavepacket_dwell_time
 from dwelldos.errors import ValidationError
 from dwelldos.model import (
     EnergyGrid,
@@ -17,6 +18,7 @@ from dwelldos.model import (
     palindromic_stack,
     random_lattice,
     random_stack,
+    transverse_modes,
     uniform_lattice,
 )
 
@@ -24,9 +26,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_build_stack_basic():
-    st = build_stack([{"d": 1, "V": 1}])
-    assert st.total_length == 1.0
-    assert st.layers[0].potential == 1.0
     st2 = build_stack([(2.0, 0.0)])
     assert st2.total_length == 2.0
 
@@ -177,6 +176,48 @@ def test_spectral_weight_normalization():
     SpectralWeight(np.array([1.5]), np.array([1.0]))  # exact delta
     with pytest.raises(ValidationError):
         SpectralWeight(np.array([1.5]), np.array([0.9]))
+
+
+_DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: build_stack([(1.0, np.nan)]), "non-finite layer", id="layer-V-nan"),
+    pytest.param(lambda: build_stack([(np.inf, 1.0)]), "non-finite layer", id="layer-d-inf"),
+    pytest.param(lambda: random_stack(1, n_layers=0), "n_layers", id="n_layers-0"),
+    pytest.param(lambda: LatticeRegion(-1, 0, 0, 0), "nonnegative", id="region-col"),
+    pytest.param(lambda: LatticeRegion(0, 0, -1, 0), "nonnegative", id="region-row"),
+    pytest.param(lambda: LatticeSystem(2, 1, [[np.nan, 0.0]]), "non-finite", id="onsite-nan"),
+    pytest.param(lambda: LatticeSystem(2, 1, [[0.0, -np.inf]]), "non-finite", id="onsite-inf"),
+    pytest.param(lambda: transverse_modes(0), "width", id="modes-width-0"),
+    pytest.param(lambda: SpectralWeight([0.0, 1.0], [1.0]), "matching", id="weight-shape"),
+    pytest.param(lambda: SpectralWeight([[1.0]], [[1.0]]), "matching", id="weight-2d"),
+    pytest.param(lambda: SpectralWeight([], []), "matching", id="weight-empty"),
+    pytest.param(lambda: SpectralWeight([0.0, 0.0], [1.0, 1.0]), "increasing",
+                 id="weight-not-increasing"),
+    pytest.param(lambda: SpectralWeight([0, 1, 2], [0.5, np.nan, 0.5]), "finite",
+                 id="weight-nan"),
+    pytest.param(lambda: SpectralWeight([0, 1, 2], [0.5, np.inf, 0.5]), "finite",
+                 id="weight-inf"),
+    pytest.param(lambda: SpectralWeight([0, np.nan, 2], [0.5, 0.5, 0.5]), "finite",
+                 id="weight-energy-nan"),
+    pytest.param(lambda: SpectralWeight([0, 1, 2], [1.5, -0.5, 0.5]), "nonnegative",
+                 id="weight-negative"),
+    pytest.param(lambda: wavepacket_dwell_time(_DELTA, [1.0, 2.0], [1.0]), "matching",
+                 id="tau-shape"),
+    pytest.param(lambda: wavepacket_dwell_time(_DELTA, [], []), "matching", id="tau-empty"),
+    pytest.param(lambda: wavepacket_dwell_time(_DELTA, [2.0, 1.0], [1.0, 1.0]), "increasing",
+                 id="tau-not-increasing"),
+    pytest.param(lambda: wavepacket_dwell_time(_DELTA, [1.0, 2.0], [1.0, np.nan]), "finite",
+                 id="tau-nan"),
+    pytest.param(lambda: wavepacket_dwell_time(_DELTA, [1.0, 2.0], [np.inf, 1.0]), "finite",
+                 id="tau-inf"),
+    pytest.param(lambda: wavepacket_dwell_time(_DELTA, [1.0, np.nan], [1.0, 1.0]), "finite",
+                 id="tau-energy-nan"),
+])
+def test_model_refuses_bad_input(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
 
 
 def test_gaussian_weight_normalized():
