@@ -98,14 +98,9 @@ class DwellReport:
 # ----------------------------------------------------------------------------
 
 
-# Energies per chunk: a chunk's solve holds about this many unknowns, 2n + 2
-# per energy for a stack (its star-product tree and coefficients keep about
-# 17 complex values per layer, so 8.5 per unknown) and L W^2 for a lattice
-# (one per entry of its W x W column blocks; the sweep's left-connected
-# blocks and the states of the 2W channels keep 3 complex values for each).
-# A chunk of the 40-layer stack (399 energies) peaks near 6.6 MiB and one of
-# the 10 x 80 strip (4 energies) near 1.6 MiB (tracemalloc), as does a grid.
-_BATCH_UNKNOWNS = 2**15
+# Bytes per chunk; bytes_per_energy of the batch class says how many energies fit:
+# 430 of the 40-layer stack, 16 of the 10 x 80 strip and 4 of a 4 x 2000 strip.
+_BATCH_BYTES = 7 * 2**20
 
 
 def _batches(
@@ -116,23 +111,22 @@ def _batches(
 ):
     """energies[i] with v_shifts[i] added inside Omega only (the whole
     stack in 1D, `region` on a lattice), as one solver1d.ScatterBatch or
-    lattice._LatticeWorkspace per chunk of _BATCH_UNKNOWNS unknowns, not
-    kept.  Both expose channel `labels`, the `open` mask and `velocities`
-    (m, E), the direct `dwell_times` over Omega (m, E), `region_dos` (E,)
-    and `smatrices` (E, m, m), read-only and meaningful on the open block;
-    and errors(route), per energy."""
+    lattice._LatticeWorkspace per chunk of _BATCH_BYTES, not kept.  Both
+    expose channel `labels`, the `open` mask and `velocities` (m, E), the
+    direct `dwell_times` over Omega (m, E), `region_dos` (E,) and
+    `smatrices` (E, m, m), read-only and meaningful on the open block; and
+    errors(route), per energy."""
     lattice = isinstance(system, LatticeSystem)
     if not (lattice or isinstance(system, LayerStack)):
         raise ValidationError(f"unsupported system type {type(system).__name__}")
     if region is not None and not lattice:
         raise ValidationError("a lattice region needs a lattice system; "
                               "a stack's Omega is all of its layers")
-    size = max(1, _BATCH_UNKNOWNS // (system.length * system.width**2 if lattice
-                                      else 2 * len(system.layers) + 2))
+    batch = lat._LatticeWorkspace if lattice else s1d.ScatterBatch
+    size = max(1, _BATCH_BYTES // batch.bytes_per_energy(system))
     for start in range(0, len(energies), size):
         chunk, shifts = energies[start:start + size], v_shifts[start:start + size]
-        yield (lat._LatticeWorkspace(system, chunk, shifts, region) if lattice
-               else s1d.ScatterBatch(system, chunk, shifts))
+        yield batch(system, chunk, shifts, region) if lattice else batch(system, chunk, shifts)
 
 
 def _smatrices(system, energies, v_shifts, region) -> tuple:
@@ -187,7 +181,8 @@ def _vderiv_from_matrices(s0, s_plus, s_minus, opened, dv) -> tuple:
     step = 2.0 * dv[:, None, None]
     with np.errstate(invalid="ignore"):  # a closed channel's entries may be inf or NaN
         magnitude = np.where(pair, np.abs(s0), 0.0)
-        dphase = np.where(pair, np.angle(s_plus * np.conj(s_minus)), 0.0)  # principal branch
+        # principal branch; np.multiply: see the solver1d docstring
+        dphase = np.where(pair, np.angle(np.multiply(s_plus, np.conj(s_minus))), 0.0)
         dmag = np.where(pair, (np.abs(s_plus) - np.abs(s_minus)) / step, 0.0)
     weight = magnitude**2
     bad = np.count_nonzero((np.abs(dphase) > 0.5 * np.pi) & (weight >= _WEIGHT_EPS), axis=(1, 2))
@@ -237,7 +232,7 @@ def _vderiv_steps(system, region, energies, s0, opened, errors, dv) -> list:
         retry = []
         for j, i in enumerate(pending):
             result = (solve_errors[j] or solve_errors[n + j] or step_errors[j]
-                      or taus[j][opened[:, i]])
+                      or taus[j][opened[:, i]].tolist())
             if isinstance(result, (StepTooLargeError, NumericalFailureError)) and attempts > 0:
                 retry.append(i)
                 steps[i] *= 0.5
@@ -556,8 +551,12 @@ def find_resonances(
         if taus:
             curves.setdefault("ALL", []).append((r.energy, sum(tau for _, tau in taus)))
 
+    def order(item):  # "ALL", then by lead, then by mode: "left:2" before "left:10"
+        lead, _, mode = item[0].partition(":")
+        return item[0] != "ALL", lead, int(mode or 0)
+
     dwell_peaks = {}
-    for name, pts in sorted(curves.items()):
+    for name, pts in sorted(curves.items(), key=order):
         if len(pts) < 3:
             continue
         xe, ye = map(np.array, zip(*pts))

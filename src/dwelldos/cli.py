@@ -249,13 +249,6 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else format(x, ".17g")
 
 
-def _channel_sort_key(label: str):
-    if label == "ALL":
-        return (0, "", 0)
-    lead, _, mode = label.partition(":")
-    return (1, lead, int(mode or 0))
-
-
 def _scan_rows(reports: list[an.DwellReport]) -> list[str]:
     rows = []
     for rep in sorted(reports, key=lambda r: r.energy):
@@ -336,7 +329,7 @@ def cmd_resonances(config: RunConfig, out_dir: Path) -> dict:
         dist = _fmt(m.distance) if m.matched else ""
         chan = m.channel or ""
         lines.append(f"{_fmt(p.energy)},dos,{chan},{_fmt(p.height)},{_fmt(p.width)},{dist}")
-    for chan, peaks in sorted(table.dwell_peaks.items(), key=lambda kv: _channel_sort_key(kv[0])):
+    for chan, peaks in table.dwell_peaks.items():
         for p in peaks:
             lines.append(f"{_fmt(p.energy)},dwell,{chan},{_fmt(p.height)},{_fmt(p.width)},")
     _write_csv(out_dir / "peaks.csv", PEAKS_HEADER, lines)

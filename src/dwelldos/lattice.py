@@ -165,6 +165,13 @@ class _LatticeWorkspace:
     evaluated on first use, and `errors(route)` fails each energy alone.
     """
 
+    @staticmethod
+    def bytes_per_energy(system: LatticeSystem) -> int:
+        """Peak bytes per energy, all routes read: complex values for g and the
+        states (3 L W^2), the site diagonals (2 L W) and a residual slab."""
+        w = system.width
+        return 16 * w * ((3 * w + 2) * system.length + 2 * (_SLAB_COLUMNS + 1) * w)
+
     def __init__(self, system: LatticeSystem, energies, v_shift=0.0,
                  region: LatticeRegion | None = None):
         energies = np.asarray(energies, dtype=float).reshape(-1)

@@ -411,8 +411,8 @@ class EnergyGrid:
     count: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.e_min) and np.isfinite(self.e_max)):
-            raise ValidationError("e_min and e_max must be finite")
+        if not np.isfinite(float(self.e_max) - float(self.e_min)):  # inf where the span overflows
+            raise ValidationError("e_min, e_max and their span must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError("e_min must be < e_max")
         if self.count < 1:

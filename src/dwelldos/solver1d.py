@@ -22,6 +22,9 @@ direct route (ScatterBatch.dwell_times), the Green route
 (ScatterBatch.region_dos) and the S matrices are numpy expressions over
 the batch's (energy, layer) arrays, with no Python loop over energies or
 layers; ScatterBatch.errors(route) says why each energy has no result.
+numpy evaluates x * y as y * x in a temporary y of x's shape and 256 KiB
+or more, which rounds a complex product differently, so such products are
+written np.multiply(x, y): no value depends on the batch size.
 scattering_amplitudes, dwell_time_direct_1d and dos_region_1d are a
 batch of one energy, and scattering_amplitudes returns that batch.
 Pointwise quantities (psi and psi', G+(x, x'), the LDOS) read the same
@@ -115,7 +118,7 @@ def _elements(k_left: Array, k_layers: Array, k_right: Array, d: Array) -> tuple
     inv = 1.0 / (k_a + k)  # one division: a complex division costs many products
     r = (k_a - k) * inv
     t_a = 2.0 * k_a * inv
-    s = np.stack([r, p * t_a, -p * p * r, p * (2.0 * k * inv)])
+    s = np.stack([r, p * t_a, -p * p * r, np.multiply(p, 2.0 * k * inv)])
     alpha, beta = t_a[:-1], -(r * p)[:-1]
     if not np.count_nonzero(flat):
         return s, alpha, beta, None
@@ -173,6 +176,11 @@ class ScatterBatch:
 
     labels = ("left", "right")
 
+    @staticmethod
+    def bytes_per_energy(stack: LayerStack) -> int:
+        """Peak bytes per energy, all routes read: 26 complex values per two-port."""
+        return 16 * 26 * (len(stack.layers) + 1)
+
     def __init__(self, stack: LayerStack, energies, v_shift=0.0):
         energies = np.asarray(energies, dtype=float).reshape(-1)
         shift = np.broadcast_to(np.asarray(v_shift, dtype=float), energies.shape)
@@ -198,8 +206,8 @@ class ScatterBatch:
         self.velocities = 2.0 * np.stack([self.k_left.real, self.k_right.real])
         self.open = self.velocities > 0.0
         self.r, self.t = np.where(self.open[0], [root[0], root[1] * phase], np.nan)
-        self.r_prime, self.t_prime = np.where(self.open[1], [root[2] * phase**2, root[3] * phase],
-                                              np.nan)
+        self.r_prime, self.t_prime = np.where(self.open[1], [np.multiply(root[2], phase**2),
+                                                                 root[3] * phase], np.nan)
 
     @cached_property
     def _coefficients(self) -> tuple[Array, Array]:
@@ -474,7 +482,8 @@ def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):
     """
     cross = a_l * b_r + b_l * a_r
     flat = k == 0
-    per_layer = d * ((a_l * a_r + b_l * b_r) * _exprel(2j * k * d) + cross * np.exp(1j * k * d))
+    per_layer = d * ((a_l * a_r + b_l * b_r) * _exprel(2j * k * d)
+                     + np.multiply(cross, np.exp(1j * k * d)))
     if np.count_nonzero(flat):
         np.copyto(per_layer, a_l * a_r * d + cross * d**2 / 2.0 + b_l * b_r * d**3 / 3.0,
                   where=flat)

@@ -31,6 +31,7 @@ from dwelldos.model import (
     THRESHOLD_MARGIN,
     EnergyGrid,
     LatticeRegion,
+    LatticeSystem,
     SpectralWeight,
     barrier_lattice,
     build_stack,
@@ -98,6 +99,18 @@ def test_vderiv_lattice_matches_direct():
     for ch in open_channels(sysm, e):
         ref = dwell_time_lattice(sysm, e, ch)
         assert abs(taus[ch] - ref) < 1e-5
+
+
+@pytest.mark.parametrize("backend", ["stack", "lattice"])
+def test_vderiv_values_are_floats(backend, barrier, lattice3x10):
+    # like tau_direct, never numpy scalars
+    system, energy = (barrier, 1.5) if backend == "stack" else (lattice3x10, 0.3)
+    channel = "left" if backend == "stack" else "left:1"
+    values = [dwell_time_vderiv(system, energy, channel)]
+    values += dwell_times_vderiv_all(system, energy).values()
+    report = compute_report(system, energy, methods=("direct", "vderiv"))
+    values += [c.tau_vderiv for c in report.channels] + [c.tau_direct for c in report.channels]
+    assert len(values) >= 5 and all(type(v) is float for v in values)
 
 
 def test_vderiv_step_too_large_raises(dbarrier):
@@ -433,19 +446,16 @@ def test_verify_identity_with_vderiv(barrier):
             assert abs(ch.tau_vderiv - ch.tau_direct) < 1e-6
 
 
-def _same_report(rep, ref):
-    assert rep.energy == ref.energy
-    assert (rep.skipped, rep.skip_reason) == (ref.skipped, ref.skip_reason)
-    assert [c.channel for c in rep.channels] == [c.channel for c in ref.channels]
-    pairs = [(rep.dos_green, ref.dos_green), (rep.dos_sum, ref.dos_sum),
-             (rep.residual_rel, ref.residual_rel)]
-    for c, c_ref in zip(rep.channels, ref.channels):
-        pairs += [(c.tau_direct, c_ref.tau_direct), (c.tau_vderiv, c_ref.tau_vderiv)]
-    for got, want in pairs:
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert abs(got - want) <= 1e-14 * abs(want)
+def _chunk(monkeypatch, system, per_chunk):
+    """Size _batches' chunks to per_chunk energies of `system`, from the
+    bytes per energy that its batch class states."""
+    lattice_system = isinstance(system, LatticeSystem)
+    batch = lattice._LatticeWorkspace if lattice_system else solver1d.ScatterBatch
+    monkeypatch.setattr(analysis, "_BATCH_BYTES", per_chunk * batch.bytes_per_energy(system))
 
+
+# Chunking is a memory decision only: every grid report equals (==) the
+# report of its energy alone, whatever the chunk and grid sizes.
 
 @pytest.mark.parametrize("per_chunk, v_left", [(1, 0.0), (7, 0.0), (None, 0.0), (7, 20.0)],
                          ids=["1", "7", "None", "one-sided-7"])
@@ -456,7 +466,7 @@ def test_grid_chunks_match_single_energy_reports(per_chunk, v_left, monkeypatch)
     # so the first chunk mixes 1x1 and 2x2 S matrices.
     stack = build_stack([(103.0, 50.0), (1.0, 56.0), (0.7, 3.0)], v_left=v_left)
     if per_chunk is not None:
-        monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", per_chunk * (2 * 3 + 2))
+        _chunk(monkeypatch, stack, per_chunk)
     grid = EnergyGrid(1.0, 61.0, 13)
     methods = ("direct", "green", "vderiv")
     reports = verify_identity(stack, grid, methods=methods)
@@ -465,7 +475,25 @@ def test_grid_chunks_match_single_energy_reports(per_chunk, v_left, monkeypatch)
     assert sum(not r.skipped for r in reports) == 12
     assert {len(r.channels) for r in reports if not r.skipped} == ({1, 2} if v_left else {2})
     for rep in reports:
-        _same_report(rep, compute_report(stack, rep.energy, methods=methods))
+        assert rep == compute_report(stack, rep.energy, methods=methods)
+
+
+@pytest.mark.parametrize("n_layers", [1, 3, 7, 31])
+def test_stack_reports_do_not_depend_on_temporary_elision(n_layers, monkeypatch):
+    # numpy evaluates x * y as y * x in a temporary y of 256 KiB or more.
+    # Chunks of 2T energies and a last one of T put the (n + 1, E) arrays
+    # at twice and at exactly 256 KiB, and the (E, n) arrays (and, with one
+    # layer, the (E,) arrays) at 256 KiB or more; at least 4096 energies put
+    # the V-derivative's (E, 2, 2) S stacks there too.
+    stack = random_stack(5, n_layers=n_layers, v_range=(0.0, 6.0), d_range=(0.3, 1.0))
+    t = 2**18 // (16 * (n_layers + 1))
+    count = 2 * t * -(-4096 // (2 * t)) + t
+    _chunk(monkeypatch, stack, 2 * t)
+    methods = ("direct", "green", "vderiv")
+    reports = verify_identity(stack, EnergyGrid(0.05, 12.0, count), methods=methods)
+    edges = [i + j for i in range(0, count, 2 * t) for j in (-1, 0)]
+    for i in sorted(set(edges[1:] + list(range(0, count, count // 61)))):
+        assert reports[i] == compute_report(stack, reports[i].energy, methods=methods)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, None], ids=["1", "3", "all"])
@@ -476,7 +504,7 @@ def test_lattice_grid_chunks_match_single_energy_reports(per_chunk, monkeypatch)
     # closed ones beside them
     system = random_lattice(3, 3, 6)
     grid = EnergyGrid(-4.0, 2.0, 13)
-    monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", (per_chunk or grid.count) * 6 * 3**2)
+    _chunk(monkeypatch, system, per_chunk or grid.count)
     methods = ("direct", "green", "vderiv")
     reports = verify_identity(system, grid, methods=methods)
     assert summarize_reports(reports)["skip_reasons"] == {
@@ -486,11 +514,40 @@ def test_lattice_grid_chunks_match_single_energy_reports(per_chunk, monkeypatch)
         assert rep == compute_report(system, rep.energy, methods=methods)
 
 
+def test_wide_strip_reports_do_not_depend_on_chunks(monkeypatch):
+    # the 10 x 80 strip of lattice-wide at 1, 4 and its own 16 energies per chunk
+    system, energies = _benchmark_system("lattice")
+    methods = ("direct", "green", "vderiv")
+    reference = [compute_report(system, e, methods=methods) for e in energies]
+    grid = EnergyGrid(energies[0], energies[-1], len(energies))
+    assert [float(e) for e in grid.points] == [float(e) for e in energies]
+    for per_chunk in (1, 4, None):
+        with monkeypatch.context() as patch:
+            if per_chunk is not None:
+                _chunk(patch, system, per_chunk)
+            assert verify_identity(system, grid, methods=methods) == reference
+
+
+def test_narrow_strip_vderiv_does_not_depend_on_grid_size():
+    # lattice-narrow's system and grid: the V-derivative's S stacks of its
+    # 1000 energies, (1000, 8, 8), are far above 256 KiB
+    system = random_lattice(1, 4, 12)
+    region = LatticeRegion(col_min=3, col_max=8, row_min=0, row_max=3)
+    methods = ("direct", "green", "vderiv")
+    reports = verify_identity(system, EnergyGrid(-3.9, 3.9, 1000), region, methods)
+    for rep in reports[::16]:
+        assert rep == compute_report(system, rep.energy, region, methods)
+
+
 def _benchmark_system(backend):
-    """The 10 x 80 strip of lattice-wide or the 40-layer stack of
-    stack-scan, with its grid."""
+    """The 10 x 80 strip of lattice-wide, the 40-layer stack of stack-scan,
+    the 4 x 12 strip of lattice-narrow or a 4 x 2000 strip, with its grid."""
     if backend == "lattice":
         return random_lattice(1, 10, 80), list(np.linspace(-3.5, 3.5, 30))
+    if backend == "narrow-lattice":
+        return random_lattice(1, 4, 12), list(np.linspace(-3.9, 3.9, 1000))
+    if backend == "long-lattice":
+        return random_lattice(5, 4, 2000, (-1.0, 1.0)), list(np.linspace(-1.9, 1.9, 60))
     system = random_stack(1, n_layers=40, v_range=(5.5, 6.5), d_range=(0.55, 0.65))
     return system, list(np.linspace(0.3, 16.0, 1500))
 
@@ -507,10 +564,14 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("backend, per_chunk, bound_mib", [
-    ("lattice", 4, 2.3), ("stack", 399, 7.0)])
-def test_chunk_peak_memory(backend, per_chunk, bound_mib):
-    # one chunk of each benchmark system, all routes read
+# A chunk's peak, all routes read, is within this factor of _BATCH_BYTES on
+# both backends, so each batch class's bytes_per_energy states its peak.
+_BUDGET_FACTOR = 1.25
+
+
+@pytest.mark.parametrize("backend", ["lattice", "stack", "narrow-lattice", "long-lattice"])
+def test_chunk_peak_memory(backend):
+    # one chunk of each benchmark system and of a long strip, all routes read
     system, energies = _benchmark_system(backend)
     sizes = []
 
@@ -522,17 +583,19 @@ def test_chunk_peak_memory(backend, per_chunk, bound_mib):
             batch.errors(route)
 
     peak = _peak_bytes(first_chunk)
-    assert sizes == [per_chunk]
-    assert peak <= bound_mib * 2**20
+    assert sizes[0] < len(energies)  # a full chunk
+    assert analysis._BATCH_BYTES / _BUDGET_FACTOR <= peak <= _BUDGET_FACTOR * analysis._BATCH_BYTES
 
 
-@pytest.mark.parametrize("backend, per_chunk", [("lattice", 4), ("stack", 399)])
-def test_s_only_round_holds_one_chunk(backend, per_chunk):
+@pytest.mark.parametrize("backend", ["lattice", "stack"])
+def test_s_only_round_holds_one_chunk(backend):
     # each chunk's batch is freed before the next is solved, so S matrices
-    # over the whole grid (8 and 4 chunks) peak near one chunk's solve
+    # over the whole grid (2 and 4 chunks) peak near one chunk's solve
     system, energies = _benchmark_system(backend)
+    per_chunk = next(analysis._batches(system, energies, [0.0] * len(energies))).energies.size
     peaks = [_peak_bytes(lambda: analysis._smatrices(system, grid, [0.0] * len(grid), None))
              for grid in (energies[:per_chunk], energies)]
+    assert len(energies) > 1.5 * per_chunk
     assert peaks[1] <= 1.25 * peaks[0]
 
 
@@ -610,7 +673,7 @@ def test_grid_probability_integral_runs_per_chunk(stack42, per_chunk, monkeypatc
 
     monkeypatch.setattr(solver1d, "layer_probability_integral", counting)
     if per_chunk is not None:
-        monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", per_chunk * (2 * 5 + 2))
+        _chunk(monkeypatch, stack42, per_chunk)
     reports = verify_identity(stack42, EnergyGrid(0.05, 4.0, 50),
                               methods=("direct", "green", "vderiv"))
     assert not any(r.skipped for r in reports)
@@ -678,7 +741,7 @@ def test_grid_halving_resolves_only_failed_steps(tree_solves):
     reports = verify_identity(sharp, grid, methods=methods)
     assert tree_solves == [3, 6] + [2] * 4  # each halving: S(+) and S(-) of one energy
     for rep in reports:
-        _same_report(rep, compute_report(sharp, rep.energy, methods=methods))
+        assert rep == compute_report(sharp, rep.energy, methods=methods)
 
 
 def test_grid_halving_pools_retries_of_all_chunks(tree_solves, monkeypatch):
@@ -686,7 +749,7 @@ def test_grid_halving_pools_retries_of_all_chunks(tree_solves, monkeypatch):
     # energies per chunk they sit in different chunks, and the halving
     # rounds solve both together
     wide = double_barrier(1.0, 12.0, 4.0)
-    monkeypatch.setattr(analysis, "_BATCH_UNKNOWNS", 4 * (2 * 3 + 2))
+    _chunk(monkeypatch, wide, 4)
     grid = EnergyGrid(1.869973, 4.164395, 5)
     methods = ("direct", "vderiv")
     reports = verify_identity(wide, grid, methods=methods)
@@ -694,7 +757,7 @@ def test_grid_halving_pools_retries_of_all_chunks(tree_solves, monkeypatch):
     # S(0) per chunk; the first S(+/-dv) round; 3 shared rounds; 3 more
     assert tree_solves == [4, 1] + [4, 4, 2] + [4] * 3 + [2] * 3
     for rep in reports:
-        _same_report(rep, compute_report(wide, rep.energy, methods=methods))
+        assert rep == compute_report(wide, rep.energy, methods=methods)
 
 
 # ------------------------------------------- a reference the routes do not share

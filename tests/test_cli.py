@@ -174,6 +174,9 @@ def test_config_errors_name_fields(tmp_path):
     ("system.layers", {"backend": "stack", "system": {"layers": [{"d": 10**400, "V": 0.0}]}}),
     ("system.v_left", {"backend": "stack",
                        "system": {"v_left": 10**400, "layers": [{"d": 1.0, "V": 0.0}]}}),
+    # finite grid bounds whose span e_max - e_min overflows
+    ("grid", {"backend": "stack", "system": {"layers": [[1.0, 1.0]]},
+              "grid": {"e_min": -1e308, "e_max": 1e308, "count": 3}}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)

@@ -161,7 +161,10 @@ def test_stack_rejects_non_finite_lead_potential(v_left, v_right):
         build_stack([(1.0, 0.0)], v_left=v_left, v_right=v_right)
 
 
-@pytest.mark.parametrize("e_min, e_max", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+@pytest.mark.parametrize("e_min, e_max", [
+    (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+    # finite bounds whose span overflows, as Python and as numpy floats
+    (-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))])
 def test_energy_grid_rejects_non_finite_bounds(e_min, e_max):
     with pytest.raises(ValidationError, match="finite"):
         EnergyGrid(e_min, e_max, 5)
