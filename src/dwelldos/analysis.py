@@ -37,7 +37,6 @@ from . import solver1d as s1d
 from .model import (
     Array,
     EnergyGrid,
-    LatticeRegion,
     LatticeSystem,
     LayerStack,
     SpectralWeight,
@@ -103,39 +102,30 @@ class DwellReport:
 _BATCH_BYTES = 7 * 2**20
 
 
-def _batches(
-    system: LayerStack | LatticeSystem,
-    energies: list[float],
-    v_shifts: list[float],
-    region: LatticeRegion | None = None,
-):
-    """energies[i] with v_shifts[i] added inside Omega only (the whole
-    stack in 1D, `region` on a lattice), as one solver1d.ScatterBatch or
-    lattice._LatticeWorkspace per chunk of _BATCH_BYTES, not kept.  Both
-    expose channel `labels`, the `open` mask and `velocities` (m, E), the
-    direct `dwell_times` over Omega (m, E), `region_dos` (E,) and
-    `smatrices` (E, m, m), read-only and meaningful on the open block; and
-    errors(route), per energy."""
-    lattice = isinstance(system, LatticeSystem)
-    if not (lattice or isinstance(system, LayerStack)):
+def _batches(system: LayerStack | LatticeSystem, energies: list[float], v_shifts: list[float]):
+    """energies[i] with v_shifts[i] added inside the system's Omega only (the
+    whole stack in 1D, the system's region on a lattice), as one
+    solver1d.ScatterBatch or lattice._LatticeWorkspace per chunk of
+    _BATCH_BYTES, not kept.  Both expose channel `labels`, the `open` mask
+    and `velocities` (m, E), the direct `dwell_times` over Omega (m, E),
+    `region_dos` (E,) and `smatrices` (E, m, m), read-only and meaningful
+    on the open block; and errors(route), per energy."""
+    if not isinstance(system, (LayerStack, LatticeSystem)):
         raise ValidationError(f"unsupported system type {type(system).__name__}")
-    if region is not None and not lattice:
-        raise ValidationError("a lattice region needs a lattice system; "
-                              "a stack's Omega is all of its layers")
-    batch = lat._LatticeWorkspace if lattice else s1d.ScatterBatch
+    batch = lat._LatticeWorkspace if isinstance(system, LatticeSystem) else s1d.ScatterBatch
     size = max(1, _BATCH_BYTES // batch.bytes_per_energy(system))
     for start in range(0, len(energies), size):
         chunk, shifts = energies[start:start + size], v_shifts[start:start + size]
-        yield batch(system, chunk, shifts, region) if lattice else batch(system, chunk, shifts)
+        yield batch(system, chunk, shifts)
 
 
-def _smatrices(system, energies, v_shifts, region) -> tuple:
+def _smatrices(system, energies, v_shifts) -> tuple:
     """S matrices at energies[i] with v_shifts[i], one chunk of _batches
     at a time; only the matrices outlive a chunk.  Returns the channel
     labels, the S stack (N, m, m), the open mask (m, N) and per energy
     None or the error that leaves it without an S matrix."""
     stacks, opened, errors = [], [], []
-    for batch in _batches(system, energies, v_shifts, region):
+    for batch in _batches(system, energies, v_shifts):
         labels = batch.labels
         stacks.append(batch.smatrices)
         opened.append(batch.open)
@@ -148,7 +138,6 @@ def shifted_smatrix(
     system: LayerStack | LatticeSystem,
     energy: float,
     v_shift: float,
-    region: LatticeRegion | None = None,
 ) -> tuple[Array, list[str]]:
     """Flux-normalized S matrix with v_shift added inside Omega only.
 
@@ -157,7 +146,7 @@ def shifted_smatrix(
     leads or asymptotic regions, so the labels are those of the
     unshifted problem.
     """
-    labels, s, opened, (error,) = _smatrices(system, [energy], [v_shift], region)
+    labels, s, opened, (error,) = _smatrices(system, [energy], [v_shift])
     if error is not None:
         raise error
     o = np.flatnonzero(opened[:, 0])
@@ -200,7 +189,7 @@ def _vderiv_from_matrices(s0, s_plus, s_minus, opened, dv) -> tuple:
     return taus, errors
 
 
-def _vderiv_steps(system, region, energies, s0, opened, errors, dv) -> list:
+def _vderiv_steps(system, energies, s0, opened, errors, dv) -> list:
     """The V-derivative step loop for several energies at once.
 
     s0 is the stack of their unshifted S matrices (N, m, m), opened
@@ -226,7 +215,7 @@ def _vderiv_steps(system, region, energies, s0, opened, errors, dv) -> list:
         n = len(pending)
         shifts = [steps[i] for i in pending]
         _, shifted, _, solve_errors = _smatrices(system, [energies[i] for i in pending] * 2,
-                                                 shifts + [-v for v in shifts], region)
+                                                 shifts + [-v for v in shifts])
         taus, step_errors = _vderiv_from_matrices(s0[pending], shifted[:n], shifted[n:],
                                                   opened[:, pending], np.array(shifts))
         retry = []
@@ -243,12 +232,12 @@ def _vderiv_steps(system, region, energies, s0, opened, errors, dv) -> list:
     return out
 
 
-def _vderiv_at(system, energy: float, dv, region, channel: str | None = None) -> dict:
+def _vderiv_at(system, energy: float, dv, channel: str | None = None) -> dict:
     """Open channel label -> V-derivative dwell time at one energy."""
-    labels, s0, opened, errors = _smatrices(system, [energy], [0.0], region)
+    labels, s0, opened, errors = _smatrices(system, [energy], [0.0])
     if channel is not None:
         channel_index(labels, opened[:, 0], channel, energy, errors[0])
-    (result,) = _vderiv_steps(system, region, [energy], s0, opened, errors, dv)
+    (result,) = _vderiv_steps(system, [energy], s0, opened, errors, dv)
     if isinstance(result, DwellDosError):
         raise result
     return dict(zip([labels[j] for j in np.flatnonzero(opened[:, 0])], result))
@@ -258,7 +247,6 @@ def dwell_times_vderiv_all(
     system: LayerStack | LatticeSystem,
     energy: float,
     dv: float | None = None,
-    region: LatticeRegion | None = None,
 ) -> dict[str, float]:
     """V-derivative dwell times for every open channel at once.
 
@@ -269,7 +257,7 @@ def dwell_times_vderiv_all(
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
     """
-    return _vderiv_at(system, energy, dv, region)
+    return _vderiv_at(system, energy, dv)
 
 
 def dwell_time_vderiv(
@@ -277,11 +265,10 @@ def dwell_time_vderiv(
     energy: float,
     channel: str,
     dv: float | None = None,
-    region: LatticeRegion | None = None,
 ) -> float:
     """Dwell time of one channel, given by its label (checked by
     model.channel_index), from the S-matrix potential derivative."""
-    return _vderiv_at(system, energy, dv, region, channel)[channel]
+    return _vderiv_at(system, energy, dv, channel)[channel]
 
 
 # ----------------------------------------------------------------------------
@@ -320,19 +307,17 @@ def wavepacket_dwell_time(
 def compute_report(
     system: LayerStack | LatticeSystem,
     energy: float,
-    region: LatticeRegion | None = None,
     methods: tuple[str, ...] = ("direct", "green"),
     dv: float | None = None,
 ) -> DwellReport:
     """One energy on its own, the same report verify_identity gives it: a
     grid of one through _chunk_reports; solver errors become a skip."""
-    return _chunk_reports(system, [energy], region, methods, dv)[0]
+    return _chunk_reports(system, [energy], methods, dv)[0]
 
 
 def _chunk_reports(
     system: LayerStack | LatticeSystem,
     energies: list[float],
-    region: LatticeRegion | None,
     methods: tuple[str, ...],
     dv: float | None,
 ) -> list[DwellReport]:
@@ -350,7 +335,7 @@ def _chunk_reports(
         raise ValidationError(f"methods must be some of {', '.join(METHODS)}: {methods!r}")
     routes = [m for m in ("direct", "green") if m in methods]
     points, s0, opened, s0_errors = [], [], [], []
-    for batch in _batches(system, energies, [0.0] * len(energies), region):
+    for batch in _batches(system, energies, [0.0] * len(energies)):
         n = batch.energies.size
         # per energy, as Python lists (None for a route not asked for)
         taus = (batch.dwell_times.T.tolist() if "direct" in methods
@@ -368,7 +353,7 @@ def _chunk_reports(
         del batch  # free this chunk's states before the next is solved
     vderiv = [None] * len(energies)
     if "vderiv" in methods:
-        vderiv = _vderiv_steps(system, region, energies, np.concatenate(s0),
+        vderiv = _vderiv_steps(system, energies, np.concatenate(s0),
                                np.concatenate(opened, axis=1), s0_errors, dv)
     reports = []
     for energy, point, vd in zip(energies, points, vderiv):
@@ -389,7 +374,6 @@ def _chunk_reports(
 def verify_identity(
     system: LayerStack | LatticeSystem,
     grid: EnergyGrid,
-    region: LatticeRegion | None = None,
     methods: tuple[str, ...] = ("direct", "green"),
     dv: float | None = None,
 ) -> list[DwellReport]:
@@ -401,7 +385,7 @@ def verify_identity(
     solver's error, never silently dropped.  Output order is by energy.
     """
     energies = [float(e) for e in grid.points]
-    return _chunk_reports(system, energies, region, methods, dv)
+    return _chunk_reports(system, energies, methods, dv)
 
 
 # Skip classes that say the point has nothing to check: a threshold too
@@ -423,10 +407,10 @@ def summarize_reports(
 
     `skip_reasons` counts the skipped points by exception class name.
 
-    A palindromic system has equal dwell times in mirror channels, "left"
-    and "right" on a stack, "left:m" and "right:m" on a lattice.  On a
-    stack the two-channel identity then collapses to rho_Omega * pi *
-    hbar / tau = 1, which is checked too.
+    A palindromic system (its Omega mirror-symmetric too) has equal dwell
+    times in mirror channels, "left" and "right" on a stack, "left:m" and
+    "right:m" on a lattice.  On a stack the two-channel identity then
+    collapses to rho_Omega * pi * hbar / tau = 1, which is checked too.
     """
     live = [r for r in reports if not r.skipped]
     # NaN ranks first so that it becomes the maximum and fails verify

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analysis as an
@@ -46,7 +46,6 @@ class RunConfig:
     backend: str
     system: LayerStack | LatticeSystem
     grid: EnergyGrid
-    region: LatticeRegion | None = None
     methods: tuple[str, ...] = ("direct", "green")
     identity_tol: float = 1e-8
     min_prominence: float = 0.05
@@ -222,10 +221,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     run = _fields("", doc, _ROOT)
     run["system"] = system = _system(run["backend"], run["system"])
-    if run.get("region") is not None:
+    region = run.pop("region", None)
+    if region is not None:
         if run["backend"] != "lattice":
             raise ConfigError("field 'region' is only supported for the lattice backend")
-        _parse("region", lambda: system.region_sites(run["region"]))  # inside the device
+        run["system"] = _parse("region", lambda: replace(system, region=region))
     tolerances = {f"{key}_tol": tol for key, tol in run.pop("tolerances", {}).items()}
     return RunConfig(**run, **tolerances)
 
@@ -237,7 +237,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def compute_reports(config: RunConfig) -> list[an.DwellReport]:
     """verify_identity on the configured system."""
-    return an.verify_identity(config.system, config.grid, config.region, config.methods)
+    return an.verify_identity(config.system, config.grid, config.methods)
 
 
 # ----------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundStatePoleError, NumericalFailureError
-from .model import (Array, LatticeRegion, LatticeSystem, energy_errors, single_energy,
+from .model import (Array, LatticeSystem, energy_errors, single_energy,
                     transverse_modes, uniform_lattice)
 
 __all__ = [
@@ -154,8 +154,8 @@ class _LatticeWorkspace:
     """The recursive sweeps at an array of energies, stacked over energy:
     the lattice counterpart of solver1d.ScatterBatch.
 
-    `v_shift` (scalar or per energy) is added on the Omega sites of
-    `region`, which is also the Omega of the routes.  The channel axis
+    `v_shift` (scalar or per energy) is added on the system's Omega
+    sites, which are also the Omega of the routes.  The channel axis
     holds all 2W lead modes, "left:1" .. "right:W", with the `open` mask
     and `velocities` (2W, E); a closed channel's entries are never read.
     The sweep leaves the site diagonal of G (`green_diagonal`, (E, L W))
@@ -172,13 +172,12 @@ class _LatticeWorkspace:
         w = system.width
         return 16 * w * ((3 * w + 2) * system.length + 2 * (_SLAB_COLUMNS + 1) * w)
 
-    def __init__(self, system: LatticeSystem, energies, v_shift=0.0,
-                 region: LatticeRegion | None = None):
+    def __init__(self, system: LatticeSystem, energies, v_shift=0.0):
         energies = np.asarray(energies, dtype=float).reshape(-1)
         shift = np.broadcast_to(np.asarray(v_shift, dtype=float), energies.shape)
         lx, w = system.length, system.width
         self.system, self.energies = system, energies
-        self.sites = system.region_sites(region)
+        self.sites = system.region_sites()
         self._chi, eps = transverse_modes(w)
         k, velocity = _lead_modes(eps, energies)
         self.labels = tuple(f"{lead}:{m}" for lead in ("left", "right") for m in range(1, w + 1))
@@ -315,28 +314,19 @@ def scattering_matrix(system: LatticeSystem, energy: float) -> tuple[Array, list
     return batch.smatrices[0][np.ix_(opened, opened)], [batch.labels[j] for j in opened]
 
 
-def dwell_time_lattice(
-    system: LatticeSystem,
-    energy: float,
-    channel: str,
-    region: LatticeRegion | None = None,
-) -> float:
+def dwell_time_lattice(system: LatticeSystem, energy: float, channel: str) -> float:
     """Dwell time in Omega of one open channel: sum of |psi|^2 over Omega
     sites divided by v_n.
 
     Unit-amplitude normalization absorbs the 2 pi hbar factor of the
     energy-normalized definition, exactly as in the 1D continuum case.
     """
-    batch = _LatticeWorkspace(system, [energy], region=region)
+    batch = _LatticeWorkspace(system, [energy])
     return float(batch.dwell_times[single_energy(batch, "direct", channel), 0])
 
 
-def dos_region_lattice(
-    system: LatticeSystem,
-    energy: float,
-    region: LatticeRegion | None = None,
-) -> float:
+def dos_region_lattice(system: LatticeSystem, energy: float) -> float:
     """Region DOS: sum over Omega sites of -(1/pi) Im G(r, r; E)."""
-    batch = _LatticeWorkspace(system, [energy], region=region)
+    batch = _LatticeWorkspace(system, [energy])
     single_energy(batch, "green")
     return float(batch.region_dos[0])

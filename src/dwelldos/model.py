@@ -223,6 +223,9 @@ class LatticeRegion:
     row_max: int
 
     def __post_init__(self):
+        bounds = (self.col_min, self.col_max, self.row_min, self.row_max)
+        if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in bounds):
+            raise ValidationError(f"region bounds must be integers, got {bounds}")
         if self.col_min > self.col_max or self.row_min > self.row_max:
             raise ValidationError("empty lattice region")
         if min(self.col_min, self.row_min) < 0:
@@ -236,12 +239,14 @@ class LatticeSystem:
     Device sites live on a width x length grid with on-site energies
     ``onsite[col, row]``; every nearest-neighbor bond carries hopping -1.
     Ideal leads of the same width (zero on-site) attach at columns 0 and
-    length - 1.
+    length - 1.  Omega is `region`, checked to lie inside the device, or
+    the whole device when it is None.
     """
 
     width: int
     length: int
     onsite: Array
+    region: LatticeRegion | None = None
 
     def __post_init__(self):
         if self.width < 1 or self.length < 1:
@@ -257,33 +262,33 @@ class LatticeSystem:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "onsite", arr)
+        r = self.region or LatticeRegion(0, self.length - 1, 0, self.width - 1)
+        if r.col_max >= self.length or r.row_max >= self.width:
+            raise ValidationError("region exceeds device bounds")
+        cols, rows = np.arange(r.col_min, r.col_max + 1), np.arange(r.row_min, r.row_max + 1)
+        sites = (cols[:, None] * self.width + rows[None, :]).ravel()
+        sites.setflags(write=False)
+        object.__setattr__(self, "_sites", sites)
 
     @property
     def n_sites(self) -> int:
         return self.width * self.length
 
-    def site_index(self, col: int, row: int) -> int:
-        return col * self.width + row
-
-    def region_sites(self, region: LatticeRegion | None = None) -> Array:
-        """Flat site indices belonging to Omega (default: whole device)."""
-        if region is None:
-            return np.arange(self.n_sites)
-        if region.col_max >= self.length or region.row_max >= self.width:
-            raise ValidationError("region exceeds device bounds")
-        cols = np.arange(region.col_min, region.col_max + 1)
-        rows = np.arange(region.row_min, region.row_max + 1)
-        return (cols[:, None] * self.width + rows[None, :]).ravel()
+    def region_sites(self) -> Array:
+        """Flat site indices of Omega, ascending and read-only."""
+        return self._sites
 
     def is_palindromic(self) -> bool:
-        return bool(np.array_equal(self.onsite, self.onsite[::-1, :]))
+        """Exact mirror symmetry of the device and of Omega."""
+        r = self.region
+        return ((r is None or r.col_min + r.col_max == self.length - 1)
+                and bool(np.array_equal(self.onsite, self.onsite[::-1, :])))
 
-    def shifted(self, dv: float, region: LatticeRegion | None = None) -> "LatticeSystem":
-        """Same system with dv added on the Omega sites only."""
+    def shifted(self, dv: float) -> "LatticeSystem":
+        """Same system and Omega with dv added on the Omega sites only."""
         arr = np.array(self.onsite, dtype=float)
-        flat = arr.reshape(-1)
-        flat[self.region_sites(region)] += dv
-        return LatticeSystem(self.width, self.length, arr)
+        arr.reshape(-1)[self.region_sites()] += dv
+        return LatticeSystem(self.width, self.length, arr, self.region)
 
 
 def transverse_modes(width: int) -> tuple[Array, Array]:

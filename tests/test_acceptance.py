@@ -5,6 +5,7 @@ All tolerances are pinned here, not configurable.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def test_criterion_3_multichannel_identity():
             if width == 1 and omega is not None:
                 continue
             t0 = time.monotonic()
-            reports = verify_identity(system, grid, region=omega)
+            reports = verify_identity(replace(system, region=omega), grid)
             dt = time.monotonic() - t0
             if width == 5 and omega is None:
                 elapsed_w5 = dt

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,33 +129,19 @@ def test_vderiv_auto_halving_recovers(dbarrier):
 
 def test_vderiv_subregion_matches_direct():
     # perturbing only a sub-rectangle measures the time spent there
-    sysm = random_lattice(11, 2, 6, (-0.5, 0.5))
-    region = LatticeRegion(1, 4, 0, 1)
+    sysm = replace(random_lattice(11, 2, 6, (-0.5, 0.5)), region=LatticeRegion(1, 4, 0, 1))
     e = 0.3
     for ch in open_channels(sysm, e):
-        ref = dwell_time_lattice(sysm, e, ch, region=region)
-        tau = dwell_time_vderiv(sysm, e, ch, dv=1e-5, region=region)
+        ref = dwell_time_lattice(sysm, e, ch)
+        tau = dwell_time_vderiv(sysm, e, ch, dv=1e-5)
         assert abs(tau - ref) < 1e-5
-
-
-@pytest.mark.parametrize("call", [
-    lambda stack, region: verify_identity(stack, EnergyGrid(1.0, 2.0, 3), region=region),
-    lambda stack, region: compute_report(stack, 1.5, region),
-    lambda stack, region: shifted_smatrix(stack, 1.5, 1e-5, region),
-    lambda stack, region: dwell_times_vderiv_all(stack, 1.5, region=region),
-], ids=["verify_identity", "compute_report", "shifted_smatrix", "dwell_times_vderiv_all"])
-def test_lattice_region_with_a_stack_is_refused(call):
-    # a stack's Omega is all of its layers; a lattice region must not be
-    # dropped without a word
-    with pytest.raises(ValidationError, match="a lattice region needs a lattice system"):
-        call(double_barrier(), LatticeRegion(0, 0, 0, 0))
 
 
 def test_vderiv_reads_only_open_channel_entries():
     # E = 0.4 is below v_right, so the right channel is closed: whatever
     # its row and column of the S stacks hold must change nothing
     stack = build_stack([(1.0, 1.0)], v_right=0.6)
-    _, s, opened, _ = analysis._smatrices(stack, [0.4] * 3, [0.0, 1e-5, -1e-5], None)
+    _, s, opened, _ = analysis._smatrices(stack, [0.4] * 3, [0.0, 1e-5, -1e-5])
     dv = np.array([1e-5])
     ref, _ = analysis._vderiv_from_matrices(s[:1], s[1:2], s[2:], opened[:, :1], dv)
     junk = s.copy()
@@ -295,6 +282,23 @@ def test_verify_identity_symmetric_lattice():
     summary = summarize_reports(reports, system)
     assert summary["palindromic"] is True
     assert summary["symmetric_max_dev"] < 1e-10
+
+
+@pytest.mark.parametrize("region, palindromic", [
+    (None, True), (LatticeRegion(2, 5, 0, 1), True), (LatticeRegion(0, 3, 0, 2), False),
+], ids=["whole-device", "mirror-region", "one-sided-region"])
+def test_symmetric_check_needs_a_mirror_omega(region, palindromic):
+    # mirror channels of a one-sided Omega have unequal dwell times (up to
+    # 4.9 apart here), which the symmetric check must not read as a broken
+    # symmetry
+    system = replace(barrier_lattice(3, 8, [2, 5], 1.5), region=region)
+    assert system.is_palindromic() is palindromic
+    summary = summarize_reports(verify_identity(system, EnergyGrid(-1.5, 1.5, 7)), system)
+    assert summary["palindromic"] is palindromic
+    if palindromic:
+        assert summary["symmetric_max_dev"] < 1e-10
+    else:
+        assert "symmetric_max_dev" not in summary
 
 
 def test_verify_identity_reports_skips():
@@ -531,12 +535,12 @@ def test_wide_strip_reports_do_not_depend_on_chunks(monkeypatch):
 def test_narrow_strip_vderiv_does_not_depend_on_grid_size():
     # lattice-narrow's system and grid: the V-derivative's S stacks of its
     # 1000 energies, (1000, 8, 8), are far above 256 KiB
-    system = random_lattice(1, 4, 12)
-    region = LatticeRegion(col_min=3, col_max=8, row_min=0, row_max=3)
+    system = replace(random_lattice(1, 4, 12),
+                     region=LatticeRegion(col_min=3, col_max=8, row_min=0, row_max=3))
     methods = ("direct", "green", "vderiv")
-    reports = verify_identity(system, EnergyGrid(-3.9, 3.9, 1000), region, methods)
+    reports = verify_identity(system, EnergyGrid(-3.9, 3.9, 1000), methods)
     for rep in reports[::16]:
-        assert rep == compute_report(system, rep.energy, region, methods)
+        assert rep == compute_report(system, rep.energy, methods)
 
 
 def _benchmark_system(backend):
@@ -593,7 +597,7 @@ def test_s_only_round_holds_one_chunk(backend):
     # over the whole grid (2 and 4 chunks) peak near one chunk's solve
     system, energies = _benchmark_system(backend)
     per_chunk = next(analysis._batches(system, energies, [0.0] * len(energies))).energies.size
-    peaks = [_peak_bytes(lambda: analysis._smatrices(system, grid, [0.0] * len(grid), None))
+    peaks = [_peak_bytes(lambda: analysis._smatrices(system, grid, [0.0] * len(grid)))
              for grid in (energies[:per_chunk], energies)]
     assert len(energies) > 1.5 * per_chunk
     assert peaks[1] <= 1.25 * peaks[0]

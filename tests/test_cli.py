@@ -11,6 +11,7 @@ from dwelldos import cli
 from dwelldos.analysis import DwellReport
 from dwelldos.cli import load_config, main
 from dwelldos.errors import ConfigError
+from dwelldos.model import LatticeRegion
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -223,7 +224,8 @@ def test_optional_fields_still_load(tmp_path):
     cfg = load_config(lattice_config(
         tmp_path, region=None, min_prominence=0.1, workers=2, tolerances={"identity": 1e-9},
         grid={"e_min": -1.5, "e_max": 1.5, "count": 60, "threshold_margin": 1e-6}))
-    assert (cfg.region, cfg.min_prominence, cfg.workers, cfg.identity_tol) == (None, 0.1, 2, 1e-9)
+    assert (cfg.system.region, cfg.min_prominence, cfg.workers, cfg.identity_tol) == (
+        None, 0.1, 2, 1e-9)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -237,6 +239,26 @@ def test_region_outside_device_is_config_error(tmp_path, capsys, bounds):
     err = capsys.readouterr().err
     assert err.startswith("config error") and "'region'" in err
     assert not out.exists()  # refused on load, before any output
+
+
+@pytest.mark.parametrize("bounds, palindromic", [
+    (None, True), ((2, 5, 0, 1), True), ((0, 3, 0, 2), False),
+], ids=["whole-device", "mirror-region", "one-sided-region"])
+def test_scan_calls_a_strip_palindromic_only_with_a_mirror_omega(tmp_path, bounds, palindromic):
+    # mirror channels of a one-sided Omega have unequal dwell times
+    region = bounds and dict(zip(("col_min", "col_max", "row_min", "row_max"), bounds))
+    onsite = [[1.5] * 3 if c in (2, 5) else [0.0] * 3 for c in range(8)]
+    cfg = lattice_config(tmp_path, system={"width": 3, "length": 8, "onsite": onsite},
+                         grid={"e_min": -1.5, "e_max": 1.5, "count": 7}, region=region)
+    assert load_config(cfg).system.region == (bounds and LatticeRegion(*bounds))
+    out = tmp_path / "out"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["palindromic"] is palindromic
+    if palindromic:
+        assert summary["symmetric_max_dev"] < 1e-10
+    else:
+        assert "symmetric_max_dev" not in summary
 
 
 _ROWS = [[0.1, -0.2], [0.0, 0.3], [-0.1, 0.2]]  # onsite[col][row] of a 2 x 3 strip

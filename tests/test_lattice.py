@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -289,10 +291,9 @@ def test_dos_region_nonnegative(lattice3x10, rng):
 
 @pytest.mark.parametrize("region", [None, LatticeRegion(2, 7, 0, 2), LatticeRegion(3, 5, 1, 1)])
 def test_identity_full_and_subregion(lattice3x10, region):
-    e = 0.3
-    taus = [dwell_time_lattice(lattice3x10, e, c, region)
-            for c in open_channels(lattice3x10, e)]
-    dos = dos_region_lattice(lattice3x10, e, region)
+    e, system = 0.3, replace(lattice3x10, region=region)
+    taus = [dwell_time_lattice(system, e, c) for c in open_channels(system, e)]
+    dos = dos_region_lattice(system, e)
     assert abs(dos - sum(taus) / (2 * np.pi)) <= 1e-9 * dos
 
 
@@ -412,7 +413,7 @@ def test_report_never_builds_dense_hamiltonian(monkeypatch, lattice3x10):
         raise AssertionError("dense Hamiltonian built")
 
     monkeypatch.setattr(dwelldos.lattice, "build_hamiltonian", refuse)
-    rep = compute_report(lattice3x10, 0.3, LatticeRegion(2, 7, 0, 2),
+    rep = compute_report(replace(lattice3x10, region=LatticeRegion(2, 7, 0, 2)), 0.3,
                          methods=("direct", "green", "vderiv"))
     assert not rep.skipped
     assert rep.residual_rel < 1e-9

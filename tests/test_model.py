@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +120,14 @@ def test_lattice_validation():
 def test_lattice_regions():
     sysm = uniform_lattice(3, 5)
     assert sysm.region_sites().size == 15
-    reg = LatticeRegion(1, 3, 0, 1)
-    sites = sysm.region_sites(reg)
+    sites = replace(sysm, region=LatticeRegion(1, 3, 0, 1)).region_sites()
     assert sites.size == 6
-    assert sysm.site_index(1, 0) in sites
+    assert 1 * sysm.width + 0 in sites  # col * width + row
+    assert np.all(np.diff(sites) > 0) and not sites.flags.writeable
+    numpy_bounds = LatticeRegion(np.int64(1), np.int64(3), np.int32(0), np.int32(1))
+    assert np.array_equal(replace(sysm, region=numpy_bounds).region_sites(), sites)
     with pytest.raises(ValidationError):
-        sysm.region_sites(LatticeRegion(0, 5, 0, 2))
+        replace(sysm, region=LatticeRegion(0, 5, 0, 2))
     with pytest.raises(ValidationError):
         LatticeRegion(2, 1, 0, 0)
 
@@ -137,9 +140,9 @@ def test_random_lattice_reproducible():
 
 
 def test_lattice_shifted_region_only():
-    sysm = uniform_lattice(2, 4)
-    reg = LatticeRegion(1, 2, 0, 1)
-    shifted = sysm.shifted(0.25, reg)
+    sysm = replace(uniform_lattice(2, 4), region=LatticeRegion(1, 2, 0, 1))
+    shifted = sysm.shifted(0.25)
+    assert shifted.region == sysm.region
     assert shifted.onsite[1, 0] == 0.25
     assert shifted.onsite[0, 0] == 0.0
 
@@ -190,6 +193,8 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
     pytest.param(lambda: random_stack(1, n_layers=0), "n_layers", id="n_layers-0"),
     pytest.param(lambda: LatticeRegion(-1, 0, 0, 0), "nonnegative", id="region-col"),
     pytest.param(lambda: LatticeRegion(0, 0, -1, 0), "nonnegative", id="region-row"),
+    pytest.param(lambda: LatticeRegion(0, 1.5, 0, 1), "integers", id="region-fraction"),
+    pytest.param(lambda: LatticeRegion(0, True, 0, 1), "integers", id="region-bool"),
     pytest.param(lambda: LatticeSystem(2, 1, [[np.nan, 0.0]]), "non-finite", id="onsite-nan"),
     pytest.param(lambda: LatticeSystem(2, 1, [[0.0, -np.inf]]), "non-finite", id="onsite-inf"),
     pytest.param(lambda: transverse_modes(0), "width", id="modes-width-0"),
