@@ -8,14 +8,26 @@ success, 1 verification failure, 2 usage or config error; `verify` also
 fails when a grid point was skipped for any reason other than threshold
 proximity or no open channel, and when no point was verified at all.
 Output is deterministic: rows are sorted by (energy, channel) and floats
-are serialized with 17 significant digits.  The `workers` field is
-validated (>= 0) but has no effect: the grid is solved in energy chunks
-in one process.
+are serialized with 17 significant digits.  An existing output file is
+removed before it is written, never truncated: truncating a file and
+writing it again makes ext4 flush it, tens of milliseconds a file,
+and a symlinked output is replaced, not written through.  The `workers`
+field is validated (>= 0) but has no effect: the grid is solved in
+energy chunks in one process.
+
+`entry` is the process entry of `python -m dwelldos.cli` and of the
+`dwelldos` script.  It keeps memory that the C allocator frees in the
+process, so each energy chunk reuses the pages of the one before instead
+of faulting them in again, and it freezes the garbage collector's
+objects once `main` has returned, so the collections at interpreter exit
+skip them.  `main` and importing this module change nothing process-wide.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import gc
 import json
 import math
 import sys
@@ -267,8 +279,15 @@ def _scan_rows(reports: list[an.DwellReport]) -> list[str]:
     return rows
 
 
+def _write(path: Path, text: str) -> None:
+    """text as the new file `path`: an existing file there is removed first
+    (see the module docstring), and a symlink replaced, not followed."""
+    path.unlink(missing_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_csv(path: Path, header: str, rows: list[str]) -> int:
-    path.write_text("".join(f"{r}\n" for r in [header, *rows]), encoding="utf-8", newline="\n")
+    _write(path, "".join(f"{r}\n" for r in [header, *rows]))
     return len(rows)
 
 
@@ -367,8 +386,7 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             command = cmd_scan if args.command == "scan" else cmd_resonances
             code, summary = 0, command(config, out_dir)
-            (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True)
-                                                  + "\n", encoding="utf-8", newline="\n")
+            _write(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     except (DwellDosError, OSError) as exc:
         kind = ("config error" if isinstance(exc, ConfigError) else
                 "insufficient data" if isinstance(exc, InsufficientDataError) else
@@ -379,5 +397,28 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def _keep_freed_memory() -> None:
+    """Have the C allocator keep freed memory in the process; nothing where
+    it has no mallopt.  A chunk's arrays (analysis._BATCH_BYTES) stay below
+    the mmap threshold, so they come from the heap, and freed heap goes back
+    to the kernel only when its free top exceeds the trim threshold."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows' CDLL refuses None
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+def entry(argv: list[str] | None = None) -> None:
+    """Run `main` as a whole process and exit with its code (see the module
+    docstring)."""
+    _keep_freed_memory()
+    code = main(argv)
+    gc.freeze()  # the exit-time collections then skip every object left
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -232,7 +232,7 @@ class LatticeRegion:
             raise ValidationError("region indices must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeSystem:
     """Tight-binding scattering region with two semi-infinite leads.
 
@@ -240,7 +240,8 @@ class LatticeSystem:
     ``onsite[col, row]``; every nearest-neighbor bond carries hopping -1.
     Ideal leads of the same width (zero on-site) attach at columns 0 and
     length - 1.  Omega is `region`, checked to lie inside the device, or
-    the whole device when it is None.
+    the whole device when it is None.  Equality and hash are identity
+    (a field is an array).
     """
 
     width: int
@@ -448,11 +449,12 @@ def sampled_curve(energies, values, what: str) -> tuple[Array, Array]:
     return e, v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralWeight:
     """Sampled |alpha(E)|^2 of a wave packet, trapezoid-normalized to one.
 
     A single sample with weight 1 stands for an exact energy delta.
+    Equality and hash are identity (the fields are arrays).
     """
 
     energies: Array

@@ -106,7 +106,10 @@ def _elements(k_left: Array, k_layers: Array, k_right: Array, d: Array) -> tuple
     and None or the flat mask and gamma of (alpha f + beta g, gamma (f -
     g)) = (psi, psi') at a flat layer's left edge.
     """
-    k = np.concatenate([k_layers.T, k_right[None]])  # media 0 .. n, (n + 1, E)
+    # media 0 .. n, (n + 1, E), C-ordered like s: concatenating k_layers.T
+    # would give Fortran order, and the elementwise work below would run strided
+    k = np.empty((len(d) + 1, k_right.size), dtype=complex)
+    k[:-1], k[-1] = k_layers.T, k_right
     d = np.append(d, 0.0)[:, None]
     flat = k == 0  # the right lead's k is 0 only at its threshold
     kappa = k

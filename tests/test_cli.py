@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -14,6 +15,12 @@ from dwelldos.errors import ConfigError
 from dwelldos.model import LatticeRegion
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """This process's environment with the checkout's src/ first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def write_config(path: Path, doc: dict) -> str:
@@ -526,10 +533,66 @@ def test_scan_and_verify_never_import_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     names = sorted(p.stem for p in (REPO / "configs").glob("*.json"))
     proc = subprocess.run([sys.executable, "-c", code, str(REPO), str(tmp_path), *names],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, timeout=300, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# -------------------------------------------------------------- process entry
+
+def run_entry(tmp_path: Path, *args: str) -> tuple[int, str, str]:
+    """`python -m dwelldos.cli *args` as a fresh process: its exit code,
+    stdout and stderr.  stdout goes to a file, so it is block-buffered and
+    reaches the file only if the process flushes it on the way out."""
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open(out, "wb") as fo, open(err, "wb") as fe:
+        proc = subprocess.run([sys.executable, "-m", "dwelldos.cli", *args], stdout=fo,
+                              stderr=fe, env=env, timeout=120)
+    return proc.returncode, out.read_text(), err.read_text()
+
+
+def test_entry_scan_prints_its_summary_and_rewrites_the_same_bytes(tmp_path):
+    cfg, out = free_scan_config(tmp_path, count=10), tmp_path / "out"
+    runs = []
+    for _ in range(2):  # into a fresh --out, then into the same one again
+        code, stdout, _ = run_entry(tmp_path, "scan", "--config", cfg, "--out", str(out))
+        assert code == 0
+        files = {name: (out / name).read_bytes() for name in ("scan.csv", "summary.json")}
+        assert json.loads(stdout.splitlines()[-1]) == json.loads(files["summary.json"])
+        runs.append((stdout, files))
+    assert runs[0] == runs[1]
+
+
+def test_entry_exit_codes(tmp_path):
+    cfg = with_identity_tol(free_scan_config(tmp_path, count=10), 1e-16)
+    code, stdout, _ = run_entry(tmp_path, "verify", "--config", cfg)
+    assert code == 1 and json.loads(stdout.splitlines()[-1])["pass"] is False
+    missing = str(tmp_path / "nope.json")
+    code, stdout, stderr = run_entry(tmp_path, "verify", "--config", missing)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"config error: cannot read config {missing}")
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["scan", "--config", free_scan_config(tmp_path), "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_outputs_replace_what_their_paths_hold(tmp_path):
+    # a symlinked output is replaced, and what it pointed to is left as it was
+    cfg, out, kept = dbarrier_config(tmp_path, count=41), tmp_path / "out", tmp_path / "kept"
+    kept.write_text("kept")
+    out.mkdir()
+    for name in ("scan.csv", "peaks.csv", "summary.json"):
+        (out / name).symlink_to(kept)
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["resonances", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("scan.csv", "peaks.csv", "summary.json"):
+        assert not (out / name).is_symlink()
+    assert (out / "peaks.csv").read_text().startswith(cli.PEAKS_HEADER)
+    assert kept.read_text() == "kept"

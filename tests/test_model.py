@@ -147,6 +147,16 @@ def test_lattice_shifted_region_only():
     assert shifted.onsite[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("build", [lambda: uniform_lattice(2, 3),
+                                   lambda: gaussian_spectral_weight(1.5, 0.1, 1.0, 2.0)],
+                         ids=["lattice", "spectral-weight"])
+def test_array_holders_compare_by_identity(build):
+    # their fields are arrays, on which a field-wise == or hash raises
+    a, b = build(), build()
+    assert a == a and a != b
+    assert {a: 1}[a] == 1 and hash(a) != hash(b)
+
+
 def test_energy_grid():
     grid = EnergyGrid(0.0, 1.0, 11)
     assert grid.points.size == 11
