@@ -11,29 +11,36 @@ with the amplitude-derivative part purely imaginary (unitarity) and kept
 only as a consistency residual.  Derivatives are central differences with
 per-element phase differences taken on the principal branch.
 Every route reads the batches of one chunk loop, _batches, each freed
-before the next is solved, and single-energy calls are a grid of one.
-Both backends start their per-route errors from one skip rule,
-model.energy_errors, and a grid point a batch refuses is a skip with its
-error.
+before the next is solved, and single-energy calls are a grid of one;
+_batches imports the backend of the system it is given, so a run loads
+one backend only.  Both backends start their per-route errors from one
+skip rule, model.energy_errors, and a grid point a batch refuses is a
+skip with its error.
+
+A grid's reports are one ReportTable: columns filled straight from each
+chunk's batch arrays, and DwellReport rows built only when indexed,
+sliced or iterated.  summarize_reports, find_resonances and the CLI's
+scan.csv writer compute from the columns, with no Python work per
+energy; a hand-built list of DwellReport goes through one conversion
+to columns (as_table).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     CoverageError,
-    DwellDosError,
     InsufficientDataError,
     NumericalFailureError,
     StepTooLargeError,
     ValidationError,
 )
-from . import lattice as lat
-from . import solver1d as s1d
 from .model import (
     Array,
     EnergyGrid,
@@ -48,6 +55,7 @@ __all__ = [
     "METHODS",
     "ChannelRecord",
     "DwellReport",
+    "ReportTable",
     "Peak",
     "PeakMatch",
     "ResonanceTable",
@@ -92,13 +100,141 @@ class DwellReport:
     skip_reason: str | None = None
 
 
+_CHANNEL_COLUMNS = ("tau_direct", "tau_vderiv")  # (channel, energy)
+_ENERGY_COLUMNS = ("dos_green", "dos_sum", "residual_rel")  # (energy,)
+
+
+def _channel_sum(values: Array, given: Array) -> Array:
+    """Per energy, the sum of the (channel, energy) values where given, in
+    channel order from 0.0 as Python's sum adds them: numpy's pairwise sum
+    rounds differently from 8 channels on."""
+    total = np.zeros(values.shape[1])
+    for row, has in zip(values, given):
+        total += np.where(has, row, 0.0)
+    return total
+
+
+class ReportTable(Sequence):
+    """The reports of a grid as columns, and a read-only Sequence of
+    DwellReport whose rows are built only when indexed, sliced or iterated.
+
+    `energies` (N,); the channel `labels` with the `open` mask (m, N) of
+    the channels each row lists; `skipped` (N,) and `skip_reasons` (a
+    list, None for a row without one); the per-channel columns
+    `tau_direct` and `tau_vderiv` (m, N) and the per-energy columns
+    `dos_green`, `dos_sum` and `residual_rel` (N,).  A column is None
+    when no row has it (its route was not run).  `given` maps a column to
+    where it holds a value, which keeps None apart from NaN; a column
+    that it leaves out holds one on every listed channel (per-channel) or
+    every row not skipped (per-energy).
+    """
+
+    def __init__(self, energies, labels, open, skipped, skip_reasons, given=None, *,
+                 tau_direct=None, tau_vderiv=None, dos_green=None, dos_sum=None,
+                 residual_rel=None):
+        self.energies, self.labels, self.open = energies, tuple(labels), open
+        self.skipped, self.skip_reasons = skipped, skip_reasons
+        self.tau_direct, self.tau_vderiv = tau_direct, tau_vderiv
+        self.dos_green, self.dos_sum, self.residual_rel = dos_green, dos_sum, residual_rel
+        self._given = given or {}
+
+    def column(self, name: str) -> tuple[Array, Array]:
+        """Column `name` and where it holds a value (all False for a column
+        that is None)."""
+        values = getattr(self, name)
+        default = self.open if name in _CHANNEL_COLUMNS else ~self.skipped
+        if values is None:
+            return np.full(default.shape, np.nan), np.zeros(default.shape, dtype=bool)
+        return values, self._given.get(name, default)
+
+    def channel_sum(self, name: str) -> tuple[Array, Array]:
+        """Per energy, the sum of per-channel column `name` over the values it
+        holds, in label order (_channel_sum), and how many it adds."""
+        values, given = self.column(name)
+        return _channel_sum(values, given), np.count_nonzero(given, axis=0)
+
+    @cached_property
+    def _cells(self) -> dict:
+        """Every column as nested Python lists, None where it holds no value."""
+        cells = {"energy": self.energies.tolist(), "open": self.open.T.tolist(),
+                 "skipped": self.skipped.tolist()}
+        for name in _CHANNEL_COLUMNS + _ENERGY_COLUMNS:
+            values, has = self.column(name)
+            cells[name] = np.where(has, values, None).tolist()
+        return cells
+
+    def _row(self, i: int) -> DwellReport:
+        c = self._cells
+        channels = tuple(ChannelRecord(label, c["tau_direct"][j][i], c["tau_vderiv"][j][i])
+                         for j, (label, listed) in enumerate(zip(self.labels, c["open"][i]))
+                         if listed)
+        return DwellReport(c["energy"][i], channels, c["dos_green"][i], c["dos_sum"][i],
+                           c["residual_rel"][i], c["skipped"][i], self.skip_reasons[i])
+
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(len(self))[index]]
+        return self._row(range(len(self))[index])
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (ReportTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def as_table(reports: Sequence[DwellReport]) -> ReportTable:
+    """`reports` itself when it is a ReportTable, else its rows converted to
+    columns once, with a `given` mask per column so that None stays apart
+    from NaN.  A channel first seen in a row goes after the row's channel
+    before it, so the label order keeps the channel order of every row
+    (which the channel sums add in) whenever one order fits them all."""
+    if isinstance(reports, ReportTable):
+        return reports
+    reports = list(reports)
+    labels: list[str] = []
+    for rep in reports:
+        at = 0
+        for ch in rep.channels:
+            if ch.channel not in labels:
+                labels.insert(at, ch.channel)
+            at = labels.index(ch.channel) + 1
+    index = {label: j for j, label in enumerate(labels)}
+    opened = np.zeros((len(labels), len(reports)), dtype=bool)
+    columns = {name: np.full(opened.shape if name in _CHANNEL_COLUMNS else len(reports), np.nan)
+               for name in _CHANNEL_COLUMNS + _ENERGY_COLUMNS}
+    given = {name: np.zeros(values.shape, dtype=bool) for name, values in columns.items()}
+
+    def put(name, at, value):
+        if value is not None:
+            columns[name][at], given[name][at] = value, True
+
+    for i, rep in enumerate(reports):
+        for name in _ENERGY_COLUMNS:
+            put(name, i, getattr(rep, name))
+        for ch in rep.channels:
+            opened[index[ch.channel], i] = True
+            for name in _CHANNEL_COLUMNS:
+                put(name, (index[ch.channel], i), getattr(ch, name))
+    return ReportTable(np.array([r.energy for r in reports], dtype=float), labels, opened,
+                       np.array([r.skipped for r in reports], dtype=bool),
+                       [r.skip_reason for r in reports], given, **columns)
+
+
 # ----------------------------------------------------------------------------
 # Shifted scattering matrices and the V-derivative dwell time
 # ----------------------------------------------------------------------------
 
 
 # Bytes per chunk; bytes_per_energy of the batch class says how many energies fit:
-# 430 of the 40-layer stack, 16 of the 10 x 80 strip and 4 of a 4 x 2000 strip.
+# 414 of the 40-layer stack, 16 of the 10 x 80 strip and 4 of a 4 x 2000 strip.
 _BATCH_BYTES = 7 * 2**20
 
 
@@ -110,9 +246,12 @@ def _batches(system: LayerStack | LatticeSystem, energies: list[float], v_shifts
     and `velocities` (m, E), the direct `dwell_times` over Omega (m, E),
     `region_dos` (E,) and `smatrices` (E, m, m), read-only and meaningful
     on the open block; and errors(route), per energy."""
-    if not isinstance(system, (LayerStack, LatticeSystem)):
+    if isinstance(system, LatticeSystem):
+        from .lattice import _LatticeWorkspace as batch
+    elif isinstance(system, LayerStack):
+        from .solver1d import ScatterBatch as batch
+    else:
         raise ValidationError(f"unsupported system type {type(system).__name__}")
-    batch = lat._LatticeWorkspace if isinstance(system, LatticeSystem) else s1d.ScatterBatch
     size = max(1, _BATCH_BYTES // batch.bytes_per_energy(system))
     for start in range(0, len(energies), size):
         chunk, shifts = energies[start:start + size], v_shifts[start:start + size]
@@ -153,8 +292,9 @@ def shifted_smatrix(
     return s[0][np.ix_(o, o)], [labels[j] for j in o]
 
 
-def default_dv(energy: float) -> float:
-    return 1e-5 * max(1.0, abs(energy))
+def default_dv(energies) -> Array:
+    """The V-derivative's first step at each energy, 1e-5 max(1, |E|)."""
+    return 1e-5 * np.maximum(1.0, np.abs(np.asarray(energies, dtype=float)))
 
 
 def _vderiv_from_matrices(s0, s_plus, s_minus, opened, dv) -> tuple:
@@ -189,7 +329,7 @@ def _vderiv_from_matrices(s0, s_plus, s_minus, opened, dv) -> tuple:
     return taus, errors
 
 
-def _vderiv_steps(system, energies, s0, opened, errors, dv) -> list:
+def _vderiv_steps(system, energies, s0, opened, errors, dv) -> tuple[Array, list]:
     """The V-derivative step loop for several energies at once.
 
     s0 is the stack of their unshifted S matrices (N, m, m), opened
@@ -202,34 +342,33 @@ def _vderiv_steps(system, energies, s0, opened, errors, dv) -> list:
     leads.  With dv None, an energy whose round fails with
     StepTooLargeError or NumericalFailureError halves its step and goes
     again, at most _MAX_HALVINGS times; any other error ends it.
-    Returns per energy the dwell times of its open channels, in channel
-    order, or the error.
+    Returns the dwell times (m, N), meaningful on the open channels of
+    an energy without an error, and per energy None or the error.
     """
     if dv is not None and not (np.isfinite(dv) and dv > 0.0):
         raise ValidationError(f"dv must be finite and > 0, got {dv!r}")
-    out: list = list(errors)
-    steps = [default_dv(e) if dv is None else float(dv) for e in energies]
+    energies = np.asarray(energies, dtype=float)
+    out = np.empty(len(errors), dtype=object)
+    out[:] = errors
+    taus = np.full(opened.shape, np.nan)
+    steps = default_dv(energies) if dv is None else np.full(energies.size, float(dv))
     attempts = _MAX_HALVINGS if dv is None else 0
-    pending = [i for i, error in enumerate(errors) if error is None]
-    while pending:
-        n = len(pending)
-        shifts = [steps[i] for i in pending]
-        _, shifted, _, solve_errors = _smatrices(system, [energies[i] for i in pending] * 2,
-                                                 shifts + [-v for v in shifts])
-        taus, step_errors = _vderiv_from_matrices(s0[pending], shifted[:n], shifted[n:],
-                                                  opened[:, pending], np.array(shifts))
-        retry = []
-        for j, i in enumerate(pending):
-            result = (solve_errors[j] or solve_errors[n + j] or step_errors[j]
-                      or taus[j][opened[:, i]].tolist())
-            if isinstance(result, (StepTooLargeError, NumericalFailureError)) and attempts > 0:
-                retry.append(i)
-                steps[i] *= 0.5
-            else:
-                out[i] = result
+    pending = np.flatnonzero([error is None for error in errors])
+    while pending.size:
+        n, shifts = pending.size, steps[pending]
+        _, shifted, _, solve_errors = _smatrices(system, np.tile(energies[pending], 2),
+                                                 np.concatenate([shifts, -shifts]))
+        round_taus, step_errors = _vderiv_from_matrices(s0[pending], shifted[:n], shifted[n:],
+                                                        opened[:, pending], shifts)
+        # a retried energy's results are replaced in its next round
+        taus[:, pending] = round_taus.T
+        out[pending] = [a or b or c for a, b, c in zip(solve_errors[:n], solve_errors[n:],
+                                                       step_errors)]
+        retry = [isinstance(e, (StepTooLargeError, NumericalFailureError)) for e in out[pending]]
+        pending = pending[retry] if attempts > 0 else pending[:0]
+        steps[pending] *= 0.5
         attempts -= 1
-        pending = retry
-    return out
+    return taus, out.tolist()
 
 
 def _vderiv_at(system, energy: float, dv, channel: str | None = None) -> dict:
@@ -237,10 +376,11 @@ def _vderiv_at(system, energy: float, dv, channel: str | None = None) -> dict:
     labels, s0, opened, errors = _smatrices(system, [energy], [0.0])
     if channel is not None:
         channel_index(labels, opened[:, 0], channel, energy, errors[0])
-    (result,) = _vderiv_steps(system, [energy], s0, opened, errors, dv)
-    if isinstance(result, DwellDosError):
-        raise result
-    return dict(zip([labels[j] for j in np.flatnonzero(opened[:, 0])], result))
+    taus, (error,) = _vderiv_steps(system, [energy], s0, opened, errors, dv)
+    if error is not None:
+        raise error
+    o = np.flatnonzero(opened[:, 0])
+    return dict(zip([labels[j] for j in o], taus[o, 0].tolist()))
 
 
 def dwell_times_vderiv_all(
@@ -310,8 +450,9 @@ def compute_report(
     methods: tuple[str, ...] = ("direct", "green"),
     dv: float | None = None,
 ) -> DwellReport:
-    """One energy on its own, the same report verify_identity gives it: a
-    grid of one through _chunk_reports; solver errors become a skip."""
+    """One energy on its own, the same report verify_identity gives it: the
+    one row of a grid of one through _chunk_reports; solver errors become a
+    skip."""
     return _chunk_reports(system, [energy], methods, dv)[0]
 
 
@@ -320,55 +461,58 @@ def _chunk_reports(
     energies: list[float],
     methods: tuple[str, ...],
     dv: float | None,
-) -> list[DwellReport]:
-    """compute_report at every energy of a grid, with solves shared.
+) -> ReportTable:
+    """compute_report at every energy of a grid, with solves shared, as one
+    ReportTable.
 
-    Solves go one chunk of _batches at a time, whose direct and Green
-    routes are numpy expressions over its batch's arrays; only each
-    point's route values and S(0) outlive a chunk.  The V-derivative
-    reuses S(0), and each of its rounds solves S(+step) and S(-step) of
-    every pending energy of the grid together.  Each report is built once,
-    after its V-derivative, and errors keep compute_report's order: S(0),
-    then the V-derivative, then the direct and Green routes.
+    Solves go one chunk of _batches at a time; each chunk's route arrays,
+    open mask and S(0) are kept as they are and joined into the table's
+    columns.  The V-derivative reuses S(0), and each of its rounds solves
+    S(+step) and S(-step) of every pending energy of the grid together.
+    Errors keep compute_report's order: S(0), then the V-derivative, then
+    the direct and Green routes.  The channel sum and the residual are
+    numpy expressions over the columns that add and round as the Python
+    float arithmetic of one report would.
     """
     if not methods or set(methods) - set(METHODS):
         raise ValidationError(f"methods must be some of {', '.join(METHODS)}: {methods!r}")
     routes = [m for m in ("direct", "green") if m in methods]
-    points, s0, opened, s0_errors = [], [], [], []
+    opened, taus, dos, errors, s0, s0_errors = [], [], [], [], [], []
     for batch in _batches(system, energies, [0.0] * len(energies)):
-        n = batch.energies.size
-        # per energy, as Python lists (None for a route not asked for)
-        taus = (batch.dwell_times.T.tolist() if "direct" in methods
-                else [[None] * len(batch.labels)] * n)
-        dos = batch.region_dos.tolist() if "green" in methods else [None] * n
-        for i, (row, *errors) in enumerate(zip(batch.open.T.tolist(), *map(batch.errors, routes))):
-            error = next(filter(None, errors), None)  # that of the first route with one
-            ch = [c for c, o in enumerate(row) if o]  # the open channels
-            points.append(error or ([batch.labels[c] for c in ch], [taus[i][c] for c in ch],
-                                    dos[i]))
+        labels = batch.labels
+        opened.append(batch.open)
+        if "direct" in methods:
+            taus.append(batch.dwell_times)
+        if "green" in methods:
+            dos.append(batch.region_dos)
+        # per energy, the error of the first route with one (of at most two)
+        route_errors = [batch.errors(route) for route in routes] or [[None] * batch.energies.size]
+        errors += [a or b for a, b in zip(route_errors[0], route_errors[-1])]
         if "vderiv" in methods:
             s0.append(batch.smatrices)
-            opened.append(batch.open)
             s0_errors += batch.errors("vderiv")
         del batch  # free this chunk's states before the next is solved
-    vderiv = [None] * len(energies)
+    opened = np.concatenate(opened, axis=1)
+    columns = {}
     if "vderiv" in methods:
-        vderiv = _vderiv_steps(system, energies, np.concatenate(s0),
-                               np.concatenate(opened, axis=1), s0_errors, dv)
-    reports = []
-    for energy, point, vd in zip(energies, points, vderiv):
-        error = vd if isinstance(vd, DwellDosError) else point
-        if isinstance(error, DwellDosError):
-            reports.append(DwellReport(energy, skipped=True,
-                                       skip_reason=f"{type(error).__name__}: {error}"))
-            continue
-        labels, taus, dos_green = point
-        dos_sum = sum(taus) / (2.0 * np.pi) if "direct" in methods else None
-        channels = map(ChannelRecord, labels, taus, [None] * len(labels) if vd is None else vd)
-        reports.append(DwellReport(energy, tuple(channels), dos_green, dos_sum, (
-            abs(dos_green - dos_sum) / max(dos_green, RESIDUAL_FLOOR)
-            if dos_green is not None and dos_sum is not None else None)))
-    return reports
+        columns["tau_vderiv"], vd_errors = _vderiv_steps(system, energies, np.concatenate(s0),
+                                                         opened, s0_errors, dv)
+        errors = [vd or error for vd, error in zip(vd_errors, errors)]
+    skipped = np.array([error is not None for error in errors], dtype=bool)
+    opened &= ~skipped  # a skipped row lists no channel
+    if "direct" in methods:
+        columns["tau_direct"] = tau = np.concatenate(taus, axis=1)
+        columns["dos_sum"] = _channel_sum(tau, opened) / (2.0 * np.pi)
+    if "green" in methods:
+        columns["dos_green"] = np.concatenate(dos)
+    if len(routes) == 2:
+        green, total = columns["dos_green"], columns["dos_sum"]
+        with np.errstate(all="ignore"):  # a skipped row's entries may be NaN
+            # np.maximum keeps a NaN dos_green, as Python's max does
+            columns["residual_rel"] = np.abs(green - total) / np.maximum(green, RESIDUAL_FLOOR)
+    reasons = [None if error is None else f"{type(error).__name__}: {error}" for error in errors]
+    return ReportTable(np.array(energies, dtype=float), labels, opened, skipped, reasons,
+                       **columns)
 
 
 def verify_identity(
@@ -376,13 +520,14 @@ def verify_identity(
     grid: EnergyGrid,
     methods: tuple[str, ...] = ("direct", "green"),
     dv: float | None = None,
-) -> list[DwellReport]:
+) -> ReportTable:
     """Evaluate every estimator on the grid and record identity residuals.
 
     Every grid point is solved, in chunks (_chunk_reports); one that the
     solver refuses (within model.THRESHOLD_MARGIN of a channel threshold,
     no open channel, or a failure) is reported as skipped with the
-    solver's error, never silently dropped.  Output order is by energy.
+    solver's error, never silently dropped.  Returns the ReportTable of
+    the grid, in grid order, which is by energy.
     """
     energies = [float(e) for e in grid.points]
     return _chunk_reports(system, energies, methods, dv)
@@ -400,45 +545,55 @@ def _skip_class(reason: str | None) -> str:
 
 
 def summarize_reports(
-    reports: list[DwellReport],
+    reports: Sequence[DwellReport],
     system: LayerStack | LatticeSystem | None = None,
 ) -> dict:
     """Aggregate residuals; adds the symmetric-system check when it applies.
 
-    `skip_reasons` counts the skipped points by exception class name.
+    Reads the columns of as_table(reports).  `skip_reasons` counts the
+    skipped points by exception class name.  `worst` ranks the residuals,
+    NaN first so that it becomes the maximum and fails verify, then
+    largest first, ties in report order.
 
     A palindromic system (its Omega mirror-symmetric too) has equal dwell
     times in mirror channels, "left" and "right" on a stack, "left:m" and
     "right:m" on a lattice.  On a stack the two-channel identity then
     collapses to rho_Omega * pi * hbar / tau = 1, which is checked too.
+    Any NaN deviation makes `symmetric_max_dev` NaN.
     """
-    live = [r for r in reports if not r.skipped]
-    # NaN ranks first so that it becomes the maximum and fails verify
-    ranked = sorted(
-        ((r.energy, r.residual_rel) for r in live if r.residual_rel is not None),
-        key=lambda t: (not np.isnan(t[1]), -t[1]),
-    )
+    table = as_table(reports)
+    live = ~table.skipped
+    residual, has = table.column("residual_rel")
+    rows = np.flatnonzero(has & live)
+    ranked = rows[np.lexsort((-residual[rows], ~np.isnan(residual[rows])))][:5]
+    worst = list(zip(table.energies[ranked].tolist(), residual[ranked].tolist()))
     summary = {
-        "points": len(reports),
-        "skipped": len(reports) - len(live),
+        "points": len(table),
+        "skipped": len(table) - int(np.count_nonzero(live)),
         "skip_reasons": dict(sorted(Counter(
-            _skip_class(r.skip_reason) for r in reports if r.skipped).items())),
-        "max_residual_rel": ranked[0][1] if ranked else None,
-        "worst": ranked[:5],
+            _skip_class(table.skip_reasons[i]) for i in np.flatnonzero(~live)).items())),
+        "max_residual_rel": worst[0][1] if worst else None,
+        "worst": worst,
     }
     if system is not None and system.is_palindromic():
+        tau, has = table.column("tau_direct")
+        has = has & live
+        index = {label: j for j, label in enumerate(table.labels)}
         devs = []
-        for r in live:
-            taus = {c.channel: c.tau_direct for c in r.channels
-                    if c.tau_direct is not None}
-            # only a stack has a channel named "left"; its check goes first,
-            # so that a NaN deviation stays the maximum
-            if r.dos_green is not None and taus.get("left", 0.0) > 0:
-                devs.append(abs(r.dos_green * np.pi / taus["left"] - 1.0))
-            devs += [abs(tau - taus["right" + name[4:]]) for name, tau in taus.items()
-                     if name.startswith("left") and "right" + name[4:] in taus]
+        if "left" in index:  # only a stack has a channel named "left"
+            green, has_green = table.column("dos_green")
+            left = index["left"]
+            with np.errstate(invalid="ignore"):  # entries without a value may be NaN
+                rows = has_green & has[left] & (tau[left] > 0)
+            devs.append(np.abs(green[rows] * np.pi / tau[left, rows] - 1.0))
+        for label, j in index.items():
+            mirror = index.get("right" + label[4:]) if label.startswith("left") else None
+            if mirror is not None:
+                both = has[j] & has[mirror]
+                devs.append(np.abs(tau[j, both] - tau[mirror, both]))
+        devs = np.concatenate(devs) if devs else np.empty(0)
         summary["palindromic"] = True
-        summary["symmetric_max_dev"] = max(devs) if devs else None
+        summary["symmetric_max_dev"] = float(np.max(devs)) if devs.size else None
     else:
         summary["palindromic"] = False
     return summary
@@ -504,47 +659,45 @@ def _find_peaks_1d(x: Array, y: Array, min_prominence: float) -> tuple[Peak, ...
 
 
 def find_resonances(
-    reports: list[DwellReport],
+    reports: Sequence[DwellReport],
     min_prominence: float = 0.05,
 ) -> ResonanceTable:
     """Locate DOS and dwell-time peaks and pair each DOS peak with the
     nearest dwell peak over all channels (plus the channel sum, "ALL").
 
-    A pair counts as matched when the refined peak energies agree within
-    one grid step; otherwise the DOS peak is flagged unmatched.
+    Reads the columns of as_table(reports), its points not skipped in
+    energy order.  A pair counts as matched when the refined peak energies
+    agree within one grid step; otherwise the DOS peak is flagged
+    unmatched.
     """
-    live = sorted((r for r in reports if not r.skipped), key=lambda r: r.energy)
-    if len(live) < 4:
+    table = as_table(reports)
+    ordered = np.argsort(table.energies, kind="stable")
+    live = ordered[~table.skipped[ordered]]
+    if live.size < 4:
         raise InsufficientDataError(
-            f"resonance search needs at least 4 non-skipped points, got {len(live)}"
+            f"resonance search needs at least 4 non-skipped points, got {live.size}"
         )
-    energies = np.array([r.energy for r in live])
-    resolution = float(np.max(np.diff(energies)))
+    resolution = float(np.max(np.diff(table.energies[live])))
 
-    dos_peaks: tuple[Peak, ...] = ()
-    dos_pts = [(r.energy, r.dos_green) for r in live if r.dos_green is not None]
-    if len(dos_pts) >= 3:
-        xe, ye = map(np.array, zip(*dos_pts))
-        dos_peaks = _find_peaks_1d(xe, ye, min_prominence)
+    def peaks_of(values, given):
+        """Peaks of a curve over the live points where it holds a value."""
+        rows = live[given[live]]
+        return () if rows.size < 3 else _find_peaks_1d(table.energies[rows], values[rows],
+                                                        min_prominence)
 
-    curves: dict[str, list[tuple[float, float]]] = {}
-    for r in live:
-        taus = [(c.channel, c.tau_direct) for c in r.channels if c.tau_direct is not None]
-        for name, tau in taus:
-            curves.setdefault(name, []).append((r.energy, tau))
-        if taus:
-            curves.setdefault("ALL", []).append((r.energy, sum(tau for _, tau in taus)))
+    dos_peaks = peaks_of(*table.column("dos_green"))
+    total, count = table.channel_sum("tau_direct")
+    tau, has = table.column("tau_direct")
+    curves = {"ALL": (total, count > 0), **{label: (tau[j], has[j])
+                                           for j, label in enumerate(table.labels)}}
 
     def order(item):  # "ALL", then by lead, then by mode: "left:2" before "left:10"
         lead, _, mode = item[0].partition(":")
         return item[0] != "ALL", lead, int(mode or 0)
 
     dwell_peaks = {}
-    for name, pts in sorted(curves.items(), key=order):
-        if len(pts) < 3:
-            continue
-        xe, ye = map(np.array, zip(*pts))
-        found = _find_peaks_1d(xe, ye, min_prominence)
+    for name, curve in sorted(curves.items(), key=order):
+        found = peaks_of(*curve)
         if found:
             dwell_peaks[name] = found
 

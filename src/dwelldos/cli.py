@@ -8,12 +8,14 @@ success, 1 verification failure, 2 usage or config error; `verify` also
 fails when a grid point was skipped for any reason other than threshold
 proximity or no open channel, and when no point was verified at all.
 Output is deterministic: rows are sorted by (energy, channel) and floats
-are serialized with 17 significant digits.  An existing output file is
-removed before it is written, never truncated: truncating a file and
-writing it again makes ext4 flush it, tens of milliseconds a file,
-and a symlinked output is replaced, not written through.  The `workers`
-field is validated (>= 0) but has no effect: the grid is solved in
-energy chunks in one process.
+are serialized with 17 significant digits.  A grid's reports stay the
+columns of one analysis.ReportTable from the solve to scan.csv and
+summary.json: no per-energy report object is built on the way.  An
+existing output file is removed before it is written, never truncated:
+truncating a file and writing it again makes ext4 flush it, tens of
+milliseconds a file, and a symlinked output is replaced, not written
+through.  The `workers` field is validated (>= 0) but has no effect: the
+grid is solved in energy chunks in one process.
 
 `entry` is the process entry of `python -m dwelldos.cli` and of the
 `dwelldos` script.  It keeps memory that the C allocator frees in the
@@ -33,6 +35,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis as an
 from .errors import ConfigError, DwellDosError, InsufficientDataError
@@ -247,8 +251,8 @@ def load_config(path: str | Path) -> RunConfig:
 # ----------------------------------------------------------------------------
 
 
-def compute_reports(config: RunConfig) -> list[an.DwellReport]:
-    """verify_identity on the configured system."""
+def compute_reports(config: RunConfig) -> an.ReportTable:
+    """verify_identity on the configured system: its ReportTable."""
     return an.verify_identity(config.system, config.grid, config.methods)
 
 
@@ -261,22 +265,46 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else format(x, ".17g")
 
 
-def _scan_rows(reports: list[an.DwellReport]) -> list[str]:
-    rows = []
-    for rep in sorted(reports, key=lambda r: r.energy):
-        e = format(rep.energy, ".17g")
-        if rep.skipped:
-            rows.append(f"{e},ALL,,,,,,true")
-            continue
-        taus = [c.tau_direct for c in rep.channels if c.tau_direct is not None]
-        vds = [c.tau_vderiv for c in rep.channels if c.tau_vderiv is not None]
-        tau_sum = float(sum(taus)) if taus else None
-        vd_sum = float(sum(vds)) if vds and len(vds) == len(rep.channels) else None
-        shared = f"{_fmt(rep.dos_green)},{_fmt(rep.dos_sum)},{_fmt(rep.residual_rel)},false"
-        rows.append(f"{e},ALL,{_fmt(tau_sum)},{_fmt(vd_sum)},{shared}")
-        for c in rep.channels:  # in label order
-            rows.append(f"{e},{c.channel},{_fmt(c.tau_direct)},{_fmt(c.tau_vderiv)},{shared}")
-    return rows
+def _texts(values, given=None) -> list:
+    """The _fmt text of each value, "" where `given` is False, as nested
+    lists of values' shape."""
+    if given is None:  # one % over all values formats them in C, each as format(x, ".17g")
+        flat = ("%.17g\n" * values.size % tuple(values.ravel().tolist())).split("\n")[:-1]
+        return np.reshape(np.array(flat, dtype=object), values.shape).tolist()
+    texts = np.full(values.shape, "", dtype=object)
+    texts[given] = _texts(values[given])
+    return texts.tolist()
+
+
+def _scan_rows(reports) -> list[str]:
+    """The scan.csv rows of the reports (a ReportTable, or DwellReport rows
+    converted once), computed from its columns in a stable order by energy:
+    an ALL row per energy with the channel sums, then a row per listed
+    channel in label order, all of them with the energy's DOS columns."""
+    table = an.as_table(reports)
+    by_energy = np.argsort(table.energies, kind="stable")
+    live = ~table.skipped[by_energy]
+    energy = _texts(table.energies[by_energy])
+    listed = table.open[:, by_energy] & live
+    tau_sum, n_tau = (a[by_energy] for a in table.channel_sum("tau_direct"))
+    vd_sum, n_vd = (a[by_energy] for a in table.channel_sum("tau_vderiv"))
+    # the V-derivative sum only when every listed channel has its value
+    n_listed = np.count_nonzero(listed, axis=0)
+    sums = zip(_texts(tau_sum, n_tau > 0), _texts(vd_sum, (n_vd > 0) & (n_vd == n_listed)))
+    dos = [_texts(values[by_energy], given[by_energy] & live)
+           for values, given in map(table.column, ("dos_green", "dos_sum", "residual_rel"))]
+    shared = [f"{g},{s},{r},false" for g, s, r in zip(*dos)]
+    m = len(table.labels)
+    rows = [None] * (len(by_energy) * (m + 1))
+    rows[::m + 1] = [f"{e},ALL,{t},{v},{s}" if ok else f"{e},ALL,,,,,,true"
+                     for e, (t, v), s, ok in zip(energy, sums, shared, live.tolist())]
+    (tau, has_tau), (vd, has_vd) = map(table.column, ("tau_direct", "tau_vderiv"))
+    channels = zip(table.labels, _texts(tau[:, by_energy], has_tau[:, by_energy] & listed),
+                   _texts(vd[:, by_energy], has_vd[:, by_energy] & listed), listed.tolist())
+    for j, (label, taus, vds, oks) in enumerate(channels):
+        rows[j + 1::m + 1] = [f"{e},{label},{t},{v},{s}" if ok else None
+                              for e, t, v, s, ok in zip(energy, taus, vds, shared, oks)]
+    return [row for row in rows if row is not None]
 
 
 def _write(path: Path, text: str) -> None:
@@ -291,7 +319,7 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> int:
     return len(rows)
 
 
-def write_scan_csv(reports: list[an.DwellReport], path: Path) -> int:
+def write_scan_csv(reports, path: Path) -> int:
     return _write_csv(path, SCAN_HEADER, _scan_rows(reports))
 
 

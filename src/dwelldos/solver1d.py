@@ -102,9 +102,10 @@ def _elements(k_left: Array, k_layers: Array, k_right: Array, d: Array) -> tuple
     (right); r = (k_a - k) / (k_a + k), t' = 2 p k / (k_a + k), t = p t_a
     and r' = -p^2 r with p = e^{ikd}, t_a = 2 k_a / (k_a + k) are bounded,
     and a flat layer is the exact {1, u} transfer [[1, d], [0, 1]].  Also
-    returns the map to layer j's (a, b) = (alpha f + beta g, g) (E, n),
-    and None or the flat mask and gamma of (alpha f + beta g, gamma (f -
-    g)) = (psi, psi') at a flat layer's left edge.
+    returns the phases p of the layers (n, E), the map to layer j's (a, b)
+    = (alpha f + beta g, g) (E, n), and None or the flat mask and gamma of
+    (alpha f + beta g, gamma (f - g)) = (psi, psi') at a flat layer's left
+    edge.
     """
     # media 0 .. n, (n + 1, E), C-ordered like s: concatenating k_layers.T
     # would give Fortran order, and the elementwise work below would run strided
@@ -124,7 +125,7 @@ def _elements(k_left: Array, k_layers: Array, k_right: Array, d: Array) -> tuple
     s = np.stack([r, p * t_a, -p * p * r, np.multiply(p, 2.0 * k * inv)])
     alpha, beta = t_a[:-1], -(r * p)[:-1]
     if not np.count_nonzero(flat):
-        return s, alpha, beta, None
+        return s, p[:-1], alpha, beta, None
     rho, z = k_a / kappa, 1j * k_a * d
     tau = 2.0 / (1.0 + rho - z)
     np.copyto(s, [-0.5 * (1.0 - rho + z) * tau, rho * tau, 0.5 * (1.0 - rho - z) * tau, tau],
@@ -132,7 +133,7 @@ def _elements(k_left: Array, k_layers: Array, k_right: Array, d: Array) -> tuple
     flat = flat[:-1]
     np.copyto(alpha, ((rho - z) * tau)[:-1], where=flat)
     np.copyto(beta, tau[:-1], where=flat)
-    return s, alpha, beta, (flat, (1j * k_a * tau)[:-1])
+    return s, p[:-1], alpha, beta, (flat, (1j * k_a * tau)[:-1])
 
 
 def _up_sweep(s: Array) -> list:
@@ -181,8 +182,10 @@ class ScatterBatch:
 
     @staticmethod
     def bytes_per_energy(stack: LayerStack) -> int:
-        """Peak bytes per energy, all routes read: 26 complex values per two-port."""
-        return 16 * 26 * (len(stack.layers) + 1)
+        """Peak bytes per energy, all routes read: 27 complex values per
+        two-port, one of them the phases e^{ikd} that the batch keeps for
+        the Green route."""
+        return 16 * 27 * (len(stack.layers) + 1)
 
     def __init__(self, stack: LayerStack, energies, v_shift=0.0):
         energies = np.asarray(energies, dtype=float).reshape(-1)
@@ -195,7 +198,8 @@ class ScatterBatch:
         self.k_layers = k = layer_wavevector(energies[:, None], stack.potentials + shift[:, None])
         k[np.abs(k) * stack.thicknesses <= _GRAZING_KD] = 0.0
         with np.errstate(all="ignore"):  # a failed energy is flagged by `errors`
-            s, *self._layer_map = _elements(self.k_left, k, self.k_right, stack.thicknesses)
+            s, self._phase, *self._layer_map = _elements(self.k_left, k, self.k_right,
+                                                         stack.thicknesses)
             self._levels = _up_sweep(s)
             root = self._levels[-1][0][:, 0]  # r, t, r', t' of the x = 0 and x = L planes
             # W = psi_L psi_R' - psi_L' psi_R, (E,), read by `errors` on every
@@ -261,7 +265,7 @@ class ScatterBatch:
         a, b = self.coeff_a, self.coeff_b
         with np.errstate(all="ignore"):
             per_layer = _green_layer_integral(a[1], b[1], a[0], b[0], self.k_layers,
-                                              self.stack.thicknesses)
+                                              self.stack.thicknesses, self._phase.T)
             return -(per_layer.sum(axis=-1) / self.wronskian).imag / np.pi
 
     @cached_property
@@ -470,8 +474,9 @@ def dos_region_1d(
     return float(batch.region_dos[0])
 
 
-def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):
-    """Integral of psi_L psi_R over each layer; layers on the last axis.
+def _green_layer_integral(a_l, b_l, a_r, b_r, k, d, phase):
+    """Integral of psi_L psi_R over each layer; layers on the last axis,
+    and phase = e^{ikd}, the batch's own (_elements).
 
     With psi = a e^{iku} + b e^{-ik(u-d)} for both Green solutions,
 
@@ -486,7 +491,7 @@ def _green_layer_integral(a_l, b_l, a_r, b_r, k, d):
     cross = a_l * b_r + b_l * a_r
     flat = k == 0
     per_layer = d * ((a_l * a_r + b_l * b_r) * _exprel(2j * k * d)
-                     + np.multiply(cross, np.exp(1j * k * d)))
+                     + np.multiply(cross, phase))
     if np.count_nonzero(flat):
         np.copyto(per_layer, a_l * a_r * d + cross * d**2 / 2.0 + b_l * b_r * d**3 / 3.0,
                   where=flat)

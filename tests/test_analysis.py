@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -39,6 +40,7 @@ from dwelldos.model import (
     channel_thresholds,
     double_barrier,
     gaussian_spectral_weight,
+    palindromic_stack,
     random_lattice,
     random_stack,
     uniform_lattice,
@@ -282,6 +284,22 @@ def test_verify_identity_symmetric_lattice():
     summary = summarize_reports(reports, system)
     assert summary["palindromic"] is True
     assert summary["symmetric_max_dev"] < 1e-10
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["nan-second", "nan-first"])
+def test_symmetric_check_keeps_a_nan_deviation(first):
+    # a NaN mirror deviation makes the maximum NaN wherever it comes, as a
+    # NaN residual does; Python's max kept it only in first place
+    stack = palindromic_stack(3, n_half=2)
+    good, other = verify_identity(stack, EnergyGrid(1.0, 2.0, 2))
+    left, right = other.channels
+    nan = float("nan")  # and so are the channel sum and the residual
+    bad = replace(other, channels=(left, replace(right, tau_direct=nan)), dos_sum=nan,
+                  residual_rel=nan)
+    reports = [bad, good] if first else [good, bad]
+    summary = summarize_reports(reports, stack)
+    assert math.isnan(summary["symmetric_max_dev"])
+    assert math.isnan(summary["max_residual_rel"])
 
 
 @pytest.mark.parametrize("region, palindromic", [

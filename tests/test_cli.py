@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import dwelldos
+from dwelldos import analysis as an
 from dwelldos import cli
-from dwelldos.analysis import DwellReport
+from dwelldos.analysis import DwellReport, verify_identity
 from dwelldos.cli import load_config, main
 from dwelldos.errors import ConfigError
-from dwelldos.model import LatticeRegion
+from dwelldos.model import EnergyGrid, LatticeRegion, palindromic_stack
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -414,6 +416,44 @@ def test_shipped_configs_verify_without_skips(config, capsys):
     assert summary["pass"] is True and summary["skipped"] == 0
 
 
+@pytest.mark.parametrize("name", [c.stem for c in CONFIGS] + ["palindromic-with-skip"])
+def test_consumers_read_a_table_as_its_rows(name):
+    # the columns of a ReportTable and one conversion of its rows give the
+    # same summary, resonance table and scan.csv rows
+    if name == "palindromic-with-skip":
+        system = palindromic_stack(3, n_half=2)
+        table = verify_identity(system, EnergyGrid(0.0, 4.0, 41), ("direct", "green", "vderiv"))
+        assert system.is_palindromic() and table[0].skipped  # E = 0 is both leads' threshold
+    else:
+        config = load_config(REPO / "configs" / f"{name}.json")
+        system, table = config.system, cli.compute_reports(config)
+    rows = list(table)
+    assert an.summarize_reports(table, system) == an.summarize_reports(rows, system)
+    assert an.find_resonances(table) == an.find_resonances(rows)
+    assert cli._scan_rows(table) == cli._scan_rows(rows)
+
+
+def test_scan_and_verify_build_no_report_rows(tmp_path, monkeypatch):
+    # scan and verify read the table's columns; a row object is built only
+    # when a caller indexes or iterates the table
+    built = []
+
+    def counted(init):
+        def init_counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return init_counted
+
+    for record in (an.DwellReport, an.ChannelRecord):
+        monkeypatch.setattr(record, "__init__", counted(record.__init__))
+    cfg = str(REPO / "configs" / "stack_scan.json")
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["verify", "--config", cfg]) == 0
+    assert built == []
+    cli.compute_reports(load_config(cfg))[0]
+    assert built == ["ChannelRecord", "ChannelRecord", "DwellReport"]
+
+
 def opaque_config(tmp_path: Path, thickness: float, count: int, e_max: float) -> str:
     doc = {
         "backend": "stack",
@@ -538,6 +578,33 @@ def test_scan_and_verify_never_import_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("config, backend", [("stack_scan", "dwelldos.solver1d"),
+                                             ("lattice_verify", "dwelldos.lattice")])
+def test_scan_loads_only_its_backend(config, backend, tmp_path):
+    # each backend costs its compile time on a run without a bytecode
+    # cache, so scan loads the backend of its system only (fresh interpreter)
+    code = (
+        "import sys\n"
+        "from dwelldos.cli import main\n"
+        "assert main(['scan', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print([m for m in ('dwelldos.lattice', 'dwelldos.solver1d') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(REPO / "configs" / f"{config}.json"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=300,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([backend])
+
+
+def test_package_lists_every_name():
+    # the package resolves its names on first use; a star-import and dir()
+    # still see all of them
+    namespace = {}
+    exec("from dwelldos import *", namespace)
+    assert {"verify_identity", "ReportTable", "lattice"} <= set(dwelldos.__all__)
+    assert set(dwelldos.__all__) <= set(namespace) & set(dir(dwelldos))
 
 
 # -------------------------------------------------------------- process entry
