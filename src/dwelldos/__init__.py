@@ -65,3 +65,21 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _let_blas_workers_sleep() -> None:
+    """Default the spin of OpenBLAS' idle workers, read once as numpy loads, to
+    2**20 cycles: its 2**28 (about 90 ms, on every core but one) outlasts a
+    short run.  A value the user set, or GOTO_THREAD_TIMEOUT, is kept."""
+    import os
+
+    if "GOTO_THREAD_TIMEOUT" not in os.environ:
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
+
+def script() -> None:
+    """The `dwelldos` console script: the BLAS default, then cli.entry."""
+    _let_blas_workers_sleep()
+    from .cli import entry
+
+    entry()

@@ -20,9 +20,8 @@ skip with its error.
 A grid's reports are one ReportTable: columns filled straight from each
 chunk's batch arrays, and DwellReport rows built only when indexed,
 sliced or iterated.  summarize_reports, find_resonances and the CLI's
-scan.csv writer compute from the columns, with no Python work per
-energy; a hand-built list of DwellReport goes through one conversion
-to columns (as_table).
+scan.csv writer take a ReportTable and compute from its columns, with
+no Python work per energy.
 """
 
 from __future__ import annotations
@@ -119,33 +118,30 @@ class ReportTable(Sequence):
     DwellReport whose rows are built only when indexed, sliced or iterated.
 
     `energies` (N,); the channel `labels` with the `open` mask (m, N) of
-    the channels each row lists; `skipped` (N,) and `skip_reasons` (a
-    list, None for a row without one); the per-channel columns
-    `tau_direct` and `tau_vderiv` (m, N) and the per-energy columns
-    `dos_green`, `dos_sum` and `residual_rel` (N,).  A column is None
-    when no row has it (its route was not run).  `given` maps a column to
-    where it holds a value, which keeps None apart from NaN; a column
-    that it leaves out holds one on every listed channel (per-channel) or
-    every row not skipped (per-energy).
+    the channels each row lists, none at a skipped row; `skipped` (N,) and
+    `skip_reasons` (a list, None for a row without one); the per-channel
+    columns `tau_direct` and `tau_vderiv` (m, N) and the per-energy
+    columns `dos_green`, `dos_sum` and `residual_rel` (N,).  A column is
+    None when its route was not run; otherwise it holds a value, NaN
+    included, on every listed channel (per-channel) or every row not
+    skipped (per-energy), and nothing elsewhere.
     """
 
-    def __init__(self, energies, labels, open, skipped, skip_reasons, given=None, *,
-                 tau_direct=None, tau_vderiv=None, dos_green=None, dos_sum=None,
-                 residual_rel=None):
+    def __init__(self, energies, labels, open, skipped, skip_reasons, *, tau_direct=None,
+                 tau_vderiv=None, dos_green=None, dos_sum=None, residual_rel=None):
         self.energies, self.labels, self.open = energies, tuple(labels), open
         self.skipped, self.skip_reasons = skipped, skip_reasons
         self.tau_direct, self.tau_vderiv = tau_direct, tau_vderiv
         self.dos_green, self.dos_sum, self.residual_rel = dos_green, dos_sum, residual_rel
-        self._given = given or {}
 
     def column(self, name: str) -> tuple[Array, Array]:
         """Column `name` and where it holds a value (all False for a column
         that is None)."""
         values = getattr(self, name)
-        default = self.open if name in _CHANNEL_COLUMNS else ~self.skipped
+        where = self.open if name in _CHANNEL_COLUMNS else ~self.skipped
         if values is None:
-            return np.full(default.shape, np.nan), np.zeros(default.shape, dtype=bool)
-        return values, self._given.get(name, default)
+            return np.full(where.shape, np.nan), np.zeros(where.shape, dtype=bool)
+        return values, where
 
     def channel_sum(self, name: str) -> tuple[Array, Array]:
         """Per energy, the sum of per-channel column `name` over the values it
@@ -188,44 +184,6 @@ class ReportTable(Sequence):
         return NotImplemented
 
     __hash__ = None
-
-
-def as_table(reports: Sequence[DwellReport]) -> ReportTable:
-    """`reports` itself when it is a ReportTable, else its rows converted to
-    columns once, with a `given` mask per column so that None stays apart
-    from NaN.  A channel first seen in a row goes after the row's channel
-    before it, so the label order keeps the channel order of every row
-    (which the channel sums add in) whenever one order fits them all."""
-    if isinstance(reports, ReportTable):
-        return reports
-    reports = list(reports)
-    labels: list[str] = []
-    for rep in reports:
-        at = 0
-        for ch in rep.channels:
-            if ch.channel not in labels:
-                labels.insert(at, ch.channel)
-            at = labels.index(ch.channel) + 1
-    index = {label: j for j, label in enumerate(labels)}
-    opened = np.zeros((len(labels), len(reports)), dtype=bool)
-    columns = {name: np.full(opened.shape if name in _CHANNEL_COLUMNS else len(reports), np.nan)
-               for name in _CHANNEL_COLUMNS + _ENERGY_COLUMNS}
-    given = {name: np.zeros(values.shape, dtype=bool) for name, values in columns.items()}
-
-    def put(name, at, value):
-        if value is not None:
-            columns[name][at], given[name][at] = value, True
-
-    for i, rep in enumerate(reports):
-        for name in _ENERGY_COLUMNS:
-            put(name, i, getattr(rep, name))
-        for ch in rep.channels:
-            opened[index[ch.channel], i] = True
-            for name in _CHANNEL_COLUMNS:
-                put(name, (index[ch.channel], i), getattr(ch, name))
-    return ReportTable(np.array([r.energy for r in reports], dtype=float), labels, opened,
-                       np.array([r.skipped for r in reports], dtype=bool),
-                       [r.skip_reason for r in reports], given, **columns)
 
 
 # ----------------------------------------------------------------------------
@@ -545,15 +503,15 @@ def _skip_class(reason: str | None) -> str:
 
 
 def summarize_reports(
-    reports: Sequence[DwellReport],
+    table: ReportTable,
     system: LayerStack | LatticeSystem | None = None,
 ) -> dict:
     """Aggregate residuals; adds the symmetric-system check when it applies.
 
-    Reads the columns of as_table(reports).  `skip_reasons` counts the
-    skipped points by exception class name.  `worst` ranks the residuals,
-    NaN first so that it becomes the maximum and fails verify, then
-    largest first, ties in report order.
+    Reads the table's columns.  `skip_reasons` counts the skipped points
+    by exception class name.  `worst` ranks the residuals, NaN first so
+    that it becomes the maximum and fails verify, then largest first, ties
+    in report order.
 
     A palindromic system (its Omega mirror-symmetric too) has equal dwell
     times in mirror channels, "left" and "right" on a stack, "left:m" and
@@ -561,10 +519,9 @@ def summarize_reports(
     collapses to rho_Omega * pi * hbar / tau = 1, which is checked too.
     Any NaN deviation makes `symmetric_max_dev` NaN.
     """
-    table = as_table(reports)
     live = ~table.skipped
     residual, has = table.column("residual_rel")
-    rows = np.flatnonzero(has & live)
+    rows = np.flatnonzero(has)
     ranked = rows[np.lexsort((-residual[rows], ~np.isnan(residual[rows])))][:5]
     worst = list(zip(table.energies[ranked].tolist(), residual[ranked].tolist()))
     summary = {
@@ -577,7 +534,6 @@ def summarize_reports(
     }
     if system is not None and system.is_palindromic():
         tau, has = table.column("tau_direct")
-        has = has & live
         index = {label: j for j, label in enumerate(table.labels)}
         devs = []
         if "left" in index:  # only a stack has a channel named "left"
@@ -659,18 +615,19 @@ def _find_peaks_1d(x: Array, y: Array, min_prominence: float) -> tuple[Peak, ...
 
 
 def find_resonances(
-    reports: Sequence[DwellReport],
+    table: ReportTable,
     min_prominence: float = 0.05,
 ) -> ResonanceTable:
     """Locate DOS and dwell-time peaks and pair each DOS peak with the
     nearest dwell peak over all channels (plus the channel sum, "ALL").
 
-    Reads the columns of as_table(reports), its points not skipped in
-    energy order.  A pair counts as matched when the refined peak energies
-    agree within one grid step; otherwise the DOS peak is flagged
-    unmatched.
+    Reads the table's columns, its points not skipped in energy order; the
+    green and direct routes must have been run.  A pair counts as matched
+    when the refined peak energies agree within one grid step; otherwise
+    the DOS peak is flagged unmatched.
     """
-    table = as_table(reports)
+    if table.dos_green is None or table.tau_direct is None:
+        raise InsufficientDataError("resonance search needs the green and direct routes")
     ordered = np.argsort(table.energies, kind="stable")
     live = ordered[~table.skipped[ordered]]
     if live.size < 4:

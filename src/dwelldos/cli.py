@@ -4,7 +4,8 @@ Config is a single JSON document (see configs/ for one example per
 backend).  Each object in it is read through one table that maps its
 fields to readers; the keys are the keyword names of the model builder it
 feeds, so a field left out keeps that builder's default.  Exit codes: 0
-success, 1 verification failure, 2 usage or config error; `verify` also
+success, 1 verification failure, 2 usage or config error (`verify` and
+`resonances` need both direct and green in `methods`); `verify` also
 fails when a grid point was skipped for any reason other than threshold
 proximity or no open channel, and when no point was verified at all.
 Output is deterministic: rows are sorted by (energy, channel) and floats
@@ -18,14 +19,20 @@ through.  The `workers` field is validated (>= 0) but has no effect: the
 grid is solved in energy chunks in one process.
 
 `entry` is the process entry of `python -m dwelldos.cli` and of the
-`dwelldos` script.  It keeps memory that the C allocator frees in the
-process, so each energy chunk reuses the pages of the one before instead
-of faulting them in again, and it freezes the garbage collector's
-objects once `main` has returned, so the collections at interpreter exit
-skip them.  `main` and importing this module change nothing process-wide.
+`dwelldos` script (dwelldos.script), which both first let numpy's idle
+BLAS workers sleep (dwelldos._let_blas_workers_sleep).  It keeps memory
+that the C allocator frees in the process, so each energy chunk reuses
+the pages of the one before instead of faulting them in again, and it
+freezes the garbage collector's objects once `main` has returned, so the
+collections at interpreter exit skip them.  `main` and importing this
+module change nothing process-wide.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":  # python -m dwelldos.cli: before numpy loads (see entry)
+    from . import _let_blas_workers_sleep
+    _let_blas_workers_sleep()
 
 import argparse
 import ctypes
@@ -276,22 +283,18 @@ def _texts(values, given=None) -> list:
     return texts.tolist()
 
 
-def _scan_rows(reports) -> list[str]:
-    """The scan.csv rows of the reports (a ReportTable, or DwellReport rows
-    converted once), computed from its columns in a stable order by energy:
-    an ALL row per energy with the channel sums, then a row per listed
-    channel in label order, all of them with the energy's DOS columns."""
-    table = an.as_table(reports)
+def _scan_rows(table: an.ReportTable) -> list[str]:
+    """The scan.csv rows of a ReportTable, from its columns in a stable
+    order by energy: an ALL row per energy with the channel sums, then a
+    row per listed channel in label order, each with the energy's DOS
+    columns, and a cell empty where its column holds no value."""
     by_energy = np.argsort(table.energies, kind="stable")
     live = ~table.skipped[by_energy]
     energy = _texts(table.energies[by_energy])
-    listed = table.open[:, by_energy] & live
     tau_sum, n_tau = (a[by_energy] for a in table.channel_sum("tau_direct"))
     vd_sum, n_vd = (a[by_energy] for a in table.channel_sum("tau_vderiv"))
-    # the V-derivative sum only when every listed channel has its value
-    n_listed = np.count_nonzero(listed, axis=0)
-    sums = zip(_texts(tau_sum, n_tau > 0), _texts(vd_sum, (n_vd > 0) & (n_vd == n_listed)))
-    dos = [_texts(values[by_energy], given[by_energy] & live)
+    sums = zip(_texts(tau_sum, n_tau > 0), _texts(vd_sum, n_vd > 0))
+    dos = [_texts(values[by_energy], given[by_energy])
            for values, given in map(table.column, ("dos_green", "dos_sum", "residual_rel"))]
     shared = [f"{g},{s},{r},false" for g, s, r in zip(*dos)]
     m = len(table.labels)
@@ -299,8 +302,9 @@ def _scan_rows(reports) -> list[str]:
     rows[::m + 1] = [f"{e},ALL,{t},{v},{s}" if ok else f"{e},ALL,,,,,,true"
                      for e, (t, v), s, ok in zip(energy, sums, shared, live.tolist())]
     (tau, has_tau), (vd, has_vd) = map(table.column, ("tau_direct", "tau_vderiv"))
-    channels = zip(table.labels, _texts(tau[:, by_energy], has_tau[:, by_energy] & listed),
-                   _texts(vd[:, by_energy], has_vd[:, by_energy] & listed), listed.tolist())
+    channels = zip(table.labels, _texts(tau[:, by_energy], has_tau[:, by_energy]),
+                   _texts(vd[:, by_energy], has_vd[:, by_energy]),
+                   table.open[:, by_energy].tolist())
     for j, (label, taus, vds, oks) in enumerate(channels):
         rows[j + 1::m + 1] = [f"{e},{label},{t},{v},{s}" if ok else None
                               for e, t, v, s, ok in zip(energy, taus, vds, shared, oks)]
@@ -319,8 +323,8 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> int:
     return len(rows)
 
 
-def write_scan_csv(reports, path: Path) -> int:
-    return _write_csv(path, SCAN_HEADER, _scan_rows(reports))
+def write_scan_csv(table: an.ReportTable, path: Path) -> int:
+    return _write_csv(path, SCAN_HEADER, _scan_rows(table))
 
 
 # ----------------------------------------------------------------------------
@@ -352,8 +356,6 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    if not {"direct", "green"} <= set(config.methods):
-        raise ConfigError("verify requires both 'direct' and 'green' in methods")
     reports = compute_reports(config)
     summary = an.summarize_reports(reports, config.system)
     summary.update(command="verify", tolerance=config.identity_tol)
@@ -407,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
+        if args.command != "scan" and not {"direct", "green"} <= set(config.methods):
+            raise ConfigError(f"{args.command} requires both 'direct' and 'green' in methods")
         if args.command == "verify":
             code, summary = cmd_verify(config)
         else:  # scan and resonances write their table and summary.json to --out

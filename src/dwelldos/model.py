@@ -42,11 +42,15 @@ class Xorshift64Star:
     """xorshift64* generator (shifts 12/25/27, multiplier 0x2545F4914F6CDD1D).
 
     Used for every seeded builder so fixtures are bit-identical on all
-    platforms.  A zero seed is remapped to a fixed nonzero state.
+    platforms.  The state has 64 bits, so a seed outside [0, 2**64) is
+    refused rather than folded onto another; a zero seed is remapped to a
+    fixed nonzero state.
     """
 
     def __init__(self, seed: int):
-        self.state = (seed & _MASK64) or 0x9E3779B97F4A7C15
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+            raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self.state = seed or 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
         x = self.state
@@ -62,6 +66,17 @@ class Xorshift64Star:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
+
+
+def _range(name: str, pair) -> tuple[float, float]:
+    """A seeded builder's (lo, hi) range, refused unless two finite numbers."""
+    try:
+        values = np.asarray(pair, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        values = np.empty(0)
+    if values.shape != (2,) or not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} must be a pair of finite numbers, got {pair!r}")
+    return float(values[0]), float(values[1])
 
 
 # ----------------------------------------------------------------------------
@@ -193,6 +208,7 @@ def random_stack(
     if n_layers < 1:
         raise ValidationError("n_layers must be >= 1")
     rng = Xorshift64Star(seed)
+    d_range, v_range = _range("d_range", d_range), _range("v_range", v_range)
     layers = []
     for _ in range(n_layers):
         d = rng.uniform(*d_range)
@@ -316,6 +332,7 @@ def random_lattice(
 ) -> LatticeSystem:
     """Seeded on-site disorder, drawn column by column, row within column."""
     rng = Xorshift64Star(seed)
+    v_range = _range("v_range", v_range)
     arr = np.empty((length, width))
     for c in range(length):
         for r in range(width):

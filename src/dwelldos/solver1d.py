@@ -120,9 +120,12 @@ def _elements(k_left: Array, k_layers: Array, k_right: Array, d: Array) -> tuple
     k_a = np.concatenate([k_left[None], kappa[:-1]])  # each element's left port
     p = np.exp(1j * k * d)
     inv = 1.0 / (k_a + k)  # one division: a complex division costs many products
-    r = (k_a - k) * inv
     t_a = 2.0 * k_a * inv
-    s = np.stack([r, p * t_a, -p * p * r, np.multiply(p, 2.0 * k * inv)])
+    s = np.empty((4, *k.shape), dtype=complex)  # each product written in place: no copy
+    r = np.multiply(k_a - k, inv, out=s[0])
+    np.multiply(p, t_a, out=s[1])
+    np.multiply(-p * p, r, out=s[2])
+    np.multiply(p, 2.0 * k * inv, out=s[3])
     alpha, beta = t_a[:-1], -(r * p)[:-1]
     if not np.count_nonzero(flat):
         return s, p[:-1], alpha, beta, None

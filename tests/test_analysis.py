@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dwelldos import analysis, errors, lattice, solver1d
 from dwelldos.analysis import (
-    DwellReport,
+    ReportTable,
     compute_report,
     dwell_time_vderiv,
     dwell_times_vderiv_all,
@@ -291,13 +291,12 @@ def test_symmetric_check_keeps_a_nan_deviation(first):
     # a NaN mirror deviation makes the maximum NaN wherever it comes, as a
     # NaN residual does; Python's max kept it only in first place
     stack = palindromic_stack(3, n_half=2)
-    good, other = verify_identity(stack, EnergyGrid(1.0, 2.0, 2))
-    left, right = other.channels
-    nan = float("nan")  # and so are the channel sum and the residual
-    bad = replace(other, channels=(left, replace(right, tau_direct=nan)), dos_sum=nan,
-                  residual_rel=nan)
-    reports = [bad, good] if first else [good, bad]
-    summary = summarize_reports(reports, stack)
+    table = verify_identity(stack, EnergyGrid(1.0, 2.0, 2))
+    bad = 0 if first else 1
+    table.tau_direct[table.labels.index("right"), bad] = np.nan
+    table.dos_sum[bad] = table.residual_rel[bad] = np.nan  # as the channel sum makes them
+    assert not table.skipped.any()
+    summary = summarize_reports(table, stack)
     assert math.isnan(summary["symmetric_max_dev"])
     assert math.isnan(summary["max_residual_rel"])
 
@@ -892,10 +891,21 @@ def test_find_resonances_monotone_curve(free2):
     assert table.matches == ()
 
 
+def _reversed(table: ReportTable) -> ReportTable:
+    """The table with its rows in reverse order, column by column."""
+    columns = {name: getattr(table, name)[..., ::-1] for name in
+               ("energies", "open", "skipped", "tau_direct", "dos_green", "dos_sum",
+                "residual_rel")}
+    return ReportTable(columns.pop("energies"), table.labels, columns.pop("open"),
+                       columns.pop("skipped"), table.skip_reasons[::-1], **columns)
+
+
 def test_find_resonances_reversal_symmetric(dbarrier):
     reports = _db_reports(dbarrier, count=1201)
+    backwards = _reversed(reports)
+    assert list(backwards) == list(reversed(reports))
     fwd = find_resonances(reports)
-    rev = find_resonances(list(reversed(reports)))
+    rev = find_resonances(backwards)
     assert len(fwd.dos_peaks) == len(rev.dos_peaks)
     for a, b in zip(fwd.dos_peaks, rev.dos_peaks):
         assert abs(a.energy - b.energy) < 1e-12
@@ -937,8 +947,18 @@ def test_transmission_peaks_coincide_with_dos_peaks():
         assert np.min(np.abs(t_peaks - p.energy)) <= 2.0 * step
 
 
-def test_summarize_handles_empty():
-    summary = summarize_reports([DwellReport(energy=1.0, skipped=True,
-                                             skip_reason="x")])
-    assert summary["max_residual_rel"] is None
-    assert summary["skipped"] == 1
+@pytest.mark.parametrize("methods", [("direct",), ("green",), ("direct", "vderiv")],
+                         ids=["direct", "green", "direct-vderiv"])
+def test_find_resonances_needs_both_routes(dbarrier, methods):
+    # a DOS peak needs the green route and a dwell peak the direct one
+    table = verify_identity(dbarrier, EnergyGrid(0.3, 8.0, 20), methods)
+    with pytest.raises(InsufficientDataError, match="green and direct"):
+        find_resonances(table)
+
+
+def test_summarize_handles_empty(free2):
+    table = verify_identity(free2, EnergyGrid(-1.0, -0.5, 3))  # below both leads
+    summary = summarize_reports(table)
+    assert summary["max_residual_rel"] is None and summary["worst"] == []
+    assert summary["skipped"] == 3
+    assert summary["skip_reasons"] == {"NoOpenChannelError": 3}

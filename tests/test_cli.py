@@ -11,10 +11,9 @@ import pytest
 import dwelldos
 from dwelldos import analysis as an
 from dwelldos import cli
-from dwelldos.analysis import DwellReport, verify_identity
 from dwelldos.cli import load_config, main
 from dwelldos.errors import ConfigError
-from dwelldos.model import EnergyGrid, LatticeRegion, palindromic_stack
+from dwelldos.model import LatticeRegion
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -60,14 +59,14 @@ def with_identity_tol(cfg: str, tol: float) -> str:
     return write_config(Path(cfg), doc)
 
 
-def dbarrier_config(tmp_path: Path, count=1201) -> str:
+def dbarrier_config(tmp_path: Path, count=1201, methods=("direct", "green")) -> str:
     doc = {
         "backend": "stack",
         "system": {
             "layers": [{"d": 0.5, "V": 12.0}, {"d": 2.0, "V": 0.0}, {"d": 0.5, "V": 12.0}]
         },
         "grid": {"e_min": 0.3, "e_max": 8.0, "count": count},
-        "methods": ["direct", "green"],
+        "methods": list(methods),
         "workers": 1,
     }
     return write_config(tmp_path / "db.json", doc)
@@ -187,6 +186,15 @@ def test_config_errors_name_fields(tmp_path):
     # finite grid bounds whose span e_max - e_min overflows
     ("grid", {"backend": "stack", "system": {"layers": [[1.0, 1.0]]},
               "grid": {"e_min": -1e308, "e_max": 1e308, "count": 3}}),
+    # a seed the 64-bit generator would fold onto another, a range that is no pair
+    ("system.random", {"backend": "stack", "system": {"random": {"seed": 2**64 + 1}}}),
+    ("system.random", {"backend": "stack", "system": {"random": {"seed": -1}}}),
+    ("system.random",
+     {"backend": "stack", "system": {"random": {"seed": 1, "v_range": [0.0, 1.0, 2.0]}}}),
+    ("system.random", {"backend": "stack", "system": {"random": {"seed": 1, "d_range": 1.0}}}),
+    ("system.disorder", {"system": {"width": 3, "length": 10, "disorder": {"seed": 2**70}}}),
+    ("system.disorder",
+     {"system": {"width": 3, "length": 10, "disorder": {"seed": 7, "v_range": [[-0.5, 0.5]]}}}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)
@@ -395,15 +403,16 @@ def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
 
 def test_verify_fails_on_nan_residual(tmp_path, monkeypatch, capsys):
     # Python's max would drop the NaN and report 1e-12
-    reports = [DwellReport(energy=1.0, residual_rel=1e-12),
-               DwellReport(energy=2.0, residual_rel=float("nan"))]
-    monkeypatch.setattr(cli, "compute_reports", lambda config: reports)
-    assert main(["verify", "--config", with_identity_tol(free_scan_config(tmp_path), 1e-8)]) == 1
+    cfg = with_identity_tol(free_scan_config(tmp_path, count=2), 1e-8)
+    table = cli.compute_reports(load_config(cfg))
+    table.residual_rel[:] = [1e-12, float("nan")]  # at E = 0.5 and 2.0
+    monkeypatch.setattr(cli, "compute_reports", lambda config: table)
+    assert main(["verify", "--config", cfg]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is False
     assert math.isnan(summary["max_residual_rel"])
     assert summary["worst"][0][0] == 2.0
-    assert summary["worst"][1] == [1.0, 1e-12]
+    assert summary["worst"][1] == [0.5, 1e-12]
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -414,23 +423,6 @@ def test_shipped_configs_verify_without_skips(config, capsys):
     assert main(["verify", "--config", str(config)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is True and summary["skipped"] == 0
-
-
-@pytest.mark.parametrize("name", [c.stem for c in CONFIGS] + ["palindromic-with-skip"])
-def test_consumers_read_a_table_as_its_rows(name):
-    # the columns of a ReportTable and one conversion of its rows give the
-    # same summary, resonance table and scan.csv rows
-    if name == "palindromic-with-skip":
-        system = palindromic_stack(3, n_half=2)
-        table = verify_identity(system, EnergyGrid(0.0, 4.0, 41), ("direct", "green", "vderiv"))
-        assert system.is_palindromic() and table[0].skipped  # E = 0 is both leads' threshold
-    else:
-        config = load_config(REPO / "configs" / f"{name}.json")
-        system, table = config.system, cli.compute_reports(config)
-    rows = list(table)
-    assert an.summarize_reports(table, system) == an.summarize_reports(rows, system)
-    assert an.find_resonances(table) == an.find_resonances(rows)
-    assert cli._scan_rows(table) == cli._scan_rows(rows)
 
 
 def test_scan_and_verify_build_no_report_rows(tmp_path, monkeypatch):
@@ -548,6 +540,19 @@ def test_resonances_free_stack_empty_table(tmp_path):
     assert lines == ["E_peak,kind,channel,height,width,match_distance"]
 
 
+@pytest.mark.parametrize("methods", [["vderiv"], ["green"], ["direct", "vderiv"]],
+                         ids=["vderiv", "green", "direct-vderiv"])
+def test_resonances_requires_both_routes(tmp_path, capsys, monkeypatch, methods):
+    # without a dwell curve every DOS peak would be unmatched, and without a
+    # DOS curve peaks.csv would be empty; both are refused before any solve
+    monkeypatch.setattr(cli, "compute_reports", lambda config: pytest.fail("solved"))
+    cfg, out = dbarrier_config(tmp_path, count=20, methods=methods), tmp_path / "peaks"
+    assert main(["resonances", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: resonances requires both 'direct' and 'green' in methods\n")
+    assert not out.exists()
+
+
 def test_resonances_too_coarse_grid(tmp_path, capsys):
     cfg = dbarrier_config(tmp_path, count=3)
     out = tmp_path / "peaks"
@@ -645,9 +650,50 @@ def test_entry_exit_codes(tmp_path):
 
 
 def test_main_leaves_the_collector_unfrozen(tmp_path):
-    frozen = gc.get_freeze_count()
+    frozen, environ = gc.get_freeze_count(), dict(os.environ)
     assert main(["scan", "--config", free_scan_config(tmp_path), "--out", str(tmp_path)]) == 0
     assert gc.get_freeze_count() == frozen
+    assert dict(os.environ) == environ
+
+
+# run in a fresh interpreter by one entry path: print the BLAS idle spin that
+# numpy's OpenBLAS reads as numpy loads, then run the entry (a missing config)
+_BLAS_PROBE = """
+import os, re, runpy, sys
+def hook(event, args):
+    if event == "import" and args[0] == "numpy":
+        print("numpy sees", os.environ.get("OPENBLAS_THREAD_TIMEOUT"), flush=True)
+sys.addaudithook(hook)
+path, pyproject = sys.argv[1:]
+sys.argv = ["dwelldos", "verify", "--config", "missing.json"]
+if path == "module":  # python -m dwelldos.cli
+    runpy.run_module("dwelldos.cli", run_name="__main__", alter_sys=True)
+elif path == "script":  # the dwelldos console script that pyproject.toml names
+    text = open(pyproject, encoding="utf-8").read()
+    module, name = re.search(r'^dwelldos = "(.+):(.+)"$', text, re.M).groups()
+    getattr(__import__(module, fromlist=[name]), name)()
+else:  # importing the CLI module sets nothing
+    before = dict(os.environ)
+    import dwelldos.cli
+    assert dict(os.environ) == before
+"""
+
+
+@pytest.mark.parametrize("path", ["module", "script", "import"])
+@pytest.mark.parametrize("user, expected", [
+    ({}, "20"), ({"OPENBLAS_THREAD_TIMEOUT": "5"}, "5"), ({"GOTO_THREAD_TIMEOUT": "5"}, "None"),
+], ids=["default", "user-value", "user-goto-value"])
+def test_entries_let_idle_blas_workers_sleep(path, user, expected):
+    # both process entries default the spin before numpy loads and keep a
+    # value the user set; an import leaves the environment alone
+    env = {**src_env(), **user}
+    for name in {"OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT"} - user.keys():
+        env.pop(name, None)
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, path, str(REPO / "pyproject.toml")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    seen = expected if path != "import" else user.get("OPENBLAS_THREAD_TIMEOUT", "None")
+    assert proc.stdout.splitlines() == [f"numpy sees {seen}"], proc.stderr
+    assert proc.returncode == (0 if path == "import" else 2), proc.stderr
 
 
 def test_outputs_replace_what_their_paths_hold(tmp_path):

@@ -87,6 +87,8 @@ def test_xorshift_stream_is_stable():
     rng2 = Xorshift64Star(1)
     assert first == [rng2.next_u64() for _ in range(3)]
     assert all(0.0 <= Xorshift64Star(9).next_float() < 1.0 for _ in range(50))
+    # both ends of the seed range are taken, and give different streams
+    assert Xorshift64Star(0).next_u64() != Xorshift64Star(2**64 - 1).next_u64()
 
 
 def test_palindromic_stack_detection():
@@ -201,6 +203,17 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
     pytest.param(lambda: build_stack([(1.0, np.nan)]), "non-finite layer", id="layer-V-nan"),
     pytest.param(lambda: build_stack([(np.inf, 1.0)]), "non-finite layer", id="layer-d-inf"),
     pytest.param(lambda: random_stack(1, n_layers=0), "n_layers", id="n_layers-0"),
+    # the generator keeps 64 bits: seed 2**64 + 1 would build random_stack(1)
+    pytest.param(lambda: random_stack(2**64 + 1), "seed", id="seed-2**64+1"),
+    pytest.param(lambda: random_stack(-1), "seed", id="seed-negative"),
+    pytest.param(lambda: random_stack(1.0), "seed", id="seed-float"),
+    pytest.param(lambda: random_stack(True), "seed", id="seed-bool"),
+    pytest.param(lambda: random_lattice(2**70, 2, 3), "seed", id="lattice-seed-2**70"),
+    pytest.param(lambda: random_stack(1, v_range=(0.0, 1.0, 2.0)), "v_range", id="v_range-3"),
+    pytest.param(lambda: random_stack(1, d_range=(0.5, np.inf)), "d_range", id="d_range-inf"),
+    pytest.param(lambda: random_stack(1, d_range=1.0), "d_range", id="d_range-number"),
+    pytest.param(lambda: random_lattice(1, 2, 3, (np.nan, 0.5)), "v_range",
+                 id="lattice-v_range-nan"),
     pytest.param(lambda: LatticeRegion(-1, 0, 0, 0), "nonnegative", id="region-col"),
     pytest.param(lambda: LatticeRegion(0, 0, -1, 0), "nonnegative", id="region-row"),
     pytest.param(lambda: LatticeRegion(0, 1.5, 0, 1), "integers", id="region-fraction"),
