@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +114,8 @@ def _channel_sum(values: Array, given: Array) -> Array:
 
 class ReportTable(Sequence):
     """The reports of a grid as columns, and a read-only Sequence of
-    DwellReport whose rows are built only when indexed, sliced or iterated.
+    DwellReport whose rows are built from the columns each time they are
+    indexed, sliced or iterated.
 
     `energies` (N,); the channel `labels` with the `open` mask (m, N) of
     the channels each row lists, none at a skipped row; `skipped` (N,) and
@@ -149,23 +149,22 @@ class ReportTable(Sequence):
         values, given = self.column(name)
         return _channel_sum(values, given), np.count_nonzero(given, axis=0)
 
-    @cached_property
-    def _cells(self) -> dict:
-        """Every column as nested Python lists, None where it holds no value."""
-        cells = {"energy": self.energies.tolist(), "open": self.open.T.tolist(),
-                 "skipped": self.skipped.tolist()}
-        for name in _CHANNEL_COLUMNS + _ENERGY_COLUMNS:
-            values, has = self.column(name)
-            cells[name] = np.where(has, values, None).tolist()
-        return cells
+    def _cell(self, name: str, i: int):
+        """Column `name` at row i as Python values, None where it holds none."""
+        values = getattr(self, name)
+        where = self.open[:, i] if name in _CHANNEL_COLUMNS else ~self.skipped[i]
+        return np.where(where, None if values is None else values[..., i], None).tolist()
 
     def _row(self, i: int) -> DwellReport:
-        c = self._cells
-        channels = tuple(ChannelRecord(label, c["tau_direct"][j][i], c["tau_vderiv"][j][i])
-                         for j, (label, listed) in enumerate(zip(self.labels, c["open"][i]))
+        """Row i, read from the columns on every call, so it never disagrees
+        with them."""
+        tau_direct, tau_vderiv = self._cell("tau_direct", i), self._cell("tau_vderiv", i)
+        channels = tuple(ChannelRecord(label, tau_direct[j], tau_vderiv[j])
+                         for j, (label, listed) in enumerate(zip(self.labels, self.open[:, i]))
                          if listed)
-        return DwellReport(c["energy"][i], channels, c["dos_green"][i], c["dos_sum"][i],
-                           c["residual_rel"][i], c["skipped"][i], self.skip_reasons[i])
+        return DwellReport(self.energies[i].item(), channels, self._cell("dos_green", i),
+                           self._cell("dos_sum", i), self._cell("residual_rel", i),
+                           bool(self.skipped[i]), self.skip_reasons[i])
 
     def __len__(self) -> int:
         return len(self.energies)

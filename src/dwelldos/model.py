@@ -68,6 +68,13 @@ class Xorshift64Star:
         return lo + (hi - lo) * self.next_float()
 
 
+def _size(name: str, value, minimum: int = 1) -> int:
+    """A size or count, refused unless an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _range(name: str, pair) -> tuple[float, float]:
     """A seeded builder's (lo, hi) range, refused unless two finite numbers."""
     try:
@@ -205,8 +212,7 @@ def random_stack(
     Draws thickness then potential for each layer in order from one
     Xorshift64Star stream.
     """
-    if n_layers < 1:
-        raise ValidationError("n_layers must be >= 1")
+    n_layers = _size("n_layers", n_layers)
     rng = Xorshift64Star(seed)
     d_range, v_range = _range("d_range", d_range), _range("v_range", v_range)
     layers = []
@@ -266,8 +272,8 @@ class LatticeSystem:
     region: LatticeRegion | None = None
 
     def __post_init__(self):
-        if self.width < 1 or self.length < 1:
-            raise ValidationError("width and length must be >= 1")
+        _size("width", self.width)
+        _size("length", self.length)
         arr = np.asarray(self.onsite, dtype=float)
         if arr.shape != (self.length, self.width):
             raise ValidationError(
@@ -312,16 +318,20 @@ def transverse_modes(width: int) -> tuple[Array, Array]:
     """Orthonormal transverse profiles of a strip of this width (columns of
     chi, chi_m(j) = sqrt(2/(W+1)) sin(m pi j / (W+1))) and their energies
     eps_m = -2 cos(m pi / (W+1)), m = 1 .. W."""
-    if width < 1:
-        raise ValidationError("width must be >= 1")
+    width = _size("width", width)
     j = m = np.arange(1, width + 1)  # site rows and mode numbers
     chi = np.sqrt(2.0 / (width + 1)) * np.sin(np.outer(j, m) * np.pi / (width + 1))
     eps = -2.0 * np.cos(m * np.pi / (width + 1))
     return chi, eps
 
 
+def _blank(width: int, length: int) -> Array:
+    """Zero on-site energies (length, width), the sizes checked first."""
+    return np.zeros((_size("length", length), _size("width", width)))
+
+
 def uniform_lattice(width: int, length: int, v: float = 0.0) -> LatticeSystem:
-    return LatticeSystem(width, length, np.full((length, width), float(v)))
+    return LatticeSystem(width, length, _blank(width, length) + float(v))
 
 
 def random_lattice(
@@ -333,7 +343,7 @@ def random_lattice(
     """Seeded on-site disorder, drawn column by column, row within column."""
     rng = Xorshift64Star(seed)
     v_range = _range("v_range", v_range)
-    arr = np.empty((length, width))
+    arr = _blank(width, length)
     for c in range(length):
         for r in range(width):
             arr[c, r] = rng.uniform(*v_range)
@@ -347,7 +357,7 @@ def barrier_lattice(
     barrier_height: float,
 ) -> LatticeSystem:
     """Uniform device with raised on-site energy on selected columns."""
-    arr = np.zeros((length, width))
+    arr = _blank(width, length)
     for c in barrier_cols:
         arr[c, :] = barrier_height
     return LatticeSystem(width, length, arr)
@@ -438,8 +448,7 @@ class EnergyGrid:
             raise ValidationError("e_min, e_max and their span must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError("e_min must be < e_max")
-        if self.count < 1:
-            raise ValidationError("count must be >= 1")
+        _size("count", self.count)
 
     @property
     def points(self) -> Array:
@@ -494,8 +503,11 @@ class SpectralWeight:
 def gaussian_spectral_weight(
     e0: float, sigma: float, e_min: float, e_max: float, count: int = 801
 ) -> SpectralWeight:
-    """Gaussian |alpha(E)|^2 on a uniform grid, renormalized by trapezoid rule."""
-    e = np.linspace(e_min, e_max, count)
+    """Gaussian |alpha(E)|^2 on a uniform grid of count >= 2 points,
+    renormalized by trapezoid rule; sigma must be > 0."""
+    if not sigma > 0.0:
+        raise ValidationError(f"sigma must be > 0, got {sigma!r}")
+    e = np.linspace(e_min, e_max, _size("count", count, minimum=2))
     w = np.exp(-0.5 * ((e - e0) / sigma) ** 2)
     w /= np.trapezoid(w, e)
     return SpectralWeight(e, w)

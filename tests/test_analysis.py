@@ -301,6 +301,18 @@ def test_symmetric_check_keeps_a_nan_deviation(first):
     assert math.isnan(summary["max_residual_rel"])
 
 
+def test_report_table_rows_follow_their_columns(free2):
+    # a row read before a column is written or replaced reads the new
+    # value after it, as summarize_reports does
+    table = verify_identity(free2, EnergyGrid(0.5, 2.0, 2))
+    assert table[1].residual_rel == 0.0
+    table.residual_rel[1] = np.nan
+    assert math.isnan(table[1].residual_rel)
+    assert math.isnan(summarize_reports(table)["max_residual_rel"])
+    table.residual_rel = np.array([0.0, 0.5])
+    assert table[1].residual_rel == summarize_reports(table)["max_residual_rel"] == 0.5
+
+
 @pytest.mark.parametrize("region, palindromic", [
     (None, True), (LatticeRegion(2, 5, 0, 1), True), (LatticeRegion(0, 3, 0, 2), False),
 ], ids=["whole-device", "mirror-region", "one-sided-region"])

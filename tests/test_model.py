@@ -13,6 +13,7 @@ from dwelldos.model import (
     LatticeSystem,
     SpectralWeight,
     Xorshift64Star,
+    barrier_lattice,
     build_stack,
     channel_thresholds,
     gaussian_spectral_weight,
@@ -203,6 +204,38 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
     pytest.param(lambda: build_stack([(1.0, np.nan)]), "non-finite layer", id="layer-V-nan"),
     pytest.param(lambda: build_stack([(np.inf, 1.0)]), "non-finite layer", id="layer-d-inf"),
     pytest.param(lambda: random_stack(1, n_layers=0), "n_layers", id="n_layers-0"),
+    # sizes and counts are integers, never bools, floats or inf
+    pytest.param(lambda: random_stack(1, n_layers=2.5), "n_layers must be an integer",
+                 id="n_layers-fraction"),
+    pytest.param(lambda: palindromic_stack(1, n_half=True), "n_layers must be an integer",
+                 id="n_half-bool"),
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, True), "count must be an integer",
+                 id="grid-count-bool"),
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, 2.5), "count must be an integer",
+                 id="grid-count-fraction"),
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, np.inf), "count must be an integer",
+                 id="grid-count-inf"),
+    pytest.param(lambda: uniform_lattice(2.0, 3), "width must be an integer",
+                 id="lattice-width-float"),
+    pytest.param(lambda: random_lattice(1, 2, 3.0), "length must be an integer",
+                 id="lattice-length-float"),
+    pytest.param(lambda: barrier_lattice(2, False, [0], 1.0), "length must be an integer",
+                 id="lattice-length-bool"),
+    pytest.param(lambda: LatticeSystem(2.5, 3, np.zeros((3, 2))), "width must be an integer",
+                 id="system-width-fraction"),
+    pytest.param(lambda: LatticeSystem(2, 0, np.zeros((0, 2))), "length must be an integer",
+                 id="system-length-0"),
+    pytest.param(lambda: transverse_modes(1.5), "width must be an integer",
+                 id="modes-width-fraction"),
+    # the Gaussian weight checks its parameters before computing anything
+    pytest.param(lambda: gaussian_spectral_weight(1.0, 0.0, 0.0, 2.0), "sigma",
+                 id="gaussian-sigma-0"),
+    pytest.param(lambda: gaussian_spectral_weight(1.0, np.nan, 0.0, 2.0), "sigma",
+                 id="gaussian-sigma-nan"),
+    pytest.param(lambda: gaussian_spectral_weight(1.0, 0.1, 0.0, 2.0, count=1),
+                 "count must be an integer >= 2", id="gaussian-count-1"),
+    pytest.param(lambda: gaussian_spectral_weight(1.0, 0.1, 0.0, 2.0, count=10.0),
+                 "count must be an integer", id="gaussian-count-float"),
     # the generator keeps 64 bits: seed 2**64 + 1 would build random_stack(1)
     pytest.param(lambda: random_stack(2**64 + 1), "seed", id="seed-2**64+1"),
     pytest.param(lambda: random_stack(-1), "seed", id="seed-negative"),
