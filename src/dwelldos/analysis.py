@@ -597,19 +597,43 @@ def _refine_peak(x: Array, y: Array, i: int) -> float:
     return float(-b / (2.0 * a))
 
 
-def _find_peaks_1d(x: Array, y: Array, min_prominence: float) -> tuple[Peak, ...]:
-    from scipy import signal  # about 1 s to import; only peak searches need it
+def _base(side: Array) -> int:
+    """Offset of the base along `side`, a peak's samples walked outward: the
+    lowest sample before a higher one or the edge, the nearest on a tie."""
+    return int(np.argmin(side[:int(np.argmax(side > side[0])) or side.size]))
 
+
+def _crossing(side: Array, base: int, level: float) -> tuple[int, float]:
+    """Offset of the first sample along `side` at or below `level`, or of the
+    base, and the linear interpolation from it back towards the peak."""
+    k = int(np.argmax(np.r_[side[:base] <= level, True]))
+    return k, (level - side[k]) / (side[k - 1] - side[k]) if side[k] < level else 0.0
+
+
+def _find_peaks_1d(x: Array, y: Array, min_prominence: float) -> tuple[Peak, ...]:
+    """Peaks with prominence >= min_prominence * max(y), and their widths at
+    half prominence, by the arithmetic of scipy.signal's find_peaks and
+    peak_widths in the same order: strict local maxima, the middle of a flat
+    top that touches no edge; prominence is height less the higher base."""
     ymax = float(np.max(y)) if y.size else 0.0
     if ymax <= 0.0:
         return ()
-    idx, props = signal.find_peaks(y, prominence=min_prominence * ymax)
-    if idx.size == 0:
-        return ()
-    widths_idx = signal.peak_widths(y, idx, rel_height=0.5)[0]
-    spacing = np.gradient(x)
-    peaks = (Peak(_refine_peak(x, y, int(i)), float(y[i]), float(w * spacing[i]))
-             for i, w in zip(idx, widths_idx))
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])  # runs of equal samples
+    ends = np.r_[starts[1:], y.size] - 1
+    runs = y[starts]
+    top = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    peaks = []
+    for i in (starts[top] + ends[top]) // 2:
+        left, right = y[i::-1], y[i:]
+        lb, rb = _base(left), _base(right)
+        prominence = y[i] - max(left[lb], right[rb])
+        if prominence < min_prominence * ymax:
+            continue
+        level = y[i] - prominence * 0.5
+        (kl, fl), (kr, fr) = _crossing(left, lb, level), _crossing(right, rb, level)
+        width = ((i + kr) - fr) - ((i - kl) + fl)
+        spacing = (x[i + 1] - x[i - 1]) / 2.0  # np.gradient(x)[i]; a peak is never at an edge
+        peaks.append(Peak(_refine_peak(x, y, int(i)), float(y[i]), float(width * spacing)))
     return tuple(sorted(peaks, key=lambda p: p.energy))
 
 

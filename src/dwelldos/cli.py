@@ -5,7 +5,8 @@ backend).  Each object in it is read through one table that maps its
 fields to readers; the keys are the keyword names of the model builder it
 feeds, so a field left out keeps that builder's default.  Exit codes: 0
 success, 1 verification failure, 2 usage or config error (`verify` and
-`resonances` need both direct and green in `methods`); `verify` also
+`resonances` need both direct and green in `methods`), an unreadable or
+unwritable file, or too little memory for the grid or system; `verify` also
 fails when a grid point was skipped for any reason other than threshold
 proximity or no open channel, and when no point was verified at all.
 Output is deterministic: rows are sorted by (energy, channel) and floats
@@ -419,9 +420,10 @@ def main(argv: list[str] | None = None) -> int:
             command = cmd_scan if args.command == "scan" else cmd_resonances
             code, summary = 0, command(config, out_dir)
             _write(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    except (DwellDosError, OSError) as exc:
+    except (DwellDosError, OSError, MemoryError) as exc:
         kind = ("config error" if isinstance(exc, ConfigError) else
                 "insufficient data" if isinstance(exc, InsufficientDataError) else
+                "error: out of memory" if isinstance(exc, MemoryError) else
                 "error" if isinstance(exc, DwellDosError) else "io error")
         print(f"{kind}: {exc}", file=sys.stderr)
         return 2

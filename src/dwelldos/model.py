@@ -448,7 +448,9 @@ class EnergyGrid:
             raise ValidationError("e_min, e_max and their span must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError("e_min must be < e_max")
-        _size("count", self.count)
+        limit = np.iinfo(np.intp).max // 8  # the most float64 points numpy can index
+        if _size("count", self.count) > limit:
+            raise ValidationError(f"count must be <= {limit}, got {self.count}")
 
     @property
     def points(self) -> Array:

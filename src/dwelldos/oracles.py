@@ -4,7 +4,9 @@ Everything here is deliberately simple and separately coded from the
 closed-form solvers it checks: composite Simpson quadrature, a hard-wall
 finite-difference box with Lorentzian level broadening, a
 finite-difference resolvent with an absorbing layer in the padding, and
-the dense inverse of the open lattice operator.
+the dense inverse of the open lattice operator.  The box and the resolvent
+read their diagonals from one tridiagonal elimination, and the module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalFailureError, ValidationError
 from .lattice import build_hamiltonian, lead_self_energy
@@ -92,27 +93,31 @@ def _box_grid(stack: LayerStack, box: BoxSpec) -> tuple[Array, Array, Array]:
     return x, pot, overlap
 
 
+def _resolvent_diagonal(diag: Array, h: float) -> Array:
+    """Diagonal of the inverse of the tridiagonal matrix with diagonal `diag`
+    (site first) and off-diagonal 1/h^2, from its pivots eliminated from
+    either end (continued fractions), O(n): 1 / G(j, j) = sum of pivots - diag."""
+    left, right = diag.copy(), diag.copy()
+    for i in range(1, diag.shape[0]):  # h^-4: the squared off-diagonal
+        left[i] -= h**-4 / left[i - 1]
+        right[-1 - i] -= h**-4 / right[-i]
+    return 1.0 / (left + right - diag)
+
+
 def box_dos(stack: LayerStack, box: BoxSpec, grid: EnergyGrid) -> Array:
     """Broadened closed-box DOS of Omega on the energy grid.
 
     rho_Omega(E) ~= sum_k w_k * Lorentzian_eta(E - E_k) over the box
     levels E_k and their Omega weights w_k, which is -(1/pi) Im sum_x
-    overlap(x) G(x, x; E + i eta) for the box resolvent G.  Its diagonal
-    comes from the pivots of the tridiagonal E + i eta - H eliminated from
-    either end (continued fractions), O(n) per energy; Im > 0 keeps them
-    off zero.
+    overlap(x) G(x, x; E + i eta) for the box resolvent G
+    (`_resolvent_diagonal`); Im > 0 keeps its pivots off zero.
     """
     _validate_box(stack, box, grid.e_min, grid.e_max)
     x, pot, overlap = _box_grid(stack, box)
     h = x[1] - x[0]
     diag = (grid.points + 1j * box.eta) - (2.0 / h**2 + pot)[:, None]  # (site, energy)
-    left, right = diag.copy(), diag.copy()
-    for i in range(1, x.size):  # h^-4: the squared off-diagonal
-        left[i] -= h**-4 / left[i - 1]
-        right[-1 - i] -= h**-4 / right[-i]
     inside = overlap > 0.0
-    g = 1.0 / (left[inside] + right[inside] - diag[inside])  # 1 / G(x, x) = sum of pivots - diag
-    return -(overlap[inside] @ g).imag / np.pi
+    return -(overlap[inside] @ _resolvent_diagonal(diag, h)[inside]).imag / np.pi
 
 
 _CAP_FRACTION = 0.9
@@ -127,7 +132,9 @@ def fd_green(stack: LayerStack, box: BoxSpec, energy: float, x: float) -> comple
     potential ~ ramp**_CAP_POWER that damps a round trip by
     e^-_ABSORPTION_EXPONENT, so outgoing waves are damped imperfectly:
     the result is an O(reflection) approximation of the exact resolvent,
-    good to ~1e-4 relative, with the O(h^2) stencil error on top.
+    good to ~1e-4 relative, with the O(h^2) stencil error on top.  The
+    diagonal comes from the same elimination as box_dos's
+    (`_resolvent_diagonal`); NumericalFailureError if it is not finite.
     """
     _validate_box(stack, box, energy, energy)
     xs, pot, _ = _box_grid(stack, box)
@@ -150,19 +157,12 @@ def fd_green(stack: LayerStack, box: BoxSpec, energy: float, x: float) -> comple
         cap[sel] += w0 * ramp[sel] ** _CAP_POWER
 
     diag = (energy + 1j * box.eta) - (2.0 / h**2 + pot) + 1j * cap
-    band = np.zeros((3, xs.size), dtype=complex)
-    band[0, 1:] = 1.0 / h**2
-    band[1, :] = diag
-    band[2, :-1] = 1.0 / h**2
-    j = int(np.argmin(np.abs(xs - x)))
-    rhs = np.zeros(xs.size, dtype=complex)
-    rhs[j] = 1.0
-    try:
-        sol = sla.solve_banded((1, 1), band, rhs)
-    except sla.LinAlgError as exc:
-        raise NumericalFailureError(f"resolvent solve failed at E = {energy}") from exc
-    # discrete delta is 1/h, so the continuum kernel is the solution / h
-    return complex(sol[j] / h)
+    with np.errstate(all="ignore"):  # a NaN energy fails below, not as a warning
+        g = _resolvent_diagonal(diag, h)[np.argmin(np.abs(xs - x))]
+    if not np.isfinite(g):
+        raise NumericalFailureError(f"resolvent solve failed at E = {energy}")
+    # discrete delta is 1/h, so the continuum kernel is the diagonal / h
+    return complex(g / h)
 
 
 def dense_green_lattice(system: LatticeSystem, energy: float) -> Array:
@@ -178,6 +178,6 @@ def dense_green_lattice(system: LatticeSystem, energy: float) -> Array:
     a[:w, :w] -= sigma
     a[n - w:, n - w:] -= sigma
     try:
-        return sla.inv(a)
-    except sla.LinAlgError as exc:  # pragma: no cover - singular at poles
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - singular at poles
         raise NumericalFailureError(f"singular lattice operator at E = {energy}") from exc

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from dwelldos import analysis, errors, lattice, solver1d
 from dwelldos.analysis import (
+    Peak,
     ReportTable,
     compute_report,
     dwell_time_vderiv,
@@ -28,6 +31,7 @@ from dwelldos.errors import (
     StepTooLargeError,
     ValidationError,
 )
+from dwelldos.cli import compute_reports, load_config
 from dwelldos.lattice import dwell_time_lattice, open_channels, scattering_state
 from dwelldos.model import (
     THRESHOLD_MARGIN,
@@ -957,6 +961,70 @@ def test_transmission_peaks_coincide_with_dos_peaks():
     step = table.grid_resolution
     for p in table.dos_peaks:
         assert np.min(np.abs(t_peaks - p.energy)) <= 2.0 * step
+
+
+def _scipy_peaks(x, y, min_prominence):
+    """The peaks _find_peaks_1d must return, found by scipy.signal's
+    find_peaks and peak_widths at half prominence."""
+    from scipy import signal
+
+    if y.max() <= 0.0:
+        return ()
+    idx, _ = signal.find_peaks(y, prominence=min_prominence * float(y.max()))
+    if idx.size == 0:
+        return ()
+    with warnings.catch_warnings():  # where half the prominence rounds away
+        warnings.filterwarnings("ignore", "some peaks have a width of 0")
+        widths = signal.peak_widths(y, idx, rel_height=0.5)[0]
+    spacing = np.gradient(x)
+    peaks = (Peak(analysis._refine_peak(x, y, int(i)), float(y[i]), float(w * spacing[i]))
+             for i, w in zip(idx, widths))
+    return tuple(sorted(peaks, key=lambda p: p.energy))
+
+
+@st.composite
+def _curves(draw):
+    """A strictly increasing grid and a finite curve on it, 1-60 points."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["integers", "floats", "smooth"]))
+    if kind == "integers":  # plateaus, ties, equal neighbours and maxima at either edge
+        y = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    elif kind == "floats":
+        y = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    else:
+        freq, phase = draw(st.floats(0.05, 3.0)), draw(st.floats(0.0, 6.3))
+        y = np.sin(freq * np.arange(n) + phase) + draw(st.floats(-1.0, 2.0))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    return np.cumsum(steps), np.asarray(y, dtype=float)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(curve=_curves(), min_prominence=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_find_peaks_matches_scipy(curve, min_prominence):
+    # same peak indices and bit-identical widths: a Peak compares its
+    # refined energy, height and width with ==
+    x, y = curve
+    assert analysis._find_peaks_1d(x, y, min_prominence) == _scipy_peaks(x, y, min_prominence)
+
+
+def test_find_peaks_matches_scipy_on_shipped_curves():
+    # the DOS curve, the channel sum and each channel's dwell time of the
+    # shipped stack scan, over its live points as find_resonances reads them
+    table = compute_reports(load_config(Path(__file__).resolve().parents[1]
+                                        / "configs" / "stack_scan.json"))
+    live = np.argsort(table.energies, kind="stable")
+    live = live[~table.skipped[live]]
+    total, count = table.channel_sum("tau_direct")
+    curves = [table.column("dos_green"), (total, count > 0), *zip(*table.column("tau_direct"))]
+    found = 0
+    for values, given in curves:
+        rows = live[given[live]]
+        x, y = table.energies[rows], values[rows]
+        for min_prominence in (0.0, 0.05, 0.3, 1.0):
+            peaks = analysis._find_peaks_1d(x, y, min_prominence)
+            assert peaks == _scipy_peaks(x, y, min_prominence)
+            found += len(peaks)
+    assert found > 0
 
 
 @pytest.mark.parametrize("methods", [("direct",), ("green",), ("direct", "vderiv")],

@@ -195,6 +195,9 @@ def test_config_errors_name_fields(tmp_path):
     ("system.disorder", {"system": {"width": 3, "length": 10, "disorder": {"seed": 2**70}}}),
     ("system.disorder",
      {"system": {"width": 3, "length": 10, "disorder": {"seed": 7, "v_range": [[-0.5, 0.5]]}}}),
+    # a count whose float64 points numpy cannot index, refused before any allocation
+    ("grid", {"backend": "stack", "system": {"layers": [[1.0, 1.0]]},
+              "grid": {"e_min": 0.5, "e_max": 1.5, "count": 2**63 - 1}}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)
@@ -415,6 +418,22 @@ def test_verify_fails_on_nan_residual(tmp_path, monkeypatch, capsys):
     assert summary["worst"][1] == [0.5, 1e-12]
 
 
+@pytest.mark.parametrize("command", ["scan", "verify", "resonances"])
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, command):
+    # exit 1 means the identity failed; running out of memory is not that,
+    # and it is reported without a traceback (no real allocation is made)
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(an, "verify_identity", too_big)
+    out = ["--out", str(tmp_path / "out")] if command != "verify" else []
+    assert main([command, "--config", dbarrier_config(tmp_path), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: Unable to allocate 7.28 TiB for an array "
+                            "with shape (1000000000000,)\n")
+
+
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
@@ -562,18 +581,22 @@ def test_resonances_too_coarse_grid(tmp_path, capsys):
 
 # ------------------------------------------------------------- import cost
 
-def test_scan_and_verify_never_import_scipy(tmp_path):
-    # importing scipy.signal costs more than the rest of a short run's
-    # setup; only `resonances` needs it, so scan and verify on every shipped
-    # config must leave scipy unloaded (checked in a fresh interpreter).
-    # numpy.ma (5-8 ms, loaded by the first np.unique) must stay unloaded
-    # too; numpy.matrixlib comes with numpy itself, so names match exactly.
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing scipy.signal alone
+    # costs several times a short run, so scan, verify and resonances on
+    # every shipped config, and the oracles module, must leave scipy
+    # unloaded (checked in a fresh interpreter).  numpy.ma (5-8 ms, loaded
+    # by the first np.unique) must stay unloaded too; numpy.matrixlib comes
+    # with numpy itself, so names match exactly.
     code = (
         "import sys\n"
         "from dwelldos.cli import main\n"
+        "import dwelldos.oracles\n"
         "for name in sys.argv[3:]:\n"
         "    cfg = f'{sys.argv[1]}/configs/{name}.json'\n"
-        "    assert main(['scan', '--config', cfg, '--out', f'{sys.argv[2]}/{name}']) == 0\n"
+        "    for command in ('scan', 'resonances'):\n"
+        "        out = f'{sys.argv[2]}/{name}-{command}'\n"
+        "        assert main([command, '--config', cfg, '--out', out]) == 0\n"
         "    assert main(['verify', '--config', cfg]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"

@@ -169,6 +169,8 @@ def test_energy_grid():
         EnergyGrid(1.0, 0.0, 5)
     with pytest.raises(ValidationError):
         EnergyGrid(0.0, 1.0, 0)
+    # the largest count numpy can index builds: the points are made only when read
+    assert EnergyGrid(0.0, 1.0, np.iinfo(np.intp).max // 8).count == np.iinfo(np.intp).max // 8
 
 
 @pytest.mark.parametrize("v_left, v_right", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
@@ -215,6 +217,15 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
                  id="grid-count-fraction"),
     pytest.param(lambda: EnergyGrid(0.0, 1.0, np.inf), "count must be an integer",
                  id="grid-count-inf"),
+    # a count whose float64 points numpy cannot index is refused before any allocation
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, np.iinfo(np.intp).max // 8 + 1),
+                 "count must be <=", id="grid-count-past-index-limit"),
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, 2**62), "count must be <=", id="grid-count-2**62"),
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, 2**63 - 1), "count must be <=",
+                 id="grid-count-2**63-1"),
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, np.int64(2**62)), "count must be <=",
+                 id="grid-count-int64-2**62"),
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, 2**64), "count must be <=", id="grid-count-2**64"),
     pytest.param(lambda: uniform_lattice(2.0, 3), "width must be an integer",
                  id="lattice-width-float"),
     pytest.param(lambda: random_lattice(1, 2, 3.0), "length must be an integer",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwelldos.errors import ValidationError
+from dwelldos.errors import NumericalFailureError, ValidationError
 from dwelldos.model import EnergyGrid, build_stack, free_stack, rectangular_barrier
 from dwelldos.oracles import BoxSpec, box_dos, fd_green, quadrature_integral
 from dwelldos.solver1d import dos_region_1d, greens_function_1d
@@ -103,6 +103,11 @@ def test_fd_green_second_order_in_h(free2):
         box = BoxSpec(pad_left=300.0, pad_right=300.0, grid_step=h, eta=1e-8)
         errs.append(abs(fd_green(free2, box, 1.0, 1.0) - ref))
     assert 2.5 < errs[0] / errs[1] < 6.0  # ~4x per halving
+
+
+def test_fd_green_nan_energy_is_a_numerical_failure(free2, green_box):
+    with pytest.raises(NumericalFailureError, match="E = nan"):
+        fd_green(free2, green_box, float("nan"), 1.0)
 
 
 def test_fd_green_multilayer(stack42, green_box):
