@@ -535,7 +535,7 @@ def summarize_reports(
         tau, has = table.column("tau_direct")
         index = {label: j for j, label in enumerate(table.labels)}
         devs = []
-        if "left" in index:  # only a stack has a channel named "left"
+        if isinstance(system, LayerStack):
             green, has_green = table.column("dos_green")
             left = index["left"]
             with np.errstate(invalid="ignore"):  # entries without a value may be NaN
@@ -645,7 +645,9 @@ def find_resonances(
     nearest dwell peak over all channels (plus the channel sum, "ALL").
 
     Reads the table's columns, its points not skipped in energy order; the
-    green and direct routes must have been run.  A pair counts as matched
+    green and direct routes must have been run.  The dwell curves are
+    "ALL", then the channels in the table's order, and on a tie for the
+    nearest dwell peak the earlier one wins.  A pair counts as matched
     when the refined peak energies agree within one grid step; otherwise
     the DOS peak is flagged unmatched.
     """
@@ -668,32 +670,16 @@ def find_resonances(
     dos_peaks = peaks_of(*table.column("dos_green"))
     total, count = table.channel_sum("tau_direct")
     tau, has = table.column("tau_direct")
-    curves = {"ALL": (total, count > 0), **{label: (tau[j], has[j])
-                                           for j, label in enumerate(table.labels)}}
-
-    def order(item):  # "ALL", then by lead, then by mode: "left:2" before "left:10"
-        lead, _, mode = item[0].partition(":")
-        return item[0] != "ALL", lead, int(mode or 0)
-
-    dwell_peaks = {}
-    for name, curve in sorted(curves.items(), key=order):
-        found = peaks_of(*curve)
-        if found:
-            dwell_peaks[name] = found
+    curves = zip(("ALL", *table.labels), ((total, count > 0), *zip(tau, has)))
+    dwell_peaks = {name: found for name, curve in curves if (found := peaks_of(*curve))}
+    candidates = [(name, peak) for name, peaks in dwell_peaks.items() for peak in peaks]
 
     matches = []
     for dp in dos_peaks:
-        best: tuple[float, str, Peak] | None = None
-        for name, peaks in dwell_peaks.items():
-            for peak in peaks:
-                dist = abs(peak.energy - dp.energy)
-                if best is None or dist < best[0]:
-                    best = (dist, name, peak)
-        if best is None:
-            matches.append(PeakMatch(dp, None, None, None, False))
-        else:
-            dist, name, peak = best
-            matches.append(PeakMatch(dp, name, peak, dist, dist <= resolution))
+        dist, name, peak = min(((abs(peak.energy - dp.energy), name, peak)
+                                for name, peak in candidates),
+                               key=lambda candidate: candidate[0], default=(None, None, None))
+        matches.append(PeakMatch(dp, name, peak, dist, name is not None and dist <= resolution))
     return ResonanceTable(
         dos_peaks=dos_peaks,
         dwell_peaks=dwell_peaks,

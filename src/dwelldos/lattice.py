@@ -189,11 +189,12 @@ class _LatticeWorkspace:
         onsite[:, self.sites] += shift[:, None]
         self._diagonal = (energies[:, None] - onsite).reshape(-1, lx, w)  # E - V per site
         # the column blocks D_c = E - H_col - onsite(c), with v_shift on Omega,
-        # minus Sigma on both interface columns (twice when L = 1)
-        g = np.empty((energies.size, lx, w, w), dtype=complex)
+        # minus Sigma on both interface columns (twice when L = 1): -H_col off
+        # the diagonal and E - V on it
         with np.errstate(all="ignore"):  # a non-finite energy is failed by `errors`
             self._sigma = _self_energies(self._chi, k)
-            g[:] = (energies[:, None, None] * np.eye(w) - _column_hamiltonian(w))[:, None]
+        g = np.empty((energies.size, lx, w, w), dtype=complex)
+        g[:] = -_column_hamiltonian(w)
         g[:, :, np.arange(w), np.arange(w)] = self._diagonal
         g[:, 0] -= self._sigma
         g[:, -1] -= self._sigma

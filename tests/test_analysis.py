@@ -907,6 +907,38 @@ def test_find_resonances_monotone_curve(free2):
     assert table.matches == ()
 
 
+def test_find_resonances_dwell_peaks_in_table_order():
+    # "ALL", then lead by lead with modes ascending: "left:2" before "left:10"
+    system = random_lattice(3, width=10, length=12, v_range=(-1.0, 1.0))
+    table = verify_identity(system, EnergyGrid(-3.9, 3.9, 200))
+    labels = [f"{lead}:{m}" for lead in ("left", "right") for m in range(1, 11)]
+    assert table.labels == tuple(labels)
+    assert list(find_resonances(table).dwell_peaks) == ["ALL", *labels]
+
+
+def test_find_resonances_tie_goes_to_the_earlier_channel():
+    # symmetric samples on an integer grid put the DOS peak at 5 and the
+    # dwell peaks of left:1 and left:2 at 6 and 4, exactly 1 away; the
+    # steep right:1 ramp keeps the channel sum free of peaks
+    energies = np.arange(11.0)
+
+    def bump(at):
+        return np.maximum(2.0 - np.abs(energies - at), 0.0)
+
+    tau = np.array([bump(6), bump(4), 10.0 * energies])
+    n = energies.size
+    table = ReportTable(energies, ("left:1", "left:2", "right:1"), np.ones((3, n), dtype=bool),
+                        np.zeros(n, dtype=bool), [None] * n, tau_direct=tau,
+                        dos_green=bump(5))
+    result = find_resonances(table)
+    assert [p.energy for p in result.dos_peaks] == [5.0]
+    assert {name: [p.energy for p in peaks] for name, peaks in result.dwell_peaks.items()} == {
+        "left:1": [6.0], "left:2": [4.0]}
+    (match,) = result.matches
+    assert (match.channel, match.dwell_peak.energy, match.distance, match.matched) == (
+        "left:1", 6.0, 1.0, True)
+
+
 def _reversed(table: ReportTable) -> ReportTable:
     """The table with its rows in reverse order, column by column."""
     columns = {name: getattr(table, name)[..., ::-1] for name in
