@@ -2,12 +2,15 @@
 
 Two backends: exact star-product scattering for 1D multilayer
 potentials (continuum, E = k^2) and quasi-1D tight-binding lattices with
-semi-infinite leads (E = eps_m - 2 cos k).  Both expose three dwell-time
-estimators (direct probability integral, S-matrix potential derivative,
-wave-packet average) and two region-DOS estimators (Green's-function
-trace and dwell-time sum), tied together by the identity
+semi-infinite leads (E = eps_m - 2 cos k).  Both expose two independent
+dwell-time estimators (direct probability integral, S-matrix potential
+derivative) and two region-DOS estimators (Green's-function trace and
+dwell-time sum), tied together by the identity
 
     rho_Omega(E) = (1 / 2 pi hbar) * sum_n tau_n(E).
+
+wavepacket_dwell_time is a spectral average of a dwell-time curve that
+the caller supplies, not an independent estimator.
 
 Every public name in __all__ is resolved on first use: `import dwelldos`
 loads no submodule, and `dwelldos.verify_identity` (or `from dwelldos

@@ -99,7 +99,6 @@ class DwellReport:
 
 
 _CHANNEL_COLUMNS = ("tau_direct", "tau_vderiv")  # (channel, energy)
-_ENERGY_COLUMNS = ("dos_green", "dos_sum", "residual_rel")  # (energy,)
 
 
 def _channel_sum(values: Array, given: Array) -> Array:
@@ -112,27 +111,39 @@ def _channel_sum(values: Array, given: Array) -> Array:
     return total
 
 
+def _skip_reason(error: Exception | None) -> str | None:
+    """A skipped row's reason, "ClassName: message"; None without an error."""
+    return None if error is None else f"{type(error).__name__}: {error}"
+
+
 class ReportTable(Sequence):
     """The reports of a grid as columns, and a read-only Sequence of
     DwellReport whose rows are built from the columns each time they are
     indexed, sliced or iterated.
 
-    `energies` (N,); the channel `labels` with the `open` mask (m, N) of
-    the channels each row lists, none at a skipped row; `skipped` (N,) and
-    `skip_reasons` (a list, None for a row without one); the per-channel
-    columns `tau_direct` and `tau_vderiv` (m, N) and the per-energy
-    columns `dos_green`, `dos_sum` and `residual_rel` (N,).  A column is
-    None when its route was not run; otherwise it holds a value, NaN
-    included, on every listed channel (per-channel) or every row not
+    `energies` (N,), ascending (decreasing ones are refused); the channel
+    `labels`, the left lead's and then the right lead's in the same mode
+    order, as both batch classes build them, with the `open` mask (m, N);
+    `errors`, per row None or the exception that skipped it, which gives
+    `skipped` (N,) (a skipped row lists no channel) and `skip_reasons`;
+    the per-channel columns `tau_direct` and `tau_vderiv` (m, N) and the
+    per-energy columns `dos_green`, `dos_sum` and `residual_rel` (N,).  A
+    column is None when its route was not run; otherwise it holds a value,
+    NaN included, on every listed channel (per-channel) or every row not
     skipped (per-energy), and nothing elsewhere.
     """
 
-    def __init__(self, energies, labels, open, skipped, skip_reasons, *, tau_direct=None,
+    def __init__(self, energies, labels, open, errors, *, tau_direct=None,
                  tau_vderiv=None, dos_green=None, dos_sum=None, residual_rel=None):
-        self.energies, self.labels, self.open = energies, tuple(labels), open
-        self.skipped, self.skip_reasons = skipped, skip_reasons
+        if np.any(np.diff(energies) < 0.0):
+            raise ValidationError("report energies must not decrease")
+        self.energies, self.labels, self.errors = energies, tuple(labels), list(errors)
+        self.skipped = np.array([error is not None for error in self.errors], dtype=bool)
+        self.open = open & ~self.skipped
         self.tau_direct, self.tau_vderiv = tau_direct, tau_vderiv
         self.dos_green, self.dos_sum, self.residual_rel = dos_green, dos_sum, residual_rel
+
+    skip_reasons = property(lambda self: list(map(_skip_reason, self.errors)))
 
     def column(self, name: str) -> tuple[Array, Array]:
         """Column `name` and where it holds a value (all False for a column
@@ -164,7 +175,7 @@ class ReportTable(Sequence):
                          if listed)
         return DwellReport(self.energies[i].item(), channels, self._cell("dos_green", i),
                            self._cell("dos_sum", i), self._cell("residual_rel", i),
-                           bool(self.skipped[i]), self.skip_reasons[i])
+                           bool(self.skipped[i]), _skip_reason(self.errors[i]))
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -455,8 +466,6 @@ def _chunk_reports(
         columns["tau_vderiv"], vd_errors = _vderiv_steps(system, energies, np.concatenate(s0),
                                                          opened, s0_errors, dv)
         errors = [vd or error for vd, error in zip(vd_errors, errors)]
-    skipped = np.array([error is not None for error in errors], dtype=bool)
-    opened &= ~skipped  # a skipped row lists no channel
     if "direct" in methods:
         columns["tau_direct"] = tau = np.concatenate(taus, axis=1)
         columns["dos_sum"] = _channel_sum(tau, opened) / (2.0 * np.pi)
@@ -467,9 +476,7 @@ def _chunk_reports(
         with np.errstate(all="ignore"):  # a skipped row's entries may be NaN
             # np.maximum keeps a NaN dos_green, as Python's max does
             columns["residual_rel"] = np.abs(green - total) / np.maximum(green, RESIDUAL_FLOOR)
-    reasons = [None if error is None else f"{type(error).__name__}: {error}" for error in errors]
-    return ReportTable(np.array(energies, dtype=float), labels, opened, skipped, reasons,
-                       **columns)
+    return ReportTable(np.array(energies, dtype=float), labels, opened, errors, **columns)
 
 
 def verify_identity(
@@ -495,12 +502,6 @@ def verify_identity(
 EXPECTED_SKIPS = ("ThresholdProximityError", "NoOpenChannelError")
 
 
-def _skip_class(reason: str | None) -> str:
-    """Exception class name of a skip reason ("ThresholdProximityError:
-    ..." gives "ThresholdProximityError")."""
-    return (reason or "").split(":", 1)[0]
-
-
 def summarize_reports(
     table: ReportTable,
     system: LayerStack | LatticeSystem | None = None,
@@ -508,45 +509,39 @@ def summarize_reports(
     """Aggregate residuals; adds the symmetric-system check when it applies.
 
     Reads the table's columns.  `skip_reasons` counts the skipped points
-    by exception class name.  `worst` ranks the residuals, NaN first so
-    that it becomes the maximum and fails verify, then largest first, ties
-    in report order.
+    by the class name of their error.  `worst` ranks the residuals, NaN
+    first so that it becomes the maximum and fails verify, then largest
+    first, ties in report order.
 
     A palindromic system (its Omega mirror-symmetric too) has equal dwell
-    times in mirror channels, "left" and "right" on a stack, "left:m" and
-    "right:m" on a lattice.  On a stack the two-channel identity then
+    times in mirror channels: the two halves of the channel axis, the left
+    lead's and the right lead's.  On a stack the two-channel identity then
     collapses to rho_Omega * pi * hbar / tau = 1, which is checked too.
     Any NaN deviation makes `symmetric_max_dev` NaN.
     """
-    live = ~table.skipped
     residual, has = table.column("residual_rel")
     rows = np.flatnonzero(has)
     ranked = rows[np.lexsort((-residual[rows], ~np.isnan(residual[rows])))][:5]
     worst = list(zip(table.energies[ranked].tolist(), residual[ranked].tolist()))
     summary = {
         "points": len(table),
-        "skipped": len(table) - int(np.count_nonzero(live)),
+        "skipped": int(np.count_nonzero(table.skipped)),
         "skip_reasons": dict(sorted(Counter(
-            _skip_class(table.skip_reasons[i]) for i in np.flatnonzero(~live)).items())),
+            type(error).__name__ for error in table.errors if error is not None).items())),
         "max_residual_rel": worst[0][1] if worst else None,
         "worst": worst,
     }
     if system is not None and system.is_palindromic():
         tau, has = table.column("tau_direct")
-        index = {label: j for j, label in enumerate(table.labels)}
         devs = []
         if isinstance(system, LayerStack):
             green, has_green = table.column("dos_green")
-            left = index["left"]
             with np.errstate(invalid="ignore"):  # entries without a value may be NaN
-                rows = has_green & has[left] & (tau[left] > 0)
-            devs.append(np.abs(green[rows] * np.pi / tau[left, rows] - 1.0))
-        for label, j in index.items():
-            mirror = index.get("right" + label[4:]) if label.startswith("left") else None
-            if mirror is not None:
-                both = has[j] & has[mirror]
-                devs.append(np.abs(tau[j, both] - tau[mirror, both]))
-        devs = np.concatenate(devs) if devs else np.empty(0)
+                rows = has_green & has[0] & (tau[0] > 0)
+            devs.append(np.abs(green[rows] * np.pi / tau[0, rows] - 1.0))
+        half = len(table.labels) // 2
+        both = has[:half] & has[half:]
+        devs = np.concatenate([*devs, np.abs(tau[:half][both] - tau[half:][both])])
         summary["palindromic"] = True
         summary["symmetric_max_dev"] = float(np.max(devs)) if devs.size else None
     else:
@@ -644,17 +639,16 @@ def find_resonances(
     """Locate DOS and dwell-time peaks and pair each DOS peak with the
     nearest dwell peak over all channels (plus the channel sum, "ALL").
 
-    Reads the table's columns, its points not skipped in energy order; the
-    green and direct routes must have been run.  The dwell curves are
-    "ALL", then the channels in the table's order, and on a tie for the
-    nearest dwell peak the earlier one wins.  A pair counts as matched
-    when the refined peak energies agree within one grid step; otherwise
-    the DOS peak is flagged unmatched.
+    Reads the table's columns, its points not skipped in table order (by
+    energy); the green and direct routes must have been run.  The dwell
+    curves are "ALL", then the channels in the table's order, and on a tie
+    for the nearest dwell peak the earlier one wins.  A pair counts as
+    matched when the refined peak energies agree within one grid step;
+    otherwise the DOS peak is flagged unmatched.
     """
     if table.dos_green is None or table.tau_direct is None:
         raise InsufficientDataError("resonance search needs the green and direct routes")
-    ordered = np.argsort(table.energies, kind="stable")
-    live = ordered[~table.skipped[ordered]]
+    live = np.flatnonzero(~table.skipped)
     if live.size < 4:
         raise InsufficientDataError(
             f"resonance search needs at least 4 non-skipped points, got {live.size}"

@@ -285,27 +285,21 @@ def _texts(values, given=None) -> list:
 
 
 def _scan_rows(table: an.ReportTable) -> list[str]:
-    """The scan.csv rows of a ReportTable, from its columns in a stable
-    order by energy: an ALL row per energy with the channel sums, then a
+    """The scan.csv rows of a ReportTable, from its columns in table order,
+    which is by energy: an ALL row per energy with the channel sums, then a
     row per listed channel in label order, each with the energy's DOS
     columns, and a cell empty where its column holds no value."""
-    by_energy = np.argsort(table.energies, kind="stable")
-    live = ~table.skipped[by_energy]
-    energy = _texts(table.energies[by_energy])
-    tau_sum, n_tau = (a[by_energy] for a in table.channel_sum("tau_direct"))
-    vd_sum, n_vd = (a[by_energy] for a in table.channel_sum("tau_vderiv"))
+    energy = _texts(table.energies)
+    (tau_sum, n_tau), (vd_sum, n_vd) = map(table.channel_sum, ("tau_direct", "tau_vderiv"))
     sums = zip(_texts(tau_sum, n_tau > 0), _texts(vd_sum, n_vd > 0))
-    dos = [_texts(values[by_energy], given[by_energy])
-           for values, given in map(table.column, ("dos_green", "dos_sum", "residual_rel"))]
+    dos = [_texts(*table.column(name)) for name in ("dos_green", "dos_sum", "residual_rel")]
     shared = [f"{g},{s},{r},false" for g, s, r in zip(*dos)]
     m = len(table.labels)
-    rows = [None] * (len(by_energy) * (m + 1))
-    rows[::m + 1] = [f"{e},ALL,{t},{v},{s}" if ok else f"{e},ALL,,,,,,true"
-                     for e, (t, v), s, ok in zip(energy, sums, shared, live.tolist())]
-    (tau, has_tau), (vd, has_vd) = map(table.column, ("tau_direct", "tau_vderiv"))
-    channels = zip(table.labels, _texts(tau[:, by_energy], has_tau[:, by_energy]),
-                   _texts(vd[:, by_energy], has_vd[:, by_energy]),
-                   table.open[:, by_energy].tolist())
+    rows = [None] * (len(table) * (m + 1))
+    rows[::m + 1] = [f"{e},ALL,,,,,,true" if skip else f"{e},ALL,{t},{v},{s}"
+                     for e, (t, v), s, skip in zip(energy, sums, shared, table.skipped.tolist())]
+    channels = zip(table.labels, _texts(*table.column("tau_direct")),
+                   _texts(*table.column("tau_vderiv")), table.open.tolist())
     for j, (label, taus, vds, oks) in enumerate(channels):
         rows[j + 1::m + 1] = [f"{e},{label},{t},{v},{s}" if ok else None
                               for e, t, v, s, ok in zip(energy, taus, vds, shared, oks)]

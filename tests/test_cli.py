@@ -679,6 +679,20 @@ def test_main_leaves_the_collector_unfrozen(tmp_path):
     assert dict(os.environ) == environ
 
 
+def _refuse_none(name):
+    raise TypeError("expected str, bytes or os.PathLike object, not NoneType")
+
+
+@pytest.mark.parametrize("cdll", [_refuse_none, lambda name: object()],
+                         ids=["no-c-library", "no-mallopt"])
+def test_keep_freed_memory_returns_quietly_without_mallopt(monkeypatch, capfd, cdll):
+    # Windows' CDLL refuses None; macOS' C library has no mallopt
+    calls = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: calls.append(name) or cdll(name))
+    assert cli._keep_freed_memory() is None
+    assert calls == [None] and capfd.readouterr() == ("", "")
+
+
 # run in a fresh interpreter by one entry path: print the BLAS idle spin that
 # numpy's OpenBLAS reads as numpy loads, then run the entry (a missing config)
 _BLAS_PROBE = """
