@@ -10,12 +10,14 @@ Q = i hbar S^dag dS/dV at V = 0:
 with the amplitude-derivative part purely imaginary (unitarity) and kept
 only as a consistency residual.  Derivatives are central differences with
 per-element phase differences taken on the principal branch.
-Every route reads the batches of one chunk loop, _batches, each freed
-before the next is solved, and single-energy calls are a grid of one;
-_batches imports the backend of the system it is given, so a run loads
-one backend only.  Both backends start their per-route errors from one
-skip rule, model.energy_errors, and a grid point a batch refuses is a
-skip with its error.
+Every solve goes through one chunk loop, _solve, over the batches of
+_batches, each freed before the next is solved: a grid's routes and
+S(0), each V-derivative round and shifted_smatrix.  Single-energy calls
+read the one-row ReportTable of a grid of one.  _batches imports the
+backend of the system it is given, so a run loads one backend only.
+Both backends start their per-route errors from one skip rule,
+model.energy_errors, and a grid point a batch refuses is a skip with
+its error.
 
 A grid's reports are one ReportTable: columns filled straight from each
 chunk's batch arrays, and DwellReport rows built only when indexed,
@@ -71,6 +73,7 @@ _IMAG_RESIDUAL_TOL = 1e-6
 _WEIGHT_EPS = 1e-12  # |s|^2 below this cannot contribute above noise
 _MAX_HALVINGS = 12  # V-derivative step halvings before a point is skipped
 METHODS = ("direct", "green", "vderiv")  # the routes a report can run
+_COLUMNS = {"direct": "tau_direct", "green": "dos_green", "vderiv": "tau_vderiv"}
 
 
 # ----------------------------------------------------------------------------
@@ -226,19 +229,26 @@ def _batches(system: LayerStack | LatticeSystem, energies: list[float], v_shifts
         yield batch(system, chunk, shifts)
 
 
-def _smatrices(system, energies, v_shifts) -> tuple:
-    """S matrices at energies[i] with v_shifts[i], one chunk of _batches
-    at a time; only the matrices outlive a chunk.  Returns the channel
-    labels, the S stack (N, m, m), the open mask (m, N) and per energy
-    None or the error that leaves it without an S matrix."""
-    stacks, opened, errors = [], [], []
+_ROUTE_ARRAYS = {"direct": "dwell_times", "green": "region_dos", "vderiv": "smatrices"}
+
+
+def _solve(system, energies, v_shifts, routes) -> tuple:
+    """Each route of `routes` at energies[i] with v_shifts[i], one chunk of
+    _batches at a time, each freed before the next is solved.  Returns the
+    channel labels, the open mask (m, N) and, per route, its batch array
+    joined over the chunks (`dwell_times` (m, N), `region_dos` (N,) or
+    `smatrices` (N, m, m)) with batch.errors(route), per energy."""
+    opened, arrays, errors = [], [[] for _ in routes], [[] for _ in routes]
     for batch in _batches(system, energies, v_shifts):
         labels = batch.labels
-        stacks.append(batch.smatrices)
         opened.append(batch.open)
-        errors += batch.errors("vderiv")
+        for route, array, error in zip(routes, arrays, errors):
+            array.append(getattr(batch, _ROUTE_ARRAYS[route]))
+            error += batch.errors(route)
         del batch  # free this chunk's states before the next is solved
-    return labels, np.concatenate(stacks), np.concatenate(opened, axis=1), errors
+    return (labels, np.concatenate(opened, axis=1),
+            *((np.concatenate(array, axis=int(route == "direct")), error)
+              for route, array, error in zip(routes, arrays, errors)))
 
 
 def shifted_smatrix(
@@ -253,7 +263,7 @@ def shifted_smatrix(
     leads or asymptotic regions, so the labels are those of the
     unshifted problem.
     """
-    labels, s, opened, (error,) = _smatrices(system, [energy], [v_shift])
+    labels, opened, (s, (error,)) = _solve(system, [energy], [v_shift], ("vderiv",))
     if error is not None:
         raise error
     o = np.flatnonzero(opened[:, 0])
@@ -297,17 +307,17 @@ def _vderiv_from_matrices(s0, s_plus, s_minus, opened, dv) -> tuple:
     return taus, errors
 
 
-def _vderiv_steps(system, energies, s0, opened, errors, dv) -> tuple[Array, list]:
+def _vderiv_steps(system, energies, opened, s0, errors, dv) -> tuple[Array, list]:
     """The V-derivative step loop for several energies at once.
 
-    s0 is the stack of their unshifted S matrices (N, m, m), opened
-    their open channels (m, N), and errors per energy None or the error
-    that left it without S(0), which ends it.  The step is dv, finite and
-    > 0, or default_dv(E) when dv is None.  Each round solves S(+step) and then
-    S(-step) of every pending energy in one _smatrices call, and takes
-    all their derivatives in one _vderiv_from_matrices call, masked by
-    the open channels of S(0): a shift inside Omega never reaches the
-    leads.  With dv None, an energy whose round fails with
+    opened is their open channels (m, N), s0 the stack of their
+    unshifted S matrices (N, m, m), and errors per energy None or the
+    error that left it without S(0), which ends it.  The step is dv,
+    finite and > 0, or default_dv(E) when dv is None.  Each round solves
+    S(+step) and then S(-step) of every pending energy in one _solve
+    call, and takes all their derivatives in one _vderiv_from_matrices
+    call, masked by the open channels of S(0): a shift inside Omega never
+    reaches the leads.  With dv None, an energy whose round fails with
     StepTooLargeError or NumericalFailureError halves its step and goes
     again, at most _MAX_HALVINGS times; any other error ends it.
     Returns the dwell times (m, N), meaningful on the open channels of
@@ -324,8 +334,8 @@ def _vderiv_steps(system, energies, s0, opened, errors, dv) -> tuple[Array, list
     pending = np.flatnonzero([error is None for error in errors])
     while pending.size:
         n, shifts = pending.size, steps[pending]
-        _, shifted, _, solve_errors = _smatrices(system, np.tile(energies[pending], 2),
-                                                 np.concatenate([shifts, -shifts]))
+        _, _, (shifted, solve_errors) = _solve(system, np.tile(energies[pending], 2),
+                                               np.concatenate([shifts, -shifts]), ("vderiv",))
         round_taus, step_errors = _vderiv_from_matrices(s0[pending], shifted[:n], shifted[n:],
                                                         opened[:, pending], shifts)
         # a retried energy's results are replaced in its next round
@@ -337,18 +347,6 @@ def _vderiv_steps(system, energies, s0, opened, errors, dv) -> tuple[Array, list
         steps[pending] *= 0.5
         attempts -= 1
     return taus, out.tolist()
-
-
-def _vderiv_at(system, energy: float, dv, channel: str | None = None) -> dict:
-    """Open channel label -> V-derivative dwell time at one energy."""
-    labels, s0, opened, errors = _smatrices(system, [energy], [0.0])
-    if channel is not None:
-        channel_index(labels, opened[:, 0], channel, energy, errors[0])
-    taus, (error,) = _vderiv_steps(system, [energy], s0, opened, errors, dv)
-    if error is not None:
-        raise error
-    o = np.flatnonzero(opened[:, 0])
-    return dict(zip([labels[j] for j in o], taus[o, 0].tolist()))
 
 
 def dwell_times_vderiv_all(
@@ -365,7 +363,12 @@ def dwell_times_vderiv_all(
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
     """
-    return _vderiv_at(system, energy, dv)
+    table = _chunk_reports(system, [energy], ("vderiv",), dv)
+    (error,) = table.errors
+    if error is not None:
+        raise error
+    o = np.flatnonzero(table.open[:, 0])
+    return dict(zip([table.labels[j] for j in o], table.tau_vderiv[o, 0].tolist()))
 
 
 def dwell_time_vderiv(
@@ -376,7 +379,9 @@ def dwell_time_vderiv(
 ) -> float:
     """Dwell time of one channel, given by its label (checked by
     model.channel_index), from the S-matrix potential derivative."""
-    return _vderiv_at(system, energy, dv, channel)[channel]
+    table = _chunk_reports(system, [energy], ("vderiv",), dv)
+    j = channel_index(table.labels, table.open[:, 0], channel, energy, table.errors[0])
+    return table.tau_vderiv[j, 0].item()
 
 
 # ----------------------------------------------------------------------------
@@ -433,45 +438,26 @@ def _chunk_reports(
     """compute_report at every energy of a grid, with solves shared, as one
     ReportTable.
 
-    Solves go one chunk of _batches at a time; each chunk's route arrays,
-    open mask and S(0) are kept as they are and joined into the table's
-    columns.  The V-derivative reuses S(0), and each of its rounds solves
-    S(+step) and S(-step) of every pending energy of the grid together.
-    Errors keep compute_report's order: S(0), then the V-derivative, then
-    the direct and Green routes.  The channel sum and the residual are
-    numpy expressions over the columns that add and round as the Python
-    float arithmetic of one report would.
+    One _solve gives the open mask and each route's joined array, S(0)
+    for the V-derivative, whose step loop (_vderiv_steps) goes on from
+    it.  Errors keep compute_report's order: S(0), then the
+    V-derivative, then the direct and Green routes.  The channel sum and
+    the residual are numpy expressions over the columns that add and
+    round as the Python float arithmetic of one report would.
     """
     if not methods or set(methods) - set(METHODS):
         raise ValidationError(f"methods must be some of {', '.join(METHODS)}: {methods!r}")
-    routes = [m for m in ("direct", "green") if m in methods]
-    opened, taus, dos, errors, s0, s0_errors = [], [], [], [], [], []
-    for batch in _batches(system, energies, [0.0] * len(energies)):
-        labels = batch.labels
-        opened.append(batch.open)
-        if "direct" in methods:
-            taus.append(batch.dwell_times)
-        if "green" in methods:
-            dos.append(batch.region_dos)
-        # per energy, the error of the first route with one (of at most two)
-        route_errors = [batch.errors(route) for route in routes] or [[None] * batch.energies.size]
-        errors += [a or b for a, b in zip(route_errors[0], route_errors[-1])]
-        if "vderiv" in methods:
-            s0.append(batch.smatrices)
-            s0_errors += batch.errors("vderiv")
-        del batch  # free this chunk's states before the next is solved
-    opened = np.concatenate(opened, axis=1)
-    columns = {}
-    if "vderiv" in methods:
-        columns["tau_vderiv"], vd_errors = _vderiv_steps(system, energies, np.concatenate(s0),
-                                                         opened, s0_errors, dv)
-        errors = [vd or error for vd, error in zip(vd_errors, errors)]
+    routes = tuple(m for m in METHODS if m in methods)
+    labels, opened, *results = _solve(system, energies, [0.0] * len(energies), routes)
+    solved = dict(zip(routes, results))
+    if "vderiv" in solved:  # S(0), which starts the step loop
+        solved["vderiv"] = _vderiv_steps(system, energies, opened, *solved["vderiv"], dv)
+    route_errors = (solved[m][1] for m in ("vderiv", "direct", "green") if m in solved)
+    errors = [next(filter(None, row), None) for row in zip(*route_errors)]
+    columns = {_COLUMNS[m]: solved[m][0] for m in routes}
     if "direct" in methods:
-        columns["tau_direct"] = tau = np.concatenate(taus, axis=1)
-        columns["dos_sum"] = _channel_sum(tau, opened) / (2.0 * np.pi)
-    if "green" in methods:
-        columns["dos_green"] = np.concatenate(dos)
-    if len(routes) == 2:
+        columns["dos_sum"] = _channel_sum(columns["tau_direct"], opened) / (2.0 * np.pi)
+    if "direct" in methods and "green" in methods:
         green, total = columns["dos_green"], columns["dos_sum"]
         with np.errstate(all="ignore"):  # a skipped row's entries may be NaN
             # np.maximum keeps a NaN dos_green, as Python's max does

@@ -9,10 +9,13 @@ success, 1 verification failure, 2 usage or config error (`verify` and
 unwritable file, or too little memory for the grid or system; `verify` also
 fails when a grid point was skipped for any reason other than threshold
 proximity or no open channel, and when no point was verified at all.
-Output is deterministic: rows are sorted by (energy, channel) and floats
-are serialized with 17 significant digits.  A grid's reports stay the
-columns of one analysis.ReportTable from the solve to scan.csv and
-summary.json: no per-energy report object is built on the way.  An
+Output is deterministic, with floats serialized to 17 significant digits.
+scan.csv rows go by ascending energy, each energy's ALL row, then the left
+lead's channels and the right lead's, modes ascending (left:9 before
+left:10); peaks.csv has the DOS peaks by energy, then the dwell peaks of
+ALL and of each channel in that order, each curve's by energy.  A grid's
+reports stay the columns of one analysis.ReportTable from the solve to
+scan.csv and summary.json: no per-energy report object is built on the way.  An
 existing output file is removed before it is written, never truncated:
 truncating a file and writing it again makes ext4 flush it, tens of
 milliseconds a file, and a symlinked output is replaced, not written

@@ -506,10 +506,18 @@ def gaussian_spectral_weight(
     e0: float, sigma: float, e_min: float, e_max: float, count: int = 801
 ) -> SpectralWeight:
     """Gaussian |alpha(E)|^2 on a uniform grid of count >= 2 points,
-    renormalized by trapezoid rule; sigma must be > 0."""
+    renormalized by trapezoid rule; sigma must be > 0, e0, e_min and e_max
+    finite, and the Gaussian must have weight on the grid."""
     if not sigma > 0.0:
         raise ValidationError(f"sigma must be > 0, got {sigma!r}")
+    if not np.all(np.isfinite([e0, e_min, e_max])):
+        raise ValidationError(
+            f"e0, e_min and e_max must be finite, got {e0!r}, {e_min!r}, {e_max!r}")
     e = np.linspace(e_min, e_max, _size("count", count, minimum=2))
-    w = np.exp(-0.5 * ((e - e0) / sigma) ** 2)
-    w /= np.trapezoid(w, e)
-    return SpectralWeight(e, w)
+    with np.errstate(over="ignore", under="ignore"):  # far from e0 the weight is 0
+        w = np.exp(-0.5 * ((e - e0) / sigma) ** 2)
+    total = np.trapezoid(w, e)
+    if not total > 0.0:
+        raise ValidationError(f"Gaussian at e0 = {e0!r} with sigma = {sigma!r} has no weight "
+                              f"on [{e_min!r}, {e_max!r}]")
+    return SpectralWeight(e, w / total)

@@ -147,7 +147,7 @@ def test_vderiv_reads_only_open_channel_entries():
     # E = 0.4 is below v_right, so the right channel is closed: whatever
     # its row and column of the S stacks hold must change nothing
     stack = build_stack([(1.0, 1.0)], v_right=0.6)
-    _, s, opened, _ = analysis._smatrices(stack, [0.4] * 3, [0.0, 1e-5, -1e-5])
+    _, opened, (s, _) = analysis._solve(stack, [0.4] * 3, [0.0, 1e-5, -1e-5], ("vderiv",))
     dv = np.array([1e-5])
     ref, _ = analysis._vderiv_from_matrices(s[:1], s[1:2], s[2:], opened[:, :1], dv)
     junk = s.copy()
@@ -174,6 +174,28 @@ def test_single_energy_vderiv_raises_the_s0_skip(system, energy, expected):
         with pytest.raises(cls) as raised:
             call()
         assert type(raised.value) is cls
+
+
+@pytest.mark.parametrize("system, energy", [
+    (double_barrier(0.5, 12.0, 2.0), 1.4352), (random_lattice(11, 2, 6), 0.3),
+], ids=["halving", "lattice"])
+def test_single_energy_vderiv_is_the_report_row(system, energy):
+    # both single-energy functions read the one-row table of compute_report,
+    # bit for bit; the double barrier's default step halves at 1.4352
+    rep = compute_report(system, energy, methods=("vderiv",))
+    taus = {c.channel: c.tau_vderiv for c in rep.channels}
+    assert len(taus) >= 2
+    assert dwell_times_vderiv_all(system, energy) == taus
+    assert {ch: dwell_time_vderiv(system, energy, ch) for ch in taus} == taus
+
+
+def test_single_energy_vderiv_raises_the_step_error_before_a_closed_channel():
+    # E = 1.4 is below v_right = 3, so "right" is closed, and dv = 0.05 is
+    # too large a step there: the energy's own error comes first, as
+    # model.channel_index states for every single-energy route
+    stack = build_stack([(0.5, 12.0), (2.0, 0.0), (0.5, 12.0)], v_right=3.0)
+    with pytest.raises(StepTooLargeError):
+        dwell_time_vderiv(stack, 1.4, "right", dv=0.05)
 
 
 _ROUTES = {
@@ -630,7 +652,7 @@ def test_s_only_round_holds_one_chunk(backend):
     # over the whole grid (2 and 4 chunks) peak near one chunk's solve
     system, energies = _benchmark_system(backend)
     per_chunk = next(analysis._batches(system, energies, [0.0] * len(energies))).energies.size
-    peaks = [_peak_bytes(lambda: analysis._smatrices(system, grid, [0.0] * len(grid)))
+    peaks = [_peak_bytes(lambda: analysis._solve(system, grid, [0.0] * len(grid), ("vderiv",)))
              for grid in (energies[:per_chunk], energies)]
     assert len(energies) > 1.5 * per_chunk
     assert peaks[1] <= 1.25 * peaks[0]

@@ -4,8 +4,9 @@ fault of 1e-6 in one named intermediate of a backend.
 Each case monkeypatches one intermediate, solves a grid through the verify
 command's own check (cli.cmd_verify) and asserts which part of it fails:
 the identity residual above the tolerance, or a failed skip.  A fault
-that both routes read alike cancels in the identity and passes; such a
-case is a strict xfail that names the ROADMAP item that would catch it.
+that both routes read alike cancels in the identity and passes, and one
+that only an ungated route reads passes too; such a case is a strict
+xfail that names the ROADMAP item that would catch it.
 """
 
 from functools import cached_property
@@ -38,14 +39,27 @@ def _scaled(array, index, factor):
     return array
 
 
+def _patch_cached(monkeypatch, cls, name, fault) -> None:
+    """The cached_property `name` of batch class `cls` as fault(value)
+    returns it."""
+    compute = cls.__dict__[name].func
+    patched = cached_property(lambda batch: fault(compute(batch)))
+    # a cached_property set on a class after it is built is not named by it
+    patched.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, patched)
+
+
 def _patch_coefficients(monkeypatch, fault) -> None:
     """ScatterBatch's interior coefficients as fault(coeff_a, coeff_b)
     returns them, each a copy (2, E, n) over [left, right] incidence."""
-    solve = solver1d.ScatterBatch.__dict__["_coefficients"].func
-    patched = cached_property(lambda batch: fault(*(c.copy() for c in solve(batch))))
-    # a cached_property set on a class after it is built is not named by it
-    patched.__set_name__(solver1d.ScatterBatch, "_coefficients")
-    monkeypatch.setattr(solver1d.ScatterBatch, "_coefficients", patched)
+    _patch_cached(monkeypatch, solver1d.ScatterBatch, "_coefficients",
+                  lambda coefficients: fault(*(c.copy() for c in coefficients)))
+
+
+def _patch_result(monkeypatch, module, name, fault) -> None:
+    """module.name as fault(result) returns its result."""
+    call = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: fault(call(*args)))
 
 
 def test_unfaulted_stack_verifies(monkeypatch):
@@ -70,6 +84,40 @@ def test_unfaulted_stack_verifies(monkeypatch):
 ])
 def test_coefficient_fault_fails_the_identity(monkeypatch, fault):
     _patch_coefficients(monkeypatch, fault)
+    summary = _verify("stack", _STACK, _STACK_GRID)
+    assert summary["skipped"] == 0  # caught by the residual, not by a skip
+    assert summary["max_residual_rel"] > 1e-8
+    assert summary["code"] == 1 and summary["pass"] is False
+
+
+def _level_fault(level):
+    """_up_sweep's levels with the join factors D of one level x (1 + 1e-6):
+    only the down-sweep to the interior coefficients reads them."""
+    def fault(levels):
+        s, dd = levels[level]
+        levels[level] = s, dd * (1 + _FAULT)
+        return levels
+    return fault
+
+
+def _root_fault(levels):
+    """_up_sweep's levels with the root two-port [r, t, r', t'] x (1 + 1e-6)."""
+    levels[-1] = levels[-1][0] * (1 + _FAULT), None
+    return levels
+
+
+@pytest.mark.parametrize("name, fault", [
+    # the layer phases e^{ikd} that only the Green route reads
+    pytest.param("_elements", lambda out: (out[0], out[1] * np.exp(1j * _FAULT), *out[2:]),
+                 id="kept-phases"),  # 1.1e-4
+    pytest.param("_up_sweep", _level_fault(0), id="tree-level-0"),  # 4.5e-6
+    pytest.param("_up_sweep", _level_fault(2), id="tree-level-2"),  # 8.4e-6
+    pytest.param("_up_sweep", _level_fault(4), id="tree-level-4"),  # 1.6e-5
+    # the Wronskian reads the root's t'
+    pytest.param("_up_sweep", _root_fault, id="root-amplitudes"),  # 1.0e-6
+])
+def test_solver_fault_fails_the_identity(monkeypatch, name, fault):
+    _patch_result(monkeypatch, solver1d, name, fault)
     summary = _verify("stack", _STACK, _STACK_GRID)
     assert summary["skipped"] == 0  # caught by the residual, not by a skip
     assert summary["max_residual_rel"] > 1e-8
@@ -104,3 +152,37 @@ def test_left_connected_block_fault_fails_the_state_residual(monkeypatch):
     assert summary["skipped"] == calls[40] < len(_STRIP_GRID.points)
     assert summary["max_residual_rel"] < 1e-13
     assert summary["code"] == 1 and summary["pass"] is False
+
+
+def test_green_diagonal_fault_fails_the_identity(monkeypatch):
+    # column 40 of the strip, all 10 of its sites: a single site's fault
+    # (2.9e-9 at site 400) stays below the tolerance
+    init = lattice._LatticeWorkspace.__init__
+
+    def faulty(batch, *args, **kwargs):
+        init(batch, *args, **kwargs)
+        batch.green_diagonal[:, 400:410] *= 1 + _FAULT
+
+    monkeypatch.setattr(lattice._LatticeWorkspace, "__init__", faulty)
+    summary = _verify("lattice", _STRIP, _STRIP_GRID)
+    assert summary["skipped"] == 0
+    assert summary["max_residual_rel"] > 1e-8  # 2.2e-8
+    assert summary["code"] == 1 and summary["pass"] is False
+
+
+# ------------------------------------------------------------ both backends
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "only the V-derivative reads S, and verify gates no tau_vderiv until the "
+    "V-derivative gate of ROADMAP item 13 lands"))
+@pytest.mark.parametrize("backend", [
+    pytest.param("stack", id="stack"),  # verifies at 4.1e-14
+    pytest.param("lattice", id="lattice"),  # verifies at 4.1e-15
+])
+def test_smatrix_fault_fails_verify(monkeypatch, backend):
+    batch = solver1d.ScatterBatch if backend == "stack" else lattice._LatticeWorkspace
+    _patch_cached(monkeypatch, batch, "smatrices", lambda s: s * (1 + _FAULT))
+    system, grid = (_STACK, _STACK_GRID) if backend == "stack" else (_STRIP, _STRIP_GRID)
+    code, summary = cmd_verify(RunConfig(backend, system, grid, ("direct", "green", "vderiv")))
+    assert code == 1 and summary["pass"] is False

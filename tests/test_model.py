@@ -247,6 +247,13 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
                  "count must be an integer >= 2", id="gaussian-count-1"),
     pytest.param(lambda: gaussian_spectral_weight(1.0, 0.1, 0.0, 2.0, count=10.0),
                  "count must be an integer", id="gaussian-count-float"),
+    pytest.param(lambda: gaussian_spectral_weight(1.0, 0.1, 0.0, np.inf), "must be finite",
+                 id="gaussian-e_max-inf"),
+    # no sample within reach of e0: refused for that, without a RuntimeWarning
+    pytest.param(lambda: gaussian_spectral_weight(100.0, 0.1, 0.0, 1.0), "no weight on",
+                 id="gaussian-e0-off-grid"),
+    pytest.param(lambda: gaussian_spectral_weight(0.3001, 1e-300, 0.0, 1.0), "no weight on",
+                 id="gaussian-sigma-1e-300-between-points"),
     # the generator keeps 64 bits: seed 2**64 + 1 would build random_stack(1)
     pytest.param(lambda: random_stack(2**64 + 1), "seed", id="seed-2**64+1"),
     pytest.param(lambda: random_stack(-1), "seed", id="seed-negative"),
@@ -297,4 +304,12 @@ def test_model_refuses_bad_input(build, match):
 
 def test_gaussian_weight_normalized():
     sw = gaussian_spectral_weight(1.5, 0.1, 1.0, 2.0)
+    assert abs(np.trapezoid(sw.weights, sw.energies) - 1.0) < 1e-12
+
+
+def test_narrowest_gaussian_on_a_grid_point_is_valid():
+    # sigma = 1e-300 overflows the square at every other point, whose
+    # weight is then 0: all of it sits on the point e0 = 0.5 of 801
+    sw = gaussian_spectral_weight(0.5, 1e-300, 0.0, 1.0)
+    assert np.flatnonzero(sw.weights).tolist() == [400] and sw.energies[400] == 0.5
     assert abs(np.trapezoid(sw.weights, sw.energies) - 1.0) < 1e-12
