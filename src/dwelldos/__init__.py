@@ -28,7 +28,7 @@ _EXPORTS = {
         "ValidationError",
     ),
     "model": (
-        "EnergyGrid", "LatticeRegion", "LatticeSystem", "Layer", "LayerStack",
+        "EnergyGrid", "LatticeRegion", "LatticeSystem", "LayerStack",
         "SpectralWeight", "barrier_lattice", "build_stack", "channel_thresholds",
         "double_barrier", "free_stack", "gaussian_spectral_weight", "palindromic_stack",
         "random_lattice", "random_stack", "rectangular_barrier", "uniform_lattice",

@@ -106,8 +106,8 @@ _CHANNEL_COLUMNS = ("tau_direct", "tau_vderiv")  # (channel, energy)
 
 def _channel_sum(values: Array, given: Array) -> Array:
     """Per energy, the sum of the (channel, energy) values where given, in
-    channel order from 0.0 as Python's sum adds them: numpy's pairwise sum
-    rounds differently from 8 channels on."""
+    channel order, left to right from 0.0 as a plain loop adds them: numpy's
+    pairwise sum rounds differently from 8 channels on."""
     total = np.zeros(values.shape[1])
     for row, has in zip(values, given):
         total += np.where(has, row, 0.0)
@@ -642,8 +642,9 @@ def find_resonances(
     resolution = float(np.max(np.diff(table.energies[live])))
 
     def peaks_of(values, given):
-        """Peaks of a curve over the live points where it holds a value."""
-        rows = live[given[live]]
+        """Peaks of a curve over the live points where it holds a finite
+        value: a NaN sample drops out as a skipped point does."""
+        rows = live[given[live] & np.isfinite(values[live])]
         return () if rows.size < 3 else _find_peaks_1d(table.energies[rows], values[rows],
                                                         min_prominence)
 

@@ -92,20 +92,15 @@ def _range(name: str, pair) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class Layer:
-    thickness: float
-    potential: float
-
-
-@dataclass(frozen=True)
 class LayerStack:
     """Piecewise-constant 1D potential with semi-infinite asymptotic regions.
 
-    The scattering region Omega is exactly the union of the layers,
-    occupying [0, L] with L the sum of the thicknesses.
+    `layers` holds one (thickness, potential) float pair per layer, left
+    to right.  The scattering region Omega is exactly the union of the
+    layers, occupying [0, L] with L the last of the `boundaries`.
     """
 
-    layers: tuple[Layer, ...]
+    layers: tuple[tuple[float, float], ...]
     v_left: float = 0.0
     v_right: float = 0.0
 
@@ -114,28 +109,21 @@ class LayerStack:
             raise ValidationError("a stack needs at least one layer")
         if not (np.isfinite(self.v_left) and np.isfinite(self.v_right)):
             raise ValidationError("non-finite lead potential")
-        for i, layer in enumerate(self.layers):
-            if not layer.thickness > 0.0:
-                raise ValidationError(
-                    f"layer {i}: thickness must be positive, got {layer.thickness}"
-                )
-            if not np.isfinite(layer.thickness) or not np.isfinite(layer.potential):
+        for i, (d, v) in enumerate(self.layers):
+            if not d > 0.0:
+                raise ValidationError(f"layer {i}: thickness must be positive, got {d}")
+            if not np.isfinite(d) or not np.isfinite(v):
                 raise ValidationError(f"layer {i}: non-finite layer values")
         # the layer arrays are built once here and handed out read-only
-        thick = np.array([l.thickness for l in self.layers])
-        arrays = {
-            "_thicknesses": thick,
-            "_potentials": np.array([l.potential for l in self.layers]),
-            "_boundaries": np.concatenate(([0.0], np.cumsum(thick))),
-        }
-        for name, arr in arrays.items():
+        thick, pots = np.array(self.layers, dtype=float).T.copy()
+        bounds = np.concatenate(([0.0], np.cumsum(thick)))
+        for name, arr in (("_thicknesses", thick), ("_potentials", pots), ("_boundaries", bounds)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_total_length", float(sum(l.thickness for l in self.layers)))
 
     @property
     def total_length(self) -> float:
-        return self._total_length
+        return float(self._boundaries[-1])
 
     @property
     def boundaries(self) -> Array:
@@ -159,7 +147,7 @@ class LayerStack:
     def shifted(self, dv: float) -> "LayerStack":
         """Same stack with dv added to every layer potential (Omega only)."""
         return LayerStack(
-            layers=tuple(Layer(l.thickness, l.potential + dv) for l in self.layers),
+            layers=tuple((d, v + dv) for d, v in self.layers),
             v_left=self.v_left,
             v_right=self.v_right,
         )
@@ -171,7 +159,7 @@ def build_stack(
     v_right: float = 0.0,
 ) -> LayerStack:
     """Build a validated stack from (thickness, potential) pairs."""
-    return LayerStack(layers=tuple(Layer(float(d), float(v)) for d, v in layers),
+    return LayerStack(layers=tuple((float(d), float(v)) for d, v in layers),
                       v_left=float(v_left), v_right=float(v_right))
 
 

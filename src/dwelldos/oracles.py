@@ -86,9 +86,9 @@ def _box_grid(stack: LayerStack, box: BoxSpec) -> tuple[Array, Array, Array]:
     x = x0 + h * np.arange(1, n)
     pot = np.where(x < 0.0, stack.v_left, stack.v_right)
     bounds = stack.boundaries
-    for j, layer in enumerate(stack.layers):
+    for j, potential in enumerate(stack.potentials):
         inside = (x >= bounds[j]) & (x < bounds[j + 1])
-        pot[inside] = layer.potential
+        pot[inside] = potential
     overlap = (np.minimum(x + 0.5 * h, length) - np.maximum(x - 0.5 * h, 0.0)).clip(0.0, h) / h
     return x, pot, overlap
 

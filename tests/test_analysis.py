@@ -840,8 +840,7 @@ def _reference(stack, energy: float) -> tuple[float, float, float]:
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         k = mp.sqrt(mp.mpf(energy))
-        layers = [(mp.mpf(layer.thickness), mp.sqrt(mp.mpf(energy) - mp.mpf(layer.potential)))
-                  for layer in stack.layers]
+        layers = [(mp.mpf(d), mp.sqrt(mp.mpf(energy) - mp.mpf(v))) for d, v in stack.layers]
 
         def carry(psi, dpsi, q, u):
             return (psi * mp.cos(q * u) + dpsi * u * mp.sinc(q * u),
@@ -966,6 +965,25 @@ def test_find_resonances_tie_goes_to_the_earlier_channel():
     (match,) = result.matches
     assert (match.channel, match.dwell_peak.energy, match.distance, match.matched) == (
         "left:1", 6.0, 1.0, True)
+
+
+def test_find_resonances_drops_a_nan_sample():
+    # a NaN sample drops out of its curve as a skipped row does: the peaks
+    # are those of the curve without it, not every local maximum (a NaN
+    # maximum made every prominence pass)
+    energies = np.linspace(1.0, 2.0, 10)
+    curve = np.array([0.0, 1.0, 0.0, 0.01, 0.0, 5.0, 0.0, 0.02, 0.0, np.nan])
+    tau = np.array([curve, 10.0 * energies])  # the steep right ramp has no peak
+
+    def resonances(n):
+        return find_resonances(ReportTable(
+            energies[:n], ("left", "right"), np.ones((2, n), dtype=bool), [None] * n,
+            tau_direct=tau[:, :n], dos_green=curve[:n]), min_prominence=0.05)
+
+    result, clean = resonances(10), resonances(9)
+    assert [round(p.energy, 3) for p in result.dos_peaks] == [1.111, 1.556]
+    assert result.dos_peaks == clean.dos_peaks
+    assert result.dwell_peaks["left"] == clean.dwell_peaks["left"] == result.dos_peaks
 
 
 def test_report_table_refuses_decreasing_energies(dbarrier):

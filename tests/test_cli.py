@@ -632,6 +632,7 @@ def test_package_lists_every_name():
     namespace = {}
     exec("from dwelldos import *", namespace)
     assert {"verify_identity", "ReportTable", "lattice"} <= set(dwelldos.__all__)
+    assert "Layer" not in dwelldos.__all__  # a layer is a (d, V) pair
     assert set(dwelldos.__all__) <= set(namespace) & set(dir(dwelldos))
 
 

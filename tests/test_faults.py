@@ -154,16 +154,44 @@ def test_left_connected_block_fault_fails_the_state_residual(monkeypatch):
     assert summary["code"] == 1 and summary["pass"] is False
 
 
-def test_green_diagonal_fault_fails_the_identity(monkeypatch):
-    # column 40 of the strip, all 10 of its sites: a single site's fault
-    # (2.9e-9 at site 400) stays below the tolerance
+def _patch_workspace(monkeypatch, fault) -> None:
+    """_LatticeWorkspace.__init__, then fault(workspace)."""
     init = lattice._LatticeWorkspace.__init__
 
     def faulty(batch, *args, **kwargs):
         init(batch, *args, **kwargs)
-        batch.green_diagonal[:, 400:410] *= 1 + _FAULT
+        fault(batch)
 
     monkeypatch.setattr(lattice._LatticeWorkspace, "__init__", faulty)
+
+
+def _state_fault(index, factor):
+    """The workspace's states psi (E, L, W, 2W) with psi[index] x factor."""
+    return lambda mp: _patch_workspace(mp, lambda batch: _scaled(batch.psi, index, factor))
+
+
+@pytest.mark.parametrize("patch", [
+    pytest.param(_state_fault(np.s_[:, 40], 1 + _FAULT), id="column-40-states"),
+    pytest.param(_state_fault(..., 1 + _FAULT), id="every-state"),
+    pytest.param(_state_fault(np.s_[..., :10], np.exp(1j * _FAULT)), id="left-lead-phase"),
+    pytest.param(lambda mp: _patch_result(mp, lattice, "_inv", lambda out: out * (1 + _FAULT)),
+                 id="every-inverse"),
+])
+def test_state_fault_fails_the_state_residual(monkeypatch, patch):
+    # every energy's states miss (E - H - Sigma) psi = q, so every point is
+    # a failed skip
+    patch(monkeypatch)
+    summary = _verify("lattice", _STRIP, _STRIP_GRID)
+    assert set(summary["skip_reasons"]) == {"NumericalFailureError"}
+    assert summary["skipped"] == len(_STRIP_GRID.points)
+    assert summary["code"] == 1 and summary["pass"] is False
+
+
+def test_green_diagonal_fault_fails_the_identity(monkeypatch):
+    # column 40 of the strip, all 10 of its sites: a single site's fault
+    # (2.9e-9 at site 400) stays below the tolerance
+    _patch_workspace(monkeypatch, lambda batch: _scaled(batch.green_diagonal, np.s_[:, 400:410],
+                                                        1 + _FAULT))
     summary = _verify("lattice", _STRIP, _STRIP_GRID)
     assert summary["skipped"] == 0
     assert summary["max_residual_rel"] > 1e-8  # 2.2e-8

@@ -281,20 +281,24 @@ def test_ldos_spectral_identity(stack42, rng):
 
 
 def test_array_positions_match_scalar_calls(stack42):
-    # grid points and every interface, x = 0 and x = L included
-    x = np.concatenate([np.linspace(0.0, stack42.total_length, 9), stack42.boundaries])
-    xp = x[::-1]
-    g = greens_function_1d(stack42, 0.77, x, xp)
-    rho = ldos_1d(stack42, 0.77, x)
-    modes = ldos_mode_sum_1d(stack42, 0.77, x)
-    assert g.shape == rho.shape == modes.shape == x.shape
-    for i in range(x.size):
-        scalar_g = greens_function_1d(stack42, 0.77, x[i], xp[i])
-        scalar_rho = ldos_1d(stack42, 0.77, x[i])
-        scalar_modes = ldos_mode_sum_1d(stack42, 0.77, x[i])
-        assert type(scalar_g) is complex
-        assert type(scalar_rho) is float and type(scalar_modes) is float
-        assert (g[i], rho[i], modes[i]) == (scalar_g, scalar_rho, scalar_modes)
+    # grid points and every interface, x = 0 and x = L included; a
+    # compensated sum of seed 49's thicknesses is one ulp below its last
+    # boundary, which would put that boundary outside [0, L]
+    for stack in (stack42, random_stack(49), random_stack(3, 40, (5.5, 6.5), (0.55, 0.65))):
+        assert stack.total_length == stack.boundaries[-1]
+        x = np.concatenate([np.linspace(0.0, stack.total_length, 9), stack.boundaries])
+        xp = x[::-1]
+        g = greens_function_1d(stack, 0.77, x, xp)
+        rho = ldos_1d(stack, 0.77, x)
+        modes = ldos_mode_sum_1d(stack, 0.77, x)
+        assert g.shape == rho.shape == modes.shape == x.shape
+        for i in range(x.size):
+            scalar_g = greens_function_1d(stack, 0.77, x[i], xp[i])
+            scalar_rho = ldos_1d(stack, 0.77, x[i])
+            scalar_modes = ldos_mode_sum_1d(stack, 0.77, x[i])
+            assert type(scalar_g) is complex
+            assert type(scalar_rho) is float and type(scalar_modes) is float
+            assert (g[i], rho[i], modes[i]) == (scalar_g, scalar_rho, scalar_modes)
 
 
 def test_ldos_decays_inside_opaque_barrier():
