@@ -15,9 +15,9 @@ _batches, each freed before the next is solved: a grid's routes and
 S(0), each V-derivative round and shifted_smatrix.  Single-energy calls
 read the one-row ReportTable of a grid of one.  _batches imports the
 backend of the system it is given, so a run loads one backend only.
-Both backends start their per-route errors from one skip rule,
-model.energy_errors, and a grid point a batch refuses is a skip with
-its error.
+A batch's errors(route) and the V-derivative's step checks are ordered
+rows (mask, error class, message template) that model.first_errors turns
+into each energy's first failure; a refused grid point is a skip with it.
 
 A grid's reports are one ReportTable: columns filled straight from each
 chunk's batch arrays, and DwellReport rows built only when indexed,
@@ -48,6 +48,7 @@ from .model import (
     LayerStack,
     SpectralWeight,
     channel_index,
+    first_errors,
     sampled_curve,
 )
 
@@ -295,16 +296,11 @@ def _vderiv_from_matrices(s0, s_plus, s_minus, opened, dv) -> tuple:
     bad = np.count_nonzero((np.abs(dphase) > 0.5 * np.pi) & (weight >= _WEIGHT_EPS), axis=(1, 2))
     taus = -np.sum(weight * dphase / step, axis=1)
     imag_resid = np.abs(np.sum(magnitude * dmag, axis=1))
-    errors: list = [None] * len(dv)
-    for g in np.flatnonzero(bad | np.any(imag_resid > _IMAG_RESIDUAL_TOL, axis=1)):
-        if bad[g]:
-            errors[g] = StepTooLargeError(
-                f"phase step exceeds pi/2 for {bad[g]} S elements at dv = {dv[g]}")
-        else:
-            errors[g] = NumericalFailureError(
-                f"imaginary residual of the delay matrix diagonal reached "
-                f"{imag_resid[g].max():.3e} (> {_IMAG_RESIDUAL_TOL}) at dv = {dv[g]}")
-    return taus, errors
+    return taus, first_errors([
+        (bad > 0, StepTooLargeError, "phase step exceeds pi/2 for {bad} S elements at dv = {dv}"),
+        (np.any(imag_resid > _IMAG_RESIDUAL_TOL, axis=1), NumericalFailureError,
+         "imaginary residual of the delay matrix diagonal reached {imag:.3e} "
+         f"(> {_IMAG_RESIDUAL_TOL}) at dv = {{dv}}")], bad=bad, dv=dv, imag=imag_resid.max(axis=1))
 
 
 def _vderiv_steps(system, energies, opened, s0, errors, dv) -> tuple[Array, list]:
@@ -565,9 +561,8 @@ class ResonanceTable:
 
 
 def _refine_peak(x: Array, y: Array, i: int) -> float:
-    """Parabolic vertex through the three samples around a discrete max."""
-    if i == 0 or i == len(x) - 1:
-        return float(x[i])
+    """Parabolic vertex through the three samples around a discrete max at
+    an interior index i, 0 < i < len(x) - 1."""
     x0, x1, x2 = x[i - 1], x[i], x[i + 1]
     y0, y1, y2 = y[i - 1], y[i], y[i + 1]
     denom = (x0 - x1) * (x0 - x2) * (x1 - x2)

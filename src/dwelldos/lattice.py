@@ -29,8 +29,8 @@ the left-connected ones, and the states, 3 L W^2 complex values per
 energy, of which only the states outlive the sweep; no block of G off
 its diagonal and nothing of size (LW)^2 is built.  The S matrices and the
 direct dwell times read the states, and errors(route) says why an energy
-has no result, from the skip rule it shares with the 1D solver
-(model.energy_errors).  scattering_state, scattering_matrix,
+has no result: its checks are rows after the skip rule it shares with
+the 1D solver (model.energy_errors).  scattering_state, scattering_matrix,
 dwell_time_lattice and dos_region_lattice are a batch of one energy.
 Channels are labels ("left:m", "right:m"), returned by open_channels and
 scattering_matrix and taken by scattering_state and dwell_time_lattice.
@@ -288,15 +288,12 @@ class _LatticeWorkspace:
         ("direct", "green" or "vderiv"): model.energy_errors's, then a
         singular column block, then a solve residual above _RESIDUAL_TOL
         (all but "green", which never computes the residuals)."""
-        errors = energy_errors(self.system, self.energies, self.open)
-        unresolved = route != "green" and ~(self.residuals <= _RESIDUAL_TOL)  # NaN fails too
-        for i in np.flatnonzero(self._singular | unresolved):
-            energy = float(self.energies[i])
-            errors[i] = errors[i] or (
-                BoundStatePoleError(f"singular column block at E = {energy}")
-                if self._singular[i] else NumericalFailureError(
-                    f"scattering solve residual {self.residuals[i]:.3e} at E = {energy}"))
-        return errors
+        rows = [(self._singular, BoundStatePoleError, "singular column block at E = {E}")]
+        if route == "green":
+            return energy_errors(self.system, self.energies, self.open, *rows)
+        rows.append((~(self.residuals <= _RESIDUAL_TOL), NumericalFailureError,  # NaN fails too
+                     "scattering solve residual {residual:.3e} at E = {E}"))
+        return energy_errors(self.system, self.energies, self.open, *rows, residual=self.residuals)
 
 
 def scattering_state(system: LatticeSystem, energy: float, channel: str) -> Array:

@@ -11,6 +11,7 @@ Times are in units of hbar/energy, densities of states in states per unit energy
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,6 +87,26 @@ def _range(name: str, pair) -> tuple[float, float]:
     return float(values[0]), float(values[1])
 
 
+def _number(name: str, value, text: bool = False) -> float:
+    """`value` read by float(), refused where float() cannot read it and,
+    unless `text`, where it is a string, which a class that keeps its fields
+    as given would later add or compare as a string."""
+    if text or not isinstance(value, (str, bytes)):
+        with suppress(TypeError, ValueError, OverflowError):
+            return float(value)
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def _layer(i: int, layer, text: bool = False) -> tuple[float, float]:
+    """Layer i as a (thickness, potential) pair of _number floats."""
+    try:
+        d, v = layer
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"layer {i}: must be a (thickness, potential) pair, got {layer!r}") from None
+    return _number(f"layer {i}: thickness", d, text), _number(f"layer {i}: potential", v, text)
+
+
 # ----------------------------------------------------------------------------
 # 1D layer stacks
 # ----------------------------------------------------------------------------
@@ -107,15 +128,19 @@ class LayerStack:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ValidationError("a stack needs at least one layer")
-        if not (np.isfinite(self.v_left) and np.isfinite(self.v_right)):
+        if not (np.isfinite(_number("v_left", self.v_left))
+                and np.isfinite(_number("v_right", self.v_right))):
             raise ValidationError("non-finite lead potential")
-        for i, (d, v) in enumerate(self.layers):
+        pairs = []
+        for i, layer in enumerate(self.layers):
+            d, v = _layer(i, layer)
             if not d > 0.0:
                 raise ValidationError(f"layer {i}: thickness must be positive, got {d}")
             if not np.isfinite(d) or not np.isfinite(v):
                 raise ValidationError(f"layer {i}: non-finite layer values")
+            pairs.append((d, v))
         # the layer arrays are built once here and handed out read-only
-        thick, pots = np.array(self.layers, dtype=float).T.copy()
+        thick, pots = np.array(pairs).T.copy()
         bounds = np.concatenate(([0.0], np.cumsum(thick)))
         for name, arr in (("_thicknesses", thick), ("_potentials", pots), ("_boundaries", bounds)):
             arr.flags.writeable = False
@@ -158,9 +183,11 @@ def build_stack(
     v_left: float = 0.0,
     v_right: float = 0.0,
 ) -> LayerStack:
-    """Build a validated stack from (thickness, potential) pairs."""
-    return LayerStack(layers=tuple((float(d), float(v)) for d, v in layers),
-                      v_left=float(v_left), v_right=float(v_right))
+    """Build a validated stack from (thickness, potential) pairs, each value
+    read by float(), a numeric string too."""
+    return LayerStack(layers=tuple(_layer(i, layer, True) for i, layer in enumerate(layers)),
+                      v_left=_number("v_left", v_left, True),
+                      v_right=_number("v_right", v_right, True))
 
 
 def free_stack(length: float = 2.0) -> LayerStack:
@@ -262,7 +289,10 @@ class LatticeSystem:
     def __post_init__(self):
         _size("width", self.width)
         _size("length", self.length)
-        arr = np.asarray(self.onsite, dtype=float)
+        try:
+            arr = np.asarray(self.onsite, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("onsite must be an array of numbers") from None
         if arr.shape != (self.length, self.width):
             raise ValidationError(
                 f"onsite must have shape (length, width) = "
@@ -380,24 +410,34 @@ def _near_threshold(energies: Array, thresholds: Array) -> Array:
     return np.abs(np.subtract.outer(energies, thresholds)) <= THRESHOLD_MARGIN
 
 
-def energy_errors(system: LayerStack | LatticeSystem, energies: Array, opened: Array) -> list:
-    """The skip rule of both solvers: per energy, None or the first of a
-    non-finite energy, a threshold within THRESHOLD_MARGIN and no open
-    channel in the (channel, energy) mask `opened`.  The identity sums
-    over open incoming channels, so the last two leave nothing to check."""
-    thresholds = channel_thresholds(system)
-    finite, near = np.isfinite(energies), _near_threshold(energies, thresholds)
-    errors: list = [None] * len(energies)
-    for i in np.flatnonzero(~finite | near.any(axis=1) | ~opened.any(axis=0)):
-        energy = float(energies[i])
-        if not finite[i]:
-            errors[i] = NumericalFailureError(f"non-finite energy E = {energy}")
-        elif near[i].any():
-            errors[i] = ThresholdProximityError(f"E = {energy} within {THRESHOLD_MARGIN} of "
-                                                f"channel threshold {thresholds[near[i]][0]}")
-        else:
-            errors[i] = NoOpenChannelError(f"no open lead channel at E = {energy}")
+def first_errors(rows, **values) -> list:
+    """Per energy, None or the error of its first failing row.  A row is one
+    check: a mask over the energies, True where it fails, an error class and
+    a message template.  An energy's error is built from its first row only,
+    the template formatted with each of the `values` arrays at that energy."""
+    errors: list = [None] * len(rows[0][0])
+    for mask, cls, template in rows:
+        for i in np.flatnonzero(mask):
+            errors[i] = errors[i] or cls(template.format(**{k: v[i] for k, v in values.items()}))
     return errors
+
+
+def energy_errors(system: LayerStack | LatticeSystem, energies, opened: Array,
+                  *rows, **values) -> list:
+    """first_errors of the skip rule of both solvers (a non-finite energy, a
+    threshold within THRESHOLD_MARGIN, no open channel in the (channel,
+    energy) mask `opened`), then of a batch's own `rows` and `values`; E is
+    the energy.  The identity sums over open channels, so a threshold or no
+    open channel leaves nothing to check."""
+    thresholds = channel_thresholds(system)
+    energies = np.asarray(energies, dtype=float)
+    near = _near_threshold(energies, thresholds)
+    return first_errors([
+        (~np.isfinite(energies), NumericalFailureError, "non-finite energy E = {E}"),
+        (near.any(axis=1), ThresholdProximityError,
+         f"E = {{E}} within {THRESHOLD_MARGIN} of channel threshold {{threshold}}"),
+        (~opened.any(axis=0), NoOpenChannelError, "no open lead channel at E = {E}"),
+        *rows], E=energies.tolist(), threshold=thresholds[near.argmax(axis=1)], **values)
 
 
 def channel_index(labels: Sequence[str], opened: Array, label: str, energy: float,
@@ -432,7 +472,8 @@ class EnergyGrid:
     count: int
 
     def __post_init__(self):
-        if not np.isfinite(float(self.e_max) - float(self.e_min)):  # inf where the span overflows
+        lo, hi = _number("e_min", self.e_min), _number("e_max", self.e_max)
+        if not np.isfinite(hi - lo):  # inf where the span overflows
             raise ValidationError("e_min, e_max and their span must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError("e_min must be < e_max")

@@ -21,7 +21,7 @@ step is elementwise in energy, so a non-finite energy fails alone.  The
 direct route (ScatterBatch.dwell_times), the Green route
 (ScatterBatch.region_dos) and the S matrices are numpy expressions over
 the batch's (energy, layer) arrays, with no Python loop over energies or
-layers; ScatterBatch.errors(route) says why each energy has no result.
+layers; ScatterBatch.errors(route) gives each energy's first failing check.
 numpy evaluates x * y as y * x in a temporary y of x's shape and 256 KiB
 or more, which rounds a complex product differently, so such products are
 written np.multiply(x, y): no value depends on the batch size.
@@ -324,20 +324,17 @@ class ScatterBatch:
         ("direct", "green" or "vderiv"): model.energy_errors's, then a
         non-finite S, non-finite interior coefficients (all but "vderiv",
         which never runs the down-sweep), then an underflowing W ("green")."""
-        errors = energy_errors(self.stack, self.energies, self.open)
         failed = self._s_failed if route == "vderiv" else self.failed
         # With an open channel G+ has no pole on the real axis, however
         # small |t| is; W leaves the normal floats only when the outgoing
         # amplitude underflows (a subnormal W has lost the digits of 1/W).
         w = np.abs(self.wronskian)
         underflow = ~((np.finfo(float).tiny <= w) & (w < np.inf)) & (route == "green")
-        for i in np.flatnonzero(failed | underflow):
-            energy = float(self.energies[i])
-            errors[i] = errors[i] or NumericalFailureError(
-                f"interface solve failed at E = {energy}" if failed[i] else
-                f"Wronskian {self.wronskian[i]} at E = {energy}: the outgoing amplitude "
-                "of the left-outgoing solution underflowed")
-        return errors
+        return energy_errors(
+            self.stack, self.energies, self.open,
+            (failed, NumericalFailureError, "interface solve failed at E = {E}"),
+            (underflow, NumericalFailureError, "Wronskian {W} at E = {E}: the outgoing "
+             "amplitude of the left-outgoing solution underflowed"), W=self.wronskian)
 
 
 def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterBatch:

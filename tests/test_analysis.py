@@ -122,8 +122,9 @@ def test_vderiv_values_are_floats(backend, barrier, lattice3x10):
 
 def test_vderiv_step_too_large_raises(dbarrier):
     # on a sharp resonance the S phases rotate fast with V
-    with pytest.raises(StepTooLargeError):
+    with pytest.raises(StepTooLargeError) as raised:
         dwell_time_vderiv(dbarrier, 1.4352, "left", dv=0.05)
+    assert str(raised.value) == "phase step exceeds pi/2 for 2 S elements at dv = 0.05"
 
 
 def test_vderiv_auto_halving_recovers(dbarrier):
@@ -156,17 +157,22 @@ def test_vderiv_reads_only_open_channel_entries():
     assert errors == [None] and taus[0, 0] == ref[0, 0] and taus[0, 1] == 0.0
 
 
-@pytest.mark.parametrize("system, energy, expected", [
-    (build_stack([(1.0, 1.0)], v_left=0.75), 0.75, "ThresholdProximityError"),
-    (build_stack([(1.0, 1.0)], v_left=0.75), -0.5, "NoOpenChannelError"),
-    (random_lattice(3, 2, 5), -1.0, "ThresholdProximityError"),
-    (random_lattice(3, 2, 5), -3.5, "NoOpenChannelError"),
+@pytest.mark.parametrize("system, energy, expected, message", [
+    (build_stack([(1.0, 1.0)], v_left=0.75), 0.75, "ThresholdProximityError",
+     "E = 0.75 within 1e-06 of channel threshold {t}"),
+    (build_stack([(1.0, 1.0)], v_left=0.75), -0.5, "NoOpenChannelError",
+     "no open lead channel at E = -0.5"),
+    (random_lattice(3, 2, 5), -1.0, "ThresholdProximityError",
+     "E = -1.0 within 1e-06 of channel threshold {t}"),
+    (random_lattice(3, 2, 5), -3.5, "NoOpenChannelError", "no open lead channel at E = -3.5"),
 ], ids=["stack-threshold", "stack-below", "lattice-threshold", "lattice-below"])
-def test_single_energy_vderiv_raises_the_s0_skip(system, energy, expected):
+def test_single_energy_vderiv_raises_the_s0_skip(system, energy, expected, message):
     # at a threshold and below every channel S(0) has no solve; the
-    # single-energy calls raise the error that compute_report skips with
+    # single-energy calls raise the error that compute_report skips with;
+    # a threshold is named as channel_thresholds computes it
+    t = min(channel_thresholds(system), key=lambda t: abs(t - energy))
     rep = compute_report(system, energy, methods=("vderiv",))
-    assert rep.skipped and rep.skip_reason.startswith(expected + ":")
+    assert rep.skipped and rep.skip_reason == f"{expected}: {message.format(t=t)}"
     cls = getattr(errors, expected)
     for call in (lambda: shifted_smatrix(system, energy, 0.0),
                  lambda: dwell_times_vderiv_all(system, energy, dv=1e-5),
@@ -449,8 +455,10 @@ def test_underflowing_wronskian_is_numerical_failure(thickness):
     stack = build_stack([(thickness, 50.0)])
     rep = compute_report(stack, 1.0)
     assert rep.skipped
-    assert rep.skip_reason.startswith("NumericalFailureError")
-    assert "underflow" in rep.skip_reason
+    w = scattering_amplitudes(stack, 1.0).wronskian[0]
+    assert (w == 0.0) == (thickness == 120.0)
+    assert rep.skip_reason == (f"NumericalFailureError: Wronskian {w} at E = 1.0: the outgoing "
+                               "amplitude of the left-outgoing solution underflowed")
     with pytest.raises(NumericalFailureError):
         solver1d.greens_function_1d(stack, 1.0, 0.0, 0.0)
 
@@ -464,7 +472,7 @@ def test_non_finite_energy_is_a_failed_skip(system, energy):
     for methods in (("direct", "green"), ("vderiv",)):
         rep = compute_report(system, energy, methods=methods)
         assert rep.skipped
-        assert rep.skip_reason.startswith("NumericalFailureError")
+        assert rep.skip_reason == f"NumericalFailureError: non-finite energy E = {energy}"
         assert rep.skip_reason.split(":")[0] not in analysis.EXPECTED_SKIPS
 
 
@@ -688,7 +696,9 @@ def test_grid_matches_per_energy_batches(v_left):
         tau_vderiv = -np.sum(np.abs(s0) ** 2 * dphase, axis=0) / (2.0 * dv)
         dmag = (np.abs(s_plus) - np.abs(s_minus)) / (2.0 * dv)
         if np.max(np.abs(np.sum(np.abs(s0) * dmag, axis=0))) > 1e-6:
-            assert rep.skip_reason.startswith("NumericalFailureError: imaginary residual")
+            assert rep.skip_reason == (
+                "NumericalFailureError: imaginary residual of the delay matrix diagonal reached "
+                f"{np.max(np.abs(np.sum(np.abs(s0) * dmag, axis=0))):.3e} (> 1e-06) at dv = {dv}")
             continue
         sides = [side for side, opened in (("left", sol.open[0, 0]), ("right", sol.open[1, 0]))
                  if opened]
@@ -1012,6 +1022,8 @@ def test_report_table_keeps_each_skip_error():
                                   "StepTooLargeError: dv"]
     assert [len(r.channels) for r in table] == [2, 0, 2, 0]
     assert table[3].skip_reason == "StepTooLargeError: dv"
+    # a table equals its rows as a list, and nothing that is no table or list
+    assert table == list(table) and table != 5
     assert summarize_reports(table)["skip_reasons"] == {"NumericalFailureError": 1,
                                                         "StepTooLargeError": 1}
 

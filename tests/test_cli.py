@@ -198,6 +198,9 @@ def test_config_errors_name_fields(tmp_path):
     # a count whose float64 points numpy cannot index, refused before any allocation
     ("grid", {"backend": "stack", "system": {"layers": [[1.0, 1.0]]},
               "grid": {"e_min": 0.5, "e_max": 1.5, "count": 2**63 - 1}}),
+    # an unknown method beside a known one, and layers that are no array
+    ("methods", {"methods": ["direct", "foo"]}),
+    ("system.layers", {"backend": "stack", "system": {"layers": 5}}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)

@@ -459,7 +459,9 @@ def test_corrupt_interface_columns_fail_residual_check(lattice3x10):
     ws = _LatticeWorkspace(lattice3x10, [0.3, 0.5])
     ws.psi[0, 4] *= 1.0 + 1e-6
     for route in ("direct", "vderiv"):
-        assert isinstance(ws.errors(route)[0], NumericalFailureError)
+        error = ws.errors(route)[0]
+        assert type(error) is NumericalFailureError
+        assert str(error) == f"scattering solve residual {ws.residuals[0]:.3e} at E = 0.3"
         assert ws.errors(route)[1] is None
     assert ws.errors("green")[0] is None  # the Green route never reads the states
 

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwelldos.analysis import wavepacket_dwell_time
+from dwelldos.analysis import verify_identity, wavepacket_dwell_time
 from dwelldos.errors import ValidationError
 from dwelldos.model import (
     EnergyGrid,
     LatticeRegion,
     LatticeSystem,
+    LayerStack,
     SpectralWeight,
     Xorshift64Star,
     barrier_lattice,
@@ -55,6 +56,8 @@ def test_build_stack_names_the_first_bad_layer():
 def test_stack_layers_are_float_pairs():
     st = build_stack([(1, 2), (0.5, -1.0)])
     assert st.layers == ((1.0, 2.0), (0.5, -1.0))
+    # build_stack reads every value with float(), a numeric string too
+    assert build_stack([("1", 2), (0.5, "-1")], v_left="0.0") == st
     assert all(type(value) is float for layer in st.layers for value in layer)
     assert repr(st) == "LayerStack(layers=((1.0, 2.0), (0.5, -1.0)), v_left=0.0, v_right=0.0)"
     assert st.shifted(0.25).layers == ((1.0, 2.25), (0.5, -0.75))
@@ -232,6 +235,29 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
 @pytest.mark.parametrize("build, match", [
     pytest.param(lambda: build_stack([(1.0, np.nan)]), "non-finite layer", id="layer-V-nan"),
     pytest.param(lambda: build_stack([(np.inf, 1.0)]), "non-finite layer", id="layer-d-inf"),
+    # each malformed layer, lead potential, grid bound or on-site array is named
+    pytest.param(lambda: build_stack([(1.0,)]), r"layer 0: must be a \(thickness, potential\) pair",
+                 id="layer-one-value"),
+    pytest.param(lambda: build_stack([(1.0, 0.0), 1.0]), "layer 1: must be a", id="layer-number"),
+    pytest.param(lambda: build_stack([(1.0, "x")]), "layer 0: potential must be a number",
+                 id="layer-V-text"),
+    pytest.param(lambda: build_stack([(1.0, 0.0)], v_left="a"), "v_left must be a number",
+                 id="v_left-text"),
+    pytest.param(lambda: LayerStack(((1.0, "2"),)), "layer 0: potential must be a number",
+                 id="stack-layer-V-string"),
+    pytest.param(lambda: LayerStack((("1", 2.0),)), "layer 0: thickness must be a number",
+                 id="stack-layer-d-string"),
+    pytest.param(lambda: LayerStack(((1.0, 2.0),), v_left=None), "v_left must be a number",
+                 id="stack-v_left-None"),
+    pytest.param(lambda: LayerStack(((1.0, 2.0),), v_right="0"), "v_right must be a number",
+                 id="stack-v_right-string"),
+    pytest.param(lambda: EnergyGrid(None, 1, 3), "e_min must be a number", id="grid-e_min-None"),
+    pytest.param(lambda: EnergyGrid("0", "1", 3), "e_min must be a number",
+                 id="grid-bounds-strings"),
+    pytest.param(lambda: EnergyGrid(0.0, 10**400, 3), "e_max must be a number",
+                 id="grid-e_max-past-float"),
+    pytest.param(lambda: LatticeSystem(2, 2, "ab"), "onsite must be an array of numbers",
+                 id="onsite-text"),
     pytest.param(lambda: random_stack(1, n_layers=0), "n_layers", id="n_layers-0"),
     # sizes and counts are integers, never bools, floats or inf
     pytest.param(lambda: random_stack(1, n_layers=2.5), "n_layers must be an integer",
@@ -288,6 +314,7 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
     pytest.param(lambda: random_stack(True), "seed", id="seed-bool"),
     pytest.param(lambda: random_lattice(2**70, 2, 3), "seed", id="lattice-seed-2**70"),
     pytest.param(lambda: random_stack(1, v_range=(0.0, 1.0, 2.0)), "v_range", id="v_range-3"),
+    pytest.param(lambda: random_stack(1, v_range="ab"), "v_range", id="v_range-text"),
     pytest.param(lambda: random_stack(1, d_range=(0.5, np.inf)), "d_range", id="d_range-inf"),
     pytest.param(lambda: random_stack(1, d_range=1.0), "d_range", id="d_range-number"),
     pytest.param(lambda: random_lattice(1, 2, 3, (np.nan, 0.5)), "v_range",
@@ -299,6 +326,10 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
     pytest.param(lambda: LatticeSystem(2, 1, [[np.nan, 0.0]]), "non-finite", id="onsite-nan"),
     pytest.param(lambda: LatticeSystem(2, 1, [[0.0, -np.inf]]), "non-finite", id="onsite-inf"),
     pytest.param(lambda: transverse_modes(0), "width", id="modes-width-0"),
+    pytest.param(lambda: channel_thresholds(object()), "unsupported system type object",
+                 id="thresholds-no-system"),
+    pytest.param(lambda: verify_identity(object(), EnergyGrid(0.0, 1.0, 3)),
+                 "unsupported system type object", id="verify-no-system"),
     pytest.param(lambda: SpectralWeight([0.0, 1.0], [1.0]), "matching", id="weight-shape"),
     pytest.param(lambda: SpectralWeight([[1.0]], [[1.0]]), "matching", id="weight-2d"),
     pytest.param(lambda: SpectralWeight([], []), "matching", id="weight-empty"),

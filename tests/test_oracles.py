@@ -35,9 +35,11 @@ def test_simpson_validates_panels():
 # ------------------------------------------------------------------ box specs
 
 def test_box_spec_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="paddings"):
         BoxSpec(pad_left=0.0, pad_right=1.0, grid_step=0.1, eta=0.1)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="grid_step"):
+        BoxSpec(pad_left=1.0, pad_right=1.0, grid_step=0.0, eta=0.1)
+    with pytest.raises(ValidationError, match="eta"):
         BoxSpec(pad_left=1.0, pad_right=1.0, grid_step=0.1, eta=-0.1)
 
 

@@ -129,10 +129,12 @@ def test_opaque_stack_stays_finite():
 
 def test_energy_domain_errors():
     stack = build_stack([(1.0, 1.0)], v_left=0.5, v_right=2.0)
-    with pytest.raises(NoOpenChannelError):
+    with pytest.raises(NoOpenChannelError) as raised:
         scattering_amplitudes(stack, 0.2)
-    with pytest.raises(ThresholdProximityError):
+    assert str(raised.value) == "no open lead channel at E = 0.2"
+    with pytest.raises(ThresholdProximityError) as raised:
         scattering_amplitudes(stack, 0.5 + 1e-9)
+    assert str(raised.value) == "E = 0.500000001 within 1e-06 of channel threshold 0.5"
     sol = scattering_amplitudes(stack, 1.2)  # one-sided: only left open
     assert sol.open[0, 0] and not sol.open[1, 0]
     assert np.isnan(sol.r_prime[0]) and np.isnan(sol.t_prime[0])
@@ -486,7 +488,9 @@ def test_non_finite_coefficients_fail_only_the_state_routes():
     assert batch.failed.tolist() == [False, True, False]
     assert batch.errors("vderiv")[1] is None
     for route in ("direct", "green"):
-        assert isinstance(batch.errors(route)[1], NumericalFailureError)
+        error = batch.errors(route)[1]
+        assert type(error) is NumericalFailureError
+        assert str(error) == "interface solve failed at E = 1.5"
         assert batch.errors(route)[0] is None and batch.errors(route)[2] is None
 
 
