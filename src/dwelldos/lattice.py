@@ -30,8 +30,9 @@ energy, of which only the states outlive the sweep; no block of G off
 its diagonal and nothing of size (LW)^2 is built.  The S matrices and the
 direct dwell times read the states, and errors(route) says why an energy
 has no result: its checks are rows after the skip rule it shares with
-the 1D solver (model.energy_errors).  scattering_state, scattering_matrix,
-dwell_time_lattice and dos_region_lattice are a batch of one energy.
+the 1D solver (model.energy_errors).  scattering_state, dwell_time_lattice
+and dos_region_lattice are a batch of one energy; scattering_matrix is
+shifted_smatrix at zero shift, the one single-energy S of both backends.
 Channels are labels ("left:m", "right:m"), returned by open_channels and
 scattering_matrix and taken by scattering_state and dwell_time_lattice.
 """
@@ -306,10 +307,8 @@ def scattering_state(system: LatticeSystem, energy: float, channel: str) -> Arra
 def scattering_matrix(system: LatticeSystem, energy: float) -> tuple[Array, list[str]]:
     """Flux-normalized S matrix over the open channels of both leads, and
     their labels."""
-    batch = _LatticeWorkspace(system, [energy])
-    single_energy(batch, "vderiv")
-    opened = np.flatnonzero(batch.open[:, 0])
-    return batch.smatrices[0][np.ix_(opened, opened)], [batch.labels[j] for j in opened]
+    from .analysis import shifted_smatrix
+    return shifted_smatrix(system, energy, 0.0)
 
 
 def dwell_time_lattice(system: LatticeSystem, energy: float, channel: str) -> float:

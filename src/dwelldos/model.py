@@ -141,7 +141,10 @@ class LayerStack:
             pairs.append((d, v))
         # the layer arrays are built once here and handed out read-only
         thick, pots = np.array(pairs).T.copy()
-        bounds = np.concatenate(([0.0], np.cumsum(thick)))
+        with np.errstate(over="ignore"):  # inf where the total length overflows
+            bounds = np.concatenate(([0.0], np.cumsum(thick)))
+        if not np.isfinite(bounds[-1]):
+            raise ValidationError("the total length of the layers must be finite")
         for name, arr in (("_thicknesses", thick), ("_potentials", pots), ("_boundaries", bounds)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -477,9 +480,12 @@ class EnergyGrid:
             raise ValidationError("e_min, e_max and their span must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError("e_min must be < e_max")
-        limit = np.iinfo(np.intp).max // 8  # the most float64 points numpy can index
-        if _size("count", self.count) > limit:
-            raise ValidationError(f"count must be <= {limit}, got {self.count}")
+        # points 4 float spacings of the larger bound apart keep linspace strictly
+        # increasing; there are at most 2**51 + 1, far below what numpy can index
+        most = int((hi - lo) / (4 * np.spacing(max(-lo, hi)))) + 1
+        if _size("count", self.count) > most:
+            raise ValidationError(f"count must be <= {most} for points 4 float spacings "
+                                  f"apart in [{lo!r}, {hi!r}], got {self.count}")
 
     @property
     def points(self) -> Array:

@@ -4,6 +4,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -847,7 +848,6 @@ def _reference(stack, energy: float) -> tuple[float, float, float]:
     unit incidence they are the left- and right-incident states, and
     G+(x, x) = psi_out_left psi_out_right / W.
     """
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         k = mp.sqrt(mp.mpf(energy))
         layers = [(mp.mpf(d), mp.sqrt(mp.mpf(energy) - mp.mpf(v))) for d, v in stack.layers]

@@ -201,6 +201,9 @@ def test_config_errors_name_fields(tmp_path):
     # an unknown method beside a known one, and layers that are no array
     ("methods", {"methods": ["direct", "foo"]}),
     ("system.layers", {"backend": "stack", "system": {"layers": 5}}),
+    # more grid points than the span resolves, and layers whose total length overflows
+    ("grid", {"grid": {"e_min": 1.0, "e_max": 1.0 + 2.2e-16, "count": 5}}),
+    ("system", {"backend": "stack", "system": {"layers": [[1e308, 0.0], [1e308, 0.0]]}}),
 ])
 def test_malformed_field_is_config_error(tmp_path, capsys, field, update):
     cfg = lattice_config(tmp_path, **update)

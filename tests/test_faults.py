@@ -198,6 +198,29 @@ def test_green_diagonal_fault_fails_the_identity(monkeypatch):
     assert summary["code"] == 1 and summary["pass"] is False
 
 
+@pytest.mark.parametrize("factor, caught", [
+    pytest.param(1.0, False, id="none"),  # 4.1e-15
+    pytest.param(1 + _FAULT, True, id="scaled"),  # 1.0e-6
+    pytest.param(np.exp(1j * _FAULT), True, id="phase"),  # 7.0e-6
+])
+def test_self_energy_fault_fails_the_identity(monkeypatch, factor, caught):
+    # the column blocks and the state residual read the same faulted Sigma,
+    # so the states pass their residual; the lead sources i v chi no longer
+    # match it, the open block of S loses unitarity at the 1e-6 level and
+    # the two routes part
+    _patch_result(monkeypatch, lattice, "_self_energies", lambda sigma: sigma * factor)
+    summary = _verify("lattice", _STRIP, _STRIP_GRID)
+    assert summary["skipped"] == 0
+    assert (summary["max_residual_rel"] > 1e-8) is caught
+    assert summary["code"] == int(caught)
+    # the V-derivative's imaginary residual fails every point of a faulted Sigma
+    code, summary = cmd_verify(RunConfig("lattice", _STRIP, _STRIP_GRID,
+                                         ("direct", "green", "vderiv")))
+    assert summary["skipped"] == (len(_STRIP_GRID.points) if caught else 0)
+    assert set(summary["skip_reasons"]) == ({"NumericalFailureError"} if caught else set())
+    assert code == int(caught)
+
+
 # ------------------------------------------------------------ both backends
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import dwelldos.lattice
 from buffer_oracle import buffer_scattering_state
-from dwelldos.analysis import compute_report, verify_identity
+from dwelldos.analysis import compute_report, shifted_smatrix, verify_identity
 from dwelldos.errors import (
     ClosedChannelError,
+    NoOpenChannelError,
     NumericalFailureError,
     ThresholdProximityError,
     ValidationError,
@@ -146,6 +147,44 @@ def test_smatrix_properties_on_random_strips(seed, width, length, energy, mirror
         taus = {c: dwell_time_lattice(system, energy, c) for c in labels}
         for c in labels[:n // 2]:
             assert abs(taus[c] - taus["right" + c[4:]]) < 1e-10
+
+
+def _batch_smatrix(system, energy):
+    """The open block of a batch of one energy, read directly."""
+    batch = _LatticeWorkspace(system, [energy])
+    (error,) = batch.errors("vderiv")
+    if error is not None:
+        raise error
+    o = np.flatnonzero(batch.open[:, 0])
+    return batch.smatrices[0][np.ix_(o, o)], [batch.labels[j] for j in o]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("system", [
+    random_lattice(3, 4, 12), replace(random_lattice(7, 3, 10), region=LatticeRegion(2, 5, 0, 2)),
+], ids=["whole", "region"])
+@pytest.mark.parametrize("at", ["threshold", "no-channel", "open"])
+def test_scattering_matrix_is_the_zero_shift_smatrix(system, at):
+    # one reader of a one-energy S: scattering_matrix is shifted_smatrix at
+    # zero shift, and both read the batch of one energy bit for bit,
+    # errors included
+    energy = {"threshold": channel_thresholds(system)[1], "no-channel": -3.9, "open": 0.3}[at]
+    got, shifted, batch = (_outcome(lambda: f(system, energy)) for f in (
+        scattering_matrix, lambda sys, e: shifted_smatrix(sys, e, 0.0), _batch_smatrix))
+    if at == "open":
+        assert len(got[1]) > 0
+        for other in (shifted, batch):
+            assert np.array_equal(got[0], other[0]) and got[1] == other[1]
+    else:
+        assert got == shifted == batch
+        assert got[0] is {"threshold": ThresholdProximityError,
+                          "no-channel": NoOpenChannelError}[at]
 
 
 def test_closed_channel_raises():

@@ -199,8 +199,25 @@ def test_energy_grid():
         EnergyGrid(1.0, 0.0, 5)
     with pytest.raises(ValidationError):
         EnergyGrid(0.0, 1.0, 0)
-    # the largest count numpy can index builds: the points are made only when read
-    assert EnergyGrid(0.0, 1.0, np.iinfo(np.intp).max // 8).count == np.iinfo(np.intp).max // 8
+    # the most points a grid holds, 2**51 + 1 on [-1, 1], build: they are made
+    # only when read, and every check on count is O(1)
+    assert EnergyGrid(-1.0, 1.0, 2**51 + 1).count == 2**51 + 1
+    with pytest.raises(ValidationError, match=f"count must be <= {2**51 + 1} "):
+        EnergyGrid(-1.0, 1.0, 2**51 + 2)
+
+
+def test_energy_grid_steps_at_the_spacing_limit_increase():
+    # 5 points 4 float spacings apart load and strictly increase; 6 points
+    # over the same span would be 3.2 spacings apart and are refused
+    lo, hi = 1.0, 1.0 + 16 * np.spacing(1.0)
+    points = EnergyGrid(lo, hi, 5).points
+    assert np.all(np.diff(points) > 0) and points[0] == lo and points[-1] == hi
+    with pytest.raises(ValidationError, match="count must be <= 5 "):
+        EnergyGrid(lo, hi, 6)
+    # the bound that sets the spacing is the larger in magnitude
+    assert np.all(np.diff(EnergyGrid(-hi, -lo, 5).points) > 0)
+    with pytest.raises(ValidationError, match="count must be <= 5 "):
+        EnergyGrid(-hi, -lo, 6)
 
 
 @pytest.mark.parametrize("v_left, v_right", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
@@ -270,7 +287,8 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
                  id="grid-count-fraction"),
     pytest.param(lambda: EnergyGrid(0.0, 1.0, np.inf), "count must be an integer",
                  id="grid-count-inf"),
-    # a count whose float64 points numpy cannot index is refused before any allocation
+    # a count whose float64 points numpy cannot index is refused before any allocation:
+    # it is far more points than the span resolves
     pytest.param(lambda: EnergyGrid(0.0, 1.0, np.iinfo(np.intp).max // 8 + 1),
                  "count must be <=", id="grid-count-past-index-limit"),
     pytest.param(lambda: EnergyGrid(0.0, 1.0, 2**62), "count must be <=", id="grid-count-2**62"),
@@ -279,6 +297,14 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
     pytest.param(lambda: EnergyGrid(0.0, 1.0, np.int64(2**62)), "count must be <=",
                  id="grid-count-int64-2**62"),
     pytest.param(lambda: EnergyGrid(0.0, 1.0, 2**64), "count must be <=", id="grid-count-2**64"),
+    # more points than the span resolves: linspace would repeat some
+    pytest.param(lambda: EnergyGrid(1.0, 1.0 + 2.2e-16, 5), "count must be <=",
+                 id="grid-count-repeats-points"),
+    pytest.param(lambda: EnergyGrid(2**60, 2**60 + 1, 3), "count must be <=",
+                 id="grid-bounds-one-float"),
+    # finite layers whose total length overflows
+    pytest.param(lambda: build_stack([(1e308, 0.0), (1e308, 0.0)]), "total length",
+                 id="stack-length-overflow"),
     pytest.param(lambda: uniform_lattice(2.0, 3), "width must be an integer",
                  id="lattice-width-float"),
     pytest.param(lambda: random_lattice(1, 2, 3.0), "length must be an integer",

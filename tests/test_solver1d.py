@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,7 +194,6 @@ def test_probability_integral_against_quadrature(rng):
 def test_probability_integral_at_small_kd(unit, kd):
     # 1 - e^{-2 kappa d} cancels as kappa d -> 0: the closed form must keep
     # full precision there, against a 50-digit quadrature
-    mp = pytest.importorskip("mpmath")
     a, b, d = 0.7 + 0.2j, -0.3 + 0.9j, 1.3
     k = unit * kd / d
     with mp.workdps(50):
