@@ -15,9 +15,9 @@ _batches, each freed before the next is solved: a grid's routes and
 S(0), each V-derivative round and shifted_smatrix.  Single-energy calls
 read the one-row ReportTable of a grid of one.  _batches imports the
 backend of the system it is given, so a run loads one backend only.
-A batch's errors(route) and the V-derivative's step checks are ordered
-rows (mask, error class, message template) that model.first_errors turns
-into each energy's first failure; a refused grid point is a skip with it.
+One errors(*routes) call per batch and the V-derivative's step checks are
+ordered rows (mask, error class, message template) that model.first_errors
+turns into each energy's first failure; a refused grid point is a skip with it.
 
 A grid's reports are one ReportTable: columns filled straight from each
 chunk's batch arrays, and DwellReport rows built only when indexed,
@@ -73,8 +73,10 @@ RESIDUAL_FLOOR = 1e-30
 _IMAG_RESIDUAL_TOL = 1e-6
 _WEIGHT_EPS = 1e-12  # |s|^2 below this cannot contribute above noise
 _MAX_HALVINGS = 12  # V-derivative step halvings before a point is skipped
-METHODS = ("direct", "green", "vderiv")  # the routes a report can run
-_COLUMNS = {"direct": "tau_direct", "green": "dos_green", "vderiv": "tau_vderiv"}
+# the routes a report can run: batch array, axis its chunks join on, report column
+_ROUTES = {"direct": ("dwell_times", 1, "tau_direct"), "green": ("region_dos", 0, "dos_green"),
+           "vderiv": ("smatrices", 0, "tau_vderiv")}
+METHODS = tuple(_ROUTES)
 
 
 # ----------------------------------------------------------------------------
@@ -217,7 +219,7 @@ def _batches(system: LayerStack | LatticeSystem, energies: list[float], v_shifts
     _BATCH_BYTES, not kept.  Both expose channel `labels`, the `open` mask
     and `velocities` (m, E), the direct `dwell_times` over Omega (m, E),
     `region_dos` (E,) and `smatrices` (E, m, m), read-only and meaningful
-    on the open block; and errors(route), per energy."""
+    on the open block; and errors(*routes), per energy."""
     if isinstance(system, LatticeSystem):
         from .lattice import _LatticeWorkspace as batch
     elif isinstance(system, LayerStack):
@@ -230,26 +232,23 @@ def _batches(system: LayerStack | LatticeSystem, energies: list[float], v_shifts
         yield batch(system, chunk, shifts)
 
 
-_ROUTE_ARRAYS = {"direct": "dwell_times", "green": "region_dos", "vderiv": "smatrices"}
-
-
 def _solve(system, energies, v_shifts, routes) -> tuple:
     """Each route of `routes` at energies[i] with v_shifts[i], one chunk of
     _batches at a time, each freed before the next is solved.  Returns the
-    channel labels, the open mask (m, N) and, per route, its batch array
-    joined over the chunks (`dwell_times` (m, N), `region_dos` (N,) or
-    `smatrices` (N, m, m)) with batch.errors(route), per energy."""
-    opened, arrays, errors = [], [[] for _ in routes], [[] for _ in routes]
+    channel labels, the open mask (m, N), per energy None or its first
+    failure on any of the routes (one batch.errors(*routes) per chunk),
+    and per route its batch array joined over the chunks (`dwell_times`
+    (m, N), `region_dos` (N,) or `smatrices` (N, m, m))."""
+    opened, errors, arrays = [], [], [[] for _ in routes]
     for batch in _batches(system, energies, v_shifts):
         labels = batch.labels
         opened.append(batch.open)
-        for route, array, error in zip(routes, arrays, errors):
-            array.append(getattr(batch, _ROUTE_ARRAYS[route]))
-            error += batch.errors(route)
+        for route, array in zip(routes, arrays):
+            array.append(getattr(batch, _ROUTES[route][0]))
+        errors += batch.errors(*routes)
         del batch  # free this chunk's states before the next is solved
-    return (labels, np.concatenate(opened, axis=1),
-            *((np.concatenate(array, axis=int(route == "direct")), error)
-              for route, array, error in zip(routes, arrays, errors)))
+    joined = (np.concatenate(a, axis=_ROUTES[route][1]) for route, a in zip(routes, arrays))
+    return (labels, np.concatenate(opened, axis=1), errors, *joined)
 
 
 def shifted_smatrix(
@@ -264,7 +263,7 @@ def shifted_smatrix(
     leads or asymptotic regions, so the labels are those of the
     unshifted problem.
     """
-    labels, opened, (s, (error,)) = _solve(system, [energy], [v_shift], ("vderiv",))
+    labels, opened, (error,), s = _solve(system, [energy], [v_shift], ("vderiv",))
     if error is not None:
         raise error
     o = np.flatnonzero(opened[:, 0])
@@ -308,7 +307,7 @@ def _vderiv_steps(system, energies, opened, s0, errors, dv) -> tuple[Array, list
 
     opened is their open channels (m, N), s0 the stack of their
     unshifted S matrices (N, m, m), and errors per energy None or the
-    error that left it without S(0), which ends it.  The step is dv,
+    error of its unshifted solve on any route, which ends it.  The step is dv,
     finite and > 0, or default_dv(E) when dv is None.  Each round solves
     S(+step) and then S(-step) of every pending energy in one _solve
     call, and takes all their derivatives in one _vderiv_from_matrices
@@ -330,8 +329,8 @@ def _vderiv_steps(system, energies, opened, s0, errors, dv) -> tuple[Array, list
     pending = np.flatnonzero([error is None for error in errors])
     while pending.size:
         n, shifts = pending.size, steps[pending]
-        _, _, (shifted, solve_errors) = _solve(system, np.tile(energies[pending], 2),
-                                               np.concatenate([shifts, -shifts]), ("vderiv",))
+        _, _, solve_errors, shifted = _solve(system, np.tile(energies[pending], 2),
+                                             np.concatenate([shifts, -shifts]), ("vderiv",))
         round_taus, step_errors = _vderiv_from_matrices(s0[pending], shifted[:n], shifted[n:],
                                                         opened[:, pending], shifts)
         # a retried energy's results are replaced in its next round
@@ -434,23 +433,21 @@ def _chunk_reports(
     """compute_report at every energy of a grid, with solves shared, as one
     ReportTable.
 
-    One _solve gives the open mask and each route's joined array, S(0)
-    for the V-derivative, whose step loop (_vderiv_steps) goes on from
-    it.  Errors keep compute_report's order: S(0), then the
-    V-derivative, then the direct and Green routes.  The channel sum and
-    the residual are numpy expressions over the columns that add and
-    round as the Python float arithmetic of one report would.
+    One _solve gives the open mask, each energy's first failure on any
+    route and each route's joined array, S(0) for the V-derivative, whose
+    step loop (_vderiv_steps) goes on from it for the energies no route
+    failed.  The channel sum and the residual are numpy expressions over
+    the columns that add and round as the Python float arithmetic of one
+    report would.
     """
     if not methods or set(methods) - set(METHODS):
         raise ValidationError(f"methods must be some of {', '.join(METHODS)}: {methods!r}")
     routes = tuple(m for m in METHODS if m in methods)
-    labels, opened, *results = _solve(system, energies, [0.0] * len(energies), routes)
-    solved = dict(zip(routes, results))
-    if "vderiv" in solved:  # S(0), which starts the step loop
-        solved["vderiv"] = _vderiv_steps(system, energies, opened, *solved["vderiv"], dv)
-    route_errors = (solved[m][1] for m in ("vderiv", "direct", "green") if m in solved)
-    errors = [next(filter(None, row), None) for row in zip(*route_errors)]
-    columns = {_COLUMNS[m]: solved[m][0] for m in routes}
+    labels, opened, errors, *arrays = _solve(system, energies, [0.0] * len(energies), routes)
+    columns = {_ROUTES[m][2]: array for m, array in zip(routes, arrays)}
+    if "vderiv" in methods:  # S(0), which starts the step loop
+        columns["tau_vderiv"], errors = _vderiv_steps(system, energies, opened,
+                                                      columns["tau_vderiv"], errors, dv)
     if "direct" in methods:
         columns["dos_sum"] = _channel_sum(columns["tau_direct"], opened) / (2.0 * np.pi)
     if "direct" in methods and "green" in methods:

@@ -239,6 +239,13 @@ def _system(backend: str, doc) -> LayerStack | LatticeSystem:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
+        return _load_config(path)
+    except RecursionError:  # in json.loads or in a reader of nested arrays
+        raise ConfigError("config nests arrays or objects too deeply to read") from None
+
+
+def _load_config(path: str | Path) -> RunConfig:
+    try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -28,7 +28,7 @@ diagonal of G (Green-trace DOS).  Storage is the blocks g, inverted into
 the left-connected ones, and the states, 3 L W^2 complex values per
 energy, of which only the states outlive the sweep; no block of G off
 its diagonal and nothing of size (LW)^2 is built.  The S matrices and the
-direct dwell times read the states, and errors(route) says why an energy
+direct dwell times read the states, and errors(*routes) says why an energy
 has no result: its checks are rows after the skip rule it shares with
 the 1D solver (model.energy_errors).  scattering_state, dwell_time_lattice
 and dos_region_lattice are a batch of one energy; scattering_matrix is
@@ -163,7 +163,7 @@ class _LatticeWorkspace:
     and the states psi = G[:, lead] (i v_n chi_n) of all 2W channels,
     solved by block substitution: `psi` (E, L, W, 2W), psi[e, c, :, n] on
     column c.  As in ScatterBatch, the routes are numpy expressions
-    evaluated on first use, and `errors(route)` fails each energy alone.
+    evaluated on first use, and `errors(*routes)` fails each energy alone.
     """
 
     @staticmethod
@@ -284,13 +284,13 @@ class _LatticeWorkspace:
         diagonal = np.ascontiguousarray(self.green_diagonal[:, self.sites].imag)
         return -np.sum(diagonal, axis=-1) / np.pi
 
-    def errors(self, route: str = "direct") -> list:
-        """Per energy, None or the error that leaves it without `route`
-        ("direct", "green" or "vderiv"): model.energy_errors's, then a
-        singular column block, then a solve residual above _RESIDUAL_TOL
-        (all but "green", which never computes the residuals)."""
+    def errors(self, *routes: str) -> list:
+        """Per energy, None or the error that leaves it without one of `routes`
+        ("direct", "green", "vderiv"), from one row list: energy_errors's, then
+        a singular column block, then, when "direct" or "vderiv" is read, a
+        solve residual above _RESIDUAL_TOL (Green alone never computes them)."""
         rows = [(self._singular, BoundStatePoleError, "singular column block at E = {E}")]
-        if route == "green":
+        if set(routes) <= {"green"}:
             return energy_errors(self.system, self.energies, self.open, *rows)
         rows.append((~(self.residuals <= _RESIDUAL_TOL), NumericalFailureError,  # NaN fails too
                      "scattering solve residual {residual:.3e} at E = {E}"))

@@ -459,8 +459,8 @@ def channel_index(labels: Sequence[str], opened: Array, label: str, energy: floa
 
 def single_energy(batch, route: str = "direct", channel: str | None = None) -> int | None:
     """The rule of every single-energy function on `batch`, a batch of either backend
-    at one energy: with a `channel`, channel_index's rule gives the channel's
-    position; without one, the energy's error on `route` is raised."""
+    at one energy, judged by batch.errors(route) alone: with a `channel`,
+    channel_index's rule gives the channel's position; without one, the error is raised."""
     (error,) = batch.errors(route)
     if channel is not None:
         return channel_index(batch.labels, batch.open[:, 0], channel, batch.energies[0], error)

@@ -21,7 +21,7 @@ step is elementwise in energy, so a non-finite energy fails alone.  The
 direct route (ScatterBatch.dwell_times), the Green route
 (ScatterBatch.region_dos) and the S matrices are numpy expressions over
 the batch's (energy, layer) arrays, with no Python loop over energies or
-layers; ScatterBatch.errors(route) gives each energy's first failing check.
+layers; ScatterBatch.errors(*routes) gives each energy's first failing check.
 numpy evaluates x * y as y * x in a temporary y of x's shape and 256 KiB
 or more, which rounds a complex product differently, so such products are
 written np.multiply(x, y): no value depends on the batch size.
@@ -175,7 +175,7 @@ class ScatterBatch:
     their side is closed.  The coefficients (the tree's down-sweep), the
     routes and the S matrices are evaluated on first use, so a batch read
     for its S matrices never runs the down-sweep; `wave(side, x, index)`
-    reads psi and psi' at any positions.  `errors(route)` says per energy
+    reads psi and psi' at any positions.  `errors(*routes)` says per energy
     why it has no result on a route, and one energy's failure never
     touches another.  `v_shift` (scalar or per energy) is added to every
     layer potential.
@@ -295,7 +295,8 @@ class ScatterBatch:
         arrays, in psi = a e^{iku} + b e^{ik(d - u)} with u measured from
         the layer's left edge; the leads are two more "layers" of d = 0
         with origin x = 0 (a = incoming, b = outgoing) and x = L
-        (a = outgoing, b = incoming), and a k = 0 layer is a + b u.
+        (a = outgoing, b = incoming), and a k = 0 layer is a + b u (a lead
+        at k = 0 is its plane wave, the constant a + b).
         x = L belongs to the last layer.  Returns arrays of x's shape (0-d
         for a scalar); a scalar goes through the same array arithmetic as
         an array, so both give the same values.
@@ -314,22 +315,22 @@ class ScatterBatch:
         d = np.concatenate(([0.0], self.stack.thicknesses, [0.0]))[j]
         ik = 1j * k
         up, down = np.exp(ik * u), np.exp(ik * (d - u))
-        flat = k == 0
+        flat = (k == 0) & (d > 0)  # a layer's {1, u} rule, never a lead's
         psi = np.where(flat, a + c * u, a * up + c * down)
         dpsi = np.where(flat, c, ik * a * up - ik * c * down)
         return psi.reshape(shape), dpsi.reshape(shape)
 
-    def errors(self, route: str = "direct") -> list:
-        """Per energy, None or the error that leaves it without `route`
-        ("direct", "green" or "vderiv"): model.energy_errors's, then a
-        non-finite S, non-finite interior coefficients (all but "vderiv",
-        which never runs the down-sweep), then an underflowing W ("green")."""
-        failed = self._s_failed if route == "vderiv" else self.failed
+    def errors(self, *routes: str) -> list:
+        """Per energy, None or the error that leaves it without one of `routes`
+        ("direct", "green", "vderiv"), from one row list: energy_errors's, then
+        a non-finite S or, when "direct" or "green" is read, non-finite interior
+        coefficients (the down-sweep's), then an underflowing W ("green")."""
+        failed = self.failed if {"direct", "green"} & set(routes) else self._s_failed
         # With an open channel G+ has no pole on the real axis, however
         # small |t| is; W leaves the normal floats only when the outgoing
         # amplitude underflows (a subnormal W has lost the digits of 1/W).
         w = np.abs(self.wronskian)
-        underflow = ~((np.finfo(float).tiny <= w) & (w < np.inf)) & (route == "green")
+        underflow = ~((np.finfo(float).tiny <= w) & (w < np.inf)) & ("green" in routes)
         return energy_errors(
             self.stack, self.energies, self.open,
             (failed, NumericalFailureError, "interface solve failed at E = {E}"),
@@ -410,6 +411,15 @@ def dwell_time_direct_1d(
 # ----------------------------------------------------------------------------
 
 
+def _positions(stack: LayerStack, *xs) -> list[Array]:
+    """Each of `xs` as a float array, refused unless every entry lies in
+    [0, L], the one check of the pointwise functions (NaN is refused)."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    if not all(np.all((0.0 <= x) & (x <= stack.total_length)) for x in xs):
+        raise ValidationError("x and x' must lie in [0, L]")
+    return xs
+
+
 def greens_function_1d(
     stack: LayerStack,
     energy: float,
@@ -418,10 +428,7 @@ def greens_function_1d(
 ) -> complex | Array:
     """Retarded G+(x, x'; E) = psi_L(x<) psi_R(x>) / W for x, x' in
     [0, L]; scalars or arrays that broadcast, and scalars give a complex."""
-    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
-    L = stack.total_length
-    if not np.all((0.0 <= x) & (x <= L) & (0.0 <= xp) & (xp <= L)):
-        raise ValidationError("x and x' must lie in [0, L]")
+    x, xp = _positions(stack, x, xp)
     batch = ScatterBatch(stack, [energy])
     single_energy(batch, "green")
     # unit incidence from the right has no incoming part on the left, so
@@ -449,11 +456,12 @@ def ldos_mode_sum_1d(
     x,
 ) -> float | Array:
     """LDOS as sum of |phi_n(x)|^2 over energy-normalized scattering states,
-    at scalar or array positions x.
+    at scalar or array positions x in [0, L].
 
     Independent combination of the same solves used by ldos_1d; equality
     of the two is the spectral identity Im G+ = -pi sum |phi><phi|.
     """
+    (x,) = _positions(stack, x)
     batch = scattering_amplitudes(stack, energy)
     total = 0.0
     for s, side in enumerate(batch.labels):

@@ -149,7 +149,7 @@ def test_vderiv_reads_only_open_channel_entries():
     # E = 0.4 is below v_right, so the right channel is closed: whatever
     # its row and column of the S stacks hold must change nothing
     stack = build_stack([(1.0, 1.0)], v_right=0.6)
-    _, opened, (s, _) = analysis._solve(stack, [0.4] * 3, [0.0, 1e-5, -1e-5], ("vderiv",))
+    _, opened, _, s = analysis._solve(stack, [0.4] * 3, [0.0, 1e-5, -1e-5], ("vderiv",))
     dv = np.array([1e-5])
     ref, _ = analysis._vderiv_from_matrices(s[:1], s[1:2], s[2:], opened[:, :1], dv)
     junk = s.copy()
@@ -716,6 +716,45 @@ def test_grid_matches_per_energy_batches(v_left):
         pairs += [(c.tau_vderiv, t) for c, t in zip(rep.channels, tau_vderiv)]
         for got, want in pairs:
             assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("per_chunk", [None, 20])
+def test_grid_judges_each_energy_once(per_chunk, monkeypatch):
+    # the d = 103 barrier grid of the test above: one errors(*routes) per
+    # batch runs the skip rule once, and the V-derivative rounds solve only
+    # the energies that no route failed, so never E = 0 (a threshold) nor
+    # E = 1..3 (W underflows on the Green route)
+    stack = build_stack([(103.0, 50.0), (1.0, 56.0), (0.7, 3.0)])
+    calls, shifted = [], []  # per batch, the size of each energy_errors call
+    energy_errors, init = solver1d.energy_errors, solver1d.ScatterBatch.__init__
+
+    def counting_errors(system, energies, *args, **kwargs):
+        calls[-1].append(len(energies))
+        return energy_errors(system, energies, *args, **kwargs)
+
+    def recording_init(batch, system, energies, v_shift=0.0):
+        init(batch, system, energies, v_shift)
+        calls.append([])
+        shifted.extend(np.asarray(energies)[np.asarray(v_shift) != 0.0].tolist())
+
+    monkeypatch.setattr(solver1d, "energy_errors", counting_errors)
+    monkeypatch.setattr(solver1d.ScatterBatch, "__init__", recording_init)
+    if per_chunk is not None:
+        _chunk(monkeypatch, stack, per_chunk)
+    reports = verify_identity(stack, EnergyGrid(0.0, 60.0, 61),
+                              methods=("direct", "green", "vderiv"), dv=1e-5)
+    assert summarize_reports(reports)["skip_reasons"] == {
+        "NumericalFailureError": 5, "ThresholdProximityError": 1}
+    report = [[61]] if per_chunk is None else [[20], [20], [20], [1]]
+    assert calls[:len(report)] == report
+    assert all(len(batch) == 1 for batch in calls)  # the rounds' batches too
+    # one round at the fixed step: S(+dv) and S(-dv) of E = 4..60, 114 solves, not 120
+    assert sorted(shifted) == sorted([float(e) for e in range(4, 61)] * 2)
+    assert reports[0].skip_reason.startswith("ThresholdProximityError: E = 0.0 within")
+    for rep in reports[1:4]:  # the Green route's failure, not a V-derivative step's
+        assert rep.skip_reason.startswith("NumericalFailureError: Wronskian ")
+        assert rep.skip_reason.endswith(f"at E = {rep.energy}: the outgoing amplitude of the "
+                                        "left-outgoing solution underflowed")
 
 
 @pytest.mark.parametrize("method, other_route", [

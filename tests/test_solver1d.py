@@ -260,11 +260,47 @@ def test_green_wronskian_constancy(stack42):
     assert abs(w1 - sol.wronskian[0]) <= 1e-10 * abs(w1)
 
 
+def test_wave_is_continuous_at_a_lead_threshold():
+    # E = v_left > v_right exactly: the left lead has k = 0, and its wave is
+    # the plane wave's constant a + b, not a layer's a + b u.  Both solutions
+    # are continuous at x = 0 and x = L, the closed left incidence reads 0,
+    # and right incidence matches an energy just above the threshold
+    stack = build_stack([(1.0, 1.0), (0.7, 3.0), (1.2, 0.5)], v_left=1.0)
+    length = stack.total_length
+    x = np.array([-0.5, -1e-9, 0.0, length, length + 1e-9])
+    batch = ScatterBatch(stack, [1.0])
+    for side in ("left", "right"):
+        psi, _ = batch.wave(side, x)
+        assert abs(psi[1] - psi[2]) < 1e-8 and abs(psi[3] - psi[4]) < 1e-8
+    assert np.all(batch.wave("left", x)[0] == 0.0)
+    psi, dpsi = batch.wave("right", x)
+    assert psi[0] == psi[1] and np.all(dpsi[:2] == 0.0) and abs(psi[2]) > 0.5
+    above, _ = ScatterBatch(stack, [1.0 + 1e-13]).wave("right", x)
+    assert np.max(np.abs(psi - above)) < 1e-6
+
+
 def test_green_positions_validated(free2):
     with pytest.raises(ValidationError):
         greens_function_1d(free2, 1.0, -0.1, 0.5)
     with pytest.raises(ValidationError):
         greens_function_1d(free2, 1.0, np.array([0.5, 2.1]), 0.5)
+
+
+@pytest.mark.parametrize("function", [greens_function_1d, ldos_1d, ldos_mode_sum_1d])
+def test_pointwise_positions_outside_the_stack_are_refused(function):
+    # all three pointwise functions share one check: NaN, just below 0 and
+    # just above L are refused, as scalars and inside arrays
+    stack = random_stack(42)
+    length = stack.total_length
+    args = (lambda x: (x, 0.5)) if function is greens_function_1d else (lambda x: (x,))
+    for x in (np.nan, -1e-12, length + 1e-9):
+        for position in (x, np.array([0.5, x])):
+            with pytest.raises(ValidationError, match=r"must lie in \[0, L\]"):
+                function(stack, 1.3, *args(position))
+    if function is greens_function_1d:  # x' is checked too
+        with pytest.raises(ValidationError, match=r"must lie in \[0, L\]"):
+            function(stack, 1.3, 0.5, np.nan)
+    assert np.all(np.isfinite(function(stack, 1.3, *args(np.array([0.0, length])))))
 
 
 # ------------------------------------------------------------------- LDOS/DOS
