@@ -141,7 +141,7 @@ class ReportTable(Sequence):
 
     def __init__(self, energies, labels, open, errors, *, tau_direct=None,
                  tau_vderiv=None, dos_green=None, dos_sum=None, residual_rel=None):
-        if np.any(np.diff(energies) < 0.0):
+        if not np.all(np.diff(energies) >= 0.0):  # a NaN step is refused too
             raise ValidationError("report energies must not decrease")
         self.energies, self.labels, self.errors = energies, tuple(labels), list(errors)
         self.skipped = np.array([error is not None for error in self.errors], dtype=bool)
@@ -318,7 +318,8 @@ def _vderiv_steps(system, energies, opened, s0, errors, dv) -> tuple[Array, list
     Returns the dwell times (m, N), meaningful on the open channels of
     an energy without an error, and per energy None or the error.
     """
-    if dv is not None and not (np.isfinite(dv) and dv > 0.0):
+    if dv is not None and (isinstance(dv, bool) or np.ndim(dv) != 0
+                           or not (np.isfinite(dv) and dv > 0.0)):
         raise ValidationError(f"dv must be finite and > 0, got {dv!r}")
     energies = np.asarray(energies, dtype=float)
     out = np.empty(len(errors), dtype=object)
@@ -485,46 +486,49 @@ def summarize_reports(
     table: ReportTable,
     system: LayerStack | LatticeSystem | None = None,
 ) -> dict:
-    """Aggregate residuals; adds the symmetric-system check when it applies.
+    """A run's outcome, the summary every command starts from.
 
     Reads the table's columns.  `skip_reasons` counts the skipped points
-    by the class name of their error.  `worst` ranks the residuals, NaN
-    first so that it becomes the maximum and fails verify, then largest
-    first, ties in report order.
+    by the class name of their error, and `failed` those of a class
+    outside EXPECTED_SKIPS.  `warnings` names the failed skips, and the
+    skip classes when every point was skipped.  `worst` ranks the
+    residuals, NaN first so that it becomes the maximum and fails verify,
+    then largest first, ties in report order.
 
     A palindromic system (its Omega mirror-symmetric too) has equal dwell
     times in mirror channels: the two halves of the channel axis, the left
-    lead's and the right lead's.  On a stack the two-channel identity then
-    collapses to rho_Omega * pi * hbar / tau = 1, which is checked too.
-    Any NaN deviation makes `symmetric_max_dev` NaN.
+    lead's and the right lead's.  The identity then reads
+    rho_Omega * pi * hbar = the left lead's dwell-time sum, on either
+    backend; `symmetric_max_dev` is the largest deviation from both, and
+    NaN when any deviation is NaN.
     """
     residual, has = table.column("residual_rel")
     rows = np.flatnonzero(has)
     ranked = rows[np.lexsort((-residual[rows], ~np.isnan(residual[rows])))][:5]
     worst = list(zip(table.energies[ranked].tolist(), residual[ranked].tolist()))
-    summary = {
-        "points": len(table),
-        "skipped": int(np.count_nonzero(table.skipped)),
-        "skip_reasons": dict(sorted(Counter(
-            type(error).__name__ for error in table.errors if error is not None).items())),
-        "max_residual_rel": worst[0][1] if worst else None,
-        "worst": worst,
-    }
-    if system is not None and system.is_palindromic():
+    reasons = dict(sorted(Counter(
+        type(error).__name__ for error in table.errors if error is not None).items()))
+    failed = {name: n for name, n in reasons.items() if name not in EXPECTED_SKIPS}
+    skipped = int(np.count_nonzero(table.skipped))
+    warnings = [f"{sum(failed.values())} grid points were skipped as failures "
+                f"({', '.join(failed)})"] if failed else []
+    if skipped == len(table):
+        warnings.append(f"all grid points were skipped ({', '.join(reasons)})")
+    summary = {"points": len(table), "skipped": skipped, "skip_reasons": reasons,
+               "failed": sum(failed.values()), "warnings": warnings,
+               "max_residual_rel": worst[0][1] if worst else None, "worst": worst,
+               "palindromic": system is not None and system.is_palindromic()}
+    if summary["palindromic"]:
         tau, has = table.column("tau_direct")
-        devs = []
-        if isinstance(system, LayerStack):
-            green, has_green = table.column("dos_green")
-            with np.errstate(invalid="ignore"):  # entries without a value may be NaN
-                rows = has_green & has[0] & (tau[0] > 0)
-            devs.append(np.abs(green[rows] * np.pi / tau[0, rows] - 1.0))
+        green, has_green = table.column("dos_green")
         half = len(table.labels) // 2
+        left = _channel_sum(tau[:half], has[:half])
         both = has[:half] & has[half:]
-        devs = np.concatenate([*devs, np.abs(tau[:half][both] - tau[half:][both])])
-        summary["palindromic"] = True
+        with np.errstate(invalid="ignore"):  # entries without a value may be NaN
+            rows = has_green & (left > 0)
+        devs = np.concatenate([np.abs(green[rows] * np.pi / left[rows] - 1.0),
+                               np.abs(tau[:half][both] - tau[half:][both])])
         summary["symmetric_max_dev"] = float(np.max(devs)) if devs.size else None
-    else:
-        summary["palindromic"] = False
     return summary
 
 
@@ -624,6 +628,8 @@ def find_resonances(
     matched when the refined peak energies agree within one grid step;
     otherwise the DOS peak is flagged unmatched.
     """
+    if not (np.isfinite(min_prominence) and min_prominence >= 0.0):
+        raise ValidationError(f"min_prominence must be finite and >= 0, got {min_prominence!r}")
     if table.dos_green is None or table.tau_direct is None:
         raise InsufficientDataError("resonance search needs the green and direct routes")
     live = np.flatnonzero(~table.skipped)

@@ -9,6 +9,10 @@ success, 1 verification failure, 2 usage or config error (`verify` and
 unwritable file, or too little memory for the grid or system; `verify` also
 fails when a grid point was skipped for any reason other than threshold
 proximity or no open channel, and when no point was verified at all.
+Each command's summary (summary.json, or verify's report) is
+analysis.summarize_reports of its grid, which alone decides which skips
+failed, plus the command's own fields: scan's `rows`, verify's
+`tolerance` and `pass`, and resonances' peak counts.
 Output is deterministic, with floats serialized to 17 significant digits.
 scan.csv rows go by ascending energy, each energy's ALL row, then the left
 lead's channels and the right lead's, modes ascending (left:9 before
@@ -337,41 +341,20 @@ def write_scan_csv(table: an.ReportTable, path: Path) -> int:
 # ----------------------------------------------------------------------------
 
 
-def _skip_warnings(summary: dict) -> tuple[list[str], bool]:
-    """Warnings about the skipped points (one naming the skips that are
-    failures, one naming the skip classes when every point was skipped)
-    and whether any skip is a failure."""
-    failed = {k: n for k, n in summary["skip_reasons"].items() if k not in an.EXPECTED_SKIPS}
-    warnings = []
-    if failed:
-        warnings.append(f"{sum(failed.values())} grid points were skipped as failures "
-                        f"({', '.join(failed)})")
-    if summary["skipped"] == summary["points"]:
-        warnings.append(f"all grid points were skipped ({', '.join(summary['skip_reasons'])})")
-    return warnings, bool(failed)
-
-
 def cmd_scan(config: RunConfig, out_dir: Path) -> dict:
     reports = compute_reports(config)
-    n_rows = write_scan_csv(reports, out_dir / "scan.csv")
     summary = an.summarize_reports(reports, config.system)
-    summary.update(rows=n_rows, command="scan")
-    summary["warnings"], _ = _skip_warnings(summary)
+    summary.update(command="scan", rows=write_scan_csv(reports, out_dir / "scan.csv"))
     return summary
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    reports = compute_reports(config)
-    summary = an.summarize_reports(reports, config.system)
-    summary.update(command="verify", tolerance=config.identity_tol)
+    summary = an.summarize_reports(compute_reports(config), config.system)
     worst = summary["max_residual_rel"]
-    warnings, failed = _skip_warnings(summary)
-    if warnings:
-        summary["warnings"] = warnings
     # a point that failed to compute was not verified, and a grid with no
     # verified point (worst is None) verified nothing
-    ok = worst is not None and worst < config.identity_tol and not failed
-    summary["pass"] = bool(ok)
+    ok = worst is not None and worst < config.identity_tol and not summary["failed"]
+    summary.update({"command": "verify", "tolerance": config.identity_tol, "pass": ok})
     return (0 if ok else 1), summary
 
 
@@ -388,8 +371,11 @@ def cmd_resonances(config: RunConfig, out_dir: Path) -> dict:
             lines.append(f"{_fmt(p.energy)},dwell,{chan},{_fmt(p.height)},{_fmt(p.width)},")
     _write_csv(out_dir / "peaks.csv", PEAKS_HEADER, lines)
     matched = sum(1 for m in table.matches if m.matched)
-    return {"command": "resonances", "dos_peaks": len(table.dos_peaks), "matched": matched,
-            "unmatched": len(table.matches) - matched, "grid_resolution": table.grid_resolution}
+    summary = an.summarize_reports(reports, config.system)
+    summary.update(command="resonances", dos_peaks=len(table.dos_peaks), matched=matched,
+                   unmatched=len(table.matches) - matched,
+                   grid_resolution=table.grid_resolution)
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -352,7 +352,7 @@ def _blank(width: int, length: int) -> Array:
 
 
 def uniform_lattice(width: int, length: int, v: float = 0.0) -> LatticeSystem:
-    return LatticeSystem(width, length, _blank(width, length) + float(v))
+    return LatticeSystem(width, length, _blank(width, length) + _number("v", v))
 
 
 def random_lattice(
@@ -377,10 +377,13 @@ def barrier_lattice(
     barrier_cols: Sequence[int],
     barrier_height: float,
 ) -> LatticeSystem:
-    """Uniform device with raised on-site energy on selected columns."""
-    arr = _blank(width, length)
+    """Uniform device with raised on-site energy on selected columns, each an
+    integer (not a bool) in [0, length)."""
+    arr, height = _blank(width, length), _number("barrier_height", barrier_height)
     for c in barrier_cols:
-        arr[c, :] = barrier_height
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < length:
+            raise ValidationError(f"barrier column must be an integer in [0, {length}), got {c!r}")
+        arr[c, :] = height
     return LatticeSystem(width, length, arr)
 
 

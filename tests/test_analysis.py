@@ -232,7 +232,8 @@ def test_vderiv_unknown_channel(barrier):
         dwell_time_vderiv(barrier, 0.5, "up")
 
 
-@pytest.mark.parametrize("dv", [0.0, np.nan, np.inf, -1e-5])
+@pytest.mark.parametrize("dv", [0.0, np.nan, np.inf, -1e-5, True,
+                                pytest.param(np.array([1e-5, 1e-5]), id="array")])
 def test_vderiv_step_must_be_finite_and_positive(barrier, dv):
     # refused by name before any shifted solve, never a NaN or a misnamed skip
     with pytest.raises(ValidationError, match="dv must be finite and > 0"):
@@ -361,6 +362,19 @@ def test_symmetric_check_needs_a_mirror_omega(region, palindromic):
         assert summary["symmetric_max_dev"] < 1e-10
     else:
         assert "symmetric_max_dev" not in summary
+
+
+@pytest.mark.parametrize("region", [None, LatticeRegion(2, 5, 0, 1)],
+                         ids=["whole-device", "mirror-region"])
+def test_symmetric_check_reads_the_green_route_on_a_lattice(monkeypatch, region):
+    # the mirror pairs compare direct dwell times only; rho pi against the
+    # left lead's dwell-time sum catches a fault in the Green route (1.0e-6)
+    compute = lattice._LatticeWorkspace.region_dos.func
+    monkeypatch.setattr(lattice._LatticeWorkspace, "region_dos",
+                        property(lambda batch: compute(batch) * (1 + 1e-6)))
+    system = replace(barrier_lattice(3, 8, [2, 5], 1.5), region=region)
+    summary = summarize_reports(verify_identity(system, EnergyGrid(-1.5, 1.5, 7)), system)
+    assert summary["symmetric_max_dev"] >= 5e-7
 
 
 def test_verify_identity_reports_skips():
@@ -1047,6 +1061,20 @@ def test_report_table_refuses_decreasing_energies(dbarrier):
     tied = ReportTable(np.array([0.5, 0.5, 0.6]), ("left", "right"),
                        np.ones((2, 3), dtype=bool), [None] * 3)
     assert [r.energy for r in tied] == [0.5, 0.5, 0.6]
+    # a NaN energy hides the decrease after it from a step compared with < 0
+    with pytest.raises(ValidationError, match="must not decrease"):
+        ReportTable(np.array([1.0, np.nan, 0.5, 0.7, 0.9]), ("left", "right"),
+                    np.ones((2, 5), dtype=bool), [None] * 5)
+    # a single NaN energy has no step: its report is a skip
+    assert compute_report(dbarrier, np.nan).skip_reason.startswith("NumericalFailureError")
+
+
+@pytest.mark.parametrize("min_prominence", [np.nan, np.inf, -1.0])
+def test_find_resonances_refuses_a_bad_prominence(dbarrier, min_prominence):
+    # the rule the CLI applies to the config's min_prominence: NaN and a
+    # negative value would otherwise act as 0
+    with pytest.raises(ValidationError, match="min_prominence must be finite and >= 0"):
+        find_resonances(_db_reports(dbarrier, count=50), min_prominence=min_prominence)
 
 
 def test_report_table_keeps_each_skip_error():

@@ -571,6 +571,25 @@ def test_resonances_double_barrier(tmp_path):
     assert summary["matched"] >= 1 and summary["unmatched"] == 0
 
 
+def test_resonances_reports_failed_points(tmp_path):
+    # 96 of these 400 points are NumericalFailureError skips: resonances
+    # searches the other 304 and says so in the summary that scan writes
+    doc = {"backend": "stack", "system": {"layers": [[0.5, 12], [2, 0], [0.5, 12], [200, 20]]},
+           "grid": {"e_min": 0.3, "e_max": 30.0, "count": 400}}
+    cfg = write_config(tmp_path / "failing.json", doc)
+    summaries = {}
+    for command in ("scan", "resonances"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        summaries[command] = json.loads((out / "summary.json").read_text())
+    scan, found = summaries["scan"], summaries["resonances"]
+    assert found["failed"] == 96 and found["skip_reasons"] == {"NumericalFailureError": 96}
+    assert found["warnings"] == ["96 grid points were skipped as failures (NumericalFailureError)"]
+    assert (found["dos_peaks"], found["matched"]) == (15, 15)
+    shared = scan.keys() - {"command", "rows"}
+    assert {k: found[k] for k in shared} == {k: scan[k] for k in shared}
+
+
 def test_resonances_free_stack_empty_table(tmp_path):
     cfg = free_scan_config(tmp_path, count=40)
     out = tmp_path / "peaks"

@@ -380,6 +380,19 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
                  id="tau-inf"),
     pytest.param(lambda: wavepacket_dwell_time(_DELTA, [1.0, np.nan], [1.0, 1.0]), "finite",
                  id="tau-energy-nan"),
+    # a column index out of the strip, or no integer, would raise the wrong
+    # column (-1: the last) or every site (True), or escape as an IndexError
+    pytest.param(lambda: barrier_lattice(2, 10, [-1], 1.0), r"column .*got -1",
+                 id="barrier-column-negative"),
+    pytest.param(lambda: barrier_lattice(2, 10, [10], 1.0), r"column .*got 10",
+                 id="barrier-column-length"),
+    pytest.param(lambda: barrier_lattice(2, 10, [True], 1.0), r"column .*got True",
+                 id="barrier-column-bool"),
+    pytest.param(lambda: barrier_lattice(2, 10, [2.5], 1.0), r"column .*got 2.5",
+                 id="barrier-column-fraction"),
+    pytest.param(lambda: barrier_lattice(2, 10, [3], "x"), "barrier_height must be a number",
+                 id="barrier-height-text"),
+    pytest.param(lambda: uniform_lattice(2, 3, "a"), "v must be a number", id="uniform-v-text"),
 ])
 def test_model_refuses_bad_input(build, match):
     with pytest.raises(ValidationError, match=match):

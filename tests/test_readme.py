@@ -1,7 +1,11 @@
-"""The README's config sketch and library example stay in step with the code."""
+"""The README's config sketch, run summary table and library example stay in
+step with the code."""
 
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 from dwelldos import cli
 
@@ -36,3 +40,27 @@ def test_config_sketch_names_every_field():
 
 def test_library_example_runs():
     exec(compile(_block("## Library entry points", "python"), "README.md", "exec"), {})
+
+
+def _summary_table() -> dict:
+    """The README's run summary table: key -> (commands, palindromic only)."""
+    table = README[README.index("### Run summary"):README.index("### Config sketch")]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table, re.M)
+    return {key: (set(re.findall(r"scan|verify|resonances", written)), "palindromic" in written)
+            for key, written in rows}
+
+
+@pytest.mark.parametrize("config", ["stack_scan.json", "lattice_verify.json"])
+def test_summary_table_names_every_key(config, tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    palindromic = cli.load_config(path).system.is_palindromic()
+    table = _summary_table()
+    for command in ("scan", "verify", "resonances"):
+        out = [] if command == "verify" else ["--out", str(tmp_path / command)]
+        assert cli.main([command, "--config", str(path), *out]) == 0
+        # verify's report is its last stdout line; the others write summary.json
+        report = capsys.readouterr().out.splitlines()[-1]
+        summary = json.loads((tmp_path / command / "summary.json").read_text(encoding="utf-8")
+                             if out else report)
+        assert set(summary) == {key for key, (commands, only) in table.items()
+                                if command in commands and (palindromic or not only)}
