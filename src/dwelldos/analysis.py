@@ -47,6 +47,7 @@ from .model import (
     LatticeSystem,
     LayerStack,
     SpectralWeight,
+    _number,
     channel_index,
     first_errors,
     sampled_curve,
@@ -127,23 +128,24 @@ class ReportTable(Sequence):
     DwellReport whose rows are built from the columns each time they are
     indexed, sliced or iterated.
 
-    `energies` (N,), ascending (decreasing ones are refused); the channel
-    `labels`, the left lead's and then the right lead's in the same mode
-    order, as both batch classes build them, with the `open` mask (m, N);
-    `errors`, per row None or the exception that skipped it, which gives
-    `skipped` (N,) (a skipped row lists no channel) and `skip_reasons`;
-    the per-channel columns `tau_direct` and `tau_vderiv` (m, N) and the
-    per-energy columns `dos_green`, `dos_sum` and `residual_rel` (N,).  A
-    column is None when its route was not run; otherwise it holds a value,
-    NaN included, on every listed channel (per-channel) or every row not
-    skipped (per-energy), and nothing elsewhere.
+    `energies` (N,), kept as a float array, ascending (decreasing ones are
+    refused); the channel `labels`, the left lead's and then the right
+    lead's in the same mode order, as both batch classes build them, with
+    the `open` mask (m, N); `errors`, per row None or the exception that
+    skipped it, which gives `skipped` (N,) (a skipped row lists no channel)
+    and `skip_reasons`; the per-channel columns `tau_direct` and
+    `tau_vderiv` (m, N) and the per-energy columns `dos_green`, `dos_sum`
+    and `residual_rel` (N,).  A column is None when its route was not run;
+    otherwise it holds a value, NaN included, on every listed channel
+    (per-channel) or every row not skipped (per-energy), and nothing elsewhere.
     """
 
     def __init__(self, energies, labels, open, errors, *, tau_direct=None,
                  tau_vderiv=None, dos_green=None, dos_sum=None, residual_rel=None):
-        if not np.all(np.diff(energies) >= 0.0):  # a NaN step is refused too
+        self.energies = np.asarray(energies, dtype=float)
+        if not np.all(np.diff(self.energies) >= 0.0):  # a NaN step is refused too
             raise ValidationError("report energies must not decrease")
-        self.energies, self.labels, self.errors = energies, tuple(labels), list(errors)
+        self.labels, self.errors = tuple(labels), list(errors)
         self.skipped = np.array([error is not None for error in self.errors], dtype=bool)
         self.open = open & ~self.skipped
         self.tau_direct, self.tau_vderiv = tau_direct, tau_vderiv
@@ -263,7 +265,8 @@ def shifted_smatrix(
     leads or asymptotic regions, so the labels are those of the
     unshifted problem.
     """
-    labels, opened, (error,), s = _solve(system, [energy], [v_shift], ("vderiv",))
+    labels, opened, (error,), s = _solve(system, [energy], [_number("v_shift", v_shift)],
+                                         ("vderiv",))
     if error is not None:
         raise error
     o = np.flatnonzero(opened[:, 0])
@@ -318,14 +321,12 @@ def _vderiv_steps(system, energies, opened, s0, errors, dv) -> tuple[Array, list
     Returns the dwell times (m, N), meaningful on the open channels of
     an energy without an error, and per energy None or the error.
     """
-    if dv is not None and (isinstance(dv, bool) or np.ndim(dv) != 0
-                           or not (np.isfinite(dv) and dv > 0.0)):
-        raise ValidationError(f"dv must be finite and > 0, got {dv!r}")
+    dv = None if dv is None else _number("dv", dv, above=0.0)
     energies = np.asarray(energies, dtype=float)
     out = np.empty(len(errors), dtype=object)
     out[:] = errors
     taus = np.full(opened.shape, np.nan)
-    steps = default_dv(energies) if dv is None else np.full(energies.size, float(dv))
+    steps = default_dv(energies) if dv is None else np.full(energies.size, dv)
     attempts = _MAX_HALVINGS if dv is None else 0
     pending = np.flatnonzero([error is None for error in errors])
     while pending.size:
@@ -456,7 +457,7 @@ def _chunk_reports(
         with np.errstate(all="ignore"):  # a skipped row's entries may be NaN
             # np.maximum keeps a NaN dos_green, as Python's max does
             columns["residual_rel"] = np.abs(green - total) / np.maximum(green, RESIDUAL_FLOOR)
-    return ReportTable(np.array(energies, dtype=float), labels, opened, errors, **columns)
+    return ReportTable(energies, labels, opened, errors, **columns)
 
 
 def verify_identity(
@@ -473,6 +474,8 @@ def verify_identity(
     solver's error, never silently dropped.  Returns the ReportTable of
     the grid, in grid order, which is by energy.
     """
+    if not isinstance(grid, EnergyGrid):
+        raise ValidationError(f"grid must be an EnergyGrid, got {type(grid).__name__}")
     energies = [float(e) for e in grid.points]
     return _chunk_reports(system, energies, methods, dv)
 
@@ -499,8 +502,10 @@ def summarize_reports(
     times in mirror channels: the two halves of the channel axis, the left
     lead's and the right lead's.  The identity then reads
     rho_Omega * pi * hbar = the left lead's dwell-time sum, on either
-    backend; `symmetric_max_dev` is the largest deviation from both, and
-    NaN when any deviation is NaN.
+    backend; `symmetric_max_dev` is the largest deviation from both, over
+    every point not skipped whose left-lead sum is positive and every
+    mirror pair open on both sides, verified or not, and NaN when any
+    deviation is NaN.
     """
     residual, has = table.column("residual_rel")
     rows = np.flatnonzero(has)
@@ -628,8 +633,7 @@ def find_resonances(
     matched when the refined peak energies agree within one grid step;
     otherwise the DOS peak is flagged unmatched.
     """
-    if not (np.isfinite(min_prominence) and min_prominence >= 0.0):
-        raise ValidationError(f"min_prominence must be finite and >= 0, got {min_prominence!r}")
+    min_prominence = _number("min_prominence", min_prominence, minimum=0.0)
     if table.dos_green is None or table.tau_direct is None:
         raise InsufficientDataError("resonance search needs the green and direct routes")
     live = np.flatnonzero(~table.skipped)

@@ -13,7 +13,10 @@ Each command's summary (summary.json, or verify's report) is
 analysis.summarize_reports of its grid, which alone decides which skips
 failed, plus the command's own fields: scan's `rows`, verify's
 `tolerance` and `pass`, and resonances' peak counts.
-Output is deterministic, with floats serialized to 17 significant digits.
+Output is deterministic: scan.csv and peaks.csv write floats to 17
+significant digits, summary.json and stdout in JSON's shortest round-trip
+form (json.dumps), so one float may read 0.62725 in summary.json and
+0.62724999999999997 in scan.csv.
 scan.csv rows go by ascending energy, each energy's ALL row, then the left
 lead's channels and the right lead's, modes ascending (left:9 before
 left:10); peaks.csv has the DOS peaks by energy, then the dwell peaks of

@@ -49,9 +49,7 @@ class Xorshift64Star:
     """
 
     def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-            raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-        self.state = seed or 0x9E3779B97F4A7C15
+        self.state = _size("seed", seed, minimum=0, below=_MASK64 + 1) or 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
         x = self.state
@@ -69,42 +67,60 @@ class Xorshift64Star:
         return lo + (hi - lo) * self.next_float()
 
 
-def _size(name: str, value, minimum: int = 1) -> int:
-    """A size or count, refused unless an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _refused(name: str, rule: str, value) -> ValidationError:
+    """The error "{name} must be {rule}, got {value!r}", showing an integer past float
+    range by its size, and a value whose repr passes Python's 4300 digits by its type."""
+    shown = f"a {type(value).__name__} too long to print"
+    with suppress(ValueError):
+        shown = repr(value)
+    if isinstance(value, int) and abs(value) >= 2**1024:
+        shown = f"an integer of {value.bit_length()} bits"
+    return ValidationError(f"{name} must be {rule}, got {shown}")
+
+
+def _number(name: str, value, *, text=False, minimum=None, above=None) -> float:
+    """The one reader of a real number a caller passes, by float(); refused, naming `name`:
+    a bool, a string unless `text` (a field kept as given would compare as one), a non-scalar,
+    what float() cannot read, NaN, +-inf, a value below `minimum` or not above `above`."""
+    number = None
+    if not isinstance(value, (bool, np.bool_) if text else (bool, np.bool_, str, bytes)):
+        with suppress(TypeError, ValueError, OverflowError):
+            number = float(value) if getattr(value, "ndim", 0) == 0 else None
+    if number is None:
+        raise _refused(name, "a number", value)
+    if not (np.isfinite(number) and (minimum is None or number >= minimum)
+            and (above is None or number > above)):
+        raise _refused(name, "finite" + ("" if minimum is None else f" and >= {minimum:g}")
+                       + ("" if above is None else f" and > {above:g}"), value)
+    return number
+
+
+def _size(name: str, value, minimum: int = 1, below: int | None = None) -> int:
+    """The one reader of a size, count, index or seed: an int in [minimum, below), no bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum or (below is not None and value >= below)):
+        raise _refused(name, f"an integer >= {minimum}" if below is None
+                       else f"an integer in [{minimum}, {below})", value)
     return int(value)
 
 
 def _range(name: str, pair) -> tuple[float, float]:
-    """A seeded builder's (lo, hi) range, refused unless two finite numbers."""
+    """A seeded builder's (lo, hi) range as two _number floats."""
     try:
-        values = np.asarray(pair, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        values = np.empty(0)
-    if values.shape != (2,) or not np.all(np.isfinite(values)):
-        raise ValidationError(f"{name} must be a pair of finite numbers, got {pair!r}")
-    return float(values[0]), float(values[1])
-
-
-def _number(name: str, value, text: bool = False) -> float:
-    """`value` read by float(), refused where float() cannot read it and,
-    unless `text`, where it is a string, which a class that keeps its fields
-    as given would later add or compare as a string."""
-    if text or not isinstance(value, (str, bytes)):
-        with suppress(TypeError, ValueError, OverflowError):
-            return float(value)
-    raise ValidationError(f"{name} must be a number, got {value!r}")
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise _refused(name, "a (lo, hi) pair", pair) from None
+    return _number(f"{name}[0]", lo), _number(f"{name}[1]", hi)
 
 
 def _layer(i: int, layer, text: bool = False) -> tuple[float, float]:
-    """Layer i as a (thickness, potential) pair of _number floats."""
+    """Layer i as a (thickness, potential) pair of _number floats, the thickness > 0."""
     try:
         d, v = layer
     except (TypeError, ValueError):
-        raise ValidationError(
-            f"layer {i}: must be a (thickness, potential) pair, got {layer!r}") from None
-    return _number(f"layer {i}: thickness", d, text), _number(f"layer {i}: potential", v, text)
+        raise _refused(f"layer {i}:", "a (thickness, potential) pair", layer) from None
+    return (_number(f"layer {i}: thickness", d, text=text, above=0.0),
+            _number(f"layer {i}: potential", v, text=text))
 
 
 # ----------------------------------------------------------------------------
@@ -128,19 +144,9 @@ class LayerStack:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise ValidationError("a stack needs at least one layer")
-        if not (np.isfinite(_number("v_left", self.v_left))
-                and np.isfinite(_number("v_right", self.v_right))):
-            raise ValidationError("non-finite lead potential")
-        pairs = []
-        for i, layer in enumerate(self.layers):
-            d, v = _layer(i, layer)
-            if not d > 0.0:
-                raise ValidationError(f"layer {i}: thickness must be positive, got {d}")
-            if not np.isfinite(d) or not np.isfinite(v):
-                raise ValidationError(f"layer {i}: non-finite layer values")
-            pairs.append((d, v))
+        _number("v_left", self.v_left), _number("v_right", self.v_right)
         # the layer arrays are built once here and handed out read-only
-        thick, pots = np.array(pairs).T.copy()
+        thick, pots = np.array([_layer(i, layer) for i, layer in enumerate(self.layers)]).T.copy()
         with np.errstate(over="ignore"):  # inf where the total length overflows
             bounds = np.concatenate(([0.0], np.cumsum(thick)))
         if not np.isfinite(bounds[-1]):
@@ -189,8 +195,8 @@ def build_stack(
     """Build a validated stack from (thickness, potential) pairs, each value
     read by float(), a numeric string too."""
     return LayerStack(layers=tuple(_layer(i, layer, True) for i, layer in enumerate(layers)),
-                      v_left=_number("v_left", v_left, True),
-                      v_right=_number("v_right", v_right, True))
+                      v_left=_number("v_left", v_left, text=True),
+                      v_right=_number("v_right", v_right, text=True))
 
 
 def free_stack(length: float = 2.0) -> LayerStack:
@@ -263,13 +269,10 @@ class LatticeRegion:
     row_max: int
 
     def __post_init__(self):
-        bounds = (self.col_min, self.col_max, self.row_min, self.row_max)
-        if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in bounds):
-            raise ValidationError(f"region bounds must be integers, got {bounds}")
+        for name in ("col_min", "col_max", "row_min", "row_max"):
+            _size(name, getattr(self, name), minimum=0)
         if self.col_min > self.col_max or self.row_min > self.row_max:
             raise ValidationError("empty lattice region")
-        if min(self.col_min, self.row_min) < 0:
-            raise ValidationError("region indices must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +309,9 @@ class LatticeSystem:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "onsite", arr)
+        if not isinstance(self.region, (LatticeRegion, type(None))):
+            raise ValidationError(
+                f"region must be a LatticeRegion or None, got {type(self.region).__name__}")
         r = self.region or LatticeRegion(0, self.length - 1, 0, self.width - 1)
         if r.col_max >= self.length or r.row_max >= self.width:
             raise ValidationError("region exceeds device bounds")
@@ -380,10 +386,10 @@ def barrier_lattice(
     """Uniform device with raised on-site energy on selected columns, each an
     integer (not a bool) in [0, length)."""
     arr, height = _blank(width, length), _number("barrier_height", barrier_height)
-    for c in barrier_cols:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < length:
-            raise ValidationError(f"barrier column must be an integer in [0, {length}), got {c!r}")
-        arr[c, :] = height
+    if not np.iterable(barrier_cols):
+        raise _refused("barrier_cols", "a sequence of columns", barrier_cols)
+    for i, c in enumerate(barrier_cols):
+        arr[_size(f"barrier_cols[{i}]", c, minimum=0, below=len(arr)), :] = height
     return LatticeSystem(width, length, arr)
 
 
@@ -487,8 +493,8 @@ class EnergyGrid:
         # increasing; there are at most 2**51 + 1, far below what numpy can index
         most = int((hi - lo) / (4 * np.spacing(max(-lo, hi)))) + 1
         if _size("count", self.count) > most:
-            raise ValidationError(f"count must be <= {most} for points 4 float spacings "
-                                  f"apart in [{lo!r}, {hi!r}], got {self.count}")
+            raise _refused("count", f"<= {most} for points 4 float spacings apart in "
+                           f"[{lo!r}, {hi!r}]", self.count)
 
     @property
     def points(self) -> Array:
@@ -546,11 +552,8 @@ def gaussian_spectral_weight(
     """Gaussian |alpha(E)|^2 on a uniform grid of count >= 2 points,
     renormalized by trapezoid rule; sigma must be > 0, e0, e_min and e_max
     finite, and the Gaussian must have weight on the grid."""
-    if not sigma > 0.0:
-        raise ValidationError(f"sigma must be > 0, got {sigma!r}")
-    if not np.all(np.isfinite([e0, e_min, e_max])):
-        raise ValidationError(
-            f"e0, e_min and e_max must be finite, got {e0!r}, {e_min!r}, {e_max!r}")
+    e0, sigma = _number("e0", e0), _number("sigma", sigma, above=0.0)
+    e_min, e_max = _number("e_min", e_min), _number("e_max", e_max)
     e = np.linspace(e_min, e_max, _size("count", count, minimum=2))
     with np.errstate(over="ignore", under="ignore"):  # far from e0 the weight is 0
         w = np.exp(-0.5 * ((e - e0) / sigma) ** 2)

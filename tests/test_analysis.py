@@ -232,13 +232,22 @@ def test_vderiv_unknown_channel(barrier):
         dwell_time_vderiv(barrier, 0.5, "up")
 
 
-@pytest.mark.parametrize("dv", [0.0, np.nan, np.inf, -1e-5, True,
-                                pytest.param(np.array([1e-5, 1e-5]), id="array")])
-def test_vderiv_step_must_be_finite_and_positive(barrier, dv):
+@pytest.mark.parametrize("dv, rule", [
+    pytest.param(0.0, "finite and > 0", id="0.0"),
+    pytest.param(np.nan, "finite and > 0", id="nan"),
+    pytest.param(np.inf, "finite and > 0", id="inf"),
+    pytest.param(-1e-5, "finite and > 0", id="-1e-05"),
+    # a bool, a string, an array or an integer past float range is no number
+    pytest.param(True, "a number", id="True"),
+    pytest.param(np.array([1e-5, 1e-5]), "a number", id="array"),
+    pytest.param("1e-5", "a number", id="string"),
+    pytest.param(10**400, "a number, got an integer of 1329 bits", id="10**400"),
+])
+def test_vderiv_step_must_be_finite_and_positive(barrier, dv, rule):
     # refused by name before any shifted solve, never a NaN or a misnamed skip
-    with pytest.raises(ValidationError, match="dv must be finite and > 0"):
+    with pytest.raises(ValidationError, match=f"dv must be {rule}"):
         dwell_time_vderiv(barrier, 1.5, "left", dv=dv)
-    with pytest.raises(ValidationError, match="dv must be finite and > 0"):
+    with pytest.raises(ValidationError, match=f"dv must be {rule}"):
         verify_identity(barrier, EnergyGrid(1.0, 2.0, 3), methods=("direct", "vderiv"), dv=dv)
 
 
@@ -333,6 +342,24 @@ def test_symmetric_check_keeps_a_nan_deviation(first):
     summary = summarize_reports(table, stack)
     assert math.isnan(summary["symmetric_max_dev"])
     assert math.isnan(summary["max_residual_rel"])
+
+
+def test_symmetric_max_dev_reads_points_that_fail_the_identity(dbarrier):
+    # symmetric_max_dev reads every point not skipped whose left-lead sum is
+    # positive, and every mirror pair open on both sides, verified or not:
+    # its largest deviation, 0.5 at E = 2, is at the point whose residual
+    # (1.0) is above any tolerance.  E = 4 has a left sum of 0 and E = 5 is
+    # skipped; neither is read (E = 5's mirror pair would give 4.0)
+    tau = np.array([[1.0, 1.0, 1.0, 0.0, 5.0, 1.0], [1.0, 1.0, 1.25, 0.0, 1.0, 1.0]])
+    green = np.array([2.0, 1.0, 2.25, 0.0, 6.0, 2.0]) / (2.0 * np.pi)
+    dos_sum = tau.sum(axis=0) / (2.0 * np.pi)
+    errors = [None] * 4 + [NumericalFailureError("solve failed"), None]
+    table = ReportTable(np.arange(1.0, 7.0), ("left", "right"), np.ones((2, 6), dtype=bool),
+                        errors, tau_direct=tau, dos_green=green, dos_sum=dos_sum,
+                        residual_rel=np.abs(green - dos_sum) / np.maximum(green, 1e-30))
+    summary = summarize_reports(table, dbarrier)
+    assert summary["worst"][0] == (2.0, 1.0)
+    assert summary["symmetric_max_dev"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_report_table_rows_follow_their_columns(free2):
@@ -1069,11 +1096,17 @@ def test_report_table_refuses_decreasing_energies(dbarrier):
     assert compute_report(dbarrier, np.nan).skip_reason.startswith("NumericalFailureError")
 
 
-@pytest.mark.parametrize("min_prominence", [np.nan, np.inf, -1.0])
-def test_find_resonances_refuses_a_bad_prominence(dbarrier, min_prominence):
+@pytest.mark.parametrize("min_prominence, rule", [
+    pytest.param(np.nan, "finite and >= 0", id="nan"),
+    pytest.param(np.inf, "finite and >= 0", id="inf"),
+    pytest.param(-1.0, "finite and >= 0", id="-1.0"),
+    pytest.param("0.1", "a number", id="string"),
+    pytest.param(False, "a number", id="False"),
+])
+def test_find_resonances_refuses_a_bad_prominence(dbarrier, min_prominence, rule):
     # the rule the CLI applies to the config's min_prominence: NaN and a
     # negative value would otherwise act as 0
-    with pytest.raises(ValidationError, match="min_prominence must be finite and >= 0"):
+    with pytest.raises(ValidationError, match=f"min_prominence must be {rule}"):
         find_resonances(_db_reports(dbarrier, count=50), min_prominence=min_prominence)
 
 
@@ -1093,6 +1126,23 @@ def test_report_table_keeps_each_skip_error():
     assert table == list(table) and table != 5
     assert summarize_reports(table)["skip_reasons"] == {"NumericalFailureError": 1,
                                                         "StepTooLargeError": 1}
+
+
+def test_report_table_from_a_list_reads_as_from_the_array(dbarrier):
+    # the energies of a table are kept as a float array, so a plain list, as
+    # the README's constructor may be given, reads the same rows, summary and
+    # resonances
+    tau = np.array([[1.0, 3.0, 2.0, 1.0], [1.0, 3.0, 2.0, 1.0]])
+    columns = dict(tau_direct=tau, tau_vderiv=tau.copy(), dos_green=tau[0] / np.pi,
+                   dos_sum=tau.sum(axis=0) / (2.0 * np.pi), residual_rel=np.zeros(4))
+    args = (("left", "right"), np.ones((2, 4), dtype=bool), [None] * 4)
+    listed = ReportTable([1.0, 2.0, 3.0, 4.0], *args, **columns)
+    array = ReportTable(np.array([1.0, 2.0, 3.0, 4.0]), *args, **columns)
+    assert listed.energies.dtype == np.float64 and list(listed)[0].energy == 1.0
+    assert list(listed) == list(array)
+    assert summarize_reports(listed, dbarrier) == summarize_reports(array, dbarrier)
+    assert find_resonances(listed) == find_resonances(array)
+    assert len(find_resonances(listed).dos_peaks) == 1
 
 
 def test_find_resonances_insufficient_data(free2):

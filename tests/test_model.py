@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwelldos.analysis import verify_identity, wavepacket_dwell_time
+from dwelldos.analysis import shifted_smatrix, verify_identity, wavepacket_dwell_time
 from dwelldos.errors import ValidationError
 from dwelldos.model import (
     EnergyGrid,
@@ -17,6 +17,7 @@ from dwelldos.model import (
     barrier_lattice,
     build_stack,
     channel_thresholds,
+    double_barrier,
     gaussian_spectral_weight,
     palindromic_stack,
     random_lattice,
@@ -44,12 +45,12 @@ def test_build_stack_rejects_bad_thickness():
 
 def test_build_stack_names_the_first_bad_layer():
     # layers are checked in order, each thickness before its potential
-    with pytest.raises(ValidationError, match="layer 1: non-finite"):
+    with pytest.raises(ValidationError, match="layer 1: potential must be finite, got inf"):
         build_stack([(1.0, 0.0), (1.0, np.inf), (-1.0, 0.0)])
     for d in (0.0, -1.0, np.nan):
-        with pytest.raises(ValidationError, match="layer 0: thickness must be positive"):
+        with pytest.raises(ValidationError, match="layer 0: thickness must be finite and > 0"):
             build_stack([(d, np.nan)])
-    with pytest.raises(ValidationError, match="layer 0: non-finite"):
+    with pytest.raises(ValidationError, match="layer 0: thickness must be finite and > 0"):
         build_stack([(np.inf, 0.0)])
 
 
@@ -222,7 +223,8 @@ def test_energy_grid_steps_at_the_spacing_limit_increase():
 
 @pytest.mark.parametrize("v_left, v_right", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
 def test_stack_rejects_non_finite_lead_potential(v_left, v_right):
-    with pytest.raises(ValidationError, match="lead potential"):
+    name = "v_right" if np.isfinite(v_left) else "v_left"
+    with pytest.raises(ValidationError, match=f"{name} must be finite, got"):
         build_stack([(1.0, 0.0)], v_left=v_left, v_right=v_right)
 
 
@@ -250,8 +252,10 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
 
 
 @pytest.mark.parametrize("build, match", [
-    pytest.param(lambda: build_stack([(1.0, np.nan)]), "non-finite layer", id="layer-V-nan"),
-    pytest.param(lambda: build_stack([(np.inf, 1.0)]), "non-finite layer", id="layer-d-inf"),
+    pytest.param(lambda: build_stack([(1.0, np.nan)]), "layer 0: potential must be finite",
+                 id="layer-V-nan"),
+    pytest.param(lambda: build_stack([(np.inf, 1.0)]),
+                 "layer 0: thickness must be finite and > 0", id="layer-d-inf"),
     # each malformed layer, lead potential, grid bound or on-site array is named
     pytest.param(lambda: build_stack([(1.0,)]), r"layer 0: must be a \(thickness, potential\) pair",
                  id="layer-one-value"),
@@ -345,10 +349,14 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
     pytest.param(lambda: random_stack(1, d_range=1.0), "d_range", id="d_range-number"),
     pytest.param(lambda: random_lattice(1, 2, 3, (np.nan, 0.5)), "v_range",
                  id="lattice-v_range-nan"),
-    pytest.param(lambda: LatticeRegion(-1, 0, 0, 0), "nonnegative", id="region-col"),
-    pytest.param(lambda: LatticeRegion(0, 0, -1, 0), "nonnegative", id="region-row"),
-    pytest.param(lambda: LatticeRegion(0, 1.5, 0, 1), "integers", id="region-fraction"),
-    pytest.param(lambda: LatticeRegion(0, True, 0, 1), "integers", id="region-bool"),
+    pytest.param(lambda: LatticeRegion(-1, 0, 0, 0), "col_min must be an integer >= 0, got -1",
+                 id="region-col"),
+    pytest.param(lambda: LatticeRegion(0, 0, -1, 0), "row_min must be an integer >= 0, got -1",
+                 id="region-row"),
+    pytest.param(lambda: LatticeRegion(0, 1.5, 0, 1), "col_max must be an integer >= 0, got 1.5",
+                 id="region-fraction"),
+    pytest.param(lambda: LatticeRegion(0, True, 0, 1),
+                 "col_max must be an integer >= 0, got True", id="region-bool"),
     pytest.param(lambda: LatticeSystem(2, 1, [[np.nan, 0.0]]), "non-finite", id="onsite-nan"),
     pytest.param(lambda: LatticeSystem(2, 1, [[0.0, -np.inf]]), "non-finite", id="onsite-inf"),
     pytest.param(lambda: transverse_modes(0), "width", id="modes-width-0"),
@@ -382,17 +390,64 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
                  id="tau-energy-nan"),
     # a column index out of the strip, or no integer, would raise the wrong
     # column (-1: the last) or every site (True), or escape as an IndexError
-    pytest.param(lambda: barrier_lattice(2, 10, [-1], 1.0), r"column .*got -1",
+    pytest.param(lambda: barrier_lattice(2, 10, [-1], 1.0),
+                 r"barrier_cols\[0\] must be an integer in \[0, 10\), got -1",
                  id="barrier-column-negative"),
-    pytest.param(lambda: barrier_lattice(2, 10, [10], 1.0), r"column .*got 10",
+    pytest.param(lambda: barrier_lattice(2, 10, [10], 1.0),
+                 r"barrier_cols\[0\] must be an integer in \[0, 10\), got 10",
                  id="barrier-column-length"),
-    pytest.param(lambda: barrier_lattice(2, 10, [True], 1.0), r"column .*got True",
+    pytest.param(lambda: barrier_lattice(2, 10, [3, 10], 1.0), r"barrier_cols\[1\] .*got 10",
+                 id="barrier-second-column-length"),
+    pytest.param(lambda: barrier_lattice(2, 10, [True], 1.0), r"barrier_cols\[0\] .*got True",
                  id="barrier-column-bool"),
-    pytest.param(lambda: barrier_lattice(2, 10, [2.5], 1.0), r"column .*got 2.5",
+    pytest.param(lambda: barrier_lattice(2, 10, [2.5], 1.0), r"barrier_cols\[0\] .*got 2.5",
                  id="barrier-column-fraction"),
     pytest.param(lambda: barrier_lattice(2, 10, [3], "x"), "barrier_height must be a number",
                  id="barrier-height-text"),
     pytest.param(lambda: uniform_lattice(2, 3, "a"), "v must be a number", id="uniform-v-text"),
+    # every scalar a caller passes is read by model._number or model._size, which
+    # refuse a bool, a string, a non-scalar, NaN and inf by the argument's name
+    pytest.param(lambda: gaussian_spectral_weight(1, "a", 0, 2), "sigma must be a number, got 'a'",
+                 id="gaussian-sigma-text"),
+    pytest.param(lambda: barrier_lattice(2, 10, 3, 1.0),
+                 "barrier_cols must be a sequence of columns, got 3", id="barrier-cols-number"),
+    pytest.param(lambda: shifted_smatrix(double_barrier(), 1.0, "a"),
+                 "v_shift must be a number, got 'a'", id="smatrix-shift-text"),
+    pytest.param(lambda: shifted_smatrix(double_barrier(), 1.0, np.nan),
+                 "v_shift must be finite, got nan", id="smatrix-shift-nan"),
+    pytest.param(lambda: shifted_smatrix(double_barrier(), 1.0, None),
+                 "v_shift must be a number, got None", id="smatrix-shift-None"),
+    # an integer past float range is shown by its size: Python prints none
+    # past 4300 digits
+    pytest.param(lambda: uniform_lattice(2, 3, 10**5000),
+                 "v must be a number, got an integer of 16610 bits", id="uniform-v-10**5000"),
+    pytest.param(lambda: random_stack(10**5000),
+                 r"seed must be an integer in \[0, 18446744073709551616\), "
+                 "got an integer of 16610 bits", id="seed-10**5000"),
+    pytest.param(lambda: EnergyGrid(0.0, 1.0, 10**5000),
+                 "count must be <= .* got an integer of 16610 bits", id="grid-count-10**5000"),
+    pytest.param(lambda: uniform_lattice(2, 3, [10**5000]),
+                 "v must be a number, got a list too long to print", id="uniform-v-list-10**5000"),
+    # a bool is no number, as the CLI refuses JSON's true
+    pytest.param(lambda: LayerStack(((1.0, 2.0),), v_left=True),
+                 "v_left must be a number, got True", id="stack-v_left-True"),
+    pytest.param(lambda: EnergyGrid(0.0, True, 3), "e_max must be a number, got True",
+                 id="grid-e_max-True"),
+    pytest.param(lambda: uniform_lattice(2, 3, True), "v must be a number, got True",
+                 id="uniform-v-True"),
+    pytest.param(lambda: uniform_lattice(2, 3, np.True_), "v must be a number",
+                 id="uniform-v-numpy-True"),
+    pytest.param(lambda: build_stack([(True, 1.0)]),
+                 "layer 0: thickness must be a number, got True", id="layer-d-True"),
+    pytest.param(lambda: random_stack(1, v_range=(0.0, True)),
+                 r"v_range\[1\] must be a number, got True", id="v_range-True"),
+    pytest.param(lambda: uniform_lattice(2, 3, np.array([1.0])), "v must be a number",
+                 id="uniform-v-array"),
+    # an argument of the wrong type is named with the type it must have
+    pytest.param(lambda: LatticeSystem(2, 3, np.zeros((3, 2)), region=(0, 1, 0, 1)),
+                 "region must be a LatticeRegion or None, got tuple", id="system-region-tuple"),
+    pytest.param(lambda: verify_identity(double_barrier(), (1, 2, 3)),
+                 "grid must be an EnergyGrid, got tuple", id="verify-grid-tuple"),
 ])
 def test_model_refuses_bad_input(build, match):
     with pytest.raises(ValidationError, match=match):
