@@ -47,7 +47,9 @@ from .model import (
     LatticeSystem,
     LayerStack,
     SpectralWeight,
+    _energy,
     _number,
+    _refused,
     channel_index,
     first_errors,
     sampled_curve,
@@ -78,6 +80,14 @@ _MAX_HALVINGS = 12  # V-derivative step halvings before a point is skipped
 _ROUTES = {"direct": ("dwell_times", 1, "tau_direct"), "green": ("region_dos", 0, "dos_green"),
            "vderiv": ("smatrices", 0, "tau_vderiv")}
 METHODS = tuple(_ROUTES)
+
+
+def _methods(name: str, methods) -> tuple[str, ...]:
+    """The one reader of a method list: a non-empty list or tuple of METHODS names."""
+    if not (isinstance(methods, (list, tuple)) and methods
+            and all(isinstance(m, str) and m in METHODS for m in methods)):
+        raise _refused(name, f"a non-empty list of {'/'.join(METHODS)} names", methods)
+    return tuple(methods)
 
 
 # ----------------------------------------------------------------------------
@@ -265,8 +275,8 @@ def shifted_smatrix(
     leads or asymptotic regions, so the labels are those of the
     unshifted problem.
     """
-    labels, opened, (error,), s = _solve(system, [energy], [_number("v_shift", v_shift)],
-                                         ("vderiv",))
+    labels, opened, (error,), s = _solve(system, [_energy(energy)],
+                                         [_number("v_shift", v_shift)], ("vderiv",))
     if error is not None:
         raise error
     o = np.flatnonzero(opened[:, 0])
@@ -360,7 +370,7 @@ def dwell_times_vderiv_all(
     residual check fails (both symptoms of too large a step near sharp
     resonances) before giving up.
     """
-    table = _chunk_reports(system, [energy], ("vderiv",), dv)
+    table = _chunk_reports(system, [_energy(energy)], ("vderiv",), dv)
     (error,) = table.errors
     if error is not None:
         raise error
@@ -376,6 +386,7 @@ def dwell_time_vderiv(
 ) -> float:
     """Dwell time of one channel, given by its label (checked by
     model.channel_index), from the S-matrix potential derivative."""
+    energy = _energy(energy)
     table = _chunk_reports(system, [energy], ("vderiv",), dv)
     j = channel_index(table.labels, table.open[:, 0], channel, energy, table.errors[0])
     return table.tau_vderiv[j, 0].item()
@@ -423,7 +434,7 @@ def compute_report(
     """One energy on its own, the same report verify_identity gives it: the
     one row of a grid of one through _chunk_reports; solver errors become a
     skip."""
-    return _chunk_reports(system, [energy], methods, dv)[0]
+    return _chunk_reports(system, [_energy(energy)], methods, dv)[0]
 
 
 def _chunk_reports(
@@ -442,9 +453,7 @@ def _chunk_reports(
     the columns that add and round as the Python float arithmetic of one
     report would.
     """
-    if not methods or set(methods) - set(METHODS):
-        raise ValidationError(f"methods must be some of {', '.join(METHODS)}: {methods!r}")
-    routes = tuple(m for m in METHODS if m in methods)
+    routes = tuple(m for m in METHODS if m in _methods("methods", methods))
     labels, opened, errors, *arrays = _solve(system, energies, [0.0] * len(energies), routes)
     columns = {_ROUTES[m][2]: array for m, array in zip(routes, arrays)}
     if "vderiv" in methods:  # S(0), which starts the step loop

@@ -49,7 +49,6 @@ import argparse
 import ctypes
 import gc
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -57,13 +56,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .errors import ConfigError, DwellDosError, InsufficientDataError
+from .errors import ConfigError, DwellDosError, InsufficientDataError, ValidationError
 from .model import (
     THRESHOLD_MARGIN,
     EnergyGrid,
     LatticeRegion,
     LatticeSystem,
     LayerStack,
+    _number,
+    _size,
     build_stack,
     channel_thresholds,  # unused here; the benchmark's tracer wraps it by this name
     random_lattice,
@@ -138,31 +139,30 @@ def _value(path: str, value):
 
 def _integer(path: str, value) -> int:
     """value as an int when it is an integral JSON number, never a fraction or a bool."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"field '{path}' must be an integer, got {value!r}")
-    return int(value)
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"field '{path}' must be an integer, got {value!r}")
 
 
-def _real(path: str, value) -> float:
-    """value as a float when it is a JSON number, never a string or a bool (1.0/0.0)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{path}' must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer beyond the largest float
-        raise ConfigError(f"field '{path}' is a number too large for a float") from None
+def _library(read, **bounds):
+    """The reader of a field by the library's reader `read` (model._number, model._size,
+    analysis._methods) under the name "field '<path>'": its refusal is a ConfigError."""
+    def read_field(path: str, value):
+        try:
+            return read(f"field '{path}'", value, **bounds)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
+    return read_field
 
 
-def _reals(path: str, value):
+def _numbers(name: str, value):
     """A number, or an array of numbers (nested arrays too), entry by entry."""
-    return [_reals(path, v) for v in value] if isinstance(value, list) else _real(path, value)
+    return [_numbers(name, v) for v in value] if isinstance(value, list) else _number(name, value)
 
 
-def _checked(read, ok, rule: str):
-    """`read`, and a value read that fails ok() refused as not `rule`."""
+def _checked(ok, rule: str):
+    """The reader of a value that is refused as not `rule` when it fails ok()."""
     def read_checked(path: str, value):
-        value = read(path, value)
         if not ok(value):
             raise ConfigError(f"field '{path}' must be {rule}, got {value!r}")
         return value
@@ -178,15 +178,6 @@ def _layers(path: str, value) -> list:
                          if isinstance(layer, dict) else layer for i, layer in enumerate(value)])
 
 
-def _methods(path: str, value) -> tuple[str, ...]:
-    if not (isinstance(value, list) and value and all(isinstance(m, str) for m in value)):
-        raise ConfigError(f"field '{path}' must be a non-empty array of strings, got {value!r}")
-    bad = sorted(set(value) - set(an.METHODS))
-    if bad:
-        raise ConfigError(f"field '{path}' has unknown entries {bad}")
-    return tuple(value)
-
-
 def _lattice(onsite=None, **size) -> LatticeSystem:
     """The given lattice: `onsite` an array per site, one number or absent."""
     if isinstance(onsite, list):
@@ -196,6 +187,7 @@ def _lattice(onsite=None, **size) -> LatticeSystem:
 
 # One table per config object, keyed by the keyword names of the builder
 # that the object feeds; a field left out keeps that builder's default.
+_real, _reals = _library(_number), _library(_numbers)
 _LAYER = {"d": _required(_value), "V": _required(_value)}
 _LEADS = {"v_left": _real, "v_right": _real}
 _DISORDER = {"seed": _required(_integer), "v_range": _reals}
@@ -214,23 +206,20 @@ _SYSTEMS = {
 }
 _GRID = {"e_min": _required(_real), "e_max": _required(_real), "count": _required(_integer),
          # older configs carry the margin; a value the model does not use is refused
-         "threshold_margin": _checked(_value, lambda m: m == THRESHOLD_MARGIN,
+         "threshold_margin": _checked(lambda m: m == THRESHOLD_MARGIN,
                                       f"{THRESHOLD_MARGIN} (a fixed model constant)")}
-# each tolerance `x` is RunConfig's `x_tol`; json reads NaN and Infinity as numbers
-_TOLERANCES = {"identity": _checked(_real, lambda x: math.isfinite(x) and x > 0.0,
-                                    "finite and > 0")}
+# each tolerance `x` is RunConfig's `x_tol`
+_TOLERANCES = {"identity": _library(_number, above=0.0)}
 _ROOT = {
-    "backend": _required(_checked(_value, lambda b: b in ("stack", "lattice"),
-                                  "'stack' or 'lattice'")),
+    "backend": _required(_checked(lambda b: b in ("stack", "lattice"), "'stack' or 'lattice'")),
     "system": _required(_value),  # read by its backend's tables in _system
     "grid": _required(_object(_GRID, lambda threshold_margin=None, **grid: EnergyGrid(**grid))),
     "region": lambda path, value: None if value is None else _object(_REGION, LatticeRegion)(
         path, value),
-    "methods": _methods,
+    "methods": _library(an._methods),
     "tolerances": _object(_TOLERANCES),
-    "min_prominence": _checked(_real, lambda x: math.isfinite(x) and x >= 0.0,
-                               "finite and >= 0"),
-    "workers": _checked(_integer, lambda n: n >= 0, ">= 0"),
+    "min_prominence": _library(_number, minimum=0.0),
+    "workers": lambda path, value: _library(_size, minimum=0)(path, _integer(path, value)),
 }
 
 

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundStatePoleError, NumericalFailureError
-from .model import (Array, LatticeSystem, energy_errors, single_energy,
+from .model import (Array, LatticeSystem, _energy, energy_errors, single_energy,
                     transverse_modes, uniform_lattice)
 
 __all__ = [
@@ -81,11 +81,12 @@ def lead_modes(width: int, energy: float) -> tuple[Array, Array]:
     """k and velocity (0 for an evanescent mode) of the W modes of a lead
     at this energy, (W,) each, in transverse_modes order; both leads have
     the same.  An energy the skip rule refuses raises its error."""
+    energies = np.array([_energy(energy)])
     # a lead has the thresholds of any strip of its width
-    (error,) = energy_errors(uniform_lattice(width, 1), [energy], np.ones((1, 1), dtype=bool))
+    (error,) = energy_errors(uniform_lattice(width, 1), energies, np.ones((1, 1), dtype=bool))
     if error is not None:
         raise error
-    k, velocity = _lead_modes(transverse_modes(width)[1], np.array([energy], dtype=float))
+    k, velocity = _lead_modes(transverse_modes(width)[1], energies)
     return k[0], velocity[0]
 
 
@@ -300,8 +301,8 @@ class _LatticeWorkspace:
 def scattering_state(system: LatticeSystem, energy: float, channel: str) -> Array:
     """Stationary state, (length, width), for unit incidence in one open
     channel."""
-    batch = _LatticeWorkspace(system, [energy])
-    return batch.psi[0, ..., single_energy(batch, "direct", channel)].copy()
+    batch, j = single_energy(_LatticeWorkspace, system, energy, "direct", channel)
+    return batch.psi[0, ..., j].copy()
 
 
 def scattering_matrix(system: LatticeSystem, energy: float) -> tuple[Array, list[str]]:
@@ -318,12 +319,10 @@ def dwell_time_lattice(system: LatticeSystem, energy: float, channel: str) -> fl
     Unit-amplitude normalization absorbs the 2 pi hbar factor of the
     energy-normalized definition, exactly as in the 1D continuum case.
     """
-    batch = _LatticeWorkspace(system, [energy])
-    return float(batch.dwell_times[single_energy(batch, "direct", channel), 0])
+    batch, j = single_energy(_LatticeWorkspace, system, energy, "direct", channel)
+    return float(batch.dwell_times[j, 0])
 
 
 def dos_region_lattice(system: LatticeSystem, energy: float) -> float:
     """Region DOS: sum over Omega sites of -(1/pi) Im G(r, r; E)."""
-    batch = _LatticeWorkspace(system, [energy])
-    single_energy(batch, "green")
-    return float(batch.region_dos[0])
+    return float(single_energy(_LatticeWorkspace, system, energy, "green")[0].region_dos[0])

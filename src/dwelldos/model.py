@@ -11,7 +11,7 @@ Times are in units of hbar/energy, densities of states in states per unit energy
 
 from __future__ import annotations
 
-from contextlib import suppress
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,29 +70,38 @@ class Xorshift64Star:
 def _refused(name: str, rule: str, value) -> ValidationError:
     """The error "{name} must be {rule}, got {value!r}", showing an integer past float
     range by its size, and a value whose repr passes Python's 4300 digits by its type."""
-    shown = f"a {type(value).__name__} too long to print"
-    with suppress(ValueError):
+    try:
         shown = repr(value)
+    except ValueError:
+        shown = f"a {type(value).__name__} too long to print"
     if isinstance(value, int) and abs(value) >= 2**1024:
         shown = f"an integer of {value.bit_length()} bits"
     return ValidationError(f"{name} must be {rule}, got {shown}")
 
 
-def _number(name: str, value, *, text=False, minimum=None, above=None) -> float:
+def _number(name: str, value, *, text=False, minimum=None, above=None, finite=True) -> float:
     """The one reader of a real number a caller passes, by float(); refused, naming `name`:
     a bool, a string unless `text` (a field kept as given would compare as one), a non-scalar,
-    what float() cannot read, NaN, +-inf, a value below `minimum` or not above `above`."""
-    number = None
-    if not isinstance(value, (bool, np.bool_) if text else (bool, np.bool_, str, bytes)):
-        with suppress(TypeError, ValueError, OverflowError):
-            number = float(value) if getattr(value, "ndim", 0) == 0 else None
-    if number is None:
+    what float() cannot read, NaN, +-inf, a value below `minimum` or not above `above`.
+    With finite=False (_energy) NaN and +-inf pass, and no bound is read."""
+    if type(value) is not float and (getattr(value, "ndim", 0) or isinstance(
+            value, (bool, np.bool_) if text else (bool, np.bool_, str, bytes))):
         raise _refused(name, "a number", value)
-    if not (np.isfinite(number) and (minimum is None or number >= minimum)
-            and (above is None or number > above)):
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _refused(name, "a number", value) from None
+    if finite and not (math.isfinite(number) and (minimum is None or number >= minimum)
+                       and (above is None or number > above)):
         raise _refused(name, "finite" + ("" if minimum is None else f" and >= {minimum:g}")
                        + ("" if above is None else f" and > {above:g}"), value)
     return number
+
+
+def _energy(energy) -> float:
+    """The energy of a single-energy function, by _number's rule except that NaN and
+    +-inf pass: the skip rule (energy_errors) fails them as non-finite energies."""
+    return _number("energy", energy, finite=False)
 
 
 def _size(name: str, value, minimum: int = 1, below: int | None = None) -> int:
@@ -180,6 +189,7 @@ class LayerStack:
 
     def shifted(self, dv: float) -> "LayerStack":
         """Same stack with dv added to every layer potential (Omega only)."""
+        dv = _number("dv", dv)
         return LayerStack(
             layers=tuple((d, v + dv) for d, v in self.layers),
             v_left=self.v_left,
@@ -295,9 +305,11 @@ class LatticeSystem:
     def __post_init__(self):
         _size("width", self.width)
         _size("length", self.length)
-        try:
-            arr = np.asarray(self.onsite, dtype=float)
-        except (TypeError, ValueError, OverflowError):
+        try:  # numpy reads bools, strings and mixed entries as their own kinds
+            arr = np.asarray(self.onsite)
+            if arr.dtype.kind not in "iuf":
+                raise TypeError
+        except (TypeError, ValueError):
             raise ValidationError("onsite must be an array of numbers") from None
         if arr.shape != (self.length, self.width):
             raise ValidationError(
@@ -306,7 +318,7 @@ class LatticeSystem:
             )
         if not np.all(np.isfinite(arr)):
             raise ValidationError("non-finite on-site energy")
-        arr = arr.copy()
+        arr = arr.astype(float)
         arr.setflags(write=False)
         object.__setattr__(self, "onsite", arr)
         if not isinstance(self.region, (LatticeRegion, type(None))):
@@ -337,7 +349,7 @@ class LatticeSystem:
     def shifted(self, dv: float) -> "LatticeSystem":
         """Same system and Omega with dv added on the Omega sites only."""
         arr = np.array(self.onsite, dtype=float)
-        arr.reshape(-1)[self.region_sites()] += dv
+        arr.reshape(-1)[self.region_sites()] += _number("dv", dv)
         return LatticeSystem(self.width, self.length, arr, self.region)
 
 
@@ -466,15 +478,19 @@ def channel_index(labels: Sequence[str], opened: Array, label: str, energy: floa
     return labels.index(label)
 
 
-def single_energy(batch, route: str = "direct", channel: str | None = None) -> int | None:
-    """The rule of every single-energy function on `batch`, a batch of either backend
-    at one energy, judged by batch.errors(route) alone: with a `channel`,
-    channel_index's rule gives the channel's position; without one, the error is raised."""
+def single_energy(batch_class, system, energy, route: str = "direct",
+                  channel: str | None = None) -> tuple:
+    """The rule of every single-energy function: the batch_class batch (either backend's)
+    of `system` at the one _energy `energy`, judged by batch.errors(route) alone, and the
+    position of `channel` by channel_index's rule; without a channel, None once the
+    energy's error, if any, is raised."""
+    batch = batch_class(system, [_energy(energy)])
     (error,) = batch.errors(route)
     if channel is not None:
-        return channel_index(batch.labels, batch.open[:, 0], channel, batch.energies[0], error)
-    if error is not None:
+        channel = channel_index(batch.labels, batch.open[:, 0], channel, batch.energies[0], error)
+    elif error is not None:
         raise error
+    return batch, channel
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalFailureError, ValidationError
 from .lattice import build_hamiltonian, lead_self_energy
-from .model import Array, EnergyGrid, LatticeSystem, LayerStack
+from .model import Array, EnergyGrid, LatticeSystem, LayerStack, _number, _size
 
 __all__ = [
     "BoxSpec", "quadrature_integral", "box_dos", "fd_green",
@@ -30,7 +30,7 @@ def quadrature_integral(
     psi: Callable[[Array], Array], a: float, b: float, panels: int
 ) -> float:
     """Composite-Simpson integral of |psi(x)|^2 over [a, b]."""
-    if panels < 2 or panels % 2 != 0:
+    if _size("panels", panels, minimum=2) % 2 != 0:
         raise ValidationError("panels must be even and >= 2")
     x = np.linspace(a, b, panels + 1)
     y = np.abs(np.asarray(psi(x), dtype=complex)) ** 2
@@ -49,12 +49,10 @@ class BoxSpec:
     eta: float
 
     def __post_init__(self):
-        if self.pad_left <= 0 or self.pad_right <= 0:
-            raise ValidationError("paddings must be positive")
-        if self.grid_step <= 0:
-            raise ValidationError("grid_step must be positive")
-        if self.eta <= 0:
-            raise ValidationError("eta must be positive")
+        _number("paddings: pad_left", self.pad_left, above=0.0)
+        _number("paddings: pad_right", self.pad_right, above=0.0)
+        _number("grid_step", self.grid_step, above=0.0)
+        _number("eta", self.eta, above=0.0)
 
 
 def _validate_box(stack: LayerStack, box: BoxSpec, e_min: float, e_max: float) -> None:

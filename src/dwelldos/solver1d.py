@@ -341,9 +341,7 @@ class ScatterBatch:
 def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterBatch:
     """Solve the scattering problem at one energy for both incidence sides:
     the ScatterBatch of that one energy, once its skip rule has passed."""
-    batch = ScatterBatch(stack, [energy])
-    single_energy(batch)
-    return batch
+    return single_energy(ScatterBatch, stack, energy)[0]
 
 
 # ----------------------------------------------------------------------------
@@ -402,8 +400,8 @@ def dwell_time_direct_1d(
     the energy-normalized state 1 / 2 pi hbar).  `side` is the channel
     label, "left" or "right", checked by model.channel_index.
     """
-    batch = ScatterBatch(stack, [energy])
-    return float(batch.dwell_times[single_energy(batch, "direct", side), 0])
+    batch, j = single_energy(ScatterBatch, stack, energy, "direct", side)
+    return float(batch.dwell_times[j, 0])
 
 
 # ----------------------------------------------------------------------------
@@ -429,8 +427,7 @@ def greens_function_1d(
     """Retarded G+(x, x'; E) = psi_L(x<) psi_R(x>) / W for x, x' in
     [0, L]; scalars or arrays that broadcast, and scalars give a complex."""
     x, xp = _positions(stack, x, xp)
-    batch = ScatterBatch(stack, [energy])
-    single_energy(batch, "green")
+    batch, _ = single_energy(ScatterBatch, stack, energy, "green")
     # unit incidence from the right has no incoming part on the left, so
     # it is the left-outgoing psi_L; incidence from the left is psi_R
     psi_l, _ = batch.wave("right", np.minimum(x, xp))
@@ -477,9 +474,7 @@ def dos_region_1d(
 ) -> float:
     """Density of states of Omega: -(1/pi) Im of the integral of G+(x, x)
     over [0, L], in closed form per layer (ScatterBatch.region_dos)."""
-    batch = ScatterBatch(stack, [energy])
-    single_energy(batch, "green")
-    return float(batch.region_dos[0])
+    return float(single_energy(ScatterBatch, stack, energy, "green")[0].region_dos[0])
 
 
 def _green_layer_integral(a_l, b_l, a_r, b_r, k, d, phase):

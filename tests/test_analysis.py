@@ -518,6 +518,44 @@ def test_non_finite_energy_is_a_failed_skip(system, energy):
         assert rep.skip_reason.split(":")[0] not in analysis.EXPECTED_SKIPS
 
 
+# every function that solves one energy, its other arguments fixed: a double
+# barrier, and a 2 x 3 strip whose thresholds are -3, -1, 1 and 3
+_STACK, _STRIP = double_barrier(), uniform_lattice(2, 3)
+_SINGLE_ENERGY = {
+    "scattering_amplitudes": lambda e: scattering_amplitudes(_STACK, e),
+    "dwell_time_direct_1d": lambda e: dwell_time_direct_1d(_STACK, e),
+    "greens_function_1d": lambda e: solver1d.greens_function_1d(_STACK, e, 0.5, 0.5),
+    "ldos_1d": lambda e: solver1d.ldos_1d(_STACK, e, 0.5),
+    "ldos_mode_sum_1d": lambda e: solver1d.ldos_mode_sum_1d(_STACK, e, 0.5),
+    "dos_region_1d": lambda e: dos_region_1d(_STACK, e),
+    "lead_modes": lambda e: lattice.lead_modes(2, e),
+    "open_channels": lambda e: open_channels(_STRIP, e),
+    "lead_self_energy": lambda e: lattice.lead_self_energy(2, e),
+    "scattering_state": lambda e: scattering_state(_STRIP, e, "left:1"),
+    "scattering_matrix": lambda e: lattice.scattering_matrix(_STRIP, e),
+    "dwell_time_lattice": lambda e: dwell_time_lattice(_STRIP, e, "left:1"),
+    "dos_region_lattice": lambda e: lattice.dos_region_lattice(_STRIP, e),
+    "shifted_smatrix": lambda e: shifted_smatrix(_STACK, e, 0.0),
+    "dwell_times_vderiv_all": lambda e: dwell_times_vderiv_all(_STACK, e),
+    "dwell_time_vderiv": lambda e: dwell_time_vderiv(_STACK, e, "left"),
+    "compute_report": lambda e: compute_report(_STACK, e),
+}
+
+
+@pytest.mark.parametrize("energy", [None, True, np.True_, "1.0", [1.0, 2.0], [0.1],
+                                    np.array([0.1]), 10**400],
+                         ids=["None", "True", "numpy-True", "text", "list", "list-of-one",
+                              "array-of-one", "10**400"])
+@pytest.mark.parametrize("name", list(_SINGLE_ENERGY))
+def test_single_energy_functions_read_their_energy(name, energy):
+    # the energy is read by model._number's rule before any solve: no bool read
+    # as 1, no parsed string, no list escaping as a raw Python error, and no
+    # None reported as a non-finite energy; a float energy solves
+    with pytest.raises(ValidationError, match="^energy must be a number, got "):
+        _SINGLE_ENERGY[name](energy)
+    _SINGLE_ENERGY[name](0.5)
+
+
 def test_verify_identity_below_all_thresholds():
     stack = build_stack([(1.0, 0.0)], v_left=5.0, v_right=5.0)
     reports = verify_identity(stack, EnergyGrid(0.5, 2.0, 5))

@@ -140,10 +140,10 @@ def test_config_errors_name_fields(tmp_path):
     ("min_prominence", {"min_prominence": math.nan}),
     ("min_prominence", {"min_prominence": math.inf}),
     ("min_prominence", {"min_prominence": -0.1}),
-    # the model refuses non-finite grid bounds and lead potentials
-    ("grid", {"grid": {"e_min": -1.5, "e_max": math.inf, "count": 60}}),
-    ("system", {"backend": "stack",
-                "system": {"v_left": math.nan, "layers": [{"d": 1.0, "V": 0.0}]}}),
+    # a non-finite grid bound or lead potential is refused at its own field
+    ("grid.e_max", {"grid": {"e_min": -1.5, "e_max": math.inf, "count": 60}}),
+    ("system.v_left", {"backend": "stack",
+                       "system": {"v_left": math.nan, "layers": [{"d": 1.0, "V": 0.0}]}}),
     # the threshold margin is a model constant; old configs may repeat it
     ("grid.threshold_margin",
      {"grid": {"e_min": -1.5, "e_max": 1.5, "count": 60, "threshold_margin": 1e-3}}),

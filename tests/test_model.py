@@ -448,6 +448,29 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
                  "region must be a LatticeRegion or None, got tuple", id="system-region-tuple"),
     pytest.param(lambda: verify_identity(double_barrier(), (1, 2, 3)),
                  "grid must be an EnergyGrid, got tuple", id="verify-grid-tuple"),
+    # a shift is read as every number: no string, and no bool read as 1
+    pytest.param(lambda: double_barrier().shifted("a"), "dv must be a number, got 'a'",
+                 id="stack-shift-text"),
+    pytest.param(lambda: uniform_lattice(2, 3).shifted(True), "dv must be a number, got True",
+                 id="lattice-shift-True"),
+    # numpy reads these on-site arrays as bools, strings or objects, never as numbers
+    pytest.param(lambda: LatticeSystem(2, 2, np.full((2, 2), True)),
+                 "onsite must be an array of numbers", id="onsite-bools"),
+    pytest.param(lambda: LatticeSystem(2, 2, [["0", "1"], ["2", "3"]]),
+                 "onsite must be an array of numbers", id="onsite-strings"),
+    pytest.param(lambda: LatticeSystem(2, 2, [[True, "1.5"], [0, 0]]),
+                 "onsite must be an array of numbers", id="onsite-mixed"),
+    pytest.param(lambda: LatticeSystem(2, 2, [[0.0, None], [0.0, 0.0]]),
+                 "onsite must be an array of numbers", id="onsite-None"),
+    # the method list has one reader, analysis._methods
+    pytest.param(lambda: verify_identity(double_barrier(), EnergyGrid(1.0, 2.0, 3), methods=3),
+                 "methods must be a non-empty list", id="methods-number"),
+    pytest.param(lambda: verify_identity(double_barrier(), EnergyGrid(1.0, 2.0, 3),
+                                         methods=[["direct"]]),
+                 "methods must be a non-empty list", id="methods-nested"),
+    pytest.param(lambda: verify_identity(double_barrier(), EnergyGrid(1.0, 2.0, 3),
+                                         methods={"direct": False, "green": False}),
+                 "methods must be a non-empty list", id="methods-dict"),
 ])
 def test_model_refuses_bad_input(build, match):
     with pytest.raises(ValidationError, match=match):

@@ -43,6 +43,23 @@ def test_box_spec_validation():
         BoxSpec(pad_left=1.0, pad_right=1.0, grid_step=0.1, eta=-0.1)
 
 
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: BoxSpec(np.nan, 1.0, 0.01, 0.01), "pad_left must be finite and > 0",
+                 id="box-pad-nan"),
+    pytest.param(lambda: BoxSpec("a", 1.0, 0.01, 0.01), "pad_left must be a number",
+                 id="box-pad-text"),
+    pytest.param(lambda: BoxSpec(1.0, 1.0, 0.01, np.inf), "eta must be finite and > 0",
+                 id="box-eta-inf"),
+    pytest.param(lambda: quadrature_integral(np.sin, 0.0, 1.0, 4.0),
+                 "panels must be an integer >= 2, got 4.0", id="panels-float"),
+    pytest.param(lambda: quadrature_integral(np.sin, 0.0, 1.0, True),
+                 "panels must be an integer", id="panels-bool"),
+])
+def test_oracles_refuse_bad_input(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
 def test_box_invariants_enforced():
     barrier = rectangular_barrier(1.0, 1.0)
     # decay length at e_min = 0.5 is 1/sqrt(0.5) ~ 1.41; pads must be >= ~28
