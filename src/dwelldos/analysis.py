@@ -72,7 +72,6 @@ __all__ = [
     "find_resonances",
 ]
 
-RESIDUAL_FLOOR = 1e-30
 _IMAG_RESIDUAL_TOL = 1e-6
 _WEIGHT_EPS = 1e-12  # |s|^2 below this cannot contribute above noise
 _MAX_HALVINGS = 12  # V-derivative step halvings before a point is skipped
@@ -463,9 +462,9 @@ def _chunk_reports(
         columns["dos_sum"] = _channel_sum(columns["tau_direct"], opened) / (2.0 * np.pi)
     if "direct" in methods and "green" in methods:
         green, total = columns["dos_green"], columns["dos_sum"]
-        with np.errstate(all="ignore"):  # a skipped row's entries may be NaN
-            # np.maximum keeps a NaN dos_green, as Python's max does
-            columns["residual_rel"] = np.abs(green - total) / np.maximum(green, RESIDUAL_FLOOR)
+        # a row not skipped has dos_green > 0 (the green route's errors); a skipped one may not
+        with np.errstate(all="ignore"):
+            columns["residual_rel"] = np.abs(green - total) / green
     return ReportTable(energies, labels, opened, errors, **columns)
 
 
@@ -576,16 +575,11 @@ class ResonanceTable:
 
 
 def _refine_peak(x: Array, y: Array, i: int) -> float:
-    """Parabolic vertex through the three samples around a discrete max at
-    an interior index i, 0 < i < len(x) - 1."""
-    x0, x1, x2 = x[i - 1], x[i], x[i + 1]
-    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
-    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
-    b = (x2**2 * (y0 - y1) + x1**2 * (y2 - y0) + x0**2 * (y1 - y2)) / denom
-    if a >= 0:
-        return float(x1)
-    return float(-b / (2.0 * a))
+    """Vertex of the parabola through the samples around a discrete max at an interior
+    index i, as an offset within half a step of x[i]; x[i] itself on a flat top."""
+    d0, d2, h0, h2 = y[i] - y[i - 1], y[i] - y[i + 1], x[i] - x[i - 1], x[i + 1] - x[i]
+    w = d0 * h2 + d2 * h0
+    return float(x[i] if w == 0 else x[i] + (d0 * h2 * (h0 + h2) / w - h0) / 2.0)
 
 
 def _base(side: Array) -> int:
@@ -625,7 +619,7 @@ def _find_peaks_1d(x: Array, y: Array, min_prominence: float) -> tuple[Peak, ...
         width = ((i + kr) - fr) - ((i - kl) + fl)
         spacing = (x[i + 1] - x[i - 1]) / 2.0  # np.gradient(x)[i]; a peak is never at an edge
         peaks.append(Peak(_refine_peak(x, y, int(i)), float(y[i]), float(width * spacing)))
-    return tuple(sorted(peaks, key=lambda p: p.energy))
+    return tuple(peaks)  # by index, so ascending: each vertex stays between its neighbours
 
 
 def find_resonances(
@@ -672,9 +666,4 @@ def find_resonances(
                                 for name, peak in candidates),
                                key=lambda candidate: candidate[0], default=(None, None, None))
         matches.append(PeakMatch(dp, name, peak, dist, name is not None and dist <= resolution))
-    return ResonanceTable(
-        dos_peaks=dos_peaks,
-        dwell_peaks=dwell_peaks,
-        matches=tuple(matches),
-        grid_resolution=resolution,
-    )
+    return ResonanceTable(dos_peaks, dwell_peaks, tuple(matches), resolution)

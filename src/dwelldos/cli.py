@@ -353,14 +353,12 @@ def cmd_verify(config: RunConfig) -> tuple[int, dict]:
 def cmd_resonances(config: RunConfig, out_dir: Path) -> dict:
     reports = compute_reports(config)
     table = an.find_resonances(reports, min_prominence=config.min_prominence)
-    lines = []
-    for p, m in zip(table.dos_peaks, table.matches):  # one match per DOS peak, in order
-        dist = _fmt(m.distance) if m.matched else ""
-        chan = m.channel or ""
-        lines.append(f"{_fmt(p.energy)},dos,{chan},{_fmt(p.height)},{_fmt(p.width)},{dist}")
-    for chan, peaks in table.dwell_peaks.items():
-        for p in peaks:
-            lines.append(f"{_fmt(p.energy)},dwell,{chan},{_fmt(p.height)},{_fmt(p.width)},")
+    def row(p, kind, chan, dist=""):
+        return f"{_fmt(p.energy)},{kind},{chan},{_fmt(p.height)},{_fmt(p.width)},{dist}"
+    # one match per DOS peak, in order
+    lines = [row(m.dos_peak, "dos", m.channel or "", _fmt(m.distance) if m.matched else "")
+             for m in table.matches]
+    lines += [row(p, "dwell", chan) for chan, peaks in table.dwell_peaks.items() for p in peaks]
     _write_csv(out_dir / "peaks.csv", PEAKS_HEADER, lines)
     matched = sum(1 for m in table.matches if m.matched)
     summary = an.summarize_reports(reports, config.system)

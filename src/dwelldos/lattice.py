@@ -288,14 +288,18 @@ class _LatticeWorkspace:
     def errors(self, *routes: str) -> list:
         """Per energy, None or the error that leaves it without one of `routes`
         ("direct", "green", "vderiv"), from one row list: energy_errors's, then
-        a singular column block, then, when "direct" or "vderiv" is read, a
-        solve residual above _RESIDUAL_TOL (Green alone never computes them)."""
-        rows = [(self._singular, BoundStatePoleError, "singular column block at E = {E}")]
-        if set(routes) <= {"green"}:
-            return energy_errors(self.system, self.energies, self.open, *rows)
-        rows.append((~(self.residuals <= _RESIDUAL_TOL), NumericalFailureError,  # NaN fails too
-                     "scattering solve residual {residual:.3e} at E = {E}"))
-        return energy_errors(self.system, self.energies, self.open, *rows, residual=self.residuals)
+        a singular column block, then a region DOS that is not positive ("green"),
+        then, when "direct" or "vderiv" is read, a solve residual above
+        _RESIDUAL_TOL (Green alone never computes them)."""
+        # a retarded G has rho_Omega > 0; 1 and 0 stand in for a route that is not read
+        dos = self.region_dos if "green" in routes else np.ones(self.energies.size)
+        residual = np.zeros(self.energies.size) if set(routes) <= {"green"} else self.residuals
+        return energy_errors(
+            self.system, self.energies, self.open,
+            (self._singular, BoundStatePoleError, "singular column block at E = {E}"),
+            (~(dos > 0), NumericalFailureError, "region DOS {dos} at E = {E} is not positive"),
+            (~(residual <= _RESIDUAL_TOL), NumericalFailureError,  # NaN fails too
+             "scattering solve residual {residual:.3e} at E = {E}"), dos=dos, residual=residual)
 
 
 def scattering_state(system: LatticeSystem, energy: float, channel: str) -> Array:

@@ -98,6 +98,20 @@ def _number(name: str, value, *, text=False, minimum=None, above=None, finite=Tr
     return number
 
 
+def _array(name: str, value, finite: bool = True) -> Array:
+    """The one reader of an array of numbers a caller passes, as a new float array; refused,
+    naming `name`, where numpy reads bools, strings or objects, and, if finite, NaN or +-inf."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf":
+            raise TypeError
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name} must have no non-finite entry")
+    return arr.astype(float)
+
+
 def _energy(energy) -> float:
     """The energy of a single-energy function, by _number's rule except that NaN and
     +-inf pass: the skip rule (energy_errors) fails them as non-finite energies."""
@@ -305,20 +319,12 @@ class LatticeSystem:
     def __post_init__(self):
         _size("width", self.width)
         _size("length", self.length)
-        try:  # numpy reads bools, strings and mixed entries as their own kinds
-            arr = np.asarray(self.onsite)
-            if arr.dtype.kind not in "iuf":
-                raise TypeError
-        except (TypeError, ValueError):
-            raise ValidationError("onsite must be an array of numbers") from None
+        arr = _array("onsite", self.onsite)
         if arr.shape != (self.length, self.width):
             raise ValidationError(
                 f"onsite must have shape (length, width) = "
                 f"({self.length}, {self.width}), got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("non-finite on-site energy")
-        arr = arr.astype(float)
         arr.setflags(write=False)
         object.__setattr__(self, "onsite", arr)
         if not isinstance(self.region, (LatticeRegion, type(None))):
@@ -526,12 +532,9 @@ def sampled_curve(energies, values, what: str) -> tuple[Array, Array]:
     """A curve sampled at `energies` as two new float arrays, refused unless
     they are matching non-empty 1D arrays of finite numbers with strictly
     increasing energies; `what` names the curve in the error."""
-    e = np.array(energies, dtype=float)
-    v = np.array(values, dtype=float)
+    e, v = _array(f"{what}: energies", energies), _array(f"{what}: values", values)
     if e.ndim != 1 or e.shape != v.shape or e.size == 0:
         raise ValidationError(f"{what}: energies and values must be matching non-empty 1D arrays")
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(v))):
-        raise ValidationError(f"{what}: energies and values must be finite")
     if np.any(np.diff(e) <= 0):
         raise ValidationError(f"{what}: energies must be strictly increasing")
     return e, v

@@ -32,6 +32,7 @@ def quadrature_integral(
     """Composite-Simpson integral of |psi(x)|^2 over [a, b]."""
     if _size("panels", panels, minimum=2) % 2 != 0:
         raise ValidationError("panels must be even and >= 2")
+    a, b = _number("a", a), _number("b", b)
     x = np.linspace(a, b, panels + 1)
     y = np.abs(np.asarray(psi(x), dtype=complex)) ** 2
     h = (b - a) / panels

@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalFailureError, ValidationError
-from .model import FLUX_FACTOR, Array, LayerStack, energy_errors, single_energy
+from .model import FLUX_FACTOR, Array, LayerStack, _array, energy_errors, single_energy
 
 __all__ = [
     "layer_wavevector",
@@ -324,18 +324,23 @@ class ScatterBatch:
         """Per energy, None or the error that leaves it without one of `routes`
         ("direct", "green", "vderiv"), from one row list: energy_errors's, then
         a non-finite S or, when "direct" or "green" is read, non-finite interior
-        coefficients (the down-sweep's), then an underflowing W ("green")."""
+        coefficients (the down-sweep's), then an underflowing W and a region DOS
+        that is not positive ("green")."""
         failed = self.failed if {"direct", "green"} & set(routes) else self._s_failed
         # With an open channel G+ has no pole on the real axis, however
         # small |t| is; W leaves the normal floats only when the outgoing
         # amplitude underflows (a subnormal W has lost the digits of 1/W).
         w = np.abs(self.wronskian)
         underflow = ~((np.finfo(float).tiny <= w) & (w < np.inf)) & ("green" in routes)
+        # a retarded G has rho_Omega > 0; 1 stands in where the route is not read
+        dos = self.region_dos if "green" in routes else np.ones(self.energies.size)
         return energy_errors(
             self.stack, self.energies, self.open,
             (failed, NumericalFailureError, "interface solve failed at E = {E}"),
             (underflow, NumericalFailureError, "Wronskian {W} at E = {E}: the outgoing "
-             "amplitude of the left-outgoing solution underflowed"), W=self.wronskian)
+             "amplitude of the left-outgoing solution underflowed"),
+            (~(dos > 0), NumericalFailureError,  # NaN fails too
+             "region DOS {dos} at E = {E} is not positive"), W=self.wronskian, dos=dos)
 
 
 def scattering_amplitudes(stack: LayerStack, energy: float) -> ScatterBatch:
@@ -410,9 +415,9 @@ def dwell_time_direct_1d(
 
 
 def _positions(stack: LayerStack, *xs) -> list[Array]:
-    """Each of `xs` as a float array, refused unless every entry lies in
-    [0, L], the one check of the pointwise functions (NaN is refused)."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
+    """x, then x', as float arrays by model._array, refused unless every entry
+    lies in [0, L], the one check of the pointwise functions (NaN is refused)."""
+    xs = [_array(name, x, finite=False) for name, x in zip(("x", "x'"), xs)]
     if not all(np.all((0.0 <= x) & (x <= stack.total_length)) for x in xs):
         raise ValidationError("x and x' must lie in [0, L]")
     return xs

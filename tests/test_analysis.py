@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -956,9 +957,9 @@ def test_grid_halving_pools_retries_of_all_chunks(tree_solves, monkeypatch):
 # layer with its exact transfer matrix and integrates every layer with
 # mp.quad, where no such error can cancel.
 
-def _reference(stack, energy: float) -> tuple[float, float, float]:
+def _reference(stack, energy: float, digits: int = 30) -> tuple[float, float, float]:
     """(tau_left, tau_right, dos) of a stack between two zero-potential
-    leads, at 30 digits from the stack's own double values.
+    leads, at `digits` digits from the stack's own double values.
 
     psi_out_right (outgoing into the right lead) starts as e^{ik(x - L)} at
     x = L and psi_out_left as e^{-ikx} at x = 0; each is carried across
@@ -966,7 +967,7 @@ def _reference(stack, energy: float) -> tuple[float, float, float]:
     unit incidence they are the left- and right-incident states, and
     G+(x, x) = psi_out_left psi_out_right / W.
     """
-    with mp.workdps(30):
+    with mp.workdps(digits):
         k = mp.sqrt(mp.mpf(energy))
         layers = [(mp.mpf(d), mp.sqrt(mp.mpf(energy) - mp.mpf(v))) for d, v in stack.layers]
 
@@ -1041,6 +1042,25 @@ def test_routes_match_transfer_matrix_reference(energy, layers):
 ])
 def test_near_grazing_layer_matches_reference(energy):
     _assert_matches_reference(build_stack([(1.0, 1.0)]), energy)
+
+
+def test_region_dos_that_is_not_positive_is_a_failure():
+    # 2e-9 below a resonance of the shipped opaque double barrier the Green
+    # route loses its digits and reads rho_Omega = -402, where the reference
+    # reads 0.0026796 at 50 digits (2156 at its default 30); the direct route
+    # keeps them.  A retarded G has rho_Omega > 0, so the point is a failure
+    stack = build_stack([(5.0, 50.0), (2.0, 0.0), (5.0, 50.0)])
+    energy = 7.525096239323629
+    report = compute_report(stack, energy)
+    assert report.skipped and report.dos_green is None
+    assert report.skip_reason.startswith("NumericalFailureError: region DOS -402.")
+    with pytest.raises(NumericalFailureError,
+                       match=f"region DOS -402.* at E = {energy} is not positive"):
+        dos_region_1d(stack, energy)
+    tau_left, tau_right, dos = _reference(stack, energy, digits=50)
+    assert abs(dos - 0.0026796) < 1e-7
+    for side, ref in (("left", tau_left), ("right", tau_right)):
+        assert abs(dwell_time_direct_1d(stack, energy, side) - ref) <= 1e-10 * ref
 
 
 # ------------------------------------------------------------------- resonances
@@ -1205,15 +1225,7 @@ def test_transmission_peaks_coincide_with_dos_peaks():
     t2 = np.abs(batch.t) ** 2
     ti, _ = find_peaks(t2, prominence=0.05 * t2.max())
 
-    def refine(i):
-        x0, x1, x2 = energies[i - 1: i + 2]
-        y0, y1, y2 = t2[i - 1: i + 2]
-        den = (x0 - x1) * (x0 - x2) * (x1 - x2)
-        a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / den
-        b = (x2**2 * (y0 - y1) + x1**2 * (y2 - y0) + x0**2 * (y1 - y2)) / den
-        return -b / (2 * a) if a < 0 else energies[i]
-
-    t_peaks = np.array([refine(int(i)) for i in ti])
+    t_peaks = np.array([analysis._refine_peak(energies, t2, int(i)) for i in ti])
     step = table.grid_resolution
     for p in table.dos_peaks:
         assert np.min(np.abs(t_peaks - p.energy)) <= 2.0 * step
@@ -1233,9 +1245,8 @@ def _scipy_peaks(x, y, min_prominence):
         warnings.filterwarnings("ignore", "some peaks have a width of 0")
         widths = signal.peak_widths(y, idx, rel_height=0.5)[0]
     spacing = np.gradient(x)
-    peaks = (Peak(analysis._refine_peak(x, y, int(i)), float(y[i]), float(w * spacing[i]))
-             for i, w in zip(idx, widths))
-    return tuple(sorted(peaks, key=lambda p: p.energy))
+    return tuple(Peak(analysis._refine_peak(x, y, int(i)), float(y[i]), float(w * spacing[i]))
+                 for i, w in zip(idx, widths))
 
 
 @st.composite
@@ -1261,6 +1272,57 @@ def test_find_peaks_matches_scipy(curve, min_prominence):
     # refined energy, height and width with ==
     x, y = curve
     assert analysis._find_peaks_1d(x, y, min_prominence) == _scipy_peaks(x, y, min_prominence)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(curve=_curves(), min_prominence=st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+def test_each_peak_stays_between_the_neighbours_of_its_sample(curve, min_prominence):
+    # the vertex is an offset from the peak's middle sample, within half a
+    # step of it, so peaks found in index order ascend
+    from scipy import signal
+
+    x, y = curve
+    peaks = analysis._find_peaks_1d(x, y, min_prominence)
+    idx = signal.find_peaks(y, prominence=min_prominence * y.max())[0] if y.max() > 0 else []
+    assert len(peaks) == len(idx)
+    for peak, i in zip(peaks, idx):
+        assert x[i - 1] <= peak.energy <= x[i + 1]
+    assert np.all(np.diff([peak.energy for peak in peaks]) > 0)
+
+
+def _exact_vertex(x, y) -> Fraction:
+    """The vertex -b / 2a of the parabola a x^2 + b x + c through three
+    samples, in rational arithmetic from their double values."""
+    (x0, x1, x2), (y0, y1, y2) = ([Fraction(float(v)) for v in a] for a in (x, y))
+    den = (x0 - x1) * (x0 - x2) * (x1 - x2)
+    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / den
+    b = (x2**2 * (y0 - y1) + x1**2 * (y2 - y0) + x0**2 * (y1 - y2)) / den
+    return -b / (2 * a)
+
+
+@pytest.mark.parametrize("step", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("offsets", [(-1.0, 0.0, 1.0), (-1.0, 0.0, 2.5), (-3.0, 0.0, 1.0),
+                                     (-0.4, 0.0, 1.7)], ids=["uniform", "wide-right",
+                                                              "wide-left", "narrow-left"])
+def test_refined_peak_is_the_vertex_of_its_samples(step, offsets):
+    # a Lorentzian sampled at three points around E = 7.5: the vertex of
+    # their parabola, refined in floats, is within 1e-6 steps of the exact
+    # one; rounding it to a double near 7.5 alone costs up to 4.4e-7 steps at
+    # h = 1e-9, and an absolute-coordinate fit, which loses eps (x / h)^2,
+    # was 1.9e3 steps off there
+    x = 7.5 + step * np.array(offsets)
+    y = 1.0 / (1.0 + ((x - (7.5 + 0.3 * step)) / (2.0 * step)) ** 2)
+    assert y[1] > max(y[0], y[2])
+    vertex = analysis._refine_peak(x, y, 1)
+    assert float(abs(Fraction(vertex) - _exact_vertex(x, y)) / Fraction(step)) <= 1e-6
+    assert x[0] <= vertex <= x[2]
+
+
+def test_refined_flat_top_is_its_middle_sample():
+    x, y = np.array([1.0, 2.0, 3.5]), np.array([0.5, 0.5, 0.5])
+    assert analysis._refine_peak(x, y, 1) == 2.0
+    # two equal samples at the top: the vertex lies halfway between them
+    assert analysis._refine_peak(x, np.array([0.0, 1.0, 1.0]), 1) == 2.75
 
 
 def test_find_peaks_matches_scipy_on_shipped_curves():

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -588,6 +589,33 @@ def test_resonances_reports_failed_points(tmp_path):
     assert (found["dos_peaks"], found["matched"]) == (15, 15)
     shared = scan.keys() - {"command", "rows"}
     assert {k: found[k] for k in shared} == {k: scan[k] for k in shared}
+
+
+def test_opaque_window_skips_its_non_positive_region_dos(tmp_path, capsys):
+    # 41 points within 4e-8 of a resonance of the shipped opaque double
+    # barrier: the Green route loses its digits and reads rho_Omega <= 0 at 27
+    # of them, each a failed skip; the worst of the other 14 (1 - 1.5e-6)
+    # still fails verify, and the DOS peak stays inside the window
+    doc = json.loads((REPO / "configs" / "opaque_double_barrier.json").read_text())
+    e_min, e_max = 7.52509622, 7.52509626
+    doc["grid"] = {"e_min": e_min, "e_max": e_max, "count": 41}
+    cfg = write_config(tmp_path / "window.json", doc)
+    failed = (27, {"NumericalFailureError": 27},
+              ["27 grid points were skipped as failures (NumericalFailureError)"])
+    assert main(["verify", "--config", cfg]) == 1
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (summary["failed"], summary["skip_reasons"], summary["warnings"]) == failed
+    assert 0.99 < summary["max_residual_rel"] < 1.0
+    for command in ("scan", "resonances"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        summary = json.loads((tmp_path / command / "summary.json").read_text())
+        assert (summary["failed"], summary["skip_reasons"], summary["warnings"]) == failed
+    with open(tmp_path / "scan" / "scan.csv", newline="") as f:
+        rows = [row for row in csv.DictReader(f) if row["skipped"] == "false"]
+    assert len(rows) == 14 * 3 and all(float(row["dos_green"]) > 0 for row in rows)
+    with open(tmp_path / "resonances" / "peaks.csv", newline="") as f:
+        peaks = [float(row["E_peak"]) for row in csv.DictReader(f)]
+    assert peaks and all(e_min <= e <= e_max for e in peaks)
 
 
 def test_resonances_free_stack_empty_table(tmp_path):

@@ -237,3 +237,30 @@ def test_smatrix_fault_fails_verify(monkeypatch, backend):
     system, grid = (_STACK, _STACK_GRID) if backend == "stack" else (_STRIP, _STRIP_GRID)
     code, summary = cmd_verify(RunConfig(backend, system, grid, ("direct", "green", "vderiv")))
     assert code == 1 and summary["pass"] is False
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("stack", id="stack"),
+    pytest.param("lattice", id="lattice"),
+])
+def test_non_positive_region_dos_is_a_failed_skip(monkeypatch, backend):
+    # a retarded G has rho_Omega > 0: one energy's region DOS with its sign
+    # flipped is a failed skip of the Green route's own check, which comes
+    # before any residual reads it, and the other points still verify
+    batch = solver1d.ScatterBatch if backend == "stack" else lattice._LatticeWorkspace
+    system, grid = (_STACK, _STACK_GRID) if backend == "stack" else (_STRIP, _STRIP_GRID)
+    energy, compute = grid.points[7], batch.__dict__["region_dos"].func
+
+    def flipped(workspace):
+        dos = compute(workspace)
+        return np.where(workspace.energies == energy, -dos, dos)
+
+    patched = cached_property(flipped)
+    patched.__set_name__(batch, "region_dos")
+    monkeypatch.setattr(batch, "region_dos", patched)
+    summary = _verify(backend, system, grid)
+    assert summary["skip_reasons"] == {"NumericalFailureError": 1} and summary["failed"] == 1
+    assert summary["warnings"] == [
+        "1 grid points were skipped as failures (NumericalFailureError)"]
+    assert summary["max_residual_rel"] < 1e-8
+    assert summary["code"] == 1 and summary["pass"] is False

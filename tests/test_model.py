@@ -7,6 +7,7 @@ import pytest
 
 from dwelldos.analysis import shifted_smatrix, verify_identity, wavepacket_dwell_time
 from dwelldos.errors import ValidationError
+from dwelldos.solver1d import greens_function_1d, ldos_1d
 from dwelldos.model import (
     EnergyGrid,
     LatticeRegion,
@@ -471,6 +472,18 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
     pytest.param(lambda: verify_identity(double_barrier(), EnergyGrid(1.0, 2.0, 3),
                                          methods={"direct": False, "green": False}),
                  "methods must be a non-empty list", id="methods-dict"),
+    # every array a caller passes is read by model._array, which refuses one
+    # that numpy reads as bools, strings or objects
+    pytest.param(lambda: ldos_1d(double_barrier(), 1.0, "0.5"),
+                 "x must be an array of numbers", id="ldos-x-string"),
+    pytest.param(lambda: ldos_1d(double_barrier(), 1.0, True),
+                 "x must be an array of numbers", id="ldos-x-True"),
+    pytest.param(lambda: greens_function_1d(double_barrier(), 1.0, 0.5, [None]),
+                 "x' must be an array of numbers", id="green-xp-None"),
+    pytest.param(lambda: wavepacket_dwell_time(_DELTA, ["1", "2"], [1.0, 1.0]),
+                 "tau curve: energies must be an array of numbers", id="tau-energies-strings"),
+    pytest.param(lambda: SpectralWeight(np.array([1.5]), [True]),
+                 "spectral weight: values must be an array of numbers", id="weight-bools"),
 ])
 def test_model_refuses_bad_input(build, match):
     with pytest.raises(ValidationError, match=match):

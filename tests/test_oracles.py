@@ -54,6 +54,12 @@ def test_box_spec_validation():
                  "panels must be an integer >= 2, got 4.0", id="panels-float"),
     pytest.param(lambda: quadrature_integral(np.sin, 0.0, 1.0, True),
                  "panels must be an integer", id="panels-bool"),
+    pytest.param(lambda: quadrature_integral(np.sin, np.nan, 1.0, 4), "a must be finite, got nan",
+                 id="quadrature-a-nan"),
+    pytest.param(lambda: quadrature_integral(np.sin, "a", 1.0, 4), "a must be a number, got 'a'",
+                 id="quadrature-a-text"),
+    pytest.param(lambda: quadrature_integral(np.sin, 0.0, np.inf, 4), "b must be finite",
+                 id="quadrature-b-inf"),
 ])
 def test_oracles_refuse_bad_input(build, match):
     with pytest.raises(ValidationError, match=match):
