@@ -629,12 +629,12 @@ def find_resonances(
     """Locate DOS and dwell-time peaks and pair each DOS peak with the
     nearest dwell peak over all channels (plus the channel sum, "ALL").
 
-    Reads the table's columns, its points not skipped in table order (by
-    energy); the green and direct routes must have been run.  The dwell
-    curves are "ALL", then the channels in the table's order, and on a tie
-    for the nearest dwell peak the earlier one wins.  A pair counts as
-    matched when the refined peak energies agree within one grid step;
-    otherwise the DOS peak is flagged unmatched.
+    Reads the table's columns, its points not skipped in table order (by energy); the
+    green and direct routes must have been run.  The dwell curves are "ALL", then the
+    channels in the table's order; on a tie for the nearest dwell peak, within 1e-9 grid
+    steps so that rounding decides none, the earlier one wins.  A pair counts as matched
+    when the refined peak energies agree within one grid step; otherwise the DOS peak is
+    flagged unmatched.
     """
     min_prominence = _number("min_prominence", min_prominence, minimum=0.0)
     if table.dos_green is None or table.tau_direct is None:
@@ -662,8 +662,9 @@ def find_resonances(
 
     matches = []
     for dp in dos_peaks:
-        dist, name, peak = min(((abs(peak.energy - dp.energy), name, peak)
-                                for name, peak in candidates),
-                               key=lambda candidate: candidate[0], default=(None, None, None))
+        dists = [abs(peak.energy - dp.energy) for _, peak in candidates]
+        tied = min(dists, default=0.0) + 1e-9 * resolution
+        dist, name, peak = next(((d, *candidate) for d, candidate in zip(dists, candidates)
+                                 if d <= tied), (None, None, None))
         matches.append(PeakMatch(dp, name, peak, dist, name is not None and dist <= resolution))
     return ResonanceTable(dos_peaks, dwell_peaks, tuple(matches), resolution)

@@ -69,7 +69,6 @@ from .model import (
     channel_thresholds,  # unused here; the benchmark's tracer wraps it by this name
     random_lattice,
     random_stack,
-    uniform_lattice,
 )
 
 SCAN_HEADER = "energy,channel,tau_direct,tau_vderiv,dos_green,dos_sum,residual_rel,skipped"
@@ -178,13 +177,6 @@ def _layers(path: str, value) -> list:
                          if isinstance(layer, dict) else layer for i, layer in enumerate(value)])
 
 
-def _lattice(onsite=None, **size) -> LatticeSystem:
-    """The given lattice: `onsite` an array per site, one number or absent."""
-    if isinstance(onsite, list):
-        return LatticeSystem(onsite=onsite, **size)
-    return uniform_lattice(**size) if onsite is None else uniform_lattice(**size, v=onsite)
-
-
 # One table per config object, keyed by the keyword names of the builder
 # that the object feeds; a field left out keeps that builder's default.
 _real, _reals = _library(_number), _library(_numbers)
@@ -201,7 +193,7 @@ _REGION = {key: _required(_integer) for key in ("col_min", "col_max", "row_min",
 _SYSTEMS = {
     "stack": ({"layers": _required(_layers), **_LEADS}, build_stack,
               {"random": _required(_object(_RANDOM))}, random_stack),
-    "lattice": ({**_SIZE, "onsite": _reals}, _lattice,
+    "lattice": ({**_SIZE, "onsite": _reals}, LatticeSystem,
                 {**_SIZE, "disorder": _required(_object(_DISORDER))}, random_lattice),
 }
 _GRID = {"e_min": _required(_real), "e_max": _required(_real), "count": _required(_integer),

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import BoundStatePoleError, NumericalFailureError
 from .model import (Array, LatticeSystem, _energy, energy_errors, single_energy,
-                    transverse_modes, uniform_lattice)
+                    transverse_modes)
 
 __all__ = [
     "lead_modes",
@@ -83,7 +83,7 @@ def lead_modes(width: int, energy: float) -> tuple[Array, Array]:
     the same.  An energy the skip rule refuses raises its error."""
     energies = np.array([_energy(energy)])
     # a lead has the thresholds of any strip of its width
-    (error,) = energy_errors(uniform_lattice(width, 1), energies, np.ones((1, 1), dtype=bool))
+    (error,) = energy_errors(LatticeSystem(width, 1), energies, np.ones((1, 1), dtype=bool))
     if error is not None:
         raise error
     k, velocity = _lead_modes(transverse_modes(width)[1], energies)

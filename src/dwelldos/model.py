@@ -12,7 +12,10 @@ Times are in units of hbar/energy, densities of states in states per unit energy
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,21 +130,27 @@ def _size(name: str, value, minimum: int = 1, below: int | None = None) -> int:
     return int(value)
 
 
+def _sequence(name: str, value, rule: str, length: int | None = None) -> tuple:
+    """The one reader of a pair or list of values a caller passes (a range, a layer, the
+    layers, columns), as the tuple of its items; refused as not `rule`, naming `name`: text,
+    a mapping, a set (read in hash order), what does not iterate, and another `length`."""
+    if not isinstance(value, (str, bytes, Mapping, Set)):
+        with suppress(TypeError):  # islice reads no further than one item past `length`
+            items = tuple(value if length is None else islice(value, length + 1))
+            if length is None or len(items) == length:
+                return items
+    raise _refused(name, rule, value)
+
+
 def _range(name: str, pair) -> tuple[float, float]:
     """A seeded builder's (lo, hi) range as two _number floats."""
-    try:
-        lo, hi = pair
-    except (TypeError, ValueError):
-        raise _refused(name, "a (lo, hi) pair", pair) from None
+    lo, hi = _sequence(name, pair, "a (lo, hi) pair", 2)
     return _number(f"{name}[0]", lo), _number(f"{name}[1]", hi)
 
 
 def _layer(i: int, layer, text: bool = False) -> tuple[float, float]:
     """Layer i as a (thickness, potential) pair of _number floats, the thickness > 0."""
-    try:
-        d, v = layer
-    except (TypeError, ValueError):
-        raise _refused(f"layer {i}:", "a (thickness, potential) pair", layer) from None
+    d, v = _sequence(f"layer {i}:", layer, "a (thickness, potential) pair", 2)
     return (_number(f"layer {i}: thickness", d, text=text, above=0.0),
             _number(f"layer {i}: potential", v, text=text))
 
@@ -149,6 +158,8 @@ def _layer(i: int, layer, text: bool = False) -> tuple[float, float]:
 # ----------------------------------------------------------------------------
 # 1D layer stacks
 # ----------------------------------------------------------------------------
+
+_LAYERS = "a sequence of (thickness, potential) pairs"
 
 
 @dataclass(frozen=True)
@@ -165,11 +176,13 @@ class LayerStack:
     v_right: float = 0.0
 
     def __post_init__(self):
-        if len(self.layers) < 1:
+        layers = _sequence("layers", self.layers, _LAYERS)
+        if not layers:
             raise ValidationError("a stack needs at least one layer")
         _number("v_left", self.v_left), _number("v_right", self.v_right)
+        object.__setattr__(self, "layers", tuple(_layer(i, pair) for i, pair in enumerate(layers)))
         # the layer arrays are built once here and handed out read-only
-        thick, pots = np.array([_layer(i, layer) for i, layer in enumerate(self.layers)]).T.copy()
+        thick, pots = np.array(self.layers).T.copy()
         with np.errstate(over="ignore"):  # inf where the total length overflows
             bounds = np.concatenate(([0.0], np.cumsum(thick)))
         if not np.isfinite(bounds[-1]):
@@ -218,6 +231,7 @@ def build_stack(
 ) -> LayerStack:
     """Build a validated stack from (thickness, potential) pairs, each value
     read by float(), a numeric string too."""
+    layers = _sequence("layers", layers, _LAYERS)
     return LayerStack(layers=tuple(_layer(i, layer, True) for i, layer in enumerate(layers)),
                       v_left=_number("v_left", v_left, text=True),
                       v_right=_number("v_right", v_right, text=True))
@@ -304,7 +318,8 @@ class LatticeSystem:
     """Tight-binding scattering region with two semi-infinite leads.
 
     Device sites live on a width x length grid with on-site energies
-    ``onsite[col, row]``; every nearest-neighbor bond carries hopping -1.
+    ``onsite[col, row]``, one number for every site alike, 0 when not
+    given; every nearest-neighbor bond carries hopping -1.
     Ideal leads of the same width (zero on-site) attach at columns 0 and
     length - 1.  Omega is `region`, checked to lie inside the device, or
     the whole device when it is None.  Equality and hash are identity
@@ -313,13 +328,15 @@ class LatticeSystem:
 
     width: int
     length: int
-    onsite: Array
+    onsite: Array | float = 0.0
     region: LatticeRegion | None = None
 
     def __post_init__(self):
         _size("width", self.width)
         _size("length", self.length)
         arr = _array("onsite", self.onsite)
+        if arr.ndim == 0:  # one number: every site alike
+            arr = np.zeros((self.length, self.width)) + arr
         if arr.shape != (self.length, self.width):
             raise ValidationError(
                 f"onsite must have shape (length, width) = "
@@ -370,13 +387,8 @@ def transverse_modes(width: int) -> tuple[Array, Array]:
     return chi, eps
 
 
-def _blank(width: int, length: int) -> Array:
-    """Zero on-site energies (length, width), the sizes checked first."""
-    return np.zeros((_size("length", length), _size("width", width)))
-
-
 def uniform_lattice(width: int, length: int, v: float = 0.0) -> LatticeSystem:
-    return LatticeSystem(width, length, _blank(width, length) + _number("v", v))
+    return LatticeSystem(width, length, _number("v", v))
 
 
 def random_lattice(
@@ -386,13 +398,9 @@ def random_lattice(
     v_range: tuple[float, float] = (-0.5, 0.5),
 ) -> LatticeSystem:
     """Seeded on-site disorder, drawn column by column, row within column."""
-    rng = Xorshift64Star(seed)
-    v_range = _range("v_range", v_range)
-    arr = _blank(width, length)
-    for c in range(length):
-        for r in range(width):
-            arr[c, r] = rng.uniform(*v_range)
-    return LatticeSystem(width, length, arr)
+    rng, v_range = Xorshift64Star(seed), _range("v_range", v_range)
+    draws = [rng.uniform(*v_range) for _ in range(_size("length", length) * _size("width", width))]
+    return LatticeSystem(width, length, np.reshape(draws, (length, width)))
 
 
 def barrier_lattice(
@@ -403,10 +411,9 @@ def barrier_lattice(
 ) -> LatticeSystem:
     """Uniform device with raised on-site energy on selected columns, each an
     integer (not a bool) in [0, length)."""
-    arr, height = _blank(width, length), _number("barrier_height", barrier_height)
-    if not np.iterable(barrier_cols):
-        raise _refused("barrier_cols", "a sequence of columns", barrier_cols)
-    for i, c in enumerate(barrier_cols):
+    arr = np.zeros((_size("length", length), _size("width", width)))
+    height = _number("barrier_height", barrier_height)
+    for i, c in enumerate(_sequence("barrier_cols", barrier_cols, "a sequence of columns")):
         arr[_size(f"barrier_cols[{i}]", c, minimum=0, below=len(arr)), :] = height
     return LatticeSystem(width, length, arr)
 

@@ -1115,6 +1115,27 @@ def test_find_resonances_tie_goes_to_the_earlier_channel():
         "left:1", 6.0, 1.0, True)
 
 
+@pytest.mark.parametrize("eta", [1e-13, -1e-13], ids=["left-nearer", "ALL-nearer"])
+def test_find_resonances_near_tie_goes_to_the_earlier_curve(eta):
+    # on an integer grid left's dwell peak sits at 5, ALL's at 5 - s/2 (the
+    # falling right:1 ramp has no peak of its own) and the DOS peak at
+    # 5 - s/4 + eta, eta = 1e-13 steps nearer to left or to ALL: distances
+    # that rounding can order either way tie, and ALL, the earlier curve, wins
+    energies, s = np.arange(11.0), 1e-3
+    bump = np.maximum(2.0 - np.abs(energies - 5.0), 0.0)
+    n = energies.size
+    table = ReportTable(energies, ("left", "right"), np.ones((2, n), dtype=bool), [None] * n,
+                        tau_direct=np.array([bump, 10.0 - s * energies]),
+                        dos_green=1.0 + bump + (2.0 * eta - s / 2.0) * energies)
+    result = find_resonances(table)
+    (dos_peak,), peaks = result.dos_peaks, result.dwell_peaks
+    assert sorted(peaks) == ["ALL", "left"]
+    to_all, to_left = (abs(peaks[name][0].energy - dos_peak.energy) for name in ("ALL", "left"))
+    assert 0.0 < np.sign(eta) * (to_all - to_left) < 1e-12  # the nearer one as eta says
+    (match,) = result.matches
+    assert (match.channel, match.distance, match.matched) == ("ALL", to_all, True)
+
+
 def test_find_resonances_drops_a_nan_sample():
     # a NaN sample drops out of its curve as a skipped row does: the peaks
     # are those of the curve without it, not every local maximum (a NaN
@@ -1351,6 +1372,41 @@ def test_find_resonances_needs_both_routes(dbarrier, methods):
     table = verify_identity(dbarrier, EnergyGrid(0.3, 8.0, 20), methods)
     with pytest.raises(InsufficientDataError, match="green and direct"):
         find_resonances(table)
+
+
+def _verified_or_failed(table, tol: float) -> np.ndarray:
+    """Per point, whether it verifies at `tol` or is a skip of a class outside
+    EXPECTED_SKIPS: whether the point is right or says why it is not."""
+    residual, _ = table.column("residual_rel")
+    return np.array([r < tol if error is None else type(error).__name__ not in
+                     analysis.EXPECTED_SKIPS for error, r in zip(table.errors, residual)])
+
+
+_BIC_STRIP = barrier_lattice(2, 10, [3, 4, 5, 6], -2.0)  # a transversely uniform well
+_BIC_ENERGY = -1.9179880  # a bound state of mode 2 where mode 1 is open
+
+
+@pytest.mark.parametrize("system, grid, tol", [
+    # 1e-3 from the bound state the Green trace keeps its digits: worst 4.8e-10
+    pytest.param(lambda: _BIC_STRIP, EnergyGrid(_BIC_ENERGY - 1e-3, _BIC_ENERGY + 1e-3, 20),
+                 1e-9, id="bic-strip-1e-3"),
+    pytest.param(lambda: _BIC_STRIP, EnergyGrid(_BIC_ENERGY - 1e-7, _BIC_ENERGY + 1e-7, 20),
+                 1e-9, id="bic-strip-1e-7", marks=pytest.mark.xfail(
+                     strict=True, raises=AssertionError, reason=(
+                         "rounding moves the real mode-2 block of G, of size 1/|E - E_b|, into "
+                         "Im tr G: the worst residual is 0.214 with no point failed, so no row "
+                         "names why (ROADMAP item 16)"))),
+    pytest.param(lambda: load_config(Path(__file__).resolve().parents[1] / "configs"
+                                     / "opaque_double_barrier.json").system,
+                 EnergyGrid(7.52509622, 7.52509626, 41), 1e-8, id="opaque-window",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                     "near the level the Green route loses its digits: 27 points are "
+                     "NumericalFailureError skips, but 14 fail by residual alone, up to "
+                     "0.99999847, with no row that names them (ROADMAP item 2)"))),
+])
+def test_every_window_point_verifies_or_fails_by_name(system, grid, tol):
+    table = verify_identity(system(), grid)
+    assert _verified_or_failed(table, tol).all()
 
 
 def test_summarize_handles_empty(free2):

@@ -15,7 +15,7 @@ from dwelldos import analysis as an
 from dwelldos import cli
 from dwelldos.cli import load_config, main
 from dwelldos.errors import ConfigError
-from dwelldos.model import LatticeRegion
+from dwelldos.model import LatticeRegion, LatticeSystem
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -316,8 +316,17 @@ def test_given_lattice_loads_and_verifies(tmp_path, capsys, onsite, expected):
         "backend": "lattice", "system": system,
         "grid": {"e_min": -1.0, "e_max": 1.0, "count": 21}})
     assert load_config(cfg).system.onsite.tolist() == expected
+    # the config's three forms are LatticeSystem's own: absent, one number, rows
+    assert LatticeSystem(2, 3, *([] if onsite is None else [onsite])).onsite.tolist() == expected
     assert main(["verify", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_every_system_builder_is_the_library_s():
+    # a config's system object is passed to a model builder as read, so the
+    # config and a library call meet one rule set and cli decides no form
+    for _, build, _, generate in cli._SYSTEMS.values():
+        assert build.__module__ == generate.__module__ == "dwelldos.model"
 
 
 def test_main_exit_2_on_bad_config(tmp_path, capsys):

@@ -305,6 +305,16 @@ def test_green_route_matches_dense_trace_on_long_strip():
     assert abs(dos_region_lattice(system, energy) - dense) <= 1e-12 * abs(dense)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ten columns are enough for the backward recursion to lose digits: dos_green is "
+    "1.43e-8 off the dense trace here, dos_sum 6.6e-13 (ROADMAP item 11)"))
+def test_green_route_matches_dense_trace_on_bic_strip():
+    system = barrier_lattice(2, 10, [3, 4, 5, 6], -2.0)
+    energy = -2.50436
+    dense = -np.trace(dense_green_lattice(system, energy)).imag / np.pi
+    assert abs(dos_region_lattice(system, energy) - dense) <= 1e-12 * abs(dense)
+
+
 def test_smatrix_consistent_with_green_function(lattice3x10):
     # s_mn = -delta_mn + i sqrt(v_m v_n) chi_m^T G(c_m, c_n) chi_n with the
     # blocks of the dense Green's function between the interface columns

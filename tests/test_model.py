@@ -63,6 +63,10 @@ def test_stack_layers_are_float_pairs():
     assert all(type(value) is float for layer in st.layers for value in layer)
     assert repr(st) == "LayerStack(layers=((1.0, 2.0), (0.5, -1.0)), v_left=0.0, v_right=0.0)"
     assert st.shifted(0.25).layers == ((1.0, 2.25), (0.5, -0.75))
+    # a stack built directly keeps the float pairs it read, from any sequence
+    direct = LayerStack([[1, np.float64(2.0)], np.array([0.5, -1.0])])
+    assert direct == st and all(type(value) is float for layer in direct.layers for value in layer)
+    assert build_stack(iter([(1, 2), (0.5, -1.0)])) == st
 
 
 def test_total_length_is_the_last_boundary():
@@ -140,6 +144,23 @@ def test_channel_thresholds_lattice():
     assert np.allclose(channel_thresholds(uniform_lattice(1, 4)), [-2.0, 2.0])
     # eps_m = -2 cos(m pi / 3) = -+1, edges at eps -+ 2
     assert np.allclose(channel_thresholds(uniform_lattice(2, 4)), [-3.0, -1.0, 1.0, 3.0])
+
+
+def test_lattice_onsite_forms():
+    # absent, one number or an array per site, as a config's `onsite` is
+    assert LatticeSystem(2, 3).onsite.tolist() == [[0.0, 0.0]] * 3
+    uniform = LatticeSystem(2, 3, 0.5).onsite
+    assert uniform.shape == (3, 2) and not uniform.flags.writeable
+    assert np.array_equal(uniform, np.full((3, 2), 0.5))
+    assert np.array_equal(uniform, uniform_lattice(2, 3, 0.5).onsite)
+    assert np.array_equal(LatticeSystem(2, 3, np.int64(-1)).onsite, np.full((3, 2), -1.0))
+    for onsite, match in ((True, "onsite must be an array of numbers"),
+                          ("0.5", "onsite must be an array of numbers"),
+                          ([0.5], r"onsite must have shape \(length, width\) = \(3, 2\), "
+                                   r"got \(1,\)"),
+                          (np.nan, "onsite must have no non-finite entry")):
+        with pytest.raises(ValidationError, match=match):
+            LatticeSystem(2, 3, onsite)
 
 
 def test_lattice_validation():
@@ -484,6 +505,26 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
                  "tau curve: energies must be an array of numbers", id="tau-energies-strings"),
     pytest.param(lambda: SpectralWeight(np.array([1.5]), [True]),
                  "spectral weight: values must be an array of numbers", id="weight-bools"),
+    # every pair and list is read by model._sequence, which refuses text, a
+    # mapping, a set (read in hash order) and what does not iterate, where
+    # unpacking read "12" as (1, 2) and a mapping or a set by its keys
+    pytest.param(lambda: build_stack(["12"]), r"layer 0: must be a \(thickness, potential\) pair",
+                 id="layer-text"),
+    pytest.param(lambda: build_stack([{1.0: "a", 2.0: "b"}]),
+                 r"layer 0: must be a \(thickness, potential\) pair", id="layer-mapping"),
+    pytest.param(lambda: build_stack({(1.0, 2.0): "x"}),
+                 r"layers must be a sequence of \(thickness, potential\) pairs",
+                 id="layers-mapping"),
+    pytest.param(lambda: LayerStack(layers=({1.0: 0, 2.0: 0},)),
+                 r"layer 0: must be a \(thickness, potential\) pair", id="stack-layer-mapping"),
+    pytest.param(lambda: LayerStack(5), r"layers must be a sequence of \(thickness, potential\)",
+                 id="stack-layers-number"),
+    pytest.param(lambda: random_stack(1, v_range={0.0: 1, 2.0: 2}),
+                 r"v_range must be a \(lo, hi\) pair", id="v_range-mapping"),
+    pytest.param(lambda: random_stack(1, d_range={0.5, 1.5}), r"d_range must be a \(lo, hi\) pair",
+                 id="d_range-set"),
+    pytest.param(lambda: barrier_lattice(2, 10, {3: "x"}, 1.0),
+                 "barrier_cols must be a sequence of columns", id="barrier-cols-mapping"),
 ])
 def test_model_refuses_bad_input(build, match):
     with pytest.raises(ValidationError, match=match):
