@@ -144,9 +144,10 @@ class ReportTable(Sequence):
     skipped it, which gives `skipped` (N,) (a skipped row lists no channel)
     and `skip_reasons`; the per-channel columns `tau_direct` and
     `tau_vderiv` (m, N) and the per-energy columns `dos_green`, `dos_sum`
-    and `residual_rel` (N,).  A column is None when its route was not run;
-    otherwise it holds a value, NaN included, on every listed channel
-    (per-channel) or every row not skipped (per-energy), and nothing elsewhere.
+    and `residual_rel` (N,); another length or shape is refused.  A column
+    is None when its route was not run; otherwise it holds a value, NaN
+    included, on every listed channel (per-channel) or every row not
+    skipped (per-energy), and nothing elsewhere.
     """
 
     def __init__(self, energies, labels, open, errors, *, tau_direct=None,
@@ -155,6 +156,16 @@ class ReportTable(Sequence):
         if not np.all(np.diff(self.energies) >= 0.0):  # a NaN step is refused too
             raise ValidationError("report energies must not decrease")
         self.labels, self.errors = tuple(labels), list(errors)
+        m, n = len(self.labels), len(self.energies)
+        if len(self.errors) != n or not all(isinstance(e, (Exception, type(None)))
+                                            for e in self.errors):
+            raise ValidationError(f"errors must be {n} entries, each None or an exception")
+        arrays = {"open": open, "tau_direct": tau_direct, "tau_vderiv": tau_vderiv,
+                  "dos_green": dos_green, "dos_sum": dos_sum, "residual_rel": residual_rel}
+        for name, value in arrays.items():  # a column not run is None; open is required
+            shape = (m, n) if name == "open" or name in _CHANNEL_COLUMNS else (n,)
+            if (value is not None or name == "open") and np.shape(value) != shape:
+                raise ValidationError(f"{name} must have shape {shape}, got {np.shape(value)}")
         self.skipped = np.array([error is not None for error in self.errors], dtype=bool)
         self.open = open & ~self.skipped
         self.tau_direct, self.tau_vderiv = tau_direct, tau_vderiv

@@ -65,7 +65,6 @@ from .model import (
     LayerStack,
     _number,
     _size,
-    build_stack,
     channel_thresholds,  # unused here; the benchmark's tracer wraps it by this name
     random_lattice,
     random_stack,
@@ -191,7 +190,7 @@ _REGION = {key: _required(_integer) for key in ("col_min", "col_max", "row_min",
 # (the one field the given table lacks) and the others.  A generated
 # system takes no field that it generates itself.
 _SYSTEMS = {
-    "stack": ({"layers": _required(_layers), **_LEADS}, build_stack,
+    "stack": ({"layers": _required(_layers), **_LEADS}, LayerStack,
               {"random": _required(_object(_RANDOM))}, random_stack),
     "lattice": ({**_SIZE, "onsite": _reals}, LatticeSystem,
                 {**_SIZE, "disorder": _required(_object(_DISORDER))}, random_lattice),

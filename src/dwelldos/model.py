@@ -16,7 +16,7 @@ from collections.abc import Mapping, Set
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,13 +82,13 @@ def _refused(name: str, rule: str, value) -> ValidationError:
     return ValidationError(f"{name} must be {rule}, got {shown}")
 
 
-def _number(name: str, value, *, text=False, minimum=None, above=None, finite=True) -> float:
+def _number(name: str, value, *, minimum=None, above=None, finite=True) -> float:
     """The one reader of a real number a caller passes, by float(); refused, naming `name`:
-    a bool, a string unless `text` (a field kept as given would compare as one), a non-scalar,
-    what float() cannot read, NaN, +-inf, a value below `minimum` or not above `above`.
-    With finite=False (_energy) NaN and +-inf pass, and no bound is read."""
+    a bool, a string, a non-scalar, what float() cannot read, NaN, +-inf, a value below
+    `minimum` or not above `above`.  With finite=False (_energy) NaN and +-inf pass, and
+    no bound is read."""
     if type(value) is not float and (getattr(value, "ndim", 0) or isinstance(
-            value, (bool, np.bool_) if text else (bool, np.bool_, str, bytes))):
+            value, (bool, np.bool_, str, bytes))):
         raise _refused(name, "a number", value)
     try:
         number = float(value)
@@ -101,16 +101,16 @@ def _number(name: str, value, *, text=False, minimum=None, above=None, finite=Tr
     return number
 
 
-def _array(name: str, value, finite: bool = True) -> Array:
+def _array(name: str, value) -> Array:
     """The one reader of an array of numbers a caller passes, as a new float array; refused,
-    naming `name`, where numpy reads bools, strings or objects, and, if finite, NaN or +-inf."""
+    naming `name`, where numpy reads bools, strings or objects, and with a NaN or +-inf entry."""
     try:
         arr = np.asarray(value)
         if arr.dtype.kind not in "iuf":
             raise TypeError
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be an array of numbers") from None
-    if finite and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must have no non-finite entry")
     return arr.astype(float)
 
@@ -148,11 +148,10 @@ def _range(name: str, pair) -> tuple[float, float]:
     return _number(f"{name}[0]", lo), _number(f"{name}[1]", hi)
 
 
-def _layer(i: int, layer, text: bool = False) -> tuple[float, float]:
+def _layer(i: int, layer) -> tuple[float, float]:
     """Layer i as a (thickness, potential) pair of _number floats, the thickness > 0."""
     d, v = _sequence(f"layer {i}:", layer, "a (thickness, potential) pair", 2)
-    return (_number(f"layer {i}: thickness", d, text=text, above=0.0),
-            _number(f"layer {i}: potential", v, text=text))
+    return _number(f"layer {i}: thickness", d, above=0.0), _number(f"layer {i}: potential", v)
 
 
 # ----------------------------------------------------------------------------
@@ -166,9 +165,9 @@ _LAYERS = "a sequence of (thickness, potential) pairs"
 class LayerStack:
     """Piecewise-constant 1D potential with semi-infinite asymptotic regions.
 
-    `layers` holds one (thickness, potential) float pair per layer, left
-    to right.  The scattering region Omega is exactly the union of the
-    layers, occupying [0, L] with L the last of the `boundaries`.
+    `layers` holds one (thickness, potential) pair per layer, left to right,
+    and `v_left`, `v_right` the lead potentials, each the float _number reads.
+    Omega is exactly the union of the layers, [0, L] with L the last boundary.
     """
 
     layers: tuple[tuple[float, float], ...]
@@ -179,7 +178,8 @@ class LayerStack:
         layers = _sequence("layers", self.layers, _LAYERS)
         if not layers:
             raise ValidationError("a stack needs at least one layer")
-        _number("v_left", self.v_left), _number("v_right", self.v_right)
+        for name in ("v_left", "v_right"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         object.__setattr__(self, "layers", tuple(_layer(i, pair) for i, pair in enumerate(layers)))
         # the layer arrays are built once here and handed out read-only
         thick, pots = np.array(self.layers).T.copy()
@@ -224,25 +224,15 @@ class LayerStack:
         )
 
 
-def build_stack(
-    layers: Iterable[tuple[float, float]],
-    v_left: float = 0.0,
-    v_right: float = 0.0,
-) -> LayerStack:
-    """Build a validated stack from (thickness, potential) pairs, each value
-    read by float(), a numeric string too."""
-    layers = _sequence("layers", layers, _LAYERS)
-    return LayerStack(layers=tuple(_layer(i, layer, True) for i, layer in enumerate(layers)),
-                      v_left=_number("v_left", v_left, text=True),
-                      v_right=_number("v_right", v_right, text=True))
+build_stack = LayerStack  # the exported name of the one stack reader
 
 
 def free_stack(length: float = 2.0) -> LayerStack:
-    return build_stack([(length, 0.0)])
+    return LayerStack([(length, 0.0)])
 
 
 def rectangular_barrier(thickness: float = 1.0, height: float = 1.0) -> LayerStack:
-    return build_stack([(thickness, height)])
+    return LayerStack([(thickness, height)])
 
 
 def double_barrier(
@@ -252,7 +242,7 @@ def double_barrier(
     well_depth: float = 0.0,
 ) -> LayerStack:
     """Symmetric double barrier: barrier / well / barrier."""
-    return build_stack(
+    return LayerStack(
         [
             (barrier_thickness, barrier_height),
             (well_width, well_depth),
@@ -282,7 +272,7 @@ def random_stack(
         d = rng.uniform(*d_range)
         v = rng.uniform(*v_range)
         layers.append((d, v))
-    return build_stack(layers, v_left=v_left, v_right=v_right)
+    return LayerStack(layers, v_left=v_left, v_right=v_right)
 
 
 def palindromic_stack(seed: int, n_half: int = 3, **kwargs) -> LayerStack:
@@ -308,7 +298,7 @@ class LatticeRegion:
 
     def __post_init__(self):
         for name in ("col_min", "col_max", "row_min", "row_max"):
-            _size(name, getattr(self, name), minimum=0)
+            object.__setattr__(self, name, _size(name, getattr(self, name), minimum=0))
         if self.col_min > self.col_max or self.row_min > self.row_max:
             raise ValidationError("empty lattice region")
 
@@ -332,8 +322,8 @@ class LatticeSystem:
     region: LatticeRegion | None = None
 
     def __post_init__(self):
-        _size("width", self.width)
-        _size("length", self.length)
+        for name in ("width", "length"):
+            object.__setattr__(self, name, _size(name, getattr(self, name)))
         arr = _array("onsite", self.onsite)
         if arr.ndim == 0:  # one number: every site alike
             arr = np.zeros((self.length, self.width)) + arr
@@ -516,14 +506,16 @@ class EnergyGrid:
         lo, hi = _number("e_min", self.e_min), _number("e_max", self.e_max)
         if not np.isfinite(hi - lo):  # inf where the span overflows
             raise ValidationError("e_min, e_max and their span must be finite")
-        if not self.e_min < self.e_max:
+        if not (lo < hi or self.e_min < self.e_max):  # as given, 2**60 < 2**60 + 1 too
             raise ValidationError("e_min must be < e_max")
         # points 4 float spacings of the larger bound apart keep linspace strictly
         # increasing; there are at most 2**51 + 1, far below what numpy can index
         most = int((hi - lo) / (4 * np.spacing(max(-lo, hi)))) + 1
-        if _size("count", self.count) > most:
+        if (count := _size("count", self.count)) > most:
             raise _refused("count", f"<= {most} for points 4 float spacings apart in "
                            f"[{lo!r}, {hi!r}]", self.count)
+        for name, value in (("e_min", lo), ("e_max", hi), ("count", count)):
+            object.__setattr__(self, name, value)
 
     @property
     def points(self) -> Array:

@@ -50,10 +50,9 @@ class BoxSpec:
     eta: float
 
     def __post_init__(self):
-        _number("paddings: pad_left", self.pad_left, above=0.0)
-        _number("paddings: pad_right", self.pad_right, above=0.0)
-        _number("grid_step", self.grid_step, above=0.0)
-        _number("eta", self.eta, above=0.0)
+        for name in ("pad_left", "pad_right", "grid_step", "eta"):  # kept as _number's floats
+            shown = f"paddings: {name}" if name.startswith("pad") else name
+            object.__setattr__(self, name, _number(shown, getattr(self, name), above=0.0))
 
 
 def _validate_box(stack: LayerStack, box: BoxSpec, e_min: float, e_max: float) -> None:

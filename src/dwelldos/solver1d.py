@@ -415,11 +415,17 @@ def dwell_time_direct_1d(
 
 
 def _positions(stack: LayerStack, *xs) -> list[Array]:
-    """x, then x', as float arrays by model._array, refused unless every entry
-    lies in [0, L], the one check of the pointwise functions (NaN is refused)."""
-    xs = [_array(name, x, finite=False) for name, x in zip(("x", "x'"), xs)]
+    """x, then x', as finite float arrays by model._array, refused unless every
+    entry lies in [0, L] and their shapes broadcast: the one check of the
+    pointwise functions."""
+    xs = [_array(name, x) for name, x in zip(("x", "x'"), xs)]
     if not all(np.all((0.0 <= x) & (x <= stack.total_length)) for x in xs):
         raise ValidationError("x and x' must lie in [0, L]")
+    try:
+        np.broadcast_shapes(*(x.shape for x in xs))
+    except ValueError:
+        raise ValidationError(f"x and x' must broadcast, got shapes {xs[0].shape} and "
+                              f"{xs[1].shape}") from None
     return xs
 
 

@@ -1189,6 +1189,31 @@ def test_find_resonances_refuses_a_bad_prominence(dbarrier, min_prominence, rule
         find_resonances(_db_reports(dbarrier, count=50), min_prominence=min_prominence)
 
 
+@pytest.mark.parametrize("given, match", [
+    pytest.param({"errors": [None]}, "errors must be 2 entries", id="errors-short"),
+    pytest.param({"errors": [None, "boom"]}, "errors must be 2 entries, each None or an exception",
+                 id="errors-text"),
+    pytest.param({"labels": ["left"]}, r"open must have shape \(1, 2\), got \(2, 2\)",
+                 id="labels-short"),
+    pytest.param({"open": np.ones((1, 3), dtype=bool)},
+                 r"open must have shape \(2, 2\), got \(1, 3\)", id="open-broadcasts"),
+    pytest.param({"tau_direct": np.ones((2, 3))},
+                 r"tau_direct must have shape \(2, 2\), got \(2, 3\)", id="tau-long"),
+    pytest.param({"dos_green": np.ones(3), "dos_sum": np.ones(3), "residual_rel": np.zeros(3)},
+                 r"dos_green must have shape \(2,\), got \(3,\)", id="per-energy-long"),
+    pytest.param({"residual_rel": np.zeros((1, 2))},
+                 r"residual_rel must have shape \(2,\), got \(1, 2\)", id="residual-2d"),
+])
+def test_report_table_refuses_columns_that_disagree_with_its_rows(given, match):
+    # each argument is checked against the energies and labels, so no row
+    # fails on indexing or drops a channel or a residual unseen
+    table = {"energies": [1.0, 2.0], "labels": ["left", "right"],
+             "open": np.ones((2, 2), dtype=bool), "errors": [None, None]}
+    with pytest.raises(ValidationError, match=match):
+        ReportTable(**{**table, **given})
+    assert len(ReportTable(**table, tau_direct=np.ones((2, 2)), dos_green=np.ones(2))) == 2
+
+
 def test_report_table_keeps_each_skip_error():
     # skipped is derived from errors, a skipped row lists no channel, and
     # summarize_reports counts the errors by class

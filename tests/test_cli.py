@@ -15,7 +15,7 @@ from dwelldos import analysis as an
 from dwelldos import cli
 from dwelldos.cli import load_config, main
 from dwelldos.errors import ConfigError
-from dwelldos.model import LatticeRegion, LatticeSystem
+from dwelldos.model import LatticeRegion, LatticeSystem, LayerStack
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -327,6 +327,7 @@ def test_every_system_builder_is_the_library_s():
     # config and a library call meet one rule set and cli decides no form
     for _, build, _, generate in cli._SYSTEMS.values():
         assert build.__module__ == generate.__module__ == "dwelldos.model"
+    assert cli._SYSTEMS["stack"][1] is LayerStack and cli._SYSTEMS["lattice"][1] is LatticeSystem
 
 
 def test_main_exit_2_on_bad_config(tmp_path, capsys):

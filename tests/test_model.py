@@ -1,13 +1,17 @@
 import json
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwelldos.analysis import shifted_smatrix, verify_identity, wavepacket_dwell_time
 from dwelldos.errors import ValidationError
-from dwelldos.solver1d import greens_function_1d, ldos_1d
+from dwelldos.solver1d import dos_region_1d, greens_function_1d, ldos_1d
 from dwelldos.model import (
     EnergyGrid,
     LatticeRegion,
@@ -58,8 +62,6 @@ def test_build_stack_names_the_first_bad_layer():
 def test_stack_layers_are_float_pairs():
     st = build_stack([(1, 2), (0.5, -1.0)])
     assert st.layers == ((1.0, 2.0), (0.5, -1.0))
-    # build_stack reads every value with float(), a numeric string too
-    assert build_stack([("1", 2), (0.5, "-1")], v_left="0.0") == st
     assert all(type(value) is float for layer in st.layers for value in layer)
     assert repr(st) == "LayerStack(layers=((1.0, 2.0), (0.5, -1.0)), v_left=0.0, v_right=0.0)"
     assert st.shifted(0.25).layers == ((1.0, 2.25), (0.5, -0.75))
@@ -67,6 +69,62 @@ def test_stack_layers_are_float_pairs():
     direct = LayerStack([[1, np.float64(2.0)], np.array([0.5, -1.0])])
     assert direct == st and all(type(value) is float for layer in direct.layers for value in layer)
     assert build_stack(iter([(1, 2), (0.5, -1.0)])) == st
+
+
+def test_build_stack_is_the_stack_reader():
+    # build_stack is LayerStack's exported name, so a stack built directly
+    # keeps the lead floats _number reads as a built one does: a Fraction
+    # lead solves, and a float32 lead is no mirror of its float64 neighbour
+    assert build_stack is LayerStack
+    stack = LayerStack(((1.0, 1.0),), v_left=Fraction(1, 10))
+    assert type(stack.v_left) is float and stack.v_left == 0.1
+    assert dos_region_1d(stack, 1.5) == 0.1503293652040775
+    assert not LayerStack(((1.0, 1.0),), v_left=np.float32(0.1), v_right=0.1).is_palindromic()
+
+
+def _as(kind, x: float):
+    """x as a value of `kind`, one that model._number reads (an integer kind rounds it)."""
+    if kind in (int, np.int64):
+        return kind(round(x))
+    if kind is Fraction:
+        return Fraction(x).limit_denominator(1000)
+    return Decimal(repr(x)) if kind is Decimal else kind(x)
+
+
+def _numbers(lo: float, hi: float):
+    kinds = st.sampled_from([int, float, np.float32, np.float64, np.int64, Fraction, Decimal])
+    return st.builds(_as, kinds, st.floats(lo, hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=_numbers(0.6, 3.0), v=_numbers(-2.0, 2.0), a=_numbers(-1.0, 1.0),
+       b=_numbers(-1.0, 1.0), lo=_numbers(-3.0, 0.0), hi=_numbers(1.0, 4.0))
+def test_model_types_keep_the_floats_their_readers_return(d, v, a, b, lo, hi):
+    # each number kind _number reads is kept as its float, so a stack or a
+    # grid built from it is the one built from the floats, and solves alike
+    stack = LayerStack([(d, v)], a, b)
+    floats = LayerStack([(float(d), float(v))], float(a), float(b))
+    held = (*stack.layers[0], stack.v_left, stack.v_right)
+    assert all(type(x) is float for x in held) and held == tuple(map(float, (d, v, a, b)))
+    assert stack == floats and dos_region_1d(stack, 1.5) == dos_region_1d(floats, 1.5)
+    points = EnergyGrid(lo, hi, 3).points
+    assert points.dtype == np.float64
+    assert np.array_equal(points, EnergyGrid(float(lo), float(hi), 3).points)
+
+
+def test_grid_and_region_keep_the_numbers_their_readers_return():
+    # bounds are kept as floats and sizes as ints, so the points are float64
+    # whatever number kinds the bounds and the count are given as
+    for lo in (np.float32(0.1), np.float16(0.1), Fraction(1, 10), Decimal("0.1")):
+        grid = EnergyGrid(lo, 1, np.int64(3))
+        assert (type(grid.e_min), type(grid.e_max), type(grid.count)) == (float, float, int)
+        assert grid.points.dtype == np.float64
+        assert np.array_equal(grid.points, EnergyGrid(float(lo), 1.0, 3).points)
+    region = LatticeRegion(np.int64(0), 1, np.int32(0), 1)
+    bounds = (region.col_min, region.col_max, region.row_min, region.row_max)
+    assert {type(bound) for bound in bounds} == {int}
+    lattice = LatticeSystem(np.int64(2), np.int64(3))
+    assert (type(lattice.width), type(lattice.length)) == (int, int)
 
 
 def test_total_length_is_the_last_boundary():
@@ -286,6 +344,13 @@ _DELTA = SpectralWeight(np.array([1.5]), np.array([1.0]))
                  id="layer-V-text"),
     pytest.param(lambda: build_stack([(1.0, 0.0)], v_left="a"), "v_left must be a number",
                  id="v_left-text"),
+    # build_stack is LayerStack, so a numeric string is refused as everywhere
+    pytest.param(lambda: build_stack([("1", 2)]), "layer 0: thickness must be a number, got '1'",
+                 id="layer-d-numeric-string"),
+    pytest.param(lambda: build_stack([(1.0, 2.0)], v_left="0.0"),
+                 "v_left must be a number, got '0.0'", id="v_left-numeric-string"),
+    pytest.param(lambda: random_stack(1, v_left="0.5"), "v_left must be a number, got '0.5'",
+                 id="random-v_left-numeric-string"),
     pytest.param(lambda: LayerStack(((1.0, "2"),)), "layer 0: potential must be a number",
                  id="stack-layer-V-string"),
     pytest.param(lambda: LayerStack((("1", 2.0),)), "layer 0: thickness must be a number",

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dwelldos.errors import NumericalFailureError, ValidationError
-from dwelldos.model import EnergyGrid, build_stack, free_stack, rectangular_barrier
+from dwelldos.model import (EnergyGrid, build_stack, double_barrier, free_stack,
+                            rectangular_barrier)
 from dwelldos.oracles import BoxSpec, box_dos, fd_green, quadrature_integral
 from dwelldos.solver1d import dos_region_1d, greens_function_1d
 
@@ -41,6 +44,17 @@ def test_box_spec_validation():
         BoxSpec(pad_left=1.0, pad_right=1.0, grid_step=0.0, eta=0.1)
     with pytest.raises(ValidationError, match="eta"):
         BoxSpec(pad_left=1.0, pad_right=1.0, grid_step=0.1, eta=-0.1)
+
+
+def test_box_spec_keeps_the_floats_it_reads():
+    # the fields are kept as floats, so a Fraction padding gives the float DOS
+    grid, stack = EnergyGrid(1.0, 2.0, 3), double_barrier()
+    box = BoxSpec(Fraction(20), 20.0, 0.01, 0.05)
+    assert {type(value) for value in (box.pad_left, box.pad_right, box.grid_step, box.eta)} == {
+        float}
+    dos = box_dos(stack, box, grid)
+    assert dos.dtype == np.float64 and dos.min() > 0.1
+    assert np.array_equal(dos, box_dos(stack, BoxSpec(20.0, 20.0, 0.01, 0.05), grid))
 
 
 @pytest.mark.parametrize("build, match", [

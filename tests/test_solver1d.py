@@ -288,19 +288,34 @@ def test_green_positions_validated(free2):
 
 @pytest.mark.parametrize("function", [greens_function_1d, ldos_1d, ldos_mode_sum_1d])
 def test_pointwise_positions_outside_the_stack_are_refused(function):
-    # all three pointwise functions share one check: NaN, just below 0 and
-    # just above L are refused, as scalars and inside arrays
+    # all three pointwise functions share one check: just below 0 and just
+    # above L are refused, as scalars and inside arrays, and NaN by
+    # model._array's non-finite rule, as every array a caller passes
     stack = random_stack(42)
     length = stack.total_length
     args = (lambda x: (x, 0.5)) if function is greens_function_1d else (lambda x: (x,))
-    for x in (np.nan, -1e-12, length + 1e-9):
+    outside = r"must lie in \[0, L\]"
+    for x, match in ((np.nan, "x must have no non-finite entry"), (-1e-12, outside),
+                     (length + 1e-9, outside)):
         for position in (x, np.array([0.5, x])):
-            with pytest.raises(ValidationError, match=r"must lie in \[0, L\]"):
+            with pytest.raises(ValidationError, match=match):
                 function(stack, 1.3, *args(position))
     if function is greens_function_1d:  # x' is checked too
-        with pytest.raises(ValidationError, match=r"must lie in \[0, L\]"):
+        with pytest.raises(ValidationError, match="x' must have no non-finite entry"):
             function(stack, 1.3, 0.5, np.nan)
+        with pytest.raises(ValidationError, match=outside):
+            function(stack, 1.3, 0.5, -1e-12)
     assert np.all(np.isfinite(function(stack, 1.3, *args(np.array([0.0, length])))))
+
+
+def test_green_positions_that_do_not_broadcast_are_refused():
+    # the docstring promises arrays that broadcast; others are named by shape,
+    # not left to numpy's broadcast error
+    stack, x, xp = random_stack(42), np.array([0.5, 1.0]), np.array([0.5, 1.0, 1.5])
+    with pytest.raises(ValidationError,
+                       match=r"x and x' must broadcast, got shapes \(2,\) and \(3,\)"):
+        greens_function_1d(stack, 1.0, x, xp)
+    assert greens_function_1d(stack, 1.0, x[:, None], xp).shape == (2, 3)
 
 
 # ------------------------------------------------------------------- LDOS/DOS
